@@ -100,7 +100,7 @@ let reproduce_fig5 () =
 (* ------------------------------------------------------------------ *)
 
 module Exec_workload = Repro_exec.Workload
-module Exec_harness = Repro_exec.Harness
+module Measure = Repro_metrics.Measure
 module Machine = Repro_machine.Machine
 
 (* Simulator prediction for the same workload shape: the paper's best
@@ -137,7 +137,7 @@ let sim_series name ladder =
 let sim_vs_real () =
   hr "Real execution (OCaml 5 domains, work-stealing executor) vs. simulation";
   let hw = Domain.recommended_domain_count () in
-  let ladder = Exec_harness.core_counts_up_to (min hw 16) in
+  let ladder = Measure.core_counts_up_to (min hw 16) in
   Printf.printf
     "%d hardware core(s); measuring each workload at %s domain(s)\n" hw
     (String.concat ", " (List.map string_of_int ladder));
@@ -146,10 +146,13 @@ let sim_vs_real () =
     List.concat_map
       (fun (module W : Exec_workload.S) ->
         let size = if quick then W.quick_size else W.default_size in
-        let ms = Exec_harness.sweep ~repeats ~cores_list:ladder ~size (module W) in
+        let ms =
+          Measure.sweep ~repeats ~ladder (fun cores ->
+              Exec_workload.sample (module W) ~size ~cores)
+        in
         Printf.printf "\n-- %s, size %d (%s): measured wall clock --\n" W.name
           size W.size_doc;
-        Repro_util.Tablefmt.print (Exec_harness.to_table ms);
+        Repro_util.Tablefmt.print (Measure.to_table ms);
         let sim = sim_series W.name ladder in
         let t =
           Repro_util.Tablefmt.create
@@ -158,7 +161,7 @@ let sim_vs_real () =
         in
         Repro_util.Tablefmt.add_row t
           ("real (measured)"
-          :: List.map (fun (m : Exec_harness.measurement) -> Printf.sprintf "%.2f" m.speedup) ms);
+          :: List.map (fun (m : Measure.measurement) -> Printf.sprintf "%.2f" m.speedup) ms);
         Repro_util.Tablefmt.add_row t
           ("sim (predicted)"
           :: List.map (fun s -> Printf.sprintf "%.2f" s) sim.E.Exp.speedups);
@@ -167,7 +170,7 @@ let sim_vs_real () =
       Exec_workload.all
   in
   Repro_util.Json_out.to_file "BENCH_exec.json"
-    (Exec_harness.json_document all_measurements);
+    (Measure.json_document all_measurements);
   Printf.printf "\nwrote BENCH_exec.json (%d measurements)\n"
     (List.length all_measurements)
 
@@ -183,6 +186,11 @@ module Wire = Repro_dist.Wire
 module Shm_ring = Repro_dist.Shm_ring
 
 let now_ns () = Repro_dist.Clock.now_ns ()
+
+let time_ns f =
+  let t0 = now_ns () in
+  f ();
+  now_ns () - t0
 
 (* Echo servers for the calibration: bounce every message back until
    the parent closes the link. *)
@@ -459,11 +467,6 @@ let metrics_overhead () =
     Array.sort compare a;
     a.(Array.length a / 2)
   in
-  let time_ns f =
-    let t0 = now_ns () in
-    f ();
-    now_ns () - t0
-  in
   let rounds = if quick then 5 else 9 in
   let reg = M.create () in
   let c = M.counter ~registry:reg ~labels:[ ("worker", "0") ] "bench_counter_total" in
@@ -528,7 +531,7 @@ let metrics_overhead () =
   Repro_util.Json_out.to_file "BENCH_metrics.json"
     (Repro_util.Json_out.Obj
        (("schema", Repro_util.Json_out.Str "repro/bench-metrics/v1")
-        :: Exec_harness.env_header ()
+        :: Measure.env_header ()
        @ [
            ( "micro_ns_per_op",
              Repro_util.Json_out.List
@@ -564,11 +567,6 @@ let fiber_overhead () =
   hr "Fiber runtime overhead (spawn/await/yield vs raw sparks)";
   let module Fiber = Repro_fiber.Fiber in
   let module Promise = Repro_fiber.Promise in
-  let time_ns f =
-    let t0 = now_ns () in
-    f ();
-    now_ns () - t0
-  in
   let per_op name ops dt_ns =
     let ns = float_of_int dt_ns /. float_of_int ops in
     Printf.printf "  %-36s %8.0f ns/op  (%d ops)\n%!" name ns ops;
@@ -657,7 +655,8 @@ let fiber_overhead () =
   Repro_util.Json_out.to_file "BENCH_fiber.json"
     (Repro_util.Json_out.Obj
        (("schema", Repro_util.Json_out.Str "repro/bench-fiber/v1")
-        :: Exec_harness.env_header ()
+        :: ("backend", Repro_util.Json_out.Str "domains")
+        :: Measure.env_header ()
        @ [
            ( "micro_ns_per_op",
              Repro_util.Json_out.List
@@ -736,7 +735,6 @@ let transport_calibration () =
      profiles)\n"
 
 module Dist_workload = Repro_dist.Workload
-module Dist_measure = Repro_dist.Measure
 
 (* The paper's central comparison, measured rather than simulated: the
    same five kernels on the distributed-heap backend (one process per
@@ -752,40 +750,34 @@ let eden_vs_gph () =
         this machine)"
        transport_name);
   let hw = Domain.recommended_domain_count () in
-  let ladder = Exec_harness.core_counts_up_to (max 4 (min hw 8)) in
+  let ladder = Measure.core_counts_up_to (max 4 (min hw 8)) in
   if List.exists (fun c -> c > hw) ladder then
     Printf.printf
       "note: %d hardware core(s) — points beyond %d are oversubscribed\n" hw hw;
   let repeats = if quick then 2 else 3 in
-  let dist_ms, exec_ms =
-    List.fold_left
-      (fun (dacc, eacc) (module D : Dist_workload.S) ->
-        let (module W) =
-          List.find
-            (fun (module W : Exec_workload.S) -> W.name = D.name)
-            Exec_workload.all
-        in
+  let ms =
+    List.concat_map
+      (fun (module D : Dist_workload.S) ->
+        let (module W) = Option.get (Exec_workload.find D.name) in
         let size = if quick then D.quick_size else D.default_size in
         let reference = D.reference ~size in
         let dms =
-          Dist_measure.sweep ~repeats ~transport:dist_transport
-            ~procs_list:ladder ~size (module D)
+          Measure.sweep ~repeats ~ladder (fun procs ->
+              Repro_dist.Farm.sample ~transport:dist_transport ~procs ~size
+                (module D))
         in
         let ems =
-          Exec_harness.sweep ~repeats ~cores_list:ladder ~size (module W)
+          Measure.sweep ~repeats ~ladder (fun cores ->
+              Exec_workload.sample (module W) ~size ~cores)
         in
         List.iter
-          (fun (m : Dist_measure.measurement) ->
+          (fun (m : Measure.measurement) ->
             if m.result <> reference then
               failwith
-                (Printf.sprintf "%s procs=%d: checksum mismatch" D.name m.procs))
-          dms;
-        List.iter
-          (fun (m : Exec_harness.measurement) ->
-            if m.result <> reference then
-              failwith
-                (Printf.sprintf "%s cores=%d: checksum mismatch" W.name m.cores))
-          ems;
+                (Printf.sprintf "%s on %d %s: checksum mismatch" m.workload
+                   m.workers
+                   (Measure.backend_name m.backend)))
+          (dms @ ems);
         Printf.printf "\n-- %s, size %d (%s): both backends, checksum %d --\n"
           D.name size D.size_doc reference;
         let t =
@@ -795,50 +787,32 @@ let eden_vs_gph () =
               :: List.map (fun _ -> Repro_util.Tablefmt.Right) ladder)
             ("speedup" :: List.map string_of_int ladder)
         in
-        Repro_util.Tablefmt.add_row t
-          ("processes (Eden/GUM)"
-          :: List.map
-               (fun (m : Dist_measure.measurement) ->
-                 Printf.sprintf "%.2f" m.speedup)
-               dms);
-        Repro_util.Tablefmt.add_row t
-          ("domains (GpH)"
-          :: List.map
-               (fun (m : Exec_harness.measurement) ->
-                 Printf.sprintf "%.2f" m.speedup)
-               ems);
+        let row label ms =
+          Repro_util.Tablefmt.add_row t
+            (label
+            :: List.map
+                 (fun (m : Measure.measurement) ->
+                   Printf.sprintf "%.2f" m.speedup)
+                 ms)
+        in
+        row "processes (Eden/GUM)" dms;
+        row "domains (GpH)" ems;
         Repro_util.Tablefmt.print t;
         Printf.printf "per-process-count detail (Eden side):\n";
-        Repro_util.Tablefmt.print (Dist_measure.to_table dms);
-        (dacc @ dms, eacc @ ems))
-      ([], []) Dist_workload.all
+        Repro_util.Tablefmt.print (Measure.to_table dms);
+        dms @ ems)
+      Dist_workload.all
   in
-  Repro_util.Json_out.to_file "BENCH_dist.json"
-    (Repro_util.Json_out.Obj
-       [
-         ("schema", Repro_util.Json_out.Str "repro/bench-dist/v1");
-         ( "env",
-           Repro_util.Json_out.Obj
-             (Exec_harness.env_header ~backend:"processes"
-                ~transport:transport_name ()) );
-         ("transport_calibration", calibration_json ());
-         ( "measurements",
-           Repro_util.Json_out.List
-             (List.map Dist_measure.json_of_measurement dist_ms) );
-         ( "domains_baseline",
-           Repro_util.Json_out.Obj
-             [
-               ( "env",
-                 Repro_util.Json_out.Obj
-                   (Exec_harness.env_header ~backend:"domains" ()) );
-               ( "measurements",
-                 Repro_util.Json_out.List
-                   (List.map Exec_harness.json_of_measurement exec_ms) );
-             ] );
-       ]);
-  Printf.printf
-    "\nwrote BENCH_dist.json (%d process measurements + %d domain baselines)\n"
-    (List.length dist_ms) (List.length exec_ms)
+  let doc =
+    match Measure.json_document ms with
+    | Repro_util.Json_out.Obj fields ->
+        Repro_util.Json_out.Obj
+          (fields @ [ ("transport_calibration", calibration_json ()) ])
+    | other -> other
+  in
+  Repro_util.Json_out.to_file "BENCH_dist.json" doc;
+  Printf.printf "\nwrote BENCH_dist.json (%d measurements, both backends)\n"
+    (List.length ms)
 
 (* Machine-readable dump of the existing Fig. 1 reproduction numbers,
    next to the paper's reported seconds. *)
@@ -858,7 +832,8 @@ let dump_fig1_json (r : E.Fig1.result) =
   Repro_util.Json_out.to_file "BENCH_repro.json"
     (Repro_util.Json_out.Obj
        (("schema", Repro_util.Json_out.Str "repro/bench-repro/v1")
-        :: Exec_harness.env_header ~backend:"simulator" ()
+        :: ("backend", Repro_util.Json_out.Str "simulator")
+        :: Measure.env_header ()
        @ [
            ("figure", Repro_util.Json_out.Str "fig1");
            ("n", Repro_util.Json_out.Int r.n);
@@ -888,8 +863,11 @@ let minor_heap_child () =
   let (module W) = minor_heap_workload () in
   let size = if quick then W.quick_size else W.default_size in
   let cores = min 2 (Domain.recommended_domain_count ()) in
-  let m = Exec_harness.measure ~repeats:2 ~cores ~size (module W) in
-  print_string (Repro_util.Json_out.to_string (Exec_harness.json_of_measurement m))
+  let m =
+    Measure.measure ~repeats:2 (fun () ->
+        Exec_workload.sample (module W) ~size ~cores)
+  in
+  print_string (Repro_util.Json_out.to_string (Measure.json_document [ m ]))
 
 let minor_heap_sweep () =
   hr "Minor-heap sweep: OCAMLRUNPARAM s=<words> vs GC counters";
@@ -898,7 +876,7 @@ let minor_heap_sweep () =
     "workload %s at %d domain(s); each setting runs in a fresh process\n"
     W.name
     (min 2 (Domain.recommended_domain_count ()));
-  let header = Exec_harness.env_header () in
+  let header = Measure.env_header () in
   let rows =
     List.filter_map
       (fun words ->
@@ -915,9 +893,10 @@ let minor_heap_sweep () =
          with End_of_file -> ());
         match (Unix.close_process_in ic, Buffer.contents buf) with
         | Unix.WEXITED 0, s -> (
-            match Repro_util.Json_in.parse s with
-            | j -> Some (words, j)
-            | exception Repro_util.Json_in.Parse_error _ ->
+            let module J = Repro_util.Json_in in
+            match Option.bind (J.member "measurements" (J.parse s)) J.to_list with
+            | Some [ row ] -> Some (words, row)
+            | _ | (exception J.Parse_error _) ->
                 Printf.printf "  s=%d: unparseable child output\n" words;
                 None)
         | _ ->
@@ -1149,7 +1128,8 @@ let benchmark () =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) ()
   in
   let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+    Analyze.ols ~bootstrap:0 ~r_square:true
+      ~predictors:[| Bechamel.Measure.run |]
   in
   hr "Bechamel: per-figure and substrate benchmarks (real time)";
   List.iter

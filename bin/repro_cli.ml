@@ -282,6 +282,80 @@ let write_text_file path s =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc s)
 
+(* ---------------- measurement (exec & dist) ---------------- *)
+
+module Measure = Repro_metrics.Measure
+
+let size_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "size"; "n" ] ~doc:"Problem size (workload-specific)." ~docv:"S")
+
+let repeat_arg =
+  Arg.(
+    value & opt int 3
+    & info [ "repeat"; "r" ] ~doc:"Timed runs per worker count." ~docv:"R")
+
+let sweep_arg =
+  Arg.(
+    value & flag
+    & info [ "sweep" ]
+        ~doc:
+          "Measure at 1, 2, 4, ... up to the worker count ($(b,--cores) or \
+           $(b,--procs)) instead of just 1 and that count.")
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ]
+        ~doc:"Write the measurements as a repro/measure/v1 document to $(docv)."
+        ~docv:"FILE")
+
+(* --size if given (it must be >= 0), else the quick or default size. *)
+let resolve_size ~cmd ~quick ~quick_size ~default_size = function
+  | Some s when s < 0 ->
+      Printf.eprintf "repro-cli: %s: --size must be >= 0 (got %d)\n" cmd s;
+      exit 2
+  | Some s -> s
+  | None -> if quick then quick_size else default_size
+
+let ladder ~sweep n =
+  if sweep then Measure.core_counts_up_to n else if n = 1 then [ 1 ] else [ 1; n ]
+
+(* The one sweep-and-report path of exec and dist: time [run] at every
+   rung, then the table, the checksum check against the sequential
+   reference, the speedup line and the --json document. *)
+let sweep_report buf ~hw ~repeat ~ladder ~reference ~json_file run =
+  let ms = Measure.sweep ~repeats:repeat ~ladder run in
+  Printf.bprintf buf "%d hardware core(s), %d timed run(s) per point\n" hw
+    repeat;
+  Buffer.add_string buf (Repro_util.Tablefmt.to_string (Measure.to_table ms));
+  List.iter
+    (fun (m : Measure.measurement) ->
+      if m.result <> reference then
+        failwith
+          (Printf.sprintf
+             "%s on %d %s: result %d differs from sequential reference %d"
+             m.workload m.workers
+             (Measure.backend_name m.backend)
+             m.result reference))
+    ms;
+  Printf.bprintf buf "result checksum %d matches the sequential reference\n"
+    reference;
+  (match List.rev ms with
+  | (last : Measure.measurement) :: _ :: _ ->
+      let noun = match last.backend with Domains -> "core" | Processes -> "proc" in
+      Printf.bprintf buf "speedup at %d %ss vs 1 %s: %.2fx\n" last.workers noun
+        noun last.speedup
+  | _ -> ());
+  Option.iter
+    (fun path ->
+      Repro_util.Json_out.to_file path (Measure.json_document ms);
+      Printf.bprintf buf "wrote %s\n" path)
+    json_file
+
 (* ---------------- exec: real multicore execution ---------------- *)
 
 (* --fibers: the fiber-runtime stress mode — n fibers over the pool,
@@ -388,7 +462,6 @@ let exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out =
 
 let exec_cmd =
   let module Workload = Repro_exec.Workload in
-  let module Harness = Repro_exec.Harness in
   let workload =
     let doc =
       Printf.sprintf "Workload: %s." (String.concat ", " Workload.names)
@@ -404,31 +477,6 @@ let exec_cmd =
   let cores =
     let doc = "Number of domains (default: all hardware cores)." in
     Arg.(value & opt (some int) None & info [ "cores"; "c" ] ~doc ~docv:"N")
-  in
-  let size =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "size"; "n" ] ~doc:"Problem size (workload-specific)." ~docv:"S")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat"; "r" ] ~doc:"Timed runs per core count." ~docv:"R")
-  in
-  let sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:"Measure at 1, 2, 4, ... up to $(b,--cores) domains (instead \
-                of just 1 and $(b,--cores)).")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write measurements as JSON to $(docv)."
-          ~docv:"FILE")
   in
   let exec_events =
     Arg.(
@@ -481,19 +529,8 @@ let exec_cmd =
     | Some nfibers -> exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out
     | None ->
     let size =
-      match size with
-      | Some s ->
-          if s < 0 then begin
-            Printf.eprintf "repro-cli: exec: --size must be >= 0 (got %d)\n" s;
-            exit 2
-          end;
-          s
-      | None -> if quick then W.quick_size else W.default_size
-    in
-    let cores_list =
-      if sweep_flag then Harness.core_counts_up_to cores
-      else if cores = 1 then [ 1 ]
-      else [ 1; cores ]
+      resolve_size ~cmd:"exec" ~quick ~quick_size:W.quick_size
+        ~default_size:W.default_size size
     in
     let meta =
       Repro_util.Json_out.
@@ -514,36 +551,12 @@ let exec_cmd =
         mfile
     in
     let reference = W.reference ~size in
-    let ms = Harness.sweep ~repeats:repeat ~cores_list ~size (module W) in
     let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "real execution: %s, size %d (%s)\n%d hardware core(s), %d timed \
-          run(s) per point\n"
-         W.name size W.size_doc hw repeat);
-    Buffer.add_string buf (Repro_util.Tablefmt.to_string (Harness.to_table ms));
-    List.iter
-      (fun (m : Harness.measurement) ->
-        if m.result <> reference then
-          failwith
-            (Printf.sprintf
-               "%s at %d cores: result %d differs from sequential reference %d"
-               W.name m.cores m.result reference))
-      ms;
-    Buffer.add_string buf
-      (Printf.sprintf "result checksum %d matches the sequential reference\n"
-         reference);
-    (match List.rev ms with
-    | (last : Harness.measurement) :: _ :: _ ->
-        Buffer.add_string buf
-          (Printf.sprintf "speedup at %d cores vs 1 core: %.2fx\n" last.cores
-             last.speedup)
-    | _ -> ());
-    (match json_file with
-    | Some path ->
-        Repro_util.Json_out.to_file path (Harness.json_document ms);
-        Buffer.add_string buf (Printf.sprintf "wrote %s\n" path)
-    | None -> ());
+    Printf.bprintf buf "real execution: %s, size %d (%s)\n" W.name size
+      W.size_doc;
+    sweep_report buf ~hw ~repeat ~ladder:(ladder ~sweep:sweep_flag cores)
+      ~reference ~json_file (fun cores ->
+        Workload.sample (module W) ~size ~cores);
     if exec_events then begin
       let module Pool = Repro_exec.Pool in
       let p = Pool.create ~cores () in
@@ -683,16 +696,15 @@ let exec_cmd =
          "Run a workload for real on OCaml 5 domains (work-stealing \
           executor) and report measured wall-clock speedups")
     Term.(
-      const run $ workload $ cores $ size $ repeat $ sweep_flag $ json_file
-      $ exec_events $ trace_file $ trace_svg $ fibers_arg $ metrics_file_arg
-      $ metrics_interval_arg $ metrics_om_arg $ strict_health_arg $ quick
-      $ out_file)
+      const run $ workload $ cores $ size_arg $ repeat_arg $ sweep_arg
+      $ json_arg $ exec_events $ trace_file $ trace_svg $ fibers_arg
+      $ metrics_file_arg $ metrics_interval_arg $ metrics_om_arg
+      $ strict_health_arg $ quick $ out_file)
 
 (* ---------------- dist: multi-process (Eden/GUM) execution ---------------- *)
 
 let dist_cmd =
   let module Workload = Repro_dist.Workload in
-  let module Measure = Repro_dist.Measure in
   let workload =
     let doc =
       Printf.sprintf "Workload: %s." (String.concat ", " Workload.names)
@@ -711,32 +723,6 @@ let dist_cmd =
   let procs =
     let doc = "Number of worker processes (default: all hardware cores)." in
     Arg.(value & opt (some int) None & info [ "procs"; "p" ] ~doc ~docv:"N")
-  in
-  let size =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "size"; "n" ] ~doc:"Problem size (workload-specific)." ~docv:"S")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat"; "r" ] ~doc:"Timed runs per process count." ~docv:"R")
-  in
-  let sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:
-            "Measure at 1, 2, 4, ... up to $(b,--procs) processes (instead \
-             of just 1 and $(b,--procs)).")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write measurements as JSON to $(docv)."
-          ~docv:"FILE")
   in
   let trace_file =
     Arg.(
@@ -771,19 +757,8 @@ let dist_cmd =
     let hw = Domain.recommended_domain_count () in
     let procs = match procs with Some p -> max 1 p | None -> hw in
     let size =
-      match size with
-      | Some s ->
-          if s < 0 then begin
-            Printf.eprintf "repro-cli: dist: --size must be >= 0 (got %d)\n" s;
-            exit 2
-          end;
-          s
-      | None -> if quick then W.quick_size else W.default_size
-    in
-    let procs_list =
-      if sweep_flag then Repro_exec.Harness.core_counts_up_to procs
-      else if procs = 1 then [ 1 ]
-      else [ 1; procs ]
+      resolve_size ~cmd:"dist" ~quick ~quick_size:W.quick_size
+        ~default_size:W.default_size size
     in
     let transport_name = Repro_dist.Farm.transport_name transport in
     let meta =
@@ -809,43 +784,14 @@ let dist_cmd =
         mfile
     in
     let reference = W.reference ~size in
-    let ms =
-      Measure.sweep ~repeats:repeat ~transport ~procs_list ~size (module W)
-    in
     let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "distributed execution (one process per PE, %s transport): %s, size \
-          %d (%s)\n\
-          %d hardware core(s), %d timed run(s) per point\n"
-         transport_name W.name size W.size_doc hw repeat);
-    Buffer.add_string buf (Repro_util.Tablefmt.to_string (Measure.to_table ms));
-    List.iter
-      (fun (m : Measure.measurement) ->
-        if m.result <> reference then
-          failwith
-            (Printf.sprintf
-               "%s at %d procs: result %d differs from sequential reference %d"
-               W.name m.procs m.result reference))
-      ms;
-    Buffer.add_string buf
-      (Printf.sprintf "result checksum %d matches the sequential reference\n"
-         reference);
-    (match List.rev ms with
-    | (last : Measure.measurement) :: _ :: _ ->
-        Buffer.add_string buf
-          (Printf.sprintf "speedup at %d procs vs 1 proc: %.2fx\n" last.procs
-             last.speedup)
-    | _ -> ());
-    (match json_file with
-    | Some path ->
-        let header =
-          Repro_exec.Harness.env_header ~backend:"processes"
-            ~transport:transport_name ()
-        in
-        Repro_util.Json_out.to_file path (Measure.json_document ~header ms);
-        Buffer.add_string buf (Printf.sprintf "wrote %s\n" path)
-    | None -> ());
+    Printf.bprintf buf
+      "distributed execution (one process per PE, %s transport): %s, size %d \
+       (%s)\n"
+      transport_name W.name size W.size_doc;
+    sweep_report buf ~hw ~repeat ~ladder:(ladder ~sweep:sweep_flag procs)
+      ~reference ~json_file (fun procs ->
+        Repro_dist.Farm.sample ~transport ~procs ~size (module W));
     (match trace_file with
     | None -> ()
     | Some path ->
@@ -902,7 +848,8 @@ let dist_cmd =
           -- $(b,--transport)) and report wall-clock speedups plus \
           message/byte/GC counters")
     Term.(
-      const run $ workload $ procs $ size $ repeat $ sweep_flag $ json_file
+      const run $ workload $ procs $ size_arg $ repeat_arg $ sweep_arg
+      $ json_arg
       $ trace_file $ transport $ metrics_file_arg $ metrics_interval_arg
       $ metrics_om_arg $ strict_health_arg $ quick $ out_file)
 

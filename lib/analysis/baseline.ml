@@ -14,10 +14,8 @@
     digest of the trimmed source line ({!Finding.hash_line_text}) —
     so a suppression survives the code above it growing or shrinking:
     the line {e number} is an advisory hint for humans reading the
-    baseline, never consulted when a hash is present.  Entries written
-    before PR 7 carry no [#hash]; they fall back to exact
-    rule+file+line matching and are migrated by re-running
-    [--suggest]-style output (the [baseline:] line under each finding).
+    baseline and is never consulted.  The [baseline:] line printed
+    under each finding is a ready-made entry.
 
     A finding is suppressed by the first unconsumed matching entry;
     entries that match no finding are reported as {e stale} so the
@@ -28,8 +26,8 @@
 type entry = {
   rule : string;
   file : string;
-  line : int;  (** advisory when [hash] is present *)
-  hash : string;  (** [""] = legacy entry, match on exact line *)
+  line : int;  (** advisory only *)
+  hash : string;  (** the suppression key, with [rule] and [file] *)
   justification : string;
   source_line : int;  (** line in the baseline file, for stale reports *)
 }
@@ -53,7 +51,7 @@ let of_string ?(name = "<baseline>") text : t =
           match String.index_opt line ' ' with
           | None ->
               parse_error name lineno
-                "expected '<rule> <path>:<line>[#hash] -- <why>'"
+                "expected '<rule> <path>:<line>#<hash> -- <why>'"
           | Some sp -> (
               let rule = String.sub line 0 sp in
               let rest = String.trim (String.sub line (sp + 1) (String.length line - sp - 1)) in
@@ -85,7 +83,7 @@ let of_string ?(name = "<baseline>") text : t =
                       parse_error name lineno
                         ("bad line hash '" ^ hash ^ "' (lowercase hex expected)");
                     (String.sub loc_part 0 h, hash)
-                | None -> (loc_part, "")
+                | None -> parse_error name lineno "expected '<path>:<line>#<hash>'"
               in
               match String.rindex_opt loc_part ':' with
               | None -> parse_error name lineno "expected '<path>:<line>'"
@@ -119,28 +117,20 @@ let load path : t =
   of_string ~name:path text
 
 (** Render a finding as a ready-to-paste baseline line (justification
-    left as a placeholder the committer must fill in).  Content-hash
-    keyed whenever the engine filled the finding's [line_hash] in. *)
+    left as a placeholder the committer must fill in). *)
 let suggest (f : Finding.t) =
-  if f.line_hash = "" then
-    Printf.sprintf "%s %s:%d -- TODO justify" f.rule f.file f.line
-  else
-    Printf.sprintf "%s %s:%d#%s -- TODO justify" f.rule f.file f.line
-      f.line_hash
+  Printf.sprintf "%s %s:%d#%s -- TODO justify" f.rule f.file f.line f.line_hash
 
-(** Entries whose suppression key — rule, file, and line hash (line
-    number for legacy hashless entries) — repeats: the second and later
-    occurrences.  {!apply} consumes one entry per finding, so a
-    duplicate either hides a stale entry or silently double-suppresses
-    a line that regressed; either way the baseline should carry it
-    once. *)
+(** Entries whose suppression key — rule, file and line hash —
+    repeats: the second and later occurrences.  {!apply} consumes one
+    entry per finding, so a duplicate either hides a stale entry or
+    silently double-suppresses a line that regressed; either way the
+    baseline should carry it once. *)
 let duplicates (t : t) : entry list =
   let seen = Hashtbl.create 16 in
   List.filter
     (fun (e : entry) ->
-      let key =
-        (e.rule, e.file, if e.hash <> "" then "#" ^ e.hash else string_of_int e.line)
-      in
+      let key = (e.rule, e.file, e.hash) in
       if Hashtbl.mem seen key then true
       else begin
         Hashtbl.add seen key ();
@@ -149,10 +139,7 @@ let duplicates (t : t) : entry list =
     t
 
 let matches (e : entry) (f : Finding.t) =
-  e.rule = f.rule && e.file = f.file
-  &&
-  if e.hash <> "" && f.line_hash <> "" then e.hash = f.line_hash
-  else e.line = f.line
+  e.rule = f.rule && e.file = f.file && e.hash = f.line_hash
 
 (** Split findings into (fresh, suppressed-with-justification), and
     return the stale entries that matched nothing.  Each entry

@@ -446,6 +446,84 @@ let run ?worker_argv ?packet_bytes ?transport ?ring_bytes ?(trace = false)
     merged_metrics;
   }
 
+(* A PE's own counters as one named per-worker row. *)
+let stats_row (s : Message.worker_stats) =
+  List.map
+    (fun (k, v) -> (k, float_of_int v))
+    [
+      ("tasks", s.tasks_executed);
+      ("fishes", s.fishes_sent);
+      ("stolen", s.tasks_stolen);
+      ("grants", s.grants_given);
+      ("msgs_sent", s.msgs_sent);
+      ("msgs_recv", s.msgs_recv);
+      ("bytes_sent", s.bytes_sent);
+      ("bytes_recv", s.bytes_recv);
+      ("packets_sent", s.packets_sent);
+      ("packets_recv", s.packets_recv);
+      ("payload_bytes_sent", s.payload_bytes_sent);
+      ("payload_bytes_recv", s.payload_bytes_recv);
+      ("zero_copy_bytes_sent", s.zero_copy_bytes_sent);
+      ("zero_copy_bytes_recv", s.zero_copy_bytes_recv);
+      ("pack_ns", s.pack_ns);
+      ("unpack_ns", s.unpack_ns);
+      ("exec_ns", s.exec_ns);
+      ("gc_minor_collections", s.gc_minor_collections);
+      ("gc_major_collections", s.gc_major_collections);
+    ]
+  @ [
+      ("gc_minor_words", s.gc_minor_words);
+      ("gc_promoted_words", s.gc_promoted_words);
+    ]
+
+let sample ~transport ~procs ~size (module W : Workload.S) :
+    Repro_metrics.Measure.sample =
+  let o = run ~transport ~procs ~size (module W) in
+  let rows = Array.map (fun r -> stats_row r.stats) o.reports in
+  (* the named fields, summed over every PE's row *)
+  let total keys =
+    Array.fold_left
+      (fun acc row ->
+        List.fold_left (fun acc k -> acc +. List.assoc k row) acc keys)
+      0. rows
+  in
+  let both k = total [ k ^ "_sent"; k ^ "_recv" ] in
+  let outcome k v = (k, float_of_int v) in
+  {
+    workload = W.name;
+    backend = Processes;
+    transport = Some (transport_name transport);
+    size;
+    workers = procs;
+    ns = o.work_ns;
+    spawn_ns = o.spawn_ns;
+    result = o.result;
+    gc =
+      {
+        minor_collections = int_of_float (total [ "gc_minor_collections" ]);
+        major_collections = int_of_float (total [ "gc_major_collections" ]);
+        minor_words = total [ "gc_minor_words" ];
+        promoted_words = total [ "gc_promoted_words" ];
+      };
+    counts =
+      [
+        outcome "rounds" o.rounds;
+        outcome "tasks" o.tasks;
+        outcome "schedules" o.schedules;
+        outcome "fishes" o.fishes;
+        outcome "no_works" o.no_works;
+        outcome "stolen" o.stolen;
+        ("msgs", both "msgs");
+        ("bytes", both "bytes");
+        ("packets", both "packets");
+        ("payload_bytes", both "payload_bytes");
+        ("zero_copy_bytes", both "zero_copy_bytes");
+        ("pack_ns", total [ "pack_ns" ]);
+        ("unpack_ns", total [ "unpack_ns" ]);
+      ];
+    per_worker = rows;
+  }
+
 let farm ?worker_argv ?packet_bytes ?transport ~procs (fs : (unit -> 'a) list) :
     'a list =
   if procs < 1 then invalid_arg "Farm.farm: procs must be >= 1";

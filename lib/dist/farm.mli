@@ -81,6 +81,17 @@ val run :
   (module Workload.S) ->
   outcome
 
+(** One timed {!run} as a measurement sample: [ns] is [work_ns],
+    [spawn_ns] the process creation; GC deltas and traffic are summed
+    over the PEs' own [Message.worker_stats], which also give one
+    per-worker row each. *)
+val sample :
+  transport:transport ->
+  procs:int ->
+  size:int ->
+  (module Workload.S) ->
+  Repro_metrics.Measure.sample
+
 (** [farm fs] evaluates each closure on some PE and returns the
     results in order — Eden's process-abstraction farm.  Closures are
     marshalled with [Marshal.Closures], which is only sound because

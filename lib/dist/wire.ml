@@ -125,11 +125,11 @@ let samples_of_counters ~labels (k : counters) =
 
 (* Register a link's counters as a default-registry collector; the
    returned token must be removed at close (which retires the final
-   totals into the registry). *)
+   totals into the registry).  Labelled by transport only, so every
+   link of a transport, open or retired, folds into one series and the
+   registry stays the same size however many links come and go. *)
 let add_link_collector ~transport k =
-  let labels =
-    [ ("link", string_of_int (M.next_id ())); ("transport", transport) ]
-  in
+  let labels = [ ("transport", transport) ] in
   M.add_collector ~name:("wire-" ^ transport) (fun () ->
       samples_of_counters ~labels k)
 

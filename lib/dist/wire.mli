@@ -56,9 +56,10 @@ val samples_of_counters :
   labels:(string * string) list -> counters -> Repro_metrics.Metrics.sample list
 
 (** Register [counters] as a per-link collector in the default metrics
-    registry (labels: a fresh [link] id plus [transport]).  Remove the
-    token at close — removal retires the final totals, so closed links
-    stay in cumulative snapshots. *)
+    registry, labelled by [transport] only: all links of a transport
+    sum into one series (the per-link view is [Farm.pe_report.co]).
+    Remove the token at close — removal retires the final totals, so
+    closed links stay in cumulative snapshots without growing them. *)
 val add_link_collector :
   transport:string -> counters -> Repro_metrics.Metrics.collector
 

@@ -221,3 +221,35 @@ let names = List.map (fun (module W : S) -> W.name) all
 
 let find name =
   List.find_opt (fun (module W : S) -> W.name = name) all
+
+(* ---------------- one timed run ---------------- *)
+
+module Measure = Repro_metrics.Measure
+
+let sample (module W : S) ~size ~cores : Measure.sample =
+  let t0 = Repro_metrics.Metrics.now_ns () in
+  let pool = Pool.create ~cores () in
+  let spawn_ns = Repro_metrics.Metrics.now_ns () - t0 in
+  let result, ns, gc =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        let gc0 = Gc.quick_stat () in
+        let t1 = Repro_metrics.Metrics.now_ns () in
+        let result = Pool.run pool (fun () -> W.run ~size ()) in
+        let ns = Repro_metrics.Metrics.now_ns () - t1 in
+        (result, ns, Measure.gc_delta gc0 (Gc.quick_stat ())))
+  in
+  {
+    workload = W.name;
+    backend = Domains;
+    transport = None;
+    size;
+    workers = cores;
+    ns;
+    spawn_ns;
+    result;
+    gc;
+    counts = [];
+    per_worker = [||];
+  }

@@ -33,3 +33,9 @@ val all : (module S) list
 
 val names : string list
 val find : string -> (module S) option
+
+(** One timed run on a fresh [cores]-domain pool: [ns] covers [W.run]
+    alone, [spawn_ns] the pool's creation, [gc] the calling domain's
+    deltas over the run.  No counts or per-worker rows. *)
+val sample :
+  (module S) -> size:int -> cores:int -> Repro_metrics.Measure.sample

@@ -245,12 +245,6 @@ let add_collector ?(registry = default) ~name fn =
       registry.r_collectors <- (id, name, fn) :: registry.r_collectors;
       id)
 
-let next_id ?(registry = default) () =
-  locked registry (fun () ->
-      let id = registry.r_next in
-      registry.r_next <- id + 1;
-      id)
-
 let run_collector fn = try fn () with _ -> []
 
 let remove_collector ?(registry = default) id =

@@ -126,8 +126,5 @@ val remove_collector : ?registry:t -> collector -> unit
     registry's retired set, so cumulative totals survive the lifecycle
     of the object that owned them (a shut-down pool, a closed link). *)
 
-val next_id : ?registry:t -> unit -> int
-(** Small unique ids, e.g. for per-link labels. *)
-
 val now_ns : unit -> int
 (** Monotonic clock, nanoseconds. *)

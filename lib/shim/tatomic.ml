@@ -72,14 +72,18 @@ end
     ring doorbell (consumer: store [sleeping]=1 {e then} load [tail];
     producer: store [tail] {e then} load [sleeping]).  Plain mapped
     stores and loads may be reordered across each other (StoreLoad) by
-    both the hardware and the compiler; an [Atomic.exchange] on a
-    process-local cell is a compiler barrier in the OCaml memory model
-    and compiles to a locked instruction (a full fence) on x86-64 and
-    to ldaxr/stlxr pairs on AArch64.  Each ring side owns its own cell
-    so fences never contend across domains. *)
+    both the hardware and the compiler.  An [Atomic] operation is not
+    enough here: OCaml 5.1 runs [Atomic.exchange] as a plain load and
+    store while the process has a single domain, which every PE and
+    the farm coordinator are.  [full] is therefore a C call to
+    [atomic_thread_fence(memory_order_seq_cst)] ([mfence] on x86-64,
+    [dmb ish] on AArch64); an external call is also a compiler barrier.
+    Each ring side still owns a [t], but the fence never reads or
+    writes it. *)
 module Fence = struct
   type t = int Real.t
 
   let create () : t = Real.make 0
-  let full (t : t) = ignore (Real.exchange t 0)
+
+  external full : t -> unit = "repro_fence_full" [@@noalloc]
 end

@@ -184,9 +184,10 @@ let rule_ids_stable () =
     ]
     Rules.ids
 
-let baseline_entry name line rule =
-  Printf.sprintf "%s %s:%d -- seeded fixture, intentionally violating" rule
-    (fixture name) line
+(* A baseline line for finding [f], keyed by [hash]. *)
+let baseline_entry (f : Finding.t) hash =
+  Printf.sprintf "%s %s:%d#%s -- seeded fixture, intentionally violating"
+    f.rule f.file f.line hash
 
 (* A matching baseline entry silences the finding; removing it brings
    the finding back; an entry that matches nothing is stale. *)
@@ -199,9 +200,8 @@ let baseline_roundtrip () =
       (scan "spark_purity_ref_bad.ml")
   in
   check int "one finding to play with" 1 (List.length findings);
-  let b =
-    Baseline.of_string (baseline_entry "spark_purity_ref_bad.ml" 5 "spark-purity")
-  in
+  let f = List.hd findings in
+  let b = Baseline.of_string (baseline_entry f f.line_hash) in
   let fresh, suppressed, stale = Baseline.apply b findings in
   check int "silenced" 0 (List.length fresh);
   check int "recorded as suppressed" 1 (List.length suppressed);
@@ -210,11 +210,8 @@ let baseline_roundtrip () =
   let fresh, suppressed, _ = Baseline.apply [] findings in
   check int "back without baseline" 1 (List.length fresh);
   check int "no suppressions" 0 (List.length suppressed);
-  (* wrong line -> stale entry, finding stays fresh *)
-  let b2 =
-    Baseline.of_string
-      (baseline_entry "spark_purity_ref_bad.ml" 999 "spark-purity")
-  in
+  (* wrong hash -> stale entry, finding stays fresh *)
+  let b2 = Baseline.of_string (baseline_entry f "aaaaaaaaaaaa") in
   let fresh, _, stale = Baseline.apply b2 findings in
   check int "finding survives mismatch" 1 (List.length fresh);
   check int "entry reported stale" 1 (List.length stale)
@@ -225,8 +222,9 @@ let baseline_path_normalisation () =
   let findings = scan "atomics_magic_bad.ml" in
   let b =
     Baseline.of_string
-      (Printf.sprintf "atomics-discipline ../%s:2 -- seeded fixture"
-         (fixture "atomics_magic_bad.ml"))
+      (Printf.sprintf "atomics-discipline ../%s:2#%s -- seeded fixture"
+         (fixture "atomics_magic_bad.ml")
+         (List.hd findings).Finding.line_hash)
   in
   let fresh, suppressed, _ = Baseline.apply b findings in
   check int "normalised path matches" 0 (List.length fresh);
@@ -244,11 +242,13 @@ let contains ~sub s =
 
 let sarif_shape () =
   let findings = scan "atomics_raw_bad.ml" in
-  let fresh, suppressed, _ =
-    Baseline.apply
-      (Baseline.of_string
-         (baseline_entry "atomics_raw_bad.ml" 2 "atomics-discipline"))
+  let f =
+    List.find
+      (fun (f : Finding.t) -> f.rule = "atomics-discipline" && f.line = 2)
       findings
+  in
+  let fresh, suppressed, _ =
+    Baseline.apply (Baseline.of_string (baseline_entry f f.line_hash)) findings
   in
   let report =
     {
@@ -327,7 +327,11 @@ let baseline_rejects_bad_hash () =
        "<baseline>:1: baseline syntax error: bad line hash 'ZZZ' (lowercase \
         hex expected)")
     (fun () ->
-      ignore (Baseline.of_string "spark-purity lib/a.ml:3#ZZZ -- why"))
+      ignore (Baseline.of_string "spark-purity lib/a.ml:3#ZZZ -- why"));
+  check_raises "missing hash"
+    (Failure
+       "<baseline>:1: baseline syntax error: expected '<path>:<line>#<hash>'")
+    (fun () -> ignore (Baseline.of_string "spark-purity lib/a.ml:3 -- why"))
 
 (* ---------------- summary cache ---------------- *)
 
@@ -404,8 +408,8 @@ let baseline_duplicate_detection () =
       "spark-purity lib/a.ml:3#abcdefabcdef -- first\n\
        spark-purity lib/a.ml:9#abcdefabcdef -- same hash, other line\n\
        spark-purity lib/b.ml:3#abcdefabcdef -- other file, not a dup\n\
-       fd-leak lib/c.ml:4 -- legacy\n\
-       fd-leak lib/c.ml:4 -- legacy repeat\n"
+       fd-leak lib/c.ml:4#0123456789ab -- first\n\
+       fd-leak lib/c.ml:8#0123456789ab -- repeat, other advisory line\n"
   in
   let dups = Baseline.duplicates b in
   check

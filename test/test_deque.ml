@@ -1,4 +1,4 @@
-(** Tests for the Chase–Lev work-stealing deque and the FIFO queue. *)
+(** Tests for the Chase–Lev work-stealing deque. *)
 
 open Repro_deque
 
@@ -258,33 +258,6 @@ let deque_domains_race_repeated () =
       seen
   done
 
-(* ---------------- Spsc_queue ---------------- *)
-
-let fifo_order () =
-  let q = Spsc_queue.create () in
-  List.iter (Spsc_queue.enqueue q) [ 1; 2; 3 ];
-  check Alcotest.(option int) "peek" (Some 1) (Spsc_queue.peek q);
-  check Alcotest.(option int) "dequeue 1" (Some 1) (Spsc_queue.dequeue q);
-  check Alcotest.(option int) "dequeue 2" (Some 2) (Spsc_queue.dequeue q);
-  Spsc_queue.enqueue q 4;
-  check Alcotest.(list int) "to_list" [ 3; 4 ] (Spsc_queue.to_list q);
-  check Alcotest.int "length" 2 (Spsc_queue.length q);
-  Spsc_queue.clear q;
-  check Alcotest.bool "cleared" true (Spsc_queue.is_empty q)
-
-let fifo_qcheck =
-  QCheck.Test.make ~name:"spsc_queue preserves FIFO order" ~count:300
-    QCheck.(small_list small_nat)
-    (fun xs ->
-      let q = Spsc_queue.create () in
-      List.iter (Spsc_queue.enqueue q) xs;
-      let rec drain acc =
-        match Spsc_queue.dequeue q with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = xs)
-
 let suite =
   ( "deque",
     [
@@ -298,6 +271,4 @@ let suite =
       test_case "multi-domain stress" `Slow deque_domains_stress;
       test_case "multi-domain race, exactly-once x20" `Slow
         deque_domains_race_repeated;
-      test_case "spsc fifo order" `Quick fifo_order;
-      QCheck_alcotest.to_alcotest fifo_qcheck;
     ] )

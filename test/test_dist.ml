@@ -12,7 +12,6 @@ module Wire = Repro_dist.Wire
 module Shm = Repro_dist.Shm_ring
 module Farm = Repro_dist.Farm
 module Workload = Repro_dist.Workload
-module Measure = Repro_dist.Measure
 module Timeline = Repro_dist.Timeline
 
 let contains ~sub s =
@@ -582,34 +581,29 @@ let untraced_runs_have_no_spans () =
   let o = quick_run (module Workload.Parfib) in
   check (list reject) "no spans without ~trace" [] (Timeline.of_outcome o)
 
-let measure_sweep_and_json () =
-  let module W = Workload.Sumeuler in
-  let ms =
-    Measure.sweep ~repeats:1 ~procs_list:[ 1; 2 ] ~size:W.quick_size (module W)
+(* Link counters are labelled by transport only: links that come and
+   go retire into one series, so the registry (and every farm-wide
+   snapshot merge built on it) stays the same size. *)
+let closed_links_keep_registry_bounded () =
+  let cycle () =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Wire.close (conn_of a);
+    Wire.close (conn_of b)
   in
-  check int "one row per process count" 2 (List.length ms);
-  let base = List.hd ms in
-  check (float 1e-9) "baseline speedup is 1" 1.0 base.Measure.speedup;
-  List.iter
-    (fun (m : Measure.measurement) ->
-      check int "checksum stable across repeats"
-        (W.reference ~size:W.quick_size)
-        m.Measure.result;
-      check int "per-PE rows" m.Measure.procs (Array.length m.Measure.per_pe);
-      check bool "positive mean" true (m.Measure.mean_ns > 0.))
-    ms;
-  let doc =
-    Measure.json_document
-      ~header:
-        (Repro_exec.Harness.env_header ~backend:"processes"
-           ~transport:"socketpair" ())
-      ms
+  let wire_samples () =
+    List.length
+      (List.filter
+         (fun (s : Repro_metrics.Metrics.sample) ->
+           String.starts_with ~prefix:"repro_wire_" s.s_name)
+         (Repro_metrics.Metrics.snapshot ()).samples)
   in
-  let s = Repro_util.Json_out.to_string doc in
-  check bool "schema id" true (contains ~sub:"repro/bench-dist/v1" s);
-  check bool "backend recorded" true (contains ~sub:"\"processes\"" s);
-  check bool "transport recorded" true (contains ~sub:"\"socketpair\"" s);
-  check bool "per-PE counters present" true (contains ~sub:"\"per_pe\"" s)
+  cycle ();
+  let before = wire_samples () in
+  for _ = 1 to 500 do
+    cycle ()
+  done;
+  check int "repro_wire_* samples after 500 closed links" before
+    (wire_samples ())
 
 let suite =
   ( "dist",
@@ -650,5 +644,6 @@ let suite =
       test_case "rejects procs < 1" `Quick rejects_bad_procs;
       test_case "traced run emits timeline spans" `Quick trace_spans;
       test_case "untraced run has no spans" `Quick untraced_runs_have_no_spans;
-      test_case "measure sweep and JSON document" `Quick measure_sweep_and_json;
+      test_case "closed links keep the registry bounded" `Quick
+        closed_links_keep_registry_bounded;
     ] )

@@ -7,7 +7,6 @@ module Pool = Repro_exec.Pool
 module Future = Repro_exec.Future
 module S = Repro_exec.Strategies
 module Workload = Repro_exec.Workload
-module Harness = Repro_exec.Harness
 
 let test_case = Alcotest.test_case
 let check = Alcotest.check
@@ -216,32 +215,39 @@ let apsp_matches_floyd_warshall () =
   let got = Pool.with_pool ~cores:3 (fun () -> Workload.Apsp_w.run ~size ()) in
   check Alcotest.int "parallel apsp = floyd_warshall" expect got
 
-(* ---------------- harness ---------------- *)
+(* ---------------- measurement on domains ---------------- *)
+
+module Measure = Repro_metrics.Measure
+
+let domain_sweep ~repeats ~size name =
+  let m = Workload.find name |> Option.get in
+  Measure.sweep ~repeats ~ladder:[ 1; 2 ]
+    (fun cores -> Workload.sample m ~size ~cores)
 
 let harness_sweep_shape () =
-  let m = Workload.find "sumeuler" |> Option.get in
-  let ms = Harness.sweep ~repeats:2 ~cores_list:[ 1; 2 ] ~size:500 m in
+  let ms = domain_sweep ~repeats:2 ~size:500 "sumeuler" in
   check Alcotest.int "two rows" 2 (List.length ms);
   let base = List.hd ms in
-  check (Alcotest.float 1e-9) "baseline speedup" 1.0 base.Harness.speedup;
+  check (Alcotest.float 1e-9) "baseline speedup" 1.0 base.Measure.speedup;
   List.iter
-    (fun (r : Harness.measurement) ->
-      check Alcotest.int "same checksum" base.Harness.result r.Harness.result;
-      check Alcotest.bool "positive time" true (r.Harness.mean_ns > 0.0);
+    (fun (r : Measure.measurement) ->
+      check Alcotest.int "same checksum" base.result r.result;
+      check Alcotest.bool "positive time" true (r.mean_ns > 0.0);
       (* GC deltas are taken between two quick_stats, so they can
          never go backwards *)
       check Alcotest.bool "minor GCs non-negative" true
-        (r.Harness.minor_collections >= 0);
+        (r.gc.minor_collections >= 0);
       check Alcotest.bool "major GCs non-negative" true
-        (r.Harness.major_collections >= 0);
+        (r.gc.major_collections >= 0);
       check Alcotest.bool "minor words non-negative" true
-        (r.Harness.minor_words >= 0.0))
+        (r.gc.minor_words >= 0.0))
     ms
 
 let core_counts () =
-  check Alcotest.(list int) "8" [ 1; 2; 4; 8 ] (Harness.core_counts_up_to 8);
-  check Alcotest.(list int) "6" [ 1; 2; 4; 6 ] (Harness.core_counts_up_to 6);
-  check Alcotest.(list int) "1" [ 1 ] (Harness.core_counts_up_to 1)
+  let ladder = Measure.core_counts_up_to in
+  check Alcotest.(list int) "8" [ 1; 2; 4; 8 ] (ladder 8);
+  check Alcotest.(list int) "6" [ 1; 2; 4; 6 ] (ladder 6);
+  check Alcotest.(list int) "1" [ 1 ] (ladder 1)
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -249,14 +255,15 @@ let contains ~sub s =
   m = 0 || go 0
 
 let json_document_valid () =
-  let m = Workload.find "parfib" |> Option.get in
-  let ms = Harness.sweep ~repeats:1 ~cores_list:[ 1; 2 ] ~size:18 m in
-  let s = Repro_util.Json_out.to_string (Harness.json_document ms) in
+  let ms = domain_sweep ~repeats:1 ~size:18 "parfib" in
+  let s = Repro_util.Json_out.to_string (Measure.json_document ms) in
   check Alcotest.bool "mentions schema" true
-    (contains ~sub:"repro/bench-exec/v1" s);
+    (contains ~sub:"repro/measure/v1" s);
+  check Alcotest.bool "names the backend" true
+    (contains ~sub:"\"backend\": \"domains\"" s);
   check Alcotest.bool "has speedup field" true (contains ~sub:"\"speedup\"" s);
   check Alcotest.bool "one row per core count" true
-    (contains ~sub:"\"cores\": 2" s);
+    (contains ~sub:"\"workers\": 2" s);
   check Alcotest.bool "carries GC counters" true
     (contains ~sub:"\"gc_minor_collections\"" s)
 

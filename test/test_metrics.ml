@@ -456,6 +456,59 @@ let dist_piggyback_2pe () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "merged export rejected: %s" e
 
+(* ---------------- one measurement record, both backends ---------------- *)
+
+module Measure = Repro_metrics.Measure
+
+(* The same sweep on either backend: one schema id, the backend field,
+   base speedup 1, the sequential checksum on every row, one per-worker
+   row per process, and GC deltas that never go backwards. *)
+let measure_sweep (backend : Measure.backend) () =
+  let module W = Repro_exec.Workload.Sumeuler in
+  let size = W.quick_size in
+  let run =
+    match backend with
+    | Domains -> fun cores -> Repro_exec.Workload.sample (module W) ~size ~cores
+    | Processes ->
+        fun procs ->
+          Repro_dist.Farm.sample ~transport:Sock ~procs ~size
+            (module Repro_dist.Workload.Sumeuler)
+  in
+  let ms = Measure.sweep ~repeats:1 ~ladder:[ 1; 2 ] run in
+  check Alcotest.int "one row per rung" 2 (List.length ms);
+  check (Alcotest.float 1e-9) "base speedup" 1.0 (List.hd ms).speedup;
+  List.iter
+    (fun (m : Measure.measurement) ->
+      check Alcotest.string "backend" (Measure.backend_name backend)
+        (Measure.backend_name m.backend);
+      check Alcotest.int "sequential checksum" (W.reference ~size) m.result;
+      check Alcotest.bool "positive time" true (m.mean_ns > 0.);
+      check Alcotest.(option string) "transport"
+        (if backend = Processes then Some "socketpair" else None)
+        m.transport;
+      if backend = Processes then
+        check Alcotest.int "per-worker rows" m.workers
+          (Array.length m.per_worker);
+      check Alcotest.bool "GC deltas >= 0" true
+        (m.gc.minor_collections >= 0
+        && m.gc.major_collections >= 0
+        && m.gc.minor_words >= 0.
+        && m.gc.promoted_words >= 0.))
+    ms;
+  let module J = Repro_util.Json_in in
+  let doc = J.parse (Json.to_string (Measure.json_document ms)) in
+  let str key j = Option.bind (J.member key j) J.to_string in
+  check Alcotest.(option string) "schema id" (Some "repro/measure/v1")
+    (str "schema" doc);
+  let rows = Option.get (Option.bind (J.member "measurements" doc) J.to_list) in
+  check Alcotest.int "one JSON row per rung" 2 (List.length rows);
+  List.iter
+    (fun row ->
+      check Alcotest.(option string) "backend field"
+        (Some (Measure.backend_name backend))
+        (str "backend" row))
+    rows
+
 let suite =
   ( "metrics",
     [
@@ -488,4 +541,6 @@ let suite =
       test_case "health: clean exit code" `Quick health_clean_exit;
       test_case "pool counters retire into registry" `Quick pool_counters_retire;
       test_case "dist 2-PE piggyback merge" `Quick dist_piggyback_2pe;
+      test_case "measure sweep on domains" `Quick (measure_sweep Domains);
+      test_case "measure sweep on processes" `Quick (measure_sweep Processes);
     ] )
