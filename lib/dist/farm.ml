@@ -258,14 +258,16 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
     | Ready -> failwith "dist: stray Ready after spawn"
     | Stats _ -> failwith "dist: unsolicited Stats before Harvest"
   in
-  (* Drain whatever is ready on any link, without blocking. *)
-  let pump () =
-    Array.iter
-      (fun l ->
-        while !got < n && Link.input_ready l.conn do
-          handle_message l
-        done)
-      links
+  let conns = Array.map (fun l -> l.conn) links in
+  (* Drain whatever is ready on any link, without blocking: each pass
+     takes one message from every ready link, until a pass finds none. *)
+  let rec pump () =
+    if !got < n then
+      match Link.ready conns with
+      | [] -> ()
+      | ready ->
+          List.iter (fun i -> if !got < n then handle_message links.(i)) ready;
+          pump ()
   in
   (* While a push blocks on a full ring, drain results — the escape
      from the duplex deadlock (we block pushing a task at a worker
@@ -299,7 +301,6 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
     done
   end;
   if is_shm then Array.iter (fun l -> Link.set_on_wait l.conn None) links;
-  let conns = Array.map (fun l -> l.conn) links in
   while !got < n do
     pump ();
     if !got < n then Link.wait_any conns

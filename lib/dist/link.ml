@@ -40,13 +40,34 @@ let selectable_fd = function
   | Sock c -> Some (Wire.read_fd c)
   | Shm c -> if Shm_ring.has_doorbell c then Some (Shm_ring.wait_fd c) else None
 
-(** Block until some link {e may} have input (spurious wake-ups
-    allowed, missed messages not), or [timeout] (seconds, negative =
-    forever) elapses.  Over socks this is plain [select]; over shm it
-    is the arm-recheck-block doorbell handshake on every link at once.
-    @raise End_of_file if a peer closed its doorbell with nothing in
-    flight. *)
-let wait_any ?(timeout = -1.0) (links : t array) =
+(* The readable subset of [fds] after at most [timeout] seconds
+   (0 = poll, negative = forever). *)
+let rec select_readable fds timeout =
+  match Unix.select fds [] [] timeout with
+  | ready, _, _ -> ready
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> select_readable fds timeout
+
+let sock_fds links =
+  Array.fold_right
+    (fun l acc -> match l with Sock c -> Wire.read_fd c :: acc | Shm _ -> acc)
+    links []
+
+(* A sock readiness test is a syscall, so all the sock links share one
+   zero-timeout [select]; an shm link's test is a memory load. *)
+let ready (links : t array) =
+  let readable =
+    match sock_fds links with [] -> [] | fds -> select_readable fds 0.0
+  in
+  List.filter
+    (fun i ->
+      match links.(i) with
+      | Sock c -> List.mem (Wire.read_fd c) readable
+      | Shm c -> Shm_ring.input_ready c)
+    (List.init (Array.length links) Fun.id)
+
+(* The ring wait: spin, then the arm-recheck-block doorbell handshake
+   on every link at once. *)
+let wait_rings ~timeout (links : t array) =
   let any_ready () = Array.exists input_ready links in
   if not (any_ready ()) then begin
     (* spin a little first: the common case is a peer already mid-send *)
@@ -97,3 +118,15 @@ let wait_any ?(timeout = -1.0) (links : t array) =
       then raise End_of_file
     end
   end
+
+(** Block until some link {e may} have input (spurious wake-ups
+    allowed, missed messages not), or [timeout] (seconds, negative =
+    forever) elapses.  Over socks alone this is one blocking [select]
+    on every descriptor — never a spin, since each sock readiness test
+    is itself a syscall; with any shm link it is {!wait_rings}.
+    @raise End_of_file if a peer closed its doorbell with nothing in
+    flight. *)
+let wait_any ?(timeout = -1.0) (links : t array) =
+  if Array.for_all (function Sock _ -> true | Shm _ -> false) links then
+    ignore (select_readable (sock_fds links) timeout)
+  else wait_rings ~timeout links

@@ -15,9 +15,19 @@ val close : t -> unit
     them); see {!Shm_ring.set_on_wait}. *)
 val set_on_wait : t -> (unit -> unit) option -> unit
 
+(** Indices of the links with input available now, in ascending order,
+    without blocking.  One zero-timeout [select] tests every sock link
+    at once; an shm link's test is a memory load.  A pump takes one
+    message from each ready link and asks again. *)
+val ready : t array -> int list
+
 (** Block until some link {e may} have input (spurious wake-ups
     allowed, missed messages never), or [timeout] seconds (negative =
-    forever) pass.  Capped at a short poll interval while any
+    forever) pass.  When every link is a sock this is a single blocking
+    [select] over their descriptors: a sock readiness test is a
+    syscall, so it is never spun on.  With any shm link it is the ring
+    handshake — a short spin on the rings, then arm every doorbell,
+    recheck and block — capped at a short poll interval while any
     doorbell-less link is in the set.
     @raise End_of_file if a peer died with every ring drained. *)
 val wait_any : ?timeout:float -> t array -> unit

@@ -145,7 +145,9 @@ let add_link_collector ~transport k =
     is a descriptor whose readability signals "input may be available"
     ([Unix.select]-able: the socket itself, or the ring's doorbell);
     [input_ready] is the non-blocking readiness test (a transport may
-    have buffered input no descriptor shows). *)
+    have buffered input no descriptor shows).  On the ring it is a
+    memory load; here it is a [select] syscall, so nothing spins on
+    it — waiters block in [select] instead. *)
 module type TRANSPORT = sig
   type t
 
@@ -397,15 +399,13 @@ let recv_floats c ~len:total =
     if not floats then
       raise_protocol "byte packet where a floats message was expected";
     if len mod 8 <> 0 then
-      raise
-        (Protocol_error
-           (Printf.sprintf "floats packet length %d not a multiple of 8" len));
+      raise_protocol
+        (Printf.sprintf "floats packet length %d not a multiple of 8" len);
     let n = len / 8 in
     if !got + n > total then
-      raise
-        (Protocol_error
-           (Printf.sprintf "floats message longer than announced (%d > %d)"
-              (!got + n) total));
+      raise_protocol
+        (Printf.sprintf "floats message longer than announced (%d > %d)"
+           (!got + n) total);
     let chunk = Bytes.create len in
     read_exact c.read_fd chunk 0 len ~what:"floats chunk";
     for i = 0 to n - 1 do
@@ -416,10 +416,9 @@ let recv_floats c ~len:total =
     if last then finished := true
   done;
   if !got <> total then
-    raise
-      (Protocol_error
-         (Printf.sprintf "floats message shorter than announced (%d < %d)" !got
-            total));
+    raise_protocol
+      (Printf.sprintf "floats message shorter than announced (%d < %d)" !got
+         total);
   c.counters.msgs_recv <- c.counters.msgs_recv + 1;
   c.counters.packets_recv <- c.counters.packets_recv + !npk;
   c.counters.bytes_recv <-
@@ -427,6 +426,8 @@ let recv_floats c ~len:total =
   c.counters.payload_bytes_recv <- c.counters.payload_bytes_recv + (total * 8);
   arr
 
+(* One syscall per call, so never spin on it: test many links with one
+   [select], and wait by blocking in one. *)
 let input_ready c =
   match Unix.select [ c.read_fd ] [] [] 0.0 with
   | [], _, _ -> false

@@ -14,7 +14,9 @@ exception Truncated of string
 (** Peer closed before a send completed (EPIPE/ECONNRESET). *)
 exception Dead_peer of string
 
-(** Malformed stream: unknown flags or an absurd chunk length. *)
+(** Malformed stream: unknown flags, an absurd chunk length, plane
+    confusion or a float frame that does not match its announced
+    length. *)
 exception Protocol_error of string
 
 (** Raise the corresponding exception after bumping its
@@ -85,7 +87,8 @@ module type TRANSPORT = sig
 
   (** Non-blocking: is a message (possibly partially) available?  May
       be true while [wait_fd] shows nothing (ring data published
-      without a doorbell). *)
+      without a doorbell).  A memory load on the ring, a syscall on the
+      socketpair: only the ring's test is cheap enough to spin on. *)
   val input_ready : t -> bool
 
   val close : t -> unit
@@ -144,7 +147,9 @@ val send_floats : conn -> float array -> unit
     @raise Protocol_error on plane confusion or a length mismatch. *)
 val recv_floats : conn -> len:int -> float array
 
-(** Non-blocking readiness probe ([Unix.select] with a 0 timeout). *)
+(** Non-blocking readiness probe: [Unix.select] with a 0 timeout, so
+    each call is a syscall and is never spun on.  To test many links
+    use one [select] over all of them; to wait, block in [select]. *)
 val input_ready : conn -> bool
 
 val close : conn -> unit

@@ -9,6 +9,8 @@
 
 open Alcotest
 module Wire = Repro_dist.Wire
+module Link = Repro_dist.Link
+module Message = Repro_dist.Message
 module Shm = Repro_dist.Shm_ring
 module Farm = Repro_dist.Farm
 module Workload = Repro_dist.Workload
@@ -181,6 +183,90 @@ let fd_dead_peer_send () =
       match Wire.send ca "anyone there?" with
       | () -> fail "send succeeded with no peer"
       | exception Wire.Dead_peer _ -> ())
+
+let protocol_errors () =
+  let module M = Repro_metrics.Metrics in
+  match
+    M.find ~labels:[ ("kind", "protocol") ] (M.snapshot ())
+      "repro_wire_errors_total"
+  with
+  | Some { M.s_value = M.Counter v; _ } -> v
+  | _ -> 0.
+
+(* A float frame whose length is not a whole number of floats is a
+   protocol error, and like every transport error it is counted. *)
+let fd_float_frame_bad_length () =
+  with_socketpair (fun a b ->
+      let before = protocol_errors () in
+      (* header: 12-byte chunk, flags last + floats; then the chunk *)
+      let frame = "\x00\x00\x00\x0c\x03" ^ String.make 12 '\x00' in
+      check int "frame written" (String.length frame)
+        (Unix.write_substring a frame 0 (String.length frame));
+      (match Wire.recv_floats (conn_of b) ~len:2 with
+      | _ -> fail "a 12-byte float frame was accepted"
+      | exception Wire.Protocol_error _ -> ());
+      check (float 0.) "repro_wire_errors_total{kind=protocol} bumped once"
+        (before +. 1.) (protocol_errors ()))
+
+(* ------------------------------------------------------------------ *)
+(* Sock readiness: one blocking select per wait, one per pump pass     *)
+
+(* Two coordinator-side sock links, and the worker ends that feed them. *)
+let with_sock_links f =
+  with_socketpair (fun a a' ->
+      with_socketpair (fun b b' ->
+          f
+            [| Link.Sock (conn_of a); Link.Sock (conn_of b) |]
+            (Link.Sock (conn_of a'), Link.Sock (conn_of b'))))
+
+let elapsed_s f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+let sock_wait_any () =
+  with_sock_links (fun links (_, peer_b) ->
+      Message.send_to_coordinator peer_b Message.Fish;
+      let dt = elapsed_s (fun () -> Link.wait_any ~timeout:5.0 links) in
+      check bool "woke for the second link, well before the timeout" true
+        (dt < 1.0);
+      check (list int) "only the second link is ready" [ 1 ] (Link.ready links);
+      (match Message.recv_to_coordinator links.(1) with
+      | Message.Fish -> ()
+      | _ -> fail "expected the queued Fish");
+      check (list int) "drained" [] (Link.ready links);
+      let dt = elapsed_s (fun () -> Link.wait_any ~timeout:0.05 links) in
+      check bool
+        (Printf.sprintf "nothing queued: returns after about the timeout (%.3f s)"
+           dt)
+        true
+        (dt >= 0.04 && dt < 1.0))
+
+(* One link holds two queued messages: a pump pass takes one message
+   per ready link, so the second must still be there for the next. *)
+let sock_pump_keeps_queued () =
+  with_sock_links (fun links (peer_a, _) ->
+      Message.send_to_coordinator peer_a
+        (Message.Result { task_id = 7; round = 0; payload = "r"; blob = -1 });
+      Message.send_to_coordinator peer_a Message.Fish;
+      let passes = ref 0 and got = ref [] in
+      let rec pump () =
+        match Link.ready links with
+        | [] -> ()
+        | ready ->
+            incr passes;
+            List.iter
+              (fun i -> got := (i, Message.recv_to_coordinator links.(i)) :: !got)
+              ready;
+            pump ()
+      in
+      pump ();
+      check int "one pass per queued message" 2 !passes;
+      match List.rev !got with
+      | [ (0, Message.Result { task_id = 7; payload = "r"; _ }); (0, Message.Fish) ]
+        ->
+          ()
+      | l -> failf "expected Result then Fish on link 0, got %d messages" (List.length l))
 
 (* ------------------------------------------------------------------ *)
 (* SPSC ring model (the distilled handshake behind the shm frames)     *)
@@ -544,6 +630,28 @@ let farm_closures () =
     (List.map (fun x -> (x, x * x)) captured)
     got
 
+(* While the PEs work, the sock coordinator blocks in [select]: its own
+   CPU time stays a small share of the wall time.  Polling readiness
+   instead costs about a third of it. *)
+let sock_coordinator_blocks () =
+  let fs =
+    List.init 200 (fun i () ->
+        Unix.sleepf 0.002;
+        i)
+  in
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let cpu0 = cpu () in
+  let got = ref [] in
+  let wall = elapsed_s (fun () -> got := Farm.farm ~transport:Farm.Sock ~procs:2 fs) in
+  let used = cpu () -. cpu0 in
+  check (list int) "results in order" (List.init 200 Fun.id) !got;
+  if used >= 0.1 *. wall then
+    failf "coordinator CPU %.3f s is %.0f%% of %.3f s wall" used
+      (100. *. used /. wall) wall
+
 let rejects_bad_procs () =
   check_raises "procs = 0" (Invalid_argument "Farm.run: procs must be >= 1")
     (fun () ->
@@ -621,6 +729,12 @@ let suite =
       test_case "clean EOF at a frame boundary" `Quick fd_clean_eof;
       test_case "EOF mid-frame is Truncated" `Quick fd_truncated_frame;
       test_case "send to a dead peer" `Quick fd_dead_peer_send;
+      test_case "float frame of 12 bytes is a counted protocol error" `Quick
+        fd_float_frame_bad_length;
+      test_case "sock wait_any wakes for any link, honours timeout" `Quick
+        sock_wait_any;
+      test_case "sock pump pass keeps a second queued message" `Quick
+        sock_pump_keeps_queued;
       QCheck_alcotest.to_alcotest spsc_qcheck;
       test_case "spsc ring wrap-around at every offset" `Quick spsc_wrap_around;
       test_case "shm ring round trip and counters" `Quick shm_roundtrip_counters;
@@ -641,6 +755,8 @@ let suite =
       test_case "apsp awkward shapes" `Quick apsp_awkward_shapes;
       test_case "more PEs than tasks" `Quick more_procs_than_tasks;
       test_case "closure farm" `Quick farm_closures;
+      test_case "sock coordinator blocks instead of polling" `Quick
+        sock_coordinator_blocks;
       test_case "rejects procs < 1" `Quick rejects_bad_procs;
       test_case "traced run emits timeline spans" `Quick trace_spans;
       test_case "untraced run has no spans" `Quick untraced_runs_have_no_spans;
