@@ -84,8 +84,7 @@ let mkl ~rule ~severity ~hint ~file (loc : Summary.loc) message : Finding.t =
 let spark_entry_names =
   SSet.of_list
     [
-      "par"; "spark"; "submit"; "farm"; "par_list"; "par_map"; "par_chunked";
-      "par_range";
+      "par"; "spark"; "submit"; "farm"; "par_list"; "par_map"; "par_range";
     ]
 
 let is_spark_entry fn =

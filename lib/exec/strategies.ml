@@ -7,8 +7,6 @@
     outside a {!Pool} (sparks fizzle), so workload code is oblivious
     to the core count. *)
 
-module Listx = Repro_util.Listx
-
 (** [par f g]: spark [f], evaluate [g] here, then demand [f]'s value
     (evaluating it in place if no worker picked it up). *)
 let par f g =
@@ -34,36 +32,34 @@ let par_list fs =
 (** [par_map f xs]: [par_list] over [List.map]. *)
 let par_map f xs = par_list (List.map (fun x () -> f x) xs)
 
-(** [par_chunked ?split ~chunks f xs]: split [xs] into [chunks] pieces
-    ([`Contiguous] splitting or [`Round_robin] dealing — round-robin
-    balances workloads whose per-element cost grows along the list,
-    cf. sumEuler) and apply [f] to each piece in parallel. *)
-let par_chunked ?(split = `Contiguous) ~chunks f xs =
-  let chunks = max 1 chunks in
-  let pieces =
-    match split with
-    | `Contiguous -> Listx.split_into_n chunks xs
-    | `Round_robin -> Listx.unshuffle chunks xs
-  in
-  par_map f (List.filter (fun p -> p <> []) pieces)
-
 (** [par_range ~chunks lo hi f ~combine ~init]: fold [combine] over
-    [f lo'..hi'] evaluated on contiguous index sub-ranges in parallel.
-    Handy for array-shaped work (rows of a matrix or an image). *)
+    [f lo' hi'] evaluated on contiguous index sub-ranges in parallel.
+    Index-based: one future per sub-range, held in one array, so
+    nothing is allocated per index.  Sub-ranges are sparked far end
+    first, as in [par_list], and combined left to right. *)
 let par_range ~chunks lo hi f ~combine ~init =
   if hi < lo then init
   else begin
     let count = hi - lo + 1 in
     let chunks = max 1 (min chunks count) in
     let per = count / chunks and rem = count mod chunks in
-    let ranges =
-      List.init chunks (fun i ->
-          let extra = min i rem in
-          let start = lo + (i * per) + extra in
-          let len = per + if i < rem then 1 else 0 in
-          (start, start + len - 1))
+    (* the first [rem] sub-ranges get one extra index *)
+    let start i = lo + (i * per) + min i rem in
+    let spark i =
+      let a = start i and b = start (i + 1) - 1 in
+      Future.spark (fun () -> f a b)
     in
-    par_map (fun (a, b) -> f a b) ranges |> List.fold_left combine init
+    (* the far end is sparked first and fills the array until the
+       loop below replaces the other slots *)
+    let futs = Array.make chunks (spark (chunks - 1)) in
+    for i = chunks - 2 downto 0 do
+      futs.(i) <- spark i
+    done;
+    let acc = ref init in
+    for i = 0 to chunks - 1 do
+      acc := combine !acc (Future.force futs.(i))
+    done;
+    !acc
   end
 
 (** Number of workers available to the current computation (1 when

@@ -13,18 +13,11 @@ val par_list : (unit -> 'a) list -> 'a list
 
 val par_map : ('a -> 'b) -> 'a list -> 'b list
 
-(** Split into [chunks] pieces and process the pieces in parallel.
-    Empty pieces are dropped. *)
-val par_chunked :
-  ?split:[ `Contiguous | `Round_robin ] ->
-  chunks:int ->
-  ('a list -> 'b) ->
-  'a list ->
-  'b list
-
 (** [par_range ~chunks lo hi f ~combine ~init]: evaluate
-    [f start stop] on contiguous sub-ranges of [lo..hi] in parallel
-    and fold the per-range results. *)
+    [f start stop] on [max 1 (min chunks (hi - lo + 1))] non-empty,
+    contiguous sub-ranges that cover [lo..hi] once, one spark each,
+    and fold the results left to right.  Nothing is allocated per
+    index.  [init] when [hi < lo]. *)
 val par_range :
   chunks:int ->
   int ->

@@ -46,14 +46,12 @@ module Sumeuler : S = struct
   let default_size = 300_000
   let quick_size = 2_000
 
-  let chunk_sum ks = List.fold_left (fun a k -> a + Euler.phi_fast k) 0 ks
-
+  (* Contiguous blocks of [1..size], as lib/dist deals them.  phi's
+     cost grows with k, so the last block costs most; with 512 blocks
+     stealing still balances, and thieves start at that far end. *)
   let run ~size () =
     let chunks = max (S.default_chunks size) (min 512 (size / 50)) in
-    let input = List.init size (fun i -> i + 1) in
-    (* round-robin dealing balances: phi's cost grows with k *)
-    S.par_chunked ~split:`Round_robin ~chunks chunk_sum input
-    |> List.fold_left ( + ) 0
+    S.par_range ~chunks 1 size Euler.sum_phi ~combine:( + ) ~init:0
 
   let reference ~size = Euler.sum_euler_ref size
 end

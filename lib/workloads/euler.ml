@@ -82,8 +82,16 @@ let phi_cost k : Repro_util.Cost.t =
 let chunk_cost ks =
   List.fold_left (fun acc k -> Repro_util.Cost.add acc (phi_cost k)) Repro_util.Cost.zero ks
 
+(** Sum of [phi k] for [k] in [[lo..hi]], allocating nothing. *)
+let sum_phi lo hi =
+  let acc = ref 0 in
+  for k = lo to hi do
+    acc := !acc + phi_fast k
+  done;
+  !acc
+
 (** Sequential reference: sum of [phi k] for [k] in [[1..n]]. *)
-let sum_euler_ref n = List.fold_left (fun acc k -> acc + phi_fast k) 0 (List.init n (fun i -> i + 1))
+let sum_euler_ref n = sum_phi 1 n
 
 (** Total naive-kernel cycles for problem size [n] (used by speedup
     normalisation and calibration). *)

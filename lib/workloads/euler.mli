@@ -23,6 +23,10 @@ val phi_cost : int -> Repro_util.Cost.t
 (** Naive cost summed over a chunk. *)
 val chunk_cost : int list -> Repro_util.Cost.t
 
+(** [sum_phi lo hi]: sum of [phi_fast k], k in [lo..hi]; allocates
+    nothing. *)
+val sum_phi : int -> int -> int
+
 (** Sequential reference: sum of [phi k], k in [1..n]. *)
 val sum_euler_ref : int -> int
 

@@ -52,15 +52,46 @@ let par_list_order () =
       let expect = List.init 100 (fun i -> i * i) in
       check Alcotest.(list int) "ordered" expect (S.par_list fs))
 
-let par_chunked_covers () =
+(* The sub-ranges [par_range] hands to [f], in the order [combine]
+   sees them, and how many times [f] was called. *)
+let ranges_of ~chunks lo hi =
+  let calls = Atomic.make 0 in
+  let rs =
+    S.par_range ~chunks lo hi
+      (fun a b ->
+        Atomic.incr calls;
+        (a, b))
+      ~combine:(fun acc r -> r :: acc)
+      ~init:[]
+  in
+  (List.rev rs, Atomic.get calls)
+
+(* (chunks, lo, hi): fewer indices than chunks, as many, more, and
+   chunks <= 0 *)
+let range_shapes = [ (10, 1, 3); (5, 0, 4); (7, 0, 999); (0, 5, 9); (-3, 5, 9) ]
+
+let par_range_covers_once () =
   Pool.with_pool ~cores:3 (fun () ->
-      let xs = List.init 1000 (fun i -> i) in
-      let sums =
-        S.par_chunked ~split:`Round_robin ~chunks:7
-          (List.fold_left ( + ) 0)
-          xs
-      in
-      check Alcotest.int "total" (999 * 1000 / 2) (List.fold_left ( + ) 0 sums))
+      List.iter
+        (fun (chunks, lo, hi) ->
+          let label = Printf.sprintf "chunks %d over %d..%d" chunks lo hi in
+          let rs, calls = ranges_of ~chunks lo hi in
+          check Alcotest.int (label ^ ": sub-ranges")
+            (max 1 (min chunks (hi - lo + 1)))
+            (List.length rs);
+          check Alcotest.int (label ^ ": one call each") (List.length rs) calls;
+          (* non-empty, each starting where the previous ended: from lo
+             up to hi exactly once, in ascending order *)
+          let next =
+            List.fold_left
+              (fun expect (a, b) ->
+                check Alcotest.int (label ^ ": contiguous") expect a;
+                check Alcotest.bool (label ^ ": non-empty") true (a <= b);
+                b + 1)
+              lo rs
+          in
+          check Alcotest.int (label ^ ": ends at hi") (hi + 1) next)
+        range_shapes)
 
 let par_range_covers () =
   Pool.with_pool ~cores:4 (fun () ->
@@ -103,31 +134,33 @@ let pool_reusable_across_runs () =
 
 (* ---------------- strategy edge cases ---------------- *)
 
-let par_chunked_edges () =
+let par_range_edges () =
   Pool.with_pool ~cores:2 (fun () ->
-      check
-        Alcotest.(list (list int))
-        "empty list -> no pieces" []
-        (S.par_chunked ~chunks:4 (fun p -> p) []);
-      let pieces = S.par_chunked ~chunks:10 (fun p -> p) [ 1; 2; 3 ] in
-      check Alcotest.bool "chunks > length: no empty pieces" true
-        (List.for_all (fun p -> p <> []) pieces);
-      check
-        Alcotest.(list int)
-        "chunks > length: coverage in order" [ 1; 2; 3 ] (List.concat pieces);
-      let xs = List.init 37 Fun.id in
-      let flat split =
-        List.concat (S.par_chunked ~split ~chunks:5 (fun p -> p) xs)
-      in
-      check Alcotest.(list int) "contiguous covers in order" xs (flat `Contiguous);
-      check
-        Alcotest.(list int)
-        "round-robin covers as a permutation" xs
-        (List.sort compare (flat `Round_robin));
-      let sum = List.fold_left ( + ) 0 in
-      check Alcotest.int "same totals under either split"
-        (sum (S.par_chunked ~split:`Contiguous ~chunks:5 sum xs))
-        (sum (S.par_chunked ~split:`Round_robin ~chunks:5 sum xs)))
+      let rs, calls = ranges_of ~chunks:4 5 4 in
+      check Alcotest.int "hi < lo: f never called" 0 calls;
+      check Alcotest.(list (pair int int)) "hi < lo: init" [] rs;
+      check Alcotest.int "hi < lo: init returned" 17
+        (S.par_range ~chunks:4 3 1 (fun _ _ -> 1) ~combine:( + ) ~init:17);
+      check Alcotest.string "combine sees ascending sub-ranges"
+        "[0..2][3..5][6..7]"
+        (S.par_range ~chunks:3 0 7
+           (fun a b -> Printf.sprintf "[%d..%d]" a b)
+           ~combine:( ^ ) ~init:""));
+  (* a fresh pool per call, so its ledger counts that call alone *)
+  List.iter
+    (fun (chunks, lo, hi) ->
+      let p = Pool.create ~cores:2 () in
+      Pool.run p (fun () ->
+          S.par_range ~chunks lo hi
+            (fun _ _ -> ())
+            ~combine:(fun () () -> ())
+            ~init:());
+      Pool.shutdown p;
+      let want = if hi < lo then 0 else max 1 (min chunks (hi - lo + 1)) in
+      check Alcotest.int
+        (Printf.sprintf "chunks %d over %d..%d: sparks" chunks lo hi)
+        want (Pool.events p).sparks_created)
+    ((4, 5, 4) :: range_shapes)
 
 let exception_propagates_across_domains_repeated () =
   (* Repeat with worker noise so the failing body is sometimes run by a
@@ -182,6 +215,27 @@ let events_ledger_balances_after_many_runs () =
   check Alcotest.int "ledger balances over reuse" e.Pool.sparks_created
     (e.Pool.sparks_run + e.Pool.sparks_fizzled);
   check Alcotest.int "5 runs x 8 ranges" 40 e.Pool.sparks_created
+
+(* The shared-heap sumeuler allocates per sub-range, not per index:
+   a list of its 50,000 inputs alone would be 150,000 words.  On a
+   1-domain pool there are no thieves, so the calling domain's count
+   is deterministic. *)
+let sumeuler_allocates_per_range () =
+  let size = 50_000 in
+  let p = Pool.create ~cores:1 () in
+  let got, words =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown p)
+      (fun () ->
+        let w0 = Gc.minor_words () in
+        let got = Pool.run p (fun () -> Workload.Sumeuler.run ~size ()) in
+        (got, Gc.minor_words () -. w0))
+  in
+  check Alcotest.int "checksum" (Workload.Sumeuler.reference ~size) got;
+  check Alcotest.int "512 sparks" 512 (Pool.events p).sparks_created;
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words < 50,000" words)
+    true (words < 50_000.0)
 
 (* ---------------- workload determinism at 1/2/4 domains ---------------- *)
 
@@ -284,11 +338,11 @@ let suite =
       test_case "shared future evaluated once" `Quick future_evaluated_once;
       test_case "exceptions propagate through force" `Quick exceptions_propagate;
       test_case "par_list keeps order" `Quick par_list_order;
-      test_case "par_chunked covers every element" `Quick par_chunked_covers;
+      test_case "par_range covers every index once" `Quick par_range_covers_once;
       test_case "par_range covers and handles empty" `Quick par_range_covers;
       test_case "nested par" `Quick nested_par;
       test_case "pool reusable across runs" `Quick pool_reusable_across_runs;
-      test_case "par_chunked edge cases" `Quick par_chunked_edges;
+      test_case "par_range edge cases" `Quick par_range_edges;
       test_case "exceptions propagate across domains x20" `Quick
         exception_propagates_across_domains_repeated;
       test_case "spark ledger: created = run + fizzled" `Quick
@@ -298,6 +352,8 @@ let suite =
       test_case "matmul kernel = mul_ref bitwise" `Quick
         matmul_kernel_matches_mul_ref;
       test_case "apsp = floyd_warshall bitwise" `Quick apsp_matches_floyd_warshall;
+      test_case "sumeuler allocates per sub-range" `Quick
+        sumeuler_allocates_per_range;
       test_case "harness sweep shape" `Quick harness_sweep_shape;
       test_case "core count ladder" `Quick core_counts;
       test_case "BENCH_exec json renders" `Quick json_document_valid;
