@@ -75,7 +75,7 @@ let mkl ~rule ~severity ~hint ~file (loc : Summary.loc) message : Finding.t =
    evaluation gets its own copy), shim/raw atomic stores, I/O, raises
    with no enclosing handler, and calls to file-local helpers whose own
    bodies mutate state they do not own (one level of indirection: this
-   is what surfaces [rows_kernel]-style in-place kernels). *)
+   is what surfaces [pivot_step]-style in-place kernels). *)
 
 (* [submit] and [farm] cover the distributed executor's entry points
    ([Dist.submit]-style task submission, [Farm.farm] closures): their

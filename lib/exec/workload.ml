@@ -89,42 +89,26 @@ module Matmul : S = struct
   let default_size = 384
   let quick_size = 64
 
-  (* Row kernel: per-element dot product with ascending-k accumulation
-     — the same summation order as [Matrix.mul_ref], so the parallel
-     checksum matches the reference bit-for-bit. *)
-  let rows_kernel a b c lo hi =
-    let n = Array.length a in
-    for i = lo to hi do
-      let ai = a.(i) and ci = c.(i) in
-      for j = 0 to n - 1 do
-        let s = ref 0.0 in
-        for k = 0 to n - 1 do
-          s := !s +. (ai.(k) *. b.(k).(j))
-        done;
-        ci.(j) <- !s
-      done
-    done
-
   let inputs size = (Matrix.random ~seed:11 size, Matrix.random ~seed:23 size)
 
   let run ~size () =
     let a, b = inputs size in
-    let c = Matrix.zero size in
-    (* spark-purity (baselined): rows_kernel writes [c] in place, but
-       ranges are disjoint and every write is a pure function of [a],
-       [b] and the indices — duplicate evaluation rewrites identical
-       values, so the mutation is idempotent. *)
+    let bt = Matrix.transpose b and c = Array.make size [||] in
+    (* spark-purity (baselined): each range stores rows into its own
+       slots of [c], and a row is a pure function of [a], [bt] and [i]:
+       duplicate evaluation stores identical values (idempotent). *)
     S.par_range ~chunks:(S.default_chunks size) 0 (size - 1)
-      (fun lo hi -> rows_kernel a b c lo hi)
+      (fun lo hi ->
+        for i = lo to hi do
+          c.(i) <- Matrix.mul_row a bt i
+        done)
       ~combine:(fun () () -> ())
       ~init:();
     float_bits (Matrix.checksum c)
 
   let reference ~size =
     let a, b = inputs size in
-    let c = Matrix.zero size in
-    rows_kernel a b c 0 (size - 1);
-    float_bits (Matrix.checksum c)
+    float_bits (Matrix.checksum (Matrix.mul_ref a b))
 end
 
 (* ---------------- mandelbrot ---------------- *)

@@ -45,6 +45,44 @@ let mul_ref (a : mat) (b : mat) : mat =
   done;
   c
 
+(* Not [make]: its closure would box every float it returns. *)
+let transpose (m : mat) : mat =
+  let n = Array.length m in
+  let t = zero n in
+  Array.iteri (fun i mi -> for j = 0 to n - 1 do t.(j).(i) <- mi.(j) done) m;
+  t
+
+(* A fresh row [i] of [a*b], read from [bt = transpose b] so that both
+   operands of a dot product are rows.  Four columns per pass over [k]
+   share each load of [a.(i).(k)] and keep four sums in flight; the 0-3
+   left over go one at a time.  Each column is summed from 0.0 in
+   ascending [k], so every element is bit-identical to [mul_ref]'s. *)
+let mul_row (a : mat) (bt : mat) i =
+  let n = Array.length a in
+  let ai = a.(i) and ci = Array.make n 0.0 in
+  for q = 0 to (n / 4) - 1 do
+    let j = 4 * q in
+    let b0 = bt.(j) and b1 = bt.(j + 1) and b2 = bt.(j + 2) and b3 = bt.(j + 3) in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for k = 0 to n - 1 do
+      let aik = ai.(k) in
+      s0 := !s0 +. (aik *. b0.(k));
+      s1 := !s1 +. (aik *. b1.(k));
+      s2 := !s2 +. (aik *. b2.(k));
+      s3 := !s3 +. (aik *. b3.(k))
+    done;
+    ci.(j) <- !s0;
+    ci.(j + 1) <- !s1;
+    ci.(j + 2) <- !s2;
+    ci.(j + 3) <- !s3
+  done;
+  for j = n - (n mod 4) to n - 1 do
+    let bj = bt.(j) and s = ref 0.0 in
+    for k = 0 to n - 1 do s := !s +. (ai.(k) *. bj.(k)) done;
+    ci.(j) <- !s
+  done;
+  ci
+
 (* Compute the [bs x bs] block of [a*b] whose top-left corner is
    [(r0, c0)], writing into [out] at the same position.
 

@@ -20,6 +20,11 @@ val checksum : mat -> float
 
 (** Sequential reference multiply. *)
 val mul_ref : mat -> mat -> mat
+val transpose : mat -> mat
+
+(** [mul_row a (transpose b) i] is a fresh row [i] of [a*b], every
+    element bit-identical to {!mul_ref}'s for finite entries. *)
+val mul_row : mat -> mat -> int -> float array
 
 (** Compute the [bs x bs] result block at [(r0, c0)] into [out].
     Idempotent (pure assignment): safe under duplicate evaluation. *)

@@ -252,13 +252,36 @@ let workload_deterministic (module W : Workload.S) () =
     [ 1; 2; 4 ]
 
 let matmul_kernel_matches_mul_ref () =
-  (* the exec row kernel must agree bit-for-bit with Matrix.mul_ref *)
+  (* every element of Matrix.mul_row agrees bit-for-bit with
+     Matrix.mul_ref, for every count (0-3) of columns left over after
+     the four-column passes *)
   let module M = Repro_workloads.Matrix in
-  let n = 24 in
-  let a = M.random ~seed:11 n and b = M.random ~seed:23 n in
-  let via_ref = Int64.to_int (Int64.bits_of_float (M.checksum (M.mul_ref a b))) in
-  let via_exec = Workload.Matmul.reference ~size:n in
-  check Alcotest.int "bitwise equal checksum" via_ref via_exec
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun n ->
+      let a = M.random ~seed:11 n and b = M.random ~seed:23 n in
+      let bt = M.transpose b and c = M.mul_ref a b in
+      for i = 0 to n - 1 do
+        let row = M.mul_row a bt i in
+        check Alcotest.int (Printf.sprintf "n %d row %d length" n i) n
+          (Array.length row);
+        Array.iteri
+          (fun j x ->
+            check Alcotest.int64 (Printf.sprintf "n %d (%d, %d)" n i j)
+              (bits c.(i).(j)) (bits x))
+          row
+      done)
+    [ 1; 2; 3; 4; 5; 7; 8; 9; 24; 67 ];
+  (* and the parallel run at an odd size on 1 and 2 domains *)
+  let module W = Workload.Matmul in
+  let expect = W.reference ~size:67 in
+  List.iter
+    (fun cores ->
+      check Alcotest.int
+        (Printf.sprintf "matmul size 67 at %d domain(s) = reference" cores)
+        expect
+        (Pool.with_pool ~cores (fun () -> W.run ~size:67 ())))
+    [ 1; 2 ]
 
 let apsp_matches_floyd_warshall () =
   let module A = Repro_workloads.Apsp in

@@ -10,7 +10,14 @@
 # move when a unit linked before them changes size, and a hot loop that
 # moves by a non-multiple of 64 bytes can run at a different speed with
 # no change to its code (EXPERIMENTS.md, "The socketpair coordinator
-# polled").  Example, from the root of a checkout:
+# polled").
+#
+# A second table follows for a fixed set of hot functions: each one's
+# address mod 64, its size, how many 64-byte lines it spans and its
+# shift against PARENT_BIN.  A "!" marks a function that spans more
+# lines than in PARENT_BIN: nfib runs about 30% slower at 48 mod 64,
+# where its body spans three lines instead of two (EXPERIMENTS.md,
+# "Where nfib lands").  Example, from the root of a checkout:
 #
 #   dune build ./perfbench/suite.exe
 #   tools/code_layout.sh _build/default/perfbench/suite.exe base/suite.exe
@@ -57,5 +64,62 @@ units "$1" | while read -r name addr; do
       $(((shift_b % 64 + 64) % 64))
   else
     printf '%-30s %6d %8s %10s\n' "$name" $((addr % 64)) new -
+  fi
+done
+
+# "Repro_lib.Module.function" as the symbol caml<unit>.<function>_<stamp>
+hot=(Repro_dist.Workload.nfib Repro_exec.Workload.nfib
+  Repro_workloads.Euler.phi_fast Repro_workloads.Matrix.mul_row
+  Repro_workloads.Mandelbrot.compute_row Repro_exec.Workload.pivot_step
+  Repro_dist.Workload.update_block)
+
+# "Repro_lib.Module.function address size" for each hot function in BIN
+functions() {
+  nm -S "$1" | grep ' [tT] camlRepro_' | while read -r addr size _ sym; do
+    name=${sym#caml}
+    name=${name%_*}
+    name=${name/__/.}
+    for f in "${hot[@]}"; do
+      if [ "$name" = "$f" ]; then echo "$f $((16#$addr)) $((16#$size))"; fi
+    done
+  done
+}
+
+lines() { echo $((($1 + $2 - 1) / 64 - $1 / 64 + 1)); }
+
+declare -A parent_fn
+if [ $# -eq 2 ]; then
+  while read -r name addr size; do
+    parent_fn[$name]="$addr $size"
+  done < <(functions "$2")
+fi
+
+declare -A fn
+while read -r name addr size; do
+  fn[$name]="$addr $size"
+done < <(functions "$1")
+
+echo
+if [ $# -eq 2 ]; then
+  printf '%-40s %6s %5s %6s %8s %10s\n' function mod64 size lines shift shift_mod64
+else
+  printf '%-40s %6s %5s %6s\n' function mod64 size lines
+fi
+for name in "${hot[@]}"; do
+  [ -n "${fn[$name]:-}" ] || continue
+  read -r addr size <<<"${fn[$name]}"
+  n=$(lines "$addr" "$size")
+  if [ $# -eq 1 ]; then
+    printf '%-40s %6d %5d %6d\n' "$name" $((addr % 64)) "$size" "$n"
+  elif [ -n "${parent_fn[$name]:-}" ]; then
+    read -r paddr psize <<<"${parent_fn[$name]}"
+    mark=""
+    if [ "$n" -gt "$(lines "$paddr" "$psize")" ]; then mark="!"; fi
+    shift_b=$((addr - paddr))
+    printf '%-40s %6d %5d %6s %+8d %10d\n' "$name" $((addr % 64)) "$size" \
+      "$n$mark" "$shift_b" $(((shift_b % 64 + 64) % 64))
+  else
+    printf '%-40s %6d %5d %6d %8s %10s\n' "$name" $((addr % 64)) "$size" "$n" \
+      new -
   fi
 done
