@@ -282,6 +282,63 @@ let write_text_file path s =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc s)
 
+(* The metrics tail of exec, exec --fibers and dist: [run] runs under
+   the --metrics sampler; then the series goes to --metrics, the final
+   snapshot to --metrics-om, [after] sees [run]'s value and the series
+   (exec pins the snapshots on its trace), the health verdicts on the
+   final snapshot are printed, the report is emitted and the exit code
+   is --strict-health's.  The final snapshot is the sampler's last, or
+   dist's farm-wide view: [farm] returns the PE count and runs the farm
+   once more (only when a metrics flag asks for it), and its snapshot
+   is appended to the series. *)
+let metered ~out ~meta ~mfile ~mint ~mom ~strict ?farm
+    ?(after = fun _ _ -> ()) buf run =
+  let sampler =
+    Option.map
+      (fun path ->
+        MSampler.start ~interval_ms:(max 10 mint)
+          ~on_sample:(fun series -> MExport.write_series ~meta path series)
+          ())
+      mfile
+  in
+  let r = run () in
+  let series = match sampler with None -> [] | Some s -> MSampler.stop s in
+  let wanted = mfile <> None || mom <> None || strict in
+  let written, final, note =
+    match farm with
+    | Some farm when wanted ->
+        let procs, merged = farm () in
+        ( series @ [ merged ],
+          merged,
+          Printf.sprintf "%d coordinator snapshot(s) + merged farm view, %d PEs"
+            (List.length series) procs )
+    | _ ->
+        ( series,
+          (match List.rev series with s :: _ -> s | [] -> Metrics.snapshot ()),
+          Printf.sprintf "%d snapshots" (List.length series) )
+  in
+  Option.iter
+    (fun path ->
+      MExport.write_series ~meta path written;
+      Printf.bprintf buf "wrote %s (%s)\n" path note)
+    mfile;
+  Option.iter
+    (fun path ->
+      write_text_file path (MExport.openmetrics final);
+      Printf.bprintf buf "wrote %s\n" path)
+    mom;
+  after r series;
+  let code =
+    if wanted then begin
+      let verdicts = MHealth.evaluate final in
+      Buffer.add_string buf (Format.asprintf "%a" MHealth.pp verdicts);
+      if strict then MHealth.exit_code verdicts else 0
+    end
+    else 0
+  in
+  emit out (Buffer.contents buf);
+  if code <> 0 then exit code
+
 (* ---------------- measurement (exec & dist) ---------------- *)
 
 module Measure = Repro_metrics.Measure
@@ -312,6 +369,21 @@ let json_arg =
     & info [ "json" ]
         ~doc:"Write the measurements as a repro/measure/v1 document to $(docv)."
         ~docv:"FILE")
+
+module Workload = Repro_exec.Workload
+
+let workload_arg =
+  let choices =
+    List.map (fun (module W : Workload.S) -> (W.name, (module W : Workload.S)))
+      Workload.all
+  in
+  let doc =
+    Printf.sprintf "Workload: %s." (String.concat ", " Workload.names)
+  in
+  Arg.(
+    value
+    & opt (enum choices) (List.hd Workload.all)
+    & info [ "workload"; "w" ] ~doc ~docv:"WORKLOAD")
 
 (* --size if given (it must be >= 0), else the quick or default size. *)
 let resolve_size ~cmd ~quick ~quick_size ~default_size = function
@@ -381,15 +453,8 @@ let exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out =
         ("cores", Int cores);
       ]
   in
-  let sampler =
-    Option.map
-      (fun path ->
-        ( path,
-          MSampler.start ~interval_ms:(max 10 mint)
-            ~on_sample:(fun series -> MExport.write_series ~meta path series)
-            () ))
-      mfile
-  in
+  let buf = Buffer.create 512 in
+  metered ~out ~meta ~mfile ~mint ~mom ~strict buf @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let spawned_in = ref 0. in
   let stats =
@@ -413,7 +478,6 @@ let exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out =
         st)
   in
   let dt = Unix.gettimeofday () -. t0 in
-  let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
        "fiber stress: %d fibers over %d domain(s) (%d hardware core(s))\n"
@@ -429,51 +493,9 @@ let exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out =
   Buffer.add_string buf
     (Printf.sprintf "suspends %d  resumes %d  yields %d  peak live %d\n"
        stats.Fiber.s_suspends stats.Fiber.s_resumes stats.Fiber.s_yields
-       stats.Fiber.s_high_water);
-  let series =
-    match sampler with
-    | None -> []
-    | Some (spath, s) ->
-        let series = MSampler.stop s in
-        MExport.write_series ~meta spath series;
-        Buffer.add_string buf
-          (Printf.sprintf "wrote %s (%d snapshots)\n" spath
-             (List.length series));
-        series
-  in
-  let final_snap =
-    match List.rev series with s :: _ -> s | [] -> Metrics.snapshot ()
-  in
-  (match mom with
-  | Some path ->
-      write_text_file path (MExport.openmetrics final_snap);
-      Buffer.add_string buf (Printf.sprintf "wrote %s\n" path)
-  | None -> ());
-  let health_code =
-    if mfile <> None || mom <> None || strict then begin
-      let verdicts = MHealth.evaluate final_snap in
-      Buffer.add_string buf (Format.asprintf "%a" MHealth.pp verdicts);
-      if strict then MHealth.exit_code verdicts else 0
-    end
-    else 0
-  in
-  emit out (Buffer.contents buf);
-  if health_code <> 0 then exit health_code
+       stats.Fiber.s_high_water)
 
 let exec_cmd =
-  let module Workload = Repro_exec.Workload in
-  let workload =
-    let doc =
-      Printf.sprintf "Workload: %s." (String.concat ", " Workload.names)
-    in
-    let workload_conv =
-      Arg.enum (List.map (fun (module W : Workload.S) -> (W.name, (module W : Workload.S))) Workload.all)
-    in
-    Arg.(
-      value
-      & opt workload_conv (List.hd Workload.all)
-      & info [ "workload"; "w" ] ~doc ~docv:"WORKLOAD")
-  in
   let cores =
     let doc = "Number of domains (default: all hardware cores)." in
     Arg.(value & opt (some int) None & info [ "cores"; "c" ] ~doc ~docv:"N")
@@ -541,17 +563,57 @@ let exec_cmd =
           ("size", Int size);
         ]
     in
-    let sampler =
-      Option.map
-        (fun path ->
-          ( path,
-            MSampler.start ~interval_ms:(max 10 mint)
-              ~on_sample:(fun series -> MExport.write_series ~meta path series)
-              () ))
-        mfile
-    in
-    let reference = W.reference ~size in
     let buf = Buffer.create 1024 in
+    let write_trace trace_run series =
+      match trace_run with
+      | None -> ()
+      | Some (path, tr) ->
+          let module Tracer = Repro_exec.Tracer in
+          let log = Tracer.to_eventlog tr in
+          let t0 = Tracer.t0_ns tr in
+          let instants =
+            List.filter_map
+              (fun (s : Metrics.snapshot) ->
+                if s.Metrics.taken_ns < t0 then None
+                else
+                  Some
+                    ( s.Metrics.taken_ns - t0,
+                      "metrics",
+                      [
+                        ( "sparks_run",
+                          Metrics.total s "repro_pool_sparks_run_total" );
+                        ("steals", Metrics.total s "repro_steals_total");
+                        ( "gc_minor",
+                          Metrics.total s "repro_gc_minor_collections" );
+                      ] ))
+              series
+          in
+          let doc = Repro_trace.Chrome.of_eventlog ~instants ~ncaps:cores log in
+          Repro_util.Json_out.to_file path doc;
+          Buffer.add_string buf
+            (Printf.sprintf
+               "wrote %s (%d events recorded, %d metric instant(s), Chrome \
+                trace-event format)\n"
+               path (Tracer.recorded tr) (List.length instants));
+          (match trace_svg with
+          | Some svg_path ->
+              let trace = Repro_trace.Eventlog.to_trace ~ncaps:cores log in
+              Repro_trace.Render_svg.to_file
+                ~title:(Printf.sprintf "%s, %d domain(s)" W.name cores)
+                trace svg_path;
+              Buffer.add_string buf (Printf.sprintf "wrote %s\n" svg_path)
+          | None -> ());
+          let report =
+            Repro_exec.Profile.analyze (Repro_exec.Profile.of_chrome_json doc)
+          in
+          Buffer.add_string buf (Repro_exec.Profile.to_string report)
+    in
+    (* the traced run happens inside the sampled run, but the Chrome
+       file is written after the sampler (if any) stops, so its
+       snapshots can be pinned onto the timeline as instants *)
+    metered ~out ~meta ~mfile ~mint ~mom ~strict ~after:write_trace buf
+    @@ fun () ->
+    let reference = W.reference ~size in
     Printf.bprintf buf "real execution: %s, size %d (%s)\n" W.name size
       W.size_doc;
     sweep_report buf ~hw ~repeat ~ladder:(ladder ~sweep:sweep_flag cores)
@@ -589,106 +651,30 @@ let exec_cmd =
       Buffer.add_string buf "per-worker breakdown:\n";
       Buffer.add_string buf (Repro_util.Tablefmt.to_string t)
     end;
-    (* the traced run happens now, but the Chrome file is written after
-       the sampler (if any) stops, so its snapshots can be pinned onto
-       the timeline as instants *)
-    let trace_run =
-      match trace_file with
-      | None ->
-          if trace_svg <> None then
-            Buffer.add_string buf "--trace-svg has no effect without --trace\n";
-          None
-      | Some path ->
-          let module Pool = Repro_exec.Pool in
-          let module Tracer = Repro_exec.Tracer in
-          let tr = Tracer.create ~ncaps:cores () in
-          Tracer.enable tr;
-          (* ring-drop counters flow into live snapshots while the
-             traced pool runs *)
-          let tok =
-            Metrics.add_collector ~name:"tracer" (fun () ->
-                Tracer.metrics_samples tr)
-          in
-          let p = Pool.create ~cores ~tracer:tr () in
-          let v = Pool.run p (fun () -> W.run ~size ()) in
-          Pool.shutdown p;
-          Tracer.disable tr;
-          Metrics.remove_collector tok;
-          if v <> reference then
-            failwith "traced run: result differs from sequential reference";
-          Some (path, tr)
-    in
-    let series =
-      match sampler with
-      | None -> []
-      | Some (spath, s) ->
-          let series = MSampler.stop s in
-          MExport.write_series ~meta spath series;
-          Buffer.add_string buf
-            (Printf.sprintf "wrote %s (%d snapshots)\n" spath
-               (List.length series));
-          series
-    in
-    let final_snap =
-      match List.rev series with s :: _ -> s | [] -> Metrics.snapshot ()
-    in
-    (match mom with
+    match trace_file with
+    | None ->
+        if trace_svg <> None then
+          Buffer.add_string buf "--trace-svg has no effect without --trace\n";
+        None
     | Some path ->
-        write_text_file path (MExport.openmetrics final_snap);
-        Buffer.add_string buf (Printf.sprintf "wrote %s\n" path)
-    | None -> ());
-    (match trace_run with
-    | None -> ()
-    | Some (path, tr) ->
+        let module Pool = Repro_exec.Pool in
         let module Tracer = Repro_exec.Tracer in
-        let log = Tracer.to_eventlog tr in
-        let t0 = Tracer.t0_ns tr in
-        let instants =
-          List.filter_map
-            (fun (s : Metrics.snapshot) ->
-              if s.Metrics.taken_ns < t0 then None
-              else
-                Some
-                  ( s.Metrics.taken_ns - t0,
-                    "metrics",
-                    [
-                      ( "sparks_run",
-                        Metrics.total s "repro_pool_sparks_run_total" );
-                      ("steals", Metrics.total s "repro_steals_total");
-                      ( "gc_minor",
-                        Metrics.total s "repro_gc_minor_collections" );
-                    ] ))
-            series
+        let tr = Tracer.create ~ncaps:cores () in
+        Tracer.enable tr;
+        (* ring-drop counters flow into live snapshots while the
+           traced pool runs *)
+        let tok =
+          Metrics.add_collector ~name:"tracer" (fun () ->
+              Tracer.metrics_samples tr)
         in
-        let doc = Repro_trace.Chrome.of_eventlog ~instants ~ncaps:cores log in
-        Repro_util.Json_out.to_file path doc;
-        Buffer.add_string buf
-          (Printf.sprintf
-             "wrote %s (%d events recorded, %d metric instant(s), Chrome \
-              trace-event format)\n"
-             path (Tracer.recorded tr) (List.length instants));
-        (match trace_svg with
-        | Some svg_path ->
-            let trace = Repro_trace.Eventlog.to_trace ~ncaps:cores log in
-            Repro_trace.Render_svg.to_file
-              ~title:(Printf.sprintf "%s, %d domain(s)" W.name cores)
-              trace svg_path;
-            Buffer.add_string buf (Printf.sprintf "wrote %s\n" svg_path)
-        | None -> ());
-        let report =
-          Repro_exec.Profile.analyze (Repro_exec.Profile.of_chrome_json doc)
-        in
-        Buffer.add_string buf (Repro_exec.Profile.to_string report));
-    let health_code =
-      if mfile <> None || mom <> None || strict then begin
-        let verdicts = MHealth.evaluate final_snap in
-        Buffer.add_string buf (Format.asprintf "%a" MHealth.pp verdicts);
-        if strict then MHealth.exit_code verdicts else 0
-      end
-      else 0
-    in
-    emit out (Buffer.contents buf);
-    if health_code <> 0 then exit health_code
+        let p = Pool.create ~cores ~tracer:tr () in
+        let v = Pool.run p (fun () -> W.run ~size ()) in
+        Pool.shutdown p;
+        Tracer.disable tr;
+        Metrics.remove_collector tok;
+        if v <> reference then
+          failwith "traced run: result differs from sequential reference";
+        Some (path, tr)
   in
   Cmd.v
     (Cmd.info "exec"
@@ -696,7 +682,7 @@ let exec_cmd =
          "Run a workload for real on OCaml 5 domains (work-stealing \
           executor) and report measured wall-clock speedups")
     Term.(
-      const run $ workload $ cores $ size_arg $ repeat_arg $ sweep_arg
+      const run $ workload_arg $ cores $ size_arg $ repeat_arg $ sweep_arg
       $ json_arg $ exec_events $ trace_file $ trace_svg $ fibers_arg
       $ metrics_file_arg $ metrics_interval_arg $ metrics_om_arg
       $ strict_health_arg $ quick $ out_file)
@@ -704,22 +690,6 @@ let exec_cmd =
 (* ---------------- dist: multi-process (Eden/GUM) execution ---------------- *)
 
 let dist_cmd =
-  let module Workload = Repro_dist.Workload in
-  let workload =
-    let doc =
-      Printf.sprintf "Workload: %s." (String.concat ", " Workload.names)
-    in
-    let workload_conv =
-      Arg.enum
-        (List.map
-           (fun (module W : Workload.S) -> (W.name, (module W : Workload.S)))
-           Workload.all)
-    in
-    Arg.(
-      value
-      & opt workload_conv (List.hd Workload.all)
-      & info [ "workload"; "w" ] ~doc ~docv:"WORKLOAD")
-  in
   let procs =
     let doc = "Number of worker processes (default: all hardware cores)." in
     Arg.(value & opt (some int) None & info [ "procs"; "p" ] ~doc ~docv:"N")
@@ -771,20 +741,20 @@ let dist_cmd =
           ("transport", Str transport_name);
         ]
     in
-    (* the sampler sees the coordinator side live (its link counters,
-       wire errors, GC); the farm-wide merged snapshot is appended to
-       the series at the end *)
-    let sampler =
-      Option.map
-        (fun path ->
-          ( path,
-            MSampler.start ~interval_ms:(max 10 mint)
-              ~on_sample:(fun series -> MExport.write_series ~meta path series)
-              () ))
-        mfile
-    in
     let reference = W.reference ~size in
+    (* one more farm run collects the merged farm-wide snapshot: each
+       PE piggybacks its whole registry on the Stats reply and the
+       coordinator relabels ([pe=N]) and merges them *)
+    let farm () =
+      let o = Repro_dist.Farm.run ~transport ~procs ~size (module W) in
+      if o.Repro_dist.Farm.result <> reference then
+        failwith "metrics run: result differs from sequential reference";
+      (procs, o.Repro_dist.Farm.merged_metrics)
+    in
     let buf = Buffer.create 1024 in
+    (* the sampler sees the coordinator side live (its link counters,
+       wire errors, GC) *)
+    metered ~out ~meta ~mfile ~mint ~mom ~strict ~farm buf @@ fun () ->
     Printf.bprintf buf
       "distributed execution (one process per PE, %s transport): %s, size %d \
        (%s)\n"
@@ -805,39 +775,7 @@ let dist_cmd =
         Buffer.add_string buf
           (Printf.sprintf
              "wrote %s (%d spans across %d PE tracks + coordinator)\n" path
-             nspans procs));
-    let series = match sampler with None -> [] | Some (_, s) -> MSampler.stop s in
-    let health_code =
-      if mfile = None && mom = None && not strict then 0
-      else begin
-        (* one more farm run to collect the merged farm-wide snapshot:
-           each PE piggybacks its whole registry on the Stats reply and
-           the coordinator relabels ([pe=N]) and merges them *)
-        let o = Repro_dist.Farm.run ~transport ~procs ~size (module W) in
-        if o.Repro_dist.Farm.result <> reference then
-          failwith "metrics run: result differs from sequential reference";
-        let merged = o.Repro_dist.Farm.merged_metrics in
-        (match mfile with
-        | Some path ->
-            MExport.write_series ~meta path (series @ [ merged ]);
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "wrote %s (%d coordinator snapshot(s) + merged farm view, \
-                  %d PEs)\n"
-                 path (List.length series) procs)
-        | None -> ());
-        (match mom with
-        | Some path ->
-            write_text_file path (MExport.openmetrics merged);
-            Buffer.add_string buf (Printf.sprintf "wrote %s\n" path)
-        | None -> ());
-        let verdicts = MHealth.evaluate merged in
-        Buffer.add_string buf (Format.asprintf "%a" MHealth.pp verdicts);
-        if strict then MHealth.exit_code verdicts else 0
-      end
-    in
-    emit out (Buffer.contents buf);
-    if health_code <> 0 then exit health_code
+             nspans procs))
   in
   Cmd.v
     (Cmd.info "dist"
@@ -848,7 +786,7 @@ let dist_cmd =
           -- $(b,--transport)) and report wall-clock speedups plus \
           message/byte/GC counters")
     Term.(
-      const run $ workload $ procs $ size_arg $ repeat_arg $ sweep_arg
+      const run $ workload_arg $ procs $ size_arg $ repeat_arg $ sweep_arg
       $ json_arg
       $ trace_file $ transport $ metrics_file_arg $ metrics_interval_arg
       $ metrics_om_arg $ strict_health_arg $ quick $ out_file)

@@ -128,31 +128,3 @@ let analyse (trace : Event.t list) : report =
     locations = Hashtbl.length cells;
     events_analysed = !nevents;
   }
-
-let history_of (trace : Event.t list) loc =
-  List.filter (fun (e : Event.t) -> e.loc = loc) trace
-
-let pp_race ppf (r : race) =
-  Format.fprintf ppf
-    "unordered writes to %s:@\n  %a@\n  %a" r.loc_name Event.pp r.first
-    Event.pp r.second
-
-let pp_report ?trace ppf (rep : report) =
-  if rep.races = [] then
-    Format.fprintf ppf "no unordered conflicting writes (%d events, %d cells)"
-      rep.events_analysed rep.locations
-  else begin
-    Format.fprintf ppf "%d race(s) over %d events, %d cells:"
-      (List.length rep.races) rep.events_analysed rep.locations;
-    List.iter
-      (fun r ->
-        Format.fprintf ppf "@\n%a" pp_race r;
-        match trace with
-        | Some t ->
-            Format.fprintf ppf "@\n  access history of %s:" r.loc_name;
-            List.iter
-              (fun e -> Format.fprintf ppf "@\n    %a" Event.pp e)
-              (history_of t r.loc)
-        | None -> ())
-      rep.races
-  end

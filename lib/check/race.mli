@@ -25,12 +25,3 @@ val analyse : Event.t list -> report
     [on_trace] or a violation's [trace]) through vector clocks.  Events
     of the final check (thread -2) are ignored; setup events (thread
     -1) seed every thread's initial clock. *)
-
-val history_of : Event.t list -> int -> Event.t list
-(** All accesses to one location, in trace order. *)
-
-val pp_race : Format.formatter -> race -> unit
-
-val pp_report : ?trace:Event.t list -> Format.formatter -> report -> unit
-(** With [?trace], each race is followed by the full access history of
-    the racing location. *)

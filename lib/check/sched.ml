@@ -515,14 +515,3 @@ let check ?(max_steps = default_max_steps)
             go ())
   in
   go ()
-
-let pp_result ppf = function
-  | Pass s ->
-      Format.fprintf ppf
-        "%s: PASS — %d interleaving(s) explored exhaustively, %d ops, max \
-         depth %d"
-        s.name s.interleavings s.events s.max_depth
-  | Fail v ->
-      Format.fprintf ppf
-        "%s: VIOLATION after %d interleaving(s): %s@\noffending schedule:@\n%a"
-        v.vname v.after_interleavings v.reason Event.pp_trace v.trace

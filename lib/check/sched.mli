@@ -11,7 +11,7 @@
           fun () -> assert (Sched.Atomic.get x = 2) )
       in
       match Sched.check ~name:"counter" scenario with
-      | Pass s -> Format.printf "%a@." Sched.pp_result (Pass s)
+      | Pass s -> Printf.printf "%d interleavings\n" s.interleavings
       | Fail v -> print_string (Event.to_string_trace v.trace)
     ]} *)
 
@@ -77,5 +77,3 @@ val check :
     the exploration; exceeding it raises [Failure] (shrink the
     scenario).  [on_trace] observes the event trace of every completed
     (non-violating) run, e.g. to feed {!Race.analyse}. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -33,7 +33,6 @@ module Api = Repro_parrts.Rts.Api
     evaluation Haskell would perform at send time.) *)
 type 'a trans = { bytes : 'a -> int; nf_cycles : 'a -> int }
 
-let t_unit = { bytes = (fun () -> 8); nf_cycles = (fun () -> 1) }
 let t_int = { bytes = (fun _ -> 16); nf_cycles = (fun _ -> 2) }
 let t_float = { bytes = (fun _ -> 16); nf_cycles = (fun _ -> 2) }
 
@@ -48,12 +47,6 @@ let t_list e =
     bytes = (fun xs -> 16 + List.fold_left (fun acc x -> acc + 24 + e.bytes x) 0 xs);
     nf_cycles =
       (fun xs -> 8 + List.fold_left (fun acc x -> acc + 4 + e.nf_cycles x) 0 xs);
-  }
-
-let t_int_array =
-  {
-    bytes = (fun a -> 24 + (8 * Array.length a));
-    nf_cycles = (fun a -> 4 + Array.length a);
   }
 
 let t_float_array =

@@ -13,12 +13,10 @@
     of a value. *)
 type 'a trans = { bytes : 'a -> int; nf_cycles : 'a -> int }
 
-val t_unit : unit trans
 val t_int : int trans
 val t_float : float trans
 val t_pair : 'a trans -> 'b trans -> ('a * 'b) trans
 val t_list : 'a trans -> 'a list trans
-val t_int_array : int array trans
 val t_float_array : float array trans
 val t_float_matrix : float array array trans
 
@@ -68,9 +66,6 @@ val put_list : 'a trans -> 'a stream -> 'a list -> unit
 val to_list : 'a stream -> 'a list
 
 (** {1 Process instantiation} *)
-
-(** Serialized size of a shipped process closure. *)
-val closure_bytes : int
 
 (** [instantiate_at ~pe body]: ship a process closure to [pe] and run
     it there as a fresh thread (Eden's [instantiateAt]). *)

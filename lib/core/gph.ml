@@ -83,10 +83,6 @@ let rwhnf : 'a t strategy = fun n -> ignore (force n)
     (element payloads are strict OCaml values). *)
 let rnf : 'a t strategy = rwhnf
 
-(** Evaluate every element of a (strict-spine) list with [s], entirely
-    sequentially. *)
-let seq_list (s : 'a strategy) (xs : 'a list) : unit = List.iter s xs
-
 (** Spark every element of the list for parallel evaluation with [s]
     (Haskell: [parList]). *)
 let par_list (s : 'a t strategy) (xs : 'a t list) : unit =

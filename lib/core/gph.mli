@@ -44,9 +44,6 @@ val rwhnf : 'a t strategy
     OCaml values). *)
 val rnf : 'a t strategy
 
-(** Apply [s] to every element, sequentially ([seqList]). *)
-val seq_list : 'a strategy -> 'a list -> unit
-
 (** Spark every element for parallel evaluation ([parList]). *)
 val par_list : 'a t strategy -> 'a t list -> unit
 

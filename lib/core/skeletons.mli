@@ -3,9 +3,6 @@
     primitives — and, as the paper stresses, ordinary functions that
     remain amenable to customisation. *)
 
-(** Number of PEs ([noPE]). *)
-val no_pe : unit -> int
-
 (** One process per element (short lists of chunky tasks). *)
 val par_map :
   tr_in:'a Eden.trans -> tr_out:'b Eden.trans -> ('a -> 'b) -> 'a list -> 'b list

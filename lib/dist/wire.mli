@@ -53,10 +53,6 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-(** One [repro_wire_*] counter sample per field, under [labels]. *)
-val samples_of_counters :
-  labels:(string * string) list -> counters -> Repro_metrics.Metrics.sample list
-
 (** Register [counters] as a per-link collector in the default metrics
     registry, labelled by [transport] only: all links of a transport
     sum into one series (the per-link view is [Farm.pe_report.co]).

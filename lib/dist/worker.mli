@@ -12,8 +12,6 @@ val marker : string
     worker. *)
 val default_argv : unit -> string array
 
-val is_worker_invocation : string array -> bool
-
 (** Serve one coordinator session, then [exit]; never returns.  Over
     the socketpair transport stdin carries the messages (both
     directions); over shm (selected by an [shm=PATH] argv token, with

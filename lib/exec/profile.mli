@@ -50,6 +50,5 @@ type report = {
 }
 
 val analyze : input -> report
-val worker_table : report -> Repro_util.Tablefmt.t
 val pp : Format.formatter -> report -> unit
 val to_string : report -> string

@@ -1,7 +1,7 @@
 (** GpH-style evaluation strategies over real domains.
 
     The user-facing combinators mirror [Repro_core.Gph]'s simulated
-    ones ([par]/[pseq]/[parList]/chunking), but here [par] really does
+    ones ([par]/[parList]/chunking), but here [par] really does
     put a spark where another core can steal it.  All combinators are
     no-ops degrading to left-to-right sequential evaluation when run
     outside a {!Pool} (sparks fizzle), so workload code is oblivious
@@ -14,11 +14,6 @@ let par f g =
   let b = g () in
   let a = Future.force fa in
   (a, b)
-
-(** Sequential composition: evaluate [f], then [g] on its result. *)
-let pseq f g =
-  let a = f () in
-  g a
 
 (** [par_list fs]: spark every element, then collect in order.  The
     list is sparked in reverse so thieves (stealing FIFO from the top

@@ -5,9 +5,6 @@
 (** [par f g]: spark [f], run [g] here, join. *)
 val par : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
-(** [pseq f g]: evaluate [f], then [g] on its result. *)
-val pseq : (unit -> 'a) -> ('a -> 'b) -> 'b
-
 (** Spark every thunk, collect results in list order. *)
 val par_list : (unit -> 'a) list -> 'a list
 
@@ -26,9 +23,6 @@ val par_range :
   combine:('b -> 'a -> 'b) ->
   init:'b ->
   'b
-
-(** Workers available here (1 outside a pool). *)
-val available_cores : unit -> int
 
 (** 4 sparks per available core, capped by the piece count. *)
 val default_chunks : int -> int

@@ -6,16 +6,12 @@
 
 type perturbation = { p_label : string; apply : Repro_parrts.Config.t -> Repro_parrts.Config.t }
 
-val all_perturbations : ?down:float -> ?up:float -> unit -> perturbation list
-
 type outcome = {
   o_label : string;
   weak_shape : bool;
   strong_shape : bool;
   times : (string * float) list;
 }
-
-val run_one : n:int -> perturbation -> outcome
 
 type result = { outcomes : outcome list; n : int }
 

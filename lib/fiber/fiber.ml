@@ -428,7 +428,6 @@ let launch parent ?pin f =
 
 let spawn f = launch (self_exn "Fiber.spawn") f
 let spawn_on i f = launch (self_exn "Fiber.spawn_on") ~pin:i f
-let promise_of h = h.h_done
 
 let[@sanctioned_blocking] join h = await h.h_done
 
@@ -475,7 +474,6 @@ let stats_of s =
   }
 
 let stats () = stats_of (self_exn "Fiber.stats").sched
-let in_fiber () = Option.is_some (current ())
 
 (* ------------------------------------------------------------------ *)
 (* Running a scheduler                                                 *)

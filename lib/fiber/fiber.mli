@@ -75,8 +75,6 @@ val join : 'a handle -> 'a
 (** {!await} the fiber's completion promise (raises {!Cancelled} if it
     was cancelled, or its escaping exception). *)
 
-val promise_of : 'a handle -> 'a Promise.t
-
 val yield : unit -> unit
 (** Reschedule to the back of this worker's FIFO lane — cooperative
     fairness between fibers sharing a domain. *)
@@ -94,6 +92,3 @@ val is_cancelled : _ handle -> bool
 
 val stats : unit -> stats
 (** Live scheduler counters, from inside a fiber. *)
-
-val in_fiber : unit -> bool
-(** [true] when the calling code runs inside a fiber (any domain). *)

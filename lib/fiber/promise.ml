@@ -33,7 +33,6 @@ module type S = sig
   val create : unit -> 'a t
   val of_value : 'a -> 'a t
   val peek : 'a t -> ('a, exn) result option
-  val is_resolved : 'a t -> bool
   val once : (unit -> unit) -> unit -> unit
   val add_waiter : 'a t -> (unit -> unit) -> unit
   val try_fulfil : 'a t -> 'a -> bool
@@ -58,8 +57,6 @@ module Make (A : Repro_shim.Tatomic.S) = struct
     | Fulfilled v -> Some (Ok v)
     | Broken e -> Some (Error e)
     | Pending _ -> None
-
-  let is_resolved p = match A.get p with Pending _ -> false | _ -> true
 
   (* Exactly-once thunk: the CAS on [fired] decides the unique winner
      when several paths (normal wakeup, cancellation) race to run it. *)

@@ -20,8 +20,6 @@ module type S = sig
   val peek : 'a t -> ('a, exn) result option
   (** [None] while pending. *)
 
-  val is_resolved : 'a t -> bool
-
   val once : (unit -> unit) -> unit -> unit
   (** [once f] is a thunk that runs [f] on its first call and nothing
       on every later call, decided by a CAS — safe to hand to several

@@ -48,5 +48,4 @@ val major_pause_ns : t -> ncaps:int -> resident:int -> int
 val independent_pause_ns :
   t -> allocated:int -> resident:int -> is_major:bool -> int
 
-val pp_sync : Format.formatter -> sync_mode -> unit
 val pp : Format.formatter -> t -> unit

@@ -22,9 +22,6 @@ val lower_bound : sub_bits:int -> int -> int
 val upper_bound : sub_bits:int -> int -> int
 (** Largest value mapping to the bucket. *)
 
-val midpoint : sub_bits:int -> int -> float
-(** Representative value of the bucket (midpoint of its range). *)
-
 (** Plain-data, Marshal-safe summary of a histogram: sparse
     [(index, count)] pairs in ascending index order plus the exact
     count / sum / min / max of recorded values. *)

@@ -20,8 +20,6 @@ type config = {
   gc_major_per_sec : float;
 }
 
-val default_config : config
-
 type verdict = { rule : string; triggered : bool; detail : string }
 
 val evaluate : ?config:config -> Metrics.snapshot -> verdict list

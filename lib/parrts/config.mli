@@ -65,7 +65,4 @@ type t = {
 val default : ?machine:Repro_machine.Machine.t -> ?ncaps:int -> unit -> t
 
 val is_distributed : t -> bool
-val pp_load_balance : Format.formatter -> load_balance -> unit
-val pp_blackholing : Format.formatter -> blackholing -> unit
-val pp_heap_mode : Format.formatter -> heap_mode -> unit
 val pp : Format.formatter -> t -> unit

@@ -1022,7 +1022,6 @@ let run (cfg : Config.t) (main : unit -> 'a) : 'a * Report.t =
 
 module Api = struct
   let charge cost = Effect.perform (Charge cost)
-  let charge_cycles ?(alloc = 0) cycles = charge (Cost.make cycles ~alloc)
 
   let charge_ns ns =
     if ns > 0 then charge (Cost.cycles (cycles_of_ns (instance ()) ns))
@@ -1030,7 +1029,6 @@ module Api = struct
   let yield () = Effect.perform Yield
   let block register = Effect.perform (Block register)
   let my_cap () = (fst (context ())).idx
-  let my_tid () = (snd (context ())).tid
   let now_ns () = now (instance ())
   let ncaps () = (instance ()).cfg.ncaps
   let config () = (instance ()).cfg
@@ -1102,6 +1100,4 @@ module Api = struct
     match th.update_stack with
     | [] -> failwith "Api.pop_update: empty update stack"
     | _ :: rest -> th.update_stack <- rest
-
-  let in_context () = !current_ctx <> None
 end

@@ -60,8 +60,6 @@ module Api : sig
       checks (GC requests, timeslice, lazy black-holing). *)
   val charge : Repro_util.Cost.t -> unit
 
-  val charge_cycles : ?alloc:int -> int -> unit
-
   (** Charge pure work expressed as nanoseconds at the machine's
       clock rate. *)
   val charge_ns : int -> unit
@@ -74,7 +72,6 @@ module Api : sig
   val block : ((unit -> unit) -> unit) -> unit
 
   val my_cap : unit -> int
-  val my_tid : unit -> int
   val now_ns : unit -> int
   val ncaps : unit -> int
   val config : unit -> Config.t
@@ -112,7 +109,4 @@ module Api : sig
   val push_update : Repro_heap.Node.boxed -> unit
 
   val pop_update : unit -> unit
-
-  (** Is the caller inside a simulated thread? *)
-  val in_context : unit -> bool
 end

@@ -53,8 +53,6 @@ val length : t -> int
 (** Events in emission order, with timestamps. *)
 val events : t -> (int * event) list
 
-val pp_event : Format.formatter -> event -> unit
-
 (** Text dump, one event per line. *)
 val dump : t -> string
 

@@ -30,15 +30,6 @@ let scale k c =
   if k < 0 then invalid_arg "Cost.scale: negative factor";
   { cycles = k * c.cycles; alloc = k * c.alloc }
 
-(* Scale by a float factor, rounding to nearest.  Used by the memory
-   penalty model. *)
-let scale_f k c =
-  if k < 0.0 then invalid_arg "Cost.scale_f: negative factor";
-  {
-    cycles = int_of_float (Float.round (k *. float_of_int c.cycles));
-    alloc = c.alloc;
-  }
-
 let is_zero c = c.cycles = 0 && c.alloc = 0
 let equal a b = a.cycles = b.cycles && a.alloc = b.alloc
 

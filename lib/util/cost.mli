@@ -30,10 +30,6 @@ val ( + ) : t -> t -> t
 (** [scale k c] multiplies both components by the non-negative [k]. *)
 val scale : int -> t -> t
 
-(** [scale_f k c] scales the {e cycles} by the float factor [k]
-    (allocation is left untouched); used by penalty models. *)
-val scale_f : float -> t -> t
-
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

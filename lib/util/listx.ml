@@ -79,6 +79,3 @@ let group_by_key pairs =
       | Some r -> r := v :: !r)
     pairs;
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
-
-let sum_int = List.fold_left ( + ) 0
-let sum_float = List.fold_left ( +. ) 0.0

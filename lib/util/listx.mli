@@ -20,6 +20,3 @@ val transpose : 'a list list -> 'a list list
 (** Group an association list by key, preserving first-seen key order
     and per-key value order. *)
 val group_by_key : ('k * 'v) list -> ('k * 'v list) list
-
-val sum_int : int list -> int
-val sum_float : float list -> float

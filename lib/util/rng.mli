@@ -11,8 +11,6 @@ val copy : t -> t
 (** Derive an independent generator (splittable stream). *)
 val split : t -> t
 
-val next_int64 : t -> int64
-
 (** Non-negative 62-bit integer. *)
 val next_int : t -> int
 

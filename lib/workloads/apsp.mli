@@ -13,11 +13,6 @@ val floyd_warshall : float array array -> float array array
 (** Sum of all finite distances. *)
 val checksum : float array array -> float
 
-(** Fresh-row min-plus update of [row] against pivot [k]. *)
-val update_row : float array -> k:int -> float array -> float array
-
-val op_cycles : int
-val row_update_cost : int -> Repro_util.Cost.t
 val resident : int -> int
 
 (** GpH: every final row sparked in advance; pivot rows are shared

@@ -5,11 +5,7 @@
     {!phi_fast} computes the same value by factorisation; {!phi_cost}
     charges the naive kernel's virtual cost either way. *)
 
-val gcd_step_cycles : int
-val elem_overhead_cycles : int
 val elem_alloc_bytes : int
-val gcd : int -> int -> int
-val relprime : int -> int -> bool
 
 (** The paper's literal kernel.  @raise Invalid_argument if [k <= 0]. *)
 val phi_naive : int -> int

@@ -3,8 +3,6 @@
     balancing wins.  Points are computed for real; charged cost is
     proportional to the iterations actually performed. *)
 
-val iter_cycles : int
-
 type view = { x0 : float; y0 : float; x1 : float; y1 : float; max_iter : int }
 
 val default_view : view
@@ -14,8 +12,6 @@ val escape : max_iter:int -> float -> float -> int
 
 (** Compute one image row; returns (per-pixel iterations, total). *)
 val compute_row : view:view -> width:int -> height:int -> int -> int array * int
-
-val row_cost : width:int -> int -> Repro_util.Cost.t
 
 (** Sequential reference checksum (sum of all iteration counts). *)
 val reference : ?view:view -> width:int -> height:int -> unit -> int

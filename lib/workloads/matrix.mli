@@ -41,7 +41,6 @@ val sub_block : mat -> r0:int -> c0:int -> bs:int -> mat
 
 (** {1 Cost model} *)
 
-val mac_cycles : int
 val elem_alloc_bytes : int
 
 (** Cost of producing a [rows x cols] piece of an [n]-dim multiply. *)

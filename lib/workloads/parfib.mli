@@ -3,14 +3,8 @@
     exponentially as the threshold drops.  Computes nfib (the naive
     call count). *)
 
-val call_cycles : int
-val call_alloc : int
-
 (** nfib n = 2*fib(n+1) - 1, memoised. *)
 val nfib : int -> int
-
-(** Virtual cost of sequential naive nfib [n]. *)
-val seq_cost : int -> Repro_util.Cost.t
 
 (** The value every variant must compute. *)
 val reference : int -> int

@@ -3,10 +3,6 @@
     {!Euler.sum_euler_ref}) and end with the sequential verification
     pass visible at the end of the paper's traces. *)
 
-(** The check phase costs [Euler.total_cycles n / check_fraction]. *)
-val check_fraction : int
-
-val check_cost : int -> Repro_util.Cost.t
 val resident : int -> int
 
 (** GpH version: sublists sparked under [parList rnf]; [chunks]

@@ -524,12 +524,17 @@ let exactly_once_ledger () =
   check bool "demand scheduling fished" true (o.Farm.fishes > 0);
   check bool "work was timed" true (o.Farm.work_ns > 0)
 
-(* Every workload at its quick size, and matmul at 67: rows of 67
-   columns leave three over after the kernel's four-column passes. *)
+(* Every workload at its quick size; matmul at 67, where rows of 67
+   columns leave three over after the kernel's four-column passes; and
+   sumeuler over an empty range, one value, one block of 49 values and
+   40 blocks of 50 or 51, each block one [Euler.sum_phi] call. *)
 let reference_runs =
   List.map (fun (module W : Workload.S) -> ((module W : Workload.S), W.quick_size))
     Workload.all
   @ [ ((module Workload.Matmul : Workload.S), 67) ]
+  @ List.map
+      (fun size -> ((module Workload.Sumeuler : Workload.S), size))
+      [ 0; 1; 49; 2_001 ]
 
 let all_workloads_match_reference () =
   List.iter
