@@ -1,23 +1,20 @@
-(** Benchmark harness.
+(** Benchmark harness: the measurements no other front end makes.
 
-    Two parts:
+    - real execution on domains against the simulator's prediction;
+    - Eden-style processes against GpH-style domains ([--eden-vs-gph];
+      [--dist-transport sock|shm] picks the wire);
+    - transport calibration ([--transport]);
+    - metrics record and fiber runtime overhead ([--metrics-overhead],
+      [--fiber-overhead]);
+    - the minor-heap sweep ([--minor-heap]).
 
-    1. {b Reproduction}: regenerates every table and figure of the
-       paper at full scale and prints the rows/series next to the
-       paper's reported values (Fig. 1) or shape expectations
-       (Figs. 2–5).  This is the output EXPERIMENTS.md is based on.
-
-    2. {b Bechamel micro/meso benchmarks}: one [Test.make] per
-       table/figure (at reduced problem size so the sampler can iterate)
-       plus micro-benchmarks of the substrate data structures
-       (Chase–Lev deque, event queue, RNG, thunk machinery) and the
-       ablation benches called out in DESIGN.md.
-
-    Set [REPRO_BENCH_QUICK=1] to shrink the reproduction sizes. *)
+    With no argument every section but the sweep runs; any other
+    argument is a usage error.  The paper's figures come from
+    [repro_cli all], the layer costs with bounds from perfbench.  Set
+    [REPRO_BENCH_QUICK=1] to shrink the sizes. *)
 
 module E = Repro_experiments
 module Versions = Repro_core.Versions
-module Rts = Repro_parrts.Rts
 
 let quick =
   match Sys.getenv_opt "REPRO_BENCH_QUICK" with
@@ -44,59 +41,7 @@ let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: full-scale reproduction                                     *)
-(* ------------------------------------------------------------------ *)
-
-let reproduce_fig1 () =
-  hr "Fig. 1 — sumEuler [1..15000], Intel 8-core: runtimes";
-  let n = if quick then 6000 else 15000 in
-  let r = E.Fig1.run ~n () in
-  Repro_util.Tablefmt.print (E.Fig1.to_table r);
-  Printf.printf "row ordering as in the paper: %b\n" (E.Fig1.ordering_holds r);
-  r
-
-let reproduce_fig2 () =
-  hr "Fig. 2 — sumEuler traces (EdenTV-style timelines)";
-  let n = if quick then 6000 else 15000 in
-  let r = E.Fig2.run ~n () in
-  print_string (E.Fig2.render ~width:100 r)
-
-let reproduce_fig3 () =
-  hr "Fig. 3 — relative speedups, AMD 16-core";
-  let r =
-    if quick then E.Fig3.run ~cores:[ 1; 2; 4; 8; 16 ] ~n_euler:6000 ~n_mat:1000 ()
-    else E.Fig3.run ()
-  in
-  Printf.printf "\nFig. 3a: sumEuler [1..%d]\n" r.n_euler;
-  Format.printf "%a" E.Exp.pp_speedup_table r.sumeuler;
-  print_string (E.Exp.render_speedup_plot r.sumeuler);
-  Printf.printf "\nFig. 3b: matmul %dx%d\n" r.n_mat r.n_mat;
-  Format.printf "%a" E.Exp.pp_speedup_table r.matmul;
-  print_string (E.Exp.render_speedup_plot r.matmul);
-  Printf.printf "shapes as in the paper: %b\n" (E.Fig3.shapes_hold r);
-  List.iter (fun s -> Printf.printf "  paper: %s\n" s) E.Paper.fig3_shapes
-
-let reproduce_fig4 () =
-  hr "Fig. 4 — matmul traces, Intel 8-core, virtual PEs";
-  let n = if quick then 500 else 1000 in
-  let r = E.Fig4.run ~n () in
-  print_string (E.Fig4.render ~width:100 r);
-  Printf.printf "shapes as in the paper: %b\n" (E.Fig4.shapes_hold r);
-  List.iter (fun s -> Printf.printf "  paper: %s\n" s) E.Paper.fig4_shapes
-
-let reproduce_fig5 () =
-  hr "Fig. 5 — shortest paths (400 nodes), AMD 16-core";
-  let r =
-    if quick then E.Fig5.run ~cores:[ 1; 2; 4; 8; 16 ] ~n:200 ()
-    else E.Fig5.run ()
-  in
-  Format.printf "%a" E.Exp.pp_speedup_table r.series;
-  print_string (E.Exp.render_speedup_plot r.series);
-  Printf.printf "shapes as in the paper: %b\n" (E.Fig5.shapes_hold r);
-  List.iter (fun s -> Printf.printf "  paper: %s\n" s) E.Paper.fig5_shapes
-
-(* ------------------------------------------------------------------ *)
-(* Part 1b: real execution vs. simulation                              *)
+(* Real execution vs. simulation                                       *)
 (* ------------------------------------------------------------------ *)
 
 module Exec_workload = Repro_exec.Workload
@@ -175,11 +120,7 @@ let sim_vs_real () =
     (List.length all_measurements)
 
 (* ------------------------------------------------------------------ *)
-(* Part 1b': Eden-style processes vs GpH-style domains                 *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* Part 1b'': transport calibration                                    *)
+(* Transport calibration                                               *)
 (* ------------------------------------------------------------------ *)
 
 module Wire = Repro_dist.Wire
@@ -814,35 +755,8 @@ let eden_vs_gph () =
   Printf.printf "\nwrote BENCH_dist.json (%d measurements, both backends)\n"
     (List.length ms)
 
-(* Machine-readable dump of the existing Fig. 1 reproduction numbers,
-   next to the paper's reported seconds. *)
-let dump_fig1_json (r : E.Fig1.result) =
-  let rows =
-    List.map2
-      (fun (row : E.Exp.row) (paper_label, paper_s) ->
-        Repro_util.Json_out.Obj
-          [
-            ("version", Repro_util.Json_out.Str row.E.Exp.label);
-            ("paper_version", Repro_util.Json_out.Str paper_label);
-            ("simulated_s", Repro_util.Json_out.Float row.E.Exp.elapsed_s);
-            ("paper_s", Repro_util.Json_out.Float paper_s);
-          ])
-      r.rows E.Paper.fig1_runtimes_s
-  in
-  Repro_util.Json_out.to_file "BENCH_repro.json"
-    (Repro_util.Json_out.Obj
-       (("schema", Repro_util.Json_out.Str "repro/bench-repro/v1")
-        :: ("backend", Repro_util.Json_out.Str "simulator")
-        :: Measure.env_header ()
-       @ [
-           ("figure", Repro_util.Json_out.Str "fig1");
-           ("n", Repro_util.Json_out.Int r.n);
-           ("rows", Repro_util.Json_out.List rows);
-         ]));
-  Printf.printf "wrote BENCH_repro.json (%d rows)\n" (List.length rows)
-
 (* ------------------------------------------------------------------ *)
-(* Part 1c: minor-heap sweep                                           *)
+(* Minor-heap sweep                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's big-allocation-area optimisation (Sec. IV-B) tunes the
@@ -946,232 +860,36 @@ let minor_heap_sweep () =
          ]));
   Printf.printf "wrote BENCH_minorheap.json (%d settings)\n" (List.length rows)
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel                                                    *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-(* One Test.make per table/figure: each staged run executes the whole
-   experiment at a reduced size, so Bechamel measures end-to-end
-   simulation cost. *)
-
-let bench_fig1 =
-  Test.make ~name:"fig1/sumEuler-runtimes-8cores"
-    (Staged.stage (fun () -> ignore (E.Fig1.run ~n:1500 ())))
-
-let bench_fig2 =
-  Test.make ~name:"fig2/sumEuler-traces"
-    (Staged.stage (fun () -> ignore (E.Fig2.run ~n:1500 ())))
-
-let bench_fig3 =
-  Test.make ~name:"fig3/speedup-sweeps"
-    (Staged.stage (fun () ->
-         ignore (E.Fig3.run ~cores:[ 1; 4; 8 ] ~n_euler:1500 ~n_mat:300 ())))
-
-let bench_fig4 =
-  Test.make ~name:"fig4/matmul-traces-virtual-PEs"
-    (Staged.stage (fun () -> ignore (E.Fig4.run ~n:240 ())))
-
-let bench_fig5 =
-  Test.make ~name:"fig5/apsp-blackholing"
-    (Staged.stage (fun () ->
-         ignore (E.Fig5.run ~cores:[ 1; 4; 8 ] ~n:80 ())))
-
-(* Substrate micro-benchmarks. *)
-
-let bench_deque =
-  Test.make ~name:"substrate/ws-deque-push-pop-steal"
-    (Staged.stage (fun () ->
-         let q = Repro_deque.Ws_deque.create () in
-         for i = 1 to 1000 do
-           Repro_deque.Ws_deque.push q i
-         done;
-         for _ = 1 to 500 do
-           ignore (Repro_deque.Ws_deque.pop q);
-           ignore (Repro_deque.Ws_deque.steal q)
-         done))
-
-let bench_prio_queue =
-  Test.make ~name:"substrate/prio-queue-1k"
-    (Staged.stage (fun () ->
-         let q = Repro_util.Prio_queue.create () in
-         let rng = Repro_util.Rng.create 1 in
-         for _ = 1 to 1000 do
-           Repro_util.Prio_queue.add q (Repro_util.Rng.int rng 100000) ()
-         done;
-         while not (Repro_util.Prio_queue.is_empty q) do
-           ignore (Repro_util.Prio_queue.pop q)
-         done))
-
-(* Regression guard for the schedule/dispatch hot path: the event
-   queue is created once and reused via [clear], so this is fast only
-   while [clear] keeps the backing array allocated. *)
-let bench_prio_queue_reuse =
-  let q = Repro_util.Prio_queue.create () in
-  let rng = Repro_util.Rng.create 3 in
-  Test.make ~name:"substrate/prio-queue-clear-reuse-1k"
-    (Staged.stage (fun () ->
-         Repro_util.Prio_queue.clear q;
-         for _ = 1 to 1000 do
-           Repro_util.Prio_queue.add q (Repro_util.Rng.int rng 100000) ()
-         done;
-         for _ = 1 to 500 do
-           ignore (Repro_util.Prio_queue.pop q)
-         done))
-
-let bench_engine =
-  Test.make ~name:"substrate/engine-10k-events"
-    (Staged.stage (fun () ->
-         let e = Repro_sim.Engine.create () in
-         for i = 1 to 10_000 do
-           Repro_sim.Engine.at e i (fun () -> ())
-         done;
-         ignore (Repro_sim.Engine.run e)))
-
-let bench_rng =
-  Test.make ~name:"substrate/splitmix64-10k"
-    (Staged.stage (fun () ->
-         let r = Repro_util.Rng.create 7 in
-         for _ = 1 to 10_000 do
-           ignore (Repro_util.Rng.next_int r)
-         done))
-
-let bench_rts_threads =
-  Test.make ~name:"substrate/rts-1k-threads"
-    (Staged.stage (fun () ->
-         let cfg = Repro_parrts.Config.default ~ncaps:4 () in
-         ignore
-           (Rts.run cfg (fun () ->
-                let module Api = Rts.Api in
-                let remaining = ref 1000 and waiter = ref None in
-                for _ = 1 to 1000 do
-                  ignore
-                    (Api.spawn (fun () ->
-                         Api.charge (Repro_util.Cost.make 1000 ~alloc:256);
-                         decr remaining;
-                         if !remaining = 0 then
-                           Option.iter (fun k -> k ()) !waiter))
-                done;
-                if !remaining > 0 then Api.block (fun wake -> waiter := Some wake)))))
-
-(* Ablation benches (DESIGN.md section 5): one per design choice. *)
-
-let run_sumeuler (v : Versions.version) n =
-  ignore
-    (Rts.run v.config (fun () ->
-         if Repro_parrts.Config.is_distributed v.config then
-           ignore (Repro_workloads.Sumeuler.eden ~n ())
-         else ignore (Repro_workloads.Sumeuler.gph ~n ())))
-
-let bench_ablation_spark_runner =
-  Test.make ~name:"ablation/thread-per-spark-vs-spark-threads"
-    (Staged.stage (fun () ->
-         let base = Versions.gph_steal ~ncaps:8 () in
-         let tps =
-           {
-             base with
-             config =
-               { base.config with spark_runner = Repro_parrts.Config.Thread_per_spark };
-           }
-         in
-         run_sumeuler base 1500;
-         run_sumeuler tps 1500))
-
-let bench_ablation_heap =
-  Test.make ~name:"ablation/shared-vs-semi-distributed-heap"
-    (Staged.stage (fun () ->
-         run_sumeuler (Versions.gph_steal ~ncaps:8 ()) 1500;
-         run_sumeuler (Versions.gph_semi_distributed ~ncaps:8 ()) 1500))
-
-let bench_ablation_gum =
-  Test.make ~name:"ablation/gum-vs-eden-vs-shared-gph"
-    (Staged.stage (fun () ->
-         ignore
-           (Rts.run (Versions.gum ~npes:8 ()).config (fun () ->
-                Repro_workloads.Sumeuler.gum ~n:1500 ()));
-         ignore
-           (Rts.run (Versions.eden ~npes:8 ()).config (fun () ->
-                Repro_workloads.Sumeuler.eden ~n:1500 ()));
-         run_sumeuler (Versions.gph_steal ~ncaps:8 ()) 1500))
-
-let bench_ablation_transport =
-  Test.make ~name:"ablation/pvm-vs-mpi-vs-shm"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun tr -> run_sumeuler (Versions.eden ~npes:8 ~transport:tr ()) 1500)
-           Repro_mp.Transport.all))
-
-let benchmark () =
-  let tests =
-    [
-      bench_fig1;
-      bench_fig2;
-      bench_fig3;
-      bench_fig4;
-      bench_fig5;
-      bench_deque;
-      bench_prio_queue;
-      bench_prio_queue_reuse;
-      bench_engine;
-      bench_rng;
-      bench_rts_threads;
-      bench_ablation_spark_runner;
-      bench_ablation_heap;
-      bench_ablation_gum;
-      bench_ablation_transport;
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true
-      ~predictors:[| Bechamel.Measure.run |]
-  in
-  hr "Bechamel: per-figure and substrate benchmarks (real time)";
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name m ->
-          match Analyze.OLS.estimates m with
-          | Some [ est ] -> Printf.printf "  %-50s %12.1f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-50s (no estimate)\n%!" name)
-        results)
-    tests
-
 let () =
   (* dist-worker hook first: when the eden-vs-gph section re-executes
      this binary as a PE, it must not run the harness *)
   Repro_dist.Worker.maybe_run Sys.argv;
-  let argv = Array.to_list Sys.argv in
-  if List.mem "--transport-echo" argv then transport_echo_child ()
-  else if List.mem "--transport-echo-shm" argv then shm_echo_child Sys.argv.(2)
-  else if List.mem "--minor-heap-child" argv then minor_heap_child ()
-  else if List.mem "--minor-heap" argv then minor_heap_sweep ()
-  else if List.mem "--transport" argv then transport_calibration ()
-  else if List.mem "--metrics-overhead" argv then metrics_overhead ()
-  else if List.mem "--fiber-overhead" argv then fiber_overhead ()
-  else if List.mem "--eden-vs-gph" argv then eden_vs_gph ()
-  else begin
-    Printf.printf
-      "Reproduction harness: 'Comparing and Optimising Parallel Haskell \
-       Implementations for Multicore Machines' (ICPP 2009)\n";
-    if quick then Printf.printf "(quick mode: reduced sizes)\n";
-    let fig1 = reproduce_fig1 () in
-    dump_fig1_json fig1;
-    reproduce_fig2 ();
-    reproduce_fig3 ();
-    reproduce_fig4 ();
-    reproduce_fig5 ();
-    sim_vs_real ();
-    eden_vs_gph ();
-    transport_calibration ();
-    metrics_overhead ();
-    fiber_overhead ();
-    benchmark ()
-  end
+  let rec section = function
+    | "--dist-transport" :: _ :: rest -> section rest
+    | a :: rest -> a :: section rest
+    | [] -> []
+  in
+  match section (List.tl (Array.to_list Sys.argv)) with
+  | [ "--transport-echo" ] -> transport_echo_child ()
+  | [ "--transport-echo-shm"; path ] -> shm_echo_child path
+  | [ "--minor-heap-child" ] -> minor_heap_child ()
+  | [ "--minor-heap" ] -> minor_heap_sweep ()
+  | [ "--transport" ] -> transport_calibration ()
+  | [ "--metrics-overhead" ] -> metrics_overhead ()
+  | [ "--fiber-overhead" ] -> fiber_overhead ()
+  | [ "--eden-vs-gph" ] -> eden_vs_gph ()
+  | [] ->
+      Printf.printf
+        "Measurement harness: 'Comparing and Optimising Parallel Haskell \
+         Implementations for Multicore Machines' (ICPP 2009)\n";
+      if quick then Printf.printf "(quick mode: reduced sizes)\n";
+      sim_vs_real ();
+      eden_vs_gph ();
+      transport_calibration ();
+      metrics_overhead ();
+      fiber_overhead ()
+  | _ ->
+      prerr_endline
+        "usage: main.exe [--eden-vs-gph | --transport | --metrics-overhead \
+         | --fiber-overhead | --minor-heap] [--dist-transport sock|shm]";
+      exit 2

@@ -39,7 +39,8 @@ let fig1_cmd =
          "Fig. 1: parallel runtimes of the sumEuler program for [1..%d]\n" n);
     Buffer.add_string buf (Repro_util.Tablefmt.to_string (E.Fig1.to_table r));
     Buffer.add_string buf
-      (Printf.sprintf "ordering as in the paper: %b\n" (E.Fig1.ordering_holds r));
+      (Printf.sprintf "row ordering as in the paper: %b\n"
+         (E.Fig1.ordering_holds r));
     emit out (Buffer.contents buf)
   in
   Cmd.v
@@ -82,6 +83,7 @@ let fig3_cmd =
     Buffer.add_string buf (E.Exp.render_speedup_plot r.matmul);
     Buffer.add_string buf
       (Printf.sprintf "shapes as in the paper: %b\n" (E.Fig3.shapes_hold r));
+    List.iter (Printf.bprintf buf "  paper: %s\n") E.Paper.fig3_shapes;
     emit out (Buffer.contents buf)
   in
   Cmd.v
@@ -98,6 +100,7 @@ let fig4_cmd =
     Buffer.add_string buf (E.Fig4.render ~width r);
     Buffer.add_string buf
       (Printf.sprintf "shapes as in the paper: %b\n" (E.Fig4.shapes_hold r));
+    List.iter (Printf.bprintf buf "  paper: %s\n") E.Paper.fig4_shapes;
     emit out (Buffer.contents buf)
   in
   let width =
@@ -123,6 +126,7 @@ let fig5_cmd =
     Buffer.add_string buf (E.Exp.render_speedup_plot r.series);
     Buffer.add_string buf
       (Printf.sprintf "shapes as in the paper: %b\n" (E.Fig5.shapes_hold r));
+    List.iter (Printf.bprintf buf "  paper: %s\n") E.Paper.fig5_shapes;
     emit out (Buffer.contents buf)
   in
   Cmd.v
@@ -826,172 +830,6 @@ let profile_cmd =
           granularity and steal latency")
     Term.(const run $ file $ out_file)
 
-(* ---------------- analyze: static analysis ---------------- *)
-
-let analyze_cmd =
-  let module Rules = Repro_analysis.Rules in
-  let module Baseline = Repro_analysis.Baseline in
-  let module Engine = Repro_analysis.Engine in
-  let module Json = Repro_util.Json_out in
-  let roots =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:"Directories or .ml files to scan (default: lib bin).")
-  in
-  let rule_ids =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "rule" ]
-          ~doc:
-            (Printf.sprintf
-               "Run only rule(s) $(docv) (repeatable, comma-separable). \
-                Known: %s."
-               (String.concat ", " Repro_analysis.Rules.ids))
-          ~docv:"ID[,ID...]")
-  in
-  let cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ]
-          ~doc:
-            "Summary-cache file keyed by file digest (created if absent): \
-             warm runs skip parsing unchanged files."
-          ~docv:"FILE")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ]
-          ~doc:
-            "Suppression baseline file (default: tools/lint_baseline.txt when \
-             it exists; pass an empty string to disable)."
-          ~docv:"FILE")
-  in
-  let sarif_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sarif" ] ~doc:"Write a SARIF 2.1.0 report to $(docv)."
-          ~docv:"FILE")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the report as JSON instead of text.")
-  in
-  let list_rules_flag =
-    Arg.(
-      value & flag
-      & info [ "list-rules" ] ~doc:"List the registered rules and exit.")
-  in
-  let since_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "since" ]
-          ~doc:
-            "Report only on files changed since git $(docv) plus their              reverse call-graph dependents; the whole tree is still              summarised and linked so cross-module rules keep their global              view."
-          ~docv:"REF")
-  in
-  let run roots rule_ids cache_arg baseline_arg sarif_arg since_arg json_flag
-      list_rules_flag out =
-    if list_rules_flag then begin
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun (r : Rules.t) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%-20s %-7s %s\n" r.Rules.id
-               (Repro_analysis.Finding.severity_to_string r.Rules.severity)
-               r.Rules.doc))
-        Rules.all;
-      emit out (Buffer.contents buf)
-    end
-    else begin
-      let rules =
-        match
-          List.concat_map
-            (fun s ->
-              String.split_on_char ',' s |> List.map String.trim
-              |> List.filter (fun x -> x <> ""))
-            rule_ids
-        with
-        | [] -> Rules.all
-        | ids ->
-            List.map
-              (fun id ->
-                match Rules.find id with
-                | Some r -> r
-                | None ->
-                    Printf.eprintf
-                      "repro-cli: analyze: unknown rule %S (known: %s)\n" id
-                      (String.concat ", " Rules.ids);
-                    exit 3)
-              ids
-      in
-      let baseline =
-        let path =
-          match baseline_arg with
-          | Some "" -> None
-          | Some p -> Some p
-          | None ->
-              if Sys.file_exists "tools/lint_baseline.txt" then
-                Some "tools/lint_baseline.txt"
-              else None
-        in
-        match path with
-        | None -> []
-        | Some p -> (
-            try Baseline.load p
-            with Sys_error msg | Failure msg ->
-              Printf.eprintf "repro-cli: analyze: %s\n" msg;
-              exit 3)
-      in
-      let roots = match roots with [] -> [ "lib"; "bin" ] | rs -> rs in
-      let since_files =
-        match since_arg with
-        | None -> None
-        | Some ref_ -> (
-            try Some (Engine.changed_since ref_)
-            with Failure msg ->
-              Printf.eprintf "repro-cli: analyze: --since %s: %s\n" ref_ msg;
-              exit 3)
-      in
-      let report =
-        Engine.run ~baseline ?cache_file:cache_arg ?since_files ~rules roots
-      in
-      (match sarif_arg with
-      | Some path ->
-          Json.to_file path (Engine.sarif_report ~rules report);
-          Printf.eprintf "wrote %s\n%!" path
-      | None -> ());
-      if json_flag then
-        emit out (Json.to_string (Engine.json_report ~rules report) ^ "\n")
-      else emit out (Engine.text_report report);
-      if report.Engine.fresh <> [] then exit 1
-      else if
-        report.Engine.stale <> [] || report.Engine.duplicate_entries <> []
-      then exit 2
-    end
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Statically analyze the tree with the two-phase whole-program \
-          engine: per-file summaries (spark-purity, atomics-discipline, \
-          discarded-future, unjoined-domain) linked into a cross-module \
-          graph (blocking-in-worker, marshal-safety, ring-discipline, \
-          protocol-exhaustiveness) and flow-sensitive CFG/typestate rules \
-          (frame-lifetime, fd-leak, lost-wakeup). Exits 1 on any \
-          non-baselined finding, 2 when only stale or duplicate baseline \
-          entries remain, 3 on usage errors")
-    Term.(
-      const run $ roots $ rule_ids $ cache_arg $ baseline_arg $ sarif_arg
-      $ since_arg $ json_flag $ list_rules_flag $ out_file)
-
 (* ---------------- check ---------------- *)
 
 let check_cmd =
@@ -1283,20 +1121,27 @@ let metrics_check_cmd =
 
 (* ---------------- all ---------------- *)
 
+(* Each figure command parses its own flags ([argv.(0)] is its name);
+   the first failure's code is the exit code, after every figure ran. *)
 let all_cmd =
   let run quick =
-    let argv_of name = Array.of_list ([ "repro_cli"; name ] @ if quick then [ "--quick" ] else []) in
-    List.iter
-      (fun (name, cmd) ->
-        Printf.printf "==== %s ====\n%!" name;
-        ignore (Cmd.eval ~argv:(argv_of name) cmd))
-      [
-        ("fig1", fig1_cmd);
-        ("fig2", fig2_cmd);
-        ("fig3", fig3_cmd);
-        ("fig4", fig4_cmd);
-        ("fig5", fig5_cmd);
-      ]
+    let code =
+      List.fold_left
+        (fun code (name, cmd) ->
+          Printf.printf "==== %s ====\n%!" name;
+          let flags = if quick then [ "--quick" ] else [] in
+          let c = Cmd.eval ~argv:(Array.of_list (name :: flags)) cmd in
+          if code = 0 then c else code)
+        0
+        [
+          ("fig1", fig1_cmd);
+          ("fig2", fig2_cmd);
+          ("fig3", fig3_cmd);
+          ("fig4", fig4_cmd);
+          ("fig5", fig5_cmd);
+        ]
+    in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every figure and table")
@@ -1319,7 +1164,6 @@ let main =
       exec_cmd;
       dist_cmd;
       profile_cmd;
-      analyze_cmd;
       check_cmd;
       top_cmd;
       metrics_check_cmd;

@@ -5,7 +5,7 @@
     normalised form ([lib/exec/pool.ml], no [./] or [../] prefix) so a
     finding reported by the dune [@lint] rule (which runs from
     [_build/default/tools] against [../lib]) and one reported by
-    [repro_cli analyze] (run from the project root against [lib])
+    [tools/repro_lint.exe] run from the project root against [lib]
     compare equal — the suppression baseline depends on this. *)
 
 type severity = Error | Warning

@@ -93,13 +93,15 @@ let p2p_ring_bytes = 64 * 1024
 
 (* ---------------- spawning ---------------- *)
 
-let spawn_process ~worker_argv ~extra_tokens =
+let spawn_process ~extra_tokens =
   let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match
     (* Later children must not inherit this link, or a dead worker's
        EOF would never reach us. *)
     Unix.set_close_on_exec parent_fd;
-    let argv = Array.append worker_argv (Array.of_list extra_tokens) in
+    let argv =
+      Array.append (Worker.default_argv ()) (Array.of_list extra_tokens)
+    in
     Unix.create_process argv.(0) argv child_fd Unix.stdout Unix.stderr
   with
   | pid ->
@@ -111,11 +113,10 @@ let spawn_process ~worker_argv ~extra_tokens =
       Unix.close parent_fd;
       raise e
 
-let spawn_sock ?(packet_bytes = Wire.default_packet_bytes) ~worker_argv ~procs
-    ~mode ~trace pe =
-  let parent_fd, pid = spawn_process ~worker_argv ~extra_tokens:[] in
+let spawn_sock ~procs ~mode ~trace pe =
+  let parent_fd, pid = spawn_process ~extra_tokens:[] in
   let conn =
-    Link.Sock (Wire.create ~packet_bytes ~read_fd:parent_fd ~write_fd:parent_fd ())
+    Link.Sock (Wire.create ~read_fd:parent_fd ~write_fd:parent_fd ())
   in
   Message.send_hello conn { Message.pe; procs; mode; trace };
   { pe; pid; conn; outstanding = 0 }
@@ -125,10 +126,8 @@ let spawn_sock ?(packet_bytes = Wire.default_packet_bytes) ~worker_argv ~procs
    the doorbell.  Every file is unlinked as soon as all workers have
    [Ready]-acknowledged mapping them — a crash before that leaves
    temp files, which [cleanup] sweeps on the error path. *)
-let spawn_shm ~ring_bytes ~worker_argv ~procs ~mode ~trace =
-  let coord_paths =
-    Array.init procs (fun _ -> Shm_ring.create_segment ~ring_bytes ())
-  in
+let spawn_shm ~procs ~mode ~trace =
+  let coord_paths = Array.init procs (fun _ -> Shm_ring.create_segment ()) in
   (* mesh segments, key (i, j) with i < j; side `A is the lower pe *)
   let p2p =
     if procs < 2 then []
@@ -157,7 +156,7 @@ let spawn_shm ~ring_bytes ~worker_argv ~procs ~mode ~trace =
                    else None)
                  p2p
           in
-          let parent_fd, pid = spawn_process ~worker_argv ~extra_tokens:tokens in
+          let parent_fd, pid = spawn_process ~extra_tokens:tokens in
           let conn =
             Link.Shm
               (Shm_ring.attach ~path:coord_paths.(pe) ~side:`A
@@ -348,15 +347,12 @@ let shutdown (links : link array) =
 
 (* ---------------- typed entry points ---------------- *)
 
-let with_links ?packet_bytes ?(transport = Sock)
-    ?(ring_bytes = Shm_ring.default_ring_bytes) ~worker_argv ~procs ~mode
-    ~trace f =
+let with_links ?(transport = Sock) ~procs ~mode ~trace f =
   let t0 = Clock.now_ns () in
   let links =
     match transport with
-    | Sock ->
-        Array.init procs (spawn_sock ?packet_bytes ~worker_argv ~procs ~mode ~trace)
-    | Shm -> spawn_shm ~ring_bytes ~worker_argv ~procs ~mode ~trace
+    | Sock -> Array.init procs (spawn_sock ~procs ~mode ~trace)
+    | Shm -> spawn_shm ~procs ~mode ~trace
   in
   let spawn_ns = Clock.now_ns () - t0 in
   match f links with
@@ -365,12 +361,9 @@ let with_links ?packet_bytes ?(transport = Sock)
       kill_all links;
       raise e
 
-let run ?worker_argv ?packet_bytes ?transport ?ring_bytes ?(trace = false)
-    ~procs ~size (module W : Workload.S) : outcome =
+let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
+    outcome =
   if procs < 1 then invalid_arg "Farm.run: procs must be >= 1";
-  let worker_argv =
-    match worker_argv with Some a -> a | None -> Worker.default_argv ()
-  in
   let counts =
     { rounds = 0; tasks = 0; schedules = 0; fishes = 0; no_works = 0 }
   in
@@ -385,8 +378,7 @@ let run ?worker_argv ?packet_bytes ?transport ?ring_bytes ?(trace = false)
         | None -> failwith "dist: float blob for a workload without a codec")
   in
   let (result, work_ns, reports), links, spawn_ns =
-    with_links ?packet_bytes ?transport ?ring_bytes ~worker_argv ~procs ~mode
-      ~trace (fun links ->
+    with_links ?transport ~procs ~mode ~trace (fun links ->
         let t0 = Clock.now_ns () in
         let rec rounds st tasks pinned =
           let tp0 = Clock.now_ns () in
@@ -525,12 +517,8 @@ let sample ~transport ~procs ~size (module W : Workload.S) :
     per_worker = rows;
   }
 
-let farm ?worker_argv ?packet_bytes ?transport ~procs (fs : (unit -> 'a) list) :
-    'a list =
+let farm ?transport ~procs (fs : (unit -> 'a) list) : 'a list =
   if procs < 1 then invalid_arg "Farm.farm: procs must be >= 1";
-  let worker_argv =
-    match worker_argv with Some a -> a | None -> Worker.default_argv ()
-  in
   let counts =
     { rounds = 0; tasks = 0; schedules = 0; fishes = 0; no_works = 0 }
   in
@@ -548,8 +536,8 @@ let farm ?worker_argv ?packet_bytes ?transport ~procs (fs : (unit -> 'a) list) :
          fs)
   in
   let raw, links, _spawn_ns =
-    with_links ?packet_bytes ?transport ~worker_argv ~procs
-      ~mode:Message.Closures ~trace:false (fun links ->
+    with_links ?transport ~procs ~mode:Message.Closures ~trace:false
+      (fun links ->
         let raw =
           exec_round ~counts ~trace:false ~sched_spans ~links ~round:0 ~id0:0
             ~pinned:false payloads

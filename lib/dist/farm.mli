@@ -60,10 +60,9 @@ val prefetch : int
 
 (** [run ~procs ~size (module W)] executes the workload on [procs]
     worker processes and returns the checksum plus per-PE traffic, GC
-    and timing counters.  [worker_argv] defaults to re-executing this
-    binary with [Worker.marker] (the host binary must call
-    [Worker.maybe_run]).  [transport] defaults to {!Sock};
-    [ring_bytes] sizes each shm ring (data area per direction).
+    and timing counters.  Every PE re-executes this binary with
+    [Worker.marker] (the host binary must call [Worker.maybe_run]).
+    [transport] defaults to {!Sock}.
     [trace] records per-task spans on every PE and schedule spans on
     the coordinator.
 
@@ -71,10 +70,7 @@ val prefetch : int
     @raise Failure on protocol violations (duplicate or unknown
     results, a worker dying, a worker exiting non-zero). *)
 val run :
-  ?worker_argv:string array ->
-  ?packet_bytes:int ->
   ?transport:transport ->
-  ?ring_bytes:int ->
   ?trace:bool ->
   procs:int ->
   size:int ->
@@ -98,8 +94,6 @@ val sample :
     every worker runs the same binary; captured state travels by copy,
     and results must be marshallable (no functions baked in). *)
 val farm :
-  ?worker_argv:string array ->
-  ?packet_bytes:int ->
   ?transport:transport ->
   procs:int ->
   (unit -> 'a) list ->

@@ -4,9 +4,8 @@
     whole executor is transport-agnostic — selecting [--transport shm]
     swaps the byte-moving machinery under an unchanged protocol, which
     is the experiment the paper runs when it maps PVM onto shared
-    memory.  A first-class-module [TRANSPORT] value would do the same
-    job; the sum keeps dispatch monomorphic (two direct calls) on a
-    path hot enough to care. *)
+    memory.  A sum rather than a first-class module keeps dispatch
+    monomorphic (two direct calls) on a path hot enough to care. *)
 
 type t = Sock of Wire.conn | Shm of Shm_ring.conn
 

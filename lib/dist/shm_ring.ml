@@ -1,4 +1,4 @@
-(** Shared-memory ring transport: the second {!Wire.TRANSPORT}.
+(** Shared-memory ring transport, the [Shm] case of [Link.t].
 
     Where {!Wire} moves packets through the kernel (two copies and a
     syscall per packet, each way), this transport moves frames through
@@ -586,18 +586,3 @@ let recv_floats c ~len:total =
   c.counters.Wire.zero_copy_bytes_recv <-
     c.counters.Wire.zero_copy_bytes_recv + bytes;
   arr
-
-(* ---------------- TRANSPORT packaging ---------------- *)
-
-module Transport : Wire.TRANSPORT with type t = conn = struct
-  type t = conn
-
-  let send = send
-  let recv = recv
-  let send_floats = send_floats
-  let recv_floats = recv_floats
-  let counters = counters
-  let wait_fd = wait_fd
-  let input_ready = input_ready
-  let close = close
-end

@@ -1,5 +1,5 @@
 (** Shared-memory ring transport: mmap'd SPSC ring pairs with a
-    Dekker-gated doorbell — the zero-syscall {!Wire.TRANSPORT}.
+    Dekker-gated doorbell — the zero-syscall case of [Link.t].
 
     A {e segment} (a file, preferably on [/dev/shm]) holds two rings,
     one per direction; the two endpoints attach to opposite {e sides}.
@@ -11,12 +11,11 @@
 
 type conn
 
-val default_ring_bytes : int
-
 (** Create and size a segment file (zero-filled: both rings empty).
     Nothing is mapped; both endpoints {!attach} by path — which is how
     the path crosses [create_process] (argv), no descriptor plumbing.
-    The creator should {!unlink_segment} once both sides attached. *)
+    The creator should {!unlink_segment} once both sides attached.
+    [ring_bytes] (default 256 KiB) is each ring's data area. *)
 val create_segment : ?ring_bytes:int -> unit -> string
 
 val unlink_segment : string -> unit
@@ -115,5 +114,3 @@ module Spsc (W : Repro_shim.Tatomic.WORD) : sig
   val try_pop : t -> int option
   val length : t -> int
 end
-
-module Transport : Wire.TRANSPORT with type t = conn

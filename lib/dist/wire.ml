@@ -133,34 +133,6 @@ let add_link_collector ~transport k =
   M.add_collector ~name:("wire-" ^ transport) (fun () ->
       samples_of_counters ~labels k)
 
-(** What {!Message} and {!Farm} need from a point-to-point transport.
-    Extracted from the socketpair code below (which implements it as
-    {!Sock}); [Shm_ring] is the second implementation — a pair of
-    mmap'd SPSC rings with the same message semantics and counters.
-
-    [send]/[recv] move opaque byte strings (the [Marshal]-ed control
-    plane).  [send_floats]/[recv_floats] are the bulk-data plane:
-    float payloads framed without [Marshal], bit-exact ([recv_floats]
-    needs the element count, which control messages carry).  [wait_fd]
-    is a descriptor whose readability signals "input may be available"
-    ([Unix.select]-able: the socket itself, or the ring's doorbell);
-    [input_ready] is the non-blocking readiness test (a transport may
-    have buffered input no descriptor shows).  On the ring it is a
-    memory load; here it is a [select] syscall, so nothing spins on
-    it — waiters block in [select] instead. *)
-module type TRANSPORT = sig
-  type t
-
-  val send : t -> string -> unit
-  val recv : t -> string
-  val send_floats : t -> float array -> unit
-  val recv_floats : t -> len:int -> float array
-  val counters : t -> counters
-  val wait_fd : t -> Unix.file_descr
-  val input_ready : t -> bool
-  val close : t -> unit
-end
-
 type conn = {
   read_fd : Unix.file_descr;
   write_fd : Unix.file_descr;
@@ -442,19 +414,3 @@ let close c =
   (try Unix.close c.read_fd with Unix.Unix_error _ -> ());
   if c.write_fd <> c.read_fd then
     try Unix.close c.write_fd with Unix.Unix_error _ -> ()
-
-(** The socketpair transport, packaged as a {!TRANSPORT}.  [wait_fd]
-    is the socket itself: this transport never buffers ahead, so
-    select-readiness and [input_ready] coincide exactly. *)
-module Sock : TRANSPORT with type t = conn = struct
-  type t = conn
-
-  let send = send
-  let recv = recv
-  let send_floats = send_floats
-  let recv_floats = recv_floats
-  let counters = counters
-  let wait_fd = read_fd
-  let input_ready = input_ready
-  let close = close
-end

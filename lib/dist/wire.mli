@@ -61,35 +61,6 @@ val fresh_counters : unit -> counters
 val add_link_collector :
   transport:string -> counters -> Repro_metrics.Metrics.collector
 
-(** The transport abstraction {!Message} and [Farm] are written
-    against: byte messages (Marshal control plane), float messages
-    (zero-Marshal bulk-data plane, element count carried by control
-    messages), counters, and select-compatible readiness.  Implemented
-    by {!Sock} below and by [Shm_ring]. *)
-module type TRANSPORT = sig
-  type t
-
-  val send : t -> string -> unit
-  val recv : t -> string
-  val send_floats : t -> float array -> unit
-  val recv_floats : t -> len:int -> float array
-  val counters : t -> counters
-
-  (** A descriptor whose readability means "input may be available" —
-      the socket itself, or the ring's doorbell.  Spurious wake-ups
-      allowed; missed messages are not.  Check [input_ready] after
-      waking. *)
-  val wait_fd : t -> Unix.file_descr
-
-  (** Non-blocking: is a message (possibly partially) available?  May
-      be true while [wait_fd] shows nothing (ring data published
-      without a doorbell).  A memory load on the ring, a syscall on the
-      socketpair: only the ring's test is cheap enough to spin on. *)
-  val input_ready : t -> bool
-
-  val close : t -> unit
-end
-
 type conn
 
 (** [create ~read_fd ~write_fd ()] wraps a descriptor pair (they may
@@ -149,7 +120,3 @@ val recv_floats : conn -> len:int -> float array
 val input_ready : conn -> bool
 
 val close : conn -> unit
-
-(** The socketpair transport packaged as a {!TRANSPORT} ([wait_fd] =
-    {!read_fd}). *)
-module Sock : TRANSPORT with type t = conn

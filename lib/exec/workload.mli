@@ -67,7 +67,6 @@ end
 module Sumeuler : S
 module Parfib : S
 module Matmul : S
-module Mandelbrot_w : S
 module Apsp_w : S
 
 (** Every workload, in presentation order. *)

@@ -1,7 +1,7 @@
 (** Minimal JSON emitter (no dependencies, output only).
 
     Used by the benchmark harness to dump machine-readable results
-    ([BENCH_exec.json], [BENCH_repro.json]).  Covers exactly the JSON
+    ([BENCH_exec.json], [BENCH_dist.json]).  Covers exactly the JSON
     we produce: null/bool/int/float/string plus arrays and objects.
     Floats that have no JSON representation (nan, infinities) are
     emitted as [null] so the output always parses. *)
