@@ -504,15 +504,6 @@ let exec_cmd =
     let doc = "Number of domains (default: all hardware cores)." in
     Arg.(value & opt (some int) None & info [ "cores"; "c" ] ~doc ~docv:"N")
   in
-  let exec_events =
-    Arg.(
-      value & flag
-      & info [ "events" ]
-          ~doc:
-            "Also run once at $(b,--cores) domains and print the scheduler's \
-             event counters (sparks created/run/fizzled, steals, parking), \
-             with a per-worker breakdown.")
-  in
   let trace_file =
     Arg.(
       value
@@ -548,7 +539,7 @@ let exec_cmd =
           ~docv:"N")
   in
   let run (module W : Workload.S) cores size repeat sweep_flag json_file
-      exec_events trace_file trace_svg fibers mfile mint mom strict quick out =
+      trace_file trace_svg fibers mfile mint mom strict quick out =
     let hw = Domain.recommended_domain_count () in
     let cores = match cores with Some c -> max 1 c | None -> hw in
     match fibers with
@@ -623,38 +614,6 @@ let exec_cmd =
     sweep_report buf ~hw ~repeat ~ladder:(ladder ~sweep:sweep_flag cores)
       ~reference ~json_file (fun cores ->
         Workload.sample (module W) ~size ~cores);
-    if exec_events then begin
-      let module Pool = Repro_exec.Pool in
-      let p = Pool.create ~cores () in
-      let v = Pool.run p (fun () -> W.run ~size ()) in
-      Pool.shutdown p;
-      if v <> reference then
-        failwith "events run: result differs from sequential reference";
-      Buffer.add_string buf
-        (Format.asprintf "scheduler events at %d domain(s):@\n%a@\n" cores
-           Pool.pp_events (Pool.events p));
-      let per_worker = Pool.worker_events p in
-      let t =
-        Repro_util.Tablefmt.create
-          ~aligns:
-            Repro_util.Tablefmt.[ Right; Right; Right; Right; Right; Right ]
-          [ "worker"; "created"; "run"; "steals"; "attempts"; "parks" ]
-      in
-      Array.iteri
-        (fun i (e : Pool.events) ->
-          Repro_util.Tablefmt.add_row t
-            [
-              string_of_int i;
-              string_of_int e.Pool.sparks_created;
-              string_of_int e.Pool.sparks_run;
-              string_of_int e.Pool.steals;
-              string_of_int e.Pool.steal_attempts;
-              string_of_int e.Pool.parks;
-            ])
-        per_worker;
-      Buffer.add_string buf "per-worker breakdown:\n";
-      Buffer.add_string buf (Repro_util.Tablefmt.to_string t)
-    end;
     match trace_file with
     | None ->
         if trace_svg <> None then
@@ -687,7 +646,7 @@ let exec_cmd =
           executor) and report measured wall-clock speedups")
     Term.(
       const run $ workload_arg $ cores $ size_arg $ repeat_arg $ sweep_arg
-      $ json_arg $ exec_events $ trace_file $ trace_svg $ fibers_arg
+      $ json_arg $ trace_file $ trace_svg $ fibers_arg
       $ metrics_file_arg $ metrics_interval_arg $ metrics_om_arg
       $ strict_health_arg $ quick $ out_file)
 
@@ -706,9 +665,9 @@ let dist_cmd =
           ~doc:
             "Also run once at $(b,--procs) processes with per-task tracing \
              and write a Chrome trace-event timeline to $(docv): one track \
-             per PE plus the coordinator, with pack/unpack/exec and \
+             per PE plus the coordinator, with unpack/task/pack and \
              cross-process wire spans (load in Perfetto or \
-             chrome://tracing)."
+             chrome://tracing, or read it with $(b,repro-cli profile))."
           ~docv:"FILE.json")
   in
   let transport =
@@ -774,8 +733,8 @@ let dist_cmd =
         in
         if o.Repro_dist.Farm.result <> reference then
           failwith "traced run: result differs from sequential reference";
-        Repro_dist.Timeline.write_chrome ~procs ~path o;
-        let nspans = List.length (Repro_dist.Timeline.of_outcome o) in
+        Repro_util.Json_out.to_file path (Repro_dist.Farm.trace o);
+        let nspans = List.length (Repro_dist.Farm.spans o) in
         Buffer.add_string buf
           (Printf.sprintf
              "wrote %s (%d spans across %d PE tracks + coordinator)\n" path
@@ -804,7 +763,9 @@ let profile_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE.json"
-          ~doc:"Chrome trace-event JSON written by $(b,exec --trace).")
+          ~doc:
+            "Chrome trace-event JSON written by $(b,exec --trace) or \
+             $(b,dist --trace).")
   in
   let run file out =
     let doc =
@@ -825,9 +786,9 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Analyze a hardware trace (Chrome trace-event JSON from $(b,exec \
-          --trace)): per-worker utilization, idle-gap histogram, spark \
-          granularity and steal latency")
+         "Analyze a trace (Chrome trace-event JSON from $(b,exec --trace) \
+          or $(b,dist --trace)): per-worker or per-PE utilization, idle-gap \
+          histogram, spark granularity and steal latency")
     Term.(const run $ file $ out_file)
 
 (* ---------------- check ---------------- *)

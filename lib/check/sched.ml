@@ -5,10 +5,11 @@
 
     A {e scenario} is a handful of simulated threads sharing state built
     from {!Atomic} — the tracing implementation of the
-    {!Repro_shim.Tatomic.S} shim that [Ws_deque], [Future] and [Pool]
-    are functorised over.  Every atomic operation a thread performs is
-    an OCaml 5 effect: the thread suspends, the scheduler executes the
-    operation, records it, and chooses which thread runs next.  The
+    {!Repro_shim.Tatomic.S} shim that [Ws_deque], [Future] and
+    [Promise] are functorised over.  Every atomic operation a thread
+    performs is an OCaml 5 effect: the thread suspends, the scheduler
+    executes the operation, records it, and chooses which thread runs
+    next.  The
     whole scenario is replayed once per schedule; schedules are
     enumerated depth-first with persistent-set style partial-order
     reduction — after each complete run, for every pair of dependent

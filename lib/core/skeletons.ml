@@ -21,10 +21,6 @@ let no_pe () = Api.ncaps ()
 (* Map-like skeletons                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** [par_map]: one process per list element (only sensible for short
-    lists of chunky tasks). *)
-let par_map ~tr_in ~tr_out f xs = spawn ~tr_in ~tr_out f xs
-
 (** [par_map_farm]: the usual Eden farm — [np] processes (default one
     per PE), inputs dealt round-robin ([unshuffle]), outputs
     re-interleaved ([shuffle]).  Semantically equal to [List.map f]. *)

@@ -3,10 +3,6 @@
     primitives — and, as the paper stresses, ordinary functions that
     remain amenable to customisation. *)
 
-(** One process per element (short lists of chunky tasks). *)
-val par_map :
-  tr_in:'a Eden.trans -> tr_out:'b Eden.trans -> ('a -> 'b) -> 'a list -> 'b list
-
 (** The Eden farm: [np] processes (default one per PE), inputs dealt
     round-robin ([unshuffle]), outputs re-interleaved ([shuffle]).
     Semantically [List.map f]. *)

@@ -76,15 +76,68 @@ type outcome = {
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
   coord_unpack_ns : int;  (** result payload unmarshalling *)
   work_ns : int;  (** first dispatch to final [step]; excludes spawn *)
-  spawn_ns : int;  (** process creation + handshakes *)
+  spawn_ns : int;  (** process creation and PE start-up, up to every [Ready] *)
   merged_metrics : Repro_metrics.Metrics.snapshot;
       (** every PE's piggybacked registry snapshot (relabeled [pe=N])
           merged into the coordinator's own (relabeled [pe=coord]) —
           the farm-wide live view *)
 }
 
-(** How many tasks each PE is primed with before demand scheduling
-    takes over (sock transport; shm pushes whole rounds). *)
+(* The traced run on named Chrome tracks: PE [p] on track [p], the
+   coordinator on track [procs].  Each executed task is a [task] slice,
+   as a pool task is, so [Repro_exec.Profile] reads both backends, with
+   [unpack] and [pack] slices around it; the coordinator's [schedule]
+   sends are slices on its track, and a [wire] slice on the PE's track
+   bridges the send-done timestamp to the PE's receive-done one — sound
+   because every process reads the same CLOCK_MONOTONIC (see {!Clock}).
+   Timestamps are rebased to the earliest span. *)
+let spans (o : outcome) : Repro_trace.Chrome.span list =
+  let acc = ref [] in
+  let push ?(bytes = 0) tid name cat t0 t1 =
+    if t1 >= t0 then
+      acc :=
+        {
+          Repro_trace.Chrome.tid;
+          name;
+          cat;
+          ts_ns = t0;
+          dur_ns = Some (t1 - t0);
+          args = (if bytes > 0 then [ ("bytes", Repro_util.Json_out.Int bytes) ] else []);
+        }
+        :: !acc
+  in
+  let send_done = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      Hashtbl.replace send_done s.sp_task_id (s.send_done_ns, s.sp_bytes);
+      push ~bytes:s.sp_bytes o.procs "schedule" "sched" s.send_start_ns
+        s.send_done_ns)
+    o.sched_spans;
+  Array.iter
+    (fun r ->
+      List.iter
+        (fun (t : Message.task_span) ->
+          (match Hashtbl.find_opt send_done t.span_task_id with
+          | Some (sd, bytes) -> push ~bytes r.rep_pe "wire" "net" sd t.recv_done_ns
+          | None -> ());
+          push r.rep_pe "unpack" "pack" t.recv_done_ns t.exec_start_ns;
+          push r.rep_pe "task" "exec" t.exec_start_ns t.exec_end_ns;
+          push r.rep_pe "pack" "pack" t.exec_end_ns
+            (t.exec_end_ns + t.span_pack_ns))
+        r.stats.Message.spans)
+    o.reports;
+  let t0 = List.fold_left (fun m (s : Repro_trace.Chrome.span) -> min m s.ts_ns) max_int !acc in
+  List.rev_map (fun (s : Repro_trace.Chrome.span) -> { s with ts_ns = s.ts_ns - t0 }) !acc
+
+let trace (o : outcome) =
+  Repro_trace.Chrome.document
+    ~tracks:
+      ((o.procs, "coordinator")
+      :: List.init o.procs (fun pe -> (pe, Printf.sprintf "PE %d" pe)))
+    (spans o)
+
+(* How many tasks each PE is primed with before demand scheduling
+   takes over (sock transport; shm pushes whole rounds). *)
 let prefetch = 2
 
 (** Peer-to-peer rings carry only FISH/grant traffic — small control
@@ -113,20 +166,58 @@ let spawn_process ~extra_tokens =
       Unix.close parent_fd;
       raise e
 
-let spawn_sock ~procs ~mode ~trace pe =
-  let parent_fd, pid = spawn_process ~extra_tokens:[] in
-  let conn =
-    Link.Sock (Wire.create ~read_fd:parent_fd ~write_fd:parent_fd ())
-  in
-  Message.send_hello conn { Message.pe; procs; mode; trace };
-  { pe; pid; conn; outstanding = 0 }
+let kill_all links =
+  Array.iter
+    (fun l ->
+      (try Unix.kill l.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try Link.close l.conn with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] l.pid) with Unix.Unix_error _ -> ())
+    links
 
-(* Spawn the full shm mesh: one segment per coordinator link, one per
-   worker pair.  Segment paths travel in argv; the socketpair becomes
-   the doorbell.  Every file is unlinked as soon as all workers have
-   [Ready]-acknowledged mapping them — a crash before that leaves
-   temp files, which [cleanup] sweeps on the error path. *)
-let spawn_shm ~procs ~mode ~trace =
+(* Spawn [hello.procs] PEs with [spawn pe], send each its Hello, then wait
+   for every PE's [Ready].  A PE sends it once its session has started,
+   so on both transports [Farm.run]'s [spawn_ns] includes PE start-up,
+   and a PE that cannot serve fails here.  If anything fails, the PEs
+   spawned so far are killed and reaped.  [release] runs on both paths,
+   once no PE can still need it (shm: unlink the segments, which every
+   PE has mapped before its [Ready]). *)
+let start_pes ~(hello : Message.hello) ~release spawn =
+  let spawned = ref [] in
+  let await_ready l =
+    match Message.recv_to_coordinator l.conn with
+    | Message.Ready -> ()
+    | exception End_of_file ->
+        failwith (Printf.sprintf "dist: PE %d exited before Ready" l.pe)
+    | _ -> failwith (Printf.sprintf "dist: PE %d spoke before Ready" l.pe)
+  in
+  match
+    for pe = 0 to hello.procs - 1 do
+      let pid, conn = spawn pe in
+      spawned := { pe; pid; conn; outstanding = 0 } :: !spawned;
+      Message.send_hello conn { hello with Message.pe }
+    done;
+    let links = Array.of_list (List.rev !spawned) in
+    Array.iter await_ready links;
+    links
+  with
+  | links ->
+      release ();
+      links
+  | exception e ->
+      kill_all (Array.of_list !spawned);
+      release ();
+      raise e
+
+let spawn_sock ~hello =
+  start_pes ~hello ~release:ignore (fun _pe ->
+      let fd, pid = spawn_process ~extra_tokens:[] in
+      (pid, Link.Sock (Wire.create ~read_fd:fd ~write_fd:fd ())))
+
+(* The shm mesh: one segment per coordinator link, one per worker
+   pair.  Segment paths travel in argv; the socketpair becomes the
+   doorbell. *)
+let spawn_shm ~hello =
+  let procs = hello.Message.procs in
   let coord_paths = Array.init procs (fun _ -> Shm_ring.create_segment ()) in
   (* mesh segments, key (i, j) with i < j; side `A is the lower pe *)
   let p2p =
@@ -143,49 +234,19 @@ let spawn_shm ~procs ~mode ~trace =
         (List.init procs Fun.id)
   in
   let all_paths = Array.to_list coord_paths @ List.map snd p2p in
-  let unlink_all () = List.iter Shm_ring.unlink_segment all_paths in
-  try
-    let links =
-      Array.init procs (fun pe ->
-          let tokens =
-            ("shm=" ^ coord_paths.(pe))
-            :: List.filter_map
-                 (fun ((i, j), path) ->
-                   if i = pe then Some (Printf.sprintf "p2p=%d:a:%s" j path)
-                   else if j = pe then Some (Printf.sprintf "p2p=%d:b:%s" i path)
-                   else None)
-                 p2p
-          in
-          let parent_fd, pid = spawn_process ~extra_tokens:tokens in
-          let conn =
-            Link.Shm
-              (Shm_ring.attach ~path:coord_paths.(pe) ~side:`A
-                 ~doorbell:parent_fd ())
-          in
-          Message.send_hello conn { Message.pe; procs; mode; trace };
-          { pe; pid; conn; outstanding = 0 })
-    in
-    (* each worker acknowledges once every segment is mapped; then the
-       names can go *)
-    Array.iter
-      (fun l ->
-        match Message.recv_to_coordinator l.conn with
-        | Message.Ready -> ()
-        | _ -> failwith "dist: worker spoke before Ready")
-      links;
-    unlink_all ();
-    links
-  with e ->
-    unlink_all ();
-    raise e
-
-let kill_all links =
-  Array.iter
-    (fun l ->
-      (try Unix.kill l.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try Link.close l.conn with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] l.pid) with Unix.Unix_error _ -> ())
-    links
+  let release () = List.iter Shm_ring.unlink_segment all_paths in
+  start_pes ~hello ~release (fun pe ->
+      let tokens =
+        ("shm=" ^ coord_paths.(pe))
+        :: List.filter_map
+             (fun ((i, j), path) ->
+               if i = pe then Some (Printf.sprintf "p2p=%d:a:%s" j path)
+               else if j = pe then Some (Printf.sprintf "p2p=%d:b:%s" i path)
+               else None)
+             p2p
+      in
+      let fd, pid = spawn_process ~extra_tokens:tokens in
+      (pid, Link.Shm (Shm_ring.attach ~path:coord_paths.(pe) ~side:`A ~doorbell:fd ())))
 
 (* ---------------- one barrier round ---------------- *)
 
@@ -254,7 +315,7 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
         | None -> results.(idx) <- Some p);
         incr got;
         l.outstanding <- l.outstanding - 1
-    | Ready -> failwith "dist: stray Ready after spawn"
+    | Ready -> failwith "dist: stray Ready after start-up"
     | Stats _ -> failwith "dist: unsolicited Stats before Harvest"
   in
   let conns = Array.map (fun l -> l.conn) links in
@@ -349,10 +410,11 @@ let shutdown (links : link array) =
 
 let with_links ?(transport = Sock) ~procs ~mode ~trace f =
   let t0 = Clock.now_ns () in
+  let hello = { Message.pe = 0; procs; mode; trace } in
   let links =
     match transport with
-    | Sock -> Array.init procs (spawn_sock ~procs ~mode ~trace)
-    | Shm -> spawn_shm ~procs ~mode ~trace
+    | Sock -> spawn_sock ~hello
+    | Shm -> spawn_shm ~hello
   in
   let spawn_ns = Clock.now_ns () - t0 in
   match f links with

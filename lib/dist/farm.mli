@@ -13,7 +13,7 @@ type transport = Sock | Shm
 val transport_name : transport -> string
 
 (** Coordinator-side timing of one [Schedule] send (same monotonic
-    timebase as the worker's spans, so {!Timeline} can draw the wire
+    timebase as the worker's spans, so {!spans} can draw the wire
     segment between them). *)
 type sched_span = {
   sp_task_id : int;
@@ -47,16 +47,28 @@ type outcome = {
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
   coord_unpack_ns : int;  (** result payload unmarshalling *)
   work_ns : int;  (** first dispatch to final [step]; excludes spawn *)
-  spawn_ns : int;  (** process creation + handshakes *)
+  spawn_ns : int;
+      (** process creation and PE start-up: until every PE has started
+          its session and sent [Ready] *)
   merged_metrics : Repro_metrics.Metrics.snapshot;
       (** every PE's piggybacked registry snapshot (relabeled [pe=N])
           merged into the coordinator's own (relabeled [pe=coord]) —
           the farm-wide live view, one registry across all processes *)
 }
 
-(** Tasks each PE is primed with before demand scheduling takes over
-    (sock transport; shm pushes whole rounds up front). *)
-val prefetch : int
+(** The spans of a traced run ([run ~trace:true]; empty otherwise),
+    rebased to the earliest one.  PE [p] is track [p]: a [task] slice
+    per executed task, as in the pool's traces, between [unpack] and
+    [pack] slices, and a [wire] slice from the coordinator's send-done
+    timestamp to the PE's receive-done one (every process reads the
+    same CLOCK_MONOTONIC).  The coordinator is track [procs], with its
+    [schedule] sends.  [schedule] and [wire] slices carry the task's
+    payload size as a [bytes] arg. *)
+val spans : outcome -> Repro_trace.Chrome.span list
+
+(** {!spans} as a Chrome trace-event document on named tracks
+    (["PE p"], ["coordinator"]), which [repro_cli profile] reads. *)
+val trace : outcome -> Repro_util.Json_out.t
 
 (** [run ~procs ~size (module W)] executes the workload on [procs]
     worker processes and returns the checksum plus per-PE traffic, GC
@@ -78,7 +90,7 @@ val run :
   outcome
 
 (** One timed {!run} as a measurement sample: [ns] is [work_ns],
-    [spawn_ns] the process creation; GC deltas and traffic are summed
+    [spawn_ns] the PE start-up; GC deltas and traffic are summed
     over the PEs' own [Message.worker_stats], which also give one
     per-worker row each. *)
 val sample :

@@ -99,7 +99,9 @@ type worker_stats = {
 }
 
 type to_coordinator =
-  | Ready  (** shm only: every segment is mapped, safe to unlink *)
+  | Ready
+      (** the PE's session has started (over shm, every segment is
+          mapped, so the files may be unlinked) *)
   | Fish
   | Result of {
       task_id : int;

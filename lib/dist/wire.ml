@@ -15,11 +15,9 @@
     v}
 
     A zero-length message is one empty packet with the last-flag set.
-    The codec is exposed in a pure form ({!encode}/{!decode}) for
-    property tests, and over file descriptors ({!send}/{!recv}) for
-    the executor.  Reads are exact (header, then chunk): the
-    connection never buffers ahead, so [Unix.select] readiness on the
-    descriptor is equivalent to "a message header is in flight". *)
+    Reads are exact (header, then chunk): the connection never buffers
+    ahead, so [Unix.select] readiness on the descriptor is equivalent
+    to "a message header is in flight". *)
 
 exception Truncated of string
 exception Dead_peer of string
@@ -170,7 +168,7 @@ let counters c = c.counters
 let packet_bytes c = c.packet_bytes
 let read_fd c = c.read_fd
 
-(* ---------------- pure codec ---------------- *)
+(* ---------------- packet headers ---------------- *)
 
 (* Bit 1 marks a packet of a float-frame message (the zero-Marshal
    bulk-data plane, see {!send_floats}).  A floats packet arriving
@@ -201,39 +199,6 @@ let get_header s ~pos =
 
 let packets_of_len ~packet_bytes len =
   if len = 0 then 1 else (len + packet_bytes - 1) / packet_bytes
-
-let encode ~packet_bytes payload =
-  if packet_bytes < 1 then invalid_arg "Wire.encode: packet_bytes must be >= 1";
-  let len = String.length payload in
-  let npk = packets_of_len ~packet_bytes len in
-  let out = Bytes.create (len + (npk * header_bytes)) in
-  let src = ref 0 and dst = ref 0 in
-  for p = 0 to npk - 1 do
-    let chunk = min packet_bytes (len - !src) in
-    let last = p = npk - 1 in
-    put_header out ~pos:!dst ~len:chunk ~last;
-    Bytes.blit_string payload !src out (!dst + header_bytes) chunk;
-    src := !src + chunk;
-    dst := !dst + header_bytes + chunk
-  done;
-  Bytes.unsafe_to_string out
-
-let decode s ~pos =
-  let n = String.length s in
-  let buf = Buffer.create 256 in
-  let rec packet pos =
-    if pos + header_bytes > n then
-      raise_truncated "input ends inside a packet header";
-    let len, last, floats = get_header s ~pos in
-    if floats then
-      raise_protocol "floats packet inside a byte-message stream";
-    if pos + header_bytes + len > n then
-      raise_truncated "input ends inside a packet chunk";
-    Buffer.add_substring buf s (pos + header_bytes) len;
-    let pos = pos + header_bytes + len in
-    if last then (Buffer.contents buf, pos) else packet pos
-  in
-  packet pos
 
 (* ---------------- descriptor IO ---------------- *)
 

@@ -85,15 +85,6 @@ val read_fd : conn -> Unix.file_descr
 (** Number of packets a [len]-byte message needs (at least 1). *)
 val packets_of_len : packet_bytes:int -> int -> int
 
-(** Pure codec (property tests): [encode] produces the exact byte
-    stream [send] would write; [decode s ~pos] returns the payload and
-    the position one past its last packet.
-    @raise Truncated if [s] ends before the message completes
-    (including an empty remainder). *)
-val encode : packet_bytes:int -> string -> string
-
-val decode : string -> pos:int -> string * int
-
 (** Send one message (split into packets).
     @raise Dead_peer if the peer is gone. *)
 val send : conn -> string -> unit

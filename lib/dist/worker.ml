@@ -226,6 +226,7 @@ let serve_sock () =
   in
   let hello = Message.recv_hello conn in
   let s = start_session hello in
+  Message.send_to_coordinator conn Message.Ready;
   let running = ref true in
   while !running do
     match Message.recv_to_worker conn with
@@ -264,9 +265,9 @@ let serve_shm ~path ~(p2p : (int * [ `A | `B ] * string) list) =
          (fun (pe, side, p) -> (pe, Link.Shm (Shm_ring.attach ~path:p ~side ())))
          p2p)
   in
+  let s = start_session hello in
   (* every segment is mapped: the coordinator may unlink the files *)
   Message.send_to_coordinator conn Message.Ready;
-  let s = start_session hello in
   let q : queued Queue.t = Queue.create () in
   let all_links = Array.append [| conn |] (Array.map snd peers) in
   (* Fishing generation: which peers already said "no work" for the

@@ -24,11 +24,15 @@
     sparks safe to run twice — the CAS on the future's state cell (an
     eager black-hole) guarantees at most one evaluation.
 
-    The whole module is a functor over the {!Repro_shim.Tatomic.S}
-    atomics shim (default instance: the zero-cost [Real] alias), so
-    that [lib/check] can trace and model-check the same protocols the
-    production pool runs. *)
+    Each counted scheduler event (spark create/run/fizzle, steal
+    attempt/success, park, force) is one {!probe} call: it bumps the
+    worker's count for that {!Tracer.kind} and, when the pool is
+    traced, writes the worker's trace ring.  {!events}, {!worker_events}
+    and the registry collector all read those counts. *)
 
+module A = Repro_shim.Tatomic.Real
+module Ws_deque = Repro_deque.Ws_deque
+module M = Repro_metrics.Metrics
 module Rng = Repro_util.Rng
 
 (** Aggregated per-pool scheduler counters (paper-style spark
@@ -49,528 +53,461 @@ type events = {
   wakeups : int;  (** broadcasts issued because a sleeper was present *)
 }
 
-let pp_events ppf (e : events) =
-  Format.fprintf ppf
-    "sparks: created %d, run %d, fizzled %d (run+fizzled=created: %b)@\n\
-     steals: %d of %d attempts@\n\
-     parking: %d parks, %d wakeups"
-    e.sparks_created e.sparks_run e.sparks_fizzled
-    (e.sparks_run + e.sparks_fizzled = e.sparks_created)
-    e.steals e.steal_attempts e.parks e.wakeups
+type task = unit -> unit
 
-module type S = sig
-  type t
-  type task = unit -> unit
-  type ctx
+(* Per-worker FIFO inbox: a lock-free multi-producer queue (the
+   classic two-list functional queue in one CAS cell).  It is the
+   pool's second lane, beside the Chase–Lev deque:
 
-  val create : ?cores:int -> ?tracer:Tracer.t -> unit -> t
-  val cores : t -> int
-  val run : t -> (unit -> 'a) -> 'a
-  val shutdown : t -> unit
-  val with_pool : ?cores:int -> ?tracer:Tracer.t -> (unit -> 'a) -> 'a
-  val current : unit -> ctx option
-  val ctx_pool : ctx -> t
-  val ctx_id : ctx -> int
-  val push : ctx -> task -> unit
-  val push_plain : ctx -> task -> unit
-  val inject : t -> task -> unit
-  val inject_on : t -> int -> task -> unit
-  val help : ctx -> bool
-  val note_run : ctx -> unit
-  val note_fizzle : ctx -> unit
-  val note_eval_begin : ctx -> unit
-  val note_eval_end : ctx -> unit
-  val note_force : ctx -> unit
-  val events : t -> events
-  val worker_events : t -> events array
+   - external callers ({!inject}) have no deque of their own;
+   - the fiber layer's yields and pinned resumes must go to the BACK
+     of a specific worker's line — re-pushing a yield onto the
+     owner's LIFO deque would pop it straight back and starve every
+     task below it (the classic yield livelock);
+   - inboxes are not stealable, which is what makes {!inject_on}
+     pinning actually stick.
+
+   Pops are owner-only in the steady state, so the CAS loops are
+   uncontended except against producers. *)
+module Fq = struct
+  type 'a t = ('a list * 'a list) A.t
+
+  let create () = A.make ([], [])
+
+  let rec push q x =
+    let (front, back) as cur = A.get q in
+    if not (A.compare_and_set q cur (front, x :: back)) then push q x
+
+  let rec pop q =
+    match A.get q with
+    | [], [] -> None
+    | (x :: front, back) as cur ->
+        if A.compare_and_set q cur (front, back) then Some x else pop q
+    | ([], back) as cur -> (
+        match List.rev back with
+        | x :: front ->
+            if A.compare_and_set q cur (front, []) then Some x else pop q
+        | [] -> assert false)
+
+  let is_empty q = match A.get q with [], [] -> true | _ -> false
+
+  let size q =
+    let front, back = A.get q in
+    List.length front + List.length back
 end
 
-module Make (A : Repro_shim.Tatomic.S) = struct
-  module Ws_deque = Repro_deque.Ws_deque.Make (A)
-  module M = Repro_metrics.Metrics
+(* The events each worker counts, with their registry series.  Each
+   count is written by one domain in the steady state (the owner for
+   pushes, steals and parks, the running worker for run/fizzle/force),
+   so its atomic increment is uncontended. *)
+let counted : (Tracer.kind * string * string) list =
+  [
+    ( Spark_create,
+      "repro_pool_sparks_created_total",
+      "Runner tasks pushed onto a deque" );
+    ( Spark_run,
+      "repro_pool_sparks_run_total",
+      "Runners that performed their future's evaluation" );
+    ( Spark_fizzle,
+      "repro_pool_sparks_fizzled_total",
+      "Runners that found their future already claimed" );
+    ( Steal_attempt,
+      "repro_steal_attempts_total",
+      "Individual Ws_deque.steal calls" );
+    (Steal_success, "repro_steals_total", "Successful steals");
+    (Park, "repro_pool_parks_total", "Times this worker parked");
+    (Force, "repro_future_forces_total", "Force demands seen by this worker");
+  ]
 
-  type task = unit -> unit
+type worker = {
+  id : int;
+  deque : task Ws_deque.t;
+  inbox : task Fq.t;  (** FIFO lane: injected tasks, fiber yields/pins *)
+  rng : Rng.t;  (** victim selection; deterministically seeded per worker *)
+  counts : int A.t array;  (** indexed by {!Tracer.code}; see {!probe} *)
+  wakeups : int A.t;
+      (** broadcasts issued for this worker's pushes and injections;
+          {!inject_on} bumps it from any domain, so it has no ring *)
+  busy_ns : int A.t;  (** wall time spent inside tasks (metrics-gated) *)
+  tbuf : Tracer.buffer;
+      (** this worker's trace ring; {!Tracer.null_buffer} when the
+          pool is untraced, so every record call is one load + one
+          branch *)
+}
 
-  (* Per-worker FIFO inbox: a lock-free multi-producer queue (the
-     classic two-list functional queue in one CAS cell).  It is the
-     pool's second lane, beside the Chase–Lev deque:
+type t = {
+  workers : worker array;
+  mutable mtoken : M.collector option;  (* default-registry collector *)
+  mutable domains : unit Domain.t list;  (* helper domains, workers 1.. *)
+  stop : bool A.t;
+  next_inject : int A.t;  (* round-robin cursor for {!inject} *)
+  sleepers : int A.t;
+  wake_gen : int A.t;
+      (* Generation counter bumped (under no lock) before every
+         broadcast.  A parking worker snapshots it before its final
+         deque re-check; the wait predicate re-reads it, so a wakeup
+         issued between the re-check and [Condition.wait] can never be
+         lost even if the broadcast itself lands in that window. *)
+  lock : Mutex.t;
+  wake : Condition.t;
+}
 
-     - external callers ({!inject}) have no deque of their own;
-     - the fiber layer's yields and pinned resumes must go to the BACK
-       of a specific worker's line — re-pushing a yield onto the
-       owner's LIFO deque would pop it straight back and starve every
-       task below it (the classic yield livelock);
-     - inboxes are not stealable, which is what makes {!inject_on}
-       pinning actually stick.
+type ctx = t * worker
 
-     Pops are owner-only in the steady state, so the CAS loops are
-     uncontended except against producers. *)
-  module Fq = struct
-    type 'a t = ('a list * 'a list) A.t
+(* The current domain's (pool, worker) binding.  Set for helper domains
+   at spawn, and for the caller's domain for the duration of [run]. *)
+let context_key : ctx option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-    let create () = A.make ([], [])
+let current () = Domain.DLS.get context_key
+let cores t = Array.length t.workers
+let ctx_pool ((t, _) : ctx) = t
+let ctx_id ((_, w) : ctx) = w.id
 
-    let rec push q x =
-      let (front, back) as cur = A.get q in
-      if not (A.compare_and_set q cur (front, x :: back)) then push q x
+(* The one probe of a counted event: this worker's count for [kind],
+   and its trace ring when the pool is traced. *)
+let[@inline] probe (w : worker) kind ~arg =
+  A.incr w.counts.(Tracer.code kind);
+  Tracer.record w.tbuf kind ~arg
 
-    let rec pop q =
-      match A.get q with
-      | [], [] -> None
-      | (x :: front, back) as cur ->
-          if A.compare_and_set q cur (front, back) then Some x else pop q
-      | ([], back) as cur -> (
-          match List.rev back with
-          | x :: front ->
-              if A.compare_and_set q cur (front, []) then Some x else pop q
-          | [] -> assert false)
+let count (w : worker) kind = A.get w.counts.(Tracer.code kind)
+let note_run ((_, w) : ctx) = probe w Spark_run ~arg:0
+let note_fizzle ((_, w) : ctx) = probe w Spark_fizzle ~arg:0
 
-    let is_empty q = match A.get q with [], [] -> true | _ -> false
+(* Trace hooks for the {!Future} layer: claim-to-completion spans
+   (the spark-granularity instrument) and force demands. *)
+let note_eval_begin ((_, w) : ctx) =
+  Tracer.record w.tbuf Tracer.Eval_begin ~arg:0
 
-    let size q =
-      let front, back = A.get q in
-      List.length front + List.length back
-  end
+let note_eval_end ((_, w) : ctx) =
+  Tracer.record w.tbuf Tracer.Eval_end ~arg:0
 
-  (* Per-worker counters: each cell is written by exactly one domain in
-     the steady state (the owner for pushes/steals/parks, the running
-     worker for run/fizzle notes), so the atomic increments are
-     uncontended; [events] sums them.  A metrics collector registered
-     at {!create} exposes them (plus live queue depth) per worker in
-     registry snapshots, so they cost nothing extra on the hot path. *)
-  type counters = {
-    created : int A.t;
-    run : int A.t;
-    fizzled : int A.t;
-    steal_attempts : int A.t;
-    steals : int A.t;
-    parks : int A.t;
-    wakeups : int A.t;
-    forces : int A.t;  (** force demands seen by this worker *)
-    busy_ns : int A.t;  (** wall time spent inside tasks (metrics-gated) *)
+let note_force ((_, w) : ctx) = probe w Force ~arg:0
+
+(* An {!events} record from per-kind counts and a wakeup count: one
+   worker's, or their sums over the pool. *)
+let events_of count wakeups : events =
+  {
+    sparks_created = count Tracer.Spark_create;
+    sparks_run = count Tracer.Spark_run;
+    sparks_fizzled = count Tracer.Spark_fizzle;
+    steal_attempts = count Tracer.Steal_attempt;
+    steals = count Tracer.Steal_success;
+    parks = count Tracer.Park;
+    wakeups;
   }
 
-  let counters_create () =
-    {
-      created = A.make 0;
-      run = A.make 0;
-      fizzled = A.make 0;
-      steal_attempts = A.make 0;
-      steals = A.make 0;
-      parks = A.make 0;
-      wakeups = A.make 0;
-      forces = A.make 0;
-      busy_ns = A.make 0;
-    }
+let worker_events t =
+  Array.map (fun w -> events_of (count w) (A.get w.wakeups)) t.workers
 
-  type worker = {
-    id : int;
-    deque : task Ws_deque.t;
-    inbox : task Fq.t;  (** FIFO lane: injected tasks, fiber yields/pins *)
-    rng : Rng.t;  (** victim selection; deterministically seeded per worker *)
-    counters : counters;
-    tbuf : Tracer.buffer;
-        (** this worker's trace ring; {!Tracer.null_buffer} when the
-            pool is untraced, so every record call is one load + one
-            branch *)
-  }
+let events t =
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 t.workers in
+  events_of
+    (fun kind -> sum (fun w -> count w kind))
+    (sum (fun w -> A.get w.wakeups))
 
-  type t = {
-    workers : worker array;
-    mutable mtoken : M.collector option;  (* default-registry collector *)
-    mutable domains : unit Domain.t list;  (* helper domains, workers 1.. *)
-    stop : bool A.t;
-    next_inject : int A.t;  (* round-robin cursor for {!inject} *)
-    sleepers : int A.t;
-    wake_gen : int A.t;
-        (* Generation counter bumped (under no lock) before every
-           broadcast.  A parking worker snapshots it before its final
-           deque re-check; the wait predicate re-reads it, so a wakeup
-           issued between the re-check and [Condition.wait] can never be
-           lost even if the broadcast itself lands in that window. *)
-    lock : Mutex.t;
-    wake : Condition.t;
-  }
+(* Collector callback: per-worker counter samples for the default
+   metrics registry.  Reads are racy-but-atomic snapshots, same
+   guarantee as {!events}. *)
+let metrics_samples t =
+  Array.fold_left
+    (fun acc w ->
+      let labels = [ ("worker", string_of_int w.id) ] in
+      let c name help v = M.c_sample ~help ~labels name (float_of_int v) in
+      List.map (fun (kind, name, help) -> c name help (count w kind)) counted
+      @ c "repro_pool_wakeups_total" "Broadcasts issued for a sleeper"
+          (A.get w.wakeups)
+      :: c "repro_pool_busy_ns_total" "Wall time spent inside tasks"
+           (A.get w.busy_ns)
+      :: M.g_sample ~labels ~help:"Tasks currently queued in this worker's deque"
+           "repro_pool_queue_depth"
+           (float_of_int (Ws_deque.size w.deque))
+      :: M.g_sample ~labels
+           ~help:"Tasks queued in this worker's FIFO inbox lane"
+           "repro_pool_inbox_depth"
+           (float_of_int (Fq.size w.inbox))
+      :: acc)
+    [] t.workers
 
-  type ctx = t * worker
+let has_work t =
+  let n = Array.length t.workers in
+  let rec go i =
+    i < n
+    && ((not (Ws_deque.is_empty t.workers.(i).deque))
+       || (not (Fq.is_empty t.workers.(i).inbox))
+       || go (i + 1))
+  in
+  go 0
 
-  (* The current domain's (pool, worker) binding.  Set for helper domains
-     at spawn, and for the caller's domain for the duration of [run]. *)
-  let context_key : ctx option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let current () = Domain.DLS.get context_key
-  let cores t = Array.length t.workers
-  let ctx_pool ((t, _) : ctx) = t
-  let ctx_id ((_, w) : ctx) = w.id
-
-  let note_run ((_, w) : ctx) =
-    A.incr w.counters.run;
-    Tracer.record w.tbuf Tracer.Spark_run ~arg:0
-
-  let note_fizzle ((_, w) : ctx) =
-    A.incr w.counters.fizzled;
-    Tracer.record w.tbuf Tracer.Spark_fizzle ~arg:0
-
-  (* Trace hooks for the {!Future} layer: claim-to-completion spans
-     (the spark-granularity instrument) and force demands. *)
-  let note_eval_begin ((_, w) : ctx) =
-    Tracer.record w.tbuf Tracer.Eval_begin ~arg:0
-
-  let note_eval_end ((_, w) : ctx) =
-    Tracer.record w.tbuf Tracer.Eval_end ~arg:0
-
-  let note_force ((_, w) : ctx) =
-    A.incr w.counters.forces;
-    Tracer.record w.tbuf Tracer.Force ~arg:0
-
-  let events_of_counters c : events =
-    {
-      sparks_created = A.get c.created;
-      sparks_run = A.get c.run;
-      sparks_fizzled = A.get c.fizzled;
-      steal_attempts = A.get c.steal_attempts;
-      steals = A.get c.steals;
-      parks = A.get c.parks;
-      wakeups = A.get c.wakeups;
-    }
-
-  let worker_events t =
-    Array.map (fun w -> events_of_counters w.counters) t.workers
-
-  let events t : events =
-    let sum f =
-      Array.fold_left (fun acc w -> acc + A.get (f w.counters)) 0 t.workers
-    in
-    {
-      sparks_created = sum (fun c -> c.created);
-      sparks_run = sum (fun c -> c.run);
-      sparks_fizzled = sum (fun c -> c.fizzled);
-      steal_attempts = sum (fun c -> c.steal_attempts);
-      steals = sum (fun c -> c.steals);
-      parks = sum (fun c -> c.parks);
-      wakeups = sum (fun c -> c.wakeups);
-    }
-
-  (* Collector callback: per-worker counter samples for the default
-     metrics registry.  Reads are racy-but-atomic snapshots, same
-     guarantee as {!events}. *)
-  let metrics_samples t =
-    Array.fold_left
-      (fun acc w ->
-        let labels = [ ("worker", string_of_int w.id) ] in
-        let c name help cell =
-          M.c_sample ~help ~labels name (float_of_int (A.get cell))
-        in
-        c "repro_pool_sparks_created_total" "Runner tasks pushed onto a deque"
-          w.counters.created
-        :: c "repro_pool_sparks_run_total"
-             "Runners that performed their future's evaluation" w.counters.run
-        :: c "repro_pool_sparks_fizzled_total"
-             "Runners that found their future already claimed" w.counters.fizzled
-        :: c "repro_steal_attempts_total" "Individual Ws_deque.steal calls"
-             w.counters.steal_attempts
-        :: c "repro_steals_total" "Successful steals" w.counters.steals
-        :: c "repro_pool_parks_total" "Times this worker parked" w.counters.parks
-        :: c "repro_pool_wakeups_total" "Broadcasts issued for a sleeper"
-             w.counters.wakeups
-        :: c "repro_future_forces_total" "Force demands seen by this worker"
-             w.counters.forces
-        :: c "repro_pool_busy_ns_total" "Wall time spent inside tasks"
-             w.counters.busy_ns
-        :: M.g_sample ~labels ~help:"Tasks currently queued in this worker's deque"
-             "repro_pool_queue_depth"
-             (float_of_int (Ws_deque.size w.deque))
-        :: M.g_sample ~labels
-             ~help:"Tasks queued in this worker's FIFO inbox lane"
-             "repro_pool_inbox_depth"
-             (float_of_int (Fq.size w.inbox))
-        :: acc)
-      [] t.workers
-
-  let has_work t =
-    let n = Array.length t.workers in
-    let rec go i =
-      i < n
-      && ((not (Ws_deque.is_empty t.workers.(i).deque))
-         || (not (Fq.is_empty t.workers.(i).inbox))
-         || go (i + 1))
-    in
-    go 0
-
-  (* Wake parked workers after making work available (or on shutdown).
-     Reading [sleepers] after the push is safe against lost wakeups: the
-     parking worker increments [sleepers] *before* re-checking the
-     deques, so under OCaml's sequentially-consistent atomics either the
-     pusher sees the sleeper (and bumps [wake_gen] + broadcasts), or the
-     sleeper sees the pushed task on its re-check.  The [wake_gen] bump
-     additionally covers the window between the sleeper's re-check and
-     its [Condition.wait]: the wait predicate re-reads the generation,
-     so a broadcast delivered before the sleeper reaches [wait] still
-     terminates the wait.  [lib/check] model-checks this handshake
-     exhaustively (and shows the check-then-park variant without the
-     generation counter deadlocks). *)
-  let signal_work caller_counters t =
-    if A.get t.sleepers > 0 then begin
-      A.incr t.wake_gen;
-      A.incr caller_counters.wakeups;
-      Mutex.lock t.lock;
-      Condition.broadcast t.wake;
-      Mutex.unlock t.lock
-    end
-
-  (* Owner-side push onto this worker's own deque. *)
-  let push ((t, w) : ctx) task =
-    Ws_deque.push w.deque task;
-    A.incr w.counters.created;
-    Tracer.record w.tbuf Tracer.Spark_create ~arg:0;
-    signal_work w.counters t
-
-  (* Owner-side push WITHOUT spark accounting: the task is not a spark
-     runner (the fiber layer's starts and resumes use this), so it must
-     stay out of the created/run/fizzled ledger.  Such tasks should be
-     drained (run) before {!shutdown} — the fiber scheduler guarantees
-     it by driving until every fiber is done. *)
-  let push_plain ((t, w) : ctx) task =
-    Ws_deque.push w.deque task;
-    signal_work w.counters t
-
-  (* Injection into a specific worker's FIFO inbox lane: callable from
-     any domain (no ctx needed) — external wakeups, pinned fiber
-     segments, yields.  Inboxes are never stolen from, so the target
-     worker really is where the task runs. *)
-  let inject_on t i task =
-    let n = Array.length t.workers in
-    if i < 0 || i >= n then invalid_arg "Pool.inject_on: worker id out of range";
-    let w = t.workers.(i) in
-    Fq.push w.inbox task;
-    signal_work w.counters t
-
-  (* Round-robin injection for callers with no placement opinion. *)
-  let inject t task =
-    let n = Array.length t.workers in
-    let i = A.fetch_and_add t.next_inject 1 in
-    inject_on t (((i mod n) + n) mod n) task
-
-  (* One randomised steal sweep: start at a random victim, visit every
-     other worker once. *)
-  let steal_once t (w : worker) =
-    let n = Array.length t.workers in
-    if n <= 1 then None
-    else begin
-      let start = Rng.int w.rng n in
-      let rec go k =
-        if k >= n then None
-        else
-          let v = t.workers.((start + k) mod n) in
-          if v.id = w.id then go (k + 1)
-          else begin
-            A.incr w.counters.steal_attempts;
-            Tracer.record w.tbuf Tracer.Steal_attempt ~arg:v.id;
-            match Ws_deque.steal v.deque with
-            | Some _ as r ->
-                A.incr w.counters.steals;
-                Tracer.record w.tbuf Tracer.Steal_success ~arg:v.id;
-                r
-            | None -> go (k + 1)
-          end
-      in
-      go 0
-    end
-
-  let find_task t (w : worker) =
-    match Ws_deque.pop w.deque with
-    | Some _ as r -> r
-    | None -> (
-        (* own FIFO lane next: yields and injected tasks run in arrival
-           order once the (hotter, LIFO) deque is dry *)
-        match Fq.pop w.inbox with
-        | Some _ as r -> r
-        | None ->
-            (* a few sweeps with a pause between them before reporting
-               famine *)
-            let rec attempt i =
-              if i >= 4 then None
-              else
-                match steal_once t w with
-                | Some _ as r -> r
-                | None ->
-                    Domain.cpu_relax ();
-                    attempt (i + 1)
-            in
-            attempt 0)
-
-  (* Tasks from the future layer never raise (they capture exceptions in
-     the result cell), but keep helper domains alive no matter what goes
-     into a deque.  The task span brackets every execution — worker
-     loop and helping forcers alike — so per-worker busy time is
-     visible in traces. *)
-  let run_task (w : worker) task =
-    Tracer.record w.tbuf Tracer.Task_begin ~arg:0;
-    (* Busy-time accounting pays its two clock reads per *task* (not
-       per record), and only while the default registry is enabled. *)
-    if M.enabled M.default then begin
-      let t0 = M.now_ns () in
-      (try task () with _ -> ());
-      ignore (A.fetch_and_add w.counters.busy_ns (M.now_ns () - t0))
-    end
-    else (try task () with _ -> ());
-    Tracer.record w.tbuf Tracer.Task_end ~arg:0
-
-  (* Run one pending task if any is available.  Used both by the worker
-     loop and by forcers that help while waiting on a future. *)
-  let help ((t, w) : ctx) =
-    match find_task t w with
-    | Some task ->
-        run_task w task;
-        true
-    | None -> false
-
-  let park t (w : worker) =
-    A.incr w.counters.parks;
-    Tracer.record w.tbuf Tracer.Park ~arg:0;
-    A.incr t.sleepers;
-    let gen = A.get t.wake_gen in
-    (* Final re-check *after* announcing ourselves as a sleeper: either
-       the pusher saw [sleepers > 0] and will bump [wake_gen], or this
-       check sees its task.  blocking-in-worker (baselined): parking IS
-       the designed blocking point — a worker only reaches it with
-       every deque empty, and any push broadcasts [wake]. *)
-    if not (A.get t.stop) && not (has_work t) then begin
-      Mutex.lock t.lock;
-      while
-        (not (A.get t.stop))
-        && (not (has_work t))
-        && A.get t.wake_gen = gen
-      do
-        Condition.wait t.wake t.lock
-      done;
-      Mutex.unlock t.lock
-    end;
-    A.decr t.sleepers;
-    Tracer.record w.tbuf Tracer.Unpark ~arg:0
-
-  let rec worker_loop t (w : worker) =
-    if not (A.get t.stop) then begin
-      (match find_task t w with
-      | Some task -> run_task w task
-      | None -> park t w);
-      worker_loop t w
-    end
-
-  (* Helper-domain entry: the worker span brackets the whole loop so
-     every domain owns at least one slice in exported traces. *)
-  let worker_main t (w : worker) =
-    Domain.DLS.set context_key (Some (t, w));
-    Tracer.record w.tbuf Tracer.Worker_begin ~arg:0;
-    worker_loop t w;
-    Tracer.record w.tbuf Tracer.Worker_end ~arg:0
-
-  let create ?cores:requested ?tracer () =
-    let ncores =
-      match requested with
-      | Some c ->
-          if c < 1 then invalid_arg "Pool.create: cores must be >= 1";
-          c
-      | None -> Domain.recommended_domain_count ()
-    in
-    (match tracer with
-    | Some tr when Tracer.ncaps tr < ncores ->
-        invalid_arg
-          (Printf.sprintf
-             "Pool.create: tracer has %d buffer(s) but the pool wants %d"
-             (Tracer.ncaps tr) ncores)
-    | _ -> ());
-    let tbuf_of id =
-      match tracer with
-      | Some tr -> Tracer.buffer tr id
-      | None -> Tracer.null_buffer
-    in
-    let master = Rng.create 0x9e3779b9 in
-    let workers =
-      Array.init ncores (fun id ->
-          {
-            id;
-            deque = Ws_deque.create ();
-            inbox = Fq.create ();
-            rng = Rng.split master;
-            counters = counters_create ();
-            tbuf = tbuf_of id;
-          })
-    in
-    let t =
-      {
-        workers;
-        mtoken = None;
-        domains = [];
-        stop = A.make false;
-        next_inject = A.make 0;
-        sleepers = A.make 0;
-        wake_gen = A.make 0;
-        lock = Mutex.create ();
-        wake = Condition.create ();
-      }
-    in
-    t.mtoken <- Some (M.add_collector ~name:"pool" (fun () -> metrics_samples t));
-    t.domains <-
-      List.init (ncores - 1) (fun i ->
-          Domain.spawn (fun () -> worker_main t t.workers.(i + 1)));
-    t
-
-  (* Discard a worker's leftover deque entries, accounting for them:
-     an unexecuted runner is a spark that fizzled (its future was, or
-     will be, evaluated in place by whoever forces it). *)
-  let discard_leftovers (w : worker) =
-    let leftover = List.length (Ws_deque.drain w.deque) in
-    if leftover > 0 then
-      ignore (A.fetch_and_add w.counters.fizzled leftover);
-    (* inbox tasks are not sparks: drop without touching the ledger *)
-    let rec drain_inbox () =
-      match Fq.pop w.inbox with Some _ -> drain_inbox () | None -> ()
-    in
-    drain_inbox ()
-
-  let run t f =
-    let w0 = t.workers.(0) in
-    let saved = Domain.DLS.get context_key in
-    Domain.DLS.set context_key (Some (t, w0));
-    Tracer.record w0.tbuf Tracer.Worker_begin ~arg:0;
-    Fun.protect
-      ~finally:(fun () ->
-        (* Leftover deque entries are runners for futures that were
-           already forced (and hence claimed): discard them. *)
-        Tracer.record w0.tbuf Tracer.Worker_end ~arg:0;
-        discard_leftovers w0;
-        Domain.DLS.set context_key saved)
-      f
-
-  let shutdown t =
-    A.set t.stop true;
+(* Wake parked workers after making work available (or on shutdown).
+   Reading [sleepers] after the push is safe against lost wakeups: the
+   parking worker increments [sleepers] *before* re-checking the
+   deques, so under OCaml's sequentially-consistent atomics either the
+   pusher sees the sleeper (and bumps [wake_gen] + broadcasts), or the
+   sleeper sees the pushed task on its re-check.  The [wake_gen] bump
+   additionally covers the window between the sleeper's re-check and
+   its [Condition.wait]: the wait predicate re-reads the generation,
+   so a broadcast delivered before the sleeper reaches [wait] still
+   terminates the wait.  [lib/check] model-checks this handshake
+   exhaustively (and shows the check-then-park variant without the
+   generation counter deadlocks). *)
+let signal_work (w : worker) t =
+  if A.get t.sleepers > 0 then begin
     A.incr t.wake_gen;
+    A.incr w.wakeups;
     Mutex.lock t.lock;
     Condition.broadcast t.wake;
-    Mutex.unlock t.lock;
-    List.iter Domain.join t.domains;
-    t.domains <- [];
-    (* Helpers are joined: any runner still sitting in a deque will
-       never execute — account it as fizzled so the spark ledger
-       balances ([sparks_created = sparks_run + sparks_fizzled]). *)
-    Array.iter discard_leftovers t.workers;
-    (* Retire the metrics collector last so the flushed totals include
-       the leftover-fizzle accounting above; cumulative per-worker
-       counters survive this pool in the default registry. *)
-    match t.mtoken with
-    | Some tok ->
-        t.mtoken <- None;
-        M.remove_collector tok
-    | None -> ()
+    Mutex.unlock t.lock
+  end
 
-  let with_pool ?cores ?tracer f =
-    let t = create ?cores ?tracer () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run t f)
-end
+(* Owner-side push onto this worker's own deque. *)
+let push ((t, w) : ctx) task =
+  Ws_deque.push w.deque task;
+  probe w Spark_create ~arg:0;
+  signal_work w t
 
-include Make (Repro_shim.Tatomic.Real)
+(* Owner-side push WITHOUT spark accounting: the task is not a spark
+   runner (the fiber layer's starts and resumes use this), so it must
+   stay out of the created/run/fizzled ledger.  Such tasks should be
+   drained (run) before {!shutdown} — the fiber scheduler guarantees
+   it by driving until every fiber is done. *)
+let push_plain ((t, w) : ctx) task =
+  Ws_deque.push w.deque task;
+  signal_work w t
+
+(* Injection into a specific worker's FIFO inbox lane: callable from
+   any domain (no ctx needed) — external wakeups, pinned fiber
+   segments, yields.  Inboxes are never stolen from, so the target
+   worker really is where the task runs. *)
+let inject_on t i task =
+  let n = Array.length t.workers in
+  if i < 0 || i >= n then invalid_arg "Pool.inject_on: worker id out of range";
+  let w = t.workers.(i) in
+  Fq.push w.inbox task;
+  signal_work w t
+
+(* Round-robin injection for callers with no placement opinion. *)
+let inject t task =
+  let n = Array.length t.workers in
+  let i = A.fetch_and_add t.next_inject 1 in
+  inject_on t (((i mod n) + n) mod n) task
+
+(* One randomised steal sweep: start at a random victim, visit every
+   other worker once. *)
+let steal_once t (w : worker) =
+  let n = Array.length t.workers in
+  if n <= 1 then None
+  else begin
+    let start = Rng.int w.rng n in
+    let rec go k =
+      if k >= n then None
+      else
+        let v = t.workers.((start + k) mod n) in
+        if v.id = w.id then go (k + 1)
+        else begin
+          probe w Steal_attempt ~arg:v.id;
+          match Ws_deque.steal v.deque with
+          | Some _ as r ->
+              probe w Steal_success ~arg:v.id;
+              r
+          | None -> go (k + 1)
+        end
+    in
+    go 0
+  end
+
+let find_task t (w : worker) =
+  match Ws_deque.pop w.deque with
+  | Some _ as r -> r
+  | None -> (
+      (* own FIFO lane next: yields and injected tasks run in arrival
+         order once the (hotter, LIFO) deque is dry *)
+      match Fq.pop w.inbox with
+      | Some _ as r -> r
+      | None ->
+          (* a few sweeps with a pause between them before reporting
+             famine *)
+          let rec attempt i =
+            if i >= 4 then None
+            else
+              match steal_once t w with
+              | Some _ as r -> r
+              | None ->
+                  Domain.cpu_relax ();
+                  attempt (i + 1)
+          in
+          attempt 0)
+
+(* Tasks from the future layer never raise (they capture exceptions in
+   the result cell), but keep helper domains alive no matter what goes
+   into a deque.  The task span brackets every execution — worker
+   loop and helping forcers alike — so per-worker busy time is
+   visible in traces. *)
+let run_task (w : worker) task =
+  Tracer.record w.tbuf Tracer.Task_begin ~arg:0;
+  (* Busy-time accounting pays its two clock reads per *task* (not
+     per record), and only while the default registry is enabled. *)
+  if M.enabled M.default then begin
+    let t0 = M.now_ns () in
+    (try task () with _ -> ());
+    ignore (A.fetch_and_add w.busy_ns (M.now_ns () - t0))
+  end
+  else (try task () with _ -> ());
+  Tracer.record w.tbuf Tracer.Task_end ~arg:0
+
+(* Run one pending task if any is available.  Used both by the worker
+   loop and by forcers that help while waiting on a future. *)
+let help ((t, w) : ctx) =
+  match find_task t w with
+  | Some task ->
+      run_task w task;
+      true
+  | None -> false
+
+let park t (w : worker) =
+  probe w Park ~arg:0;
+  A.incr t.sleepers;
+  let gen = A.get t.wake_gen in
+  (* Final re-check *after* announcing ourselves as a sleeper: either
+     the pusher saw [sleepers > 0] and will bump [wake_gen], or this
+     check sees its task.  blocking-in-worker (baselined): parking IS
+     the designed blocking point — a worker only reaches it with
+     every deque empty, and any push broadcasts [wake]. *)
+  if not (A.get t.stop) && not (has_work t) then begin
+    Mutex.lock t.lock;
+    while
+      (not (A.get t.stop))
+      && (not (has_work t))
+      && A.get t.wake_gen = gen
+    do
+      Condition.wait t.wake t.lock
+    done;
+    Mutex.unlock t.lock
+  end;
+  A.decr t.sleepers;
+  Tracer.record w.tbuf Tracer.Unpark ~arg:0
+
+let rec worker_loop t (w : worker) =
+  if not (A.get t.stop) then begin
+    (match find_task t w with
+    | Some task -> run_task w task
+    | None -> park t w);
+    worker_loop t w
+  end
+
+(* Helper-domain entry: the worker span brackets the whole loop so
+   every domain owns at least one slice in exported traces. *)
+let worker_main t (w : worker) =
+  Domain.DLS.set context_key (Some (t, w));
+  Tracer.record w.tbuf Tracer.Worker_begin ~arg:0;
+  worker_loop t w;
+  Tracer.record w.tbuf Tracer.Worker_end ~arg:0
+
+let create ?cores:requested ?tracer () =
+  let ncores =
+    match requested with
+    | Some c ->
+        if c < 1 then invalid_arg "Pool.create: cores must be >= 1";
+        c
+    | None -> Domain.recommended_domain_count ()
+  in
+  (match tracer with
+  | Some tr when Tracer.ncaps tr < ncores ->
+      invalid_arg
+        (Printf.sprintf
+           "Pool.create: tracer has %d buffer(s) but the pool wants %d"
+           (Tracer.ncaps tr) ncores)
+  | _ -> ());
+  let tbuf_of id =
+    match tracer with
+    | Some tr -> Tracer.buffer tr id
+    | None -> Tracer.null_buffer
+  in
+  let master = Rng.create 0x9e3779b9 in
+  let workers =
+    Array.init ncores (fun id ->
+        {
+          id;
+          deque = Ws_deque.create ();
+          inbox = Fq.create ();
+          rng = Rng.split master;
+          counts = Array.init Tracer.kinds (fun _ -> A.make 0);
+          wakeups = A.make 0;
+          busy_ns = A.make 0;
+          tbuf = tbuf_of id;
+        })
+  in
+  let t =
+    {
+      workers;
+      mtoken = None;
+      domains = [];
+      stop = A.make false;
+      next_inject = A.make 0;
+      sleepers = A.make 0;
+      wake_gen = A.make 0;
+      lock = Mutex.create ();
+      wake = Condition.create ();
+    }
+  in
+  t.mtoken <- Some (M.add_collector ~name:"pool" (fun () -> metrics_samples t));
+  t.domains <-
+    List.init (ncores - 1) (fun i ->
+        Domain.spawn (fun () -> worker_main t t.workers.(i + 1)));
+  t
+
+(* Discard a worker's leftover deque entries, accounting for them:
+   an unexecuted runner is a spark that fizzled (its future was, or
+   will be, evaluated in place by whoever forces it). *)
+let discard_leftovers (w : worker) =
+  let leftover = List.length (Ws_deque.drain w.deque) in
+  if leftover > 0 then
+    ignore (A.fetch_and_add w.counts.(Tracer.code Spark_fizzle) leftover);
+  (* inbox tasks are not sparks: drop without touching the ledger *)
+  let rec drain_inbox () =
+    match Fq.pop w.inbox with Some _ -> drain_inbox () | None -> ()
+  in
+  drain_inbox ()
+
+let run t f =
+  let w0 = t.workers.(0) in
+  let saved = Domain.DLS.get context_key in
+  Domain.DLS.set context_key (Some (t, w0));
+  Tracer.record w0.tbuf Tracer.Worker_begin ~arg:0;
+  Fun.protect
+    ~finally:(fun () ->
+      (* Leftover deque entries are runners for futures that were
+         already forced (and hence claimed): discard them. *)
+      Tracer.record w0.tbuf Tracer.Worker_end ~arg:0;
+      discard_leftovers w0;
+      Domain.DLS.set context_key saved)
+    f
+
+let shutdown t =
+  A.set t.stop true;
+  A.incr t.wake_gen;
+  Mutex.lock t.lock;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.lock;
+  List.iter Domain.join t.domains;
+  t.domains <- [];
+  (* Helpers are joined: any runner still sitting in a deque will
+     never execute — account it as fizzled so the spark ledger
+     balances ([sparks_created = sparks_run + sparks_fizzled]). *)
+  Array.iter discard_leftovers t.workers;
+  (* Retire the metrics collector last so the flushed totals include
+     the leftover-fizzle accounting above; cumulative per-worker
+     counters survive this pool in the default registry. *)
+  match t.mtoken with
+  | Some tok ->
+      t.mtoken <- None;
+      M.remove_collector tok
+  | None -> ()
+
+let with_pool ?cores f =
+  let t = create ?cores () in
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run t f)
+
 
 (* Scheduler hook installed by the fiber layer (repro.fiber): inside a
    fiber, [Future.force]'s idle path calls this to yield the *fiber*

@@ -1,9 +1,10 @@
-(** Post-hoc profile report over a hardware trace: per-worker
-    utilization, idle-gap histogram, spark granularity and steal
-    latency — the per-CPU activity analysis of paper Sec. V, computed
-    from the Chrome trace-event document {!Repro_trace.Chrome} emits.
-    Backs [repro_cli profile FILE.json] and the summary printed by
-    [repro_cli exec --trace]. *)
+(** Post-hoc profile report over a trace of either real backend:
+    per-worker (or per-PE) utilization, idle-gap histogram, spark
+    granularity and steal latency — the per-CPU activity analysis of
+    paper Sec. V, computed from the Chrome trace-event document
+    {!Repro_trace.Chrome} writes.  Backs [repro_cli profile FILE.json]
+    (on [exec --trace] or [dist --trace] files) and the summary printed
+    by [repro_cli exec --trace]. *)
 
 type input
 

@@ -48,7 +48,7 @@ type kind =
   | Worker_begin
   | Worker_end
 
-let kind_code = function
+let code = function
   | Spark_create -> 0
   | Spark_run -> 1
   | Spark_fizzle -> 2
@@ -63,6 +63,8 @@ let kind_code = function
   | Task_end -> 11
   | Worker_begin -> 12
   | Worker_end -> 13
+
+let kinds = 14
 
 type buffer = {
   flag : bool A.t;
@@ -93,7 +95,7 @@ let[@inline] record b kind ~arg =
   if A.get b.flag then begin
     let i = b.head land b.mask in
     b.ts.(i) <- now_ns ();
-    b.code.(i) <- kind_code kind;
+    b.code.(i) <- code kind;
     b.arg.(i) <- arg;
     b.head <- b.head + 1
   end

@@ -34,8 +34,11 @@ type kind =
   | Worker_begin  (** worker loop / [Pool.run] lifetime *)
   | Worker_end
 
-(** Monotonic clock, nanoseconds (no [Unix.gettimeofday]). *)
-val now_ns : unit -> int
+(** Dense index of a kind, in [0, kinds): a recorder that counts
+    events keeps one cell per kind. *)
+val code : kind -> int
+
+val kinds : int
 
 (** [create ~ncaps ()] preallocates one ring of [capacity] slots
     (rounded up to a power of two, default 65536) per worker.  When

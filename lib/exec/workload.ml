@@ -515,6 +515,21 @@ let sample (module W : S) ~size ~cores : Measure.sample =
         let ns = Repro_metrics.Metrics.now_ns () - t1 in
         (result, ns, Measure.gc_delta gc0 (Gc.quick_stat ())))
   in
+  (* after shutdown, so leftover runners are counted as fizzled and the
+     spark ledger balances *)
+  let row (e : Pool.events) =
+    List.map
+      (fun (k, v) -> (k, float_of_int v))
+      [
+        ("sparks_created", e.sparks_created);
+        ("sparks_run", e.sparks_run);
+        ("sparks_fizzled", e.sparks_fizzled);
+        ("steal_attempts", e.steal_attempts);
+        ("steals", e.steals);
+        ("parks", e.parks);
+        ("wakeups", e.wakeups);
+      ]
+  in
   {
     workload = W.name;
     backend = Domains;
@@ -525,6 +540,6 @@ let sample (module W : S) ~size ~cores : Measure.sample =
     spawn_ns;
     result;
     gc;
-    counts = [];
-    per_worker = [||];
+    counts = row (Pool.events pool);
+    per_worker = Array.map row (Pool.worker_events pool);
   }

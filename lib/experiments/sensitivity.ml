@@ -131,17 +131,3 @@ let all_weak r = List.for_all (fun o -> o.weak_shape) r.outcomes
 let strong_fraction r =
   let held = List.length (List.filter (fun o -> o.strong_shape) r.outcomes) in
   float_of_int held /. float_of_int (max 1 (List.length r.outcomes))
-
-let print (r : result) =
-  Printf.printf
-    "Sensitivity of Fig.-1 shapes to calibration constants (sumEuler %d):\n" r.n;
-  List.iter
-    (fun o ->
-      Printf.printf "  %-28s weak=%b strong=%b  (%s)\n" o.o_label o.weak_shape
-        o.strong_shape
-        (String.concat " "
-           (List.map (fun (_, t) -> Printf.sprintf "%.2f" t) o.times)))
-    r.outcomes;
-  Printf.printf "weak shape holds for all: %b;  strong ordering holds for %.0f%%\n"
-    (all_weak r)
-    (100.0 *. strong_fraction r)

@@ -22,5 +22,3 @@ val all_weak : result -> bool
 
 (** Fraction of perturbations under which the strict ordering holds. *)
 val strong_fraction : result -> float
-
-val print : result -> unit

@@ -542,8 +542,8 @@ let run_in pool f =
           | Some (Error e) -> raise e
           | None -> failwith "Fiber.run_in: quiescent with root unfinished"))
 
-let run ?cores ?tracer f =
-  let pool = Pool.create ?cores ?tracer () in
+let run ?cores f =
+  let pool = Pool.create ?cores () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () -> run_in pool f)

@@ -45,7 +45,7 @@ type stats = {
 
 (** {2 Running} *)
 
-val run : ?cores:int -> ?tracer:Repro_exec.Tracer.t -> (unit -> 'a) -> 'a
+val run : ?cores:int -> (unit -> 'a) -> 'a
 (** [run f] creates a pool, runs [f] as the root fiber and drives the
     pool until {e every} fiber is done; returns [f]'s value or re-raises
     its exception.  Not reentrant. *)

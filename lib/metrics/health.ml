@@ -1,38 +1,22 @@
-type config = {
-  steal_min_attempts : float;
-  steal_fail_ratio : float;
-  steal_attempts_per_park : float;
-  fizzle_min_created : float;
-  fizzle_ratio : float;
-  backpressure_min_waits : float;
-  backpressure_per_msg : float;
-  gc_min_elapsed_s : float;
-  gc_minor_per_sec : float;
-  gc_major_per_sec : float;
-}
-
 (* Thresholds are deliberately generous: detectors flag pathological
    regimes (a storm, a stall), not the high-but-healthy contention any
    small --quick run exhibits. *)
-let default_config =
-  {
-    steal_min_attempts = 5_000.;
-    steal_fail_ratio = 0.98;
-    steal_attempts_per_park = 512.;
-    fizzle_min_created = 1_024.;
-    fizzle_ratio = 0.95;
-    backpressure_min_waits = 512.;
-    backpressure_per_msg = 4.;
-    gc_min_elapsed_s = 0.05;
-    gc_minor_per_sec = 200_000.;
-    gc_major_per_sec = 2_000.;
-  }
 
 type verdict = { rule : string; triggered : bool; detail : string }
 
 let ratio num den = if den <= 0. then 0. else num /. den
 
-let steal_storm cfg snap =
+(* Ignore runs with fewer steal attempts than this. *)
+let steal_min_attempts = 5_000.
+
+(* Failed/attempted above this is a storm... *)
+let steal_fail_ratio = 0.98
+
+(* ...but only when attempts outrun parks by this factor (parking
+   workers are famished, not storming). *)
+let steal_attempts_per_park = 512.
+
+let steal_storm snap =
   let attempts = Metrics.total snap "repro_steal_attempts_total" in
   let steals = Metrics.total snap "repro_steals_total" in
   let parks = Metrics.total snap "repro_pool_parks_total" in
@@ -41,35 +25,51 @@ let steal_storm cfg snap =
   {
     rule = "steal-failure-storm";
     triggered =
-      attempts >= cfg.steal_min_attempts
-      && fail > cfg.steal_fail_ratio
-      && per_park > cfg.steal_attempts_per_park;
+      attempts >= steal_min_attempts
+      && fail > steal_fail_ratio
+      && per_park > steal_attempts_per_park;
     detail =
       Printf.sprintf "%.0f attempts, %.1f%% failed, %.0f attempts/park" attempts
         (100. *. fail) per_park;
   }
 
-let spark_fizzle cfg snap =
+let fizzle_min_created = 1_024.
+
+(* Fizzled/created above this. *)
+let fizzle_ratio = 0.95
+
+let spark_fizzle snap =
   let created = Metrics.total snap "repro_pool_sparks_created_total" in
   let fizzled = Metrics.total snap "repro_pool_sparks_fizzled_total" in
   let r = ratio fizzled created in
   {
     rule = "spark-fizzle-ratio";
-    triggered = created >= cfg.fizzle_min_created && r > cfg.fizzle_ratio;
+    triggered = created >= fizzle_min_created && r > fizzle_ratio;
     detail = Printf.sprintf "%.0f created, %.0f fizzled (%.1f%%)" created fizzled (100. *. r);
   }
 
-let backpressure_stall cfg snap =
+let backpressure_min_waits = 512.
+
+(* Waits per sent message above this. *)
+let backpressure_per_msg = 4.
+
+let backpressure_stall snap =
   let waits = Metrics.total snap "repro_ring_backpressure_waits_total" in
   let msgs = Metrics.total snap "repro_wire_msgs_sent_total" in
   let per_msg = ratio waits (Float.max 1. msgs) in
   {
     rule = "ring-backpressure-stall";
-    triggered = waits >= cfg.backpressure_min_waits && per_msg > cfg.backpressure_per_msg;
+    triggered = waits >= backpressure_min_waits && per_msg > backpressure_per_msg;
     detail = Printf.sprintf "%.0f full-ring waits over %.0f sent msgs (%.1f/msg)" waits msgs per_msg;
   }
 
-let gc_pressure cfg snap =
+(* Rates are meaningless on shorter runs. *)
+let gc_min_elapsed_s = 0.05
+
+let gc_minor_per_sec = 200_000.
+let gc_major_per_sec = 2_000.
+
+let gc_pressure snap =
   let secs = float_of_int snap.Metrics.elapsed_ns /. 1e9 in
   let minor = Metrics.total snap "repro_gc_minor_collections" in
   let major = Metrics.total snap "repro_gc_major_collections" in
@@ -77,11 +77,11 @@ let gc_pressure cfg snap =
   {
     rule = "gc-pause-budget";
     triggered =
-      secs >= cfg.gc_min_elapsed_s
-      && (minor_rate > cfg.gc_minor_per_sec || major_rate > cfg.gc_major_per_sec);
+      secs >= gc_min_elapsed_s
+      && (minor_rate > gc_minor_per_sec || major_rate > gc_major_per_sec);
     detail =
       Printf.sprintf "%.0f minor/s, %.1f major/s over %.2fs (budget %.0f, %.0f)" minor_rate
-        major_rate secs cfg.gc_minor_per_sec cfg.gc_major_per_sec;
+        major_rate secs gc_minor_per_sec gc_major_per_sec;
   }
 
 (* Fibers still live at snapshot time: a collector snapshotted after
@@ -90,7 +90,7 @@ let gc_pressure cfg snap =
    wakeup never came, i.e. a leak.  The gauge is a float total over
    collectors; > 0.5 is "at least one" without trusting float
    equality. *)
-let fiber_leak _cfg snap =
+let fiber_leak snap =
   let spawned = Metrics.total snap "repro_fiber_spawned_total" in
   let live = Metrics.total snap "repro_fiber_live" in
   {
@@ -100,13 +100,13 @@ let fiber_leak _cfg snap =
       Printf.sprintf "%.0f fibers still live of %.0f spawned" live spawned;
   }
 
-let evaluate ?(config = default_config) snap =
+let evaluate snap =
   [
-    steal_storm config snap;
-    spark_fizzle config snap;
-    backpressure_stall config snap;
-    gc_pressure config snap;
-    fiber_leak config snap;
+    steal_storm snap;
+    spark_fizzle snap;
+    backpressure_stall snap;
+    gc_pressure snap;
+    fiber_leak snap;
   ]
 
 let pp fmt verdicts =

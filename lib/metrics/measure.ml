@@ -170,6 +170,8 @@ let to_table (ms : measurement list) =
           cell (fun m ->
               Printf.sprintf "%.0f%%"
                 (100.0 *. m.speedup /. float_of_int m.workers)) );
+        ("sparks", Right, count "sparks_created");
+        ("steals", Right, count "steals");
         ("msgs", Right, count "msgs");
         ("kbytes", Right, kbytes "bytes");
         ("0copy kb", Right, kbytes "zero_copy_bytes");

@@ -81,7 +81,8 @@ val core_counts_up_to : int -> int list
 val env_header : unit -> (string * Repro_util.Json_out.t) list
 
 (** One row per measurement.  Columns no row has a value for (the
-    transport, the traffic counters of {!Processes}) are left out. *)
+    transport, the spark and steal counts of {!Domains}, the traffic
+    counters of {!Processes}) are left out. *)
 val to_table : measurement list -> Repro_util.Tablefmt.t
 
 (** The [repro/measure/v1] document: schema id, [env] and one

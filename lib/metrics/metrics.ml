@@ -157,16 +157,10 @@ type t = {
   r_created_ns : int;
 }
 
-let create ?(enabled = true) ?nshards () =
-  let n =
-    match nshards with
-    | Some n -> max 1 n
-    | None -> Domain.recommended_domain_count ()
-  in
-  let nshards = min 64 (next_pow2 n) in
+let create ?(enabled = true) () =
   {
     r_enabled = A.make enabled;
-    r_nshards = nshards;
+    r_nshards = min 64 (next_pow2 (Domain.recommended_domain_count ()));
     r_lock = Mutex.create ();
     r_entries = [];
     r_collectors = [];

@@ -13,9 +13,9 @@
 type t
 (** A registry. *)
 
-val create : ?enabled:bool -> ?nshards:int -> unit -> t
-(** [nshards] rounds up to a power of two, default derived from
-    [Domain.recommended_domain_count], clamped to 64. *)
+val create : ?enabled:bool -> unit -> t
+(** One shard per hardware core ([Domain.recommended_domain_count]),
+    rounded up to a power of two and clamped to 64. *)
 
 val default : t
 (** Process-wide registry; has a GC collector pre-registered

@@ -1,87 +1,86 @@
-(** Chrome trace-event exporter: turns an {!Eventlog} (notably the
-    hardware logs recorded by [lib/exec]'s per-domain tracer) into the
-    Trace Event Format JSON that Perfetto and [chrome://tracing] load
-    directly.
+(** Chrome trace-event writer: the one producer of the Trace Event
+    Format JSON that Perfetto and [chrome://tracing] load directly,
+    and that [Repro_exec.Profile] reads back.  Both real backends write
+    through it: the hardware logs recorded by [lib/exec]'s per-domain
+    tracer ({!of_eventlog}), and the process farm's per-PE task spans.
 
-    One track ([tid]) per capability/worker.  Span events (task, eval,
-    parked, worker lifetime, per-domain GC) become complete slices
-    ([ph = "X"] with a duration) — complete slices need no begin/end
-    nesting discipline, so a log whose unmatched opens were truncated
-    by a ring buffer still renders.  Point events (spark create / run /
-    fizzle, steal attempt/success, future forced) become instants
-    ([ph = "i"]).  Timestamps are microseconds as the format requires;
-    the source log is nanoseconds. *)
+    One named track ([tid]) per worker or PE.  Spans with a duration
+    become complete slices ([ph = "X"]) — complete slices need no
+    begin/end nesting discipline, so a log whose unmatched opens were
+    truncated by a ring buffer still renders.  Point events (spark
+    create / run / fizzle, steal attempt/success, future forced) become
+    thread-scoped instants ([ph = "i"]).  Timestamps are microseconds
+    as the format requires; spans are nanoseconds. *)
 
 module Json = Repro_util.Json_out
 
+type span = {
+  tid : int;
+  name : string;
+  cat : string;
+  ts_ns : int;
+  dur_ns : int option;
+  args : (string * Json.t) list;
+}
+
 let us_of_ns ns = float_of_int ns /. 1e3
 
-(* A span kind is identified by (cap, name); spans of the same kind on
-   the same track close LIFO (nested helping produces nested task
-   slices). *)
-type open_span = { start_ns : int }
-
-let slice ~pid ~tid ~name ~cat ~ts_ns ~dur_ns args =
+let event s =
+  let ph =
+    match s.dur_ns with
+    | Some d -> [ ("ph", Json.Str "X"); ("dur", Json.Float (us_of_ns d)) ]
+    | None -> [ ("ph", Json.Str "i"); ("s", Json.Str "t") ]
+  in
   Json.Obj
-    ([
-       ("name", Json.Str name);
-       ("cat", Json.Str cat);
-       ("ph", Json.Str "X");
-       ("ts", Json.Float (us_of_ns ts_ns));
-       ("dur", Json.Float (us_of_ns dur_ns));
-       ("pid", Json.Int pid);
-       ("tid", Json.Int tid);
-     ]
-    @ match args with [] -> [] | args -> [ ("args", Json.Obj args) ])
+    ([ ("name", Json.Str s.name); ("cat", Json.Str s.cat) ]
+    @ ph
+    @ [
+        ("ts", Json.Float (us_of_ns s.ts_ns));
+        ("pid", Json.Int 0);
+        ("tid", Json.Int s.tid);
+      ]
+    @ match s.args with [] -> [] | args -> [ ("args", Json.Obj args) ])
 
-let instant ~pid ~tid ~name ~cat ~ts_ns args =
-  Json.Obj
-    ([
-       ("name", Json.Str name);
-       ("cat", Json.Str cat);
-       ("ph", Json.Str "i");
-       ("s", Json.Str "t");  (* thread-scoped instant *)
-       ("ts", Json.Float (us_of_ns ts_ns));
-       ("pid", Json.Int pid);
-       ("tid", Json.Int tid);
-     ]
-    @ match args with [] -> [] | args -> [ ("args", Json.Obj args) ])
-
-let metadata ~pid ~tid ~name value =
+let thread_name (tid, name) =
   Json.Obj
     [
-      ("name", Json.Str name);
+      ("name", Json.Str "thread_name");
       ("ph", Json.Str "M");
       ("ts", Json.Float 0.0);
-      ("pid", Json.Int pid);
+      ("pid", Json.Int 0);
       ("tid", Json.Int tid);
-      ("args", Json.Obj [ ("name", Json.Str value) ]);
+      ("args", Json.Obj [ ("name", Json.Str name) ]);
     ]
 
-let of_eventlog ?(pid = 0) ?(process_name = "repro-exec") ?(instants = [])
-    ~ncaps log =
+let document ~tracks spans =
+  Json.Obj
+    [
+      ("traceEvents", Json.List (List.map thread_name tracks @ List.map event spans));
+      ("displayTimeUnit", Json.Str "ns");
+    ]
+
+let of_eventlog ?(instants = []) ~ncaps log =
   let events = Eventlog.events log in
   let out = ref [] in
-  let push j = out := j :: !out in
-  let last_ts = List.fold_left (fun acc (t, _) -> max acc t) 0 events in
-  (* per-(cap, kind) stacks of open spans *)
-  let open_spans : (int * string, open_span list) Hashtbl.t =
-    Hashtbl.create 32
+  let push ?(args = []) ?dur_ns ~cat tid name ts_ns =
+    out := { tid; name; cat; ts_ns; dur_ns; args } :: !out
   in
+  let last_ts = List.fold_left (fun acc (t, _) -> max acc t) 0 events in
+  (* per-(cap, kind) stacks of open span start times; spans of the same
+     kind on the same track close LIFO (nested helping produces nested
+     task slices) *)
+  let open_spans : (int * string, int list) Hashtbl.t = Hashtbl.create 32 in
   let begin_span cap kind ts =
     let k = (cap, kind) in
     let st = Option.value ~default:[] (Hashtbl.find_opt open_spans k) in
-    Hashtbl.replace open_spans k ({ start_ns = ts } :: st)
+    Hashtbl.replace open_spans k (ts :: st)
   in
   let end_span ?(cat = "exec") cap kind ts =
     let k = (cap, kind) in
     match Hashtbl.find_opt open_spans k with
-    | Some (sp :: rest) ->
+    | Some (start :: rest) ->
         Hashtbl.replace open_spans k rest;
-        push
-          (slice ~pid ~tid:cap ~name:kind ~cat ~ts_ns:sp.start_ns
-             ~dur_ns:(max 0 (ts - sp.start_ns))
-             [])
+        push ~cat ~dur_ns:(max 0 (ts - start)) cap kind start
     | _ -> ()  (* end without begin: dropped by the ring buffer *)
   in
   List.iter
@@ -99,53 +98,36 @@ let of_eventlog ?(pid = 0) ?(process_name = "repro-exec") ?(instants = [])
           begin_span cap (if major then "gc:major" else "gc:minor") ts
       | Gc_end { cap; major } ->
           end_span ~cat:"gc" cap (if major then "gc:major" else "gc:minor") ts
-      | Spark_created { cap } -> push (instant ~pid ~tid:cap ~name:"spark-create" ~cat:"spark" ~ts_ns:ts [])
-      | Spark_converted { cap } -> push (instant ~pid ~tid:cap ~name:"spark-run" ~cat:"spark" ~ts_ns:ts [])
-      | Spark_fizzled { cap } -> push (instant ~pid ~tid:cap ~name:"spark-fizzle" ~cat:"spark" ~ts_ns:ts [])
+      | Spark_created { cap } -> push ~cat:"spark" cap "spark-create" ts
+      | Spark_converted { cap } -> push ~cat:"spark" cap "spark-run" ts
+      | Spark_fizzled { cap } -> push ~cat:"spark" cap "spark-fizzle" ts
       | Steal_attempt { thief; victim } ->
-          push
-            (instant ~pid ~tid:thief ~name:"steal-attempt" ~cat:"steal"
-               ~ts_ns:ts
-               [ ("victim", Json.Int victim) ])
+          push ~cat:"steal" ~args:[ ("victim", Json.Int victim) ] thief
+            "steal-attempt" ts
       | Steal_success { thief; victim } ->
-          push
-            (instant ~pid ~tid:thief ~name:"steal" ~cat:"steal" ~ts_ns:ts
-               [ ("victim", Json.Int victim) ])
-      | Future_forced { cap } ->
-          push (instant ~pid ~tid:cap ~name:"force-wait" ~cat:"future" ~ts_ns:ts [])
-      | Custom s -> push (instant ~pid ~tid:0 ~name:s ~cat:"custom" ~ts_ns:ts [])
+          push ~cat:"steal" ~args:[ ("victim", Json.Int victim) ] thief "steal"
+            ts
+      | Future_forced { cap } -> push ~cat:"future" cap "force-wait" ts
+      | Custom s -> push ~cat:"custom" 0 s ts
       | _ -> ())
     events;
   (* close anything the log ended inside of *)
   Hashtbl.iter
-    (fun (cap, kind) spans ->
+    (fun (cap, kind) starts ->
       List.iter
-        (fun sp ->
-          push
-            (slice ~pid ~tid:cap ~name:kind ~cat:"exec" ~ts_ns:sp.start_ns
-               ~dur_ns:(max 0 (last_ts - sp.start_ns))
-               []))
-        spans)
+        (fun start ->
+          push ~cat:"exec" ~dur_ns:(max 0 (last_ts - start)) cap kind start)
+        starts)
     open_spans;
   (* caller-supplied markers (e.g. periodic metric-snapshot instants)
      on track 0, with their numeric payload as args *)
   List.iter
     (fun (ts_ns, name, args) ->
-      push
-        (instant ~pid ~tid:0 ~name ~cat:"metrics" ~ts_ns
-           (List.map (fun (k, v) -> (k, Json.Float v)) args)))
+      push ~cat:"metrics"
+        ~args:(List.map (fun (k, v) -> (k, Json.Float v)) args)
+        0 name ts_ns)
     instants;
-  let meta =
-    metadata ~pid ~tid:0 ~name:"process_name" process_name
-    :: List.init (max 1 ncaps) (fun cap ->
-           metadata ~pid ~tid:cap ~name:"thread_name"
-             (Printf.sprintf "worker %d" cap))
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (meta @ List.rev !out));
-      ("displayTimeUnit", Json.Str "ns");
-    ]
-
-let to_file ?pid ?process_name ?instants ~ncaps log path =
-  Json.to_file path (of_eventlog ?pid ?process_name ?instants ~ncaps log)
+  document
+    ~tracks:
+      (List.init (max 1 ncaps) (fun cap -> (cap, Printf.sprintf "worker %d" cap)))
+    (List.rev !out)

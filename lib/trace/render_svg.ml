@@ -25,10 +25,13 @@ let xml_escape s =
     s;
   Buffer.contents buf
 
+(* Bar height per capability, pixels. *)
+let row_height = 22
+
 (** Render [t] as an SVG document.  [width] is the drawing width in
     pixels for the time axis; each capability gets a [row_height]px
     bar. *)
-let render ?(width = 960) ?(row_height = 22) ?title (t : Trace.t) =
+let render ?(width = 960) ?title (t : Trace.t) =
   let caps = Trace.caps t in
   let end_time = max 1 (Trace.end_time t) in
   let left = 52 and top = 28 in
@@ -112,8 +115,8 @@ let render ?(width = 960) ?(row_height = 22) ?title (t : Trace.t) =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let to_file ?width ?row_height ?title t path =
+let to_file ?width ?title t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?width ?row_height ?title t))
+    (fun () -> output_string oc (render ?width ?title t))

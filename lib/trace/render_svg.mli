@@ -6,9 +6,8 @@
 val colour : Trace.state -> string
 
 (** Render a self-contained SVG document.  [width] is the time-axis
-    width in pixels, [row_height] the bar height per capability. *)
-val render : ?width:int -> ?row_height:int -> ?title:string -> Trace.t -> string
+    width in pixels; each capability gets a 22 px bar. *)
+val render : ?width:int -> ?title:string -> Trace.t -> string
 
 (** Render straight to a file. *)
-val to_file :
-  ?width:int -> ?row_height:int -> ?title:string -> Trace.t -> string -> unit
+val to_file : ?width:int -> ?title:string -> Trace.t -> string -> unit

@@ -5,10 +5,10 @@
     runs fully deterministic: two events scheduled for the same instant
     fire in the order they were scheduled. *)
 
-(* Slots are [Free] or an inline-record entry: cleared queues keep
-   their backing array (no regrowth from scratch on reuse) without
-   retaining the cleared keys/values.  [Free] never appears below
-   [q.size]: every access is guarded by it. *)
+(* Slots are [Free] or an inline-record entry: a popped slot is reset
+   to [Free], so the backing array does not retain popped keys/values.
+   [Free] never appears below [q.size]: every access is guarded by
+   it. *)
 type 'a slot = Free | Entry of { key : int; seq : int; value : 'a }
 
 type 'a t = {
@@ -20,10 +20,6 @@ type 'a t = {
 let create () = { arr = [||]; size = 0; next_seq = 0 }
 let length q = q.size
 let is_empty q = q.size = 0
-
-let clear q =
-  if q.size > 0 then Array.fill q.arr 0 q.size Free;
-  q.size <- 0
 
 (* [lt a b] : does entry [a] order strictly before entry [b]? *)
 let lt a b =
@@ -61,13 +57,6 @@ let add q key value =
 let min_key q =
   if q.size = 0 then None
   else match q.arr.(0) with Entry e -> Some e.key | Free -> assert false
-
-let peek q =
-  if q.size = 0 then None
-  else
-    match q.arr.(0) with
-    | Entry e -> Some (e.key, e.value)
-    | Free -> assert false
 
 exception Empty
 

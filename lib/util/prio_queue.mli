@@ -8,20 +8,12 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-(** Empty the queue but keep the allocated backing array (slots are
-    nulled out, not dropped), so a cleared queue reused in a hot loop
-    does not regrow from the initial capacity. *)
-val clear : 'a t -> unit
-
 (** [add q key v] inserts [v] with priority [key] (smaller pops
     first). *)
 val add : 'a t -> int -> 'a -> unit
 
 (** Smallest key currently in the queue. *)
 val min_key : 'a t -> int option
-
-(** Peek at the minimum entry without removing it. *)
-val peek : 'a t -> (int * 'a) option
 
 exception Empty
 

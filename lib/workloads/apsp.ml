@@ -216,11 +216,3 @@ let eden_ring ?(seed = 7) ?nprocs ~n () =
   in
   (* blocks come back in ring order = row order *)
   checksum (Array.concat blocks)
-
-(** Sequential baseline with the same cost model. *)
-let seq ?(seed = 7) ~n () =
-  Api.set_resident (resident n);
-  let adj = graph ~seed n in
-  Api.charge (Cost.make (4 * n * n) ~alloc:(16 * n * n));
-  Api.charge (Cost.scale (n * n) (row_update_cost n));
-  checksum (floyd_warshall adj)

@@ -22,6 +22,3 @@ val gph : ?seed:int -> n:int -> unit -> float
 (** Eden: ring of row-block processes; pivot rows circulate and are
     applied as they arrive ("row updates ... can be pipelined"). *)
 val eden_ring : ?seed:int -> ?nprocs:int -> n:int -> unit -> float
-
-(** Sequential baseline with identical cost accounting. *)
-val seq : ?seed:int -> n:int -> unit -> float

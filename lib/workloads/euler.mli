@@ -5,8 +5,6 @@
     {!phi_fast} computes the same value by factorisation; {!phi_cost}
     charges the naive kernel's virtual cost either way. *)
 
-val elem_alloc_bytes : int
-
 (** The paper's literal kernel.  @raise Invalid_argument if [k <= 0]. *)
 val phi_naive : int -> int
 

@@ -121,13 +121,3 @@ let eden_farm ?(view = default_view) ~width ~height () =
   let want = reference ~view ~width ~height () in
   if sum <> want then failwith "mandelbrot/farm: checksum mismatch";
   sum
-
-(** Sequential baseline with the same cost accounting. *)
-let seq ?(view = default_view) ~width ~height () =
-  let sum = ref 0 in
-  for y = 0 to height - 1 do
-    let _row, total = compute_row ~view ~width ~height y in
-    Api.charge (row_cost ~width total);
-    sum := !sum + total
-  done;
-  !sum

@@ -26,6 +26,3 @@ val eden_mw :
 (** Eden: static round-robin farm (for comparison with the dynamic
     master-worker). *)
 val eden_farm : ?view:view -> width:int -> height:int -> unit -> int
-
-(** Sequential baseline with identical cost accounting. *)
-val seq : ?view:view -> width:int -> height:int -> unit -> int

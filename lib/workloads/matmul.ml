@@ -175,15 +175,3 @@ let eden_cannon ?(payload = Matrix.Synthetic) ?(seed = 42) ~n ~q () =
         failwith "matmul/cannon: result mismatch";
       got
   | Matrix.Synthetic -> 0.0
-
-(** Sequential version for speedup baselines. *)
-let seq ?(payload = Matrix.Synthetic) ?(seed = 42) ~n () =
-  Api.set_resident (Matrix.resident ~n);
-  Api.charge (Cost.make (4 * n * n) ~alloc:(16 * n * n));
-  Api.charge
-    (Cost.make (Matrix.total_cycles ~n) ~alloc:(n * n * Matrix.elem_alloc_bytes));
-  match payload with
-  | Matrix.Real ->
-      let a = Matrix.random ~seed n and b = Matrix.random ~seed:(seed + 1) n in
-      Matrix.checksum (Matrix.mul_ref a b)
-  | Matrix.Synthetic -> 0.0

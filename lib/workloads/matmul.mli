@@ -18,6 +18,3 @@ val gph :
     @raise Invalid_argument unless [q] divides [n]. *)
 val eden_cannon :
   ?payload:Matrix.payload -> ?seed:int -> n:int -> q:int -> unit -> float
-
-(** Sequential baseline with identical cost accounting. *)
-val seq : ?payload:Matrix.payload -> ?seed:int -> n:int -> unit -> float

@@ -159,7 +159,5 @@ let block_cost ~n ~rows ~cols : Repro_util.Cost.t =
 let mac_block_cost ~m : Repro_util.Cost.t =
   Repro_util.Cost.make (m * m * m * mac_cycles) ~alloc:(m * m * 4)
 
-let total_cycles ~n = n * n * n * mac_cycles
-
 (* Live data: the two input matrices plus the result. *)
 let resident ~n = 3 * n * n * 8

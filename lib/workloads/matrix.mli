@@ -41,13 +41,10 @@ val sub_block : mat -> r0:int -> c0:int -> bs:int -> mat
 
 (** {1 Cost model} *)
 
-val elem_alloc_bytes : int
-
 (** Cost of producing a [rows x cols] piece of an [n]-dim multiply. *)
 val block_cost : n:int -> rows:int -> cols:int -> Repro_util.Cost.t
 
 (** Cost of one [m x m] block multiply-accumulate. *)
 val mac_block_cost : m:int -> Repro_util.Cost.t
 
-val total_cycles : n:int -> int
 val resident : n:int -> int

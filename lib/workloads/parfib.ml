@@ -96,8 +96,3 @@ let eden ~n ~depth () =
     failwith
       (Printf.sprintf "parfib/eden: got %d, expected %d" result (reference n));
   result
-
-(** Sequential baseline. *)
-let seq ~n () =
-  Api.charge (seq_cost n);
-  nfib n

@@ -16,6 +16,3 @@ val gph : n:int -> threshold:int -> unit -> int
     @raise Invalid_argument when the division would reach below
     nfib 2. *)
 val eden : n:int -> depth:int -> unit -> int
-
-(** Sequential baseline. *)
-val seq : n:int -> unit -> int

@@ -152,14 +152,3 @@ let gum ?chunks ~n () =
           (Printf.sprintf "sumEuler/gum: parallel %d <> sequential %d" result
              check);
       result)
-
-(** Purely sequential version (for speedup baselines): one thread, one
-    chunk, same costs, same check. *)
-let seq ~n () =
-  Api.set_resident (resident n);
-  let input = List.init n (fun i -> i + 1) in
-  Api.charge (Euler.chunk_cost input);
-  let result = List.fold_left (fun a k -> a + Euler.phi_fast k) 0 input in
-  let check = sequential_check n in
-  assert (result = check);
-  result

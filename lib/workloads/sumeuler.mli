@@ -25,6 +25,3 @@ val eden : ?split:[ `Contiguous | `Round_robin ] -> n:int -> unit -> int
     Must run inside {!Repro_core.Gum}-compatible (distributed)
     configurations. *)
 val gum : ?chunks:int -> n:int -> unit -> int
-
-(** Sequential baseline with identical cost accounting. *)
-val seq : n:int -> unit -> int

@@ -1,5 +1,5 @@
-(** Tests for the multi-process executor (lib/dist): wire-protocol
-    codec properties, fd-level framing and error paths over a real
+(** Tests for the multi-process executor (lib/dist): wire framing
+    properties and error paths of [Wire.send]/[Wire.recv] over a real
     socketpair, and end-to-end multi-process runs checked bit-for-bit
     against the sequential references.
 
@@ -14,7 +14,8 @@ module Message = Repro_dist.Message
 module Shm = Repro_dist.Shm_ring
 module Farm = Repro_dist.Farm
 module Workload = Repro_dist.Workload
-module Timeline = Repro_dist.Timeline
+module Chrome = Repro_trace.Chrome
+module Profile = Repro_exec.Profile
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -22,89 +23,7 @@ let contains ~sub s =
   m = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* Pure codec                                                          *)
-
-let encoded_len ~packet_bytes len =
-  len + (Wire.header_bytes * Wire.packets_of_len ~packet_bytes len)
-
-let payload_of_len len = String.init len (fun i -> Char.chr (i land 0xff))
-
-(* Edge sizes around the packet boundary, including the empty message
-   and multi-packet messages. *)
-let codec_edge_cases () =
-  List.iter
-    (fun packet_bytes ->
-      List.iter
-        (fun len ->
-          if len >= 0 then begin
-            let s = payload_of_len len in
-            let enc = Wire.encode ~packet_bytes s in
-            check int
-              (Printf.sprintf "encoded length (pb=%d len=%d)" packet_bytes len)
-              (encoded_len ~packet_bytes len)
-              (String.length enc);
-            let dec, pos = Wire.decode enc ~pos:0 in
-            check string "payload round-trips" s dec;
-            check int "consumed to the end" (String.length enc) pos
-          end)
-        [
-          0; 1; packet_bytes - 1; packet_bytes; packet_bytes + 1;
-          2 * packet_bytes; (3 * packet_bytes) + 7;
-        ])
-    [ 1; 7; 64 ]
-
-let codec_qcheck =
-  QCheck.Test.make ~name:"wire codec round-trips arbitrary payloads"
-    ~count:200
-    QCheck.(pair (int_range 1 80) (string_of_size Gen.(0 -- 300)))
-    (fun (packet_bytes, s) ->
-      let enc = Wire.encode ~packet_bytes s in
-      let dec, pos = Wire.decode enc ~pos:0 in
-      dec = s
-      && pos = String.length enc
-      && String.length enc = encoded_len ~packet_bytes (String.length s))
-
-(* Back-to-back messages decode in sequence from one stream. *)
-let codec_stream () =
-  let packet_bytes = 9 in
-  let msgs = [ ""; "a"; payload_of_len 25; payload_of_len 9; "end" ] in
-  let stream = String.concat "" (List.map (Wire.encode ~packet_bytes) msgs) in
-  let pos = ref 0 in
-  List.iter
-    (fun expected ->
-      let dec, pos' = Wire.decode stream ~pos:!pos in
-      check string "message in stream order" expected dec;
-      pos := pos')
-    msgs;
-  check int "stream fully consumed" (String.length stream) !pos
-
-(* Every strict prefix of an encoded message is an incomplete frame. *)
-let codec_truncation () =
-  let packet_bytes = 7 in
-  let enc = Wire.encode ~packet_bytes (payload_of_len 20) in
-  for cut = 0 to String.length enc - 1 do
-    let prefix = String.sub enc 0 cut in
-    match Wire.decode prefix ~pos:0 with
-    | _ -> failf "prefix of %d bytes decoded" cut
-    | exception Wire.Truncated _ -> ()
-  done
-
-let codec_rejects_bad_flags () =
-  (* length 0, flags with an unknown bit set *)
-  let bad = "\x00\x00\x00\x00\x02" in
-  match Wire.decode bad ~pos:0 with
-  | _ -> fail "unknown flags accepted"
-  | exception Wire.Protocol_error _ -> ()
-
-let packets_of_len_cases () =
-  check int "empty message still needs a packet" 1
-    (Wire.packets_of_len ~packet_bytes:8 0);
-  check int "exact fit" 1 (Wire.packets_of_len ~packet_bytes:8 8);
-  check int "one byte over" 2 (Wire.packets_of_len ~packet_bytes:8 9);
-  check int "many" 4 (Wire.packets_of_len ~packet_bytes:8 25)
-
-(* ------------------------------------------------------------------ *)
-(* Framing over a real socketpair                                      *)
+(* Framing: [Wire.send] and [Wire.recv] over a socketpair              *)
 
 let with_socketpair f =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -116,6 +35,124 @@ let with_socketpair f =
     (fun () -> f a b)
 
 let conn_of fd = Wire.create ~read_fd:fd ~write_fd:fd ()
+
+(* A connected pair of conns, closed afterwards; the first sends in
+   [packet_bytes] packets. *)
+let with_conns ~packet_bytes f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ca = Wire.create ~packet_bytes ~read_fd:a ~write_fd:a () in
+  let cb = conn_of b in
+  Fun.protect
+    ~finally:(fun () ->
+      Wire.close ca;
+      Wire.close cb)
+    (fun () -> f ca cb)
+
+let encoded_len ~packet_bytes len =
+  len + (Wire.header_bytes * Wire.packets_of_len ~packet_bytes len)
+
+let payload_of_len len = String.init len (fun i -> Char.chr (i land 0xff))
+
+(* One message through [send] and [recv]: the payload received, the
+   bytes [send] wrote, and whether any input is left over.  The kernel
+   charges every packet's write against the socket buffer, so a message
+   of many small packets can fill it: the sender runs on its own
+   domain.  Once [recv] returns, the receiving side is shut down, so a
+   sender still holding packets fails instead of blocking. *)
+let round_trip ~packet_bytes s =
+  with_conns ~packet_bytes (fun ca cb ->
+      let sender = Domain.spawn (fun () -> Wire.send ca s) in
+      let got = Wire.recv cb in
+      let leftover = Wire.input_ready cb in
+      Unix.shutdown (Wire.read_fd cb) Unix.SHUTDOWN_RECEIVE;
+      Domain.join sender;
+      (got, (Wire.counters ca).Wire.bytes_sent, leftover))
+
+(* Edge sizes around the packet boundary, including the empty message
+   and multi-packet messages. *)
+let codec_edge_cases () =
+  List.iter
+    (fun packet_bytes ->
+      List.iter
+        (fun len ->
+          let s = payload_of_len len in
+          let got, sent, leftover = round_trip ~packet_bytes s in
+          check int
+            (Printf.sprintf "encoded length (pb=%d len=%d)" packet_bytes len)
+            (encoded_len ~packet_bytes len)
+            sent;
+          check string "payload round-trips" s got;
+          check bool "consumed to the end" false leftover)
+        [
+          0; 1; packet_bytes - 1; packet_bytes; packet_bytes + 1;
+          2 * packet_bytes; (3 * packet_bytes) + 7;
+        ])
+    [ 1; 7; 64 ]
+
+let codec_qcheck =
+  QCheck.Test.make ~name:"wire codec round-trips arbitrary payloads"
+    ~count:200
+    QCheck.(pair (int_range 1 80) (string_of_size Gen.(0 -- 300)))
+    (fun (packet_bytes, s) ->
+      let got, sent, leftover = round_trip ~packet_bytes s in
+      got = s
+      && (not leftover)
+      && sent = encoded_len ~packet_bytes (String.length s))
+
+(* Back-to-back messages arrive in sequence from one stream. *)
+let codec_stream () =
+  with_conns ~packet_bytes:9 (fun ca cb ->
+      let msgs = [ ""; "a"; payload_of_len 25; payload_of_len 9; "end" ] in
+      List.iter (Wire.send ca) msgs;
+      List.iter
+        (fun expected ->
+          check string "message in stream order" expected (Wire.recv cb))
+        msgs;
+      check bool "stream fully consumed" false (Wire.input_ready cb);
+      check int "both ends agree on bytes" (Wire.counters ca).Wire.bytes_sent
+        (Wire.counters cb).Wire.bytes_recv)
+
+(* The bytes [send] writes for one message. *)
+let wire_bytes ~packet_bytes s =
+  with_conns ~packet_bytes (fun ca cb ->
+      Wire.send ca s;
+      let n = encoded_len ~packet_bytes (String.length s) in
+      let buf = Bytes.create n in
+      let rec fill got =
+        if got < n then fill (got + Unix.read (Wire.read_fd cb) buf got (n - got))
+      in
+      fill 0;
+      Bytes.to_string buf)
+
+(* Every non-empty strict prefix of a message is an incomplete frame
+   ([recv] reads an empty one as a clean end of stream). *)
+let codec_truncation () =
+  let enc = wire_bytes ~packet_bytes:7 (payload_of_len 20) in
+  for cut = 1 to String.length enc - 1 do
+    with_socketpair (fun a b ->
+        check int "prefix written" cut (Unix.write_substring a enc 0 cut);
+        Unix.close a;
+        match Wire.recv (conn_of b) with
+        | _ -> failf "prefix of %d bytes decoded" cut
+        | exception Wire.Truncated _ -> ())
+  done
+
+let codec_rejects_bad_flags () =
+  with_socketpair (fun a b ->
+      (* length 0, flags with an unknown bit set *)
+      check int "header written" 5
+        (Unix.write_substring a "\x00\x00\x00\x00\x04" 0 5);
+      Unix.close a;
+      match Wire.recv (conn_of b) with
+      | _ -> fail "unknown flags accepted"
+      | exception Wire.Protocol_error _ -> ())
+
+let packets_of_len_cases () =
+  check int "empty message still needs a packet" 1
+    (Wire.packets_of_len ~packet_bytes:8 0);
+  check int "exact fit" 1 (Wire.packets_of_len ~packet_bytes:8 8);
+  check int "one byte over" 2 (Wire.packets_of_len ~packet_bytes:8 9);
+  check int "many" 4 (Wire.packets_of_len ~packet_bytes:8 25)
 
 (* Small and empty messages fit the kernel buffer, so one thread can
    send then receive; the counters on both ends must agree with the
@@ -664,6 +701,24 @@ let sock_coordinator_blocks () =
     failf "coordinator CPU %.3f s is %.0f%% of %.3f s wall" used
       (100. *. used /. wall) wall
 
+(* A PE that cannot start its session (here: a workload its registry
+   does not know) dies before [Ready]: the run fails at start-up, and
+   every PE spawned is killed and reaped. *)
+let dead_before_ready transport () =
+  let module Unknown = struct
+    include Workload.Parfib
+
+    let name = "no-such-workload"
+  end in
+  (match Farm.run ~transport ~procs:2 ~size:10 (module Unknown) with
+  | _ -> fail "a run whose PEs cannot serve succeeded"
+  | exception Failure msg ->
+      check bool ("fails at start-up: " ^ msg) true
+        (contains ~sub:"before Ready" msg));
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> failf "child process left behind (waitpid: %d)" pid
+
 let rejects_bad_procs () =
   check_raises "procs = 0" (Invalid_argument "Farm.run: procs must be >= 1")
     (fun () ->
@@ -674,32 +729,47 @@ let rejects_bad_procs () =
 
 let trace_spans () =
   let o = quick_run ~trace:true (module Workload.Sumeuler) in
-  let spans = Timeline.of_outcome o in
+  let spans = Farm.spans o in
   check bool "spans recorded" true (spans <> []);
-  let allowed = [ "schedule"; "wire"; "unpack"; "exec"; "pack" ] in
+  let allowed = [ "schedule"; "wire"; "unpack"; "task"; "pack" ] in
   List.iter
-    (fun (s : Timeline.span) ->
-      check bool ("known span name: " ^ s.Timeline.name) true
-        (List.mem s.Timeline.name allowed);
-      check bool "span is ordered" true (s.Timeline.t1_ns >= s.Timeline.t0_ns);
-      check bool "track is coordinator or a PE" true
-        (s.Timeline.track >= -1 && s.Timeline.track < o.Farm.procs))
+    (fun (s : Chrome.span) ->
+      check bool ("known span name: " ^ s.name) true (List.mem s.name allowed);
+      check bool "span is an ordered slice" true
+        (match s.dur_ns with Some d -> d >= 0 | None -> false);
+      check bool "track is a PE or the coordinator" true
+        (s.tid >= 0 && s.tid <= o.Farm.procs))
     spans;
   List.iter
     (fun name ->
       check bool ("has a " ^ name ^ " span") true
-        (List.exists (fun (s : Timeline.span) -> s.Timeline.name = name) spans))
+        (List.exists (fun (s : Chrome.span) -> s.name = name) spans))
     allowed;
-  let json =
-    Repro_util.Json_out.to_string (Timeline.to_chrome ~procs:o.Farm.procs spans)
-  in
+  let json = Repro_util.Json_out.to_string (Farm.trace o) in
   check bool "chrome document" true (contains ~sub:"\"traceEvents\"" json);
   check bool "coordinator track named" true (contains ~sub:"coordinator" json);
-  check bool "PE track named" true (contains ~sub:"PE 1" json)
+  check bool "PE track named" true (contains ~sub:"PE 1" json);
+  (* the one profiler reads the file [dist --trace] writes: each PE's
+     row counts the tasks that PE executed *)
+  let report =
+    Profile.analyze (Profile.of_chrome_json (Repro_util.Json_in.parse json))
+  in
+  Array.iter
+    (fun (r : Farm.pe_report) ->
+      match
+        List.filter (fun (w : Profile.worker_row) -> w.wtid = r.rep_pe)
+          report.workers
+      with
+      | [ w ] ->
+          check int
+            (Printf.sprintf "profiled tasks of PE %d" r.rep_pe)
+            r.stats.Message.tasks_executed w.tasks
+      | rows -> failf "PE %d has %d profile rows" r.rep_pe (List.length rows))
+    o.Farm.reports
 
 let untraced_runs_have_no_spans () =
   let o = quick_run (module Workload.Parfib) in
-  check (list reject) "no spans without ~trace" [] (Timeline.of_outcome o)
+  check (list reject) "no spans without ~trace" [] (Farm.spans o)
 
 (* Link counters are labelled by transport only: links that come and
    go retire into one series, so the registry (and every farm-wide
@@ -769,6 +839,10 @@ let suite =
       test_case "closure farm" `Quick farm_closures;
       test_case "sock coordinator blocks instead of polling" `Quick
         sock_coordinator_blocks;
+      test_case "PE dead before Ready leaves no child over sock" `Quick
+        (dead_before_ready Farm.Sock);
+      test_case "PE dead before Ready leaves no child over shm" `Quick
+        (dead_before_ready Farm.Shm);
       test_case "rejects procs < 1" `Quick rejects_bad_procs;
       test_case "traced run emits timeline spans" `Quick trace_spans;
       test_case "untraced run has no spans" `Quick untraced_runs_have_no_spans;

@@ -320,6 +320,30 @@ let harness_sweep_shape () =
         (r.gc.minor_words >= 0.0))
     ms
 
+(* A domains sample carries the pool's counters the way a processes
+   sample carries the PEs': the spark ledger balances and the
+   per-worker rows sum to the totals. *)
+let sample_carries_pool_counts () =
+  let module W = (val Option.get (Workload.find "sumeuler")) in
+  let s = Workload.sample (module W) ~size:W.quick_size ~cores:2 in
+  let get row k =
+    match List.assoc_opt k row with
+    | Some v -> v
+    | None -> Alcotest.failf "no %S count" k
+  in
+  let created = get s.counts "sparks_created" in
+  check Alcotest.bool "sparks created" true (created > 0.);
+  check (Alcotest.float 0.) "created = run + fizzled" created
+    (get s.counts "sparks_run" +. get s.counts "sparks_fizzled");
+  check Alcotest.int "one row per domain" 2 (Array.length s.per_worker);
+  List.iter
+    (fun (k, total) ->
+      check (Alcotest.float 0.)
+        (Printf.sprintf "per-worker %s sums to the total" k)
+        total
+        (Array.fold_left (fun acc row -> acc +. get row k) 0. s.per_worker))
+    s.counts
+
 let core_counts () =
   let ladder = Measure.core_counts_up_to in
   check Alcotest.(list int) "8" [ 1; 2; 4; 8 ] (ladder 8);
@@ -378,6 +402,8 @@ let suite =
       test_case "sumeuler allocates per sub-range" `Quick
         sumeuler_allocates_per_range;
       test_case "harness sweep shape" `Quick harness_sweep_shape;
+      test_case "sample carries the pool's counts" `Quick
+        sample_carries_pool_counts;
       test_case "core count ladder" `Quick core_counts;
       test_case "BENCH_exec json renders" `Quick json_document_valid;
     ]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # List the values and modules exported from lib/**/*.mli that no other
-# file names.
+# file uses.
 #
 #   tools/unused_exports.sh
 #
@@ -8,13 +8,15 @@
 # library interface, searches every other tracked .ml/.mli (its own
 # implementation excepted) for NAME as a word: lib/ and bin/, but also
 # test/, bench/, perfbench/ and examples/, so a name that only tests or
-# the benchmark use counts as used.  Prints "INTERFACE NAME" per hit
-# and exits 1 if there is any; an unused export should be unexported,
-# or deleted if nothing in its own module uses it either.  The search
-# is by name only, so it can miss an unused export whose name is
-# common, never the reverse.  A module whose name another module or a
-# constructor also has (a `Sock` module beside a `Sock` constructor,
-# a `Transport` module beside `Repro_mp.Transport`) is missed.
+# the benchmark use counts as used.  Only a file that also names the
+# interface's module (qualified, aliased or opened, all of which spell
+# the module's name) can use it, so a common name such as `seq` or
+# `print` is not taken as used because some unrelated module has one.
+# Prints "INTERFACE NAME" per hit and exits 1 if there is any; an
+# unused export should be unexported, or deleted if nothing in its own
+# module uses it either.  The search is by name, so it can miss an
+# unused export whose name a file naming its module also uses for
+# something else, never the reverse.
 
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
@@ -22,12 +24,15 @@ cd "$(git rev-parse --show-toplevel)"
 mapfile -t sources < <(git ls-files '*.ml' '*.mli')
 status=0
 while read -r mli; do
+  base=$(basename "$mli" .mli)
+  module="${base^}"
   others=()
   for f in "${sources[@]}"; do
     [ "$f" = "$mli" ] || [ "$f" = "${mli%i}" ] || others+=("$f")
   done
+  mapfile -t users < <(grep -lw -e "$module" "${others[@]}" || true)
   while read -r name; do
-    if ! grep -qw -e "$name" "${others[@]}"; then
+    if [ ${#users[@]} -eq 0 ] || ! grep -qw -e "$name" "${users[@]}"; then
       echo "$mli $name"
       status=1
     fi
