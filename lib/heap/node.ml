@@ -143,7 +143,7 @@ let add_waiter n k =
    there).  Wakes all waiters either way exactly once (the waiter list
    is cleared). *)
 let update n v =
-  n.evaluators <- max 0 (n.evaluators - 1);
+  n.evaluators <- Int.max 0 (n.evaluators - 1);
   let installed =
     match n.st with
     | Value _ ->

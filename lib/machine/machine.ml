@@ -55,7 +55,7 @@ let ns_of_cycles m cycles =
   if cycles = 0 then 0
   else
     let ns = float_of_int cycles /. m.clock_hz *. 1e9 in
-    max 1 (int_of_float (Float.round ns))
+    Int.max 1 (int_of_float (Float.round ns))
 
 let cycles_of_ns m ns = int_of_float (Float.round (float_of_int ns /. 1e9 *. m.clock_hz))
 

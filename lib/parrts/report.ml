@@ -32,6 +32,9 @@ type t = {
   dup_work_entries : int;  (** duplicate thunk entries (lazy-BH waste) *)
   blocked_forces : int;  (** forces that blocked on a black hole *)
   utilisation : float;  (** fraction of capability-time spent running *)
+  engine_events : int;
+      (** engine events the host dispatched: one per charge segment,
+          message, GC phase and scheduler step *)
   trace : Repro_trace.Trace.t;
   eventlog : Repro_trace.Eventlog.t;
 }
@@ -41,13 +44,13 @@ let elapsed_ms r = float_of_int r.elapsed_ns /. 1e6
 
 let pp ppf r =
   Format.fprintf ppf
-    "@[<v>elapsed %.3f ms, utilisation %.1f%%@,\
+    "@[<v>elapsed %.3f ms, utilisation %.1f%%, %d engine events@,\
      gc: %d minor + %d major, pause %.2f ms, barrier wait %.2f ms@,\
      sparks: %d created, %d converted, %d stolen, %d pushed, %d fizzled, \
      %d overflowed@,\
      threads: %d created, %d stolen;  dup entries: %d;  blocked forces: %d;  \
      msgs: %d (%d bytes)@]"
-    (elapsed_ms r) (100.0 *. r.utilisation) r.gc.minors r.gc.majors
+    (elapsed_ms r) (100.0 *. r.utilisation) r.engine_events r.gc.minors r.gc.majors
     (float_of_int r.gc.pause_total_ns /. 1e6)
     (float_of_int r.gc.barrier_wait_ns /. 1e6)
     r.sparks.created r.sparks.converted r.sparks.stolen r.sparks.pushed

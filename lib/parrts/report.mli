@@ -32,6 +32,9 @@ type t = {
   dup_work_entries : int;  (** duplicate thunk entries (lazy-BH waste) *)
   blocked_forces : int;  (** forces that blocked on a black hole *)
   utilisation : float;  (** fraction of capability-time spent running *)
+  engine_events : int;
+      (** engine events the host dispatched: one per charge segment,
+          message, GC phase and scheduler step *)
   trace : Repro_trace.Trace.t;
   eventlog : Repro_trace.Eventlog.t;  (** structured runtime events *)
 }

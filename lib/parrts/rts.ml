@@ -57,8 +57,14 @@ type thread = {
   tid : int;
   mutable tstate : thread_state;
   mutable resume : resume;
-  mutable pending : Cost.t;  (** unconsumed part of the current charge *)
-  mutable in_flight : bool;  (** a charge-segment event is scheduled *)
+  mutable pending_cycles : int;  (** unconsumed part of the current charge *)
+  mutable pending_alloc : int;
+  mutable in_flight : bool;
+      (** a charge segment of [seg_cycles] and [seg_alloc] is scheduled
+          to end with [end_segment]; a thread has at most one *)
+  mutable seg_cycles : int;
+  mutable seg_alloc : int;
+  end_segment : unit -> unit;
   mutable update_stack : Node.boxed list;
       (** thunks this thread is currently evaluating (for retroactive
           lazy black-holing on deschedule) *)
@@ -236,9 +242,6 @@ let now rts = Engine.now rts.engine
 let registry rts = rts.reg
 let config rts = rts.cfg
 
-let cost_sub (a : Cost.t) (b : Cost.t) : Cost.t =
-  { cycles = max 0 (a.cycles - b.cycles); alloc = max 0 (a.alloc - b.alloc) }
-
 let emit rts ev = Eventlog.emit rts.log ~time:(Engine.now rts.engine) ev
 
 (* ------------------------------------------------------------------ *)
@@ -272,29 +275,30 @@ let working_set rts (c : cap) =
       ((rts.shared_resident + rts.shared_survivors) / rts.cfg.ncaps) + nursery
   | Config.Distributed _ -> c.resident + nursery
 
-let mutator_factor rts (c : cap) =
-  let m = rts.cfg.machine in
-  let share =
-    if rts.cfg.ncaps > m.Machine.cores then
-      let active = max 1 rts.active_running in
-      Float.max 1.0 (float_of_int active /. float_of_int m.Machine.cores)
-    else 1.0
-  in
-  let penalty = Machine.mem_penalty m ~working_set:(working_set rts c) in
-  let coherency =
-    match rts.cfg.heap_mode with
-    | Config.Shared ->
-        1.0 +. (rts.cfg.coherency_base *. float_of_int (rts.cfg.ncaps - 1))
-    | _ -> 1.0
-  in
-  share *. penalty *. coherency
-
+(* Mutator work is slowed by sharing cores, cache pressure and (shared
+   heap) coherency traffic.  One function, so the factor stays an
+   unboxed float. *)
 let mutator_ns rts (c : cap) cycles =
   if cycles <= 0 then 0
   else
-    let base = Machine.ns_of_cycles rts.cfg.machine cycles in
-    max 1
-      (int_of_float (Float.round (float_of_int base *. mutator_factor rts c)))
+    let m = rts.cfg.machine in
+    let base = Machine.ns_of_cycles m cycles in
+    let share =
+      if rts.cfg.ncaps > m.Machine.cores then
+        let active = Int.max 1 rts.active_running in
+        Float.max 1.0 (float_of_int active /. float_of_int m.Machine.cores)
+      else 1.0
+    in
+    let penalty = Machine.mem_penalty m ~working_set:(working_set rts c) in
+    let coherency =
+      match rts.cfg.heap_mode with
+      | Config.Shared ->
+          1.0 +. (rts.cfg.coherency_base *. float_of_int (rts.cfg.ncaps - 1))
+      | _ -> 1.0
+    in
+    Int.max 1
+      (int_of_float
+         (Float.round (float_of_int base *. (share *. penalty *. coherency))))
 
 let cycles_of_ns rts ns = Machine.cycles_of_ns rts.cfg.machine ns
 
@@ -306,28 +310,40 @@ let blackhole_update_stack rts th =
   | Config.Eager_bh -> () (* already marked at entry *)
   | Config.Lazy_bh -> List.iter Node.blackhole_boxed th.update_stack
 
-let make_thread rts ~cap ~spark_thread body =
-  rts.next_tid <- rts.next_tid + 1;
-  rts.threads_created <- rts.threads_created + 1;
-  rts.live_threads <- rts.live_threads + 1;
-  emit rts (Eventlog.Thread_created { tid = rts.next_tid; cap });
-  {
-    tid = rts.next_tid;
-    tstate = Runnable;
-    resume = Start body;
-    pending = Cost.zero;
-    in_flight = false;
-    update_stack = [];
-    cap;
-    slice_start = 0;
-    is_spark_thread = spark_thread;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The scheduler: one mutually-recursive group                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec schedule_step rts (c : cap) ~delay =
+(* The thread's segment event is made with the thread, so scheduling a
+   charge segment allocates nothing. *)
+let rec make_thread rts ~cap ~spark_thread body =
+  rts.next_tid <- rts.next_tid + 1;
+  rts.threads_created <- rts.threads_created + 1;
+  rts.live_threads <- rts.live_threads + 1;
+  emit rts (Eventlog.Thread_created { tid = rts.next_tid; cap });
+  let rec th =
+    {
+      tid = rts.next_tid;
+      tstate = Runnable;
+      resume = Start body;
+      pending_cycles = 0;
+      pending_alloc = 0;
+      in_flight = false;
+      seg_cycles = 0;
+      seg_alloc = 0;
+      end_segment =
+        (fun () ->
+          th.in_flight <- false;
+          if not rts.finished then charge_segment_done rts rts.caps.(th.cap) th);
+      update_stack = [];
+      cap;
+      slice_start = 0;
+      is_spark_thread = spark_thread;
+    }
+  in
+  th
+
+and schedule_step rts (c : cap) ~delay =
   if not c.step_scheduled && not rts.finished then begin
     c.step_scheduled <- true;
     Engine.after rts.engine delay (fun () ->
@@ -580,7 +596,7 @@ and start_running rts c th =
 and dispatch_current rts c th =
   c.idle <- false;
   cap_state rts c Trace.Running;
-  if not (Cost.is_zero th.pending) then begin_charge rts c th
+  if th.pending_cycles <> 0 || th.pending_alloc <> 0 then begin_charge rts c th
   else continue_fiber rts c th
 
 and continue_fiber rts c th =
@@ -617,7 +633,8 @@ and handler : 'a. t -> thread -> (unit, unit) Effect.Deep.handler =
             Some
               (fun (k : (b, unit) Effect.Deep.continuation) ->
                 th.resume <- Resume k;
-                th.pending <- cost;
+                th.pending_cycles <- cost.Cost.cycles;
+                th.pending_alloc <- cost.Cost.alloc;
                 let c = rts.caps.(th.cap) in
                 begin_charge rts c th)
         | Block register ->
@@ -663,37 +680,39 @@ and wake_thread rts th =
       th.tstate <- Runnable;
       emit rts (Eventlog.Thread_woken { tid = th.tid; cap = th.cap });
       let c = rts.caps.(th.cap) in
-      c.blocked_threads <- max 0 (c.blocked_threads - 1);
+      c.blocked_threads <- Int.max 0 (c.blocked_threads - 1);
       Queue.push th c.runq;
       if c.current = None then schedule_step rts c ~delay:0
   | Runnable | Running | Finished -> ()
 
 (* --- charging ---------------------------------------------------- *)
 
+(* One segment of the thread's pending charge is one engine event: all
+   of it, or, when it allocates past the next 4 kB check, the part up
+   to that check. *)
 and begin_charge rts c th =
-  if Cost.is_zero th.pending then continue_fiber rts c th
+  if th.pending_cycles = 0 && th.pending_alloc = 0 then continue_fiber rts c th
   else begin
-    let pend = th.pending in
-    let interval = rts.cfg.gc.check_interval in
-    let to_boundary = interval - c.alloc_since_check in
-    let seg =
-      if pend.Cost.alloc = 0 || pend.Cost.alloc <= to_boundary then pend
-      else
-        (* slice so that the segment ends exactly at the 4 kB check *)
-        let cycles = pend.Cost.cycles * to_boundary / pend.Cost.alloc in
-        { Cost.cycles; alloc = to_boundary }
-    in
-    let dur = max 1 (mutator_ns rts c seg.Cost.cycles) in
+    assert (not th.in_flight);
+    let to_boundary = rts.cfg.gc.check_interval - c.alloc_since_check in
+    let whole = th.pending_alloc = 0 || th.pending_alloc <= to_boundary in
+    th.seg_cycles <-
+      (if whole then th.pending_cycles
+       else th.pending_cycles * to_boundary / th.pending_alloc);
+    th.seg_alloc <- (if whole then th.pending_alloc else to_boundary);
     th.in_flight <- true;
-    Engine.after rts.engine dur (fun () ->
-        th.in_flight <- false;
-        if not rts.finished then charge_segment_done rts c th seg)
+    Engine.after rts.engine
+      (Int.max 1 (mutator_ns rts c th.seg_cycles))
+      th.end_segment
   end
 
-and charge_segment_done rts c th seg =
-  c.alloc_since_check <- c.alloc_since_check + seg.Cost.alloc;
-  c.alloc_in_area <- c.alloc_in_area + seg.Cost.alloc;
-  th.pending <- cost_sub th.pending seg;
+(* The segment's event: [c] is the thread's capability, which an
+   in-flight thread cannot leave. *)
+and charge_segment_done rts c th =
+  c.alloc_since_check <- c.alloc_since_check + th.seg_alloc;
+  c.alloc_in_area <- c.alloc_in_area + th.seg_alloc;
+  th.pending_cycles <- Int.max 0 (th.pending_cycles - th.seg_cycles);
+  th.pending_alloc <- Int.max 0 (th.pending_alloc - th.seg_alloc);
   let interval = rts.cfg.gc.check_interval in
   let boundary = c.alloc_since_check >= interval in
   if boundary then c.alloc_since_check <- c.alloc_since_check mod interval;
@@ -744,8 +763,8 @@ and charge_segment_done rts c th seg =
         if rts.cfg.migrate_threads && uses_barrier rts then
           migrate_surplus_threads rts c;
         (* the polling scheduler entry itself costs mutator time *)
-        th.pending <-
-          Cost.add th.pending (Cost.cycles (cycles_of_ns rts rts.cfg.sched_poll_ns))
+        th.pending_cycles <-
+          th.pending_cycles + cycles_of_ns rts rts.cfg.sched_poll_ns
       end;
       if now rts - th.slice_start >= rts.cfg.timeslice_ns then begin
         (* Timer tick: the thread passes through the scheduler, its
@@ -764,9 +783,7 @@ and charge_segment_done rts c th seg =
       end
     end
   end;
-  if not !descheduled then
-    if Cost.is_zero th.pending then continue_fiber rts c th
-    else begin_charge rts c th
+  if not !descheduled then begin_charge rts c th
 
 (* --- garbage collection ------------------------------------------ *)
 
@@ -986,6 +1003,7 @@ let report rts : Report.t =
     dup_work_entries = rts.reg.Node.dup_entries;
     blocked_forces = rts.reg.Node.blocked_forces;
     utilisation = Repro_trace.Trace.utilisation rts.trace;
+    engine_events = Engine.dispatched rts.engine;
     trace = rts.trace;
     eventlog = rts.log;
   }

@@ -1,7 +1,7 @@
 (** Discrete-event simulation engine: a single virtual clock (integer
-    nanoseconds) and a stable priority queue of pending events.  Events
-    scheduled for the same instant fire in scheduling order, so every
-    simulation is deterministic. *)
+    nanoseconds) and a binary heap of pending events.  Events scheduled
+    for the same instant fire in scheduling order, so every simulation
+    is deterministic. *)
 
 type t
 
@@ -13,9 +13,6 @@ val create : ?horizon:int -> unit -> t
 
 (** Current virtual time (ns). *)
 val now : t -> int
-
-(** Number of events still queued. *)
-val pending : t -> int
 
 (** Total events dispatched so far. *)
 val dispatched : t -> int
@@ -32,7 +29,9 @@ val after : t -> int -> (unit -> unit) -> unit
 val stop : t -> unit
 
 (** Run until the queue drains (or [until] / the horizon is reached);
-    returns the final virtual time.  A run stopped by [until] can be
-    resumed by calling [run] again.
+    returns the final virtual time.  A run stopped by [until] leaves
+    the clock at [until] (never before the current time) and can be
+    resumed by calling [run] again; events of one instant still fire in
+    scheduling order.
     @raise Horizon_exceeded if an event lies beyond the horizon. *)
 val run : ?until:int -> t -> int

@@ -63,7 +63,7 @@ let caps t = t.caps
 
 let set_state t ~time ~cap state =
   if cap < 0 || cap >= t.caps then invalid_arg "Trace.set_state: bad cap";
-  t.end_time <- max t.end_time time;
+  t.end_time <- Int.max t.end_time time;
   if t.current.(cap) <> state then begin
     t.current.(cap) <- state;
     if t.enabled then
@@ -71,7 +71,7 @@ let set_state t ~time ~cap state =
   end
 
 let marker t ~time ~cap label =
-  t.end_time <- max t.end_time time;
+  t.end_time <- Int.max t.end_time time;
   if t.enabled then t.entries <- Marker { time; cap; label } :: t.entries
 
 let state_of t cap = t.current.(cap)
@@ -86,7 +86,7 @@ let counters t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters []
   |> List.sort compare
 
-let finish t ~time = t.end_time <- max t.end_time time
+let finish t ~time = t.end_time <- Int.max t.end_time time
 let end_time t = t.end_time
 let entries t = List.rev t.entries
 

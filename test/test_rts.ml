@@ -290,6 +290,75 @@ let workload_exception_propagates () =
   Alcotest.check_raises "exception escapes" (Failure "boom") (fun () ->
       ignore (Rts.run (cfg ~ncaps:1 ()) (fun () -> failwith "boom")))
 
+(* Perfbench's sim workload at its smoke sizes: the five kernels under
+   GpH steal+eager on 8 caps and Eden on 8 PEs, both on intel8, apsp on
+   seed 1.  Every figure is a literal, so a change to the engine or the
+   charge loop that adds, drops or reorders one event, or moves one
+   virtual time, fails here however loaded the machine is. *)
+let pinned_fields =
+  [ "elapsed_ns"; "gc minors"; "gc majors"; "sparks created";
+    "sparks converted"; "sparks fizzled"; "messages sent"; "message bytes";
+    "dup_work_entries"; "blocked_forces"; "engine events" ]
+
+let pinned_values (r : Report.t) =
+  [ r.elapsed_ns; r.gc.minors; r.gc.majors; r.sparks.created;
+    r.sparks.converted; r.sparks.fizzled; r.messages.sent; r.messages.bytes;
+    r.dup_work_entries; r.blocked_forces; r.engine_events ]
+
+let pinned =
+  [ ("sumeuler", "gph", [ 17_149_276; 0; 0; 32; 28; 4; 0; 0; 0; 3; 5_349 ]);
+    ("sumeuler", "eden", [ 16_614_735; 16; 0; 0; 0; 0; 21; 56_328; 0; 0; 2_317 ]);
+    ("parfib", "gph", [ 80_032; 0; 0; 88; 43; 45; 0; 0; 0; 41; 672 ]);
+    ("parfib", "eden", [ 206_867; 0; 0; 0; 0; 0; 21; 4_368; 0; 0; 180 ]);
+    ("matmul", "gph", [ 527_603; 0; 0; 16; 14; 2; 0; 0; 0; 2; 965 ]);
+    ("matmul", "eden", [ 1_159_930; 0; 0; 0; 0; 0; 24; 162_432; 0; 0; 196 ]);
+    ("mandelbrot", "gph", [ 242_375; 0; 0; 60; 41; 19; 0; 0; 0; 2; 330 ]);
+    ("mandelbrot", "eden", [ 597_440; 0; 0; 0; 0; 0; 134; 7_536; 0; 0; 592 ]);
+    ("apsp", "gph", [ 118_335; 0; 0; 40; 40; 0; 0; 0; 0; 297; 924 ]);
+    ("apsp", "eden", [ 792_840; 0; 0; 0; 0; 0; 302; 114_480; 0; 0; 1_501 ]) ]
+
+let pinned_sim_statistics () =
+  let module W = Repro_workloads in
+  let module V = Repro_core.Versions in
+  let bits = Repro_exec.Workload.float_bits in
+  let gph = V.with_eager (V.gph_steal ~machine:Machine.intel8 ~ncaps:8 ()) in
+  let eden = V.eden ~machine:Machine.intel8 ~npes:8 () in
+  let run = function
+    | "sumeuler", "gph" -> (gph, fun () -> W.Sumeuler.gph ~n:1500 ())
+    | "sumeuler", "eden" -> (eden, fun () -> W.Sumeuler.eden ~n:1500 ())
+    | "parfib", "gph" -> (gph, fun () -> W.Parfib.gph ~n:20 ~threshold:12 ())
+    | "parfib", "eden" -> (eden, fun () -> W.Parfib.eden ~n:20 ~depth:3 ())
+    | "matmul", "gph" -> (gph, fun () -> bits (W.Matmul.gph ~n:100 ()))
+    | "matmul", "eden" ->
+        (eden, fun () -> bits (W.Matmul.eden_cannon ~n:100 ~q:2 ()))
+    | "mandelbrot", "gph" ->
+        (gph, fun () -> W.Mandelbrot.gph ~width:60 ~height:60 ())
+    | "mandelbrot", "eden" ->
+        (eden, fun () -> W.Mandelbrot.eden_mw ~width:60 ~height:60 ())
+    | "apsp", "gph" -> (gph, fun () -> bits (W.Apsp.gph ~seed:1 ~n:40 ()))
+    | "apsp", "eden" -> (eden, fun () -> bits (W.Apsp.eden_ring ~seed:1 ~n:40 ()))
+    | k, l -> invalid_arg (k ^ "/" ^ l)
+  in
+  let reference = function
+    | "sumeuler" -> W.Euler.sum_euler_ref 1500
+    | "parfib" -> W.Parfib.reference 20
+    | "matmul" -> bits 0.0 (* the synthetic payload charges, returns 0.0 *)
+    | "mandelbrot" -> W.Mandelbrot.reference ~width:60 ~height:60 ()
+    | _ -> bits (W.Apsp.checksum (W.Apsp.floyd_warshall (W.Apsp.graph ~seed:1 40)))
+  in
+  List.iter
+    (fun (kernel, label, want) ->
+      let (v : V.version), f = run (kernel, label) in
+      let got, report = Rts.run v.config f in
+      let what = kernel ^ "/" ^ label in
+      check Alcotest.int (what ^ " checksum") (reference kernel) got;
+      check
+        Alcotest.(list (pair string int))
+        what
+        (List.combine pinned_fields want)
+        (List.combine pinned_fields (pinned_values report)))
+    pinned
+
 let suite =
   ( "rts",
     [
@@ -310,4 +379,5 @@ let suite =
       test_case "semi-distributed heap runs" `Quick semi_distributed_runs;
       test_case "nested run rejected" `Quick nested_run_rejected;
       test_case "workload exception propagates" `Quick workload_exception_propagates;
+      test_case "pinned sim statistics" `Quick pinned_sim_statistics;
     ] )

@@ -29,6 +29,82 @@ let engine_same_time_fifo () =
   ignore (Engine.run e);
   check Alcotest.(list int) "stable at same instant" [ 1; 2; 3 ] (List.rev !log)
 
+let engine_drained () =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iter (fun time -> Engine.at e time (fun () -> log := time :: !log)) [ 5; 1; 3 ];
+  check Alcotest.int "drains to the last event" 5 (Engine.run e);
+  check Alcotest.(list int) "earliest first" [ 1; 3; 5 ] (List.rev !log);
+  check Alcotest.int "drained: nothing left to run" 5 (Engine.run e);
+  check Alcotest.int "still 3 dispatched" 3 (Engine.dispatched e)
+
+let engine_ties_after_earlier () =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iter
+    (fun (time, v) -> Engine.at e time (fun () -> log := v :: !log))
+    [ (7, "a"); (2, "x"); (7, "b"); (7, "c"); (7, "d") ];
+  ignore (Engine.run e);
+  check Alcotest.(list string) "FIFO among equal times" [ "x"; "a"; "b"; "c"; "d" ]
+    (List.rev !log)
+
+let engine_empty () =
+  let e = Engine.create () in
+  check Alcotest.int "empty run" 0 (Engine.run e);
+  check Alcotest.int "nothing dispatched" 0 (Engine.dispatched e)
+
+let engine_qcheck_sorted =
+  QCheck.Test.make ~name:"engine drains in sorted stable order" ~count:300
+    QCheck.(list small_nat)
+    (fun times ->
+      let e = Engine.create () in
+      let fired = ref [] in
+      List.iteri
+        (fun i time ->
+          Engine.at e time (fun () -> fired := (Engine.now e, time, i) :: !fired))
+        times;
+      ignore (Engine.run e);
+      let fired = List.rev !fired in
+      List.for_all (fun (now, time, _) -> now = time) fired
+      && List.map (fun (_, time, i) -> (time, i)) fired
+         = List.sort compare (List.mapi (fun i time -> (time, i)) times))
+
+let rec remove_one x = function
+  | [] -> []
+  | y :: ys -> if x = y then ys else y :: remove_one x ys
+
+(* Adds interleaved with firings: [Some d] schedules an event [d] ns
+   from now, [None] lets the engine fire one.  Every firing must be the
+   earliest pending event (tracked by a reference multiset), at its own
+   time. *)
+let engine_qcheck_interleaved =
+  QCheck.Test.make ~name:"engine fires the current minimum" ~count:200
+    QCheck.(list (option small_nat))
+    (fun ops ->
+      let e = Engine.create () in
+      let ops = ref ops and pending = ref [] and ok = ref true in
+      let rec feed () =
+        match !ops with
+        | [] -> ()
+        | None :: rest ->
+            ops := rest;
+            if !pending = [] then feed ()
+        | Some d :: rest ->
+            ops := rest;
+            let time = Engine.now e + d in
+            pending := time :: !pending;
+            Engine.at e time (fun () -> fire time);
+            feed ()
+      and fire time =
+        let earliest = List.fold_left Int.min max_int !pending in
+        if time <> earliest || Engine.now e <> time then ok := false;
+        pending := remove_one earliest !pending;
+        feed ()
+      in
+      feed ();
+      ignore (Engine.run e);
+      !ok && !pending = [] && !ops = [])
+
 let engine_nested_scheduling () =
   let e = Engine.create () in
   let log = ref [] in
@@ -57,6 +133,25 @@ let engine_until () =
   check Alcotest.(list int) "only first fired" [ 10 ] (List.rev !log);
   ignore (Engine.run e);
   check Alcotest.(list int) "resumed" [ 10; 50 ] (List.rev !log)
+
+let engine_until_keeps_fifo () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.at e 50 (fun () -> log := "a" :: !log);
+  Engine.at e 50 (fun () -> log := "b" :: !log);
+  check Alcotest.int "paused at limit" 20 (Engine.run ~until:20 e);
+  ignore (Engine.run e);
+  check Alcotest.(list string) "scheduling order kept" [ "a"; "b" ] (List.rev !log)
+
+let engine_until_in_the_past () =
+  let e = Engine.create () in
+  Engine.at e 15 ignore;
+  Engine.at e 30 ignore;
+  check Alcotest.int "paused at limit" 15 (Engine.run ~until:15 e);
+  check Alcotest.int "an earlier limit keeps the clock" 15 (Engine.run ~until:5 e);
+  Alcotest.check_raises "the past stays closed"
+    (Invalid_argument "Engine.at: time 10 is in the past (now=15)") (fun () ->
+      Engine.at e 10 ignore)
 
 let engine_stop () =
   let e = Engine.create () in
@@ -159,9 +254,16 @@ let suite =
     [
       test_case "engine time order" `Quick engine_order;
       test_case "engine stable ties" `Quick engine_same_time_fifo;
+      test_case "engine drained run is idle" `Quick engine_drained;
+      test_case "engine ties after an earlier event" `Quick engine_ties_after_earlier;
+      test_case "engine empty run" `Quick engine_empty;
+      QCheck_alcotest.to_alcotest engine_qcheck_sorted;
+      QCheck_alcotest.to_alcotest engine_qcheck_interleaved;
       test_case "engine nested scheduling" `Quick engine_nested_scheduling;
       test_case "engine rejects past" `Quick engine_rejects_past;
       test_case "engine run until / resume" `Quick engine_until;
+      test_case "engine until keeps same-time FIFO" `Quick engine_until_keeps_fifo;
+      test_case "engine until never moves time back" `Quick engine_until_in_the_past;
       test_case "engine stop" `Quick engine_stop;
       test_case "engine horizon" `Quick engine_horizon;
       test_case "trace segments" `Quick trace_segments;

@@ -1,84 +1,9 @@
-(** Tests for Repro_util: priority queue, RNG, stats, cost, tables,
-    list helpers. *)
+(** Tests for Repro_util: RNG, stats, cost, tables, list helpers. *)
 
 open Repro_util
 
 let test_case = Alcotest.test_case
 let check = Alcotest.check
-
-(* ---------------- Prio_queue ---------------- *)
-
-let pq_basic () =
-  let q = Prio_queue.create () in
-  check Alcotest.bool "empty" true (Prio_queue.is_empty q);
-  Prio_queue.add q 5 "five";
-  Prio_queue.add q 1 "one";
-  Prio_queue.add q 3 "three";
-  check Alcotest.int "length" 3 (Prio_queue.length q);
-  check Alcotest.(option int) "min key" (Some 1) (Prio_queue.min_key q);
-  check Alcotest.(pair int string) "pop 1" (1, "one") (Prio_queue.pop q);
-  check Alcotest.(pair int string) "pop 3" (3, "three") (Prio_queue.pop q);
-  check Alcotest.(pair int string) "pop 5" (5, "five") (Prio_queue.pop q);
-  check Alcotest.bool "empty again" true (Prio_queue.is_empty q)
-
-let pq_stable_ties () =
-  let q = Prio_queue.create () in
-  List.iteri (fun i v -> Prio_queue.add q 7 (i, v)) [ "a"; "b"; "c"; "d" ];
-  let order = List.map snd (List.map snd (Prio_queue.drain q)) in
-  check Alcotest.(list string) "FIFO among equal keys" [ "a"; "b"; "c"; "d" ] order
-
-let pq_empty_pop () =
-  let q : int Prio_queue.t = Prio_queue.create () in
-  check Alcotest.bool "pop_opt none" true (Prio_queue.pop_opt q = None);
-  Alcotest.check_raises "pop raises" Prio_queue.Empty (fun () ->
-      ignore (Prio_queue.pop q))
-
-let pq_qcheck_sorted =
-  QCheck.Test.make ~name:"prio_queue drains in sorted stable order" ~count:300
-    QCheck.(list (pair small_nat small_nat))
-    (fun pairs ->
-      let q = Prio_queue.create () in
-      List.iter (fun (k, v) -> Prio_queue.add q k v) pairs;
-      let drained = List.map fst (Prio_queue.drain q) in
-      drained = List.sort compare drained
-      && List.length drained = List.length pairs)
-
-(* Interleaved adds and pops: every pop must return the minimum of the
-   keys currently in the queue (tracked by a reference multiset). *)
-let pq_qcheck_interleaved =
-  QCheck.Test.make ~name:"prio_queue pop always returns the current minimum"
-    ~count:200
-    QCheck.(list (option small_nat))
-    (fun ops ->
-      let q = Prio_queue.create () in
-      let model = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Some k ->
-              Prio_queue.add q k k;
-              model := k :: !model
-          | None -> (
-              match (Prio_queue.pop_opt q, !model) with
-              | None, [] -> ()
-              | None, _ :: _ | Some _, [] -> ok := false
-              | Some (k, _), keys ->
-                  let min_key = List.fold_left min max_int keys in
-                  if k <> min_key then ok := false;
-                  (* remove one occurrence of min_key *)
-                  let removed = ref false in
-                  model :=
-                    List.filter
-                      (fun x ->
-                        if x = min_key && not !removed then begin
-                          removed := true;
-                          false
-                        end
-                        else true)
-                      keys))
-        ops;
-      !ok && Prio_queue.length q = List.length !model)
 
 (* ---------------- Rng ---------------- *)
 
@@ -229,11 +154,6 @@ let listx_transpose () =
 let suite =
   ( "util",
     [
-      test_case "prio_queue basic" `Quick pq_basic;
-      test_case "prio_queue stable ties" `Quick pq_stable_ties;
-      test_case "prio_queue empty pop" `Quick pq_empty_pop;
-      QCheck_alcotest.to_alcotest pq_qcheck_sorted;
-      QCheck_alcotest.to_alcotest pq_qcheck_interleaved;
       test_case "rng deterministic" `Quick rng_deterministic;
       test_case "rng bounds" `Quick rng_bounds;
       test_case "rng uniform-ish" `Quick rng_uniformish;

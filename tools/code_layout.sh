@@ -30,7 +30,9 @@ fi
 # "Repro_lib.Module.function" as the symbol caml<unit>.<function>_<stamp>
 hot=(Repro_exec.Workload.nfib Repro_exec.Workload.pivot_step
   Repro_workloads.Euler.phi_fast Repro_workloads.Euler.sum_phi
-  Repro_workloads.Matrix.mul_row Repro_workloads.Mandelbrot.compute_row)
+  Repro_workloads.Matrix.mul_row Repro_workloads.Mandelbrot.compute_row
+  Repro_sim.Engine.dispatch Repro_parrts.Rts.begin_charge
+  Repro_parrts.Rts.charge_segment_done)
 
 declare -A fn
 while read -r addr size _ sym; do
