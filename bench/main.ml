@@ -147,7 +147,7 @@ let transport_echo_child () =
 (* The shm variant: the segment path arrives as the argument after the
    marker, stdin is the doorbell (exactly the dist-worker convention). *)
 let shm_echo_child path =
-  let conn = Shm_ring.attach ~path ~side:`B ~doorbell:Unix.stdin () in
+  let conn = Shm_ring.attach ~path ~side:`B ~doorbell:Unix.stdin in
   (try
      while true do
        Shm_ring.send conn (Shm_ring.recv conn)
@@ -180,7 +180,7 @@ let with_shm_echo_child f =
       child_fd Unix.stdout Unix.stderr
   in
   Unix.close child_fd;
-  let conn = Shm_ring.attach ~path ~side:`A ~doorbell:parent_fd () in
+  let conn = Shm_ring.attach ~path ~side:`A ~doorbell:parent_fd in
   let r = f conn in
   Shm_ring.close conn;
   (* closing the doorbell is the child's EOF *)
@@ -308,11 +308,13 @@ let sock_one_way () =
 (* In-process shm costs: the one-way small-message figure plus a
    bulk-bandwidth figure (64 KiB messages, well inside the ring), from
    which the measured-shm profile constants come — the cross-process
-   ping-pong would bake context-switch time into them. *)
+   ping-pong would bake context-switch time into them.  The consumer
+   never sleeps, so the doorbell pair never carries a byte. *)
 let shm_inproc_costs () =
   let path = Shm_ring.create_segment () in
-  let a = Shm_ring.attach ~path ~side:`A () in
-  let b = Shm_ring.attach ~path ~side:`B () in
+  let da, db = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let a = Shm_ring.attach ~path ~side:`A ~doorbell:da in
+  let b = Shm_ring.attach ~path ~side:`B ~doorbell:db in
   let small =
     small_one_way ~send:(Shm_ring.send a) ~recv:(fun () -> Shm_ring.recv b)
   in
@@ -329,6 +331,8 @@ let shm_inproc_costs () =
     ignore (Shm_ring.recv_floats b ~len:elems)
   done;
   let big = (now_ns () - t0) / n in
+  Shm_ring.close a;
+  Shm_ring.close b;
   Shm_ring.unlink_segment path;
   (small, max 0.0 (float_of_int (big - small) /. float_of_int big_bytes))
 

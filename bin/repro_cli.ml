@@ -672,11 +672,11 @@ let dist_cmd =
   in
   let transport =
     let doc =
-      "Transport between coordinator and PEs: $(b,sock) frames messages \
-       over a socketpair per worker (star topology, FISH via the \
-       coordinator); $(b,shm) maps a pair of shared-memory rings per link \
-       plus a peer-to-peer mesh (zero-copy float payloads, FISH directly \
-       between workers)."
+      "Transport between coordinator and PEs, which changes only how \
+       bytes move (both run the same star protocol, FISH via the \
+       coordinator): $(b,sock) frames messages over a socketpair per PE; \
+       $(b,shm) maps a pair of shared-memory rings per PE (zero-copy \
+       float payloads)."
     in
     Arg.(
       value

@@ -2,23 +2,25 @@
     per PE, connects each over the selected transport, and drives
     barrier rounds of tasks with GUM-style demand scheduling.
 
-    Two transports, two topologies (the paper's PVM-on-sockets vs
-    PVM-on-shared-memory comparison):
+    The transport (the paper's PVM-on-sockets vs PVM-on-shared-memory
+    comparison) changes only how bytes move; placement is the same
+    star over both.  Each PE is primed with {!prefetch} tasks,
+    round-robin (Eden's master-worker prefetch); afterwards work moves
+    on demand — a PE sends [Fish] to the coordinator after each
+    unpinned result and is answered with a [Schedule] or [No_work]
+    (paper Sec. III-B).  So every unpinned task is on the one PE the
+    coordinator sent it to, and [link.outstanding] counts them.
 
-    - {e sock} (star): placement is round-robin for the initial
-      dispatch (each PE primed with {!prefetch} tasks, Eden's
-      master-worker prefetch); afterwards work moves on demand — an
-      idle PE sends [Fish] {e to the coordinator} and is answered with
-      a [Schedule] or [No_work] (paper Sec. III-B).
-    - {e shm} (mesh): the whole round is pushed round-robin up front
-      (rings are cheap to fill), workers queue tasks locally, and
-      demand balancing happens {e peer-to-peer} — an idle PE fishes a
-      victim worker directly and surplus tasks flow straight back over
-      the p2p ring; the coordinator sees only results and teardown.
+    Pinned rounds (APSP) bypass demand scheduling: task [i] always goes
+    to PE [i mod procs], because the PE holds the matching resident
+    state, and its PE sends no [Fish] after it.
 
-    Pinned rounds (APSP) bypass demand scheduling on both transports:
-    task [i] always goes to PE [i mod procs], because the PE holds the
-    matching resident state.
+    The coordinator sends to a PE only to prime it or to answer its
+    [Fish], and the PE reads those tasks before it sends another
+    result.  So neither transport needs to drain results while a send
+    blocks, as long as the tasks queued for one PE at once (at most
+    {!prefetch} + 1, or its share of a pinned round) fit in its ring
+    (256 KiB) or socket buffer.
 
     The coordinator keeps an exactly-once ledger per round: a result
     for an unknown task, the wrong round, or an already-filled slot is
@@ -68,9 +70,8 @@ type outcome = {
   rounds : int;
   tasks : int;
   schedules : int;
-  fishes : int;  (** work requests: coordinator-seen (sock) or peer-to-peer (shm) *)
+  fishes : int;  (** [Fish] messages the coordinator received *)
   no_works : int;
-  stolen : int;  (** tasks that moved worker-to-worker (shm only) *)
   reports : pe_report array;
   sched_spans : sched_span list;  (** newest first; [] unless traced *)
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
@@ -137,12 +138,8 @@ let trace (o : outcome) =
     (spans o)
 
 (* How many tasks each PE is primed with before demand scheduling
-   takes over (sock transport; shm pushes whole rounds). *)
+   takes over. *)
 let prefetch = 2
-
-(** Peer-to-peer rings carry only FISH/grant traffic — small control
-    messages — so they are far smaller than the coordinator rings. *)
-let p2p_ring_bytes = 64 * 1024
 
 (* ---------------- spawning ---------------- *)
 
@@ -213,40 +210,14 @@ let spawn_sock ~hello =
       let fd, pid = spawn_process ~extra_tokens:[] in
       (pid, Link.Sock (Wire.create ~read_fd:fd ~write_fd:fd ())))
 
-(* The shm mesh: one segment per coordinator link, one per worker
-   pair.  Segment paths travel in argv; the socketpair becomes the
-   doorbell. *)
+(* One segment per PE.  Its path travels in argv; the socketpair
+   becomes the doorbell. *)
 let spawn_shm ~hello =
-  let procs = hello.Message.procs in
-  let coord_paths = Array.init procs (fun _ -> Shm_ring.create_segment ()) in
-  (* mesh segments, key (i, j) with i < j; side `A is the lower pe *)
-  let p2p =
-    if procs < 2 then []
-    else
-      List.concat_map
-        (fun i ->
-          List.filter_map
-            (fun j ->
-              if i < j then
-                Some ((i, j), Shm_ring.create_segment ~ring_bytes:p2p_ring_bytes ())
-              else None)
-            (List.init procs Fun.id))
-        (List.init procs Fun.id)
-  in
-  let all_paths = Array.to_list coord_paths @ List.map snd p2p in
-  let release () = List.iter Shm_ring.unlink_segment all_paths in
+  let paths = Array.init hello.Message.procs (fun _ -> Shm_ring.create_segment ()) in
+  let release () = Array.iter Shm_ring.unlink_segment paths in
   start_pes ~hello ~release (fun pe ->
-      let tokens =
-        ("shm=" ^ coord_paths.(pe))
-        :: List.filter_map
-             (fun ((i, j), path) ->
-               if i = pe then Some (Printf.sprintf "p2p=%d:a:%s" j path)
-               else if j = pe then Some (Printf.sprintf "p2p=%d:b:%s" i path)
-               else None)
-             p2p
-      in
-      let fd, pid = spawn_process ~extra_tokens:tokens in
-      (pid, Link.Shm (Shm_ring.attach ~path:coord_paths.(pe) ~side:`A ~doorbell:fd ())))
+      let fd, pid = spawn_process ~extra_tokens:[ "shm=" ^ paths.(pe) ] in
+      (pid, Link.Shm (Shm_ring.attach ~path:paths.(pe) ~side:`A ~doorbell:fd)))
 
 (* ---------------- one barrier round ---------------- *)
 
@@ -259,10 +230,6 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
   let results : Message.payload option array = Array.make n None in
   let got = ref 0 in
   let next = ref 0 in
-  let is_shm =
-    Array.length links > 0
-    && match links.(0).conn with Link.Shm _ -> true | Link.Sock _ -> false
-  in
   let send_task (l : link) idx =
     let task_id = id0 + idx in
     let t0 = Clock.now_ns () in
@@ -329,23 +296,12 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
           List.iter (fun i -> if !got < n then handle_message links.(i)) ready;
           pump ()
   in
-  (* While a push blocks on a full ring, drain results — the escape
-     from the duplex deadlock (we block pushing a task at a worker
-     that blocks pushing a result at us). *)
-  if is_shm then Array.iter (fun l -> Link.set_on_wait l.conn (Some pump)) links;
-  (* Initial placement: pinned tasks to their owner; shm pushes the
-     whole round round-robin (peer-to-peer fishing balances the rest);
-     sock primes up to [prefetch] per PE and schedules on demand. *)
+  (* Initial placement: pinned tasks to their owner; otherwise up to
+     [prefetch] per PE, then on demand. *)
   if pinned then
     for idx = 0 to n - 1 do
       send_task links.(idx mod Array.length links) idx
     done
-  else if is_shm then begin
-    for idx = 0 to n - 1 do
-      send_task links.(idx mod Array.length links) idx
-    done;
-    next := n
-  end
   else begin
     let continue = ref true in
     while !continue do
@@ -360,7 +316,6 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
         links
     done
   end;
-  if is_shm then Array.iter (fun l -> Link.set_on_wait l.conn None) links;
   while !got < n do
     pump ();
     if !got < n then Link.wait_any conns
@@ -375,15 +330,17 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
 
 (* ---------------- teardown ---------------- *)
 
-let harvest (links : link array) : pe_report array =
+let harvest ~(counts : counts) (links : link array) : pe_report array =
   Array.map
     (fun l ->
       Message.send_to_worker l.conn Message.Harvest;
       let rec await () =
         match Message.recv_to_coordinator l.conn with
         | Fish ->
-            (* a stray end-of-round fish racing the harvest *)
+            (* the fish after the last round's last unpinned result *)
+            counts.fishes <- counts.fishes + 1;
             Message.send_to_worker l.conn Message.No_work;
+            counts.no_works <- counts.no_works + 1;
             await ()
         | Ready -> failwith "dist: stray Ready at harvest"
         | Result _ -> failwith "dist: result arrived after the last round"
@@ -462,18 +419,10 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
         let st, tasks, pinned = W.start ~size ~procs in
         let result = rounds st tasks pinned in
         let work_ns = Clock.now_ns () - t0 in
-        let reports = harvest links in
+        let reports = harvest ~counts links in
         (result, work_ns, reports))
   in
   shutdown links;
-  (* Over shm the coordinator never sees a FISH — demand requests are
-     peer-to-peer and show up in the workers' own counters. *)
-  let p2p_fishes =
-    Array.fold_left (fun a r -> a + r.stats.Message.fishes_sent) 0 reports
-  in
-  let stolen =
-    Array.fold_left (fun a r -> a + r.stats.Message.tasks_stolen) 0 reports
-  in
   let merged_metrics =
     let module M = Repro_metrics.Metrics in
     Array.fold_left
@@ -489,9 +438,8 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
     rounds = counts.rounds;
     tasks = counts.tasks;
     schedules = counts.schedules;
-    fishes = (if counts.fishes = 0 && p2p_fishes > 0 then p2p_fishes else counts.fishes);
+    fishes = counts.fishes;
     no_works = counts.no_works;
-    stolen;
     reports;
     sched_spans = !sched_spans;
     coord_pack_ns = !coord_pack_ns;
@@ -508,8 +456,6 @@ let stats_row (s : Message.worker_stats) =
     [
       ("tasks", s.tasks_executed);
       ("fishes", s.fishes_sent);
-      ("stolen", s.tasks_stolen);
-      ("grants", s.grants_given);
       ("msgs_sent", s.msgs_sent);
       ("msgs_recv", s.msgs_recv);
       ("bytes_sent", s.bytes_sent);
@@ -567,7 +513,6 @@ let sample ~transport ~procs ~size (module W : Workload.S) :
         outcome "schedules" o.schedules;
         outcome "fishes" o.fishes;
         outcome "no_works" o.no_works;
-        outcome "stolen" o.stolen;
         ("msgs", both "msgs");
         ("bytes", both "bytes");
         ("packets", both "packets");
@@ -607,7 +552,7 @@ let farm ?transport ~procs (fs : (unit -> 'a) list) : 'a list =
         (* The Harvest/Stats exchange also synchronises teardown: a
            worker's trailing [Fish] could otherwise race our [close]
            and die on EPIPE. *)
-        let (_ : pe_report array) = harvest links in
+        let (_ : pe_report array) = harvest ~counts links in
         raw)
   in
   shutdown links;

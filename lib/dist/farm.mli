@@ -2,11 +2,11 @@
     scheduling with GUM-style passive work requests (FISH/SCHEDULE),
     one worker process per PE, over a choice of transport. *)
 
-(** The paper's PVM-on-sockets vs PVM-on-shared-memory axis:
-    {!Sock} is a socketpair per worker in a star (demand requests go
-    through the coordinator); {!Shm} is a pair of mapped single-
-    producer rings per link plus a peer-to-peer mesh (demand requests
-    go worker-to-worker, the coordinator sees only results). *)
+(** The paper's PVM-on-sockets vs PVM-on-shared-memory axis, which
+    changes only how bytes move: {!Sock} is a socketpair per PE, {!Shm}
+    a pair of mapped single-producer rings per PE with a socketpair as
+    its doorbell.  Over both, the PEs form a star around the
+    coordinator, and demand requests ([Fish]) go to it. *)
 type transport = Sock | Shm
 
 (** ["socketpair"] / ["shm"] — the name used in reports and JSON. *)
@@ -38,10 +38,9 @@ type outcome = {
   tasks : int;
   schedules : int;  (** [Schedule] messages sent (either endpoint) *)
   fishes : int;
-      (** work requests: coordinator-received over sock, summed
-          peer-to-peer over shm *)
+      (** [Fish] messages the coordinator received: one after each
+          unpinned task a PE ran *)
   no_works : int;  (** fishes that found nothing runnable *)
-  stolen : int;  (** tasks that moved worker-to-worker (shm only) *)
   reports : pe_report array;
   sched_spans : sched_span list;  (** newest first; [] unless traced *)
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)

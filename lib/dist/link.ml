@@ -29,15 +29,8 @@ let input_ready = function
 
 let close = function Sock c -> Wire.close c | Shm c -> Shm_ring.close c
 
-let set_on_wait l f =
-  match l with Sock _ -> () | Shm c -> Shm_ring.set_on_wait c f
-
-(* Links a waiter can block on: socks always, shm only with a
-   doorbell.  Doorbell-less (peer-to-peer) links are covered by the
-   caller's timeout. *)
-let selectable_fd = function
-  | Sock c -> Some (Wire.read_fd c)
-  | Shm c -> if Shm_ring.has_doorbell c then Some (Shm_ring.wait_fd c) else None
+(* The descriptor a waiter blocks on: the socket, or the doorbell. *)
+let wait_fd = function Sock c -> Wire.read_fd c | Shm c -> Shm_ring.wait_fd c
 
 (* The readable subset of [fds] after at most [timeout] seconds
    (0 = poll, negative = forever). *)
@@ -75,37 +68,19 @@ let wait_rings ~timeout (links : t array) =
       incr spins
     done;
     if not (any_ready ()) then begin
-      Array.iter
-        (function Shm c when Shm_ring.has_doorbell c -> Shm_ring.prepare_sleep c
-          | _ -> ())
-        links;
+      Array.iter (function Shm c -> Shm_ring.prepare_sleep c | Sock _ -> ()) links;
       let disarm () =
         Array.iter
           (function
-            | Shm c when Shm_ring.has_doorbell c ->
+            | Shm c ->
                 Shm_ring.drain_doorbell c;
                 Shm_ring.cancel_sleep c
-            | _ -> ())
+            | Sock _ -> ())
           links
       in
       Fun.protect ~finally:disarm (fun () ->
-          if not (any_ready ()) then begin
-            let fds = Array.to_list links |> List.filter_map selectable_fd in
-            (* doorbell-less links exist: never block forever on the
-               descriptors alone *)
-            let timeout =
-              if Array.for_all (fun l -> selectable_fd l <> None) links then
-                timeout
-              else if timeout < 0.0 then 0.002
-              else min timeout 0.002
-            in
-            let rec sel () =
-              match Unix.select fds [] [] timeout with
-              | ready, _, _ -> ready
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> sel ()
-            in
-            ignore (sel ())
-          end);
+          if not (any_ready ()) then
+            ignore (select_readable (Array.to_list (Array.map wait_fd links)) timeout));
       (* [disarm] drained tokens; a drained EOF with nothing in any
          ring means a peer died — surface it the way Wire's recv
          does, or the caller would spin on the closed descriptor. *)

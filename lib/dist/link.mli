@@ -8,12 +8,7 @@ val recv : t -> string
 val send_floats : t -> float array -> unit
 val recv_floats : t -> len:int -> float array
 val counters : t -> Wire.counters
-val input_ready : t -> bool
 val close : t -> unit
-
-(** No-op on sock links (they never block with data queued behind
-    them); see {!Shm_ring.set_on_wait}. *)
-val set_on_wait : t -> (unit -> unit) option -> unit
 
 (** Indices of the links with input available now, in ascending order,
     without blocking.  One zero-timeout [select] tests every sock link
@@ -27,7 +22,6 @@ val ready : t array -> int list
     [select] over their descriptors: a sock readiness test is a
     syscall, so it is never spun on.  With any shm link it is the ring
     handshake — a short spin on the rings, then arm every doorbell,
-    recheck and block — capped at a short poll interval while any
-    doorbell-less link is in the set.
+    recheck and block on every doorbell at once.
     @raise End_of_file if a peer died with every ring drained. *)
 val wait_any : ?timeout:float -> t array -> unit

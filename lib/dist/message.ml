@@ -2,14 +2,9 @@
     Sec. III-B): the coordinator pushes work with [Schedule] (GUM's
     SCHEDULE message), idle PEs ask for more with [Fish] (GUM's FISH),
     and a PE that fished when nothing was runnable gets [No_work] and
-    is remembered as hungry.  [Harvest]/[Stats] drain the per-PE
-    counters at shutdown.
-
-    Over the shm transport FISH goes {e peer-to-peer}: workers hold
-    direct links to each other, an idle PE fishes a victim directly
-    and the victim's surplus tasks flow straight back ({!to_peer}) —
-    the coordinator sees only results and teardown traffic, exactly
-    GUM's topology instead of the socketpair star.
+    waits for the next round.  [Harvest]/[Stats] drain the per-PE
+    counters at shutdown.  The vocabulary is the same over both
+    transports: every message goes between the coordinator and one PE.
 
     Control payloads are [Marshal]-serialised {e fully-evaluated}
     values — Eden's rule that only whole normal forms cross the heap
@@ -39,22 +34,14 @@ type to_worker =
       task_id : int;
       round : int;
       stealable : bool;
-          (** peers may take this task ([false] for pinned rounds —
+          (** the coordinator may place this task on any PE, so the PE
+              fishes for more after it ([false] for pinned rounds —
               the PE holds matching resident state) *)
       payload : string;
     }
   | No_work
   | Harvest
   | Shutdown
-
-(** Worker-to-worker traffic on the peer-to-peer links (shm transport
-    only). *)
-type to_peer =
-  | Peer_fish of { thief_pe : int; round : int }
-  | Peer_grant of { round : int; tasks : (int * string) array }
-      (** surplus (task_id, payload) pairs from the victim's local
-          queue — the SCHEDULE reply flowing directly to the requester *)
-  | Peer_no_work of { round : int }
 
 (** One task's life on a PE, monotonic-clock nanoseconds (comparable
     with coordinator timestamps — see {!Clock}). *)
@@ -70,10 +57,8 @@ type task_span = {
 type worker_stats = {
   stats_pe : int;
   tasks_executed : int;
-  fishes_sent : int;  (** demand requests: to the coordinator (sock) or to peers (shm) *)
-  tasks_stolen : int;  (** executed tasks that arrived via a peer grant *)
-  grants_given : int;  (** tasks handed to fishing peers *)
-  msgs_sent : int;  (** summed over every link the PE holds *)
+  fishes_sent : int;  (** demand requests sent to the coordinator *)
+  msgs_sent : int;  (** on the PE's one link, to the coordinator *)
   msgs_recv : int;
   bytes_sent : int;
   bytes_recv : int;
@@ -141,8 +126,6 @@ let send_to_worker link (m : to_worker) = send_value link m
 let recv_to_worker link : to_worker = recv_value link
 let send_to_coordinator link (m : to_coordinator) = send_value link m
 let recv_to_coordinator link : to_coordinator = recv_value link
-let send_to_peer link (m : to_peer) = send_value link m
-let recv_to_peer link : to_peer = recv_value link
 
 (** A result payload in transit: marshalled bytes, or a float blob
     that travelled (and on shm, crossed the rings) without [Marshal]. *)

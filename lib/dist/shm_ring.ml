@@ -61,8 +61,7 @@
     it.  Both sides put a full fence ({!Repro_shim.Tatomic.Fence})
     between their store and the following load — the classic StoreLoad
     hazard; without it both can pass their checks and the consumer
-    sleeps on a message it never saw.  Peer-to-peer links between
-    workers run doorbell-less (short-lived waits, poll + microsleep).
+    sleeps on a message it never saw.  Every link carries a doorbell.
 
     Control words go through {!Mapped_word}, an instance of the shim's
     {!Repro_shim.Tatomic.WORD} — the same signature [lib/check]'s
@@ -180,16 +179,11 @@ type ring = {
 type conn = {
   out_ring : ring;
   in_ring : ring;
-  doorbell : Unix.file_descr option;
+  doorbell : Unix.file_descr;
       (** full-duplex: we block reading it, we wake the peer writing it *)
   fence : Tatomic.Fence.t;
   counters : Wire.counters;
   frame_bytes : int;  (** max payload bytes per frame *)
-  mutable on_wait : (unit -> unit) option;
-      (** called while blocked on a full out-ring — the coordinator
-          drains incoming results here, breaking the duplex deadlock
-          (it blocked pushing a task, the worker blocked pushing a
-          result) *)
   mutable peer_gone : bool;  (** doorbell EOF seen while draining *)
   scratch : Bytes.t;  (** doorbell token buffer *)
   mutable mtoken : Repro_metrics.Metrics.collector option;
@@ -197,13 +191,7 @@ type conn = {
 }
 
 let counters c = c.counters
-let set_on_wait c f = c.on_wait <- f
-let has_doorbell c = c.doorbell <> None
-
-let wait_fd c =
-  match c.doorbell with
-  | Some fd -> fd
-  | None -> invalid_arg "Shm_ring.wait_fd: doorbell-less (peer-to-peer) link"
+let wait_fd c = c.doorbell
 
 (* ---------------- segment files ---------------- *)
 
@@ -229,7 +217,7 @@ let create_segment ?(ring_bytes = default_ring_bytes) () =
 
 let unlink_segment path = try Sys.remove path with Sys_error _ -> ()
 
-let attach ~path ~side ?doorbell () =
+let attach ~path ~side ~doorbell =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
   (* The mappings outlive the descriptor, so it closes on every path —
      including a raise out of fstat/map_file. *)
@@ -279,7 +267,6 @@ let attach ~path ~side ?doorbell () =
     fence = Tatomic.Fence.create ();
     counters;
     frame_bytes = max 8 (align8 (min (32 * 1024) (cap / 4)));
-    on_wait = None;
     peer_gone = false;
     scratch = Bytes.create 64;
     mtoken = Some (Wire.add_link_collector ~transport:"shm" counters);
@@ -293,9 +280,7 @@ let close c =
       c.mtoken <- None;
       Repro_metrics.Metrics.remove_collector tok
   | None -> ());
-  match c.doorbell with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ()
+  try Unix.close c.doorbell with Unix.Unix_error _ -> ()
 
 (* ---------------- producer side ---------------- *)
 
@@ -318,19 +303,16 @@ let doorbell_rings =
        "repro_ring_doorbell_rings_total")
 
 let ring_doorbell c =
-  match c.doorbell with
-  | None -> ()
-  | Some fd -> (
-      M.incr (Lazy.force doorbell_rings);
-      Bytes.set c.scratch 0 '!';
-      try ignore (Unix.write fd c.scratch 0 1) with
-      | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-          Wire.raise_dead_peer "peer closed the doorbell during send")
+  M.incr (Lazy.force doorbell_rings);
+  Bytes.set c.scratch 0 '!';
+  try ignore (Unix.write c.doorbell c.scratch 0 1) with
+  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
+      Wire.raise_dead_peer "peer closed the doorbell during send"
 
-(* Claim [total] contiguous data bytes (spinning via [on_wait] /
-   microsleep while the ring is full), write the frame, publish it,
-   and wake a sleeping consumer.  [write] fills the payload at the
-   byte offset it is given. *)
+(* Claim [total] contiguous data bytes (microsleeping while the ring
+   is full), write the frame, publish it, and wake a sleeping
+   consumer.  [write] fills the payload at the byte offset it is
+   given. *)
 let write_frame c ~kind ~last ~len ~payload_bytes ~write =
   let r = c.out_ring in
   let total = word + align8 payload_bytes in
@@ -344,7 +326,7 @@ let write_frame c ~kind ~last ~len ~payload_bytes ~write =
     r.peer_head <- Mapped_word.load r.head_w;
     if tail + need - r.peer_head > r.cap then begin
       M.incr (Lazy.force backpressure_waits);
-      match c.on_wait with Some f -> f () | None -> micro_sleep ()
+      micro_sleep ()
     end
   done;
   let off =
@@ -442,20 +424,17 @@ let cancel_sleep c = Mapped_word.store c.in_ring.sleeping_w 0
    losing one is impossible while [sleeping] is clear, and a stale one
    only causes a spurious wake, so draining needs no precision. *)
 let drain_doorbell c =
-  match c.doorbell with
-  | None -> ()
-  | Some fd ->
-      let rec go () =
-        match Unix.select [ fd ] [] [] 0.0 with
-        | [], _, _ -> ()
-        | _ -> (
-            match
-              try Unix.read fd c.scratch 0 64 with Unix.Unix_error _ -> 0
-            with
-            | 0 -> c.peer_gone <- true
-            | _ -> go ())
-      in
-      go ()
+  let rec go () =
+    match Unix.select [ c.doorbell ] [] [] 0.0 with
+    | [], _, _ -> ()
+    | _ -> (
+        match
+          try Unix.read c.doorbell c.scratch 0 64 with Unix.Unix_error _ -> 0
+        with
+        | 0 -> c.peer_gone <- true
+        | _ -> go ())
+  in
+  go ()
 
 let spin_limit = 512
 
@@ -472,23 +451,20 @@ let wait_input c ~mid =
       if c.peer_gone then
         if mid then Wire.raise_truncated "peer closed mid-message (shm ring)"
         else raise End_of_file;
-      match c.doorbell with
-      | None -> micro_sleep ()
-      | Some fd ->
-          prepare_sleep c;
-          if available c then cancel_sleep c
-          else begin
-            drain_doorbell c;
-            if available c then cancel_sleep c
-            else begin
-              let n =
-                try Unix.read fd c.scratch 0 1 with
-                | Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
-              in
-              cancel_sleep c;
-              if n = 0 then c.peer_gone <- true
-            end
-          end
+      prepare_sleep c;
+      if available c then cancel_sleep c
+      else begin
+        drain_doorbell c;
+        if available c then cancel_sleep c
+        else begin
+          let n =
+            try Unix.read c.doorbell c.scratch 0 1 with
+            | Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
+          in
+          cancel_sleep c;
+          if n = 0 then c.peer_gone <- true
+        end
+      end
     done
   end
 

@@ -21,20 +21,17 @@ val create_segment : ?ring_bytes:int -> unit -> string
 val unlink_segment : string -> unit
 
 (** Map the segment.  The two endpoints must pass opposite [side]s.
-    [doorbell] is a full-duplex descriptor (one end of a socketpair):
-    blocking receives sleep on it and sends wake the peer through it.
-    Without one, waits poll (fine for the short-lived peer-to-peer
-    waits; the coordinator links always carry one).  Ring geometry is
-    recovered from the file size.  The descriptor opened on [path] is
-    closed again before returning (the mappings outlive it). *)
+    [doorbell] is a full-duplex descriptor (one end of a socketpair),
+    owned by the link from here on: blocking receives sleep on it and
+    sends wake the peer through it, but only when the peer armed it, so
+    a consumer that never sleeps never costs a syscall.  Ring geometry
+    is recovered from the file size.  The descriptor opened on [path]
+    is closed again before returning (the mappings outlive it). *)
 val attach :
-  path:string -> side:[ `A | `B ] -> ?doorbell:Unix.file_descr -> unit -> conn
+  path:string -> side:[ `A | `B ] -> doorbell:Unix.file_descr -> conn
 
-(** Called repeatedly while a send blocks on a full out-ring.  The
-    coordinator drains incoming results here — the escape from the
-    duplex deadlock where both ends block sending to each other. *)
-val set_on_wait : conn -> (unit -> unit) option -> unit
-
+(** Blocks, microsleeping, while the out-ring is full: a message larger
+    than the ring needs the peer to be receiving. *)
 val send : conn -> string -> unit
 
 (** @raise End_of_file if the peer died at a message boundary,
@@ -48,13 +45,10 @@ val counters : conn -> Wire.counters
 (** A message may be (partially) available — non-blocking. *)
 val input_ready : conn -> bool
 
-val has_doorbell : conn -> bool
-
 (** The doorbell descriptor, for [Unix.select] multiplexing over many
     links.  Arm each link with {!prepare_sleep} first, re-check
     {!input_ready}, select, then {!drain_doorbell} + {!cancel_sleep} —
-    the same handshake blocking {!recv} performs on one link.
-    @raise Invalid_argument on a doorbell-less link. *)
+    the same handshake blocking {!recv} performs on one link. *)
 val wait_fd : conn -> Unix.file_descr
 
 (** Arm the doorbell ([sleeping] := 1) and fence.  The caller {e must}

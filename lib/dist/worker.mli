@@ -14,9 +14,10 @@ val default_argv : unit -> string array
 
 (** Serve one coordinator session, then [exit]; never returns.  Over
     the socketpair transport stdin carries the messages (both
-    directions); over shm (selected by an [shm=PATH] argv token, with
-    [p2p=PE:SIDE:PATH] tokens for the peer mesh) stdin is only the
-    doorbell and messages flow through the mapped rings. *)
+    directions); over shm (selected by the one argv token the PE
+    accepts after {!marker}, [shm=PATH]) stdin is only the doorbell
+    and messages flow through the mapped rings.  The protocol is the
+    same over both. *)
 val main : string array -> 'a
 
 (** [maybe_run argv] runs {!main} (never returning) iff [argv] marks a

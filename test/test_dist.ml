@@ -373,25 +373,19 @@ let spsc_wrap_around () =
 (* ------------------------------------------------------------------ *)
 (* Shared-memory ring transport (in-process, both sides mapped)        *)
 
-let with_shm_pair ?(ring_bytes = 4096) ?(doorbell = false) f =
+let with_shm_pair ?(ring_bytes = 4096) f =
   let path = Shm.create_segment ~ring_bytes () in
   Fun.protect
     ~finally:(fun () -> Shm.unlink_segment path)
     (fun () ->
-      if doorbell then begin
-        let da, db = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        let a = Shm.attach ~path ~side:`A ~doorbell:da () in
-        let b = Shm.attach ~path ~side:`B ~doorbell:db () in
-        Fun.protect
-          ~finally:(fun () ->
-            Shm.close a;
-            Shm.close b)
-          (fun () -> f a b)
-      end
-      else
-        let a = Shm.attach ~path ~side:`A () in
-        let b = Shm.attach ~path ~side:`B () in
-        f a b)
+      let da, db = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let a = Shm.attach ~path ~side:`A ~doorbell:da in
+      let b = Shm.attach ~path ~side:`B ~doorbell:db in
+      Fun.protect
+        ~finally:(fun () ->
+          Shm.close a;
+          Shm.close b)
+        (fun () -> f a b))
 
 (* Byte messages round-trip in both directions through one segment;
    the counters account for every frame header and padding byte. *)
@@ -487,7 +481,7 @@ let sock_float_identity () =
    frames; the doorbell wakes the sleeping consumer mid-stream.  A
    second domain plays the producer. *)
 let shm_backpressure_doorbell () =
-  with_shm_pair ~ring_bytes:4096 ~doorbell:true (fun a b ->
+  with_shm_pair ~ring_bytes:4096 (fun a b ->
       let big = payload_of_len 100_000 in
       let msgs = 20 in
       let producer =
@@ -513,8 +507,8 @@ let shm_peer_gone () =
     ~finally:(fun () -> Shm.unlink_segment path)
     (fun () ->
       let da, db = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let a = Shm.attach ~path ~side:`A ~doorbell:da () in
-      let b = Shm.attach ~path ~side:`B ~doorbell:db () in
+      let a = Shm.attach ~path ~side:`A ~doorbell:da in
+      let b = Shm.attach ~path ~side:`B ~doorbell:db in
       Shm.send a "parting gift";
       Shm.close a;
       (* the ring still holds the last message; EOF only after it *)
@@ -531,12 +525,13 @@ let shm_peer_gone () =
 let quick_run ?(procs = 2) ?trace ?transport (module W : Workload.S) =
   Farm.run ?trace ?transport ~procs ~size:W.quick_size (module W)
 
-(* Exactly-once ledger: the coordinator schedules each task once, the
-   workers between them execute each task once, and the combined
-   result matches the sequential reference. *)
-let exactly_once_ledger () =
+(* Exactly-once ledger, the same over both transports: the coordinator
+   schedules each task once, the workers between them execute each
+   task once, every FISH a PE sent reached the coordinator, and the
+   combined result matches the sequential reference. *)
+let exactly_once_ledger transport () =
   let module W = Workload.Sumeuler in
-  let o = quick_run (module W) in
+  let o = quick_run ~transport (module W) in
   check int "checksum" (W.reference ~size:W.quick_size) o.Farm.result;
   check int "two PEs reported" 2 (Array.length o.Farm.reports);
   check int "every task scheduled exactly once" o.Farm.tasks o.Farm.schedules;
@@ -547,6 +542,13 @@ let exactly_once_ledger () =
       0 o.Farm.reports
   in
   check int "every task executed exactly once" o.Farm.tasks executed;
+  let fishes_sent =
+    Array.fold_left
+      (fun acc (r : Farm.pe_report) ->
+        acc + r.Farm.stats.Repro_dist.Message.fishes_sent)
+      0 o.Farm.reports
+  in
+  check int "every FISH reached the coordinator" fishes_sent o.Farm.fishes;
   Array.iter
     (fun (r : Farm.pe_report) ->
       let s = r.Farm.stats in
@@ -583,9 +585,9 @@ let all_workloads_match_reference () =
     reference_runs
 
 (* The same five workloads over the shared-memory rings, with three
-   PEs so the peer-to-peer mesh is non-trivial.  Exactly-once still
-   holds, and the workloads that declare a float codec must move their
-   results on the zero-copy plane. *)
+   PEs, so that apsp's blocks and the demand placement span more than
+   two links.  Exactly-once still holds, and the workloads that declare
+   a float codec must move their results on the zero-copy plane. *)
 let all_workloads_match_reference_shm () =
   List.iter
     (fun ((module W : Workload.S), size) ->
@@ -618,33 +620,20 @@ let all_workloads_match_reference_shm () =
       | None -> check int (W.name ^ ": no zero-copy traffic") 0 zero_copy)
     reference_runs
 
-let exactly_once_ledger_shm () =
-  let module W = Workload.Sumeuler in
-  let o = quick_run ~transport:Farm.Shm (module W) in
-  check int "checksum over shm" (W.reference ~size:W.quick_size) o.Farm.result;
-  check int "every task scheduled exactly once" o.Farm.tasks o.Farm.schedules;
-  check bool "no coordinator no-works over shm" true (o.Farm.no_works = 0);
-  check bool "steal accounting is consistent" true
-    (o.Farm.stolen >= 0 && o.Farm.stolen <= o.Farm.tasks);
-  let grants =
-    Array.fold_left
-      (fun acc (r : Farm.pe_report) ->
-        acc + r.Farm.stats.Repro_dist.Message.grants_given)
-      0 o.Farm.reports
-  in
-  (* a granted task can be granted onward before it runs, so grants
-     bound the stolen count from above rather than matching it *)
-  check bool "stolen tasks all came from grants" true (grants >= o.Farm.stolen)
+(* Pinned rounds are placed by the coordinator alone: a PE sends no
+   FISH after a pinned task, so no fish waits for a NO_WORK. *)
+let check_pinned_run ~what (o : Farm.outcome) =
+  check int (what ^ ": no fishes after pinned tasks") 0 o.Farm.fishes;
+  check int (what ^ ": no no-works") 0 o.Farm.no_works
 
 let apsp_shm_pinned () =
   let module W = Workload.Apsp_w in
   List.iter
     (fun (procs, size) ->
       let o = Farm.run ~transport:Farm.Shm ~procs ~size (module W) in
-      check int
-        (Printf.sprintf "apsp over shm procs=%d size=%d" procs size)
-        (W.reference ~size) o.Farm.result;
-      check int "pinned rounds never steal" 0 o.Farm.stolen)
+      let what = Printf.sprintf "apsp over shm procs=%d size=%d" procs size in
+      check int what (W.reference ~size) o.Farm.result;
+      check_pinned_run ~what o)
     [ (3, 17); (2, 1) ]
 
 let farm_closures_shm () =
@@ -659,9 +648,9 @@ let apsp_awkward_shapes () =
   List.iter
     (fun (procs, size) ->
       let o = Farm.run ~procs ~size (module W) in
-      check int
-        (Printf.sprintf "apsp procs=%d size=%d" procs size)
-        (W.reference ~size) o.Farm.result)
+      let what = Printf.sprintf "apsp procs=%d size=%d" procs size in
+      check int what (W.reference ~size) o.Farm.result;
+      check_pinned_run ~what o)
     [ (3, 17); (4, 3); (2, 1) ]
 
 let more_procs_than_tasks () =
@@ -679,10 +668,33 @@ let farm_closures () =
     (List.map (fun x -> (x, x * x)) captured)
     got
 
-(* While the PEs work, the sock coordinator blocks in [select]: its own
-   CPU time stays a small share of the wall time.  Polling readiness
-   instead costs about a third of it. *)
-let sock_coordinator_blocks () =
+(* Tasks of 32 kB and results of 400 kB, larger than a ring (256 KiB).
+   Each result streams through its ring while the coordinator receives
+   it.  Pushing a whole round up front would fill a PE's ring while the
+   PE blocks sending a result, so this would hang if the coordinator
+   sent a PE more than it reads before its next result. *)
+let farm_large_results transport () =
+  let letter i = Char.chr (Char.code 'a' + (i mod 26)) in
+  let fs =
+    List.init 32 (fun i ->
+        let input = String.make 32_768 (letter i) in
+        fun () -> input ^ String.make (400_000 - String.length input) input.[0])
+  in
+  let got = Farm.farm ~transport ~procs:2 fs in
+  check int "every result returned" 32 (List.length got);
+  List.iteri
+    (fun i s ->
+      check bool
+        (Printf.sprintf "result %d intact" i)
+        true
+        (String.equal (String.make 400_000 (letter i)) s))
+    got
+
+(* While the PEs work, the coordinator blocks ([select] over sock, the
+   doorbell handshake over shm): its own CPU time stays a small share
+   of the wall time.  Polling readiness instead costs about a third of
+   it. *)
+let coordinator_blocks transport () =
   let fs =
     List.init 200 (fun i () ->
         Unix.sleepf 0.002;
@@ -694,7 +706,7 @@ let sock_coordinator_blocks () =
   in
   let cpu0 = cpu () in
   let got = ref [] in
-  let wall = elapsed_s (fun () -> got := Farm.farm ~transport:Farm.Sock ~procs:2 fs) in
+  let wall = elapsed_s (fun () -> got := Farm.farm ~transport ~procs:2 fs) in
   let used = cpu () -. cpu0 in
   check (list int) "results in order" (List.init 200 Fun.id) !got;
   if used >= 0.1 *. wall then
@@ -826,8 +838,9 @@ let suite =
       test_case "shm backpressure and doorbell wake" `Quick
         shm_backpressure_doorbell;
       test_case "shm peer death drains then raises" `Quick shm_peer_gone;
-      test_case "two-process exactly-once ledger" `Quick exactly_once_ledger;
-      test_case "shm exactly-once ledger" `Quick exactly_once_ledger_shm;
+      test_case "two-process exactly-once ledger" `Quick
+        (exactly_once_ledger Farm.Sock);
+      test_case "shm exactly-once ledger" `Quick (exactly_once_ledger Farm.Shm);
       test_case "all workloads match sequential references" `Quick
         all_workloads_match_reference;
       test_case "all workloads match references over shm" `Quick
@@ -837,8 +850,14 @@ let suite =
       test_case "apsp awkward shapes" `Quick apsp_awkward_shapes;
       test_case "more PEs than tasks" `Quick more_procs_than_tasks;
       test_case "closure farm" `Quick farm_closures;
+      test_case "sock closure results larger than a ring" `Quick
+        (farm_large_results Farm.Sock);
+      test_case "shm closure results larger than a ring" `Quick
+        (farm_large_results Farm.Shm);
       test_case "sock coordinator blocks instead of polling" `Quick
-        sock_coordinator_blocks;
+        (coordinator_blocks Farm.Sock);
+      test_case "shm coordinator blocks instead of polling" `Quick
+        (coordinator_blocks Farm.Shm);
       test_case "PE dead before Ready leaves no child over sock" `Quick
         (dead_before_ready Farm.Sock);
       test_case "PE dead before Ready leaves no child over shm" `Quick
