@@ -193,30 +193,52 @@ let run_cmd =
     in
     let is_eden = Repro_parrts.Config.is_distributed v.Versions.config in
     let is_gum = version = "gum" in
-    let work () =
+    let module W = Repro_exec.Workload in
+    (* the simulated program, and the sequential reference its result
+       must equal (none for matmul's synthetic payload) *)
+    let work, reference =
       match wl with
       | `Sumeuler ->
           let n = Option.value size ~default:15000 in
-          if is_gum then ignore (Repro_workloads.Sumeuler.gum ~n ())
-          else if is_eden then ignore (Repro_workloads.Sumeuler.eden ~n ())
-          else ignore (Repro_workloads.Sumeuler.gph ~n ())
+          ( (fun () ->
+              if is_gum then Repro_workloads.Sumeuler.gum ~n ()
+              else if is_eden then Repro_workloads.Sumeuler.eden ~n ()
+              else Repro_workloads.Sumeuler.gph ~n ()),
+            Some (W.Sumeuler.reference ~size:n) )
       | `Matmul ->
           let n = Option.value size ~default:1000 in
-          if is_eden then begin
-            let q = max 1 (int_of_float (ceil (sqrt (float_of_int (ncaps - 1))))) in
-            let n = n - (n mod q) in
-            ignore (Repro_workloads.Matmul.eden_cannon ~n ~q ())
-          end
-          else ignore (Repro_workloads.Matmul.gph ~n ())
+          ( (fun () ->
+              if is_eden then begin
+                let q = max 1 (int_of_float (ceil (sqrt (float_of_int (ncaps - 1))))) in
+                let n = n - (n mod q) in
+                ignore (Repro_workloads.Matmul.eden_cannon ~n ~q ())
+              end
+              else ignore (Repro_workloads.Matmul.gph ~n ());
+              0),
+            None )
       | `Apsp ->
           let n = Option.value size ~default:400 in
-          if is_eden then ignore (Repro_workloads.Apsp.eden_ring ~n ())
-          else ignore (Repro_workloads.Apsp.gph ~n ())
+          ( (fun () ->
+              W.float_bits
+                (if is_eden then Repro_workloads.Apsp.eden_ring ~n ()
+                 else Repro_workloads.Apsp.gph ~n ())),
+            Some (W.Apsp_w.reference ~size:n) )
     in
-    let _, report = Rts.run v.Versions.config work in
+    let result, report = Rts.run v.Versions.config work in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf (Printf.sprintf "%s\n" v.Versions.label);
     Buffer.add_string buf (Format.asprintf "%a\n" Report.pp report);
+    (match reference with
+    | Some r when result <> r ->
+        failwith
+          (Printf.sprintf "%s: result %d differs from sequential reference %d"
+             v.Versions.label result r)
+    | Some r ->
+        Printf.bprintf buf "result checksum %d matches the sequential reference\n" r
+    | None ->
+        Buffer.add_string buf
+          "matmul runs the synthetic payload (result 0.0 by construction): \
+           no checksum to check\n");
     if trace_flag then
       Buffer.add_string buf (Repro_trace.Render.timeline ~width:100 report.trace);
     if events_flag then

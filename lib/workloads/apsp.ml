@@ -16,8 +16,9 @@
       triggers massive duplicate evaluation under lazy black-holing
       and works under eager black-holing (Sec. IV-A.3).
 
-    Weights are floats; absent edges are [infinity].  Computation is
-    always real (it is cheap: n^3 min-plus operations). *)
+    Weights are floats; absent edges are [infinity].  The min-plus
+    arithmetic is real; its simulated time and allocation are charged,
+    not taken from the host. *)
 
 module Cost = Repro_util.Cost
 module Node = Repro_heap.Node
@@ -60,20 +61,16 @@ let checksum (d : float array array) =
       Array.fold_left (fun a x -> if x < infinity then a +. x else a) acc row)
     0.0 d
 
-(* Update [row] against pivot row [pk] of node [k]: returns a new row
-   (the Haskell versions allocate fresh rows, which is what drives the
-   GC behaviour). *)
-let update_row (row : float array) ~k (pk : float array) =
-  let n = Array.length row in
-  let out = Array.make n 0.0 in
+(* Relax [row] in place against pivot row [pk] of node [k].
+   [row_update_cost]'s [~alloc] charges the fresh row a Haskell update
+   allocates, so the host relaxes a row private to its evaluator. *)
+let relax (row : float array) ~k (pk : float array) =
   let rk = row.(k) in
   if rk < infinity then
-    for j = 0 to n - 1 do
+    for j = 0 to Array.length row - 1 do
       let via = rk +. pk.(j) in
-      out.(j) <- (if via < row.(j) then via else row.(j))
+      if via < row.(j) then row.(j) <- via
     done
-  else Array.blit row 0 out 0 n;
-  out
 
 (* Cost of updating one row of length [n] against one pivot. *)
 let op_cycles = 6
@@ -106,12 +103,11 @@ let gph ?(seed = 7) ~n () =
     | None ->
         let node =
           Gph.thunk ~size:((8 * n) + 24) ~cost:(pivot_chain_cost k) (fun () ->
-              let row = ref (Array.copy adj.(k)) in
+              let row = Array.copy adj.(k) in
               for k' = 0 to k - 1 do
-                let pk' = Gph.force (pivot k') in
-                row := update_row !row ~k:k' pk'
+                relax row ~k:k' (Gph.force (pivot k'))
               done;
-              !row)
+              row)
         in
         pivots.(k) <- Some node;
         node
@@ -124,14 +120,11 @@ let gph ?(seed = 7) ~n () =
   let final_row i =
     Gph.thunk ~size:((8 * n) + 24) ~cost:(Cost.scale n (row_update_cost n))
       (fun () ->
-        let row = ref (Array.copy adj.(i)) in
+        let row = Array.copy adj.(i) in
         for k = 0 to n - 1 do
-          if k <> i then begin
-            let pk = Gph.force (pivot k) in
-            row := update_row !row ~k pk
-          end
+          if k <> i then relax row ~k (Gph.force (pivot k))
         done;
-        !row)
+        row)
   in
   let rows = List.init n final_row in
   Gph.par_list Gph.rwhnf rows;
@@ -189,15 +182,16 @@ let eden_ring ?(seed = 7) ?nprocs ~n () =
         let apply_pivot k pk =
           Api.charge (Cost.scale nrows (row_update_cost n));
           for i = 0 to nrows - 1 do
-            if lo + i <> k then block.(i) <- update_row block.(i) ~k pk
+            if lo + i <> k then relax block.(i) ~k pk
           done
         in
         for k = 0 to n - 1 do
           if owner k = p then begin
-            (* my row k is up to date: publish it around the ring
-               first (pipelining), then update the rest of my block *)
+            (* my row k is up to date: publish a copy around the ring
+               first (pipelining; later pivots keep relaxing the block
+               in place), then update the rest of my block *)
             let row = block.(k - lo) in
-            send_right (k, row);
+            send_right (k, Array.copy row);
             apply_pivot k row
           end
           else begin

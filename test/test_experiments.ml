@@ -6,8 +6,8 @@ module E = Repro_experiments
 let test_case = Alcotest.test_case
 let check = Alcotest.check
 
-(* Fig. 1 at a size where the ordering is stable (the full size is run
-   by the benchmark harness). *)
+(* Fig. 1 at a size where the ordering is stable (every figure's
+   full-size output is diffed against its copy in test/figures/). *)
 let fig1_ordering () =
   let r = E.Fig1.run ~n:8000 () in
   check Alcotest.int "five rows" 5 (List.length r.rows);

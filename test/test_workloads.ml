@@ -162,9 +162,17 @@ let apsp_reference_sanity () =
   check (Alcotest.float 1e-9) "0->3 via 1,2" 4.0 d.(0).(3);
   check (Alcotest.float 1e-9) "unreachable" inf d.(3).(0)
 
+(* Weights are integers from 1 to 100, so every path sum is exact and
+   every variant's checksum equals the reference's bit for bit. *)
+let apsp_reference ?seed n =
+  Int64.bits_of_float (W.Apsp.checksum (W.Apsp.floyd_warshall (W.Apsp.graph ?seed n)))
+
+let check_bits what expect got =
+  check Alcotest.int64 what expect (Int64.bits_of_float got)
+
 let apsp_variants_agree () =
   let n = 60 in
-  let expect = W.Apsp.checksum (W.Apsp.floyd_warshall (W.Apsp.graph n)) in
+  let expect = apsp_reference n in
   let lazy_g, _ =
     Rts.run (V.gph_steal ~ncaps:4 ()).config (fun () -> W.Apsp.gph ~n ())
   in
@@ -175,20 +183,20 @@ let apsp_variants_agree () =
   let eden_g, _ =
     Rts.run (V.eden ~npes:4 ()).config (fun () -> W.Apsp.eden_ring ~n ())
   in
-  check (Alcotest.float 1e-6) "lazy gph" expect lazy_g;
-  check (Alcotest.float 1e-6) "eager gph" expect eager_g;
-  check (Alcotest.float 1e-6) "eden ring" expect eden_g
+  check_bits "lazy gph" expect lazy_g;
+  check_bits "eager gph" expect eager_g;
+  check_bits "eden ring" expect eden_g
 
 let apsp_ring_nprocs_variants () =
   let n = 30 in
-  let expect = W.Apsp.checksum (W.Apsp.floyd_warshall (W.Apsp.graph n)) in
+  let expect = apsp_reference n in
   List.iter
     (fun nprocs ->
       let got, _ =
         Rts.run (V.eden ~npes:6 ()).config (fun () ->
             W.Apsp.eden_ring ~nprocs ~n ())
       in
-      check (Alcotest.float 1e-6) (Printf.sprintf "ring of %d" nprocs) expect got)
+      check_bits (Printf.sprintf "ring of %d" nprocs) expect got)
     [ 1; 2; 3; 5; 6 ]
 
 let qcheck_apsp_sizes =
@@ -196,22 +204,26 @@ let qcheck_apsp_sizes =
     ~count:10
     QCheck.(pair (int_range 4 40) (int_range 0 1000))
     (fun (n, seed) ->
-      let expect = W.Apsp.checksum (W.Apsp.floyd_warshall (W.Apsp.graph ~seed n)) in
       let got, _ =
         Rts.run (V.with_eager (V.gph_steal ~ncaps:3 ())).config (fun () ->
             W.Apsp.gph ~seed ~n ())
       in
-      Float.abs (got -. expect) <= 1e-6 *. (1.0 +. Float.abs expect))
+      Int64.bits_of_float got = apsp_reference ~seed n)
 
+(* Under lazy black-holing two evaluators really run one pivot thunk;
+   each relaxes a row of its own, so the result stays exact. *)
 let apsp_lazy_duplicates_eager_not () =
   let n = 80 in
-  let _, lazy_rep =
-    Rts.run (V.gph_steal ~ncaps:8 ()).config (fun () -> ignore (W.Apsp.gph ~n ()))
+  let expect = apsp_reference n in
+  let lazy_g, lazy_rep =
+    Rts.run (V.gph_steal ~ncaps:8 ()).config (fun () -> W.Apsp.gph ~n ())
   in
-  let _, eager_rep =
+  let eager_g, eager_rep =
     Rts.run (V.with_eager (V.gph_steal ~ncaps:8 ())).config (fun () ->
-        ignore (W.Apsp.gph ~n ()))
+        W.Apsp.gph ~n ())
   in
+  check_bits "lazy gph" expect lazy_g;
+  check_bits "eager gph" expect eager_g;
   check Alcotest.bool "lazy duplicates pivot work" true
     (lazy_rep.Repro_parrts.Report.dup_work_entries > 0);
   check Alcotest.int "eager never duplicates" 0
