@@ -154,10 +154,20 @@ let version_conv =
 let run_cmd =
   let make_versions, version_names = version_conv in
   let workload =
-    let doc = "Workload: sumeuler, matmul or apsp." in
+    let doc = "Workload: sumeuler, parfib, matmul, mandelbrot or apsp." in
     Arg.(
       required
-      & pos 0 (some (enum [ ("sumeuler", `Sumeuler); ("matmul", `Matmul); ("apsp", `Apsp) ])) None
+      & pos 0
+          (some
+             (enum
+                [
+                  ("sumeuler", `Sumeuler);
+                  ("parfib", `Parfib);
+                  ("matmul", `Matmul);
+                  ("mandelbrot", `Mandelbrot);
+                  ("apsp", `Apsp);
+                ]))
+          None
       & info [] ~doc ~docv:"WORKLOAD")
   in
   let version =
@@ -167,7 +177,13 @@ let run_cmd =
     Arg.(value & opt string "steal" & info [ "variant"; "v" ] ~doc)
   in
   let ncaps = Arg.(value & opt int 8 & info [ "ncaps"; "p" ] ~doc:"Capabilities/PEs.") in
-  let size = Arg.(value & opt (some int) None & info [ "size"; "n" ] ~doc:"Problem size.") in
+  let size =
+    let doc =
+      "Problem size (default: sumeuler 15000, parfib 30, matmul 1000, mandelbrot \
+       300 for a 300x300 image, apsp 400)."
+    in
+    Arg.(value & opt (some int) None & info [ "size"; "n" ] ~doc)
+  in
   let machine_arg =
     Arg.(
       value
@@ -205,6 +221,12 @@ let run_cmd =
               else if is_eden then Repro_workloads.Sumeuler.eden ~n ()
               else Repro_workloads.Sumeuler.gph ~n ()),
             Some (W.Sumeuler.reference ~size:n) )
+      | `Parfib ->
+          let n = Option.value size ~default:30 in
+          ( (fun () ->
+              if is_eden then Repro_workloads.Parfib.eden ~n ~depth:4 ()
+              else Repro_workloads.Parfib.gph ~n ~threshold:20 ()),
+            Some (Repro_workloads.Parfib.reference n) )
       | `Matmul ->
           let n = Option.value size ~default:1000 in
           ( (fun () ->
@@ -216,6 +238,12 @@ let run_cmd =
               else ignore (Repro_workloads.Matmul.gph ~n ());
               0),
             None )
+      | `Mandelbrot ->
+          let n = Option.value size ~default:300 in
+          ( (fun () ->
+              if is_eden then Repro_workloads.Mandelbrot.eden_mw ~width:n ~height:n ()
+              else Repro_workloads.Mandelbrot.gph ~width:n ~height:n ()),
+            Some (Repro_workloads.Mandelbrot.reference ~width:n ~height:n ()) )
       | `Apsp ->
           let n = Option.value size ~default:400 in
           ( (fun () ->

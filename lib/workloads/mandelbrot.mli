@@ -10,7 +10,9 @@ val default_view : view
 (** Escape iterations for the point [(cr, ci)]. *)
 val escape : max_iter:int -> float -> float -> int
 
-(** Compute one image row; returns (per-pixel iterations, total). *)
+(** Compute one image row; returns (per-pixel iterations, total).
+    Pixel [k] of an [n]-pixel axis samples [lo + (hi - lo) k / (n - 1)];
+    a 1-pixel axis samples the view's low edge ([x0] or [y0]). *)
 val compute_row : view:view -> width:int -> height:int -> int -> int array * int
 
 (** Sequential reference checksum (sum of all iteration counts). *)

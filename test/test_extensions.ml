@@ -197,6 +197,83 @@ let mandelbrot_rows_irregular () =
   let _, t_mid = W.Mandelbrot.compute_row ~view ~width:64 ~height:64 32 in
   check Alcotest.bool "middle rows cost more" true (t_mid > 2 * t_edge)
 
+(* The pixel [k] of [n] on an axis from [lo] to [hi], as [compute_row]
+   samples it; a 1-pixel axis samples [lo]. *)
+let sample lo hi n k =
+  lo +. ((hi -. lo) *. float_of_int k /. float_of_int (max 1 (n - 1)))
+
+let mandelbrot_views =
+  let v x0 y0 x1 y1 = { W.Mandelbrot.default_view with x0; y0; x1; y1 } in
+  [
+    W.Mandelbrot.default_view;
+    (* every point inside the main cardioid: all four lanes run to
+       max_iter together *)
+    v (-0.5) (-0.25) 0.0 0.25;
+    (* every point outside the set (|c| > 2): all escape at once *)
+    v 2.5 1.0 4.0 3.0;
+    (* the boundary near the seahorse valley: lanes finish apart *)
+    v (-0.8) 0.05 (-0.7) 0.15;
+  ]
+
+let qcheck_mandelbrot_lanes =
+  let gen =
+    QCheck.Gen.(
+      let* view =
+        oneof
+          [
+            oneofl mandelbrot_views;
+            (let* x0 = float_range (-2.5) 1.0 and* y0 = float_range (-1.5) 1.5 in
+             let* dx = float_range (-1.5) 1.5 and* dy = float_range (-1.5) 1.5 in
+             return
+               { W.Mandelbrot.default_view with x0; y0; x1 = x0 +. dx; y1 = y0 +. dy });
+          ]
+      in
+      let* max_iter = int_range 0 300 and* width = int_range 1 67 in
+      let* height = int_range 1 67 in
+      let* y = int_range 0 (height - 1) in
+      return ({ view with W.Mandelbrot.max_iter }, width, height, y))
+  in
+  let print ((v : W.Mandelbrot.view), width, height, y) =
+    Printf.sprintf "view (%h, %h)-(%h, %h) max_iter %d, width %d, height %d, row %d"
+      v.x0 v.y0 v.x1 v.y1 v.max_iter width height y
+  in
+  QCheck.Test.make ~name:"mandelbrot compute_row == escape per pixel" ~count:300
+    (QCheck.make ~print gen)
+    (fun (view, width, height, y) ->
+      let row, total = W.Mandelbrot.compute_row ~view ~width ~height y in
+      let ci = sample view.y0 view.y1 height y in
+      let want =
+        Array.init width (fun x ->
+            W.Mandelbrot.escape ~max_iter:view.max_iter
+              (sample view.x0 view.x1 width x)
+              ci)
+      in
+      row = want && total = Array.fold_left ( + ) 0 want)
+
+let mandelbrot_pinned_references () =
+  (* measured with the one-point loop *)
+  List.iter
+    (fun (d, want) ->
+      check Alcotest.int (Printf.sprintf "%dx%d" d d) want
+        (W.Mandelbrot.reference ~width:d ~height:d ()))
+    [ (300, 6_011_010); (500, 16_723_816) ]
+
+let mandelbrot_one_pixel_axis () =
+  (* c = -1 never escapes, while a NaN sample (0 /. 0 on a 1-pixel
+     axis) counts 1 iteration *)
+  let view = { W.Mandelbrot.default_view with x0 = -1.0; y0 = 0.0 } in
+  let max_iter = view.max_iter in
+  check
+    Alcotest.(pair (array int) int)
+    "1x1 samples (x0, y0)" ([| max_iter |], max_iter)
+    (W.Mandelbrot.compute_row ~view ~width:1 ~height:1 0);
+  let row, _ = W.Mandelbrot.compute_row ~view ~width:1 ~height:7 3 in
+  check Alcotest.(array int) "a 1-wide row samples x0"
+    [| W.Mandelbrot.escape ~max_iter (-1.0) (sample view.y0 view.y1 7 3) |]
+    row;
+  let row, _ = W.Mandelbrot.compute_row ~view ~width:5 ~height:1 0 in
+  check Alcotest.int "a 1-high image samples y0" max_iter row.(0)
+
 let suite =
   ( "extensions",
     [
@@ -216,4 +293,8 @@ let suite =
       test_case "mandelbrot variants agree" `Quick mandelbrot_variants_agree;
       test_case "mandelbrot escape sanity" `Quick mandelbrot_escape_sanity;
       test_case "mandelbrot rows irregular" `Quick mandelbrot_rows_irregular;
+      QCheck_alcotest.to_alcotest qcheck_mandelbrot_lanes;
+      test_case "mandelbrot pinned references" `Quick mandelbrot_pinned_references;
+      test_case "mandelbrot 1-pixel axis samples the low edge" `Quick
+        mandelbrot_one_pixel_axis;
     ] )

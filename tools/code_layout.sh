@@ -31,8 +31,8 @@ fi
 hot=(Repro_exec.Workload.nfib Repro_exec.Workload.pivot_step
   Repro_workloads.Euler.phi_fast Repro_workloads.Euler.sum_phi
   Repro_workloads.Matrix.mul_row Repro_workloads.Mandelbrot.compute_row
-  Repro_sim.Engine.dispatch Repro_parrts.Rts.begin_charge
-  Repro_parrts.Rts.charge_segment_done)
+  Repro_workloads.Mandelbrot.escape4 Repro_sim.Engine.dispatch
+  Repro_parrts.Rts.begin_charge Repro_parrts.Rts.charge_segment_done)
 
 declare -A fn
 while read -r addr size _ sym; do
