@@ -4,8 +4,7 @@
     - Eden-style processes against GpH-style domains ([--eden-vs-gph];
       [--dist-transport sock|shm] picks the wire);
     - transport calibration ([--transport]);
-    - metrics record and fiber runtime overhead ([--metrics-overhead],
-      [--fiber-overhead]);
+    - metrics record overhead ([--metrics-overhead]);
     - the minor-heap sweep ([--minor-heap]).
 
     With no argument every section but the sweep runs; any other
@@ -501,137 +500,6 @@ let metrics_overhead () =
          ]));
   Printf.printf "\nwrote BENCH_metrics.json\n%!"
 
-(* ---------------- fiber runtime overhead ---------------- *)
-
-(* The fiber primitives against the raw spark machinery they ride on:
-   spawn+join of a no-op fiber vs spark+force of a no-op future, the
-   await/park/resume round trip (two fibers ping-ponging through fresh
-   promises), the yield reschedule, and the designed operating point —
-   100k fibers parked on one gate promise over 2 domains. *)
-let fiber_overhead () =
-  hr "Fiber runtime overhead (spawn/await/yield vs raw sparks)";
-  let module Fiber = Repro_fiber.Fiber in
-  let module Promise = Repro_fiber.Promise in
-  let per_op name ops dt_ns =
-    let ns = float_of_int dt_ns /. float_of_int ops in
-    Printf.printf "  %-36s %8.0f ns/op  (%d ops)\n%!" name ns ops;
-    (name, ns, ops)
-  in
-  let ops = if quick then 20_000 else 100_000 in
-  (* one full lifecycle at a time: the sequential spawn+join cost, not
-     the queueing throughput *)
-  let spawn_join =
-    Fiber.run ~cores:1 (fun () ->
-        time_ns (fun () ->
-            for _ = 1 to ops do
-              Fiber.join (Fiber.spawn (fun () -> ()))
-            done))
-    |> per_op "fiber spawn+join" ops
-  in
-  let spark_force =
-    Repro_exec.Pool.with_pool ~cores:1 (fun () ->
-        time_ns (fun () ->
-            for _ = 1 to ops do
-              Repro_exec.Future.force (Repro_exec.Future.spark (fun () -> ()))
-            done))
-    |> per_op "raw spark+force (baseline)" ops
-  in
-  (* fast path: the promise is already fulfilled, await never parks *)
-  let await_resolved =
-    Fiber.run ~cores:1 (fun () ->
-        let p = Promise.of_value () in
-        time_ns (fun () ->
-            for _ = 1 to ops do
-              Fiber.await p
-            done))
-    |> per_op "await (already fulfilled)" ops
-  in
-  (* slow path: two fibers ping-pong through fresh promises — each leg
-     is one park and one cross-fiber resume (racing the fast path,
-     as production awaits do) *)
-  let park_resume =
-    Fiber.run ~cores:2 (fun () ->
-        let ping = Array.init ops (fun _ -> Promise.create ()) in
-        let pong = Array.init ops (fun _ -> Promise.create ()) in
-        time_ns (fun () ->
-            let a =
-              Fiber.spawn (fun () ->
-                  for i = 0 to ops - 1 do
-                    Promise.fulfil ping.(i) ();
-                    Fiber.await pong.(i)
-                  done)
-            in
-            let b =
-              Fiber.spawn (fun () ->
-                  for i = 0 to ops - 1 do
-                    Fiber.await ping.(i);
-                    Promise.fulfil pong.(i) ()
-                  done)
-            in
-            Fiber.join a;
-            Fiber.join b))
-    |> per_op "await leg (park+resume)" (2 * ops)
-  in
-  let yield_ns =
-    Fiber.run ~cores:1 (fun () ->
-        time_ns (fun () ->
-            for _ = 1 to ops do
-              Fiber.yield ()
-            done))
-    |> per_op "yield (FIFO reschedule)" ops
-  in
-  (* the operating point from the issue: mass-park on one gate, mass
-     release, all on 2 domains *)
-  let nmass = if quick then 20_000 else 100_000 in
-  let mass_dt_ns, peak =
-    Fiber.run ~cores:2 (fun () ->
-        let gate : unit Promise.t = Promise.create () in
-        let t0 = now_ns () in
-        let hs =
-          List.init nmass (fun _ -> Fiber.spawn (fun () -> Fiber.await gate))
-        in
-        Promise.fulfil gate ();
-        List.iter Fiber.join hs;
-        let st = Fiber.stats () in
-        (now_ns () - t0, st.Fiber.s_high_water))
-  in
-  Printf.printf "  %-36s %8.2f ms  (%d fibers, 2 domains, peak live %d)\n%!"
-    "gate release end-to-end" (float_of_int mass_dt_ns /. 1e6) nmass peak;
-  Repro_util.Json_out.to_file "BENCH_fiber.json"
-    (Repro_util.Json_out.Obj
-       (("schema", Repro_util.Json_out.Str "repro/bench-fiber/v1")
-        :: ("backend", Repro_util.Json_out.Str "domains")
-        :: Measure.env_header ()
-       @ [
-           ( "micro_ns_per_op",
-             Repro_util.Json_out.List
-               (List.map
-                  (fun (name, ns, ops) ->
-                    Repro_util.Json_out.Obj
-                      [
-                        ("name", Repro_util.Json_out.Str name);
-                        ("ns_per_op", Repro_util.Json_out.Float ns);
-                        ("ops", Repro_util.Json_out.Int ops);
-                      ])
-                  [
-                    spawn_join; spark_force; await_resolved; park_resume;
-                    yield_ns;
-                  ]) );
-           ( "mass_park_release",
-             Repro_util.Json_out.Obj
-               [
-                 ("fibers", Repro_util.Json_out.Int nmass);
-                 ("cores", Repro_util.Json_out.Int 2);
-                 ("total_ns", Repro_util.Json_out.Int mass_dt_ns);
-                 ("peak_live", Repro_util.Json_out.Int peak);
-                 ( "fibers_per_s",
-                   Repro_util.Json_out.Float
-                     (float_of_int nmass *. 1e9
-                     /. float_of_int (max 1 mass_dt_ns)) );
-               ] );
-         ]));
-  Printf.printf "\nwrote BENCH_fiber.json\n%!"
-
 (* Calibrate [Transport.measured] profiles from this machine: round
    trips over a real socketpair and a real shm ring pair give latency
    / per-message / per-byte wire costs, a Marshal micro-benchmark
@@ -880,7 +748,6 @@ let () =
   | [ "--minor-heap" ] -> minor_heap_sweep ()
   | [ "--transport" ] -> transport_calibration ()
   | [ "--metrics-overhead" ] -> metrics_overhead ()
-  | [ "--fiber-overhead" ] -> fiber_overhead ()
   | [ "--eden-vs-gph" ] -> eden_vs_gph ()
   | [] ->
       Printf.printf
@@ -890,10 +757,9 @@ let () =
       sim_vs_real ();
       eden_vs_gph ();
       transport_calibration ();
-      metrics_overhead ();
-      fiber_overhead ()
+      metrics_overhead ()
   | _ ->
       prerr_endline
         "usage: main.exe [--eden-vs-gph | --transport | --metrics-overhead \
-         | --fiber-overhead | --minor-heap] [--dist-transport sock|shm]";
+         | --minor-heap] [--dist-transport sock|shm]";
       exit 2

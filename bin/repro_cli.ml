@@ -286,12 +286,10 @@ let run_cmd =
       const run $ workload $ version $ ncaps $ size $ machine_arg $ trace_flag
       $ svg_file $ events_flag $ out_file)
 
-(* ---------------- live metrics plumbing (exec & dist) ---------------- *)
+(* ---------------- metrics snapshot (exec & dist) ---------------- *)
 
 module Metrics = Repro_metrics.Metrics
-module MExport = Repro_metrics.Export
 module MHealth = Repro_metrics.Health
-module MSampler = Repro_metrics.Sampler
 
 let metrics_file_arg =
   Arg.(
@@ -299,27 +297,9 @@ let metrics_file_arg =
     & opt (some string) None
     & info [ "metrics" ]
         ~doc:
-          "Sample the live metrics registry every $(b,--metrics-interval) \
-           milliseconds and write the time series as JSON to $(docv), \
-           rewritten atomically after every tick so $(b,repro-cli top) can \
-           follow the run live."
+          "Write the end-of-run metrics snapshot as a repro/metrics/v1 JSON \
+           document to $(docv) and print the health verdicts on it."
         ~docv:"FILE.json")
-
-let metrics_interval_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "metrics-interval" ]
-        ~doc:"Sampling period for $(b,--metrics), in milliseconds." ~docv:"MS")
-
-let metrics_om_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-om" ]
-        ~doc:
-          "Write the final metrics snapshot in OpenMetrics text format to \
-           $(docv) (validate with $(b,repro-cli metrics-check))."
-        ~docv:"FILE.om")
 
 let strict_health_arg =
   Arg.(
@@ -328,67 +308,30 @@ let strict_health_arg =
         ~doc:
           "Exit 3 when any shutdown health detector triggers (steal-failure \
            storm, spark fizzle ratio, ring backpressure stall, GC pause \
-           budget, leaked fibers).")
+           budget).")
 
-let write_text_file path s =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc s)
-
-(* The metrics tail of exec, exec --fibers and dist: [run] runs under
-   the --metrics sampler; then the series goes to --metrics, the final
-   snapshot to --metrics-om, [after] sees [run]'s value and the series
-   (exec pins the snapshots on its trace), the health verdicts on the
-   final snapshot are printed, the report is emitted and the exit code
-   is --strict-health's.  The final snapshot is the sampler's last, or
-   dist's farm-wide view: [farm] returns the PE count and runs the farm
-   once more (only when a metrics flag asks for it), and its snapshot
-   is appended to the series. *)
-let metered ~out ~meta ~mfile ~mint ~mom ~strict ?farm
-    ?(after = fun _ _ -> ()) buf run =
-  let sampler =
-    Option.map
-      (fun path ->
-        MSampler.start ~interval_ms:(max 10 mint)
-          ~on_sample:(fun series -> MExport.write_series ~meta path series)
-          ())
-      mfile
-  in
-  let r = run () in
-  let series = match sampler with None -> [] | Some s -> MSampler.stop s in
-  let wanted = mfile <> None || mom <> None || strict in
-  let written, final, note =
-    match farm with
-    | Some farm when wanted ->
-        let procs, merged = farm () in
-        ( series @ [ merged ],
-          merged,
-          Printf.sprintf "%d coordinator snapshot(s) + merged farm view, %d PEs"
-            (List.length series) procs )
-    | _ ->
-        ( series,
-          (match List.rev series with s :: _ -> s | [] -> Metrics.snapshot ()),
-          Printf.sprintf "%d snapshots" (List.length series) )
-  in
-  Option.iter
-    (fun path ->
-      MExport.write_series ~meta path written;
-      Printf.bprintf buf "wrote %s (%s)\n" path note)
-    mfile;
-  Option.iter
-    (fun path ->
-      write_text_file path (MExport.openmetrics final);
-      Printf.bprintf buf "wrote %s\n" path)
-    mom;
-  after r series;
+(* The metrics tail of exec and dist: run, snapshot, write --metrics,
+   then the health verdicts on the snapshot and --strict-health's exit
+   code.  The snapshot is the default registry's, or dist's farm-wide
+   view: [farm] runs the farm once more (only when a metrics flag asks
+   for it) and returns its merged snapshot. *)
+let metered ~out ~meta ~mfile ~strict ?farm buf run =
+  run ();
   let code =
-    if wanted then begin
-      let verdicts = MHealth.evaluate final in
+    if mfile = None && not strict then 0
+    else begin
+      let snap =
+        match farm with Some farm -> farm () | None -> Metrics.snapshot ()
+      in
+      Option.iter
+        (fun path ->
+          Repro_util.Json_out.to_file path (Metrics.document ~meta snap);
+          Printf.bprintf buf "wrote %s\n" path)
+        mfile;
+      let verdicts = MHealth.evaluate snap in
       Buffer.add_string buf (Format.asprintf "%a" MHealth.pp verdicts);
       if strict then MHealth.exit_code verdicts else 0
     end
-    else 0
   in
   emit out (Buffer.contents buf);
   if code <> 0 then exit code
@@ -484,71 +427,6 @@ let sweep_report buf ~hw ~repeat ~ladder ~reference ~json_file run =
 
 (* ---------------- exec: real multicore execution ---------------- *)
 
-(* --fibers: the fiber-runtime stress mode — n fibers over the pool,
-   every one parked on a single gate promise, then all released at
-   once.  Exercises spawn, await/park, mass resume and the drain path
-   at the designed 100k-fibers-on-2-domains operating point, with the
-   same metrics/health plumbing as a workload run (the fiber-leak
-   detector sees the retired live gauge). *)
-let exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out =
-  let module Fiber = Repro_fiber.Fiber in
-  let module Promise = Repro_fiber.Promise in
-  let module A = Repro_shim.Tatomic.Real in
-  if nfibers < 1 then begin
-    Printf.eprintf "repro-cli: exec: --fibers must be >= 1 (got %d)\n" nfibers;
-    exit 2
-  end;
-  let meta =
-    Repro_util.Json_out.
-      [
-        ("command", Str "exec");
-        ("mode", Str "fibers");
-        ("fibers", Int nfibers);
-        ("cores", Int cores);
-      ]
-  in
-  let buf = Buffer.create 512 in
-  metered ~out ~meta ~mfile ~mint ~mom ~strict buf @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let spawned_in = ref 0. in
-  let stats =
-    Fiber.run ~cores (fun () ->
-        let gate : unit Promise.t = Promise.create () in
-        let ran = A.make 0 in
-        let hs =
-          List.init nfibers (fun i ->
-              Fiber.spawn (fun () ->
-                  Fiber.yield ();
-                  Fiber.await gate;
-                  A.incr ran;
-                  i))
-        in
-        spawned_in := Unix.gettimeofday () -. t0;
-        Promise.fulfil gate ();
-        List.iter (fun h -> ignore (Fiber.join h)) hs;
-        let st = Fiber.stats () in
-        if A.get ran <> nfibers then
-          failwith "fiber stress: not every fiber ran its body";
-        st)
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "fiber stress: %d fibers over %d domain(s) (%d hardware core(s))\n"
-       nfibers cores hw);
-  Buffer.add_string buf
-    (Printf.sprintf "spawned in %.3f s, all joined in %.3f s (%.0f fibers/s)\n"
-       !spawned_in dt
-       (float_of_int nfibers /. Float.max 1e-9 dt));
-  Buffer.add_string buf
-    (Printf.sprintf "spawned %d  completed %d  cancelled %d  failed %d\n"
-       stats.Fiber.s_spawned stats.Fiber.s_completed stats.Fiber.s_cancelled
-       stats.Fiber.s_failed);
-  Buffer.add_string buf
-    (Printf.sprintf "suspends %d  resumes %d  yields %d  peak live %d\n"
-       stats.Fiber.s_suspends stats.Fiber.s_resumes stats.Fiber.s_yields
-       stats.Fiber.s_high_water)
-
 let exec_cmd =
   let cores =
     let doc = "Number of domains (default: all hardware cores)." in
@@ -576,25 +454,10 @@ let exec_cmd =
              timeline as SVG to $(docv)."
           ~docv:"FILE.svg")
   in
-  let fibers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fibers" ]
-          ~doc:
-            "Fiber-runtime stress mode: spawn $(docv) fibers over \
-             $(b,--cores) domains, park them all on one gate promise, \
-             release and join them (the workload is not run).  Composes \
-             with $(b,--metrics)/$(b,--metrics-om)/$(b,--strict-health)."
-          ~docv:"N")
-  in
   let run (module W : Workload.S) cores size repeat sweep_flag json_file
-      trace_file trace_svg fibers mfile mint mom strict quick out =
+      trace_file trace_svg mfile strict quick out =
     let hw = Domain.recommended_domain_count () in
     let cores = match cores with Some c -> max 1 c | None -> hw in
-    match fibers with
-    | Some nfibers -> exec_fibers ~hw ~cores ~nfibers ~mfile ~mint ~mom ~strict ~out
-    | None ->
     let size =
       resolve_size ~cmd:"exec" ~quick ~quick_size:W.quick_size
         ~default_size:W.default_size size
@@ -609,55 +472,7 @@ let exec_cmd =
         ]
     in
     let buf = Buffer.create 1024 in
-    let write_trace trace_run series =
-      match trace_run with
-      | None -> ()
-      | Some (path, tr) ->
-          let module Tracer = Repro_exec.Tracer in
-          let log = Tracer.to_eventlog tr in
-          let t0 = Tracer.t0_ns tr in
-          let instants =
-            List.filter_map
-              (fun (s : Metrics.snapshot) ->
-                if s.Metrics.taken_ns < t0 then None
-                else
-                  Some
-                    ( s.Metrics.taken_ns - t0,
-                      "metrics",
-                      [
-                        ( "sparks_run",
-                          Metrics.total s "repro_pool_sparks_run_total" );
-                        ("steals", Metrics.total s "repro_steals_total");
-                        ( "gc_minor",
-                          Metrics.total s "repro_gc_minor_collections" );
-                      ] ))
-              series
-          in
-          let doc = Repro_trace.Chrome.of_eventlog ~instants ~ncaps:cores log in
-          Repro_util.Json_out.to_file path doc;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "wrote %s (%d events recorded, %d metric instant(s), Chrome \
-                trace-event format)\n"
-               path (Tracer.recorded tr) (List.length instants));
-          (match trace_svg with
-          | Some svg_path ->
-              let trace = Repro_trace.Eventlog.to_trace ~ncaps:cores log in
-              Repro_trace.Render_svg.to_file
-                ~title:(Printf.sprintf "%s, %d domain(s)" W.name cores)
-                trace svg_path;
-              Buffer.add_string buf (Printf.sprintf "wrote %s\n" svg_path)
-          | None -> ());
-          let report =
-            Repro_exec.Profile.analyze (Repro_exec.Profile.of_chrome_json doc)
-          in
-          Buffer.add_string buf (Repro_exec.Profile.to_string report)
-    in
-    (* the traced run happens inside the sampled run, but the Chrome
-       file is written after the sampler (if any) stops, so its
-       snapshots can be pinned onto the timeline as instants *)
-    metered ~out ~meta ~mfile ~mint ~mom ~strict ~after:write_trace buf
-    @@ fun () ->
+    metered ~out ~meta ~mfile ~strict buf @@ fun () ->
     let reference = W.reference ~size in
     Printf.bprintf buf "real execution: %s, size %d (%s)\n" W.name size
       W.size_doc;
@@ -667,15 +482,14 @@ let exec_cmd =
     match trace_file with
     | None ->
         if trace_svg <> None then
-          Buffer.add_string buf "--trace-svg has no effect without --trace\n";
-        None
+          Buffer.add_string buf "--trace-svg has no effect without --trace\n"
     | Some path ->
         let module Pool = Repro_exec.Pool in
         let module Tracer = Repro_exec.Tracer in
         let tr = Tracer.create ~ncaps:cores () in
         Tracer.enable tr;
-        (* ring-drop counters flow into live snapshots while the
-           traced pool runs *)
+        (* the tracer's ring-drop counters retire into the registry, so
+           the end-of-run snapshot carries them *)
         let tok =
           Metrics.add_collector ~name:"tracer" (fun () ->
               Tracer.metrics_samples tr)
@@ -687,7 +501,24 @@ let exec_cmd =
         Metrics.remove_collector tok;
         if v <> reference then
           failwith "traced run: result differs from sequential reference";
-        Some (path, tr)
+        let log = Tracer.to_eventlog tr in
+        let doc = Repro_trace.Chrome.of_eventlog ~ncaps:cores log in
+        Repro_util.Json_out.to_file path doc;
+        Printf.bprintf buf
+          "wrote %s (%d events recorded, Chrome trace-event format)\n" path
+          (Tracer.recorded tr);
+        (match trace_svg with
+        | Some svg_path ->
+            let trace = Repro_trace.Eventlog.to_trace ~ncaps:cores log in
+            Repro_trace.Render_svg.to_file
+              ~title:(Printf.sprintf "%s, %d domain(s)" W.name cores)
+              trace svg_path;
+            Printf.bprintf buf "wrote %s\n" svg_path
+        | None -> ());
+        let report =
+          Repro_exec.Profile.analyze (Repro_exec.Profile.of_chrome_json doc)
+        in
+        Buffer.add_string buf (Repro_exec.Profile.to_string report)
   in
   Cmd.v
     (Cmd.info "exec"
@@ -696,8 +527,7 @@ let exec_cmd =
           executor) and report measured wall-clock speedups")
     Term.(
       const run $ workload_arg $ cores $ size_arg $ repeat_arg $ sweep_arg
-      $ json_arg $ trace_file $ trace_svg $ fibers_arg
-      $ metrics_file_arg $ metrics_interval_arg $ metrics_om_arg
+      $ json_arg $ trace_file $ trace_svg $ metrics_file_arg
       $ strict_health_arg $ quick $ out_file)
 
 (* ---------------- dist: multi-process (Eden/GUM) execution ---------------- *)
@@ -736,7 +566,7 @@ let dist_cmd =
       & info [ "transport" ] ~doc ~docv:"sock|shm")
   in
   let run (module W : Workload.S) procs size repeat sweep_flag json_file
-      trace_file transport mfile mint mom strict quick out =
+      trace_file transport mfile strict quick out =
     let hw = Domain.recommended_domain_count () in
     let procs = match procs with Some p -> max 1 p | None -> hw in
     let size =
@@ -757,17 +587,16 @@ let dist_cmd =
     let reference = W.reference ~size in
     (* one more farm run collects the merged farm-wide snapshot: each
        PE piggybacks its whole registry on the Stats reply and the
-       coordinator relabels ([pe=N]) and merges them *)
+       coordinator relabels them ([pe=N], its own [pe=coord]) and merges
+       them *)
     let farm () =
       let o = Repro_dist.Farm.run ~transport ~procs ~size (module W) in
       if o.Repro_dist.Farm.result <> reference then
         failwith "metrics run: result differs from sequential reference";
-      (procs, o.Repro_dist.Farm.merged_metrics)
+      o.Repro_dist.Farm.merged_metrics
     in
     let buf = Buffer.create 1024 in
-    (* the sampler sees the coordinator side live (its link counters,
-       wire errors, GC) *)
-    metered ~out ~meta ~mfile ~mint ~mom ~strict ~farm buf @@ fun () ->
+    metered ~out ~meta ~mfile ~strict ~farm buf @@ fun () ->
     Printf.bprintf buf
       "distributed execution (one process per PE, %s transport): %s, size %d \
        (%s)\n"
@@ -801,8 +630,8 @@ let dist_cmd =
     Term.(
       const run $ workload_arg $ procs $ size_arg $ repeat_arg $ sweep_arg
       $ json_arg
-      $ trace_file $ transport $ metrics_file_arg $ metrics_interval_arg
-      $ metrics_om_arg $ strict_health_arg $ quick $ out_file)
+      $ trace_file $ transport $ metrics_file_arg $ strict_health_arg $ quick
+      $ out_file)
 
 (* ---------------- profile: post-hoc trace analysis ---------------- *)
 
@@ -920,216 +749,6 @@ let check_cmd =
           seeded mutants are caught")
     Term.(const run $ trace_flag $ config_name $ out_file)
 
-(* ---------------- top: live metrics view ---------------- *)
-
-let top_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE.json"
-          ~doc:
-            "Time-series JSON written by $(b,exec)/$(b,dist) $(b,--metrics) \
-             (readable while the run is still going: the writer replaces the \
-             file atomically).")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:"Render the latest snapshot once and exit (CI-friendly).")
-  in
-  let interval =
-    Arg.(
-      value & opt float 1.0
-      & info [ "interval" ] ~doc:"Refresh period in seconds." ~docv:"S")
-  in
-  let sample_value = function
-    | Metrics.Counter v | Metrics.Gauge v -> v
-    | Metrics.Hist _ -> 0.
-  in
-  let render (series : Metrics.snapshot list) =
-    let buf = Buffer.create 2048 in
-    (match List.rev series with
-    | [] -> Buffer.add_string buf "no snapshots yet\n"
-    | last :: older ->
-        let prev = match older with p :: _ -> Some p | [] -> None in
-        (* rates come from the last sampling interval when there is
-           one, else from the whole run *)
-        let dt_ns =
-          float_of_int
-            (match prev with
-            | Some p -> max 1 (last.Metrics.taken_ns - p.Metrics.taken_ns)
-            | None -> max 1 last.Metrics.elapsed_ns)
-        in
-        let get snap name labels =
-          match Metrics.find ~labels snap name with
-          | Some s -> sample_value s.Metrics.s_value
-          | None -> 0.
-        in
-        let dget name labels =
-          let cur = get last name labels in
-          match prev with Some p -> cur -. get p name labels | None -> cur
-        in
-        let tot name = Metrics.total last name in
-        let dtot name =
-          match prev with
-          | Some p -> tot name -. Metrics.total p name
-          | None -> tot name
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "%d snapshot(s), %.1f s elapsed\n"
-             (List.length series)
-             (float_of_int last.Metrics.elapsed_ns /. 1e9));
-        (* one row per worker, keyed by the busy-time counter's exact
-           label set (carries a pe label too in a merged dist view) *)
-        let workers =
-          List.filter
-            (fun (s : Metrics.sample) ->
-              s.Metrics.s_name = "repro_pool_busy_ns_total")
-            last.Metrics.samples
-        in
-        if workers <> [] then begin
-          let t =
-            Repro_util.Tablefmt.create
-              ~aligns:
-                Repro_util.Tablefmt.
-                  [ Left; Right; Right; Right; Right; Right; Right ]
-              [
-                "worker"; "busy"; "sparks run"; "steals"; "attempts"; "parks";
-                "queue";
-              ]
-          in
-          List.iter
-            (fun (w : Metrics.sample) ->
-              let labels = w.Metrics.s_labels in
-              let name =
-                let part k =
-                  Option.map (fun v -> k ^ v) (List.assoc_opt k labels)
-                in
-                String.concat "/"
-                  (List.filter_map part [ "pe"; "worker" ]
-                  |> function [] -> [ "?" ] | l -> l)
-              in
-              Repro_util.Tablefmt.add_row t
-                [
-                  name;
-                  Printf.sprintf "%.0f%%"
-                    (100. *. dget "repro_pool_busy_ns_total" labels /. dt_ns);
-                  Printf.sprintf "%.0f"
-                    (get last "repro_pool_sparks_run_total" labels);
-                  Printf.sprintf "%.0f" (get last "repro_steals_total" labels);
-                  Printf.sprintf "%.0f"
-                    (get last "repro_steal_attempts_total" labels);
-                  Printf.sprintf "%.0f"
-                    (get last "repro_pool_parks_total" labels);
-                  Printf.sprintf "%.0f"
-                    (get last "repro_pool_queue_depth" labels);
-                ])
-            workers;
-          Buffer.add_string buf (Repro_util.Tablefmt.to_string t)
-        end
-        else Buffer.add_string buf "(no pool workers in this snapshot)\n";
-        Buffer.add_string buf
-          (Printf.sprintf
-             "steals: %.0f/s  gc: %.0f minor/s %.0f major/s  heap %.1f MW\n"
-             (dtot "repro_steals_total" *. 1e9 /. dt_ns)
-             (dtot "repro_gc_minor_collections" *. 1e9 /. dt_ns)
-             (dtot "repro_gc_major_collections" *. 1e9 /. dt_ns)
-             (tot "repro_gc_heap_words" /. 1e6));
-        Buffer.add_string buf
-          (Printf.sprintf
-             "wire: %.0f msgs %.0f KiB  ring: %.0f backpressure waits %.0f \
-              doorbells  errors: %.0f  tracer drops: %.0f\n"
-             (tot "repro_wire_msgs_sent_total")
-             (tot "repro_wire_bytes_sent_total" /. 1024.)
-             (tot "repro_ring_backpressure_waits_total")
-             (tot "repro_ring_doorbell_rings_total")
-             (tot "repro_wire_errors_total")
-             (tot "repro_tracer_dropped_events_total"
-             +. tot "repro_tracer_lost_runtime_events_total"));
-        let fiber_spawned = tot "repro_fiber_spawned_total" in
-        if fiber_spawned > 0. then
-          Buffer.add_string buf
-            (Printf.sprintf
-               "fibers: %.0f live (peak %.0f)  %.0f spawned %.0f done  \
-                %.0f resumes/s  %.0f yields/s\n"
-               (tot "repro_fiber_live")
-               (tot "repro_fiber_live_max")
-               fiber_spawned
-               (tot "repro_fiber_completed_total")
-               (dtot "repro_fiber_resumes_total" *. 1e9 /. dt_ns)
-               (dtot "repro_fiber_yields_total" *. 1e9 /. dt_ns)));
-    Buffer.contents buf
-  in
-  let run file once interval out =
-    let read () =
-      match Repro_util.Json_in.of_file file with
-      | j -> ( try Some (MExport.series_of_json j) with _ -> None)
-      | exception _ -> None
-    in
-    if once then
-      match read () with
-      | Some series -> emit out (render series)
-      | None ->
-          Printf.eprintf "repro-cli: top: cannot read a metrics series from %s\n"
-            file;
-          exit 2
-    else
-      (* follow mode: redraw until interrupted *)
-      while true do
-        (match read () with
-        | Some series ->
-            print_string "\027[2J\027[H";
-            print_string (render series);
-            flush stdout
-        | None -> ());
-        Unix.sleepf (Float.max 0.1 interval)
-      done
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live view of a running (or finished) $(b,--metrics) series: \
-          per-worker utilization, steal rate, queue depth, GC pressure and \
-          ring backpressure, refreshed in place ($(b,--once) for a single \
-          CI-friendly render)")
-    Term.(const run $ file $ once $ interval $ out_file)
-
-(* ---------------- metrics-check ---------------- *)
-
-let metrics_check_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE.om"
-          ~doc:"OpenMetrics text file written by $(b,--metrics-om).")
-  in
-  let run file out =
-    let ic = open_in_bin file in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match MExport.validate_openmetrics s with
-    | Ok () ->
-        emit out
-          (Printf.sprintf "%s: valid OpenMetrics text (%d lines)\n" file
-             (List.length (String.split_on_char '\n' s) - 1))
-    | Error msg ->
-        Printf.eprintf "repro-cli: metrics-check: %s: %s\n" file msg;
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "metrics-check"
-       ~doc:
-         "Structurally validate an OpenMetrics text file (families declared \
-          before samples, correct suffixes, parseable numbers, final # EOF); \
-          exits 1 on the first violation")
-    Term.(const run $ file $ out_file)
-
 (* ---------------- all ---------------- *)
 
 (* Each figure command parses its own flags ([argv.(0)] is its name);
@@ -1176,8 +795,6 @@ let main =
       dist_cmd;
       profile_cmd;
       check_cmd;
-      top_cmd;
-      metrics_check_cmd;
       all_cmd;
     ]
 

@@ -1,18 +1,14 @@
 (** The analysis driver, in two phases.
 
-    {b Phase 1 (summarise)}: walk the source roots, digest every [.ml]
-    file, and obtain its {!Summary} — from the {!Cache} when the digest
-    matches, else by parsing with compiler-libs and extracting facts.
-    Every {e file-local} rule runs here and its findings are stored in
-    the summary, so a cached file costs one [Digest.file] and nothing
-    else.
+    {b Phase 1 (summarise)}: walk the source roots, parse every [.ml]
+    file with compiler-libs and extract its {!Summary}.  Every
+    {e file-local} rule runs here and its findings are stored in the
+    summary.
 
     {b Phase 2 (link)}: {!Linker.link} the summaries into a
     whole-program view and run the {e linked} rules (marshal-safety,
     ring-discipline, protocol-exhaustiveness, interprocedural
-    blocking-in-worker) over it.  Linked rules always run — they are
-    cheap (no parsing) and their findings depend on the whole file set,
-    which the cache cannot key.
+    blocking-in-worker) over it.
 
     Files only have to {e parse} — the engine never typechecks — so it
     runs on fixture files that reference modules that do not exist.
@@ -28,8 +24,6 @@ type report = {
   duplicate_entries : Baseline.entry list;
       (** baseline entries whose suppression key repeats an earlier one *)
   files_scanned : int;
-  files_parsed : int;  (** summarised this run (cache miss or no cache) *)
-  files_cached : int;  (** summary reused from the digest cache *)
   per_rule : (string * int * int) list;
       (** rule id, fresh count, suppressed count — selected rules only *)
   summarize_ms : float;  (** phase 1 wall-clock *)
@@ -65,10 +59,9 @@ let parse_error_finding ~norm exn : Finding.t =
   }
 
 (* Summarise one file from source text.  File-local findings for the
-   FULL registry are computed here (unconditionally): the summary is
-   cached by content digest, and a cache entry must not depend on which
-   [--rule] subset this particular run selected. *)
-let summarize_source ~path ~source ~digest : Summary.t =
+   full registry are computed here; rule selection is applied when
+   they are pulled out ({!local_findings_of}). *)
+let summarize_source ~path ~source : Summary.t =
   let norm = Finding.normalize_path path in
   match
     let lexbuf = Lexing.from_string source in
@@ -81,9 +74,9 @@ let summarize_source ~path ~source ~digest : Summary.t =
           (fun ((r : Rules.t), check) -> (r.Rules.id, check ~file:path ast))
           (Rules.file_rules Rules.all)
       in
-      Summary.of_ast ~file:path ~source ~digest ~local_findings ast
+      Summary.of_ast ~file:path ~source ~local_findings ast
   | exception exn ->
-      Summary.of_parse_error ~file:path ~source ~digest
+      Summary.of_parse_error ~file:path ~source
         ~finding:(parse_error_finding ~norm exn)
 
 (* Pull the selected local findings out of a summary; exemptions and
@@ -122,35 +115,11 @@ let attach_hashes (program : Linker.program) findings =
     interprocedural facts (a worker loop calling a blocking helper
     below it) still land. *)
 let scan_file ~(rules : Rules.t list) path : Finding.t list =
-  let source = read_file path in
-  let digest = Digest.to_hex (Digest.string source) in
-  let s = summarize_source ~path ~source ~digest in
+  let s = summarize_source ~path ~source:(read_file path) in
   let program = Linker.link [ s ] in
   local_findings_of ~selected:rules s @ run_linked ~selected:rules program
   |> attach_hashes program
   |> List.sort_uniq Finding.compare
-
-(** The [.ml] files git reports as different from [ref_]: the committed
-    diff plus untracked files.  Raises [Failure] when git is absent or
-    [ref_] does not resolve — the drivers turn that into a usage
-    error. *)
-let changed_since ref_ : string list =
-  let lines_of cmd =
-    let ic = Unix.open_process_in cmd in
-    let rec go acc =
-      match input_line ic with
-      | l -> go (l :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let lines = go [] in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 -> lines
-    | _ -> failwith (Printf.sprintf "git command failed: %s" cmd)
-  in
-  lines_of (Printf.sprintf "git diff --name-only %s 2>/dev/null" (Filename.quote ref_))
-  @ lines_of "git ls-files --others --exclude-standard 2>/dev/null"
-  |> List.filter (fun f -> Filename.check_suffix f ".ml")
-  |> List.sort_uniq String.compare
 
 (* Directory walk: skip dotdirs and _build, collect .ml files, sorted
    for deterministic output. *)
@@ -168,71 +137,24 @@ let collect_files roots =
   List.sort String.compare !files
 
 (** Run [rules] over every [.ml] under [roots] and fold the [baseline]
-    in.  [cache] names the summary-cache file: digests are checked
-    against it and it is rewritten (pruned to live files) after the
-    run.  Findings are sorted and exact duplicates removed (two rules
-    walking the same subtree may agree).
-
-   [since_files], when given, focuses the {e report} on those changed
-    files plus their reverse call-graph closure ({!Linker.dependents}):
-    every file is still summarised (the cache makes that cheap) and the
-    link still sees the whole program — cross-module facts need it —
-    but findings and stale-entry reports outside the focus set are
-    dropped.  This is what [--since REF] rides on. *)
-let run ?(baseline : Baseline.t = []) ?cache_file ?since_files
-    ~(rules : Rules.t list) roots : report =
+    in.  Findings are sorted and exact duplicates removed (two rules
+    walking the same subtree may agree). *)
+let run ?(baseline : Baseline.t = []) ~(rules : Rules.t list) roots : report =
   let files = collect_files roots in
-  let cache =
-    match cache_file with
-    | Some p -> Cache.load p
-    | None -> Cache.empty ()
-  in
   let t0 = Unix.gettimeofday () in
-  let parsed = ref 0 and cached = ref 0 in
-  let live = ref [] in
   let summaries =
-    List.map
-      (fun path ->
-        let digest = Digest.to_hex (Digest.file path) in
-        live := Cache.key ~path ~digest :: !live;
-        match Cache.find cache ~path ~digest with
-        | Some s ->
-            incr cached;
-            s
-        | None ->
-            incr parsed;
-            let s = summarize_source ~path ~source:(read_file path) ~digest in
-            Cache.add cache ~path ~digest s;
-            s)
-      files
+    List.map (fun path -> summarize_source ~path ~source:(read_file path)) files
   in
   let t1 = Unix.gettimeofday () in
   let program = Linker.link summaries in
-  let in_focus =
-    match since_files with
-    | None -> fun _ -> true
-    | Some changed ->
-        let focus =
-          Linker.dependents program
-            ~changed:(List.map Finding.normalize_path changed)
-        in
-        fun file -> List.mem file focus
-  in
   let findings =
     List.concat_map (local_findings_of ~selected:rules) summaries
     @ run_linked ~selected:rules program
     |> attach_hashes program
-    |> List.filter (fun (f : Finding.t) -> in_focus f.Finding.file)
     |> List.sort_uniq Finding.compare
   in
   let t2 = Unix.gettimeofday () in
-  (match cache_file with
-  | Some p -> Cache.save p cache ~live:!live
-  | None -> ());
   let fresh, suppressed, stale = Baseline.apply baseline findings in
-  let stale =
-    List.filter (fun (e : Baseline.entry) -> in_focus e.Baseline.file) stale
-  in
   let per_rule =
     List.map
       (fun (r : Rules.t) ->
@@ -252,8 +174,6 @@ let run ?(baseline : Baseline.t = []) ?cache_file ?since_files
     stale;
     duplicate_entries = Baseline.duplicates baseline;
     files_scanned = List.length files;
-    files_parsed = !parsed;
-    files_cached = !cached;
     per_rule;
     summarize_ms = (t1 -. t0) *. 1000.;
     link_ms = (t2 -. t1) *. 1000.;
@@ -289,10 +209,9 @@ let text_report ?(verbose = true) (r : report) : string =
     r.duplicate_entries;
   Buffer.add_string buf
     (Printf.sprintf
-       "%d file(s) scanned (%d parsed, %d from cache; summarise %.1f ms, link \
-        %.1f ms): %d finding(s), %d suppressed by baseline, %d stale baseline \
-        entr%s\n"
-       r.files_scanned r.files_parsed r.files_cached r.summarize_ms r.link_ms
+       "%d file(s) scanned (summarise %.1f ms, link %.1f ms): %d finding(s), \
+        %d suppressed by baseline, %d stale baseline entr%s\n"
+       r.files_scanned r.summarize_ms r.link_ms
        (List.length r.fresh)
        (List.length r.suppressed)
        (List.length r.stale)
@@ -312,8 +231,6 @@ let json_report ~(rules : Rules.t list) (r : report) : J.t =
       ("schema", J.Str "repro/analysis/v2");
       ("rules", J.List (List.map (fun (ru : Rules.t) -> J.Str ru.id) rules));
       ("files_scanned", J.Int r.files_scanned);
-      ("files_parsed", J.Int r.files_parsed);
-      ("files_cached", J.Int r.files_cached);
       ("summarize_ms", J.Float r.summarize_ms);
       ("link_ms", J.Float r.link_ms);
       ( "per_rule",

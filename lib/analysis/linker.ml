@@ -289,18 +289,15 @@ type blocking_witness = {
     and [Domain.spawn] lambdas) in [roots_from] files, over resolved
     calls through the whole program; [skip_file] drops edges into
     exempt files (lib/check drives workers deterministically and may
-    block by design), and [sanctioned] cuts the walk at defs marked as
-    sanctioned blocking points (fiber-style primitives that park the
-    task, not the domain — see {!Rules.sanctioned_blocking}).  Returns
-    every blocking primitive reachable, located at the primitive
-    itself. *)
-let blocking_from_workers program ~roots_from ~skip_file ~sanctioned :
+    block by design).  Returns every blocking primitive reachable,
+    located at the primitive itself. *)
+let blocking_from_workers program ~roots_from ~skip_file :
     blocking_witness list =
   let out = ref [] in
   let visited = Hashtbl.create 64 in
   let rec visit ~root ~chain (file : string) (d : Summary.def) =
     let key = (file, d.Summary.d_name, d.Summary.d_loc) in
-    if (not (Hashtbl.mem visited key)) && not (sanctioned file d) then begin
+    if not (Hashtbl.mem visited key) then begin
       Hashtbl.replace visited key ();
       let chain = chain @ [ d.Summary.d_name ] in
       List.iter
@@ -341,41 +338,3 @@ let blocking_from_workers program ~roots_from ~skip_file ~sanctioned :
       let c = String.compare a.b_file b.b_file in
       if c <> 0 then c else compare a.b_loc b.b_loc)
     !out
-
-(* ---------------- incremental focus ---------------- *)
-
-(** The reverse call-graph closure of [changed]: every file whose
-    linked findings can differ because one of [changed] differs — the
-    changed files themselves plus all transitive callers of any def
-    they contain.  This is the focus set of [--since REF]: linked rules
-    still run over the whole program (resolution needs every summary),
-    but only findings in these files are reported. *)
-let dependents program ~changed =
-  let norm = List.map Finding.normalize_path changed in
-  let rev : (string, string list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Summary.t) ->
-      List.iter
-        (fun (d : Summary.def) ->
-          List.iter
-            (fun (parts, _) ->
-              List.iter
-                (fun { target_file; _ } ->
-                  if target_file <> s.Summary.s_file then
-                    let prev =
-                      Option.value ~default:[] (Hashtbl.find_opt rev target_file)
-                    in
-                    Hashtbl.replace rev target_file (s.Summary.s_file :: prev))
-                (resolve program ~from:s parts))
-            d.Summary.d_calls)
-        (defs_of s @ s.Summary.s_spawn_bodies))
-    program.files;
-  let seen = Hashtbl.create 64 in
-  let rec visit f =
-    if not (Hashtbl.mem seen f) then begin
-      Hashtbl.replace seen f ();
-      List.iter visit (Option.value ~default:[] (Hashtbl.find_opt rev f))
-    end
-  in
-  List.iter visit norm;
-  List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])

@@ -4,8 +4,7 @@
 
     - {b File} rules check one parsetree at a time (spark purity,
       atomics discipline, discarded results).  They run during phase 1
-      and their findings are stored inside the file's {!Summary}, so a
-      digest-cached file never re-runs them.
+      and their findings are stored inside the file's {!Summary}.
     - {b Linked} rules run during phase 2 over the {!Linker.program}
       built from every summary (marshal safety, ring discipline,
       protocol exhaustiveness, interprocedural blocking-in-worker).
@@ -492,37 +491,6 @@ let metrics_discipline =
 
 let blocking_exempt p = path_has "lib/check/" p
 
-(* Sanctioned blocking points: defs the worker-reachability walk stops
-   at, because they park the *task*, not the domain.  Two ways in, per
-   the ROADMAP fiber item:
-   - mark the binding [let await p [@sanctioned_blocking] = ...] — the
-     attribute is summarised into [d_sanctioned];
-   - list the def name here, for primitives the analyzer cannot be
-     taught in-source (vendored code, generated bindings).
-   Either way the def's own blocking facts are not reported and the
-   walk does not descend into its callees: a fiber-blocking primitive
-   is a scheduling point, so nothing "behind" it runs on a wedged
-   domain. *)
-let sanctioned_blocking_names =
-  SSet.of_list [ "fiber_await"; "fiber_yield"; "fiber_suspend" ]
-
-(* The fiber runtime's suspension points, sanctioned by (file, name):
-   [Fiber.await]/[Fiber.yield]/[Fiber.sleep]/[Fiber.join] park the
-   calling *fiber* — the continuation is captured by the effect handler
-   and the domain moves on to its next task — and [timer_loop] runs on
-   the dedicated timer service domain, never a pool worker.  The
-   blocking primitives behind them (the timer's [Condition.wait], its
-   chunked [Unix.sleepf]) are scheduling machinery, not worker
-   stalls. *)
-let fiber_primitive_names =
-  SSet.of_list [ "await"; "yield"; "sleep"; "join"; "suspend"; "timer_loop" ]
-
-let sanctioned_blocking file (d : Summary.def) =
-  d.Summary.d_sanctioned
-  || SSet.mem d.Summary.d_name sanctioned_blocking_names
-  || Filename.basename file = "fiber.ml"
-     && SSet.mem d.Summary.d_name fiber_primitive_names
-
 let blocking_in_worker =
   let id = "blocking-in-worker" in
   let severity = Finding.Warning in
@@ -533,7 +501,7 @@ let blocking_in_worker =
   in
   let check (program : Linker.program) =
     Linker.blocking_from_workers program ~roots_from:program.Linker.files
-      ~skip_file:blocking_exempt ~sanctioned:sanctioned_blocking
+      ~skip_file:blocking_exempt
     |> List.map (fun (w : Linker.blocking_witness) ->
            mkl ~rule:id ~severity ~hint ~file:w.Linker.b_file w.Linker.b_loc
              (Printf.sprintf

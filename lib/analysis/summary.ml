@@ -1,14 +1,12 @@
-(** Phase 1 of the two-phase engine: one self-contained, marshal-able
-    summary per [.ml] file.
+(** Phase 1 of the two-phase engine: one self-contained summary per
+    [.ml] file.
 
     A summary carries everything phase 2 ({!Linker} + the linked rules
     in {!Rules}) needs — defined values with their call/blocking/
     resource facts, marshal-boundary closure sites with their captured
     identifiers, protocol variant declarations and dispatch matches,
     ring-word touches — plus the findings of every {e file-local} rule
-    and a per-line content-hash table.  Because nothing here references
-    the parsetree, summaries serialise into the {!Cache} and a warm run
-    never parses an unchanged file at all. *)
+    and a per-line content-hash table. *)
 
 open Parsetree
 open Astutil
@@ -72,8 +70,6 @@ type def = {
   d_is_fun : bool;
   d_params : string list;
       (** positional parameter names, in order (functions only) *)
-  d_sanctioned : bool;
-      (** carries [[@sanctioned_blocking]] — fiber-style primitive *)
   d_calls : (string list * loc) list;
       (** every identifier the RHS references, [Stdlib]-stripped *)
   d_blocking : (string * loc) list;  (** blocking primitives, by name *)
@@ -119,7 +115,6 @@ type ring_touch = { r_desc : string; r_loc : loc }
 type t = {
   s_file : string;  (** normalised path *)
   s_module : string;  (** ["Farm"] for [lib/dist/farm.ml] *)
-  s_digest : string;  (** MD5 of the file contents *)
   s_line_hashes : string array;  (** {!Finding.hash_line_text} per line *)
   s_defs : def list;
   s_spawn_bodies : def list;
@@ -463,7 +458,7 @@ let line_hashes_of_source source =
 (** Summarise a parsed file.  [local_findings] is supplied by the
     engine (it owns the rule registry; computing them here would be a
     dependency cycle). *)
-let of_ast ~file ~source ~digest ~(local_findings : (string * Finding.t list) list)
+let of_ast ~file ~source ~(local_findings : (string * Finding.t list) list)
     (str : structure) : t =
   let norm = Finding.normalize_path file in
   (* defs: every value binding, any depth; top-levels flagged *)
@@ -485,12 +480,6 @@ let of_ast ~file ~source ~digest ~(local_findings : (string * Finding.t list) li
       match simple_var vb.pvb_pat with
       | Some name ->
           let calls, blocking, resources = facts_of_expr vb.pvb_expr in
-          let sanctioned =
-            List.exists
-              (fun a ->
-                a.attr_name.Location.txt = "sanctioned_blocking")
-              vb.pvb_attributes
-          in
           defs :=
             {
               d_name = name;
@@ -499,7 +488,6 @@ let of_ast ~file ~source ~digest ~(local_findings : (string * Finding.t list) li
                 Hashtbl.mem top_names (name, vb.pvb_loc.Location.loc_start.pos_lnum);
               d_is_fun = is_syntactic_fun vb.pvb_expr;
               d_params = Cfg.fun_params_list vb.pvb_expr;
-              d_sanctioned = sanctioned;
               d_calls = calls;
               d_blocking = blocking;
               d_resources = resources;
@@ -525,7 +513,6 @@ let of_ast ~file ~source ~digest ~(local_findings : (string * Finding.t list) li
                         d_top = false;
                         d_is_fun = true;
                         d_params = Cfg.fun_params_list a;
-                        d_sanctioned = false;
                         d_calls = calls;
                         d_blocking = blocking;
                         d_resources = resources;
@@ -636,7 +623,6 @@ let of_ast ~file ~source ~digest ~(local_findings : (string * Finding.t list) li
   {
     s_file = norm;
     s_module = module_name_of_path norm;
-    s_digest = digest;
     s_line_hashes = line_hashes_of_source source;
     s_defs = List.rev !defs;
     s_spawn_bodies = List.rev !spawn_bodies;
@@ -651,12 +637,11 @@ let of_ast ~file ~source ~digest ~(local_findings : (string * Finding.t list) li
 
 (** The summary of a file that failed to parse: empty facts, just the
     parse-error finding and the line hashes. *)
-let of_parse_error ~file ~source ~digest ~(finding : Finding.t) : t =
+let of_parse_error ~file ~source ~(finding : Finding.t) : t =
   let norm = Finding.normalize_path file in
   {
     s_file = norm;
     s_module = module_name_of_path norm;
-    s_digest = digest;
     s_line_hashes = line_hashes_of_source source;
     s_defs = [];
     s_spawn_bodies = [];

@@ -1,7 +1,7 @@
 (** The executor's lock-free protocols as model-checking scenarios,
     plus deliberately broken mutants the checker must catch.
 
-    Three protocol families, matching the paper's executor design:
+    Four protocol families, matching the paper's executor design:
 
     - {b Chase–Lev deque} (Sec. IV-A.2): push/pop/steal consume every
       element exactly once even when the owner's pop races a steal for
@@ -19,15 +19,6 @@
       wake generation, re-check, wait on [tasks or generation change].
       The mutant that re-checks {e before} announcing loses the wakeup
       and deadlocks, which the checker reports with the interleaving.
-    - {b Fiber suspend/resume handshake}: the real
-      {!Repro_fiber.Promise} functor over traced atomics — a fiber
-      parking on a promise races the fulfiller through [add_waiter]'s
-      CAS waiter list (either the cons lands before the resolve, or the
-      retry observes the resolved state and self-runs), and the
-      once-wrapped resume survives racing wakers (fulfil vs cancel).
-      The resume-before-park mutant publishes the parked resume after
-      its emptiness check, exactly the window the CAS list closes, and
-      sleeps forever on a promise that is already resolved.
     - {b SPSC ring} (the shm transport's frame handshake): the real
       {!Repro_dist.Shm_ring.Spsc} functor over traced control words —
       write the slot {e then} publish the tail; observe, read, {e then}
@@ -412,147 +403,6 @@ let pool_lost_wakeup_mutant () =
   )
 
 (* ------------------------------------------------------------------ *)
-(* Fiber suspend/resume handshake (promise park vs fulfil)             *)
-(* ------------------------------------------------------------------ *)
-
-(* The production promise code under the DPOR scheduler.  [Pr.t]'s
-   single CAS state word is what the fiber runtime parks on. *)
-module Pr = Repro_fiber.Promise.Make (Sched.Atomic)
-
-(* A fiber parks on a pending promise while the fulfiller races it:
-   the distilled [Fiber.await] path — peek, register the resume via
-   add_waiter, wait for the wakeup.  add_waiter's CAS either lands the
-   cons before the resolver's transition (the resolver runs it) or its
-   retry observes the resolved state and runs the callback itself, so
-   the wakeup must arrive in every interleaving. *)
-let promise_park_vs_fulfil () =
-  let p : int Pr.t = Pr.create () in
-  let woken = Sched.Atomic.make 0 in
-  let got = Sched.Atomic.make 0 in
-  Sched.set_name woken "woken";
-  Sched.set_name got "got";
-  List.iter (fun c -> Sched.set_printer c string_of_int) [ woken; got ];
-  ( [
-      ( "fiber",
-        fun () ->
-          (match Pr.peek p with
-          | Some _ -> Sched.Atomic.incr woken
-          | None -> Pr.add_waiter p (fun () -> Sched.Atomic.incr woken));
-          Sched.wait_until (fun () -> Sched.Atomic.get woken > 0);
-          match Pr.peek p with
-          | Some (Ok v) -> Sched.Atomic.set got v
-          | _ -> () );
-      ("fulfiller", fun () -> ignore (Pr.try_fulfil p 42));
-    ],
-    fun () ->
-      let w = Sched.Atomic.get woken in
-      if w <> 1 then
-        failwith (Printf.sprintf "wakeup delivered %d times (want 1)" w);
-      let v = Sched.Atomic.get got in
-      if v <> 42 then
-        failwith (Printf.sprintf "fiber observed %d after wakeup (want 42)" v)
-  )
-
-(* Two fibers park on the same promise; both must be woken with the
-   value no matter how their registrations interleave with the
-   resolution. *)
-let promise_multi_waiter () =
-  let p : int Pr.t = Pr.create () in
-  let w1 = Sched.Atomic.make 0 and w2 = Sched.Atomic.make 0 in
-  Sched.set_name w1 "woken1";
-  Sched.set_name w2 "woken2";
-  List.iter (fun c -> Sched.set_printer c string_of_int) [ w1; w2 ];
-  let waiter cell () =
-    (match Pr.peek p with
-    | Some _ -> Sched.Atomic.incr cell
-    | None -> Pr.add_waiter p (fun () -> Sched.Atomic.incr cell));
-    Sched.wait_until (fun () -> Sched.Atomic.get cell > 0)
-  in
-  ( [
-      ("fiber1", waiter w1);
-      ("fiber2", waiter w2);
-      ("fulfiller", fun () -> ignore (Pr.try_fulfil p 7));
-    ],
-    fun () ->
-      let a = Sched.Atomic.get w1 and b = Sched.Atomic.get w2 in
-      if a <> 1 || b <> 1 then
-        failwith
-          (Printf.sprintf "waiters woken %d and %d times (want 1 and 1)" a b)
-  )
-
-(* Racing resolvers: exactly one try_fulfil wins, and a pre-registered
-   waiter runs exactly once (the winner runs the captured list; the
-   loser must not re-run it). *)
-let promise_double_fulfil () =
-  let p : int Pr.t = Pr.create () in
-  let wins = Sched.Atomic.make 0 in
-  let fired = Sched.Atomic.make 0 in
-  Sched.set_name wins "wins";
-  Sched.set_name fired "fired";
-  List.iter (fun c -> Sched.set_printer c string_of_int) [ wins; fired ];
-  Pr.add_waiter p (fun () -> Sched.Atomic.incr fired);
-  let resolver v () =
-    if Pr.try_fulfil p v then Sched.Atomic.incr wins
-  in
-  ( [ ("fulfiller1", resolver 1); ("fulfiller2", resolver 2) ],
-    fun () ->
-      let w = Sched.Atomic.get wins and f = Sched.Atomic.get fired in
-      if w <> 1 then
-        failwith (Printf.sprintf "%d resolvers won the CAS (want 1)" w);
-      if f <> 1 then
-        failwith (Printf.sprintf "waiter callback ran %d times (want 1)" f) )
-
-(* The cancel-vs-fulfil race on one parked fiber: both wakers fire the
-   same once-wrapped resume; the continuation must be resumed exactly
-   once (one-shot continuations make a double resume a crash in
-   production). *)
-let promise_once_resume () =
-  let resumed = Sched.Atomic.make 0 in
-  Sched.set_name resumed "resumed";
-  Sched.set_printer resumed string_of_int;
-  let resume = Pr.once (fun () -> Sched.Atomic.incr resumed) in
-  ( [ ("fulfiller", fun () -> resume ()); ("canceller", fun () -> resume ()) ],
-    fun () ->
-      let r = Sched.Atomic.get resumed in
-      if r <> 1 then
-        failwith (Printf.sprintf "continuation resumed %d times (want 1)" r) )
-
-(* Mutant: resume-before-park.  The suspending fiber publishes its
-   parked resume *after* checking the promise, and the fulfiller looks
-   for a parked fiber instead of going through the waiter-list CAS.  A
-   resolution landing in the window between the fiber's check and its
-   park sees no parked resume, skips the wake, and the fiber sleeps
-   forever on a promise that is already resolved — the lost wakeup the
-   production order (publish, register via CAS list, then re-check)
-   makes impossible. *)
-let promise_resume_before_park_mutant () =
-  let resolved = Sched.Atomic.make 0 in
-  let parked = Sched.Atomic.make 0 in
-  let woken = Sched.Atomic.make 0 in
-  Sched.set_name resolved "resolved";
-  Sched.set_name parked "parked";
-  Sched.set_name woken "woken";
-  List.iter
-    (fun c -> Sched.set_printer c string_of_int)
-    [ resolved; parked; woken ];
-  let fiber () =
-    if Sched.Atomic.get resolved = 0 then begin
-      (* BUG: the park is published after the emptiness check; a
-         fulfiller scheduled into this window has already been and
-         gone *)
-      Sched.Atomic.incr parked;
-      Sched.wait_until (fun () -> Sched.Atomic.get woken > 0)
-    end
-  in
-  let fulfiller () =
-    Sched.Atomic.incr resolved;
-    if Sched.Atomic.get parked > 0 then Sched.Atomic.incr woken
-  in
-  ( [ ("fiber", fiber); ("fulfiller", fulfiller) ],
-    fun () ->
-      if Sched.Atomic.get resolved <> 1 then failwith "promise not resolved" )
-
-(* ------------------------------------------------------------------ *)
 (* SPSC ring (shm transport frame handshake)                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -715,30 +565,6 @@ let protocols =
       scenario = pool_handshake;
     };
     {
-      cname = "promise-park-vs-fulfil";
-      descr = "fiber parks on promise racing the fulfiller (real code)";
-      expect = Must_pass;
-      scenario = promise_park_vs_fulfil;
-    };
-    {
-      cname = "promise-multi-waiter";
-      descr = "two fibers park on one promise: both woken with the value";
-      expect = Must_pass;
-      scenario = promise_multi_waiter;
-    };
-    {
-      cname = "promise-double-fulfil";
-      descr = "racing resolvers: one CAS winner, waiter runs exactly once";
-      expect = Must_pass;
-      scenario = promise_double_fulfil;
-    };
-    {
-      cname = "promise-once-resume";
-      descr = "fulfil vs cancel race one once-wrapped resume: fires once";
-      expect = Must_pass;
-      scenario = promise_once_resume;
-    };
-    {
       cname = "spsc-ring-wrap";
       descr = "shm SPSC ring at cap 1: FIFO through full wrap-around (real code)";
       expect = Must_pass;
@@ -771,12 +597,6 @@ let mutants =
       descr = "check-then-park: pusher misses sleeper, worker deadlocks";
       expect = Must_fail;
       scenario = pool_lost_wakeup_mutant;
-    };
-    {
-      cname = "mutant-promise-resume-before-park";
-      descr = "fiber parks after its check: fulfiller misses it, lost wakeup";
-      expect = Must_fail;
-      scenario = promise_resume_before_park_mutant;
     };
     {
       cname = "mutant-spsc-publish-before-write";

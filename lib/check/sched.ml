@@ -5,8 +5,8 @@
 
     A {e scenario} is a handful of simulated threads sharing state built
     from {!Atomic} — the tracing implementation of the
-    {!Repro_shim.Tatomic.S} shim that [Ws_deque], [Future] and
-    [Promise] are functorised over.  Every atomic operation a thread
+    {!Repro_shim.Tatomic.S} shim that [Ws_deque] and [Future] are
+    functorised over.  Every atomic operation a thread
     performs is an OCaml 5 effect: the thread suspends, the scheduler
     executes the operation, records it, and chooses which thread runs
     next.  The

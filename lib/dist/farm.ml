@@ -81,7 +81,7 @@ type outcome = {
   merged_metrics : Repro_metrics.Metrics.snapshot;
       (** every PE's piggybacked registry snapshot (relabeled [pe=N])
           merged into the coordinator's own (relabeled [pe=coord]) —
-          the farm-wide live view *)
+          the farm-wide view *)
 }
 
 (* The traced run on named Chrome tracks: PE [p] on track [p], the

@@ -52,7 +52,7 @@ type outcome = {
   merged_metrics : Repro_metrics.Metrics.snapshot;
       (** every PE's piggybacked registry snapshot (relabeled [pe=N])
           merged into the coordinator's own (relabeled [pe=coord]) —
-          the farm-wide live view, one registry across all processes *)
+          the farm-wide view, one registry across all processes *)
 }
 
 (** The spans of a traced run ([run ~trace:true]; empty otherwise),

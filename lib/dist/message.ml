@@ -79,7 +79,7 @@ type worker_stats = {
   spans_dropped : int;
   metrics : Repro_metrics.Metrics.snapshot;
       (** the PE's full registry snapshot, piggybacked on the Stats
-          reply so the coordinator can hold a merged live view of the
+          reply so the coordinator can hold a merged view of the
           whole farm (snapshots are plain data, Marshal-safe) *)
 }
 

@@ -49,11 +49,9 @@ module type S = sig
   type 'a t
 
   val make : (unit -> 'a) -> 'a t
-  val of_value : 'a -> 'a t
   val spark : (unit -> 'a) -> 'a t
   val force : 'a t -> 'a
   val is_done : 'a t -> bool
-  val peek : 'a t -> 'a option
 end
 
 module Make (A : Repro_shim.Tatomic.S) (P : POOL_BACKEND) = struct
@@ -66,7 +64,6 @@ module Make (A : Repro_shim.Tatomic.S) (P : POOL_BACKEND) = struct
   type 'a t = 'a state A.t
 
   let make f = A.make (Todo f)
-  let of_value v = A.make (Done v)
 
   let is_done fut =
     match A.get fut with Done _ | Failed _ -> true | _ -> false
@@ -132,9 +129,6 @@ module Make (A : Repro_shim.Tatomic.S) (P : POOL_BACKEND) = struct
         let ctx = P.current () in
         (match ctx with Some c -> P.note_force c | None -> ());
         wait_loop fut ctx 0
-
-  let peek fut =
-    match A.get fut with Done v -> Some v | _ -> None
 end
 
 include
@@ -153,22 +147,16 @@ include
       let note_force = Pool.note_force
 
       let idle_wait _is_done idle =
-        (* Inside a fiber, yield the fiber instead of the domain: the
-           forcer's segment goes to the back of its worker's FIFO lane
-           and every other fiber multiplexed there keeps running. *)
-        if !Pool.fiber_yield () then idle
-        else begin
-          Domain.cpu_relax ();
-          if idle > 512 then begin
-            (* Nothing to help with and the producer still runs: yield
-               the OS timeslice so it can (matters when domains
-               outnumber hardware threads).  blocking-in-worker
-               (baselined): this is the designed bounded backoff —
-               100µs, only after 512 dry spins, never while work is
-               available. *)
-            Unix.sleepf 1e-4;
-            idle
-          end
-          else idle + 1
+        Domain.cpu_relax ();
+        if idle > 512 then begin
+          (* Nothing to help with and the producer still runs: yield
+             the OS timeslice so it can (matters when domains
+             outnumber hardware threads).  blocking-in-worker
+             (baselined): this is the designed bounded backoff —
+             100µs, only after 512 dry spins, never while work is
+             available. *)
+          Unix.sleepf 1e-4;
+          idle
         end
+        else idle + 1
     end)

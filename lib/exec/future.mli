@@ -38,8 +38,6 @@ module type S = sig
   (** A deferred computation; not yet visible to any pool. *)
   val make : (unit -> 'a) -> 'a t
 
-  val of_value : 'a -> 'a t
-
   (** Create a future and advertise it on the current worker's deque
       (when inside the pool); outside a pool it simply defers until
       forced. *)
@@ -50,7 +48,6 @@ module type S = sig
   val force : 'a t -> 'a
 
   val is_done : 'a t -> bool
-  val peek : 'a t -> 'a option
 end
 
 module Make (A : Repro_shim.Tatomic.S) (P : POOL_BACKEND) : S

@@ -55,47 +55,6 @@ type events = {
 
 type task = unit -> unit
 
-(* Per-worker FIFO inbox: a lock-free multi-producer queue (the
-   classic two-list functional queue in one CAS cell).  It is the
-   pool's second lane, beside the Chase–Lev deque:
-
-   - external callers ({!inject}) have no deque of their own;
-   - the fiber layer's yields and pinned resumes must go to the BACK
-     of a specific worker's line — re-pushing a yield onto the
-     owner's LIFO deque would pop it straight back and starve every
-     task below it (the classic yield livelock);
-   - inboxes are not stealable, which is what makes {!inject_on}
-     pinning actually stick.
-
-   Pops are owner-only in the steady state, so the CAS loops are
-   uncontended except against producers. *)
-module Fq = struct
-  type 'a t = ('a list * 'a list) A.t
-
-  let create () = A.make ([], [])
-
-  let rec push q x =
-    let (front, back) as cur = A.get q in
-    if not (A.compare_and_set q cur (front, x :: back)) then push q x
-
-  let rec pop q =
-    match A.get q with
-    | [], [] -> None
-    | (x :: front, back) as cur ->
-        if A.compare_and_set q cur (front, back) then Some x else pop q
-    | ([], back) as cur -> (
-        match List.rev back with
-        | x :: front ->
-            if A.compare_and_set q cur (front, []) then Some x else pop q
-        | [] -> assert false)
-
-  let is_empty q = match A.get q with [], [] -> true | _ -> false
-
-  let size q =
-    let front, back = A.get q in
-    List.length front + List.length back
-end
-
 (* The events each worker counts, with their registry series.  Each
    count is written by one domain in the steady state (the owner for
    pushes, steals and parks, the running worker for run/fizzle/force),
@@ -122,12 +81,9 @@ let counted : (Tracer.kind * string * string) list =
 type worker = {
   id : int;
   deque : task Ws_deque.t;
-  inbox : task Fq.t;  (** FIFO lane: injected tasks, fiber yields/pins *)
   rng : Rng.t;  (** victim selection; deterministically seeded per worker *)
   counts : int A.t array;  (** indexed by {!Tracer.code}; see {!probe} *)
-  wakeups : int A.t;
-      (** broadcasts issued for this worker's pushes and injections;
-          {!inject_on} bumps it from any domain, so it has no ring *)
+  wakeups : int A.t;  (** broadcasts issued for this worker's pushes *)
   busy_ns : int A.t;  (** wall time spent inside tasks (metrics-gated) *)
   tbuf : Tracer.buffer;
       (** this worker's trace ring; {!Tracer.null_buffer} when the
@@ -140,7 +96,6 @@ type t = {
   mutable mtoken : M.collector option;  (* default-registry collector *)
   mutable domains : unit Domain.t list;  (* helper domains, workers 1.. *)
   stop : bool A.t;
-  next_inject : int A.t;  (* round-robin cursor for {!inject} *)
   sleepers : int A.t;
   wake_gen : int A.t;
       (* Generation counter bumped (under no lock) before every
@@ -162,7 +117,6 @@ let context_key : ctx option Domain.DLS.key =
 let current () = Domain.DLS.get context_key
 let cores t = Array.length t.workers
 let ctx_pool ((t, _) : ctx) = t
-let ctx_id ((_, w) : ctx) = w.id
 
 (* The one probe of a counted event: this worker's count for [kind],
    and its trace ring when the pool is traced. *)
@@ -222,10 +176,6 @@ let metrics_samples t =
       :: M.g_sample ~labels ~help:"Tasks currently queued in this worker's deque"
            "repro_pool_queue_depth"
            (float_of_int (Ws_deque.size w.deque))
-      :: M.g_sample ~labels
-           ~help:"Tasks queued in this worker's FIFO inbox lane"
-           "repro_pool_inbox_depth"
-           (float_of_int (Fq.size w.inbox))
       :: acc)
     [] t.workers
 
@@ -233,9 +183,7 @@ let has_work t =
   let n = Array.length t.workers in
   let rec go i =
     i < n
-    && ((not (Ws_deque.is_empty t.workers.(i).deque))
-       || (not (Fq.is_empty t.workers.(i).inbox))
-       || go (i + 1))
+    && ((not (Ws_deque.is_empty t.workers.(i).deque)) || go (i + 1))
   in
   go 0
 
@@ -266,32 +214,6 @@ let push ((t, w) : ctx) task =
   probe w Spark_create ~arg:0;
   signal_work w t
 
-(* Owner-side push WITHOUT spark accounting: the task is not a spark
-   runner (the fiber layer's starts and resumes use this), so it must
-   stay out of the created/run/fizzled ledger.  Such tasks should be
-   drained (run) before {!shutdown} — the fiber scheduler guarantees
-   it by driving until every fiber is done. *)
-let push_plain ((t, w) : ctx) task =
-  Ws_deque.push w.deque task;
-  signal_work w t
-
-(* Injection into a specific worker's FIFO inbox lane: callable from
-   any domain (no ctx needed) — external wakeups, pinned fiber
-   segments, yields.  Inboxes are never stolen from, so the target
-   worker really is where the task runs. *)
-let inject_on t i task =
-  let n = Array.length t.workers in
-  if i < 0 || i >= n then invalid_arg "Pool.inject_on: worker id out of range";
-  let w = t.workers.(i) in
-  Fq.push w.inbox task;
-  signal_work w t
-
-(* Round-robin injection for callers with no placement opinion. *)
-let inject t task =
-  let n = Array.length t.workers in
-  let i = A.fetch_and_add t.next_inject 1 in
-  inject_on t (((i mod n) + n) mod n) task
-
 (* One randomised steal sweep: start at a random victim, visit every
    other worker once. *)
 let steal_once t (w : worker) =
@@ -319,24 +241,19 @@ let steal_once t (w : worker) =
 let find_task t (w : worker) =
   match Ws_deque.pop w.deque with
   | Some _ as r -> r
-  | None -> (
-      (* own FIFO lane next: yields and injected tasks run in arrival
-         order once the (hotter, LIFO) deque is dry *)
-      match Fq.pop w.inbox with
-      | Some _ as r -> r
-      | None ->
-          (* a few sweeps with a pause between them before reporting
-             famine *)
-          let rec attempt i =
-            if i >= 4 then None
-            else
-              match steal_once t w with
-              | Some _ as r -> r
-              | None ->
-                  Domain.cpu_relax ();
-                  attempt (i + 1)
-          in
-          attempt 0)
+  | None ->
+      (* a few sweeps with a pause between them before reporting
+         famine *)
+      let rec attempt i =
+        if i >= 4 then None
+        else
+          match steal_once t w with
+          | Some _ as r -> r
+          | None ->
+              Domain.cpu_relax ();
+              attempt (i + 1)
+      in
+      attempt 0
 
 (* Tasks from the future layer never raise (they capture exceptions in
    the result cell), but keep helper domains alive no matter what goes
@@ -429,7 +346,6 @@ let create ?cores:requested ?tracer () =
         {
           id;
           deque = Ws_deque.create ();
-          inbox = Fq.create ();
           rng = Rng.split master;
           counts = Array.init Tracer.kinds (fun _ -> A.make 0);
           wakeups = A.make 0;
@@ -443,7 +359,6 @@ let create ?cores:requested ?tracer () =
       mtoken = None;
       domains = [];
       stop = A.make false;
-      next_inject = A.make 0;
       sleepers = A.make 0;
       wake_gen = A.make 0;
       lock = Mutex.create ();
@@ -462,12 +377,7 @@ let create ?cores:requested ?tracer () =
 let discard_leftovers (w : worker) =
   let leftover = List.length (Ws_deque.drain w.deque) in
   if leftover > 0 then
-    ignore (A.fetch_and_add w.counts.(Tracer.code Spark_fizzle) leftover);
-  (* inbox tasks are not sparks: drop without touching the ledger *)
-  let rec drain_inbox () =
-    match Fq.pop w.inbox with Some _ -> drain_inbox () | None -> ()
-  in
-  drain_inbox ()
+    ignore (A.fetch_and_add w.counts.(Tracer.code Spark_fizzle) leftover)
 
 let run t f =
   let w0 = t.workers.(0) in
@@ -507,12 +417,3 @@ let shutdown t =
 let with_pool ?cores f =
   let t = create ?cores () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run t f)
-
-
-(* Scheduler hook installed by the fiber layer (repro.fiber): inside a
-   fiber, [Future.force]'s idle path calls this to yield the *fiber*
-   (true = yielded, re-check the future on resume) instead of
-   spinning/sleeping the domain.  A function ref rather than a functor
-   parameter so lib/exec carries no dependency on the fiber layer; the
-   default never fires. *)
-let fiber_yield : (unit -> bool) ref = ref (fun () -> false)

@@ -71,27 +71,9 @@ val current : unit -> ctx option
 
 val ctx_pool : ctx -> t
 
-(** Worker id of the current binding (0 = caller). *)
-val ctx_id : ctx -> int
-
 (** Owner-side push of a task onto the current worker's deque; wakes
     parked workers. *)
 val push : ctx -> task -> unit
-
-(** Like {!push} but without spark accounting: for tasks that are not
-    spark runners (the fiber layer's starts and resumes), which must
-    stay out of the created/run/fizzled ledger.  Stealable like any
-    deque entry; drain such tasks before {!shutdown}. *)
-val push_plain : ctx -> task -> unit
-
-(** Round-robin injection into a worker's FIFO inbox lane, callable
-    from any domain — no [ctx] required.  Inbox tasks run in arrival
-    order after the owner's deque is dry and are never stolen. *)
-val inject : t -> task -> unit
-
-(** Targeted injection into worker [i]'s inbox (fiber pinning,
-    yields).  @raise Invalid_argument if [i] is out of range. *)
-val inject_on : t -> int -> task -> unit
 
 (** Run one pending task (own deque first, then steal); [false] when
     no work was found.  Forcers call this to help while waiting. *)
@@ -116,10 +98,3 @@ val events : t -> events
 (** Per-worker counter snapshots, indexed by worker id — makes load
     imbalance visible without a full trace. *)
 val worker_events : t -> events array
-
-(** Fiber-scheduler hook (installed by [repro.fiber], default returns
-    [false]): called by {!Future.force}'s idle path; when the caller is
-    inside a fiber it yields the fiber and returns [true], so a forcer
-    waiting on another domain's evaluation never starves the fibers
-    multiplexed on its worker. *)
-val fiber_yield : (unit -> bool) ref

@@ -200,8 +200,6 @@ let dropped t =
 let recorded t =
   Array.fold_left (fun acc b -> acc + min b.head (b.mask + 1)) 0 t.buffers
 
-let t0_ns t = t.t0
-
 (* Ring-drop accounting as registry samples, so trace-buffer overruns
    are visible in metric snapshots (not only in exported eventlogs).
    Pull-based: a tracer has no destroy lifecycle, so the CLI registers

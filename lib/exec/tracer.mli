@@ -76,11 +76,6 @@ val dropped : t -> int array
 (** Events currently held across all rings. *)
 val recorded : t -> int
 
-(** Monotonic-clock origin of this tracer's timeline (the instant
-    [create] ran); lets metric snapshots be placed on the same time
-    axis as exported trace events. *)
-val t0_ns : t -> int
-
 (** Ring-drop accounting ([repro_tracer_dropped_events_total] per
     worker, [repro_tracer_lost_runtime_events_total]) as registry
     samples — register as a {!Repro_metrics.Metrics.add_collector}

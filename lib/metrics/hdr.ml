@@ -95,7 +95,6 @@ let quantile s q =
 let mean s = if s.count = 0 then 0. else float_of_int s.sum /. float_of_int s.count
 
 module Json = Repro_util.Json_out
-module Json_in = Repro_util.Json_in
 
 let to_json s =
   Json.Obj
@@ -104,43 +103,13 @@ let to_json s =
       ("count", Json.Int s.count);
       ("sum", Json.Int s.sum);
       (* Sentinels of an empty histogram exceed JSON integer precision;
-         serialise zeros and restore the sentinels on read. *)
+         serialise zeros. *)
       ("min", Json.Int (if s.count = 0 then 0 else s.min_v));
       ("max", Json.Int (if s.count = 0 then 0 else s.max_v));
       ( "buckets",
         Json.List
           (List.map (fun (i, n) -> Json.List [ Json.Int i; Json.Int n ]) s.buckets) );
     ]
-
-let of_json j =
-  let bad msg = invalid_arg ("Hdr.of_json: " ^ msg) in
-  let geti key =
-    match Option.bind (Json_in.member key j) Json_in.to_int with
-    | Some v -> v
-    | None -> bad ("missing int field " ^ key)
-  in
-  let count = geti "count" in
-  let buckets =
-    match Option.bind (Json_in.member "buckets" j) Json_in.to_list with
-    | None -> bad "missing buckets"
-    | Some l ->
-        List.map
-          (function
-            | Json.List [ i; n ] -> (
-                match (Json_in.to_int i, Json_in.to_int n) with
-                | Some i, Some n -> (i, n)
-                | _ -> bad "non-int bucket")
-            | _ -> bad "malformed bucket")
-          l
-  in
-  {
-    sub_bits = geti "sub_bits";
-    count;
-    sum = geti "sum";
-    min_v = (if count = 0 then max_int else geti "min");
-    max_v = (if count = 0 then min_int else geti "max");
-    buckets;
-  }
 
 module Local = struct
   type t = {

@@ -49,9 +49,6 @@ val quantile : snapshot -> float -> float
 val mean : snapshot -> float
 val to_json : snapshot -> Repro_util.Json_out.t
 
-val of_json : Repro_util.Json_out.t -> snapshot
-(** @raise Invalid_argument on malformed input. *)
-
 (** Dense single-writer histogram for tests and benchmarks (the
     registry's per-domain shards live in {!Metrics}). *)
 module Local : sig

@@ -84,29 +84,12 @@ let gc_pressure snap =
         major_rate secs gc_minor_per_sec gc_major_per_sec;
   }
 
-(* Fibers still live at snapshot time: a collector snapshotted after
-   the workload drained (the CLI's --strict-health path) should see the
-   live gauge back at zero — anything left is a parked fiber whose
-   wakeup never came, i.e. a leak.  The gauge is a float total over
-   collectors; > 0.5 is "at least one" without trusting float
-   equality. *)
-let fiber_leak snap =
-  let spawned = Metrics.total snap "repro_fiber_spawned_total" in
-  let live = Metrics.total snap "repro_fiber_live" in
-  {
-    rule = "fiber-leak";
-    triggered = spawned > 0. && live > 0.5;
-    detail =
-      Printf.sprintf "%.0f fibers still live of %.0f spawned" live spawned;
-  }
-
 let evaluate snap =
   [
     steal_storm snap;
     spark_fizzle snap;
     backpressure_stall snap;
     gc_pressure snap;
-    fiber_leak snap;
   ]
 
 let pp fmt verdicts =

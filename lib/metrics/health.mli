@@ -1,8 +1,7 @@
 (** Health detectors: a rule pass over a (possibly farm-merged)
     {!Metrics.snapshot} that turns raw counters into shutdown verdicts
     — steal-failure storms, spark fizzle ratio, ring backpressure
-    stalls, GC pressure over budget, fibers still live after the
-    workload drained (a parked fiber whose wakeup never came). *)
+    stalls and GC pressure over budget. *)
 
 type verdict = { rule : string; triggered : bool; detail : string }
 

@@ -61,9 +61,9 @@ type measurement = {
 let measure ~repeats run =
   if repeats < 1 then invalid_arg "Measure.measure: repeats must be >= 1";
   let (warm : sample) = run () in
-  (* Per-run durations also land in the default registry, so live
-     snapshots ([--metrics], [top]) report latency quantiles without
-     waiting for the measurement row. *)
+  (* Per-run durations also land in the default registry, so the
+     [--metrics] snapshot carries their distribution as a
+     histogram. *)
   let duration_hist =
     Metrics.histogram ~help:"Timed workload run duration"
       ~labels:

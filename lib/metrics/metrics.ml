@@ -1,6 +1,5 @@
 module A = Repro_shim.Tatomic.Real
 module Json = Repro_util.Json_out
-module Json_in = Repro_util.Json_in
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -378,53 +377,11 @@ let snapshot_to_json snap =
       ("samples", Json.List (List.map sample_to_json snap.samples));
     ]
 
-let bad msg = invalid_arg ("Metrics.snapshot_of_json: " ^ msg)
-
-let sample_of_json j =
-  let str key =
-    match Option.bind (Json_in.member key j) Json_in.to_string with
-    | Some s -> s
-    | None -> bad ("missing string field " ^ key)
-  in
-  let labels =
-    match Json_in.member "labels" j with
-    | Some (Json.Obj kvs) ->
-        List.map
-          (fun (k, v) ->
-            match Json_in.to_string v with Some v -> (k, v) | None -> bad "label value")
-          kvs
-    | _ -> bad "missing labels"
-  in
-  let value_json =
-    match Json_in.member "value" j with Some v -> v | None -> bad "missing value"
-  in
-  let value =
-    match str "kind" with
-    | "counter" -> (
-        match Json_in.to_float value_json with
-        | Some v -> Counter v
-        | None -> bad "counter value")
-    | "gauge" -> (
-        match Json_in.to_float value_json with
-        | Some v -> Gauge v
-        | None -> bad "gauge value")
-    | "histogram" -> Hist (Hdr.of_json value_json)
-    | k -> bad ("unknown kind " ^ k)
-  in
-  { s_name = str "name"; s_labels = canon_labels labels; s_help = str "help"; s_value = value }
-
-let snapshot_of_json j =
-  let geti key =
-    match Option.bind (Json_in.member key j) Json_in.to_int with
-    | Some v -> v
-    | None -> bad ("missing int field " ^ key)
-  in
-  let samples =
-    match Option.bind (Json_in.member "samples" j) Json_in.to_list with
-    | Some l -> List.map sample_of_json l
-    | None -> bad "missing samples"
-  in
-  { taken_ns = geti "taken_ns"; elapsed_ns = geti "elapsed_ns"; samples }
+let document ~meta snap =
+  Json.Obj
+    ([ ("schema", Json.Str "repro/metrics/v1") ]
+    @ meta
+    @ [ ("snapshot", snapshot_to_json snap) ])
 
 (* ---------------- default-registry GC collector ---------------- *)
 

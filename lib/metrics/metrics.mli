@@ -108,10 +108,13 @@ val total : snapshot -> string -> float
 val hist_total : snapshot -> string -> Hdr.snapshot
 (** Merge of all histogram samples with this name. *)
 
-val snapshot_to_json : snapshot -> Repro_util.Json_out.t
-
-val snapshot_of_json : Repro_util.Json_out.t -> snapshot
-(** @raise Invalid_argument on malformed input. *)
+val document :
+  meta:(string * Repro_util.Json_out.t) list -> snapshot -> Repro_util.Json_out.t
+(** The end-of-run metrics document, schema ["repro/metrics/v1"]: the
+    [meta] fields (the run's command, workload, size, ...), then
+    ["snapshot"]: [taken_ns], [elapsed_ns] and one [samples] entry per
+    sample (name, labels, help, kind, and a number or an {!Hdr.to_json}
+    histogram as value). *)
 
 (** {2 Collectors} *)
 

@@ -147,7 +147,6 @@ type _ Effect.t +=
   | Block : ((unit -> unit) -> unit) -> unit Effect.t
         (** [Block register]: deschedule this thread; [register wake] is
             called once with the wake-up callback *)
-  | Yield : unit Effect.t
 
 (* The simulator is single-threaded and non-reentrant; the currently
    installed instance and the executing (cap, thread) live here so that
@@ -652,16 +651,6 @@ and handler : 'a. t -> thread -> (unit, unit) Effect.Deep.handler =
                 if th.is_spark_thread then c.spark_thread_live <- false;
                 schedule_step rts c ~delay:0;
                 register (fun () -> wake_thread rts th))
-        | Yield ->
-            Some
-              (fun (k : (b, unit) Effect.Deep.continuation) ->
-                th.resume <- Resume k;
-                th.tstate <- Runnable;
-                blackhole_update_stack rts th;
-                let c = rts.caps.(th.cap) in
-                Queue.push th c.runq;
-                c.current <- None;
-                schedule_step rts c ~delay:0)
         | _ -> None);
   }
 
@@ -1044,7 +1033,6 @@ module Api = struct
   let charge_ns ns =
     if ns > 0 then charge (Cost.cycles (cycles_of_ns (instance ()) ns))
 
-  let yield () = Effect.perform Yield
   let block register = Effect.perform (Block register)
   let my_cap () = (fst (context ())).idx
   let now_ns () = now (instance ())

@@ -64,9 +64,6 @@ module Api : sig
       clock rate. *)
   val charge_ns : int -> unit
 
-  (** Voluntarily yield the capability (round-robin). *)
-  val yield : unit -> unit
-
   (** [block register]: deschedule this thread; [register wake] is
       called once with the callback that makes it runnable again. *)
   val block : ((unit -> unit) -> unit) -> unit

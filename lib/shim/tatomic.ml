@@ -13,8 +13,8 @@
       and location, and yields to a DPOR model-checking scheduler at
       every operation.
 
-    [Ws_deque], [Future] and [Promise] are functors over this
-    signature; their default instances are [Make (Tatomic.Real)].
+    [Ws_deque] and [Future] are functors over this signature; their
+    default instances are [Make (Tatomic.Real)].
     [Pool] uses {!Real} directly: [lib/check] checks a distilled copy
     of its park/unpark handshake, not the pool itself.  The [@lint]
     alias (see [tools/lint_atomics.ml]) rejects raw [Atomic.] usage

@@ -59,7 +59,7 @@ let document ~tracks spans =
       ("displayTimeUnit", Json.Str "ns");
     ]
 
-let of_eventlog ?(instants = []) ~ncaps log =
+let of_eventlog ~ncaps log =
   let events = Eventlog.events log in
   let out = ref [] in
   let push ?(args = []) ?dur_ns ~cat tid name ts_ns =
@@ -119,14 +119,6 @@ let of_eventlog ?(instants = []) ~ncaps log =
           push ~cat:"exec" ~dur_ns:(max 0 (last_ts - start)) cap kind start)
         starts)
     open_spans;
-  (* caller-supplied markers (e.g. periodic metric-snapshot instants)
-     on track 0, with their numeric payload as args *)
-  List.iter
-    (fun (ts_ns, name, args) ->
-      push ~cat:"metrics"
-        ~args:(List.map (fun (k, v) -> (k, Json.Float v)) args)
-        0 name ts_ns)
-    instants;
   document
     ~tracks:
       (List.init (max 1 ncaps) (fun cap -> (cap, Printf.sprintf "worker %d" cap)))

@@ -24,13 +24,5 @@ val document : tracks:(int * string) list -> span list -> Repro_util.Json_out.t
 (** [of_eventlog ~ncaps log] is the {!document} of an eventlog, one
     track per worker [0 .. ncaps - 1]: task, eval, parked, worker and
     per-domain GC spans as slices, sparks, steals and forces as
-    instants.  [instants] are extra caller-supplied markers
-    [(ts_ns, name, args)] drawn as instants on track 0 in the
-    ["metrics"] category — the executor uses them to pin periodic
-    metric snapshots onto the timeline (timestamps must share the
-    log's timebase, i.e. be relative to the tracer's epoch). *)
-val of_eventlog :
-  ?instants:(int * string * (string * float) list) list ->
-  ncaps:int ->
-  Eventlog.t ->
-  Repro_util.Json_out.t
+    instants. *)
+val of_eventlog : ncaps:int -> Eventlog.t -> Repro_util.Json_out.t

@@ -1,5 +1,5 @@
-(* clean: both blocking helpers are sanctioned suspension points --
-   one by registry name, one by attribute *)
+(* seeded violations: a fiber-style name and the [@sanctioned_blocking]
+   attribute exempt nothing; both helpers block the worker *)
 let fiber_await fd = ignore (Unix.select [ fd ] [] [] (-1.0))
 let[@sanctioned_blocking] park_until_ready m = Mutex.lock m
 

@@ -1,5 +1,5 @@
-(* fiber-blocking in a worker is fine (the task parks, the domain moves
-   on); the seeded violation is the direct domain-block through drain *)
+(* seeded violations: each call blocks the worker through a helper in
+   fiber.ml, so each helper's blocking line is flagged once *)
 let rec worker_loop m fd =
   Fiber.await m;
   Fiber.sleep 0.5;

@@ -142,19 +142,6 @@ let test_lost_wakeup_is_deadlock () =
         (Astring.String.is_infix ~affix:"deadlock" v.reason
         && Astring.String.is_infix ~affix:"worker" v.reason)
 
-(* Same shape for the fiber layer: the resume-before-park mutant — the
-   suspending fiber publishing its parked resume after the emptiness
-   check — must die as a deadlock with the fiber named, and the real
-   promise handshake (CAS waiter list) must be free of it. *)
-let test_fiber_resume_before_park_is_deadlock () =
-  match Protocols.run (Protocols.find "mutant-promise-resume-before-park") with
-  | Sched.Pass _ -> Alcotest.fail "resume-before-park mutant passed?!"
-  | Sched.Fail v ->
-      Alcotest.(check bool)
-        "deadlock naming the parked fiber" true
-        (Astring.String.is_infix ~affix:"deadlock" v.reason
-        && Astring.String.is_infix ~affix:"fiber" v.reason)
-
 let test_handshake_regression () =
   match Protocols.run (Protocols.find "pool-park-handshake") with
   | Sched.Fail v ->
@@ -258,7 +245,7 @@ let test_race_clean_on_cas_protocols () =
       Alcotest.(check int)
         (name ^ ": no interleaving has unordered conflicting writes")
         0 (List.length !dirty))
-    [ "future-exactly-once"; "pool-park-handshake"; "promise-double-fulfil" ]
+    [ "future-exactly-once"; "pool-park-handshake" ]
 
 let suite =
   ( "check",
@@ -278,8 +265,6 @@ let suite =
     @ [
         Alcotest.test_case "mutant: lost wakeup dies as deadlock" `Quick
           test_lost_wakeup_is_deadlock;
-        Alcotest.test_case "mutant: fiber resume-before-park deadlocks" `Quick
-          test_fiber_resume_before_park_is_deadlock;
         Alcotest.test_case "regression: park handshake is wakeup-safe" `Quick
           test_handshake_regression;
         Alcotest.test_case "mutant: trace is readable" `Quick

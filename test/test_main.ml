@@ -25,7 +25,6 @@ let () =
       Test_eventlog.suite;
       Test_gum.suite;
       Test_experiments.suite;
-      Test_fiber.suite;
       Test_analysis.suite;
       Test_tracer.suite;
       Test_metrics.suite;

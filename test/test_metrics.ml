@@ -1,15 +1,12 @@
-(** Tests for the live metrics layer ([lib/metrics]): HDR histogram
-    error bounds and merge laws, sharded-counter exactness under real
-    domains, snapshot algebra, OpenMetrics export/validation, the
-    sampler loop, health detectors, and the dist piggyback path (the
-    2-PE case re-executes this test binary as the worker, like
-    [Test_dist]). *)
+(** Tests for the metrics layer ([lib/metrics]): HDR histogram error
+    bounds and merge laws, sharded-counter exactness under real
+    domains, snapshot algebra, the end-of-run JSON document, health
+    detectors, and the dist piggyback path (the 2-PE case re-executes
+    this test binary as the worker, like [Test_dist]). *)
 
 module Hdr = Repro_metrics.Hdr
 module M = Repro_metrics.Metrics
-module Export = Repro_metrics.Export
 module Health = Repro_metrics.Health
-module Sampler = Repro_metrics.Sampler
 module Json = Repro_util.Json_out
 
 let test_case = Alcotest.test_case
@@ -93,6 +90,26 @@ let hdr_merge_qcheck =
       Hdr.merge (Hdr.Local.snapshot a) (Hdr.Local.snapshot b)
       = Hdr.Local.snapshot whole)
 
+(* The written histogram is lossless: parsing its JSON text back
+   recovers every field of the snapshot.  The reader lives here because
+   nothing in the program reads a metrics document. *)
+let hdr_of_json j =
+  let module J = Repro_util.Json_in in
+  let int key = Option.get (Option.bind (J.member key j) J.to_int) in
+  let bucket = function
+    | Json.List [ i; n ] -> (Option.get (J.to_int i), Option.get (J.to_int n))
+    | _ -> Alcotest.fail "malformed bucket"
+  in
+  let count = int "count" in
+  {
+    Hdr.sub_bits = int "sub_bits";
+    count;
+    sum = int "sum";
+    min_v = (if count = 0 then max_int else int "min");
+    max_v = (if count = 0 then min_int else int "max");
+    buckets = List.map bucket (Option.get (Option.bind (J.member "buckets" j) J.to_list));
+  }
+
 let hdr_json_roundtrip =
   QCheck.Test.make ~name:"hdr snapshot json round-trips" ~count:200
     QCheck.(list_of_size Gen.(1 -- 60) (int_range 0 1_000_000_000))
@@ -100,7 +117,7 @@ let hdr_json_roundtrip =
       let h = Hdr.Local.create () in
       List.iter (Hdr.Local.observe h) xs;
       let s = Hdr.Local.snapshot h in
-      Hdr.of_json (Hdr.to_json s) = s)
+      hdr_of_json (Repro_util.Json_in.parse (Json.to_string (Hdr.to_json s))) = s)
 
 (* ---------------- registry: shards, gauges, snapshots ---------------- *)
 
@@ -198,7 +215,7 @@ let relabel_and_find () =
     (Option.is_some (M.find ~labels:[ ("pe", "2"); ("worker", "1") ] r "repro_test_a_total"));
   check (Alcotest.float 0.) "total unchanged" 7. (M.total r "repro_test_a_total")
 
-(* ---------------- exporters ---------------- *)
+(* ---------------- the metrics document ---------------- *)
 
 let golden_snapshot () =
   let h = Hdr.Local.create () in
@@ -214,92 +231,28 @@ let golden_snapshot () =
       ];
   }
 
-let openmetrics_golden () =
+(* The --metrics document: schema, the run's meta, then one snapshot
+   whose samples carry their labels, help, kind and value (histograms
+   as sparse [index, count] buckets). *)
+let document_golden () =
   let expected =
-    String.concat "\n"
+    String.concat ""
       [
-        "# HELP repro_req Requests handled.";
-        "# TYPE repro_req counter";
-        "repro_req_total{worker=\"0\"} 3";
-        "# HELP repro_depth Queue depth.";
-        "# TYPE repro_depth gauge";
-        "repro_depth 2.5";
-        "# HELP repro_lat_ns Latency.";
-        "# TYPE repro_lat_ns histogram";
-        "repro_lat_ns_bucket{le=\"1\"} 1";
-        "repro_lat_ns_bucket{le=\"2\"} 2";
-        "repro_lat_ns_bucket{le=\"3\"} 3";
-        "repro_lat_ns_bucket{le=\"+Inf\"} 3";
-        "repro_lat_ns_sum 6";
-        "repro_lat_ns_count 3";
-        "# EOF";
-        "";
+        {|{"schema":"repro/metrics/v1","command":"exec",|};
+        {|"snapshot":{"taken_ns":0,"elapsed_ns":0,"samples":[|};
+        {|{"name":"repro_req_total","labels":{"worker":"0"},|};
+        {|"help":"Requests handled.","kind":"counter","value":3},|};
+        {|{"name":"repro_depth","labels":{},|};
+        {|"help":"Queue depth.","kind":"gauge","value":2.5},|};
+        {|{"name":"repro_lat_ns","labels":{},|};
+        {|"help":"Latency.","kind":"histogram","value":|};
+        {|{"sub_bits":5,"count":3,"sum":6,"min":1,"max":3,|};
+        {|"buckets":[[1,1],[2,1],[3,1]]}}]}}|};
       ]
   in
-  check Alcotest.string "openmetrics text" expected (Export.openmetrics (golden_snapshot ()))
-
-let openmetrics_validator_accepts () =
-  (match Export.validate_openmetrics (Export.openmetrics (golden_snapshot ())) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "golden rejected: %s" e);
-  (* the live default registry (GC collector et al.) also exports clean *)
-  match Export.validate_openmetrics (Export.openmetrics (M.snapshot ())) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "default registry export rejected: %s" e
-
-let openmetrics_validator_rejects () =
-  List.iter
-    (fun (what, text) ->
-      match Export.validate_openmetrics text with
-      | Error _ -> ()
-      | Ok () -> Alcotest.failf "accepted %s" what)
-    [
-      ("sample without a TYPE declaration", "repro_x_total 1\n# EOF\n");
-      ( "counter sample without _total suffix",
-        "# TYPE repro_x counter\nrepro_x 1\n# EOF\n" );
-      ("non-numeric value", "# TYPE repro_x gauge\nrepro_x abc\n# EOF\n");
-      ("missing # EOF terminator", "# TYPE repro_x gauge\nrepro_x 1\n");
-      ("text after # EOF", "# TYPE repro_x gauge\nrepro_x 1\n# EOF\nrepro_x 2\n");
-    ]
-
-let series_json_roundtrip () =
-  let reg = M.create () in
-  let c = M.counter ~registry:reg ~labels:[ ("worker", "0") ] "repro_test_rt_total" in
-  let h = M.histogram ~registry:reg "repro_test_rt_ns" in
-  M.incr c;
-  List.iter (M.observe h) [ 5; 500; 50_000 ];
-  let s1 = M.snapshot ~registry:reg () in
-  M.add c 9;
-  let s2 = M.snapshot ~registry:reg () in
-  let j = Export.series_to_json ~meta:[ ("command", Json.Str "test") ] [ s1; s2 ] in
-  check Alcotest.bool "series round-trips" true (Export.series_of_json j = [ s1; s2 ]);
-  (* the single-snapshot codec underneath round-trips too *)
-  check Alcotest.bool "snapshot round-trips" true
-    (M.snapshot_of_json (M.snapshot_to_json s2) = s2)
-
-(* ---------------- sampler ---------------- *)
-
-let sampler_collects_series () =
-  let reg = M.create () in
-  let c = M.counter ~registry:reg "repro_test_tick_total" in
-  let ticks = Atomic.make 0 in
-  let sm =
-    Sampler.start ~registry:reg ~interval_ms:15
-      ~on_sample:(fun series -> Atomic.set ticks (List.length series))
-      ()
-  in
-  M.incr c;
-  Unix.sleepf 0.08;
-  let series = Sampler.stop sm in
-  check Alcotest.bool "several snapshots" true (List.length series >= 2);
-  check Alcotest.bool "on_sample saw the series grow" true (Atomic.get ticks >= 1);
-  let ts = List.map (fun s -> s.M.taken_ns) series in
-  check Alcotest.bool "oldest first" true (List.sort compare ts = ts);
-  check (Alcotest.float 0.) "final snapshot has the counter" 1.
-    (M.total (List.nth series (List.length series - 1)) "repro_test_tick_total");
-  (* stop is idempotent *)
-  check Alcotest.int "stop again returns the same series" (List.length series)
-    (List.length (Sampler.stop sm))
+  check Alcotest.string "metrics document" expected
+    (Json.to_string ~indent:0
+       (M.document ~meta:[ ("command", Json.Str "exec") ] (golden_snapshot ())))
 
 (* ---------------- health detectors ---------------- *)
 
@@ -393,16 +346,15 @@ let health_gc_short_run () =
   check Alcotest.bool "short run ignored" false
     (verdict "gc-pause-budget" vs).Health.triggered
 
-let health_fiber_leak =
-  health_rule "fiber-leak"
-    ~trigger:[ ("repro_fiber_spawned_total", 100.); ("repro_fiber_live", 3.) ]
-    ~clear:[ ("repro_fiber_spawned_total", 100.); ("repro_fiber_live", 0.) ]
-
-let health_fiber_leak_needs_fibers () =
-  (* no fibers were ever spawned: a stray live total alone stays quiet *)
-  let vs = Health.evaluate (hsnap [ ("repro_fiber_live", 1.) ]) in
-  check Alcotest.bool "no spawns, no leak verdict" false
-    (verdict "fiber-leak" vs).Health.triggered
+let health_rule_names () =
+  check
+    Alcotest.(list string)
+    "one verdict per rule, in order"
+    [
+      "steal-failure-storm"; "spark-fizzle-ratio"; "ring-backpressure-stall";
+      "gc-pause-budget";
+    ]
+    (List.map (fun (v : Health.verdict) -> v.rule) (Health.evaluate (hsnap [])))
 
 let health_clean_exit () =
   check Alcotest.int "clean snapshot exits 0" 0
@@ -450,11 +402,7 @@ let dist_piggyback_2pe () =
              s.M.s_name = "repro_wire_msgs_sent_total"
              && List.assoc_opt "pe" s.M.s_labels = Some pe)
            m.M.samples))
-    [ "0"; "1" ];
-  (* the merged farm view exports clean OpenMetrics *)
-  match Export.validate_openmetrics (Export.openmetrics m) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "merged export rejected: %s" e
+    [ "0"; "1" ]
 
 (* ---------------- one measurement record, both backends ---------------- *)
 
@@ -523,11 +471,7 @@ let suite =
       test_case "collector retirement keeps totals" `Quick collector_retirement;
       QCheck_alcotest.to_alcotest merge_associative_qcheck;
       test_case "relabel and find" `Quick relabel_and_find;
-      test_case "openmetrics golden" `Quick openmetrics_golden;
-      test_case "openmetrics validator accepts" `Quick openmetrics_validator_accepts;
-      test_case "openmetrics validator rejects" `Quick openmetrics_validator_rejects;
-      test_case "series json round-trip" `Quick series_json_roundtrip;
-      test_case "sampler collects a series" `Quick sampler_collects_series;
+      test_case "metrics document golden" `Quick document_golden;
       test_case "health: steal storm" `Quick health_steal_storm;
       test_case "health: storm vs famine" `Quick health_storm_vs_famine;
       test_case "health: spark fizzle" `Quick health_fizzle;
@@ -535,9 +479,7 @@ let suite =
       test_case "health: ring backpressure" `Quick health_backpressure;
       test_case "health: gc budget" `Quick health_gc;
       test_case "health: gc short run" `Quick health_gc_short_run;
-      test_case "health: fiber leak" `Quick health_fiber_leak;
-      test_case "health: fiber leak needs fibers" `Quick
-        health_fiber_leak_needs_fibers;
+      test_case "health: rule names in order" `Quick health_rule_names;
       test_case "health: clean exit code" `Quick health_clean_exit;
       test_case "pool counters retire into registry" `Quick pool_counters_retire;
       test_case "dist 2-PE piggyback merge" `Quick dist_piggyback_2pe;

@@ -1,21 +1,12 @@
 (* Command-line driver for the two-phase analyzer (lib/analysis), wired
    as `dune build @lint` and usable standalone:
 
-     repro_lint [--baseline FILE] [--cache FILE] [--rule ID[,ID...]]...
-                [--since REF] [--json] [--sarif FILE] [--list-rules]
-                [ROOT]...
+     repro_lint [--baseline FILE] [--rule ID[,ID...]]... [--json]
+                [--sarif FILE] [--list-rules] [ROOT]...
 
    Scans every .ml under the given roots (default: lib bin), summarises
-   each file (digest-cached when --cache names a file), links the
-   summaries, runs the rule registry, and subtracts the suppression
-   baseline.
-
-   --since REF scopes the report to the files git says changed since
-   REF plus their reverse call-graph dependents: the whole tree is
-   still summarised (the digest cache absorbs the cost) and linked, so
-   cross-module rules keep their global view, but only findings in the
-   changed slice gate.  This is the incremental mode the
-   tools/pre-commit hook runs.
+   each file, links the summaries, runs the rule registry, and
+   subtracts the suppression baseline.
 
    Exit codes:
      0  clean
@@ -35,8 +26,6 @@ let split_rules s =
 
 let () =
   let baseline_path = ref None in
-  let cache_path = ref None in
-  let since = ref None in
   let rule_ids = ref [] in
   let json = ref false in
   let sarif_path = ref None in
@@ -47,12 +36,6 @@ let () =
       ( "--baseline",
         Arg.String (fun s -> baseline_path := Some s),
         "FILE Suppression baseline (rule path:line#hash -- justification)" );
-      ( "--cache",
-        Arg.String (fun s -> cache_path := Some s),
-        "FILE Summary cache keyed by file digest (created if absent)" );
-      ( "--since",
-        Arg.String (fun s -> since := Some s),
-        "REF Report only on files changed since git REF plus their          call-graph dependents" );
       ( "--rule",
         Arg.String (fun s -> rule_ids := split_rules s @ !rule_ids),
         "ID[,ID...] Run only these rules (repeatable, comma-separable)" );
@@ -98,18 +81,7 @@ let () =
           exit 3)
   in
   let roots = match List.rev !roots with [] -> [ "lib"; "bin" ] | rs -> rs in
-  let since_files =
-    match !since with
-    | None -> None
-    | Some ref_ -> (
-        try Some (Engine.changed_since ref_)
-        with Failure msg ->
-          Printf.eprintf "repro_lint: --since %s: %s\n" ref_ msg;
-          exit 3)
-  in
-  let report =
-    Engine.run ~baseline ?cache_file:!cache_path ?since_files ~rules roots
-  in
+  let report = Engine.run ~baseline ~rules roots in
   (match !sarif_path with
   | Some path -> Json.to_file path (Engine.sarif_report ~rules report)
   | None -> ());
