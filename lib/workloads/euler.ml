@@ -8,8 +8,10 @@
 
     - {!phi_naive} is the literal algorithm (used by tests and small
       runs to validate values and the cost model);
-    - {!phi_fast} computes the same value via trial-division
-      factorisation ({i O(sqrt k)});
+    - {!phi_fast} computes the same value by trial division: by the
+      172 primes below 2{^10} (a table built once when the module is
+      initialised), then, for a cofactor of at least 1023{^2}
+      (possible only when [k] >= 2{^20}), by odd candidates from 1023;
     - {!phi_cost} charges the {e naive} algorithm's virtual cost, which
       is what the simulated runtime accounts regardless of how the
       value is obtained.
@@ -44,25 +46,44 @@ let phi_naive k =
     !count
   end
 
-(** Same value, via factorisation: phi(k) = k * prod (1 - 1/p). *)
+(* The primes below 2^10.  Every dist PE initialises this module once
+   per farm run, so the table stays small and is built eagerly; not
+   [Lazy], since two domains forcing one lazy value at once can raise
+   [Lazy.Undefined]. *)
+let small_primes =
+  let limit = 1 lsl 10 in
+  let composite = Array.make limit false in
+  let primes = Array.make limit 0 and count = ref 0 in
+  for i = 2 to limit - 1 do
+    if not composite.(i) then begin
+      primes.(!count) <- i;
+      incr count;
+      for j = i to (limit - 1) / i do
+        composite.(i * j) <- true
+      done
+    end
+  done;
+  Array.sub primes 0 !count
+
+(** Same value, via factorisation: phi(k) = k * prod (1 - 1/p).  Past
+    the table the candidates are odd, and a composite one never
+    divides: its prime factors are already divided out. *)
 let phi_fast k =
   if k <= 0 then invalid_arg "Euler.phi_fast: k must be positive";
-  if k = 1 then 1
-  else begin
-    let n = ref k and result = ref k in
-    let p = ref 2 in
-    while !p * !p <= !n do
-      if !n mod !p = 0 then begin
-        while !n mod !p = 0 do
-          n := !n / !p
-        done;
-        result := !result / !p * (!p - 1)
-      end;
-      incr p
-    done;
-    if !n > 1 then result := !result / !n * (!n - 1);
-    !result
-  end
+  let n = ref k and result = ref k in
+  let i = ref 0 and p = ref 2 in
+  while !p * !p <= !n do
+    if !n mod !p = 0 then begin
+      while !n mod !p = 0 do
+        n := !n / !p
+      done;
+      result := !result / !p * (!p - 1)
+    end;
+    incr i;
+    p := if !i < Array.length small_primes then small_primes.(!i) else !p + 2
+  done;
+  if !n > 1 then result := !result / !n * (!n - 1);
+  !result
 
 (** Virtual cost of the naive [phi k]. *)
 let phi_cost k : Repro_util.Cost.t =

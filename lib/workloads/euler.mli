@@ -2,13 +2,16 @@
     the paper's naive Haskell kernel
     ([phi n = length (filter (relprime n) [1..n-1])]).
     {!phi_naive} is the literal algorithm (tests, small runs);
-    {!phi_fast} computes the same value by factorisation; {!phi_cost}
-    charges the naive kernel's virtual cost either way. *)
+    {!phi_fast} computes the same value by trial division by primes;
+    {!phi_cost} charges the naive kernel's virtual cost either way. *)
 
 (** The paper's literal kernel.  @raise Invalid_argument if [k <= 0]. *)
 val phi_naive : int -> int
 
-(** Same value via trial-division factorisation, O(sqrt k). *)
+(** Same value via factorisation: trial division by the 172 primes
+    below 2{^10}, then, for a cofactor of at least 1023{^2} (only when
+    [k] >= 2{^20}), by odd candidates from 1023.  Allocates nothing.
+    @raise Invalid_argument if [k <= 0]. *)
 val phi_fast : int -> int
 
 (** Virtual cost of the naive [phi k]. *)

@@ -18,10 +18,31 @@ let phi_agree () =
       (W.Euler.phi_naive k) (W.Euler.phi_fast k)
   done
 
+(* From 1048573 on, each k leaves a cofactor of at least 1023^2 after
+   the table of primes below 2^10, so the odd candidates past it
+   settle the value; 1000003 is a prime the table settles alone. *)
 let phi_known_values () =
   List.iter
     (fun (k, v) -> check Alcotest.int (Printf.sprintf "phi %d" k) v (W.Euler.phi_fast k))
-    [ (1, 1); (2, 1); (9, 6); (10, 4); (97, 96); (100, 40); (360, 96) ]
+    [ (1, 1); (2, 1); (9, 6); (10, 4); (97, 96); (100, 40); (360, 96);
+      (1_000_003, 1_000_002); (1_048_573, 1_048_572);
+      (1_062_961 (* 1031^2 *), 1_061_930);
+      (1_065_023 (* 1031 * 1033 *), 1_062_960);
+      (1_031_003_093 (* 1000003 * 1031 *), 1_030_002_060);
+      (4_295_098_369 (* 65537^2 *), 4_295_032_832) ];
+  Alcotest.check_raises "phi_fast 0"
+    (Invalid_argument "Euler.phi_fast: k must be positive") (fun () ->
+      ignore (W.Euler.phi_fast 0))
+
+(* Sums of phi 1..n from a sieve independent of phi_fast, so the
+   reference every checksum is checked against is pinned too; 300,000
+   is perfbench's size. *)
+let sumeuler_pinned_references () =
+  List.iter
+    (fun (n, want) ->
+      check Alcotest.int (Printf.sprintf "sum_euler_ref %d" n) want
+        (W.Euler.sum_euler_ref n))
+    [ (2_000, 1_216_588); (15_000, 68_394_316); (300_000, 27_356_748_484) ]
 
 let qcheck_phi_agree =
   QCheck.Test.make ~name:"phi_fast == phi_naive" ~count:150
@@ -236,6 +257,7 @@ let suite =
     [
       test_case "phi fast == naive (1..300)" `Quick phi_agree;
       test_case "phi known values" `Quick phi_known_values;
+      test_case "sumEuler pinned references" `Quick sumeuler_pinned_references;
       QCheck_alcotest.to_alcotest qcheck_phi_agree;
       test_case "phi cost grows" `Quick phi_cost_grows;
       test_case "sumEuler: all versions agree" `Quick sumeuler_all_versions_agree;
