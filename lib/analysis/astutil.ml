@@ -132,6 +132,9 @@ let is_syntactic_fun e =
 
 (* ---------------- primitive tables ---------------- *)
 
+(* Calls that write an argument in place.  [Apsp.relax] is the
+   repository's min-plus kernel: it relaxes its first argument, a row,
+   in place. *)
 let inplace_writers =
   List.map
     (fun p -> (dotted p, ()))
@@ -143,7 +146,7 @@ let inplace_writers =
       [ "Hashtbl"; "clear" ]; [ "Buffer"; "add_string" ]; [ "Buffer"; "add_char" ];
       [ "Buffer"; "clear" ]; [ "Buffer"; "reset" ]; [ "Queue"; "push" ];
       [ "Queue"; "add" ]; [ "Queue"; "pop" ]; [ "Queue"; "take" ];
-      [ "Stack"; "push" ]; [ "Stack"; "pop" ];
+      [ "Stack"; "push" ]; [ "Stack"; "pop" ]; [ "Apsp"; "relax" ];
     ]
 
 let is_inplace_writer parts = List.mem_assoc (dotted parts) inplace_writers

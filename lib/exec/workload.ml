@@ -173,14 +173,13 @@ module Matmul : S = struct
   let run ~size () =
     let a, b = inputs size in
     let bt = Matrix.transpose b and c = Array.make size [||] in
-    (* spark-purity (baselined): each range stores rows into its own
-       slots of [c], and a row is a pure function of [a], [bt] and [i]:
-       duplicate evaluation stores identical values (idempotent). *)
+    (* spark-purity (baselined): each range blits fresh rows into its
+       own slots of [c], and the rows are a pure function of [a], [bt],
+       [lo] and [hi]: duplicate evaluation stores identical values
+       (idempotent). *)
     S.par_range ~chunks:(S.default_chunks size) 0 (size - 1)
       (fun lo hi ->
-        for i = lo to hi do
-          c.(i) <- Matrix.mul_row a bt i
-        done)
+        Array.blit (Matrix.mul_rows a bt lo hi) 0 c lo (hi - lo + 1))
       ~combine:(fun () () -> ())
       ~init:();
     float_bits (Matrix.checksum c)
@@ -223,7 +222,7 @@ module Matmul : S = struct
           Hashtbl.replace pe_inputs size abt;
           abt
     in
-    Array.init (hi - lo + 1) (fun r -> Matrix.mul_row a bt (lo + r))
+    Matrix.mul_rows a bt lo hi
 
   (* The bulk payload of the whole suite: a block of product rows.
      Flattened with a [rows; cols] shape prefix — both are far below
@@ -309,20 +308,13 @@ end
 (* ---------------- apsp ---------------- *)
 
 (* One pivot step on rows [lo..hi] of [d], in place, against [pivot],
-   row [k] at entry of step [k]: exactly [Apsp.floyd_warshall]'s
-   min-plus arithmetic, skipping unreachable rows.  Row [k]'s own
-   update is the identity, so concurrent row ranges of one matrix only
-   share read access. *)
+   row [k] at entry of step [k]: [Apsp.relax], the simulator's kernel,
+   whose bits are [Apsp.floyd_warshall]'s.  Row [k]'s own update is the
+   identity, so concurrent row ranges of one matrix only share read
+   access. *)
 let pivot_step d pivot k lo hi =
-  let n = Array.length pivot in
   for i = lo to hi do
-    let di = d.(i) in
-    let dik = di.(k) in
-    if dik < infinity then
-      for j = 0 to n - 1 do
-        let via = dik +. pivot.(j) in
-        if via < di.(j) then di.(j) <- via
-      done
+    Apsp.relax d.(i) ~k pivot
   done
 
 module Apsp_w : S = struct

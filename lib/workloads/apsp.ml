@@ -63,14 +63,44 @@ let checksum (d : float array array) =
 
 (* Relax [row] in place against pivot row [pk] of node [k].
    [row_update_cost]'s [~alloc] charges the fresh row a Haskell update
-   allocates, so the host relaxes a row private to its evaluator. *)
+   allocates, so the host relaxes a row private to its evaluator.
+
+   The lengths are compared once, so each pass relaxes eight lanes
+   with unchecked reads and writes below that length; the 0-7 elements
+   left over go one at a time.  Element [j]'s update reads only
+   [pk.(j)] and [row.(j)], so any grouping gives [floyd_warshall]'s
+   bits, also when [pk] is [row] itself ([rk] is then 0.0 and nothing
+   changes).  Eight lanes beat four at every size the repository runs
+   (EXPERIMENTS.md, "The dense kernels checked every element"). *)
 let relax (row : float array) ~k (pk : float array) =
+  let n = Array.length row in
+  if Array.length pk <> n then invalid_arg "Apsp.relax: pivot length";
   let rk = row.(k) in
-  if rk < infinity then
-    for j = 0 to Array.length row - 1 do
+  if rk < infinity then begin
+    for q = 0 to (n / 8) - 1 do
+      let j = 8 * q in
+      let v0 = rk +. Array.unsafe_get pk j
+      and v1 = rk +. Array.unsafe_get pk (j + 1)
+      and v2 = rk +. Array.unsafe_get pk (j + 2)
+      and v3 = rk +. Array.unsafe_get pk (j + 3)
+      and v4 = rk +. Array.unsafe_get pk (j + 4)
+      and v5 = rk +. Array.unsafe_get pk (j + 5)
+      and v6 = rk +. Array.unsafe_get pk (j + 6)
+      and v7 = rk +. Array.unsafe_get pk (j + 7) in
+      if v0 < Array.unsafe_get row j then Array.unsafe_set row j v0;
+      if v1 < Array.unsafe_get row (j + 1) then Array.unsafe_set row (j + 1) v1;
+      if v2 < Array.unsafe_get row (j + 2) then Array.unsafe_set row (j + 2) v2;
+      if v3 < Array.unsafe_get row (j + 3) then Array.unsafe_set row (j + 3) v3;
+      if v4 < Array.unsafe_get row (j + 4) then Array.unsafe_set row (j + 4) v4;
+      if v5 < Array.unsafe_get row (j + 5) then Array.unsafe_set row (j + 5) v5;
+      if v6 < Array.unsafe_get row (j + 6) then Array.unsafe_set row (j + 6) v6;
+      if v7 < Array.unsafe_get row (j + 7) then Array.unsafe_set row (j + 7) v7
+    done;
+    for j = n - (n mod 8) to n - 1 do
       let via = rk +. pk.(j) in
       if via < row.(j) then row.(j) <- via
     done
+  end
 
 (* Cost of updating one row of length [n] against one pivot. *)
 let op_cycles = 6

@@ -13,6 +13,12 @@ val floyd_warshall : float array array -> float array array
 (** Sum of all finite distances. *)
 val checksum : float array array -> float
 
+(** [relax row ~k pk] is one Floyd–Warshall step on [row], in place:
+    every [row.(j)] above [row.(k) +. pk.(j)] takes that value.  The
+    one min-plus kernel of the simulator and both real backends.
+    @raise Invalid_argument if [pk] and [row] differ in length. *)
+val relax : float array -> k:int -> float array -> unit
+
 val resident : int -> int
 
 (** GpH: every final row sparked in advance; pivot rows are shared

@@ -52,36 +52,71 @@ let transpose (m : mat) : mat =
   Array.iteri (fun i mi -> for j = 0 to n - 1 do t.(j).(i) <- mi.(j) done) m;
   t
 
-(* A fresh row [i] of [a*b], read from [bt = transpose b] so that both
-   operands of a dot product are rows.  Four columns per pass over [k]
-   share each load of [a.(i).(k)] and keep four sums in flight; the 0-3
-   left over go one at a time.  Each column is summed from 0.0 in
-   ascending [k], so every element is bit-identical to [mul_ref]'s. *)
-let mul_row (a : mat) (bt : mat) i =
+(* Raise unless rows [lo..hi] of [m] all have length [n]: [mul_rows]
+   reads them unchecked. *)
+let check_rows (m : mat) n lo hi =
+  for i = lo to hi do
+    if Array.length m.(i) <> n then invalid_arg "Matrix.mul_rows: ragged matrix"
+  done
+
+(* Fresh rows [lo..hi] of [a*b], read from [bt = transpose b] so that
+   both operands of a dot product are rows.  The lengths of those rows
+   of [a] and of every row of [bt] are checked once, up front.  Rows go
+   two at a time: for each group of four columns one pass over [k]
+   reads unchecked and keeps eight sums in flight, each load serving
+   two of them.  An odd last row is its own partner: both halves of the
+   tile compute and store the same values.  The 0-3 columns left over
+   go one at a time.  Each element is summed from 0.0 in ascending [k],
+   so every element is bit-identical to [mul_ref]'s. *)
+let mul_rows (a : mat) (bt : mat) lo hi : mat =
   let n = Array.length a in
-  let ai = a.(i) and ci = Array.make n 0.0 in
-  for q = 0 to (n / 4) - 1 do
-    let j = 4 * q in
-    let b0 = bt.(j) and b1 = bt.(j + 1) and b2 = bt.(j + 2) and b3 = bt.(j + 3) in
-    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-    for k = 0 to n - 1 do
-      let aik = ai.(k) in
-      s0 := !s0 +. (aik *. b0.(k));
-      s1 := !s1 +. (aik *. b1.(k));
-      s2 := !s2 +. (aik *. b2.(k));
-      s3 := !s3 +. (aik *. b3.(k))
+  check_rows a n lo hi;
+  check_rows bt n 0 (n - 1);
+  let c = Array.init (max 0 (hi - lo + 1)) (fun _ -> Array.make n 0.0) in
+  let i = ref lo in
+  while !i <= hi do
+    let i1 = min (!i + 1) hi in
+    let a0 = a.(!i) and a1 = a.(i1) in
+    let c0 = c.(!i - lo) and c1 = c.(i1 - lo) in
+    for q = 0 to (n / 4) - 1 do
+      let j = 4 * q in
+      let b0 = bt.(j) and b1 = bt.(j + 1) and b2 = bt.(j + 2) and b3 = bt.(j + 3) in
+      let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
+      let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
+      for k = 0 to n - 1 do
+        let x0 = Array.unsafe_get a0 k and x1 = Array.unsafe_get a1 k in
+        let y0 = Array.unsafe_get b0 k and y1 = Array.unsafe_get b1 k in
+        let y2 = Array.unsafe_get b2 k and y3 = Array.unsafe_get b3 k in
+        s00 := !s00 +. (x0 *. y0);
+        s01 := !s01 +. (x0 *. y1);
+        s02 := !s02 +. (x0 *. y2);
+        s03 := !s03 +. (x0 *. y3);
+        s10 := !s10 +. (x1 *. y0);
+        s11 := !s11 +. (x1 *. y1);
+        s12 := !s12 +. (x1 *. y2);
+        s13 := !s13 +. (x1 *. y3)
+      done;
+      c0.(j) <- !s00;
+      c0.(j + 1) <- !s01;
+      c0.(j + 2) <- !s02;
+      c0.(j + 3) <- !s03;
+      c1.(j) <- !s10;
+      c1.(j + 1) <- !s11;
+      c1.(j + 2) <- !s12;
+      c1.(j + 3) <- !s13
     done;
-    ci.(j) <- !s0;
-    ci.(j + 1) <- !s1;
-    ci.(j + 2) <- !s2;
-    ci.(j + 3) <- !s3
+    for j = n - (n mod 4) to n - 1 do
+      let bj = bt.(j) and s0 = ref 0.0 and s1 = ref 0.0 in
+      for k = 0 to n - 1 do
+        s0 := !s0 +. (a0.(k) *. bj.(k));
+        s1 := !s1 +. (a1.(k) *. bj.(k))
+      done;
+      c0.(j) <- !s0;
+      c1.(j) <- !s1
+    done;
+    i := !i + 2
   done;
-  for j = n - (n mod 4) to n - 1 do
-    let bj = bt.(j) and s = ref 0.0 in
-    for k = 0 to n - 1 do s := !s +. (ai.(k) *. bj.(k)) done;
-    ci.(j) <- !s
-  done;
-  ci
+  c
 
 (* Compute the [bs x bs] block of [a*b] whose top-left corner is
    [(r0, c0)], writing into [out] at the same position.

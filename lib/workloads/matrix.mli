@@ -22,9 +22,11 @@ val checksum : mat -> float
 val mul_ref : mat -> mat -> mat
 val transpose : mat -> mat
 
-(** [mul_row a (transpose b) i] is a fresh row [i] of [a*b], every
-    element bit-identical to {!mul_ref}'s for finite entries. *)
-val mul_row : mat -> mat -> int -> float array
+(** [mul_rows a (transpose b) lo hi] is fresh rows [lo..hi] of [a*b]
+    (none when [hi < lo]), every element bit-identical to {!mul_ref}'s
+    for finite entries: the one product kernel of both real backends.
+    @raise Invalid_argument on a ragged matrix. *)
+val mul_rows : mat -> mat -> int -> int -> mat
 
 (** Compute the [bs x bs] result block at [(r0, c0)] into [out].
     Idempotent (pure assignment): safe under duplicate evaluation. *)

@@ -9,3 +9,10 @@ let run xs =
   in
   let a, b = Strategies.par (fun () -> 1 + 2) (fun () -> 3) in
   a + b + Future.force fut
+
+(* clean: the closure relaxes a row it copied itself *)
+let relaxed d pivot k i =
+  Future.spark (fun () ->
+      let row = Array.copy d.(i) in
+      Apsp.relax row ~k pivot;
+      row)

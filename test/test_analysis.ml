@@ -28,6 +28,7 @@ let expectations =
     ( "spark_purity_ref_bad.ml",
       [ ("metrics-discipline", 2); ("spark-purity", 5) ] );
     ("spark_purity_helper_bad.ml", [ ("spark-purity", 9) ]);
+    ("spark_purity_kernel_bad.ml", [ ("spark-purity", 9) ]);
     ("spark_purity_io_bad.ml", [ ("spark-purity", 3) ]);
     ("spark_purity_raise_bad.ml", [ ("spark-purity", 3) ]);
     ("spark_purity_ok.ml", []);

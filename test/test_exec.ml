@@ -252,26 +252,58 @@ let workload_deterministic (module W : Workload.S) () =
     [ 1; 2; 4 ]
 
 let matmul_kernel_matches_mul_ref () =
-  (* every element of Matrix.mul_row agrees bit-for-bit with
-     Matrix.mul_ref, for every count (0-3) of columns left over after
-     the four-column passes *)
+  (* every element of Matrix.mul_rows agrees bit-for-bit with
+     Matrix.mul_ref: every range of rows (the empty one too, and odd
+     rows left after the pairs) for every count (0-3) of columns left
+     over after the four-column groups; at 24 and 67, ranges of odd and
+     even length from odd and even rows *)
   let module M = Repro_workloads.Matrix in
-  let bits = Int64.bits_of_float in
+  let bits row = Array.map Int64.bits_of_float row in
+  let check_range a bt c n lo hi =
+    let rows = M.mul_rows a bt lo hi in
+    check Alcotest.int
+      (Printf.sprintf "n %d rows %d..%d count" n lo hi)
+      (max 0 (hi - lo + 1)) (Array.length rows);
+    Array.iteri
+      (fun r row ->
+        check
+          Alcotest.(array int64)
+          (Printf.sprintf "n %d rows %d..%d row %d" n lo hi (lo + r))
+          (bits c.(lo + r)) (bits row))
+      rows
+  in
+  let inputs n =
+    let a = M.random ~seed:11 n and b = M.random ~seed:23 n in
+    (a, M.transpose b, M.mul_ref a b)
+  in
   List.iter
     (fun n ->
-      let a = M.random ~seed:11 n and b = M.random ~seed:23 n in
-      let bt = M.transpose b and c = M.mul_ref a b in
-      for i = 0 to n - 1 do
-        let row = M.mul_row a bt i in
-        check Alcotest.int (Printf.sprintf "n %d row %d length" n i) n
-          (Array.length row);
-        Array.iteri
-          (fun j x ->
-            check Alcotest.int64 (Printf.sprintf "n %d (%d, %d)" n i j)
-              (bits c.(i).(j)) (bits x))
-          row
+      let a, bt, c = inputs n in
+      for lo = 0 to n - 1 do
+        for hi = lo - 1 to n - 1 do
+          check_range a bt c n lo hi
+        done
       done)
-    [ 1; 2; 3; 4; 5; 7; 8; 9; 24; 67 ];
+    [ 1; 2; 3; 4; 5; 7; 8; 9 ];
+  List.iter
+    (fun n ->
+      let a, bt, c = inputs n in
+      List.iter
+        (fun (lo, hi) -> check_range a bt c n lo hi)
+        [ (0, n - 1); (1, 4); (2, 4); (3, 3); (0, 6); (1, n - 2);
+          (n - 2, n - 1); (n - 1, n - 1) ])
+    [ 24; 67 ];
+  (* the unchecked reads sit behind one length check per row *)
+  let a, bt, _ = inputs 9 in
+  let short m i =
+    Array.mapi (fun r row -> if r = i then Array.sub row 0 8 else row) m
+  in
+  List.iter
+    (fun (what, a, bt) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Matrix.mul_rows: ragged matrix") (fun () ->
+          ignore (M.mul_rows a bt 0 8)))
+    [ ("ragged a", short a 5, bt); ("ragged bt", a, short bt 8) ];
   (* and the parallel run at an odd size on 1 and 2 domains *)
   let module W = Workload.Matmul in
   let expect = W.reference ~size:67 in
@@ -283,14 +315,24 @@ let matmul_kernel_matches_mul_ref () =
         (Pool.with_pool ~cores (fun () -> W.run ~size:67 ())))
     [ 1; 2 ]
 
+(* 32 rows over 3 domains, and 67 (three past the last group of eight
+   lanes in Apsp.relax) on 1 and 2 *)
 let apsp_matches_floyd_warshall () =
   let module A = Repro_workloads.Apsp in
-  let size = 32 in
-  let expect =
-    Int64.to_int (Int64.bits_of_float (A.checksum (A.floyd_warshall (A.graph size))))
-  in
-  let got = Pool.with_pool ~cores:3 (fun () -> Workload.Apsp_w.run ~size ()) in
-  check Alcotest.int "parallel apsp = floyd_warshall" expect got
+  List.iter
+    (fun (size, cores) ->
+      let expect =
+        Int64.to_int
+          (Int64.bits_of_float (A.checksum (A.floyd_warshall (A.graph size))))
+      in
+      let got =
+        Pool.with_pool ~cores (fun () -> Workload.Apsp_w.run ~size ())
+      in
+      check Alcotest.int
+        (Printf.sprintf "apsp size %d at %d domain(s) = floyd_warshall" size
+           cores)
+        expect got)
+    [ (32, 3); (67, 1); (67, 2) ]
 
 (* ---------------- measurement on domains ---------------- *)
 

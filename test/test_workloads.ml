@@ -231,6 +231,56 @@ let qcheck_apsp_sizes =
       in
       Int64.bits_of_float got = apsp_reference ~seed n)
 
+(* Apsp.relax against the one-lane loop it replaced: rows of every
+   length 1-67, so every remainder of its eight lanes occurs, entries
+   integer weights 0-100 or infinity (so some [row.(k)] is unreachable),
+   compared bit for bit.  A row relaxed against itself with a zero
+   diagonal, as [pivot_step] relaxes row [k], stays as it was. *)
+let one_lane_relax (row : float array) ~k (pk : float array) =
+  let rk = row.(k) in
+  if rk < infinity then
+    for j = 0 to Array.length row - 1 do
+      let via = rk +. pk.(j) in
+      if via < row.(j) then row.(j) <- via
+    done
+
+let qcheck_apsp_relax =
+  let gen =
+    QCheck.Gen.(
+      let entry =
+        frequency
+          [ (4, map float_of_int (int_range 0 100)); (1, return infinity) ]
+      in
+      let* n = int_range 1 67 in
+      let* k = int_range 0 (n - 1) in
+      let* row = array_size (return n) entry
+      and* pk = array_size (return n) entry in
+      return (k, row, pk))
+  in
+  let print (k, row, pk) =
+    let show a =
+      String.concat " " (Array.to_list (Array.map string_of_float a))
+    in
+    Printf.sprintf "k %d\nrow %s\npk %s" k (show row) (show pk)
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  QCheck.Test.make ~name:"apsp relax == one-lane min-plus loop" ~count:500
+    (QCheck.make ~print gen)
+    (fun (k, row, pk) ->
+      let got = Array.copy row and want = Array.copy row in
+      W.Apsp.relax got ~k pk;
+      one_lane_relax want ~k pk;
+      let self = Array.copy row in
+      self.(k) <- 0.0;
+      let before = Array.copy self in
+      W.Apsp.relax self ~k self;
+      bits got = bits want && bits self = bits before)
+
+let apsp_relax_checks_length () =
+  Alcotest.check_raises "pivot of another length"
+    (Invalid_argument "Apsp.relax: pivot length") (fun () ->
+      W.Apsp.relax (Array.make 9 1.0) ~k:0 (Array.make 8 1.0))
+
 (* Under lazy black-holing two evaluators really run one pivot thunk;
    each relaxes a row of its own, so the result stays exact. *)
 let apsp_lazy_duplicates_eager_not () =
@@ -273,6 +323,9 @@ let suite =
       test_case "apsp: variants agree" `Quick apsp_variants_agree;
       test_case "apsp: ring process counts" `Quick apsp_ring_nprocs_variants;
       QCheck_alcotest.to_alcotest qcheck_apsp_sizes;
+      QCheck_alcotest.to_alcotest qcheck_apsp_relax;
+      test_case "apsp: relax checks the pivot's length" `Quick
+        apsp_relax_checks_length;
       test_case "apsp: lazy duplicates, eager blocks" `Quick
         apsp_lazy_duplicates_eager_not;
     ] )

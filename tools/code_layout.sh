@@ -28,9 +28,9 @@ fi
 [ -r "$1" ] || { echo "$0: cannot read $1" >&2; exit 2; }
 
 # "Repro_lib.Module.function" as the symbol caml<unit>.<function>_<stamp>
-hot=(Repro_exec.Workload.nfib Repro_exec.Workload.pivot_step
+hot=(Repro_exec.Workload.nfib Repro_workloads.Apsp.relax
   Repro_workloads.Euler.phi_fast Repro_workloads.Euler.sum_phi
-  Repro_workloads.Matrix.mul_row Repro_workloads.Mandelbrot.compute_row
+  Repro_workloads.Matrix.mul_rows Repro_workloads.Mandelbrot.compute_row
   Repro_workloads.Mandelbrot.escape4 Repro_sim.Engine.dispatch
   Repro_parrts.Rts.begin_charge Repro_parrts.Rts.charge_segment_done)
 
