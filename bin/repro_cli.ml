@@ -27,6 +27,15 @@ let quick =
   let doc = "Run at reduced problem sizes (fast smoke run)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* A count of capabilities, domains or processes: an integer >= 1. *)
+let count_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got '%s'" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 (* ---------------- fig1 ---------------- *)
 
 let fig1_cmd =
@@ -135,24 +144,20 @@ let fig5_cmd =
 
 (* ---------------- run: single workload ---------------- *)
 
-let version_conv =
-  let versions ncaps machine =
-    [
-      ("plain", Versions.gph_plain ~machine ~ncaps ());
-      ("bigalloc", Versions.gph_bigalloc ~machine ~ncaps ());
-      ("sync", Versions.gph_sync ~machine ~ncaps ());
-      ("steal", Versions.gph_steal ~machine ~ncaps ());
-      ("steal-eager", Versions.with_eager (Versions.gph_steal ~machine ~ncaps ()));
-      ("semi", Versions.gph_semi_distributed ~machine ~ncaps ());
-      ("eden", Versions.eden ~machine ~npes:ncaps ());
-      ("gum", Versions.gum ~machine ~npes:ncaps ());
-    ]
-  in
-  ( versions,
-    [ "plain"; "bigalloc"; "sync"; "steal"; "steal-eager"; "semi"; "eden"; "gum" ] )
+(* The runtime versions [run -v] selects, by name. *)
+let versions =
+  [
+    ("plain", fun ~machine ~ncaps -> Versions.gph_plain ~machine ~ncaps ());
+    ("bigalloc", fun ~machine ~ncaps -> Versions.gph_bigalloc ~machine ~ncaps ());
+    ("sync", fun ~machine ~ncaps -> Versions.gph_sync ~machine ~ncaps ());
+    ("steal", fun ~machine ~ncaps -> Versions.gph_steal ~machine ~ncaps ());
+    ( "steal-eager",
+      fun ~machine ~ncaps ->
+        Versions.with_eager (Versions.gph_steal ~machine ~ncaps ()) );
+    ("eden", fun ~machine ~ncaps -> Versions.eden ~machine ~npes:ncaps ());
+  ]
 
 let run_cmd =
-  let make_versions, version_names = version_conv in
   let workload =
     let doc = "Workload: sumeuler, parfib, matmul, mandelbrot or apsp." in
     Arg.(
@@ -171,12 +176,18 @@ let run_cmd =
       & info [] ~doc ~docv:"WORKLOAD")
   in
   let version =
-    let doc =
-      Printf.sprintf "Runtime version: %s." (String.concat ", " version_names)
-    in
-    Arg.(value & opt string "steal" & info [ "variant"; "v" ] ~doc)
+    let names = List.map fst versions in
+    let doc = Printf.sprintf "Runtime version: %s." (String.concat ", " names) in
+    Arg.(
+      value
+      & opt (enum (List.map (fun n -> (n, n)) names)) "steal"
+      & info [ "variant"; "v" ] ~doc)
   in
-  let ncaps = Arg.(value & opt int 8 & info [ "ncaps"; "p" ] ~doc:"Capabilities/PEs.") in
+  let ncaps =
+    Arg.(
+      value & opt count_conv 8
+      & info [ "ncaps"; "p" ] ~doc:"Capabilities/PEs." ~docv:"N")
+  in
   let size =
     let doc =
       "Problem size (default: sumeuler 15000, parfib 30, matmul 1000, mandelbrot \
@@ -201,14 +212,8 @@ let run_cmd =
     Arg.(value & flag & info [ "events" ] ~doc:"Print the event-log summary.")
   in
   let run wl version ncaps size machine trace_flag svg_file events_flag out =
-    let versions = make_versions ncaps machine in
-    let v =
-      match List.assoc_opt version versions with
-      | Some v -> v
-      | None -> failwith ("unknown version " ^ version)
-    in
+    let v = (List.assoc version versions) ~machine ~ncaps in
     let is_eden = Repro_parrts.Config.is_distributed v.Versions.config in
-    let is_gum = version = "gum" in
     let module W = Repro_exec.Workload in
     (* the simulated program, and the sequential reference its result
        must equal (none for matmul's synthetic payload) *)
@@ -217,8 +222,7 @@ let run_cmd =
       | `Sumeuler ->
           let n = Option.value size ~default:15000 in
           ( (fun () ->
-              if is_gum then Repro_workloads.Sumeuler.gum ~n ()
-              else if is_eden then Repro_workloads.Sumeuler.eden ~n ()
+              if is_eden then Repro_workloads.Sumeuler.eden ~n ()
               else Repro_workloads.Sumeuler.gph ~n ()),
             Some (W.Sumeuler.reference ~size:n) )
       | `Parfib ->
@@ -430,7 +434,7 @@ let sweep_report buf ~hw ~repeat ~ladder ~reference ~json_file run =
 let exec_cmd =
   let cores =
     let doc = "Number of domains (default: all hardware cores)." in
-    Arg.(value & opt (some int) None & info [ "cores"; "c" ] ~doc ~docv:"N")
+    Arg.(value & opt (some count_conv) None & info [ "cores"; "c" ] ~doc ~docv:"N")
   in
   let trace_file =
     Arg.(
@@ -457,7 +461,7 @@ let exec_cmd =
   let run (module W : Workload.S) cores size repeat sweep_flag json_file
       trace_file trace_svg mfile strict quick out =
     let hw = Domain.recommended_domain_count () in
-    let cores = match cores with Some c -> max 1 c | None -> hw in
+    let cores = Option.value cores ~default:hw in
     let size =
       resolve_size ~cmd:"exec" ~quick ~quick_size:W.quick_size
         ~default_size:W.default_size size
@@ -535,7 +539,7 @@ let exec_cmd =
 let dist_cmd =
   let procs =
     let doc = "Number of worker processes (default: all hardware cores)." in
-    Arg.(value & opt (some int) None & info [ "procs"; "p" ] ~doc ~docv:"N")
+    Arg.(value & opt (some count_conv) None & info [ "procs"; "p" ] ~doc ~docv:"N")
   in
   let trace_file =
     Arg.(
@@ -568,7 +572,7 @@ let dist_cmd =
   let run (module W : Workload.S) procs size repeat sweep_flag json_file
       trace_file transport mfile strict quick out =
     let hw = Domain.recommended_domain_count () in
-    let procs = match procs with Some p -> max 1 p | None -> hw in
+    let procs = Option.value procs ~default:hw in
     let size =
       resolve_size ~cmd:"dist" ~quick ~quick_size:W.quick_size
         ~default_size:W.default_size size

@@ -1,10 +1,10 @@
-(** Topology skeletons at work: a ring of processes computing global
-    statistics by circulating partial aggregates, plus a pipeline.
+(** A topology skeleton at work: a ring of processes computing global
+    statistics by circulating partial aggregates.
 
-    Demonstrates the [ring] and [pipeline] skeletons on a task that is
-    not one of the paper's benchmarks: distributed mean/variance of
-    per-PE data, where each process only ships constant-size aggregates
-    around the ring (one full revolution).
+    Demonstrates the [ring] skeleton on a task that is not one of the
+    paper's benchmarks: distributed mean/variance of per-PE data, where
+    each process only ships constant-size aggregates around the ring
+    (one full revolution).
 
     {v dune exec examples/ring_stats_app.exe v} *)
 
@@ -69,29 +69,6 @@ let () =
     mean variance;
   assert (Float.abs (mean -. 0.5) < 0.01);
   assert (Float.abs (variance -. (1.0 /. 12.0)) < 0.01);
-  Printf.printf "virtual time %.3f ms, %d messages\n\n"
+  Printf.printf "virtual time %.3f ms, %d messages\n"
     (Repro_parrts.Report.elapsed_ms report)
-    report.messages.sent;
-
-  (* a 4-stage pipeline transforming a stream of numbers *)
-  let v = Versions.eden ~npes:6 () in
-  let out, preport =
-    Rts.run v.config (fun () ->
-        let stage f x =
-          Api.charge (Cost.make 50_000 ~alloc:256);
-          f x
-        in
-        Skeletons.pipeline ~tr:Eden.t_int
-          [
-            stage (fun x -> x + 1);
-            stage (fun x -> x * 2);
-            stage (fun x -> x - 3);
-            stage (fun x -> x * x);
-          ]
-          (List.init 200 Fun.id))
-  in
-  let expect = List.init 200 (fun x -> let y = (((x + 1) * 2) - 3) in y * y) in
-  assert (out = expect);
-  Printf.printf "pipeline of 4 stages over 200 items: ok, %.3f ms, %d messages\n"
-    (Repro_parrts.Report.elapsed_ms preport)
-    preport.messages.sent
+    report.messages.sent

@@ -14,7 +14,6 @@
 
 module Node = Repro_heap.Node
 module Cost = Repro_util.Cost
-module Rts = Repro_parrts.Rts
 module Config = Repro_parrts.Config
 module Api = Repro_parrts.Rts.Api
 
@@ -79,10 +78,6 @@ let r0 : 'a strategy = fun _ -> ()
 (** Reduce to weak head normal form. *)
 let rwhnf : 'a t strategy = fun n -> ignore (force n)
 
-(** Reduce to normal form.  For a single cell WHNF = NF in this model
-    (element payloads are strict OCaml values). *)
-let rnf : 'a t strategy = rwhnf
-
 (** Spark every element of the list for parallel evaluation with [s]
     (Haskell: [parList]). *)
 let par_list (s : 'a t strategy) (xs : 'a t list) : unit =
@@ -98,60 +93,3 @@ let par_list (s : 'a t strategy) (xs : 'a t list) : unit =
 let using x (s : 'a strategy) =
   s x;
   x
-
-(** Chunked data parallelism: split [xs] into [chunks] pieces, build a
-    thunk computing [f] over each piece (costed by [cost]), spark them
-    all, and combine with [combine] (forcing in order).  This is the
-    [parListChunk]/[splitIntoN] pattern the paper's GpH sumEuler uses. *)
-let par_chunks ~chunks ~(cost : 'a list -> Cost.t) ~(f : 'a list -> 'b)
-    ~(combine : 'b list -> 'c) (xs : 'a list) : 'c =
-  if chunks <= 0 then invalid_arg "Gph.par_chunks: chunks must be positive";
-  let n = List.length xs in
-  let size = max 1 ((n + chunks - 1) / chunks) in
-  let rec split acc rest =
-    match rest with
-    | [] -> List.rev acc
-    | _ ->
-        let rec take k l acc2 =
-          if k = 0 then (List.rev acc2, l)
-          else
-            match l with
-            | [] -> (List.rev acc2, [])
-            | x :: tl -> take (k - 1) tl (x :: acc2)
-        in
-        let chunk, rest' = take size rest [] in
-        split (chunk :: acc) rest'
-  in
-  let pieces = split [] xs in
-  let nodes = List.map (fun piece -> thunk ~cost:(cost piece) (fun () -> f piece)) pieces in
-  par_list rwhnf nodes;
-  combine (List.map force nodes)
-
-(** Parallel map via one spark per element (Haskell's [parMap rnf f]). *)
-let par_map ~(cost : 'a -> Cost.t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  let nodes = List.map (fun x -> thunk ~cost:(cost x) (fun () -> f x)) xs in
-  par_list rwhnf nodes;
-  List.map force nodes
-
-(** Divide and conquer with sparked sub-trees: problems are divided
-    down to [is_trivial], sparking all but the last sub-problem at
-    every level while [depth] allows (the standard GpH [parDivConq]
-    pattern, of which parfib is the special case). *)
-let div_conquer ~depth ~(divide : 'p -> 'p list) ~(is_trivial : 'p -> bool)
-    ~(solve_cost : 'p -> Cost.t) ~(solve : 'p -> 's)
-    ~(combine : 'p -> 's list -> 's) (problem : 'p) : 's =
-  let rec local p =
-    if is_trivial p then solve p else combine p (List.map local (divide p))
-  in
-  let rec node depth p : 's t =
-    if depth <= 0 || is_trivial p then thunk ~cost:(solve_cost p) (fun () -> local p)
-    else
-      thunk ~cost:(Cost.make 120 ~alloc:64) (fun () ->
-          let children = List.map (node (depth - 1)) (divide p) in
-          (* spark all but the last; evaluate the last in-line *)
-          (match List.rev children with
-          | _last :: sparked_rev -> List.iter par (List.rev sparked_rev)
-          | [] -> ());
-          combine p (List.map force children))
-  in
-  force (node depth problem)

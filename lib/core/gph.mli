@@ -40,38 +40,8 @@ val r0 : 'a strategy
 (** Reduce to weak head normal form. *)
 val rwhnf : 'a t strategy
 
-(** Reduce to normal form (= WHNF in this model: payloads are strict
-    OCaml values). *)
-val rnf : 'a t strategy
-
 (** Spark every element for parallel evaluation ([parList]). *)
 val par_list : 'a t strategy -> 'a t list -> unit
 
 (** [using x s] applies [s] to [x] and returns [x]. *)
 val using : 'a -> 'a strategy -> 'a
-
-(** Chunked data parallelism ([parListChunk]/[splitIntoN]): split into
-    [chunks] pieces, spark a thunk per piece, combine forced results. *)
-val par_chunks :
-  chunks:int ->
-  cost:('a list -> Cost.t) ->
-  f:('a list -> 'b) ->
-  combine:('b list -> 'c) ->
-  'a list ->
-  'c
-
-(** One spark per element ([parMap rnf f]). *)
-val par_map : cost:('a -> Cost.t) -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Divide and conquer with sparked sub-trees (the [parDivConq]
-    pattern): divide down to [is_trivial], sparking all but the last
-    sub-problem while [depth] allows. *)
-val div_conquer :
-  depth:int ->
-  divide:('p -> 'p list) ->
-  is_trivial:('p -> bool) ->
-  solve_cost:('p -> Cost.t) ->
-  solve:('p -> 's) ->
-  combine:('p -> 's list -> 's) ->
-  'p ->
-  's

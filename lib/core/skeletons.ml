@@ -1,10 +1,9 @@
 (** Algorithmic and topology skeletons for Eden (paper Sec. II-A).
 
     These are the higher-order parallel building blocks the paper's
-    Eden benchmarks use: [parMap], [parMapFarm], [parReduce],
-    [parMapReduce] (Google-MapReduce style), [masterWorker], and the
-    topology skeletons [ring], [torus] (used by Cannon's matrix
-    multiplication) and [pipeline].
+    Eden benchmarks use: [parMapFarm], [masterWorker], and the
+    topology skeletons [ring] (used by the shortest-paths ring) and
+    [torus] (used by Cannon's matrix multiplication).
 
     Every skeleton is an ordinary higher-order function over the Eden
     process/channel primitives — and, as the paper stresses, thereby
@@ -31,43 +30,6 @@ let par_map_farm ?np ~tr_in ~tr_out f xs =
     spawn ~tr_in:(t_list tr_in) ~tr_out:(t_list tr_out) (List.map f) pieces
   in
   Listx.shuffle results
-
-(** [par_reduce f ntr xs]: parallel fold of an associative [f] —
-    each process folds one contiguous chunk, the parent folds the
-    per-process results (the paper's Sec. II-A.1 example). *)
-let par_reduce ?np ~tr f ntr xs =
-  let np = match np with Some n -> n | None -> no_pe () in
-  let pieces = Listx.split_into_n np xs in
-  let partials =
-    spawn ~tr_in:(t_list tr) ~tr_out:tr (List.fold_left f ntr) pieces
-  in
-  List.fold_left f ntr partials
-
-(** [par_map_reduce ~mapf ~reducef ~merge xs]: Google-MapReduce as in
-    the paper: [mapf] turns each input into key-value pairs, [reducef]
-    reduces the values of one key {e locally} on the mapping process,
-    and [merge] combines the per-process partial reductions of the same
-    key at the parent. *)
-let par_map_reduce ?np ~tr_key ~tr_val ~(mapf : 'c -> ('d * 'a) list)
-    ~(reducef : 'd -> 'a list -> 'b) ~(merge : 'd -> 'b list -> 'b)
-    (xs : 'c list) : ('d * 'b) list =
-  ignore tr_val;
-  let np = match np with Some n -> n | None -> no_pe () in
-  let pieces = Listx.unshuffle np xs in
-  let worker piece =
-    let pairs = List.concat_map mapf piece in
-    List.map (fun (k, vs) -> (k, reducef k vs)) (Listx.group_by_key pairs)
-  in
-  let tr_piece =
-    {
-      bytes = (fun (xs : 'c list) -> 24 + (24 * List.length xs));
-      nf_cycles = (fun xs -> 8 + List.length xs);
-    }
-  in
-  let tr_out = t_list (t_pair tr_key { bytes = (fun _ -> 24); nf_cycles = (fun _ -> 4) }) in
-  let partials = spawn ~tr_in:tr_piece ~tr_out worker pieces in
-  let grouped = Listx.group_by_key (List.concat partials) in
-  List.map (fun (k, bs) -> (k, merge k bs)) grouped
 
 (* ------------------------------------------------------------------ *)
 (* Master/worker                                                       *)
@@ -246,64 +208,3 @@ let torus ~rows ~cols ~tr_a ~tr_b ~tr_out
           send tr_out out o))
     outs;
   List.map recv outs
-
-(** [div_conquer]: Eden's depth-bounded divide-and-conquer skeleton
-    (Berthold & Loogen, "skeletons for recursively unfolding process
-    topologies").  The call tree is unfolded into {e processes} down to
-    [depth]; below that, problems are solved by local sequential
-    recursion.  [combine p sub_solutions] joins children's solutions. *)
-let rec div_conquer ~(tr : 's trans) ~depth ~(divide : 'p -> 'p list)
-    ~(is_trivial : 'p -> bool) ~(solve : 'p -> 's)
-    ~(combine : 'p -> 's list -> 's) (problem : 'p) : 's =
-  let rec local p =
-    if is_trivial p then solve p else combine p (List.map local (divide p))
-  in
-  if depth <= 0 || is_trivial problem then local problem
-  else begin
-    let subs = divide problem in
-    (* ship each sub-problem to a child process which recursively
-       unfolds one level less *)
-    let tr_problem : 'p trans =
-      { bytes = (fun _ -> 256); nf_cycles = (fun _ -> 32) }
-    in
-    let solutions =
-      spawn ~tr_in:tr_problem ~tr_out:tr
-        (fun p ->
-          div_conquer ~tr ~depth:(depth - 1) ~divide ~is_trivial ~solve
-            ~combine p)
-        subs
-    in
-    combine problem solutions
-  end
-
-(** [pipeline ~tr stages xs]: chain the [stages] as processes connected
-    by element streams; the list [xs] flows through every stage. *)
-let pipeline ~tr (stages : ('a -> 'a) list) (xs : 'a list) : 'a list =
-  match stages with
-  | [] -> xs
-  | _ ->
-      let nstages = List.length stages in
-      let npes = Api.ncaps () in
-      let me = Api.my_cap () in
-      let pe_of k = (me + 1 + k) mod npes in
-      (* stream into stage k (stage 0 fed by the parent); final stream
-         back to the parent *)
-      let streams =
-        Array.init (nstages + 1) (fun k ->
-            if k = nstages then new_stream_at ~pe:me
-            else new_stream_at ~pe:(pe_of k))
-      in
-      List.iteri
-        (fun k stage ->
-          instantiate_at ~pe:(pe_of k) (fun () ->
-              let rec loop () =
-                match next streams.(k) with
-                | None -> close streams.(k + 1)
-                | Some v ->
-                    put tr streams.(k + 1) (stage v);
-                    loop ()
-              in
-              loop ()))
-        stages;
-      put_list tr streams.(0) xs;
-      to_list streams.(nstages)

@@ -14,25 +14,6 @@ val par_map_farm :
   'a list ->
   'b list
 
-(** Parallel fold of an associative operator: each process folds one
-    contiguous chunk, the parent folds the partial results. *)
-val par_reduce :
-  ?np:int -> tr:'a Eden.trans -> ('a -> 'a -> 'a) -> 'a -> 'a list -> 'a
-
-(** Google-MapReduce as in the paper (Sec. II-A): [mapf] emits
-    key-value pairs, [reducef] reduces one key's values locally on the
-    mapping process, [merge] combines per-process partials at the
-    parent. *)
-val par_map_reduce :
-  ?np:int ->
-  tr_key:'d Eden.trans ->
-  tr_val:'e ->
-  mapf:('c -> ('d * 'a) list) ->
-  reducef:('d -> 'a list -> 'b) ->
-  merge:('d -> 'b list -> 'b) ->
-  'c list ->
-  ('d * 'b) list
-
 (** A master process farms a dynamically growing task pool out to [np]
     workers; [f task] yields new tasks plus a result, supporting
     backtracking / branch-and-bound (Sec. II-A).  Results in
@@ -79,18 +60,3 @@ val torus :
     send_b:('b -> unit) ->
     'o) ->
   'o list
-
-(** Depth-bounded divide-and-conquer process unfolding: the call tree
-    becomes processes down to [depth], sequential recursion below. *)
-val div_conquer :
-  tr:'s Eden.trans ->
-  depth:int ->
-  divide:('p -> 'p list) ->
-  is_trivial:('p -> bool) ->
-  solve:('p -> 's) ->
-  combine:('p -> 's list -> 's) ->
-  'p ->
-  's
-
-(** Chain the stages as processes connected by element streams. *)
-val pipeline : tr:'a Eden.trans -> ('a -> 'a) list -> 'a list -> 'a list

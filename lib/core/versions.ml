@@ -81,38 +81,6 @@ let eden ?(machine = Machine.intel8) ?(npes = 8)
       };
   }
 
-(* GUM: GpH on distributed heaps (Sec. III-B) — the same middleware
-   mapping as Eden, with implicit work distribution by fishing. *)
-let gum ?(machine = Machine.intel8) ?(npes = 8) ?(transport = Transport.pvm)
-    () =
-  let base = Config.default ~machine ~ncaps:npes () in
-  {
-    label =
-      Printf.sprintf "GpH/GUM, %d PEs running under %s" npes
-        (String.uppercase_ascii transport.Transport.name);
-    config =
-      {
-        base with
-        heap_mode = Config.Distributed transport;
-        migrate_threads = false;
-      };
-  }
-
-(* The semi-distributed local/global heap organisation sketched as
-   future work in Sec. VI-A (Doligez–Leroy style), as an extension. *)
-let gph_semi_distributed ?(machine = Machine.intel8) ?(ncaps = 8) () =
-  let base = (gph_steal ~machine ~ncaps ()).config in
-  {
-    label = "GpH, work stealing + semi-distributed heap (future work)";
-    config =
-      {
-        base with
-        heap_mode =
-          Config.Semi_distributed
-            { global_area = 32 * 1024 * 1024; promote_ns_per_byte = 0.6 };
-      };
-  }
-
 (* The five rows of Fig. 1, in table order. *)
 let fig1_versions ?(machine = Machine.intel8) ?(ncaps = 8) () =
   [

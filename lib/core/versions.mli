@@ -1,6 +1,5 @@
 (** The named runtime configurations measured in the paper: the five
-    rows of Fig. 1 plus the black-holing variants of Fig. 5 and the
-    future-work semi-distributed heap. *)
+    rows of Fig. 1 plus the black-holing variants of Fig. 5. *)
 
 type version = {
   label : string;  (** the paper's row/series label *)
@@ -35,20 +34,6 @@ val eden :
   ?transport:Repro_mp.Transport.t ->
   unit ->
   version
-
-(** GUM: GpH on distributed heaps with passive (fishing) work
-    distribution (Sec. III-B); pair with {!Repro_core.Gum}. *)
-val gum :
-  ?machine:Repro_machine.Machine.t ->
-  ?npes:int ->
-  ?transport:Repro_mp.Transport.t ->
-  unit ->
-  version
-
-(** The semi-distributed local/global heap sketched as future work in
-    Sec. VI-A (extension). *)
-val gph_semi_distributed :
-  ?machine:Repro_machine.Machine.t -> ?ncaps:int -> unit -> version
 
 (** The five rows of Fig. 1, in table order. *)
 val fig1_versions :

@@ -1,5 +1,5 @@
-(** Garbage-collection cost models for the three heap organisations the
-    paper discusses (Secs. III, IV-A.1 and VI-A):
+(** Garbage-collection cost models for the two heap organisations the
+    paper measures (Secs. III, IV-A.1 and VI-A):
 
     - {b Shared stop-the-world} (GHC 6.x threaded RTS): each capability
       owns a private {e allocation area} (nursery, default 0.5 MB); when
@@ -13,15 +13,10 @@
       completely independently; no barrier, perfect GC scalability
       (Sec. VI-A).
 
-    - {b Semi-distributed} (the paper's future work, after
-      Doligez–Leroy): per-capability local heaps collected privately,
-      plus a global heap collected rarely behind a barrier; sharing data
-      requires promotion into the global heap.
-
     The model charges a pause for every collection, computed from the
     amount of data that survives (copying collector: cost proportional
     to live data), plus per-capability synchronisation overhead for the
-    barrier-based organisations.  The "improved GC synchronisation" of
+    shared heap's barrier.  The "improved GC synchronisation" of
     the paper's Fig. 1 corresponds to [sync = Improved]. *)
 
 type sync_mode =

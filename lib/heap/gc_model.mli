@@ -1,11 +1,10 @@
 (** Garbage-collection cost models for the heap organisations the paper
-    discusses (Secs. III, IV-A.1, VI-A): shared stop-the-world
-    (GHC 6.x), independent per-PE (Eden), and the semi-distributed
-    local/global scheme of the paper's future work.
+    measures (Secs. III, IV-A.1, VI-A): shared stop-the-world
+    (GHC 6.x) and independent per-PE (Eden).
 
     The model charges a pause per collection (copying cost proportional
     to surviving data) plus per-capability synchronisation for the
-    barrier-based organisations.  "Improved GC synchronisation"
+    shared heap's barrier.  "Improved GC synchronisation"
     (Fig. 1, row 3) is [sync = Improved].  Under [Legacy] sync, busy
     capabilities additionally only {e notice} a pending collection at a
     scheduler-entry point up to [legacy_notice_ns] after the request

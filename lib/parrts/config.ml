@@ -31,13 +31,12 @@ type spark_runner =
 type heap_mode =
   | Shared
       (** one global heap; nursery-full on any capability stops the
-          world (GpH / threaded GHC) *)
+          world, and surplus runnable threads are pushed to idle
+          capabilities (GpH / threaded GHC) *)
   | Distributed of Repro_mp.Transport.t
-      (** one private heap per PE, collected independently; PEs
-          communicate through the given middleware (Eden) *)
-  | Semi_distributed of { global_area : int; promote_ns_per_byte : float }
-      (** paper future work: private local heaps + a rarely-collected
-          global heap; sharing promotes data into the global heap *)
+      (** one private heap per PE, collected independently; threads
+          never leave their PE, and PEs communicate through the given
+          middleware (Eden) *)
 
 type t = {
   machine : Repro_machine.Machine.t;
@@ -62,8 +61,6 @@ type t = {
           capabilities in push mode (models scheduler-entry frequency;
           the delay the paper criticises in Sec. IV-A.2) *)
   sched_poll_ns : int;  (** extra scheduler work per push-mode poll *)
-  migrate_threads : bool;  (** push surplus threads to idle caps *)
-  steal_threads : bool;  (** extension: also steal runnable threads *)
   coherency_base : float;
       (** per-extra-capability mutator slowdown from cache-coherency
           traffic in the shared heap (Sec. VI-A, fourth bullet) *)
@@ -92,15 +89,13 @@ let default ?(machine = Repro_machine.Machine.intel8) ?(ncaps = 8) () =
        a GC intervenes. *)
     push_poll_interval_ns = 7_000_000;
     sched_poll_ns = 1_500;
-    migrate_threads = true;
-    steal_threads = false;
     coherency_base = 0.006;
     seed = 0xC0FFEE;
     trace_enabled = true;
   }
 
 let is_distributed cfg =
-  match cfg.heap_mode with Distributed _ -> true | _ -> false
+  match cfg.heap_mode with Distributed _ -> true | Shared -> false
 
 let pp_load_balance ppf = function
   | Push_polling -> Format.pp_print_string ppf "push-polling"
@@ -114,7 +109,6 @@ let pp_heap_mode ppf = function
   | Shared -> Format.pp_print_string ppf "shared"
   | Distributed t ->
       Format.fprintf ppf "distributed/%a" Repro_mp.Transport.pp t
-  | Semi_distributed _ -> Format.pp_print_string ppf "semi-distributed"
 
 let pp ppf cfg =
   Format.fprintf ppf "@[<h>%s ncaps=%d heap=%a lb=%a bh=%a gc=[%a]@]"

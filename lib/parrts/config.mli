@@ -25,13 +25,12 @@ type spark_runner =
 
 type heap_mode =
   | Shared
-      (** one global heap; a full nursery stops the world (GpH) *)
+      (** one global heap; a full nursery stops the world, and surplus
+          runnable threads migrate to idle capabilities (GpH) *)
   | Distributed of Repro_mp.Transport.t
-      (** one private heap per PE, collected independently; PEs
-          communicate through the given middleware (Eden) *)
-  | Semi_distributed of { global_area : int; promote_ns_per_byte : float }
-      (** paper future work (Sec. VI-A): private local heaps plus a
-          rarely-collected global heap; sharing promotes data *)
+      (** one private heap per PE, collected independently; threads
+          stay on their PE, which communicates through the given
+          middleware (Eden) *)
 
 type t = {
   machine : Repro_machine.Machine.t;
@@ -52,8 +51,6 @@ type t = {
       (** how often a busy capability's scheduler polls for idle
           capabilities in push mode *)
   sched_poll_ns : int;  (** mutator cost of one push-mode poll *)
-  migrate_threads : bool;  (** push surplus threads to idle caps *)
-  steal_threads : bool;  (** extension: idle caps pull runnable threads *)
   coherency_base : float;
       (** per-extra-capability shared-heap slowdown from coherency
           traffic (Sec. VI-A) *)

@@ -28,7 +28,6 @@ type t = {
   sparks : sparks;
   messages : messages;
   threads_created : int;
-  threads_stolen : int;  (** runnable threads pulled by idle caps *)
   dup_work_entries : int;  (** duplicate thunk entries (lazy-BH waste) *)
   blocked_forces : int;  (** forces that blocked on a black hole *)
   utilisation : float;  (** fraction of capability-time spent running *)
@@ -48,11 +47,11 @@ let pp ppf r =
      gc: %d minor + %d major, pause %.2f ms, barrier wait %.2f ms@,\
      sparks: %d created, %d converted, %d stolen, %d pushed, %d fizzled, \
      %d overflowed@,\
-     threads: %d created, %d stolen;  dup entries: %d;  blocked forces: %d;  \
+     threads: %d created;  dup entries: %d;  blocked forces: %d;  \
      msgs: %d (%d bytes)@]"
     (elapsed_ms r) (100.0 *. r.utilisation) r.engine_events r.gc.minors r.gc.majors
     (float_of_int r.gc.pause_total_ns /. 1e6)
     (float_of_int r.gc.barrier_wait_ns /. 1e6)
     r.sparks.created r.sparks.converted r.sparks.stolen r.sparks.pushed
-    r.sparks.fizzled r.sparks.overflowed r.threads_created r.threads_stolen
+    r.sparks.fizzled r.sparks.overflowed r.threads_created
     r.dup_work_entries r.blocked_forces r.messages.sent r.messages.bytes

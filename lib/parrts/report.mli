@@ -28,7 +28,6 @@ type t = {
   sparks : sparks;
   messages : messages;
   threads_created : int;
-  threads_stolen : int;
   dup_work_entries : int;  (** duplicate thunk entries (lazy-BH waste) *)
   blocked_forces : int;  (** forces that blocked on a black hole *)
   utilisation : float;  (** fraction of capability-time spent running *)

@@ -15,10 +15,10 @@
       are only noticed at these safepoints, reproducing the barrier
       delay of the paper's Sec. IV-A.1;
     - {b stop-the-world GC} for the shared heap, {b independent per-PE
-      GC} for the distributed heap, and the semi-distributed
-      local/global scheme of Sec. VI-A as an extension;
+      GC} for the distributed heap;
     - {b load balancing} by push-polling (GHC 6.8.x) or lock-free work
-      stealing (the paper's optimisation, Sec. IV-A.2);
+      stealing of sparks (the paper's optimisation, Sec. IV-A.2), with
+      surplus threads pushed to idle capabilities of the shared heap;
     - {b spark activation} by thread-per-spark or by dedicated spark
       threads (Sec. IV-A.4);
     - {b message passing} with middleware cost profiles for the
@@ -110,7 +110,6 @@ type t = {
   mutable barrier_joined : int;
   mutable shared_resident : int;  (** workload-declared live data *)
   mutable shared_survivors : int;  (** young data surviving since major *)
-  mutable global_fill : int;  (** semi-distributed global heap fill *)
   mutable active_running : int;  (** caps currently in Running state *)
   mutable next_tid : int;
   mutable live_threads : int;
@@ -130,10 +129,8 @@ type t = {
   mutable sparks_fizzled : int;
   mutable sparks_overflowed : int;
   mutable threads_created : int;
-  mutable threads_stolen : int;
   mutable msgs_sent : int;
   mutable msg_bytes : int;
-  rng : Rng.t;
 }
 
 exception Deadlock of string
@@ -212,7 +209,6 @@ let create (cfg : Config.t) =
     barrier_joined = 0;
     shared_resident = 0;
     shared_survivors = 0;
-    global_fill = 0;
     active_running = 0;
     next_tid = 0;
     live_threads = 0;
@@ -231,15 +227,11 @@ let create (cfg : Config.t) =
     sparks_fizzled = 0;
     sparks_overflowed = 0;
     threads_created = 0;
-    threads_stolen = 0;
     msgs_sent = 0;
     msg_bytes = 0;
-    rng;
   }
 
 let now rts = Engine.now rts.engine
-let registry rts = rts.reg
-let config rts = rts.cfg
 
 let emit rts ev = Eventlog.emit rts.log ~time:(Engine.now rts.engine) ev
 
@@ -270,7 +262,7 @@ let nursery_cache_fraction = 8
 let working_set rts (c : cap) =
   let nursery = rts.cfg.gc.alloc_area / nursery_cache_fraction in
   match rts.cfg.heap_mode with
-  | Config.Shared | Config.Semi_distributed _ ->
+  | Config.Shared ->
       ((rts.shared_resident + rts.shared_survivors) / rts.cfg.ncaps) + nursery
   | Config.Distributed _ -> c.resident + nursery
 
@@ -293,7 +285,7 @@ let mutator_ns rts (c : cap) cycles =
       match rts.cfg.heap_mode with
       | Config.Shared ->
           1.0 +. (rts.cfg.coherency_base *. float_of_int (rts.cfg.ncaps - 1))
-      | _ -> 1.0
+      | Config.Distributed _ -> 1.0
     in
     Int.max 1
       (int_of_float
@@ -353,31 +345,24 @@ and schedule_step rts (c : cap) ~delay =
 (* Scheduler entry for capability [c]: runs at thread switches, wakes,
    GC completion — everywhere GHC's scheduler loop would run. *)
 and cap_step rts c =
+  let distributed = Config.is_distributed rts.cfg in
   if c.in_barrier || c.in_local_gc then ()
   else if rts.gc_phase = Collecting then ()
-  else if rts.gc_phase = Requested && uses_barrier rts then join_barrier rts c
+  else if rts.gc_phase = Requested && not distributed then join_barrier rts c
   else begin
     (* Distributed mode: message arrivals may have filled the nursery. *)
-    if
-      (not (uses_barrier rts))
-      && c.alloc_in_area >= rts.cfg.gc.alloc_area
-    then local_gc rts c
+    if distributed && c.alloc_in_area >= rts.cfg.gc.alloc_area then
+      local_gc rts c
     else begin
       if rts.cfg.load_balance = Config.Push_polling then push_surplus rts c;
       (* Threads never migrate between PEs in the distributed model:
          each PE is a separate sequential runtime (Sec. III-B). *)
-      if rts.cfg.migrate_threads && uses_barrier rts then
-        migrate_surplus_threads rts c;
+      if not distributed then migrate_surplus_threads rts c;
       match c.current with
       | Some th -> if not th.in_flight then dispatch_current rts c th
       | None -> pick_work rts c
     end
   end
-
-and uses_barrier rts =
-  match rts.cfg.heap_mode with
-  | Config.Shared | Config.Semi_distributed _ -> true
-  | Config.Distributed _ -> false
 
 and pick_work rts c =
   if Queue.length c.runq > 0 then begin
@@ -395,49 +380,9 @@ and pick_work rts c =
           in
           start_running rts c th
         end
-        else if not (steal_runnable_thread rts c) then make_idle rts c
+        else make_idle rts c
     | Config.Thread_per_spark ->
-        if not (activate_one_spark rts c) then
-          if not (steal_runnable_thread rts c) then make_idle rts c
-  end
-
-(* Extension (Sec. IV-A.2: "work pulling could also be applied to
-   threads"): an idle capability with no sparks anywhere pulls a
-   runnable thread from another capability's run queue.  Shared-heap
-   mode only — threads cannot cross PE heaps. *)
-and steal_runnable_thread rts c =
-  if
-    (not rts.cfg.steal_threads)
-    || rts.cfg.load_balance <> Config.Work_stealing
-    || not (uses_barrier rts)
-  then false
-  else begin
-    let n = Array.length rts.caps in
-    let victims = Array.init n (fun i -> i) in
-    Rng.shuffle_in_place c.rng victims;
-    let found = ref None in
-    Array.iter
-      (fun v ->
-        if !found = None && v <> c.idx then begin
-          let vc = rts.caps.(v) in
-          (* only steal from queues with surplus (> 0 waiting while the
-             victim is already running something) *)
-          if Queue.length vc.runq > 0 && vc.current <> None then begin
-            let th = Queue.pop vc.runq in
-            rts.threads_stolen <- rts.threads_stolen + 1;
-            emit rts
-              (Eventlog.Thread_migrated
-                 { tid = th.tid; from_cap = v; to_cap = c.idx });
-            found := Some th
-          end
-        end)
-      victims;
-    match !found with
-    | Some th ->
-        th.cap <- c.idx;
-        start_running rts c th;
-        true
-    | None -> false
+        if not (activate_one_spark rts c) then make_idle rts c
   end
 
 and sparks_reachable rts c =
@@ -579,7 +524,8 @@ and make_idle rts c =
   cap_state rts c (if c.blocked_threads > 0 then Trace.Blocked else Trace.Idle);
   (* If a GC is pending, an idle capability joins the barrier at once:
      it is trivially at a safepoint. *)
-  if rts.gc_phase = Requested && uses_barrier rts then join_barrier rts c
+  if rts.gc_phase = Requested && not (Config.is_distributed rts.cfg) then
+    join_barrier rts c
 
 and start_running rts c th =
   c.idle <- false;
@@ -709,7 +655,7 @@ and charge_segment_done rts c th =
      paper's Sec. IV-A.1 point about slow allocators delaying GC. *)
   let descheduled = ref false in
   if boundary then begin
-    if uses_barrier rts then begin
+    if not (Config.is_distributed rts.cfg) then begin
       if c.alloc_in_area >= rts.cfg.gc.alloc_area && rts.gc_phase = No_gc
       then request_gc rts;
       if rts.gc_phase = Requested then begin
@@ -749,7 +695,7 @@ and charge_segment_done rts c th =
       then begin
         c.last_push_poll <- now rts;
         push_surplus rts c;
-        if rts.cfg.migrate_threads && uses_barrier rts then
+        if not (Config.is_distributed rts.cfg) then
           migrate_surplus_threads rts c;
         (* the polling scheduler entry itself costs mutator time *)
         th.pending_cycles <-
@@ -825,7 +771,6 @@ and start_gc rts =
     rts.shared_survivors <-
       (rts.shared_survivors / 2)
       + int_of_float (gc.Gc_model.survival *. float_of_int allocated *. 0.5);
-  rts.global_fill <- 0;
   rts.pause_total <- rts.pause_total + pause;
   if pause > rts.max_pause then rts.max_pause <- pause;
   Engine.after rts.engine pause (fun () -> if not rts.finished then gc_done rts)
@@ -915,35 +860,8 @@ and spawn_raw rts ~cap body =
   let c = rts.caps.(cap) in
   let th = make_thread rts ~cap ~spark_thread:false body in
   Queue.push th c.runq;
-  if c.current = None then schedule_step rts c ~delay:0
-  else if rts.cfg.steal_threads then
-    (* surplus runnable work appeared: let stalled caps pull it *)
-    wake_stalled rts;
+  if c.current = None then schedule_step rts c ~delay:0;
   th.tid
-
-(* --- messages (distributed mode) ---------------------------------- *)
-
-and send_message rts ~dst ~bytes deliver =
-  let tr =
-    match rts.cfg.heap_mode with
-    | Config.Distributed tr -> tr
-    | _ -> invalid_arg "Rts.send_message: not in distributed mode"
-  in
-  rts.msgs_sent <- rts.msgs_sent + 1;
-  rts.msg_bytes <- rts.msg_bytes + bytes;
-  emit rts
-    (Eventlog.Message_sent
-       { src = (match !current_ctx with Some (c, _) -> c.idx | None -> -1);
-         dst; bytes });
-  let flight = Transport.flight_ns tr bytes + Transport.recv_side_ns tr bytes in
-  Engine.after rts.engine flight (fun () ->
-      if not rts.finished then begin
-        let c = rts.caps.(dst) in
-        (* the received graph is allocated in the receiver's heap *)
-        c.alloc_in_area <- c.alloc_in_area + bytes;
-        emit rts (Eventlog.Message_delivered { dst; bytes });
-        deliver ()
-      end)
 
 (* ------------------------------------------------------------------ *)
 (* Running a program                                                   *)
@@ -988,7 +906,6 @@ let report rts : Report.t =
       };
     messages = { sent = rts.msgs_sent; bytes = rts.msg_bytes };
     threads_created = rts.threads_created;
-    threads_stolen = rts.threads_stolen;
     dup_work_entries = rts.reg.Node.dup_entries;
     blocked_forces = rts.reg.Node.blocked_forces;
     utilisation = Repro_trace.Trace.utilisation rts.trace;
@@ -1030,36 +947,17 @@ let run (cfg : Config.t) (main : unit -> 'a) : 'a * Report.t =
 module Api = struct
   let charge cost = Effect.perform (Charge cost)
 
-  let charge_ns ns =
-    if ns > 0 then charge (Cost.cycles (cycles_of_ns (instance ()) ns))
-
   let block register = Effect.perform (Block register)
   let my_cap () = (fst (context ())).idx
   let now_ns () = now (instance ())
   let ncaps () = (instance ()).cfg.ncaps
-  let config () = (instance ()).cfg
   let registry () = (instance ()).reg
-  let rng () = (fst (context ())).rng
   let blackholing () = (instance ()).cfg.blackholing
 
   (* GpH [par]: record a spark in the current capability's pool. *)
   let spark ~still_needed run =
     let rts = instance () in
     charge rts.cfg.spark_cost;
-    (match rts.cfg.heap_mode with
-    | Config.Semi_distributed { promote_ns_per_byte; _ } ->
-        (* Sharing work through the global heap promotes the sparked
-           subgraph (Sec. VI-A): charge the promotion and fill the
-           global heap. *)
-        let bytes = 128 in
-        charge_ns (int_of_float (promote_ns_per_byte *. float_of_int bytes));
-        rts.global_fill <- rts.global_fill + bytes;
-        (match rts.cfg.heap_mode with
-        | Config.Semi_distributed { global_area; _ }
-          when rts.global_fill >= global_area && rts.gc_phase = No_gc ->
-            request_gc rts
-        | _ -> ())
-    | _ -> ());
     let c, _ = context () in
     push_spark rts c { run; still_needed }
 
@@ -1074,7 +972,7 @@ module Api = struct
     let rts = instance () in
     match rts.cfg.heap_mode with
     | Config.Distributed _ -> (fst (context ())).resident <- bytes
-    | _ -> rts.shared_resident <- bytes
+    | Config.Shared -> rts.shared_resident <- bytes
 
   let set_resident_global bytes =
     let rts = instance () in
@@ -1091,10 +989,25 @@ module Api = struct
     let tr =
       match rts.cfg.heap_mode with
       | Config.Distributed tr -> tr
-      | _ -> invalid_arg "Api.send: not in distributed mode"
+      | Config.Shared -> invalid_arg "Api.send: not in distributed mode"
     in
-    charge_ns (Transport.send_side_ns tr bytes);
-    send_message rts ~dst ~bytes deliver
+    let pack_ns = Transport.send_side_ns tr bytes in
+    if pack_ns > 0 then charge (Cost.cycles (cycles_of_ns rts pack_ns));
+    rts.msgs_sent <- rts.msgs_sent + 1;
+    rts.msg_bytes <- rts.msg_bytes + bytes;
+    emit rts
+      (Eventlog.Message_sent
+         { src = (match !current_ctx with Some (c, _) -> c.idx | None -> -1);
+           dst; bytes });
+    let flight = Transport.flight_ns tr bytes + Transport.recv_side_ns tr bytes in
+    Engine.after rts.engine flight (fun () ->
+        if not rts.finished then begin
+          let c = rts.caps.(dst) in
+          (* the received graph is allocated in the receiver's heap *)
+          c.alloc_in_area <- c.alloc_in_area + bytes;
+          emit rts (Eventlog.Message_delivered { dst; bytes });
+          deliver ()
+        end)
 
   (* Update-stack manipulation used by the GpH force implementation. *)
   let push_update boxed =

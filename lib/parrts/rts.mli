@@ -6,11 +6,12 @@
     OCaml 5 effect-handler fibers.  Thread code charges virtual work
     and allocation through {!Api}; safepoint checks happen once per
     4 kB of allocation; GC is stop-the-world behind a barrier (shared
-    heap) or per-PE (distributed); load balancing is push-polling or
-    lock-free work stealing; sparks are activated by fresh threads or
-    dedicated spark threads; messages cost what the configured
-    middleware profile says.  All fiber execution happens inside engine
-    events, so runs are fully deterministic.
+    heap) or per-PE (distributed); sparks are balanced by push-polling
+    or lock-free work stealing, and surplus threads migrate to idle
+    capabilities of a shared heap; sparks are activated by fresh
+    threads or dedicated spark threads; messages cost what the
+    configured middleware profile says.  All fiber execution happens
+    inside engine events, so runs are fully deterministic.
 
     Typical use:
     {[
@@ -35,23 +36,11 @@ val run : Config.t -> (unit -> 'a) -> 'a * Report.t
     @raise Failure outside a simulation. *)
 val instance : unit -> t
 
-(** Current virtual time of an instance, ns. *)
-val now : t -> int
-
-val config : t -> Config.t
-val registry : t -> Repro_heap.Node.registry
-
 (** [spawn_raw rts ~cap body]: create a thread on capability [cap]
     without charging anyone (used by message-delivery handlers that
     run in scheduler context, e.g. Eden process instantiation).
     Returns the thread id. *)
 val spawn_raw : t -> cap:int -> (unit -> unit) -> int
-
-(** [send_message rts ~dst ~bytes deliver]: ship a message from
-    scheduler context (no sender-side charge — used by protocol
-    handlers that react to message arrivals, e.g. GUM's FISH replies).
-    @raise Invalid_argument outside distributed mode. *)
-val send_message : t -> dst:int -> bytes:int -> (unit -> unit) -> unit
 
 (** Operations available to simulated thread code.  All of these must
     be called from inside a thread of the current {!run}. *)
@@ -60,10 +49,6 @@ module Api : sig
       checks (GC requests, timeslice, lazy black-holing). *)
   val charge : Repro_util.Cost.t -> unit
 
-  (** Charge pure work expressed as nanoseconds at the machine's
-      clock rate. *)
-  val charge_ns : int -> unit
-
   (** [block register]: deschedule this thread; [register wake] is
       called once with the callback that makes it runnable again. *)
   val block : ((unit -> unit) -> unit) -> unit
@@ -71,12 +56,7 @@ module Api : sig
   val my_cap : unit -> int
   val now_ns : unit -> int
   val ncaps : unit -> int
-  val config : unit -> Config.t
   val registry : unit -> Repro_heap.Node.registry
-
-  (** Per-capability deterministic RNG stream. *)
-  val rng : unit -> Repro_util.Rng.t
-
   val blackholing : unit -> Config.blackholing
 
   (** GpH [par]: record a spark in the current capability's pool.

@@ -14,7 +14,6 @@
     performed. *)
 
 module Cost = Repro_util.Cost
-module Listx = Repro_util.Listx
 module Gph = Repro_core.Gph
 module Eden = Repro_core.Eden
 module Skeletons = Repro_core.Skeletons
@@ -161,24 +160,4 @@ let eden_mw ?(view = default_view) ?prefetch ~width ~height () =
   let sum = List.fold_left ( + ) 0 totals in
   let want = reference ~view ~width ~height () in
   if sum <> want then failwith "mandelbrot/eden: checksum mismatch";
-  sum
-
-(** Eden farm with static round-robin splitting (for comparison with
-    the dynamic master-worker). *)
-let eden_farm ?(view = default_view) ~width ~height () =
-  let worker ys =
-    List.fold_left
-      (fun acc y ->
-        let _row, total = compute_row ~view ~width ~height y in
-        Api.charge (row_cost ~width total);
-        acc + total)
-      0 ys
-  in
-  let pieces = Listx.unshuffle (Api.ncaps ()) (List.init height Fun.id) in
-  let partials =
-    Eden.spawn ~tr_in:(Eden.t_list Eden.t_int) ~tr_out:Eden.t_int worker pieces
-  in
-  let sum = List.fold_left ( + ) 0 partials in
-  let want = reference ~view ~width ~height () in
-  if sum <> want then failwith "mandelbrot/farm: checksum mismatch";
   sum

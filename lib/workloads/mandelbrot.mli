@@ -24,7 +24,3 @@ val gph : ?view:view -> width:int -> height:int -> unit -> int
 (** Eden: master-worker over rows (dynamic balancing). *)
 val eden_mw :
   ?view:view -> ?prefetch:int -> width:int -> height:int -> unit -> int
-
-(** Eden: static round-robin farm (for comparison with the dynamic
-    master-worker). *)
-val eden_farm : ?view:view -> width:int -> height:int -> unit -> int

@@ -1,15 +1,15 @@
 (** sumEuler: the paper's "simple map-reduce operation" (Sec. V,
     Figs. 1–3): sum of the Euler totient over [[1..n]].
 
-    - {!gph} is the GpH program: split the input into sublists, build a
-      thunk per sublist, [parList rnf] over the thunks, sum the forced
-      results — then re-check the result with a sequential computation
-      (the tail phase visible in the paper's traces).
-    - {!eden} is the Eden program: a [parMapReduce]-style skeleton over
-      [noPE] {e contiguous} sublists ([splitIntoN]) — contiguous
-      splitting is what gives the "sub-optimal static load balance" the
-      paper notes for trace e), since the cost of [phi k] grows with
-      [k].
+    - {!gph} is the GpH program: deal the input round-robin into
+      sublists, build a thunk per sublist, [parList rwhnf] over the
+      thunks, sum the forced results — then re-check the result with a
+      sequential computation (the tail phase visible in the paper's
+      traces).
+    - {!eden} is the Eden program: one process per PE over [noPE]
+      sublists dealt round-robin ([unshuffle]), near-balanced although
+      the cost of [phi k] grows with [k]; the parent sums the partial
+      results.
 
     Both compute the real value (via the fast totient) while charging
     the naive kernel's virtual cost. *)
@@ -18,7 +18,6 @@ module Cost = Repro_util.Cost
 module Listx = Repro_util.Listx
 module Gph = Repro_core.Gph
 module Eden = Repro_core.Eden
-module Skeletons = Repro_core.Skeletons
 module Api = Repro_parrts.Rts.Api
 
 (* The verification pass the paper's programs run at the end ("All
@@ -39,25 +38,14 @@ let sequential_check n =
 (* Live data is tiny for this benchmark: input list + partial sums. *)
 let resident n = (48 * n) + (1 lsl 20)
 
-(** GpH version.  [chunks] controls the sublist count (default
-    [4 * ncaps]); each sublist becomes one spark.  [split] selects the
-    splitting variant (the paper: "the GpH program can apply several
-    variants of splitting the input into sublists"); round-robin gives
-    balanced sublists since the cost of [phi k] grows with [k]. *)
-let gph ?chunks ?(split = `Round_robin) ~n () =
+(** GpH version: the input dealt round-robin into sublists of about
+    50 numbers (at least [4 * ncaps] of them), one spark per sublist;
+    round-robin gives balanced sublists since the cost of [phi k] grows
+    with [k]. *)
+let gph ~n () =
   Api.set_resident (resident n);
-  (* default granularity: ~50 numbers per spark, at least 4 per cap *)
-  let chunks =
-    match chunks with
-    | Some c -> c
-    | None -> max (4 * Api.ncaps ()) (n / 50)
-  in
-  let input = List.init n (fun i -> i + 1) in
-  let pieces =
-    match split with
-    | `Round_robin -> Listx.unshuffle chunks input
-    | `Contiguous -> Listx.split_into_n chunks input
-  in
+  let chunks = max (4 * Api.ncaps ()) (n / 50) in
+  let pieces = Listx.unshuffle chunks (List.init n (fun i -> i + 1)) in
   (* Lazy structure as in the Haskell program: [map phi] builds one
      thunk per element; the sparked chunk computations force (sum) a
      sublist of those shared element thunks.  Sharing at element grain
@@ -97,23 +85,15 @@ let gph ?chunks ?(split = `Round_robin) ~n () =
   result
 
 (** Eden version: one process per PE computing its partial sum over a
-    statically-dealt piece; the parent reduces.  [split] selects the
-    static distribution: [`Round_robin] (Eden's [unshuffle], the farm
-    default — near-balanced since the cost of [phi k] grows with [k])
-    or [`Contiguous] ([splitIntoN] — the markedly "sub-optimal static
-    load balance" variant). *)
-let eden ?(split = `Round_robin) ~n () =
+    piece dealt round-robin (Eden's [unshuffle], the farm default);
+    the parent reduces. *)
+let eden ~n () =
   let npes = Api.ncaps () in
   Api.set_resident_global (resident n);
   for pe = 0 to npes - 1 do
     Api.set_resident_of ~cap:pe (resident n / npes)
   done;
-  let input = List.init n (fun i -> i + 1) in
-  let pieces =
-    match split with
-    | `Round_robin -> Listx.unshuffle npes input
-    | `Contiguous -> Listx.split_into_n npes input
-  in
+  let pieces = Listx.unshuffle npes (List.init n (fun i -> i + 1)) in
   let worker ks =
     Api.charge (Euler.chunk_cost ks);
     List.fold_left (fun a k -> a + Euler.phi_fast k) 0 ks
@@ -127,28 +107,3 @@ let eden ?(split = `Round_robin) ~n () =
     failwith
       (Printf.sprintf "sumEuler/eden: parallel %d <> sequential %d" result check);
   result
-
-(** GUM version (paper Sec. III-B): the same GpH-shaped program on
-    distributed heaps with FISH/SCHEDULE passive work distribution —
-    the main PE sparks chunk packets, idle PEs fish for them. *)
-let gum ?chunks ~n () =
-  let module Gum = Repro_core.Gum in
-  Gum.main (fun () ->
-      let npes = Api.ncaps () in
-      for pe = 0 to npes - 1 do
-        Api.set_resident_of ~cap:pe (resident n / npes)
-      done;
-      let chunks = match chunks with Some c -> c | None -> max (4 * npes) (n / 50) in
-      let input = List.init n (fun i -> i + 1) in
-      let pieces = Listx.unshuffle chunks input in
-      let result =
-        Gum.par_chunk_sum ~chunk_cost:Euler.chunk_cost
-          ~f:(fun ks -> List.fold_left (fun a k -> a + Euler.phi_fast k) 0 ks)
-          pieces
-      in
-      let check = sequential_check n in
-      if result <> check then
-        failwith
-          (Printf.sprintf "sumEuler/gum: parallel %d <> sequential %d" result
-             check);
-      result)

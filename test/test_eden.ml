@@ -15,7 +15,7 @@ let check = Alcotest.check
 let cfg ?(npes = 4) ?(transport = Transport.pvm) () =
   let machine = Machine.make ~name:"t" ~cores:npes ~clock_ghz:1.0 () in
   let c = Config.default ~machine ~ncaps:npes () in
-  { c with heap_mode = Config.Distributed transport; migrate_threads = false }
+  { c with heap_mode = Config.Distributed transport }
 
 let run ?npes ?transport f = fst (Rts.run (cfg ?npes ?transport ()) f)
 

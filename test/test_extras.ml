@@ -1,81 +1,17 @@
-(** Tests for the later additions: divide-and-conquer skeletons (Eden
-    and GpH), the SVG trace renderer and the calibration-sensitivity
-    harness. *)
+(** Tests for the later additions: the SVG trace renderer and the
+    calibration-sensitivity harness. *)
 
 module Rts = Repro_parrts.Rts
 module Config = Repro_parrts.Config
-module Cost = Repro_util.Cost
-module Gph = Repro_core.Gph
-module Eden = Repro_core.Eden
-module Sk = Repro_core.Skeletons
 module Machine = Repro_machine.Machine
 module E = Repro_experiments
 
 let test_case = Alcotest.test_case
 let check = Alcotest.check
 
-let eden_cfg ?(npes = 4) () =
-  let machine = Machine.make ~name:"t" ~cores:npes ~clock_ghz:1.0 () in
-  let c = Config.default ~machine ~ncaps:npes () in
-  {
-    c with
-    heap_mode = Config.Distributed Repro_mp.Transport.shm;
-    migrate_threads = false;
-  }
-
 let gph_cfg ?(ncaps = 4) () =
   let machine = Machine.make ~name:"t" ~cores:ncaps ~clock_ghz:1.0 () in
   { (Config.default ~machine ~ncaps ()) with load_balance = Config.Work_stealing }
-
-(* d&c problem: sum an integer range by halving. *)
-let range_sum_dc ~via (lo, hi) =
-  let divide (lo, hi) =
-    let mid = (lo + hi) / 2 in
-    [ (lo, mid); (mid + 1, hi) ]
-  in
-  let is_trivial (lo, hi) = hi - lo < 8 in
-  let solve (lo, hi) =
-    let s = ref 0 in
-    for i = lo to hi do
-      s := !s + i
-    done;
-    !s
-  in
-  let combine _ = List.fold_left ( + ) 0 in
-  match via with
-  | `Eden ->
-      Sk.div_conquer ~tr:Eden.t_int ~depth:2 ~divide ~is_trivial ~solve
-        ~combine (lo, hi)
-  | `Gph ->
-      Gph.div_conquer ~depth:4 ~divide ~is_trivial
-        ~solve_cost:(fun (lo, hi) -> Cost.make (50 * (hi - lo + 1)) ~alloc:64)
-        ~solve ~combine (lo, hi)
-
-let closed_form lo hi = ((hi * (hi + 1)) - (lo * (lo - 1))) / 2
-
-let dc_eden () =
-  let v = fst (Rts.run (eden_cfg ()) (fun () -> range_sum_dc ~via:`Eden (1, 1000))) in
-  check Alcotest.int "eden d&c sum" (closed_form 1 1000) v
-
-let dc_gph () =
-  let v = fst (Rts.run (gph_cfg ()) (fun () -> range_sum_dc ~via:`Gph (1, 1000))) in
-  check Alcotest.int "gph d&c sum" (closed_form 1 1000) v
-
-let dc_gph_sparks () =
-  let _, report =
-    Rts.run (gph_cfg ()) (fun () -> ignore (range_sum_dc ~via:`Gph (1, 5000)))
-  in
-  check Alcotest.bool "d&c sparked sub-trees" true
-    (report.Repro_parrts.Report.sparks.created > 4)
-
-let qcheck_dc =
-  QCheck.Test.make ~name:"d&c sum == closed form (both backends)" ~count:20
-    QCheck.(pair (int_range 1 50) (int_range 51 2000))
-    (fun (lo, hi) ->
-      let lo = max 1 lo and hi = max 51 hi in
-      let e = fst (Rts.run (eden_cfg ()) (fun () -> range_sum_dc ~via:`Eden (lo, hi))) in
-      let g = fst (Rts.run (gph_cfg ()) (fun () -> range_sum_dc ~via:`Gph (lo, hi))) in
-      e = closed_form lo hi && g = closed_form lo hi)
 
 (* ---------------- SVG renderer ---------------- *)
 
@@ -124,10 +60,6 @@ let sensitivity_shapes_robust () =
 let suite =
   ( "extras",
     [
-      test_case "d&c eden" `Quick dc_eden;
-      test_case "d&c gph" `Quick dc_gph;
-      test_case "d&c gph sparks" `Quick dc_gph_sparks;
-      QCheck_alcotest.to_alcotest qcheck_dc;
       test_case "svg renders" `Quick svg_renders;
       test_case "svg to file" `Quick svg_to_file;
       test_case "sensitivity: shapes robust" `Slow sensitivity_shapes_robust;

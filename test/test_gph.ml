@@ -81,24 +81,6 @@ let r0_does_nothing () =
   in
   check Alcotest.bool "r0 leaves thunk" false v
 
-let par_chunks_correct () =
-  let xs = List.init 97 (fun i -> i + 1) in
-  let v = run (fun () ->
-      Gph.par_chunks ~chunks:8
-        ~cost:(fun piece -> Cost.cycles (100 * List.length piece))
-        ~f:(List.fold_left ( + ) 0)
-        ~combine:(List.fold_left ( + ) 0)
-        xs)
-  in
-  check Alcotest.int "sum" (97 * 98 / 2) v
-
-let par_map_correct () =
-  let v = run (fun () ->
-      Gph.par_map ~cost:(fun _ -> Cost.cycles 500) (fun x -> x * 3)
-        [ 1; 2; 3; 4; 5 ])
-  in
-  check Alcotest.(list int) "par_map" [ 3; 6; 9; 12; 15 ] v
-
 (* Under eager black-holing, a shared thunk forced by many sparks must
    be evaluated exactly once; under lazy black-holing it may be
    duplicated but the result must still be correct. *)
@@ -142,30 +124,22 @@ let shared_thunk_lazy_correct () =
   check Alcotest.bool "evaluated at least once" true (count >= 1);
   check Alcotest.int "result correct despite duplication" (8 * 43) res
 
-let qcheck_par_chunks_equals_seq =
-  QCheck.Test.make ~name:"par_chunks sum == sequential sum (any list, any chunking)"
-    ~count:60
-    QCheck.(pair (int_range 1 16) (small_list small_nat))
-    (fun (chunks, xs) ->
-      QCheck.assume (xs <> []);
-      let expect = List.fold_left ( + ) 0 xs in
-      let got =
-        run (fun () ->
-            Gph.par_chunks ~chunks
-              ~cost:(fun piece -> Cost.cycles (10 * (1 + List.length piece)))
-              ~f:(List.fold_left ( + ) 0)
-              ~combine:(List.fold_left ( + ) 0)
-              xs)
-      in
-      got = expect)
-
-let qcheck_par_map_equals_map =
-  QCheck.Test.make ~name:"par_map == List.map (any ncaps)" ~count:40
+(* One thunk per element sparked under [parList rwhnf], then forced in
+   order: the shape of every simulated GpH program, over random cap
+   counts. *)
+let qcheck_par_list_equals_map =
+  QCheck.Test.make ~name:"parList + force == List.map (any ncaps)" ~count:40
     QCheck.(pair (int_range 1 8) (small_list (int_range (-1000) 1000)))
     (fun (ncaps, xs) ->
       let got =
         run ~ncaps (fun () ->
-            Gph.par_map ~cost:(fun _ -> Cost.cycles 200) (fun x -> (2 * x) - 7) xs)
+            let nodes =
+              List.map
+                (fun x -> Gph.thunk ~cost:(Cost.cycles 200) (fun () -> (2 * x) - 7))
+                xs
+            in
+            Gph.par_list Gph.rwhnf nodes;
+            List.map Gph.force nodes)
       in
       got = List.map (fun x -> (2 * x) - 7) xs)
 
@@ -179,10 +153,7 @@ let suite =
       test_case "parList == map" `Quick strategies_equal_sequential;
       test_case "using returns its argument" `Quick using_returns_argument;
       test_case "r0 does nothing" `Quick r0_does_nothing;
-      test_case "par_chunks correct" `Quick par_chunks_correct;
-      test_case "par_map correct" `Quick par_map_correct;
       test_case "shared thunk: eager evaluates once" `Quick shared_thunk_eager_once;
       test_case "shared thunk: lazy stays correct" `Quick shared_thunk_lazy_correct;
-      QCheck_alcotest.to_alcotest qcheck_par_chunks_equals_seq;
-      QCheck_alcotest.to_alcotest qcheck_par_map_equals_map;
+      QCheck_alcotest.to_alcotest qcheck_par_list_equals_map;
     ] )

@@ -23,7 +23,6 @@ let () =
       Test_extensions.suite;
       Test_extras.suite;
       Test_eventlog.suite;
-      Test_gum.suite;
       Test_experiments.suite;
       Test_analysis.suite;
       Test_tracer.suite;

@@ -251,30 +251,6 @@ let timeslice_rotates () =
   check Alcotest.bool "interleaved" true
     (List.mem 1 first_12 && List.mem 2 first_12)
 
-let semi_distributed_runs () =
-  let c =
-    {
-      (cfg ~ncaps:2 ()) with
-      heap_mode =
-        Config.Semi_distributed { global_area = 4096; promote_ns_per_byte = 0.5 };
-      load_balance = Config.Work_stealing;
-    }
-  in
-  let _, report = Rts.run c (fun () ->
-      let remaining = ref 64 and waiter = ref None in
-      for _ = 1 to 64 do
-        Api.spark ~still_needed:(fun () -> true) (fun () ->
-            Api.charge (Cost.make 100_000 ~alloc:4096);
-            decr remaining;
-            if !remaining = 0 then Option.iter (fun k -> k ()) !waiter)
-      done;
-      if !remaining > 0 then Api.block (fun wake -> waiter := Some wake))
-  in
-  (* sparking promoted data into the tiny global heap: a global
-     collection must have happened *)
-  check Alcotest.bool "global GC triggered by promotion" true
-    (report.Report.gc.minors >= 1)
-
 let nested_run_rejected () =
   ignore
     (Rts.run (cfg ~ncaps:1 ()) (fun () ->
@@ -376,7 +352,6 @@ let suite =
       test_case "determinism" `Quick determinism;
       test_case "deadlock detected" `Quick deadlock_detected;
       test_case "timeslice rotates run queue" `Quick timeslice_rotates;
-      test_case "semi-distributed heap runs" `Quick semi_distributed_runs;
       test_case "nested run rejected" `Quick nested_run_rejected;
       test_case "workload exception propagates" `Quick workload_exception_propagates;
       test_case "pinned sim statistics" `Quick pinned_sim_statistics;

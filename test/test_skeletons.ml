@@ -1,5 +1,4 @@
-(** Tests for the Eden skeletons: farm, reduce, map-reduce,
-    master/worker, ring, torus, pipeline. *)
+(** Tests for the Eden skeletons: farm, master/worker, ring, torus. *)
 
 module Rts = Repro_parrts.Rts
 module Api = Repro_parrts.Rts.Api
@@ -16,7 +15,7 @@ let check = Alcotest.check
 let cfg ?(npes = 4) () =
   let machine = Machine.make ~name:"t" ~cores:npes ~clock_ghz:1.0 () in
   let c = Config.default ~machine ~ncaps:npes () in
-  { c with heap_mode = Config.Distributed Transport.shm; migrate_threads = false }
+  { c with heap_mode = Config.Distributed Transport.shm }
 
 let run ?npes f = fst (Rts.run (cfg ?npes ()) f)
 
@@ -33,31 +32,6 @@ let farm_custom_np () =
       Sk.par_map_farm ~np:2 ~tr_in:Eden.t_int ~tr_out:Eden.t_int (fun x -> -x) xs)
   in
   check Alcotest.(list int) "np=2" (List.map (fun x -> -x) xs) v
-
-let reduce_equals_fold () =
-  let xs = List.init 100 (fun i -> i + 1) in
-  let v = run (fun () -> Sk.par_reduce ~tr:Eden.t_int ( + ) 0 xs) in
-  check Alcotest.int "sum 1..100" 5050 v
-
-let map_reduce_word_count () =
-  (* the classic word-count shape: map emits (word, 1), reduce sums *)
-  let docs = [ "a b a"; "b c"; "a c c c" ] in
-  let v = run (fun () ->
-      Sk.par_map_reduce
-        ~tr_key:{ Eden.bytes = (fun s -> 16 + String.length s); nf_cycles = (fun _ -> 2) }
-        ~tr_val:Eden.t_int
-        ~mapf:(fun doc ->
-          String.split_on_char ' ' doc |> List.map (fun w -> (w, 1)))
-        ~reducef:(fun _ vs -> List.fold_left ( + ) 0 vs)
-        ~merge:(fun _ partials -> List.fold_left ( + ) 0 partials)
-        docs)
-  in
-  let sorted = List.sort compare v in
-  check
-    Alcotest.(list (pair string int))
-    "word counts"
-    [ ("a", 3); ("b", 2); ("c", 4) ]
-    sorted
 
 let master_worker_flat_tasks () =
   let v = run (fun () ->
@@ -137,18 +111,6 @@ let torus_coordinates () =
   in
   check Alcotest.(list int) "all workers ran" [ 0; 1; 10; 11 ] v
 
-let pipeline_composes () =
-  let v = run ~npes:4 (fun () ->
-      Sk.pipeline ~tr:Eden.t_int
-        [ (fun x -> x + 1); (fun x -> x * 2) ]
-        [ 1; 2; 3 ])
-  in
-  check Alcotest.(list int) "pipeline" [ 4; 6; 8 ] v
-
-let pipeline_empty_stages () =
-  let v = run (fun () -> Sk.pipeline ~tr:Eden.t_int [] [ 1; 2 ]) in
-  check Alcotest.(list int) "no stages = id" [ 1; 2 ] v
-
 let qcheck_farm =
   QCheck.Test.make ~name:"par_map_farm == List.map (any npes, any list)"
     ~count:30
@@ -159,13 +121,6 @@ let qcheck_farm =
             (fun x -> (3 * x) + 1)
             xs)
       = List.map (fun x -> (3 * x) + 1) xs)
-
-let qcheck_reduce =
-  QCheck.Test.make ~name:"par_reduce == fold (associative op)" ~count:30
-    QCheck.(pair (int_range 2 6) (small_list small_nat))
-    (fun (npes, xs) ->
-      run ~npes (fun () -> Sk.par_reduce ~tr:Eden.t_int ( + ) 0 xs)
-      = List.fold_left ( + ) 0 xs)
 
 let qcheck_master_worker =
   QCheck.Test.make ~name:"master_worker returns one result per task" ~count:25
@@ -184,16 +139,11 @@ let suite =
     [
       test_case "farm == map" `Quick farm_equals_map;
       test_case "farm custom np" `Quick farm_custom_np;
-      test_case "reduce == fold" `Quick reduce_equals_fold;
-      test_case "map-reduce word count" `Quick map_reduce_word_count;
       test_case "master/worker flat" `Quick master_worker_flat_tasks;
       test_case "master/worker dynamic tasks" `Quick master_worker_dynamic_tasks;
       test_case "master/worker irregular" `Quick master_worker_irregular;
       test_case "ring token pass" `Quick ring_token_pass;
       test_case "torus coordinates" `Quick torus_coordinates;
-      test_case "pipeline composes" `Quick pipeline_composes;
-      test_case "pipeline no stages" `Quick pipeline_empty_stages;
       QCheck_alcotest.to_alcotest qcheck_farm;
-      QCheck_alcotest.to_alcotest qcheck_reduce;
       QCheck_alcotest.to_alcotest qcheck_master_worker;
     ] )

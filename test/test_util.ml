@@ -118,9 +118,6 @@ let table_render () =
 (* ---------------- Listx ---------------- *)
 
 let listx_split () =
-  check Alcotest.(list (list int)) "split_into_n"
-    [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
-    (Listx.split_into_n 3 [ 1; 2; 3; 4; 5 ]);
   check Alcotest.(list (list int)) "unshuffle"
     [ [ 1; 4 ]; [ 2; 5 ]; [ 3 ] ]
     (Listx.unshuffle 3 [ 1; 2; 3; 4; 5 ]);
@@ -131,20 +128,6 @@ let listx_qcheck_roundtrip =
   QCheck.Test.make ~name:"shuffle . unshuffle = id" ~count:300
     QCheck.(pair (int_range 1 10) (small_list small_nat))
     (fun (n, xs) -> Listx.shuffle (Listx.unshuffle n xs) = xs)
-
-let listx_qcheck_split_preserves =
-  QCheck.Test.make ~name:"split_into_n preserves content and count" ~count:300
-    QCheck.(pair (int_range 1 10) (small_list small_nat))
-    (fun (n, xs) ->
-      let pieces = Listx.split_into_n n xs in
-      List.length pieces = n && List.concat pieces = xs)
-
-let listx_group () =
-  check
-    Alcotest.(list (pair string (list int)))
-    "group_by_key"
-    [ ("a", [ 1; 3 ]); ("b", [ 2 ]) ]
-    (Listx.group_by_key [ ("a", 1); ("b", 2); ("a", 3) ])
 
 let listx_transpose () =
   check Alcotest.(list (list int)) "transpose"
@@ -167,7 +150,5 @@ let suite =
       test_case "table render" `Quick table_render;
       test_case "listx split/unshuffle" `Quick listx_split;
       QCheck_alcotest.to_alcotest listx_qcheck_roundtrip;
-      QCheck_alcotest.to_alcotest listx_qcheck_split_preserves;
-      test_case "listx group_by_key" `Quick listx_group;
       test_case "listx transpose" `Quick listx_transpose;
     ] )

@@ -68,25 +68,6 @@ let sumeuler_all_versions_agree () =
       check Alcotest.int v.label expect got)
     (V.fig1_versions ~ncaps:4 ())
 
-let sumeuler_splits_agree () =
-  let n = 300 in
-  let expect = W.Euler.sum_euler_ref n in
-  let got_rr, _ =
-    Rts.run (V.gph_steal ~ncaps:4 ()).config (fun () ->
-        W.Sumeuler.gph ~split:`Round_robin ~n ())
-  in
-  let got_c, _ =
-    Rts.run (V.gph_steal ~ncaps:4 ()).config (fun () ->
-        W.Sumeuler.gph ~split:`Contiguous ~n ())
-  in
-  check Alcotest.int "round robin" expect got_rr;
-  check Alcotest.int "contiguous" expect got_c;
-  let got_e, _ =
-    Rts.run (V.eden ~npes:4 ()).config (fun () ->
-        W.Sumeuler.eden ~split:`Contiguous ~n ())
-  in
-  check Alcotest.int "eden contiguous" expect got_e
-
 (* ---------------- Matrix / matmul ---------------- *)
 
 let matrix_ref_identity () =
@@ -311,7 +292,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_phi_agree;
       test_case "phi cost grows" `Quick phi_cost_grows;
       test_case "sumEuler: all versions agree" `Quick sumeuler_all_versions_agree;
-      test_case "sumEuler: splits agree" `Quick sumeuler_splits_agree;
       test_case "matrix: A*I = A" `Quick matrix_ref_identity;
       test_case "matrix: blocked == ref" `Quick matrix_block_equals_ref;
       test_case "matrix: row segments == ref" `Quick matrix_row_segment_equals_ref;
