@@ -301,6 +301,20 @@ let blackhole_update_stack rts th =
   | Config.Eager_bh -> () (* already marked at entry *)
   | Config.Lazy_bh -> List.iter Node.blackhole_boxed th.update_stack
 
+(* The next segment of the thread's pending charge: all of it, or, when
+   it allocates past the next 4 kB check, the part up to that check.
+   Returns the segment's duration, for the one event in flight. *)
+let next_segment rts (c : cap) th =
+  assert (not th.in_flight);
+  let to_boundary = rts.cfg.gc.check_interval - c.alloc_since_check in
+  let whole = th.pending_alloc = 0 || th.pending_alloc <= to_boundary in
+  th.seg_cycles <-
+    (if whole then th.pending_cycles
+     else th.pending_cycles * to_boundary / th.pending_alloc);
+  th.seg_alloc <- (if whole then th.pending_alloc else to_boundary);
+  th.in_flight <- true;
+  Int.max 1 (mutator_ns rts c th.seg_cycles)
+
 (* ------------------------------------------------------------------ *)
 (* The scheduler: one mutually-recursive group                         *)
 (* ------------------------------------------------------------------ *)
@@ -622,27 +636,16 @@ and wake_thread rts th =
 
 (* --- charging ---------------------------------------------------- *)
 
-(* One segment of the thread's pending charge is one engine event: all
-   of it, or, when it allocates past the next 4 kB check, the part up
-   to that check. *)
+(* One segment of the thread's pending charge is one engine event,
+   [th.end_segment]. *)
 and begin_charge rts c th =
   if th.pending_cycles = 0 && th.pending_alloc = 0 then continue_fiber rts c th
-  else begin
-    assert (not th.in_flight);
-    let to_boundary = rts.cfg.gc.check_interval - c.alloc_since_check in
-    let whole = th.pending_alloc = 0 || th.pending_alloc <= to_boundary in
-    th.seg_cycles <-
-      (if whole then th.pending_cycles
-       else th.pending_cycles * to_boundary / th.pending_alloc);
-    th.seg_alloc <- (if whole then th.pending_alloc else to_boundary);
-    th.in_flight <- true;
-    Engine.after rts.engine
-      (Int.max 1 (mutator_ns rts c th.seg_cycles))
-      th.end_segment
-  end
+  else Engine.after rts.engine (next_segment rts c th) th.end_segment
 
 (* The segment's event: [c] is the thread's capability, which an
-   in-flight thread cannot leave. *)
+   in-flight thread cannot leave.  When the thread goes on charging,
+   this very event is re-armed for the next segment, exactly where
+   [begin_charge] would post a new one. *)
 and charge_segment_done rts c th =
   c.alloc_since_check <- c.alloc_since_check + th.seg_alloc;
   c.alloc_in_area <- c.alloc_in_area + th.seg_alloc;
@@ -718,7 +721,9 @@ and charge_segment_done rts c th =
       end
     end
   end;
-  if not !descheduled then begin_charge rts c th
+  if not !descheduled then
+    if th.pending_cycles = 0 && th.pending_alloc = 0 then continue_fiber rts c th
+    else Engine.again rts.engine (next_segment rts c th)
 
 (* --- garbage collection ------------------------------------------ *)
 

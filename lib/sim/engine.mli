@@ -25,6 +25,16 @@ val at : t -> int -> (unit -> unit) -> unit
     @raise Invalid_argument on negative delays. *)
 val after : t -> int -> (unit -> unit) -> unit
 
+(** [again t delay]: re-arm the event being dispatched, [delay] ns
+    from now, without scheduling a new one: it keeps its closure and
+    takes its sequence number at the call, so it fires exactly where
+    [after t delay f] called at the same point would have fired.  It
+    is dispatched, and counted by {!dispatched}, once more.  If its
+    handler then raises, the event is dropped all the same.
+    @raise Invalid_argument outside a dispatch, on a second call in
+    one dispatch, or on a negative delay. *)
+val again : t -> int -> unit
+
 (** Stop the current {!run} after the event in progress. *)
 val stop : t -> unit
 
@@ -33,5 +43,6 @@ val stop : t -> unit
     the clock at [until] (never before the current time) and can be
     resumed by calling [run] again; events of one instant still fire in
     scheduling order.
-    @raise Horizon_exceeded if an event lies beyond the horizon. *)
+    @raise Horizon_exceeded if an event lies beyond the horizon.
+    @raise Invalid_argument when called from one of [t]'s handlers. *)
 val run : ?until:int -> t -> int

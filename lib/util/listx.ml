@@ -18,13 +18,3 @@ let shuffle pieces =
     List.iter (fun a -> if i < Array.length a then out := a.(i) :: !out) (List.rev arrs)
   done;
   !out
-
-let transpose rows =
-  let rec go rows =
-    if List.for_all (( = ) []) rows then []
-    else
-      let heads = List.filter_map (function [] -> None | x :: _ -> Some x) rows in
-      let tails = List.map (function [] -> [] | _ :: t -> t) rows in
-      heads :: go tails
-  in
-  go rows

@@ -6,5 +6,3 @@ val unshuffle : int -> 'a list -> 'a list list
 
 (** Interleave round-robin-dealt pieces back into one list. *)
 val shuffle : 'a list list -> 'a list
-
-val transpose : 'a list list -> 'a list list

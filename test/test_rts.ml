@@ -269,8 +269,9 @@ let workload_exception_propagates () =
 (* Perfbench's sim workload at its smoke sizes: the five kernels under
    GpH steal+eager on 8 caps and Eden on 8 PEs, both on intel8, apsp on
    seed 1.  Every figure is a literal, so a change to the engine or the
-   charge loop that adds, drops or reorders one event, or moves one
-   virtual time, fails here however loaded the machine is. *)
+   charge loop that adds or drops one event, or moves one virtual time,
+   fails here however loaded the machine is; the order of events is
+   pinned by [pinned_order]. *)
 let pinned_fields =
   [ "elapsed_ns"; "gc minors"; "gc majors"; "sparks created";
     "sparks converted"; "sparks fizzled"; "messages sent"; "message bytes";
@@ -335,6 +336,48 @@ let pinned_sim_statistics () =
         (List.combine pinned_fields (pinned_values report)))
     pinned
 
+(* Where a same-instant reorder shows: apsp 60 (seed 7) under GpH
+   stealing with lazy and with eager black-holing, on intel8 with 8
+   caps and on amd16 with 16, and Eden's Cannon matmul on 16 PEs of
+   amd16.  Each run pins its virtual time, its engine events and the
+   digest of its event log, so a change to the engine or the charge
+   loop that swaps two events of one instant fails here even where
+   every statistic of [pinned_sim_statistics] stays equal. *)
+let pinned_order =
+  [ ("intel8/8 steal", 512_355, 3_043, "992ee93c92ceacd25ccfcecf32d5308e");
+    ("intel8/8 steal-eager", 338_766, 2_490, "427bf4fe60d3dfbc160dfdce22700101");
+    ("amd16/16 steal", 389_055, 4_990, "59dd675305afdede6ac9136c8583d630");
+    ("amd16/16 steal-eager", 281_141, 3_093, "d98c1c150f860de80269584230091f34");
+    ("amd16/16 eden matmul", 2_082_260, 1_170, "c1a7c983040070c4457aa6e573334b97") ]
+
+let pinned_event_order () =
+  let module W = Repro_workloads in
+  let module V = Repro_core.Versions in
+  let bits = Repro_exec.Workload.float_bits in
+  let apsp () = bits (W.Apsp.gph ~n:60 ()) in
+  let steal machine ncaps = V.gph_steal ~machine ~ncaps () in
+  let run = function
+    | "intel8/8 steal" -> (steal Machine.intel8 8, apsp)
+    | "intel8/8 steal-eager" -> (V.with_eager (steal Machine.intel8 8), apsp)
+    | "amd16/16 steal" -> (steal Machine.amd16 16, apsp)
+    | "amd16/16 steal-eager" -> (V.with_eager (steal Machine.amd16 16), apsp)
+    | "amd16/16 eden matmul" ->
+        ( V.eden ~machine:Machine.amd16 ~npes:16 (),
+          fun () -> bits (W.Matmul.eden_cannon ~n:200 ~q:4 ()) )
+    | what -> invalid_arg what
+  in
+  List.iter
+    (fun (what, elapsed_ns, events, digest) ->
+      let (v : V.version), f = run what in
+      let _, (r : Report.t) = Rts.run v.config f in
+      check
+        Alcotest.(triple int int string)
+        what (elapsed_ns, events, digest)
+        ( r.elapsed_ns,
+          r.engine_events,
+          Digest.to_hex (Digest.string (Repro_trace.Eventlog.dump r.eventlog)) ))
+    pinned_order
+
 let suite =
   ( "rts",
     [
@@ -355,4 +398,5 @@ let suite =
       test_case "nested run rejected" `Quick nested_run_rejected;
       test_case "workload exception propagates" `Quick workload_exception_propagates;
       test_case "pinned sim statistics" `Quick pinned_sim_statistics;
+      test_case "event order pinned" `Quick pinned_event_order;
     ] )

@@ -169,6 +169,128 @@ let engine_horizon () =
   Alcotest.check_raises "horizon" (Engine.Horizon_exceeded 101) (fun () ->
       ignore (Engine.run e))
 
+(* A chain's event re-posts itself once per step, the step's delay
+   later, with [after] or re-armed with [again], and may post a plain
+   event just before and just after doing so.  Chain [i]'s [k]th firing
+   logs [(i, k, 0)], its plain events [(i, k, 1)] (before) and
+   [(i, k, 2)] (after). *)
+let run_chains ~use_again program =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note id = log := (Engine.now e, id) :: !log in
+  List.iteri
+    (fun i (start, steps) ->
+      let state = ref (0, steps) in
+      let rec fire () =
+        let k, steps = !state in
+        note (i, k, 0);
+        match steps with
+        | [] -> ()
+        | (delay, pre, post) :: rest ->
+            state := (k + 1, rest);
+            let plain tag d = Engine.after e d (fun () -> note (i, k, tag)) in
+            Option.iter (plain 1) pre;
+            if use_again then Engine.again e delay else Engine.after e delay fire;
+            Option.iter (plain 2) post
+      in
+      Engine.at e start fire)
+    program;
+  ignore (Engine.run e);
+  (List.rev !log, Engine.dispatched e)
+
+let engine_qcheck_again =
+  let small = QCheck.int_bound 4 in
+  QCheck.Test.make ~name:"engine again == after" ~count:300
+    QCheck.(
+      small_list
+        (pair (int_bound 12)
+           (small_list (triple small (option small) (option small)))))
+    (fun program ->
+      run_chains ~use_again:true program = run_chains ~use_again:false program)
+
+let engine_again_fifo () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s = log := (s, Engine.now e) :: !log in
+  let first = ref true in
+  Engine.at e 10 (fun () ->
+      if !first then begin
+        first := false;
+        note "r";
+        Engine.after e 5 (fun () -> note "posted before again");
+        Engine.again e 5;
+        Engine.after e 5 (fun () -> note "posted after again")
+      end
+      else note "r again");
+  Engine.at e 15 (fun () -> note "posted before the run");
+  ignore (Engine.run e);
+  check
+    Alcotest.(list (pair string int))
+    "scheduling order at the new instant"
+    [ ("r", 10); ("posted before the run", 15); ("posted before again", 15);
+      ("r again", 15); ("posted after again", 15) ]
+    (List.rev !log);
+  check Alcotest.int "every firing counted" 5 (Engine.dispatched e)
+
+let engine_again_misuse () =
+  let e = Engine.create () in
+  Alcotest.check_raises "outside a dispatch"
+    (Invalid_argument "Engine.again: no event is being dispatched") (fun () ->
+      Engine.again e 1);
+  let fired = ref 0 in
+  Engine.at e 1 (fun () ->
+      incr fired;
+      if !fired = 1 then begin
+        Engine.again e 1;
+        Engine.again e 2
+      end);
+  Alcotest.check_raises "twice in one dispatch"
+    (Invalid_argument "Engine.again: the event is re-armed already") (fun () ->
+      ignore (Engine.run e));
+  Alcotest.check_raises "outside a dispatch, after a failed run"
+    (Invalid_argument "Engine.again: no event is being dispatched") (fun () ->
+      Engine.again e 1);
+  Engine.at e 2 (fun () -> ignore (Engine.run e));
+  Alcotest.check_raises "no run from a handler"
+    (Invalid_argument "Engine.run: called from a handler") (fun () ->
+      ignore (Engine.run e))
+
+let engine_again_raising_handler () =
+  let e = Engine.create () in
+  let plain = ref 0 and rearmed = ref 0 in
+  Engine.at e 1 (fun () ->
+      incr plain;
+      failwith "plain");
+  Engine.at e 2 (fun () ->
+      incr rearmed;
+      Engine.again e 1;
+      failwith "re-armed");
+  Alcotest.check_raises "first handler raises" (Failure "plain") (fun () ->
+      ignore (Engine.run e));
+  Alcotest.check_raises "second handler raises" (Failure "re-armed") (fun () ->
+      ignore (Engine.run e));
+  check Alcotest.int "nothing left to run" 2 (Engine.run e);
+  check Alcotest.(pair int int) "each handler ran once" (1, 1) (!plain, !rearmed);
+  check Alcotest.int "dispatched" 2 (Engine.dispatched e)
+
+let engine_again_until () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let fired = ref 0 in
+  Engine.at e 10 (fun () ->
+      incr fired;
+      log := ("r", Engine.now e) :: !log;
+      if !fired = 1 then Engine.again e 40);
+  Engine.at e 50 (fun () -> log := ("plain", Engine.now e) :: !log);
+  check Alcotest.int "paused at limit" 20 (Engine.run ~until:20 e);
+  check Alcotest.(list (pair string int)) "before the limit" [ ("r", 10) ] (List.rev !log);
+  ignore (Engine.run e);
+  check
+    Alcotest.(list (pair string int))
+    "re-armed event kept, after the plain one posted before it"
+    [ ("r", 10); ("plain", 50); ("r", 50) ]
+    (List.rev !log)
+
 (* ---------------- Trace ---------------- *)
 
 let trace_segments () =
@@ -266,6 +388,12 @@ let suite =
       test_case "engine until never moves time back" `Quick engine_until_in_the_past;
       test_case "engine stop" `Quick engine_stop;
       test_case "engine horizon" `Quick engine_horizon;
+      QCheck_alcotest.to_alcotest engine_qcheck_again;
+      test_case "engine again keeps same-time FIFO" `Quick engine_again_fifo;
+      test_case "engine again only once, only in a dispatch" `Quick engine_again_misuse;
+      test_case "engine raising handler leaves no event" `Quick
+        engine_again_raising_handler;
+      test_case "engine until keeps a re-armed event" `Quick engine_again_until;
       test_case "trace segments" `Quick trace_segments;
       test_case "trace utilisation" `Quick trace_utilisation;
       test_case "trace counters" `Quick trace_counters;

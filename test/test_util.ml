@@ -129,11 +129,6 @@ let listx_qcheck_roundtrip =
     QCheck.(pair (int_range 1 10) (small_list small_nat))
     (fun (n, xs) -> Listx.shuffle (Listx.unshuffle n xs) = xs)
 
-let listx_transpose () =
-  check Alcotest.(list (list int)) "transpose"
-    [ [ 1; 4 ]; [ 2; 5 ]; [ 3; 6 ] ]
-    (Listx.transpose [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ])
-
 let suite =
   ( "util",
     [
@@ -150,5 +145,4 @@ let suite =
       test_case "table render" `Quick table_render;
       test_case "listx split/unshuffle" `Quick listx_split;
       QCheck_alcotest.to_alcotest listx_qcheck_roundtrip;
-      test_case "listx transpose" `Quick listx_transpose;
     ] )

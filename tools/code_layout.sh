@@ -32,7 +32,8 @@ hot=(Repro_exec.Workload.nfib Repro_workloads.Apsp.relax
   Repro_workloads.Euler.phi_fast Repro_workloads.Euler.sum_phi
   Repro_workloads.Matrix.mul_rows Repro_workloads.Mandelbrot.compute_row
   Repro_workloads.Mandelbrot.escape4 Repro_sim.Engine.dispatch
-  Repro_parrts.Rts.begin_charge Repro_parrts.Rts.charge_segment_done)
+  Repro_sim.Engine.sift_down Repro_parrts.Rts.begin_charge
+  Repro_parrts.Rts.charge_segment_done Repro_parrts.Rts.next_segment)
 
 declare -A fn
 while read -r addr size _ sym; do
