@@ -557,8 +557,9 @@ let dist_cmd =
   let transport =
     let doc =
       "Transport between coordinator and PEs, which changes only how \
-       bytes move (both run the same star protocol, FISH via the \
-       coordinator): $(b,sock) frames messages over a socketpair per PE; \
+       bytes move (both run the same star protocol, where each result \
+       also asks for the PE's next task): $(b,sock) frames messages \
+       over a socketpair per PE; \
        $(b,shm) maps a pair of shared-memory rings per PE (zero-copy \
        float payloads)."
     in
@@ -627,10 +628,10 @@ let dist_cmd =
     (Cmd.info "dist"
        ~doc:
          "Run a workload on the multi-process Eden/GUM-style backend (one \
-          worker process per PE, private heaps, FISH/SCHEDULE demand \
-          scheduling over framed socketpair messages or shared-memory rings \
-          -- $(b,--transport)) and report wall-clock speedups plus \
-          message/byte/GC counters")
+          worker process per PE, private heaps, a coordinator that answers \
+          each result with the PE's next task, over framed socketpair \
+          messages or shared-memory rings -- $(b,--transport)) and report \
+          wall-clock speedups plus message/byte/GC counters")
     Term.(
       const run $ workload_arg $ procs $ size_arg $ repeat_arg $ sweep_arg
       $ json_arg

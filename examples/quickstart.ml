@@ -27,6 +27,7 @@ let () =
         Gph.par_list Gph.rwhnf nodes;
         List.fold_left (fun acc n -> acc + Gph.force n) 0 nodes)
   in
+  assert (result = 85344);
   Printf.printf "GpH   (%s):\n  sum of squares 0..63 = %d\n" version.label result;
   Printf.printf "  virtual time %.3f ms, utilisation %.1f%%, sparks stolen %d\n\n"
     (Repro_parrts.Report.elapsed_ms report)
@@ -48,6 +49,7 @@ let () =
         in
         List.fold_left ( + ) 0 partials)
   in
+  assert (result = 85344);
   Printf.printf "Eden  (%s):\n  sum of squares 0..63 = %d\n" version.label result;
   Printf.printf "  virtual time %.3f ms, utilisation %.1f%%, %d messages (%d bytes)\n"
     (Repro_parrts.Report.elapsed_ms report)

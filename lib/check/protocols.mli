@@ -23,10 +23,6 @@ val run : ?on_trace:(Event.t list -> unit) -> config -> Sched.result
 val verdict : config -> Sched.result -> bool
 (** Did the result match the config's expectation? *)
 
-val protocols : config list  (** the real protocols ([Must_pass]) *)
-
-val mutants : config list  (** the seeded bugs ([Must_fail]) *)
-
 val all : config list
 
 val find : string -> config

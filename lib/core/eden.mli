@@ -71,10 +71,6 @@ val to_list : 'a stream -> 'a list
     it there as a fresh thread (Eden's [instantiateAt]). *)
 val instantiate_at : pe:int -> (unit -> unit) -> unit
 
-(** Default round-robin placement of [n] processes (children start on
-    the PE after the parent's). *)
-val placement : n:int -> int list
-
 (** [spawn ~tr_in ~tr_out f inputs]: one process per input; each child
     waits on an input channel, applies [f], sends its result back.
     The parent pays for shipping inputs, children for results.

@@ -1,7 +1,8 @@
 (** Algorithmic and topology skeletons for Eden (paper Sec. II-A).
 
     These are the higher-order parallel building blocks the paper's
-    Eden benchmarks use: [parMapFarm], [masterWorker], and the
+    Eden benchmarks use: [parMapFarm], [masterWorker] (placed by
+    {!Repro_mp.Star}, the process farm's placement too), and the
     topology skeletons [ring] (used by the shortest-paths ring) and
     [torus] (used by Cannon's matrix multiplication).
 
@@ -11,6 +12,7 @@
 
 module Listx = Repro_util.Listx
 module Api = Repro_parrts.Rts.Api
+module Star = Repro_mp.Star
 open Eden
 
 (** Number of PEs available ([noPE] in Eden). *)
@@ -39,29 +41,34 @@ let par_map_farm ?np ~tr_in ~tr_out f xs =
     process farms a dynamically growing task pool out to [np] worker
     processes.  Each worker application [f t] yields new tasks plus a
     result ([a -> ([a], b)]), supporting backtracking/branch-and-bound
-    style search (paper Sec. II-A).  Results are returned in completion
-    order. *)
+    style search (paper Sec. II-A).  {!Repro_mp.Star} places the tasks,
+    [prefetch] per worker at most, as it does for the process farm.
+    Results are returned in completion order. *)
 let master_worker ?np ?(prefetch = 2) ~tr_task ~tr_res
     (f : 'a -> 'a list * 'b) (initial : 'a list) : 'b list =
   let np = match np with Some n -> n | None -> max 1 (no_pe () - 1) in
   let me = Api.my_cap () in
   let npes = Api.ncaps () in
   let worker_pes = List.init np (fun i -> (me + 1 + i) mod npes) in
-  (* task streams, one per worker, owned by that worker's PE;
-     result stream owned by the master *)
+  (* task streams, one per worker, owned by that worker's PE; each task
+     travels with its number, which costs nothing extra *)
   let task_streams = List.map (fun pe -> new_stream_at ~pe) worker_pes in
-  let results :
-      (int * 'a list * 'b) stream =
-    new_stream ()
+  let tr_numbered =
+    {
+      bytes = (fun ((_, t) : int * 'a) -> tr_task.bytes t);
+      nf_cycles = (fun (_, t) -> tr_task.nf_cycles t);
+    }
   in
+  (* result stream owned by the master: worker, task, new tasks, result *)
+  let results : (int * int * 'a list * 'b) stream = new_stream () in
   let tr_reply =
     {
       bytes =
-        (fun ((_, ts, r) : int * 'a list * 'b) ->
+        (fun ((_, _, ts, r) : int * int * 'a list * 'b) ->
           32 + List.fold_left (fun acc t -> acc + tr_task.bytes t) 0 ts
           + tr_res.bytes r);
       nf_cycles =
-        (fun (_, ts, r) ->
+        (fun (_, _, ts, r) ->
           8 + List.fold_left (fun acc t -> acc + tr_task.nf_cycles t) 0 ts
           + tr_res.nf_cycles r);
     }
@@ -73,57 +80,38 @@ let master_worker ?np ?(prefetch = 2) ~tr_task ~tr_res
           let rec loop () =
             match next ts with
             | None -> ()
-            | Some task ->
+            | Some (id, task) ->
                 let new_tasks, result = f task in
-                put tr_reply results (wid, new_tasks, result);
+                put tr_reply results (wid, id, new_tasks, result);
                 loop ()
           in
           loop ()))
     (List.combine worker_pes task_streams);
   let task_arr = Array.of_list task_streams in
-  (* master loop *)
-  let pool = Queue.create () in
-  List.iter (fun t -> Queue.push t pool) initial;
-  let outstanding = ref 0 in
-  let out = ref [] in
-  let send_task wid =
-    match Queue.take_opt pool with
-    | None -> ()
-    | Some t ->
-        incr outstanding;
-        put tr_task task_arr.(wid) t
+  let send ({ worker; task; payload } : 'a Star.placement) =
+    put tr_numbered task_arr.(worker) (task, payload)
   in
-  (* initial prefetch: [prefetch] tasks per worker *)
-  List.iteri
-    (fun wid _ ->
-      for _ = 1 to prefetch do
-        send_task wid
-      done)
-    worker_pes;
-  let rec master () =
-    if !outstanding = 0 then ()
+  (* master loop *)
+  let rec master star out =
+    if Star.finished star then out
     else
       match next results with
-      | None -> ()
-      | Some (wid, new_tasks, result) ->
-          decr outstanding;
-          out := result :: !out;
-          List.iter (fun t -> Queue.push t pool) new_tasks;
-          (* keep the returning worker (and all others) fed *)
-          send_task wid;
-          while
-            (not (Queue.is_empty pool))
-            && !outstanding < np * prefetch
-          do
-            (* top up the least-loaded workers round-robin *)
-            send_task (!outstanding mod np)
-          done;
-          master ()
+      | None -> out
+      | Some (worker, task, new_tasks, result) -> (
+          match Star.result star ~worker ~round:0 ~task new_tasks with
+          | Ok (star, placed) ->
+              List.iter send placed;
+              master star (result :: out)
+          | Error _ -> invalid_arg "Skeletons.master_worker: ledger error")
   in
-  master ();
+  let star, placed =
+    Star.start ~workers:np ~prefetch ~round:0 ~pinned:false initial
+  in
+  List.iter send placed;
+  let out = master star [] in
   (* shut the workers down *)
   List.iter close task_streams;
-  List.rev !out
+  List.rev out
 
 (* ------------------------------------------------------------------ *)
 (* Topology skeletons                                                  *)

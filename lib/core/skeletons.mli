@@ -16,8 +16,11 @@ val par_map_farm :
 
 (** A master process farms a dynamically growing task pool out to [np]
     workers; [f task] yields new tasks plus a result, supporting
-    backtracking / branch-and-bound (Sec. II-A).  Results in
-    completion order. *)
+    backtracking / branch-and-bound (Sec. II-A).  {!Repro_mp.Star}
+    places the tasks, as it does for the process farm: each worker
+    holds at most [prefetch] (default 2), a result is answered with
+    that worker's next task, and a worker left without one gets the
+    first task a later result adds.  Results in completion order. *)
 val master_worker :
   ?np:int ->
   ?prefetch:int ->

@@ -1,41 +1,39 @@
 (** Coordinator of the distributed executor: spawns one worker process
     per PE, connects each over the selected transport, and drives
-    barrier rounds of tasks with GUM-style demand scheduling.
+    barrier rounds of tasks through a star around itself.
 
     The transport (the paper's PVM-on-sockets vs PVM-on-shared-memory
     comparison) changes only how bytes move; placement is the same
-    star over both.  Each PE is primed with {!prefetch} tasks,
-    round-robin (Eden's master-worker prefetch); afterwards work moves
-    on demand — a PE sends [Fish] to the coordinator after each
-    unpinned result and is answered with a [Schedule] or [No_work]
-    (paper Sec. III-B).  So every unpinned task is on the one PE the
-    coordinator sent it to, and [link.outstanding] counts them.
+    star over both, and it is {!Repro_mp.Star}'s, the one the simulated
+    masterWorker skeleton runs.  Each PE is primed with {!prefetch}
+    tasks; after that each unpinned result is also the PE's request
+    for more, answered with its next [Schedule] or with nothing once
+    the round has no task left (paper Sec. III-B).  So an unpinned
+    task costs two messages, [Schedule] and [Result], and is on the one
+    PE the coordinator sent it to.
 
-    Pinned rounds (APSP) bypass demand scheduling: task [i] always goes
-    to PE [i mod procs], because the PE holds the matching resident
-    state, and its PE sends no [Fish] after it.
+    Pinned rounds (APSP) place task [i] on PE [i mod procs], because
+    the PE holds the matching resident state; a pinned result asks for
+    nothing.
 
     The coordinator sends to a PE only to prime it or to answer its
-    [Fish], and the PE reads those tasks before it sends another
+    result, and the PE reads those tasks before it sends another
     result.  So neither transport needs to drain results while a send
     blocks, as long as the tasks queued for one PE at once (at most
-    {!prefetch} + 1, or its share of a pinned round) fit in its ring
+    {!prefetch}, or its share of a pinned round) fit in its ring
     (256 KiB) or socket buffer.
 
-    The coordinator keeps an exactly-once ledger per round: a result
-    for an unknown task, the wrong round, or an already-filled slot is
-    a hard failure, not a silent overwrite. *)
+    {!Repro_mp.Star} also keeps the round's exactly-once ledger: a
+    result for the wrong round, a task its PE does not hold, or a task
+    already returned is a hard failure, not a silent overwrite. *)
+
+module Star = Repro_mp.Star
 
 type transport = Sock | Shm
 
 let transport_name = function Sock -> "socketpair" | Shm -> "shm"
 
-type link = {
-  pe : int;
-  pid : int;
-  conn : Link.t;
-  mutable outstanding : int;  (** scheduled but not yet returned *)
-}
+type link = { pe : int; pid : int; conn : Link.t }
 
 type counts = {
   mutable rounds : int;
@@ -70,8 +68,8 @@ type outcome = {
   rounds : int;
   tasks : int;
   schedules : int;
-  fishes : int;  (** [Fish] messages the coordinator received *)
-  no_works : int;
+  fishes : int;  (** unpinned results: each also asks for more work *)
+  no_works : int;  (** unpinned results that found no task left *)
   reports : pe_report array;
   sched_spans : sched_span list;  (** newest first; [] unless traced *)
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
@@ -137,8 +135,7 @@ let trace (o : outcome) =
       :: List.init o.procs (fun pe -> (pe, Printf.sprintf "PE %d" pe)))
     (spans o)
 
-(* How many tasks each PE is primed with before demand scheduling
-   takes over. *)
+(* How many tasks each PE holds at most in an unpinned round. *)
 let prefetch = 2
 
 (* ---------------- spawning ---------------- *)
@@ -190,7 +187,7 @@ let start_pes ~(hello : Message.hello) ~release spawn =
   match
     for pe = 0 to hello.procs - 1 do
       let pid, conn = spawn pe in
-      spawned := { pe; pid; conn; outstanding = 0 } :: !spawned;
+      spawned := { pe; pid; conn } :: !spawned;
       Message.send_hello conn { hello with Message.pe }
     done;
     let links = Array.of_list (List.rev !spawned) in
@@ -221,67 +218,68 @@ let spawn_shm ~hello =
 
 (* ---------------- one barrier round ---------------- *)
 
+(* The ledger's typed errors as this module's failures. *)
+let ledger_failure ~pe ~id0 (e : Star.error) =
+  failwith
+    (match e with
+    | Wrong_round { round; expected } ->
+        Printf.sprintf "dist: PE %d returned a round-%d result in round %d" pe
+          round expected
+    | Unknown_task t ->
+        Printf.sprintf "dist: PE %d returned unknown task %d" pe (id0 + t)
+    | Duplicate t ->
+        Printf.sprintf "dist: duplicate result for task %d (PE %d)" (id0 + t)
+          pe)
+
 (* Drive [payloads] (pre-marshalled tasks) to completion, returning
    the result payloads in task order.  [id0] makes task ids globally
-   unique across rounds. *)
+   unique across rounds; {!Repro_mp.Star} numbers a round's tasks from
+   0 and places them. *)
 let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
     ~round ~id0 ~pinned (payloads : string array) : Message.payload array =
   let n = Array.length payloads in
   let results : Message.payload option array = Array.make n None in
-  let got = ref 0 in
-  let next = ref 0 in
-  let send_task (l : link) idx =
-    let task_id = id0 + idx in
+  let send_task ({ worker; task; payload } : string Star.placement) =
+    let l = links.(worker) in
+    let task_id = id0 + task in
     let t0 = Clock.now_ns () in
-    Message.send_to_worker l.conn
-      (Schedule
-         { task_id; round; stealable = not pinned; payload = payloads.(idx) });
+    Message.send_to_worker l.conn (Schedule { task_id; round; payload });
     if trace then
       sched_spans :=
         {
           sp_task_id = task_id;
           sp_pe = l.pe;
           sp_round = round;
-          sp_bytes = String.length payloads.(idx);
+          sp_bytes = String.length payload;
           send_start_ns = t0;
           send_done_ns = Clock.now_ns ();
         }
         :: !sched_spans;
-    l.outstanding <- l.outstanding + 1;
     counts.schedules <- counts.schedules + 1
   in
+  let star, placed =
+    Star.start ~workers:(Array.length links) ~prefetch ~round ~pinned
+      (Array.to_list payloads)
+  in
+  let star = ref star in
+  List.iter send_task placed;
   let handle_message (l : link) =
     match Message.recv_to_coordinator l.conn with
-    | Fish ->
-        counts.fishes <- counts.fishes + 1;
-        if (not pinned) && !next < n then begin
-          send_task l !next;
-          incr next
-        end
-        else begin
-          Message.send_to_worker l.conn Message.No_work;
-          counts.no_works <- counts.no_works + 1
-        end
-    | Result { task_id; round = r; payload; blob } ->
+    | Result { task_id; round = r; payload; blob } -> (
         (* the blob (if any) is queued right behind the control
            message on the same link: complete it before anything else *)
         let p = Message.recv_result_payload l.conn ~blob ~payload in
-        if r <> round then
-          failwith
-            (Printf.sprintf "dist: PE %d returned a round-%d result in round %d"
-               l.pe r round);
-        let idx = task_id - id0 in
-        if idx < 0 || idx >= n then
-          failwith
-            (Printf.sprintf "dist: PE %d returned unknown task %d" l.pe task_id);
-        (match results.(idx) with
-        | Some _ ->
-            failwith
-              (Printf.sprintf "dist: duplicate result for task %d (PE %d)"
-                 task_id l.pe)
-        | None -> results.(idx) <- Some p);
-        incr got;
-        l.outstanding <- l.outstanding - 1
+        match Star.result !star ~worker:l.pe ~round:r ~task:(task_id - id0) [] with
+        | Error e -> ledger_failure ~pe:l.pe ~id0 e
+        | Ok (s, placed) ->
+            star := s;
+            results.(task_id - id0) <- Some p;
+            (* an unpinned result is also the PE's request for more *)
+            if not pinned then begin
+              counts.fishes <- counts.fishes + 1;
+              if placed = [] then counts.no_works <- counts.no_works + 1
+            end;
+            List.iter send_task placed)
     | Ready -> failwith "dist: stray Ready after start-up"
     | Stats _ -> failwith "dist: unsolicited Stats before Harvest"
   in
@@ -289,64 +287,35 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
   (* Drain whatever is ready on any link, without blocking: each pass
      takes one message from every ready link, until a pass finds none. *)
   let rec pump () =
-    if !got < n then
+    if not (Star.finished !star) then
       match Link.ready conns with
       | [] -> ()
       | ready ->
-          List.iter (fun i -> if !got < n then handle_message links.(i)) ready;
+          List.iter
+            (fun i -> if not (Star.finished !star) then handle_message links.(i))
+            ready;
           pump ()
   in
-  (* Initial placement: pinned tasks to their owner; otherwise up to
-     [prefetch] per PE, then on demand. *)
-  if pinned then
-    for idx = 0 to n - 1 do
-      send_task links.(idx mod Array.length links) idx
-    done
-  else begin
-    let continue = ref true in
-    while !continue do
-      continue := false;
-      Array.iter
-        (fun l ->
-          if l.outstanding < prefetch && !next < n then begin
-            send_task l !next;
-            incr next;
-            continue := true
-          end)
-        links
-    done
-  end;
-  while !got < n do
+  while not (Star.finished !star) do
     pump ();
-    if !got < n then Link.wait_any conns
+    if not (Star.finished !star) then Link.wait_any conns
   done;
   counts.tasks <- counts.tasks + n;
   counts.rounds <- counts.rounds + 1;
-  Array.map
-    (function
-      | Some s -> s
-      | None -> failwith "dist: round ended with a missing result")
-    results
+  Array.map Option.get results
 
 (* ---------------- teardown ---------------- *)
 
-let harvest ~(counts : counts) (links : link array) : pe_report array =
+let harvest (links : link array) : pe_report array =
   Array.map
     (fun l ->
       Message.send_to_worker l.conn Message.Harvest;
-      let rec await () =
+      let stats =
         match Message.recv_to_coordinator l.conn with
-        | Fish ->
-            (* the fish after the last round's last unpinned result *)
-            counts.fishes <- counts.fishes + 1;
-            Message.send_to_worker l.conn Message.No_work;
-            counts.no_works <- counts.no_works + 1;
-            await ()
         | Ready -> failwith "dist: stray Ready at harvest"
         | Result _ -> failwith "dist: result arrived after the last round"
         | Stats s -> s
       in
-      let stats = await () in
       { rep_pe = l.pe; rep_pid = l.pid; stats; co = Link.counters l.conn })
     links
 
@@ -419,7 +388,7 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
         let st, tasks, pinned = W.start ~size ~procs in
         let result = rounds st tasks pinned in
         let work_ns = Clock.now_ns () - t0 in
-        let reports = harvest ~counts links in
+        let reports = harvest links in
         (result, work_ns, reports))
   in
   shutdown links;
@@ -455,7 +424,6 @@ let stats_row (s : Message.worker_stats) =
     (fun (k, v) -> (k, float_of_int v))
     [
       ("tasks", s.tasks_executed);
-      ("fishes", s.fishes_sent);
       ("msgs_sent", s.msgs_sent);
       ("msgs_recv", s.msgs_recv);
       ("bytes_sent", s.bytes_sent);
@@ -545,15 +513,8 @@ let farm ?transport ~procs (fs : (unit -> 'a) list) : 'a list =
   let raw, links, _spawn_ns =
     with_links ?transport ~procs ~mode:Message.Closures ~trace:false
       (fun links ->
-        let raw =
-          exec_round ~counts ~trace:false ~sched_spans ~links ~round:0 ~id0:0
-            ~pinned:false payloads
-        in
-        (* The Harvest/Stats exchange also synchronises teardown: a
-           worker's trailing [Fish] could otherwise race our [close]
-           and die on EPIPE. *)
-        let (_ : pe_report array) = harvest ~counts links in
-        raw)
+        exec_round ~counts ~trace:false ~sched_spans ~links ~round:0 ~id0:0
+          ~pinned:false payloads)
   in
   shutdown links;
   Array.to_list

@@ -1,12 +1,13 @@
-(** Coordinator of the distributed (multi-process) executor: task-farm
-    scheduling with GUM-style passive work requests (FISH/SCHEDULE),
-    one worker process per PE, over a choice of transport. *)
+(** Coordinator of the distributed (multi-process) executor: a task
+    farm placed by {!Repro_mp.Star}, where each unpinned result is also
+    the PE's request for more work, one worker process per PE, over a
+    choice of transport. *)
 
 (** The paper's PVM-on-sockets vs PVM-on-shared-memory axis, which
     changes only how bytes move: {!Sock} is a socketpair per PE, {!Shm}
     a pair of mapped single-producer rings per PE with a socketpair as
     its doorbell.  Over both, the PEs form a star around the
-    coordinator, and demand requests ([Fish]) go to it. *)
+    coordinator, and every result goes to it. *)
 type transport = Sock | Shm
 
 (** ["socketpair"] / ["shm"] — the name used in reports and JSON. *)
@@ -38,9 +39,8 @@ type outcome = {
   tasks : int;
   schedules : int;  (** [Schedule] messages sent (either endpoint) *)
   fishes : int;
-      (** [Fish] messages the coordinator received: one after each
-          unpinned task a PE ran *)
-  no_works : int;  (** fishes that found nothing runnable *)
+      (** unpinned results, each also the PE's request for more work *)
+  no_works : int;  (** unpinned results that found no task left *)
   reports : pe_report array;
   sched_spans : sched_span list;  (** newest first; [] unless traced *)
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
@@ -72,14 +72,15 @@ val trace : outcome -> Repro_util.Json_out.t
 (** [run ~procs ~size (module W)] executes the workload on [procs]
     worker processes and returns the checksum plus per-PE traffic, GC
     and timing counters.  Every PE re-executes this binary with
-    [Worker.marker] (the host binary must call [Worker.maybe_run]).
-    [transport] defaults to {!Sock}.
+    [Worker]'s marker argument (the host binary must call
+    [Worker.maybe_run]).  [transport] defaults to {!Sock}.
     [trace] records per-task spans on every PE and schedule spans on
     the coordinator.
 
     @raise Invalid_argument if [procs < 1].
-    @raise Failure on protocol violations (duplicate or unknown
-    results, a worker dying, a worker exiting non-zero). *)
+    @raise Failure on protocol violations (a result for the wrong
+    round, for a task its PE does not hold, or for one already
+    returned; a worker dying or exiting non-zero). *)
 val run :
   ?transport:transport ->
   ?trace:bool ->

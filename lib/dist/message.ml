@@ -1,10 +1,11 @@
-(** The coordinator/PE message vocabulary, GUM-style (paper
-    Sec. III-B): the coordinator pushes work with [Schedule] (GUM's
-    SCHEDULE message), idle PEs ask for more with [Fish] (GUM's FISH),
-    and a PE that fished when nothing was runnable gets [No_work] and
-    waits for the next round.  [Harvest]/[Stats] drain the per-PE
-    counters at shutdown.  The vocabulary is the same over both
-    transports: every message goes between the coordinator and one PE.
+(** The coordinator/PE message vocabulary (paper Sec. III-B): the
+    coordinator pushes work with [Schedule] (GUM's SCHEDULE message)
+    and a PE answers each task with its [Result], which also asks for
+    the PE's next task, as a result does in Eden's masterWorker.  A PE
+    asks for nothing else: GUM's FISH would carry no information here.
+    [Harvest]/[Stats] drain the per-PE counters at shutdown.  The
+    vocabulary is the same over both transports: every message goes
+    between the coordinator and one PE.
 
     Control payloads are [Marshal]-serialised {e fully-evaluated}
     values — Eden's rule that only whole normal forms cross the heap
@@ -30,16 +31,7 @@ type hello = {
 }
 
 type to_worker =
-  | Schedule of {
-      task_id : int;
-      round : int;
-      stealable : bool;
-          (** the coordinator may place this task on any PE, so the PE
-              fishes for more after it ([false] for pinned rounds —
-              the PE holds matching resident state) *)
-      payload : string;
-    }
-  | No_work
+  | Schedule of { task_id : int; round : int; payload : string }
   | Harvest
   | Shutdown
 
@@ -57,7 +49,6 @@ type task_span = {
 type worker_stats = {
   stats_pe : int;
   tasks_executed : int;
-  fishes_sent : int;  (** demand requests sent to the coordinator *)
   msgs_sent : int;  (** on the PE's one link, to the coordinator *)
   msgs_recv : int;
   bytes_sent : int;
@@ -87,7 +78,6 @@ type to_coordinator =
   | Ready
       (** the PE's session has started (over shm, every segment is
           mapped, so the files may be unlinked) *)
-  | Fish
   | Result of {
       task_id : int;
       round : int;

@@ -165,7 +165,6 @@ let create ?(packet_bytes = default_packet_bytes) ~read_fd ~write_fd () =
   }
 
 let counters c = c.counters
-let packet_bytes c = c.packet_bytes
 let read_fd c = c.read_fd
 
 (* ---------------- packet headers ---------------- *)

@@ -76,7 +76,6 @@ val create :
   conn
 
 val counters : conn -> counters
-val packet_bytes : conn -> int
 
 (** The receiving descriptor, for [Unix.select] multiplexing (safe
     because {!recv} never reads ahead of the current frame). *)

@@ -20,9 +20,9 @@
     [create_process] where a descriptor cannot.
 
     The transport changes only how bytes move: over both, the PE runs
-    one loop, a blocking receive from the coordinator and, after each
-    unpinned task, a FISH back to it (the paper's star of Eden PEs
-    around one coordinator).
+    one loop, a blocking receive from the coordinator and a result back
+    to it for each task (the paper's star of Eden PEs around one
+    coordinator).
 
     The PE owns a fully private OCaml heap with its own GC — the
     defining property of the Eden/GUM model this backend realises —
@@ -99,7 +99,6 @@ type session = {
   gc0 : Gc.stat;
   mw0 : float;
   mutable tasks_executed : int;
-  mutable fishes_sent : int;
   mutable exec_ns : int;
   mutable spans : Message.task_span list;
   mutable nspans : int;
@@ -116,7 +115,6 @@ let start_session hello =
        which matters in a worker too short-lived to ever minor-collect. *)
     mw0 = Gc.minor_words ();
     tasks_executed = 0;
-    fishes_sent = 0;
     exec_ns = 0;
     spans = [];
     nspans = 0;
@@ -156,7 +154,6 @@ let stats_of_session s conn : Message.worker_stats =
   {
     Message.stats_pe = s.hello.Message.pe;
     tasks_executed = s.tasks_executed;
-    fishes_sent = s.fishes_sent;
     msgs_sent = c.Wire.msgs_sent;
     msgs_recv = c.Wire.msgs_recv;
     bytes_sent = c.Wire.bytes_sent;
@@ -188,9 +185,9 @@ let stats_of_session s conn : Message.worker_stats =
 (* argv after the marker: nothing (sock), or [shm=PATH], the segment
    of the shm transport, whose doorbell is stdin.  Then one loop over
    either [Link.t] case: a blocking receive from the coordinator, and
-   after an unpinned task a FISH to it, GUM's demand request.  A pinned
-   task has nothing to fish for: the coordinator places pinned rounds
-   itself. *)
+   each task's result sent back to it.  The coordinator takes an
+   unpinned result as the PE's request for more, so the PE asks for
+   nothing else. *)
 let serve argv =
   let conn =
     match Array.sub argv 2 (Array.length argv - 2) with
@@ -209,16 +206,8 @@ let serve argv =
   let running = ref true in
   while !running do
     match Message.recv_to_worker conn with
-    | Schedule { task_id; round; stealable; payload } ->
-        run_task s ~coord:conn ~task_id ~round payload;
-        if stealable then begin
-          Message.send_to_coordinator conn Message.Fish;
-          s.fishes_sent <- s.fishes_sent + 1
-        end
-    | No_work ->
-        (* Nothing runnable at the coordinator; the blocking recv at
-           the top of the loop is the wait. *)
-        ()
+    | Schedule { task_id; round; payload } ->
+        run_task s ~coord:conn ~task_id ~round payload
     | Harvest ->
         Message.send_to_coordinator conn (Stats (stats_of_session s conn))
     | Shutdown -> running := false

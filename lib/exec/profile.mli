@@ -51,5 +51,4 @@ type report = {
 }
 
 val analyze : input -> report
-val pp : Format.formatter -> report -> unit
 val to_string : report -> string

@@ -149,8 +149,6 @@ let buffer t i =
     invalid_arg "Tracer.buffer: worker id out of range";
   t.buffers.(i)
 
-let enabled t = A.get t.flag
-
 let enable t =
   (* Start the runtime's own event stream before any helper domain is
      spawned, so every domain's ring is captured from birth. *)

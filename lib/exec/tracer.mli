@@ -64,7 +64,6 @@ val null_buffer : buffer
 val enable : t -> unit
 
 val disable : t -> unit
-val enabled : t -> bool
 
 (** Hot path.  On a disabled buffer: one atomic load, one branch. *)
 val record : buffer -> kind -> arg:int -> unit

@@ -8,9 +8,6 @@ type row = {
   report : Repro_parrts.Report.t;
 }
 
-(** Run [work] inside the simulated main thread of [version]. *)
-val run : Repro_core.Versions.version -> (unit -> 'a) -> 'a * row
-
 val run_row : Repro_core.Versions.version -> (unit -> 'a) -> row
 
 (** A speedup series: elapsed time per core count, normalised to the

@@ -94,11 +94,3 @@ let independent_pause_ns t ~allocated ~resident ~is_major =
   else
     max 1
       (int_of_float (t.survival *. float_of_int allocated *. t.copy_ns_per_byte))
-
-let pp_sync ppf = function
-  | Legacy -> Format.pp_print_string ppf "legacy"
-  | Improved -> Format.pp_print_string ppf "improved"
-
-let pp ppf t =
-  Format.fprintf ppf "alloc-area=%dKiB sync=%a survival=%.2f" (t.alloc_area / 1024)
-    pp_sync t.sync t.survival

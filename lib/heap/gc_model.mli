@@ -46,5 +46,3 @@ val major_pause_ns : t -> ncaps:int -> resident:int -> int
 (** Independent per-PE collection (no barrier, no sync term). *)
 val independent_pause_ns :
   t -> allocated:int -> resident:int -> is_major:bool -> int
-
-val pp : Format.formatter -> t -> unit

@@ -77,8 +77,6 @@ let value ?(size = 24) reg v =
   reg.next_id <- reg.next_id + 1;
   { id = reg.next_id; reg; st = Value v; evaluators = 0; waiters = []; size }
 
-let id n = n.id
-let size n = n.size
 
 let is_value n = match n.st with Value _ -> true | _ -> false
 let is_blackhole n = match n.st with Blackhole _ -> true | _ -> false

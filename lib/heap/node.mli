@@ -44,8 +44,6 @@ val thunk : ?size:int -> registry -> (unit -> 'a) -> 'a t
 (** An already-evaluated node. *)
 val value : ?size:int -> registry -> 'a -> 'a t
 
-val id : 'a t -> int
-val size : 'a t -> int
 val is_value : 'a t -> bool
 val is_blackhole : 'a t -> bool
 val peek : 'a t -> 'a option

@@ -73,7 +73,3 @@ let mem_penalty m ~working_set =
       float_of_int (working_set - m.cache_bytes) /. float_of_int m.cache_bytes
     in
     1.0 +. ((m.mem_penalty_max -. 1.0) *. (r /. (r +. 1.0)))
-
-let pp ppf m =
-  Format.fprintf ppf "%s: %d cores @ %.2f GHz, %d KiB cache/core" m.name
-    m.cores (m.clock_hz /. 1e9) (m.cache_bytes / 1024)

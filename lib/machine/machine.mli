@@ -46,5 +46,3 @@ val cycles_of_ns : t -> int -> int
 (** Saturating cache-pressure multiplier: 1.0 below the per-core cache
     size, smoothly approaching [mem_penalty_max] above it. *)
 val mem_penalty : t -> working_set:int -> float
-
-val pp : Format.formatter -> t -> unit

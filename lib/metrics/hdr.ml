@@ -153,11 +153,4 @@ module Local = struct
       min_v = t.min_v;
       max_v = t.max_v;
     }
-
-  let clear t =
-    Array.fill t.cells 0 (Array.length t.cells) 0;
-    t.count <- 0;
-    t.sum <- 0;
-    t.min_v <- max_int;
-    t.max_v <- min_int
 end

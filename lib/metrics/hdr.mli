@@ -57,5 +57,4 @@ module Local : sig
   val create : ?sub_bits:int -> unit -> t
   val observe : t -> int -> unit
   val snapshot : t -> snapshot
-  val clear : t -> unit
 end

@@ -113,5 +113,3 @@ let flight_ns t bytes =
 (* Receive-side cost charged to the receiving PE on delivery. *)
 let recv_side_ns t bytes =
   int_of_float (t.unpack_ns_per_byte *. float_of_int bytes)
-
-let pp ppf t = Format.pp_print_string ppf t.name

@@ -54,5 +54,3 @@ val flight_ns : t -> int -> int
 
 (** Receive-side unpack cost, ns. *)
 val recv_side_ns : t -> int -> int
-
-val pp : Format.formatter -> t -> unit

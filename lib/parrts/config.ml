@@ -96,22 +96,3 @@ let default ?(machine = Repro_machine.Machine.intel8) ?(ncaps = 8) () =
 
 let is_distributed cfg =
   match cfg.heap_mode with Distributed _ -> true | Shared -> false
-
-let pp_load_balance ppf = function
-  | Push_polling -> Format.pp_print_string ppf "push-polling"
-  | Work_stealing -> Format.pp_print_string ppf "work-stealing"
-
-let pp_blackholing ppf = function
-  | Lazy_bh -> Format.pp_print_string ppf "lazy-bh"
-  | Eager_bh -> Format.pp_print_string ppf "eager-bh"
-
-let pp_heap_mode ppf = function
-  | Shared -> Format.pp_print_string ppf "shared"
-  | Distributed t ->
-      Format.fprintf ppf "distributed/%a" Repro_mp.Transport.pp t
-
-let pp ppf cfg =
-  Format.fprintf ppf "@[<h>%s ncaps=%d heap=%a lb=%a bh=%a gc=[%a]@]"
-    cfg.machine.Repro_machine.Machine.name cfg.ncaps pp_heap_mode cfg.heap_mode
-    pp_load_balance cfg.load_balance pp_blackholing cfg.blackholing
-    Repro_heap.Gc_model.pp cfg.gc

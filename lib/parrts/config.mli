@@ -62,4 +62,3 @@ type t = {
 val default : ?machine:Repro_machine.Machine.t -> ?ncaps:int -> unit -> t
 
 val is_distributed : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -76,32 +76,3 @@ let to_csv t =
           Buffer.add_string buf (Printf.sprintf "%d,%d,marker:%s\n" time cap label))
     (Trace.entries t);
   Buffer.contents buf
-
-let summary t =
-  let buf = Buffer.create 256 in
-  let times = Trace.state_times t in
-  let end_time = max 1 (Trace.end_time t) in
-  Buffer.add_string buf
-    (Printf.sprintf "end=%.3f ms  utilisation=%.1f%%\n"
-       (float_of_int (Trace.end_time t) /. 1e6)
-       (100.0 *. Trace.utilisation t));
-  Array.iteri
-    (fun cap h ->
-      let pct st =
-        100.0
-        *. float_of_int (try Hashtbl.find h st with Not_found -> 0)
-        /. float_of_int end_time
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "cap%2d: run %5.1f%%  runnable %5.1f%%  blocked %5.1f%%  idle %5.1f%%  gc %5.1f%%\n"
-           cap (pct Trace.Running) (pct Trace.Runnable) (pct Trace.Blocked)
-           (pct Trace.Idle) (pct Trace.Gc)))
-    times;
-  (match Trace.counters t with
-  | [] -> ()
-  | cs ->
-      Buffer.add_string buf "counters:";
-      List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf " %s=%d" k v)) cs;
-      Buffer.add_char buf '\n');
-  Buffer.contents buf

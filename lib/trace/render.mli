@@ -1,8 +1,6 @@
 (** Text renderers for traces: ASCII timelines (the textual analogue of
     the paper's Figs. 2 and 4) and CSV export. *)
 
-val legend : string
-
 (** One string per capability; each column is the dominant state of
     that time bucket, drawn with {!Trace.state_char}. *)
 val timeline_rows : ?width:int -> Trace.t -> string array
@@ -12,6 +10,3 @@ val timeline : ?width:int -> ?title:string -> Trace.t -> string
 
 (** Machine-readable transitions: [time_ns,cap,state] lines. *)
 val to_csv : Trace.t -> string
-
-(** Per-capability state-time percentages plus counters. *)
-val summary : Trace.t -> string

@@ -2,9 +2,6 @@
     the EdenTV colour scheme (green running, yellow runnable, red
     blocked, blue-grey idle, purple GC). *)
 
-(** Fill colour for a state. *)
-val colour : Trace.state -> string
-
 (** Render a self-contained SVG document.  [width] is the time-axis
     width in pixels; each capability gets a 22 px bar. *)
 val render : ?width:int -> ?title:string -> Trace.t -> string

@@ -82,10 +82,6 @@ let incr ?(by = 1) t name =
 
 let counter t name = try Hashtbl.find t.counters name with Not_found -> 0
 
-let counters t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters []
-  |> List.sort compare
-
 let finish t ~time = t.end_time <- Int.max t.end_time time
 let end_time t = t.end_time
 let entries t = List.rev t.entries

@@ -39,7 +39,6 @@ val marker : t -> time:int -> cap:int -> string -> unit
 val state_of : t -> int -> state
 val incr : ?by:int -> t -> string -> unit
 val counter : t -> string -> int
-val counters : t -> (string * int) list
 
 (** Extend the recorded end time. *)
 val finish : t -> time:int -> unit
@@ -50,9 +49,6 @@ val entries : t -> entry list
 (** Per-capability segments [(t0, t1, state)], in time order, covering
     [0 .. end_time]. *)
 val segments : t -> (int * int * state) list array
-
-(** Total virtual time each capability spent in each state. *)
-val state_times : t -> (state, int) Hashtbl.t array
 
 (** Fraction of total capability-time spent [Running]. *)
 val utilisation : t -> float

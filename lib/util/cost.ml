@@ -31,9 +31,3 @@ let scale k c =
   { cycles = k * c.cycles; alloc = k * c.alloc }
 
 let is_zero c = c.cycles = 0 && c.alloc = 0
-let equal a b = a.cycles = b.cycles && a.alloc = b.alloc
-
-let pp ppf c =
-  Format.fprintf ppf "@[<h>%d cycles, %d bytes@]" c.cycles c.alloc
-
-let to_string c = Format.asprintf "%a" pp c

@@ -31,6 +31,3 @@ val ( + ) : t -> t -> t
 val scale : int -> t -> t
 
 val is_zero : t -> bool
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

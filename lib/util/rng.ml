@@ -12,7 +12,6 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -45,17 +44,10 @@ let float t =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 (* 2^53 *)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 (* Uniform int in [lo, hi] inclusive. *)
 let int_range t lo hi =
   if hi < lo then invalid_arg "Rng.int_range: empty range";
   lo + int t (hi - lo + 1)
-
-(* Exponentially distributed with the given mean (for message jitter). *)
-let exponential t ~mean =
-  if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
-  -.mean *. log (1.0 -. float t)
 
 let shuffle_in_place t arr =
   for i = Array.length arr - 1 downto 1 do

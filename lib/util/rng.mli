@@ -6,7 +6,6 @@
 type t
 
 val create : int -> t
-val copy : t -> t
 
 (** Derive an independent generator (splittable stream). *)
 val split : t -> t
@@ -21,13 +20,8 @@ val int : t -> int -> int
 (** Uniform float in [\[0, 1)]. *)
 val float : t -> float
 
-val bool : t -> bool
-
 (** [int_range t lo hi]: uniform in [\[lo, hi\]] inclusive. *)
 val int_range : t -> int -> int -> int
-
-(** Exponentially distributed with the given positive mean. *)
-val exponential : t -> mean:float -> float
 
 (** Fisher–Yates shuffle. *)
 val shuffle_in_place : t -> 'a array -> unit

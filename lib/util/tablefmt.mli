@@ -13,9 +13,6 @@ val create : ?aligns:align list -> string list -> t
     arity. *)
 val add_row : t -> string list -> unit
 
-(** Rows in insertion order. *)
-val rows : t -> string list list
-
 val to_string : t -> string
 
 (** Print to stdout (with trailing newline). *)

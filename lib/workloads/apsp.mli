@@ -19,8 +19,6 @@ val checksum : float array array -> float
     @raise Invalid_argument if [pk] and [row] differ in length. *)
 val relax : float array -> k:int -> float array -> unit
 
-val resident : int -> int
-
 (** GpH: every final row sparked in advance; pivot rows are shared
     thunks forced by every row thread. *)
 val gph : ?seed:int -> n:int -> unit -> float

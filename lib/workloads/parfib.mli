@@ -3,9 +3,6 @@
     exponentially as the threshold drops.  Computes nfib (the naive
     call count). *)
 
-(** nfib n = 2*fib(n+1) - 1, memoised. *)
-val nfib : int -> int
-
 (** The value every variant must compute. *)
 val reference : int -> int
 

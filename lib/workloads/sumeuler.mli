@@ -3,8 +3,6 @@
     {!Euler.sum_euler_ref}) and end with the sequential verification
     pass visible at the end of the paper's traces. *)
 
-val resident : int -> int
-
 (** GpH version: the input dealt round-robin into sublists of ~50
     numbers (at least [4 * ncaps]), each sparked under [parList rwhnf]
     (round-robin balances since phi's cost grows with k). *)

@@ -263,14 +263,14 @@ let elapsed_s f =
 
 let sock_wait_any () =
   with_sock_links (fun links (_, peer_b) ->
-      Message.send_to_coordinator peer_b Message.Fish;
+      Message.send_to_coordinator peer_b Message.Ready;
       let dt = elapsed_s (fun () -> Link.wait_any ~timeout:5.0 links) in
       check bool "woke for the second link, well before the timeout" true
         (dt < 1.0);
       check (list int) "only the second link is ready" [ 1 ] (Link.ready links);
       (match Message.recv_to_coordinator links.(1) with
-      | Message.Fish -> ()
-      | _ -> fail "expected the queued Fish");
+      | Message.Ready -> ()
+      | _ -> fail "expected the queued Ready");
       check (list int) "drained" [] (Link.ready links);
       let dt = elapsed_s (fun () -> Link.wait_any ~timeout:0.05 links) in
       check bool
@@ -285,7 +285,7 @@ let sock_pump_keeps_queued () =
   with_sock_links (fun links (peer_a, _) ->
       Message.send_to_coordinator peer_a
         (Message.Result { task_id = 7; round = 0; payload = "r"; blob = -1 });
-      Message.send_to_coordinator peer_a Message.Fish;
+      Message.send_to_coordinator peer_a Message.Ready;
       let passes = ref 0 and got = ref [] in
       let rec pump () =
         match Link.ready links with
@@ -300,10 +300,10 @@ let sock_pump_keeps_queued () =
       pump ();
       check int "one pass per queued message" 2 !passes;
       match List.rev !got with
-      | [ (0, Message.Result { task_id = 7; payload = "r"; _ }); (0, Message.Fish) ]
+      | [ (0, Message.Result { task_id = 7; payload = "r"; _ }); (0, Message.Ready) ]
         ->
           ()
-      | l -> failf "expected Result then Fish on link 0, got %d messages" (List.length l))
+      | l -> failf "expected Result then Ready on link 0, got %d messages" (List.length l))
 
 (* ------------------------------------------------------------------ *)
 (* SPSC ring model (the distilled handshake behind the shm frames)     *)
@@ -525,9 +525,37 @@ let shm_peer_gone () =
 let quick_run ?(procs = 2) ?trace ?transport (module W : Workload.S) =
   Farm.run ?trace ?transport ~procs ~size:W.quick_size (module W)
 
+(* The directory ring segments are made in. *)
+let ring_dir =
+  lazy
+    (let path = Shm.create_segment () in
+     Shm.unlink_segment path;
+     Filename.dirname path)
+
+let ring_segments () =
+  List.filter
+    (String.starts_with ~prefix:"repro-ring-")
+    (Array.to_list (Sys.readdir (Lazy.force ring_dir)))
+
+let open_fds () = List.sort compare (Array.to_list (Sys.readdir "/proc/self/fd"))
+
+(* [f] leaves the process as it found it: the same open descriptors, no
+   new ring segment, and no child process, whichever way its farms
+   ended. *)
+let leak_free f () =
+  let segments = ring_segments () in
+  let fds = open_fds () in
+  f ();
+  check (list string) "open fds as before" fds (open_fds ());
+  check (list string) "no ring segment left" []
+    (List.filter (fun s -> not (List.mem s segments)) (ring_segments ()));
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> failf "child process left behind (waitpid: %d)" pid
+
 (* Exactly-once ledger, the same over both transports: the coordinator
    schedules each task once, the workers between them execute each
-   task once, every FISH a PE sent reached the coordinator, and the
+   task once, every result asked for the PE's next task, and the
    combined result matches the sequential reference. *)
 let exactly_once_ledger transport () =
   let module W = Workload.Sumeuler in
@@ -542,13 +570,7 @@ let exactly_once_ledger transport () =
       0 o.Farm.reports
   in
   check int "every task executed exactly once" o.Farm.tasks executed;
-  let fishes_sent =
-    Array.fold_left
-      (fun acc (r : Farm.pe_report) ->
-        acc + r.Farm.stats.Repro_dist.Message.fishes_sent)
-      0 o.Farm.reports
-  in
-  check int "every FISH reached the coordinator" fishes_sent o.Farm.fishes;
+  check int "every unpinned result asked for more" o.Farm.tasks o.Farm.fishes;
   Array.iter
     (fun (r : Farm.pe_report) ->
       let s = r.Farm.stats in
@@ -560,8 +582,31 @@ let exactly_once_ledger transport () =
       check bool "private heap allocated" true
         (s.Repro_dist.Message.gc_minor_words > 0.))
     o.Farm.reports;
-  check bool "demand scheduling fished" true (o.Farm.fishes > 0);
   check bool "work was timed" true (o.Farm.work_ns > 0)
+
+(* An unpinned task costs two messages, its [Schedule] and its
+   [Result].  A PE's other messages are its Hello, Ready and Harvest;
+   its Stats reply is sent after the snapshot that counts them. *)
+let two_messages_per_task transport () =
+  let module W = Workload.Sumeuler in
+  List.iter
+    (fun procs ->
+      let o = quick_run ~procs ~transport (module W) in
+      let msgs =
+        Array.fold_left
+          (fun acc (r : Farm.pe_report) ->
+            acc + r.stats.Message.msgs_sent + r.stats.Message.msgs_recv)
+          0 o.Farm.reports
+      in
+      check int
+        (Printf.sprintf "%d PEs: PE-side messages" procs)
+        ((2 * o.Farm.tasks) + (3 * procs))
+        msgs;
+      check int
+        (Printf.sprintf "%d PEs: results that found no task left" procs)
+        (min o.Farm.tasks (2 * procs))
+        o.Farm.no_works)
+    [ 1; 2; 3 ]
 
 (* Every workload at its quick size; matmul at 67, where rows of 67
    columns leave three over after the kernel's four-column passes; and
@@ -620,8 +665,9 @@ let all_workloads_match_reference_shm () =
       | None -> check int (W.name ^ ": no zero-copy traffic") 0 zero_copy)
     reference_runs
 
-(* Pinned rounds are placed by the coordinator alone: a PE sends no
-   FISH after a pinned task, so no fish waits for a NO_WORK. *)
+(* Pinned rounds are placed by the coordinator alone: a pinned result
+   asks for no task, so none is counted as a request or as finding
+   nothing. *)
 let check_pinned_run ~what (o : Farm.outcome) =
   check int (what ^ ": no fishes after pinned tasks") 0 o.Farm.fishes;
   check int (what ^ ": no no-works") 0 o.Farm.no_works
@@ -715,21 +761,18 @@ let coordinator_blocks transport () =
 
 (* A PE that cannot start its session (here: a workload its registry
    does not know) dies before [Ready]: the run fails at start-up, and
-   every PE spawned is killed and reaped. *)
+   every PE spawned is killed and reaped ({!leak_free} checks). *)
 let dead_before_ready transport () =
   let module Unknown = struct
     include Workload.Parfib
 
     let name = "no-such-workload"
   end in
-  (match Farm.run ~transport ~procs:2 ~size:10 (module Unknown) with
+  match Farm.run ~transport ~procs:2 ~size:10 (module Unknown) with
   | _ -> fail "a run whose PEs cannot serve succeeded"
   | exception Failure msg ->
       check bool ("fails at start-up: " ^ msg) true
-        (contains ~sub:"before Ready" msg));
-  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-  | pid, _ -> failf "child process left behind (waitpid: %d)" pid
+        (contains ~sub:"before Ready" msg)
 
 let rejects_bad_procs () =
   check_raises "procs = 0" (Invalid_argument "Farm.run: procs must be >= 1")
@@ -839,32 +882,36 @@ let suite =
         shm_backpressure_doorbell;
       test_case "shm peer death drains then raises" `Quick shm_peer_gone;
       test_case "two-process exactly-once ledger" `Quick
-        (exactly_once_ledger Farm.Sock);
-      test_case "shm exactly-once ledger" `Quick (exactly_once_ledger Farm.Shm);
+        (leak_free (exactly_once_ledger Farm.Sock));
+      test_case "shm exactly-once ledger" `Quick (leak_free (exactly_once_ledger Farm.Shm));
+      test_case "sock unpinned task costs two messages" `Quick
+        (leak_free (two_messages_per_task Farm.Sock));
+      test_case "shm unpinned task costs two messages" `Quick
+        (leak_free (two_messages_per_task Farm.Shm));
       test_case "all workloads match sequential references" `Quick
-        all_workloads_match_reference;
+        (leak_free all_workloads_match_reference);
       test_case "all workloads match references over shm" `Quick
-        all_workloads_match_reference_shm;
-      test_case "apsp pinned rounds over shm" `Quick apsp_shm_pinned;
-      test_case "closure farm over shm" `Quick farm_closures_shm;
-      test_case "apsp awkward shapes" `Quick apsp_awkward_shapes;
-      test_case "more PEs than tasks" `Quick more_procs_than_tasks;
-      test_case "closure farm" `Quick farm_closures;
+        (leak_free all_workloads_match_reference_shm);
+      test_case "apsp pinned rounds over shm" `Quick (leak_free apsp_shm_pinned);
+      test_case "closure farm over shm" `Quick (leak_free farm_closures_shm);
+      test_case "apsp awkward shapes" `Quick (leak_free apsp_awkward_shapes);
+      test_case "more PEs than tasks" `Quick (leak_free more_procs_than_tasks);
+      test_case "closure farm" `Quick (leak_free farm_closures);
       test_case "sock closure results larger than a ring" `Quick
-        (farm_large_results Farm.Sock);
+        (leak_free (farm_large_results Farm.Sock));
       test_case "shm closure results larger than a ring" `Quick
-        (farm_large_results Farm.Shm);
+        (leak_free (farm_large_results Farm.Shm));
       test_case "sock coordinator blocks instead of polling" `Quick
-        (coordinator_blocks Farm.Sock);
+        (leak_free (coordinator_blocks Farm.Sock));
       test_case "shm coordinator blocks instead of polling" `Quick
-        (coordinator_blocks Farm.Shm);
+        (leak_free (coordinator_blocks Farm.Shm));
       test_case "PE dead before Ready leaves no child over sock" `Quick
-        (dead_before_ready Farm.Sock);
+        (leak_free (dead_before_ready Farm.Sock));
       test_case "PE dead before Ready leaves no child over shm" `Quick
-        (dead_before_ready Farm.Shm);
-      test_case "rejects procs < 1" `Quick rejects_bad_procs;
-      test_case "traced run emits timeline spans" `Quick trace_spans;
-      test_case "untraced run has no spans" `Quick untraced_runs_have_no_spans;
+        (leak_free (dead_before_ready Farm.Shm));
+      test_case "rejects procs < 1" `Quick (leak_free rejects_bad_procs);
+      test_case "traced run emits timeline spans" `Quick (leak_free trace_spans);
+      test_case "untraced run has no spans" `Quick (leak_free untraced_runs_have_no_spans);
       test_case "closed links keep the registry bounded" `Quick
         closed_links_keep_registry_bounded;
     ] )

@@ -19,6 +19,7 @@ let () =
       Test_gph.suite;
       Test_eden.suite;
       Test_skeletons.suite;
+      Test_star.suite;
       Test_workloads.suite;
       Test_extensions.suite;
       Test_extras.suite;
