@@ -549,8 +549,8 @@ let dist_cmd =
           ~doc:
             "Also run once at $(b,--procs) processes with per-task tracing \
              and write a Chrome trace-event timeline to $(docv): one track \
-             per PE plus the coordinator, with unpack/task/pack and \
-             cross-process wire spans (load in Perfetto or \
+             per PE plus the coordinator, with unpack/task/pack, relay \
+             wait and cross-process wire spans (load in Perfetto or \
              chrome://tracing, or read it with $(b,repro-cli profile))."
           ~docv:"FILE.json")
   in

@@ -1,6 +1,6 @@
 (** Coordinator of the distributed executor: spawns one worker process
-    per PE, connects each over the selected transport, and drives
-    barrier rounds of tasks through a star around itself.
+    per PE, connects each over the selected transport, and drives one
+    round of tasks through a star around itself.
 
     The transport (the paper's PVM-on-sockets vs PVM-on-shared-memory
     comparison) changes only how bytes move; placement is the same
@@ -12,13 +12,16 @@
     task costs two messages, [Schedule] and [Result], and is on the one
     PE the coordinator sent it to.
 
-    Pinned rounds (APSP) place task [i] on PE [i mod procs], because
-    the PE holds the matching resident state; a pinned result asks for
-    nothing.
+    A pinned round (APSP) places task [i] on PE [i mod procs], and a
+    pinned result asks for nothing.  Each row a running task relays is
+    forwarded to every other PE as it arrives, so apsp's pivot rows are
+    pipelined as in Eden's ring, with no barrier per pivot.
 
-    The coordinator sends to a PE only to prime it or to answer its
-    result, and the PE reads those tasks before it sends another
-    result.  So neither transport needs to drain results while a send
+    The coordinator sends to a PE only to prime it, to answer its
+    result or to forward a relayed row, and a PE sends a row only after
+    it has read every row relayed before it.  So a PE a forward blocks
+    on is not blocked sending: it computes or reads, and drains its
+    link.  Neither transport needs to drain results while a send
     blocks, as long as the tasks queued for one PE at once (at most
     {!prefetch}, or its share of a pinned round) fit in its ring
     (256 KiB) or socket buffer.
@@ -35,31 +38,32 @@ let transport_name = function Sock -> "socketpair" | Shm -> "shm"
 
 type link = { pe : int; pid : int; conn : Link.t }
 
-type counts = {
-  mutable rounds : int;
-  mutable tasks : int;
-  mutable schedules : int;
-  mutable fishes : int;
-  mutable no_works : int;
-}
-
-(** Coordinator-side timing of one [Schedule] send; with the worker's
-    receive timestamp (same monotonic timebase) this bounds the wire
-    span. *)
+(* The interface documents these. *)
 type sched_span = {
   sp_task_id : int;
   sp_pe : int;
-  sp_round : int;
-  sp_bytes : int;  (** marshalled task payload size *)
+  sp_bytes : int;
   send_start_ns : int;
   send_done_ns : int;
+}
+
+type relay_span = { rl_bytes : int; rl_start_ns : int; rl_done_ns : int }
+
+(* What a round counts, and the coordinator's spans when it is traced,
+   newest first. *)
+type counts = {
+  mutable schedules : int;
+  mutable fishes : int;
+  mutable no_works : int;
+  mutable scheds : sched_span list;
+  mutable relays : relay_span list;
 }
 
 type pe_report = {
   rep_pe : int;
   rep_pid : int;
-  stats : Message.worker_stats;  (** the PE's own view *)
-  co : Wire.counters;  (** the coordinator's view of the same link *)
+  stats : Message.worker_stats;
+  co : Wire.counters;
 }
 
 type outcome = {
@@ -68,28 +72,28 @@ type outcome = {
   rounds : int;
   tasks : int;
   schedules : int;
-  fishes : int;  (** unpinned results: each also asks for more work *)
-  no_works : int;  (** unpinned results that found no task left *)
+  fishes : int;
+  no_works : int;
   reports : pe_report array;
-  sched_spans : sched_span list;  (** newest first; [] unless traced *)
-  coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
-  coord_unpack_ns : int;  (** result payload unmarshalling *)
-  work_ns : int;  (** first dispatch to final [step]; excludes spawn *)
-  spawn_ns : int;  (** process creation and PE start-up, up to every [Ready] *)
+  sched_spans : sched_span list;
+  relay_spans : relay_span list;
+  coord_pack_ns : int;
+  coord_unpack_ns : int;
+  work_ns : int;
+  spawn_ns : int;
   merged_metrics : Repro_metrics.Metrics.snapshot;
-      (** every PE's piggybacked registry snapshot (relabeled [pe=N])
-          merged into the coordinator's own (relabeled [pe=coord]) —
-          the farm-wide view *)
 }
 
 (* The traced run on named Chrome tracks: PE [p] on track [p], the
    coordinator on track [procs].  Each executed task is a [task] slice,
    as a pool task is, so [Repro_exec.Profile] reads both backends, with
-   [unpack] and [pack] slices around it; the coordinator's [schedule]
-   sends are slices on its track, and a [wire] slice on the PE's track
-   bridges the send-done timestamp to the PE's receive-done one — sound
-   because every process reads the same CLOCK_MONOTONIC (see {!Clock}).
-   Timestamps are rebased to the earliest span. *)
+   [unpack] and [pack] slices around it and a [wait] slice inside it
+   for each blocking relay receive.  The coordinator's [schedule] sends
+   and [relay] forwards are slices on its track, and a [wire] slice on
+   the PE's track bridges the send-done timestamp to the PE's
+   receive-done one — sound because every process reads the same
+   CLOCK_MONOTONIC (see {!Clock}).  Timestamps are rebased to the
+   earliest span. *)
 let spans (o : outcome) : Repro_trace.Chrome.span list =
   let acc = ref [] in
   let push ?(bytes = 0) tid name cat t0 t1 =
@@ -112,6 +116,9 @@ let spans (o : outcome) : Repro_trace.Chrome.span list =
       push ~bytes:s.sp_bytes o.procs "schedule" "sched" s.send_start_ns
         s.send_done_ns)
     o.sched_spans;
+  List.iter
+    (fun r -> push ~bytes:r.rl_bytes o.procs "relay" "net" r.rl_start_ns r.rl_done_ns)
+    o.relay_spans;
   Array.iter
     (fun r ->
       List.iter
@@ -121,6 +128,7 @@ let spans (o : outcome) : Repro_trace.Chrome.span list =
           | None -> ());
           push r.rep_pe "unpack" "pack" t.recv_done_ns t.exec_start_ns;
           push r.rep_pe "task" "exec" t.exec_start_ns t.exec_end_ns;
+          List.iter (fun (w0, w1) -> push r.rep_pe "wait" "net" w0 w1) t.span_waits;
           push r.rep_pe "pack" "pack" t.exec_end_ns
             (t.exec_end_ns + t.span_pack_ns))
         r.stats.Message.spans)
@@ -216,70 +224,75 @@ let spawn_shm ~hello =
       let fd, pid = spawn_process ~extra_tokens:[ "shm=" ^ paths.(pe) ] in
       (pid, Link.Shm (Shm_ring.attach ~path:paths.(pe) ~side:`A ~doorbell:fd)))
 
-(* ---------------- one barrier round ---------------- *)
+(* ---------------- the round ---------------- *)
 
 (* The ledger's typed errors as this module's failures. *)
-let ledger_failure ~pe ~id0 (e : Star.error) =
+let ledger_failure ~pe (e : Star.error) =
   failwith
     (match e with
     | Wrong_round { round; expected } ->
         Printf.sprintf "dist: PE %d returned a round-%d result in round %d" pe
           round expected
-    | Unknown_task t ->
-        Printf.sprintf "dist: PE %d returned unknown task %d" pe (id0 + t)
-    | Duplicate t ->
-        Printf.sprintf "dist: duplicate result for task %d (PE %d)" (id0 + t)
-          pe)
+    | Unknown_task t -> Printf.sprintf "dist: PE %d returned unknown task %d" pe t
+    | Duplicate t -> Printf.sprintf "dist: duplicate result for task %d (PE %d)" t pe)
 
 (* Drive [payloads] (pre-marshalled tasks) to completion, returning
-   the result payloads in task order.  [id0] makes task ids globally
-   unique across rounds; {!Repro_mp.Star} numbers a round's tasks from
-   0 and places them. *)
-let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
-    ~round ~id0 ~pinned (payloads : string array) : Message.payload array =
+   the result payloads in task order; {!Repro_mp.Star} numbers the
+   tasks from 0 and places them.  A row a PE relays meanwhile is
+   forwarded to every other PE before anything else is read. *)
+let exec_round ~(counts : counts) ~trace ~(links : link array) ~pinned
+    (payloads : string array) : Message.payload array =
   let n = Array.length payloads in
   let results : Message.payload option array = Array.make n None in
   let send_task ({ worker; task; payload } : string Star.placement) =
     let l = links.(worker) in
-    let task_id = id0 + task in
     let t0 = Clock.now_ns () in
-    Message.send_to_worker l.conn (Schedule { task_id; round; payload });
+    Message.send_to_worker l.conn (Schedule { task_id = task; round = 0; payload });
     if trace then
-      sched_spans :=
+      counts.scheds <-
         {
-          sp_task_id = task_id;
+          sp_task_id = task;
           sp_pe = l.pe;
-          sp_round = round;
           sp_bytes = String.length payload;
           send_start_ns = t0;
           send_done_ns = Clock.now_ns ();
         }
-        :: !sched_spans;
+        :: counts.scheds;
     counts.schedules <- counts.schedules + 1
   in
   let star, placed =
-    Star.start ~workers:(Array.length links) ~prefetch ~round ~pinned
+    Star.start ~workers:(Array.length links) ~prefetch ~round:0 ~pinned
       (Array.to_list payloads)
   in
   let star = ref star in
   List.iter send_task placed;
   let handle_message (l : link) =
     match Message.recv_to_coordinator l.conn with
-    | Result { task_id; round = r; payload; blob } -> (
+    | Result { task_id; round; payload; blob } -> (
         (* the blob (if any) is queued right behind the control
            message on the same link: complete it before anything else *)
         let p = Message.recv_result_payload l.conn ~blob ~payload in
-        match Star.result !star ~worker:l.pe ~round:r ~task:(task_id - id0) [] with
-        | Error e -> ledger_failure ~pe:l.pe ~id0 e
+        match Star.result !star ~worker:l.pe ~round ~task:task_id [] with
+        | Error e -> ledger_failure ~pe:l.pe e
         | Ok (s, placed) ->
             star := s;
-            results.(task_id - id0) <- Some p;
+            results.(task_id) <- Some p;
             (* an unpinned result is also the PE's request for more *)
             if not pinned then begin
               counts.fishes <- counts.fishes + 1;
               if placed = [] then counts.no_works <- counts.no_works + 1
             end;
             List.iter send_task placed)
+    | Relay { k; len } ->
+        let t0 = Clock.now_ns () in
+        let row = Link.recv_floats l.conn ~len in
+        Array.iter
+          (fun o -> if o.pe <> l.pe then Message.relay_to_worker o.conn ~k row)
+          links;
+        if trace then
+          counts.relays <-
+            { rl_bytes = 8 * len; rl_start_ns = t0; rl_done_ns = Clock.now_ns () }
+            :: counts.relays
     | Ready -> failwith "dist: stray Ready after start-up"
     | Stats _ -> failwith "dist: unsolicited Stats before Harvest"
   in
@@ -300,8 +313,6 @@ let exec_round ~(counts : counts) ~trace ~sched_spans ~(links : link array)
     pump ();
     if not (Star.finished !star) then Link.wait_any conns
   done;
-  counts.tasks <- counts.tasks + n;
-  counts.rounds <- counts.rounds + 1;
   Array.map Option.get results
 
 (* ---------------- teardown ---------------- *)
@@ -313,7 +324,8 @@ let harvest (links : link array) : pe_report array =
       let stats =
         match Message.recv_to_coordinator l.conn with
         | Ready -> failwith "dist: stray Ready at harvest"
-        | Result _ -> failwith "dist: result arrived after the last round"
+        | Result _ -> failwith "dist: result arrived after the round"
+        | Relay _ -> failwith "dist: row relayed after the round"
         | Stats s -> s
       in
       { rep_pe = l.pe; rep_pid = l.pid; stats; co = Link.counters l.conn })
@@ -353,9 +365,8 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
     outcome =
   if procs < 1 then invalid_arg "Farm.run: procs must be >= 1";
   let counts =
-    { rounds = 0; tasks = 0; schedules = 0; fishes = 0; no_works = 0 }
+    { schedules = 0; fishes = 0; no_works = 0; scheds = []; relays = [] }
   in
-  let sched_spans = ref [] in
   let coord_pack_ns = ref 0 and coord_unpack_ns = ref 0 in
   let mode = Message.Workload { name = W.name; size } in
   let decode_result : Message.payload -> W.result = function
@@ -365,31 +376,23 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
         | Some (_, dec) -> dec f
         | None -> failwith "dist: float blob for a workload without a codec")
   in
-  let (result, work_ns, reports), links, spawn_ns =
+  let (result, tasks, work_ns, reports), links, spawn_ns =
     with_links ?transport ~procs ~mode ~trace (fun links ->
         let t0 = Clock.now_ns () in
-        let rec rounds st tasks pinned =
-          let tp0 = Clock.now_ns () in
-          let payloads =
-            Array.map (fun t -> Marshal.to_string (t : W.task) []) tasks
-          in
-          coord_pack_ns := !coord_pack_ns + (Clock.now_ns () - tp0);
-          let raw =
-            exec_round ~counts ~trace ~sched_spans ~links ~round:counts.rounds
-              ~id0:counts.tasks ~pinned payloads
-          in
-          let tu0 = Clock.now_ns () in
-          let results = Array.map decode_result raw in
-          coord_unpack_ns := !coord_unpack_ns + (Clock.now_ns () - tu0);
-          match W.step st results with
-          | `Done v -> v
-          | `Round (st, tasks, pinned) -> rounds st tasks pinned
-        in
         let st, tasks, pinned = W.start ~size ~procs in
-        let result = rounds st tasks pinned in
+        let tp0 = Clock.now_ns () in
+        let payloads =
+          Array.map (fun t -> Marshal.to_string (t : W.task) []) tasks
+        in
+        coord_pack_ns := Clock.now_ns () - tp0;
+        let raw = exec_round ~counts ~trace ~links ~pinned payloads in
+        let tu0 = Clock.now_ns () in
+        let results = Array.map decode_result raw in
+        coord_unpack_ns := Clock.now_ns () - tu0;
+        let result = W.finish st results in
         let work_ns = Clock.now_ns () - t0 in
         let reports = harvest links in
-        (result, work_ns, reports))
+        (result, Array.length tasks, work_ns, reports))
   in
   shutdown links;
   let merged_metrics =
@@ -404,13 +407,14 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
   {
     result;
     procs;
-    rounds = counts.rounds;
-    tasks = counts.tasks;
+    rounds = 1;
+    tasks;
     schedules = counts.schedules;
     fishes = counts.fishes;
     no_works = counts.no_works;
     reports;
-    sched_spans = !sched_spans;
+    sched_spans = counts.scheds;
+    relay_spans = counts.relays;
     coord_pack_ns = !coord_pack_ns;
     coord_unpack_ns = !coord_unpack_ns;
     work_ns;
@@ -495,9 +499,8 @@ let sample ~transport ~procs ~size (module W : Workload.S) :
 let farm ?transport ~procs (fs : (unit -> 'a) list) : 'a list =
   if procs < 1 then invalid_arg "Farm.farm: procs must be >= 1";
   let counts =
-    { rounds = 0; tasks = 0; schedules = 0; fishes = 0; no_works = 0 }
+    { schedules = 0; fishes = 0; no_works = 0; scheds = []; relays = [] }
   in
-  let sched_spans = ref [] in
   (* The closure is marshalled with [Marshal.Closures]; that works
      because every PE runs the very same binary (same code-fragment
      digests).  Its captured environment travels by copy — the
@@ -513,8 +516,7 @@ let farm ?transport ~procs (fs : (unit -> 'a) list) : 'a list =
   let raw, links, _spawn_ns =
     with_links ?transport ~procs ~mode:Message.Closures ~trace:false
       (fun links ->
-        exec_round ~counts ~trace:false ~sched_spans ~links ~round:0 ~id0:0
-          ~pinned:false payloads)
+        exec_round ~counts ~trace:false ~links ~pinned:false payloads)
   in
   shutdown links;
   Array.to_list

@@ -7,7 +7,8 @@
     changes only how bytes move: {!Sock} is a socketpair per PE, {!Shm}
     a pair of mapped single-producer rings per PE with a socketpair as
     its doorbell.  Over both, the PEs form a star around the
-    coordinator, and every result goes to it. *)
+    coordinator: every result goes to it, and so does every row a task
+    relays, which it forwards to every other PE. *)
 type transport = Sock | Shm
 
 (** ["socketpair"] / ["shm"] — the name used in reports and JSON. *)
@@ -19,11 +20,15 @@ val transport_name : transport -> string
 type sched_span = {
   sp_task_id : int;
   sp_pe : int;
-  sp_round : int;
   sp_bytes : int;  (** marshalled task payload size *)
   send_start_ns : int;
   send_done_ns : int;
 }
+
+(** Coordinator-side timing of one relayed row of [rl_bytes] floats'
+    bytes, from reading its control message to the end of its last
+    forward. *)
+type relay_span = { rl_bytes : int; rl_start_ns : int; rl_done_ns : int }
 
 type pe_report = {
   rep_pe : int;
@@ -35,7 +40,7 @@ type pe_report = {
 type outcome = {
   result : int;
   procs : int;
-  rounds : int;
+  rounds : int;  (** 1: a run is one round *)
   tasks : int;
   schedules : int;  (** [Schedule] messages sent (either endpoint) *)
   fishes : int;
@@ -43,9 +48,10 @@ type outcome = {
   no_works : int;  (** unpinned results that found no task left *)
   reports : pe_report array;
   sched_spans : sched_span list;  (** newest first; [] unless traced *)
+  relay_spans : relay_span list;  (** newest first; [] unless traced *)
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
   coord_unpack_ns : int;  (** result payload unmarshalling *)
-  work_ns : int;  (** first dispatch to final [step]; excludes spawn *)
+  work_ns : int;  (** [start] to [finish]; excludes spawn *)
   spawn_ns : int;
       (** process creation and PE start-up: until every PE has started
           its session and sent [Ready] *)
@@ -58,11 +64,12 @@ type outcome = {
 (** The spans of a traced run ([run ~trace:true]; empty otherwise),
     rebased to the earliest one.  PE [p] is track [p]: a [task] slice
     per executed task, as in the pool's traces, between [unpack] and
-    [pack] slices, and a [wire] slice from the coordinator's send-done
-    timestamp to the PE's receive-done one (every process reads the
-    same CLOCK_MONOTONIC).  The coordinator is track [procs], with its
-    [schedule] sends.  [schedule] and [wire] slices carry the task's
-    payload size as a [bytes] arg. *)
+    [pack] slices, a [wait] slice inside it per blocking relay receive,
+    and a [wire] slice from the coordinator's send-done timestamp to
+    the PE's receive-done one (every process reads the same
+    CLOCK_MONOTONIC).  The coordinator is track [procs], with its
+    [schedule] sends and [relay] forwards.  [schedule], [wire] and
+    [relay] slices carry the payload size as a [bytes] arg. *)
 val spans : outcome -> Repro_trace.Chrome.span list
 
 (** {!spans} as a Chrome trace-event document on named tracks

@@ -3,6 +3,10 @@
     and a PE answers each task with its [Result], which also asks for
     the PE's next task, as a result does in Eden's masterWorker.  A PE
     asks for nothing else: GUM's FISH would carry no information here.
+    A running task may [Relay] a row (apsp's pivots, pipelined as in
+    Eden's ring), which the coordinator forwards as a [Relay] to every
+    other PE; a PE sends one only after receiving every row relayed
+    before it, so no forward waits on a PE blocked sending.
     [Harvest]/[Stats] drain the per-PE counters at shutdown.  The
     vocabulary is the same over both transports: every message goes
     between the coordinator and one PE.
@@ -12,10 +16,11 @@
     boundary.  Task and result payloads are pre-marshalled by the
     typed layer ({!Farm}) and travel here as opaque strings, so this
     module is monomorphic and every byte on the wire is accounted to
-    the link's counters, marshalling time included.  Bulk float
-    results bypass [Marshal] entirely: a [Result] with [blob >= 0]
-    announces a float message of that many elements following on the
-    same link (see {!send_result}/{!recv_result_payload}). *)
+    the link's counters, marshalling time included.  Bulk floats
+    bypass [Marshal] entirely: a [Result] with [blob >= 0], and every
+    [Relay], announces a float message of that many elements following
+    on the same link (see {!send_result}/{!recv_result_payload} and
+    {!relay_to_coordinator}/{!relay_to_worker}). *)
 
 type mode =
   | Workload of { name : string; size : int }
@@ -32,6 +37,9 @@ type hello = {
 
 type to_worker =
   | Schedule of { task_id : int; round : int; payload : string }
+  | Relay of { k : int; len : int }
+      (** row [k] another PE relayed: a float message of [len]
+          elements follows on this link *)
   | Harvest
   | Shutdown
 
@@ -44,6 +52,10 @@ type task_span = {
   exec_start_ns : int;
   exec_end_ns : int;
   span_pack_ns : int;
+  span_waits : (int * int) list;
+      (** the task's blocking relay receives, [(start, stop)] in order;
+          [exec_end_ns - exec_start_ns] less their sum is its share of
+          [exec_ns] *)
 }
 
 type worker_stats = {
@@ -61,7 +73,8 @@ type worker_stats = {
   zero_copy_bytes_recv : int;
   pack_ns : int;
   unpack_ns : int;
-  exec_ns : int;  (** time inside [W.execute], summed *)
+  exec_ns : int;
+      (** time inside [W.execute], summed, less the relay waits *)
   gc_minor_collections : int;  (** deltas over the PE's own private heap *)
   gc_major_collections : int;
   gc_minor_words : float;
@@ -87,6 +100,9 @@ type to_coordinator =
               result is the float message of this many elements
               following on this link, and [payload] is empty. *)
     }
+  | Relay of { k : int; len : int }
+      (** row [k] for every other PE: a float message of [len]
+          elements follows on this link *)
   | Stats of worker_stats
 
 (* ---------------- wire glue ---------------- *)
@@ -136,3 +152,12 @@ let send_result link ~task_id ~round (p : payload) =
     message. *)
 let recv_result_payload link ~blob ~payload : payload =
   if blob < 0 then Bytes_p payload else Floats_p (Link.recv_floats link ~len:blob)
+
+(* A relay is its control message, then the row on the float plane. *)
+let relay_to_coordinator link ~k row =
+  send_to_coordinator link (Relay { k; len = Array.length row });
+  Link.send_floats link row
+
+let relay_to_worker link ~k row =
+  send_to_worker link (Relay { k; len = Array.length row });
+  Link.send_floats link row

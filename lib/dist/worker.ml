@@ -22,7 +22,12 @@
     The transport changes only how bytes move: over both, the PE runs
     one loop, a blocking receive from the coordinator and a result back
     to it for each task (the paper's star of Eden PEs around one
-    coordinator).
+    coordinator).  A running task's relay handle ({!Workload.relay})
+    sends rows to the coordinator and blocks for those it forwards;
+    only a relayed row can arrive then, and one outside a task is a
+    protocol error.  A task sends a row only after receiving every row
+    relayed before it, so no forward can wait on a PE that is blocked
+    sending.  [exec_ns] leaves the blocking receives out.
 
     The PE owns a fully private OCaml heap with its own GC — the
     defining property of the Eden/GUM model this backend realises —
@@ -43,13 +48,32 @@ type executed = {
   pack_ns : int;
 }
 
+(* The running task's relay over the PE's one link.  A row goes to the
+   coordinator, which forwards it to every other PE; each blocking
+   receive is pushed on [waits] as [(start, stop)], so it counts as
+   waiting, not compute.  On one PE there is nobody to relay to. *)
+let relay_over conn ~procs ~waits : Workload.relay =
+  let send k row = if procs > 1 then Message.relay_to_coordinator conn ~k row in
+  let recv () =
+    if procs = 1 then failwith "dist worker: relay receive on the only PE";
+    let t0 = Clock.now_ns () in
+    match Message.recv_to_worker conn with
+    | Relay { k; len } ->
+        let row = Link.recv_floats conn ~len in
+        waits := (t0, Clock.now_ns ()) :: !waits;
+        (k, row)
+    | Schedule _ | Harvest | Shutdown ->
+        failwith "dist worker: a task waiting for a relayed row got another message"
+  in
+  { send; recv }
+
 (* Build the payload -> executed function once per session.  Workload
    mode looks the workload up in the registry and round-trips typed
    task/result values — through the blob codec when the workload
    declares one, so bulk float results skip [Marshal] on both
    transports; [Closures] mode expects a marshalled [unit -> string]
    whose output is already the result payload. *)
-let executor (mode : Message.mode) : string -> executed =
+let executor (mode : Message.mode) relay : string -> executed =
   match mode with
   | Message.Workload { name; size } -> (
       match Workload.find name with
@@ -59,7 +83,7 @@ let executor (mode : Message.mode) : string -> executed =
             let t0 = Clock.now_ns () in
             let task : W.task = Marshal.from_string payload 0 in
             let t1 = Clock.now_ns () in
-            let r = W.execute ~size task in
+            let r = W.execute ~size relay task in
             let t2 = Clock.now_ns () in
             let out =
               match W.result_blob with
@@ -96,6 +120,7 @@ let max_recorded_spans = 8192
 type session = {
   hello : Message.hello;
   execute : string -> executed;
+  waits : (int * int) list ref;  (** the running task's, newest first *)
   gc0 : Gc.stat;
   mw0 : float;
   mutable tasks_executed : int;
@@ -105,10 +130,14 @@ type session = {
   mutable spans_dropped : int;
 }
 
-let start_session hello =
+let start_session hello conn =
+  let waits = ref [] in
   {
     hello;
-    execute = executor hello.Message.mode;
+    execute =
+      executor hello.Message.mode
+        (relay_over conn ~procs:hello.Message.procs ~waits);
+    waits;
     gc0 = Gc.quick_stat ();
     (* [quick_stat]'s [minor_words] only advances at collection
        boundaries; [Gc.minor_words] reads the live allocation pointer,
@@ -125,11 +154,14 @@ let start_session hello =
    coordinator. *)
 let run_task s ~coord ~task_id ~round payload =
   let recv_done_ns = Clock.now_ns () in
+  s.waits := [];
   let e = s.execute payload in
+  let waits = List.rev !(s.waits) in
   let c = Link.counters coord in
   c.Wire.unpack_ns <- c.Wire.unpack_ns + e.unpack_ns;
   c.Wire.pack_ns <- c.Wire.pack_ns + e.pack_ns;
-  s.exec_ns <- s.exec_ns + (e.exec_end_ns - e.exec_start_ns);
+  let waited = List.fold_left (fun acc (t0, t1) -> acc + (t1 - t0)) 0 waits in
+  s.exec_ns <- s.exec_ns + (e.exec_end_ns - e.exec_start_ns) - waited;
   s.tasks_executed <- s.tasks_executed + 1;
   if s.hello.Message.trace then
     if s.nspans < max_recorded_spans then begin
@@ -142,6 +174,7 @@ let run_task s ~coord ~task_id ~round payload =
           exec_start_ns = e.exec_start_ns;
           exec_end_ns = e.exec_end_ns;
           span_pack_ns = e.pack_ns;
+          span_waits = waits;
         }
         :: s.spans
     end
@@ -201,13 +234,14 @@ let serve argv =
           ^ String.concat " " (Array.to_list toks))
   in
   let hello = Message.recv_hello conn in
-  let s = start_session hello in
+  let s = start_session hello conn in
   Message.send_to_coordinator conn Message.Ready;
   let running = ref true in
   while !running do
     match Message.recv_to_worker conn with
     | Schedule { task_id; round; payload } ->
         run_task s ~coord:conn ~task_id ~round payload
+    | Relay _ -> failwith "dist worker: a relayed row arrived outside a task"
     | Harvest ->
         Message.send_to_coordinator conn (Stats (stats_of_session s conn))
     | Shutdown -> running := false

@@ -1,4 +1,4 @@
 (** The workloads, as [Repro_exec.Workload] defines them for both real
-    backends; [Farm] runs their private-heap rounds. *)
+    backends; [Farm] runs their private-heap round. *)
 
 include Repro_exec.Workload

@@ -7,7 +7,8 @@
     emits (either freshly built or parsed back from disk with
     {!Repro_util.Json_in}), reduced to slices and instants.  Busy time
     is the interval {e union} of [task] and [eval] slices, so nested
-    helping is not double-counted. *)
+    helping is not double-counted, less the [wait] slices inside them
+    (a PE's task blocked on a relayed row), which count as parked. *)
 
 module Json = Repro_util.Json_out
 module Json_in = Repro_util.Json_in
@@ -61,6 +62,18 @@ let union intervals =
         | _ -> go (iv :: acc) rest)
   in
   go [] sorted
+
+(* [a] less [b], both sorted disjoint unions. *)
+let rec diff a b =
+  match (a, b) with
+  | [], _ -> []
+  | a, [] -> a
+  | (s, e) :: a', (s', e') :: b' ->
+      if e' <= s then diff a b'
+      else if e <= s' then (s, e) :: diff a' b
+      else
+        let left = if s < s' then [ (s, s') ] else [] in
+        left @ diff (if e > e' then (e', e) :: a' else a') b
 
 let total intervals = List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0.0 intervals
 
@@ -163,24 +176,15 @@ let analyze input =
         List.map
           (fun tid ->
             let mine = List.filter (fun s -> s.tid = tid) input.slices in
-            let busy =
+            let named p =
               union
                 (List.filter_map
                    (fun s ->
-                     if is_busy_name s.name then
-                       Some (s.ts_us, s.ts_us +. s.dur_us)
-                     else None)
+                     if p s.name then Some (s.ts_us, s.ts_us +. s.dur_us) else None)
                    mine)
             in
-            let sum_named p =
-              total
-                (union
-                   (List.filter_map
-                      (fun s ->
-                        if p s.name then Some (s.ts_us, s.ts_us +. s.dur_us)
-                        else None)
-                      mine))
-            in
+            let sum_named p = total (named p) in
+            let busy = diff (named is_busy_name) (named (fun n -> n = "wait")) in
             let tasks =
               List.length (List.filter (fun s -> s.name = "task") mine)
             in
@@ -224,7 +228,7 @@ let analyze input =
               wtid = tid;
               busy_us = total busy;
               gc_us = sum_named is_gc_name;
-              parked_us = sum_named (fun n -> n = "parked");
+              parked_us = sum_named (fun n -> n = "parked" || n = "wait");
               tasks;
               steals = List.length steals;
               util_pct =

@@ -29,9 +29,11 @@ type dist = {
 
 type worker_row = {
   wtid : int;  (** worker id (Chrome [tid]) *)
-  busy_us : float;  (** union of task+eval slices (helping not double-counted) *)
+  busy_us : float;
+      (** union of task+eval slices (helping not double-counted), less
+          the relay waits *)
   gc_us : float;
-  parked_us : float;
+  parked_us : float;  (** parked slices and relay waits *)
   tasks : int;
   steals : int;  (** successful steals by this worker *)
   util_pct : float;  (** busy / trace wall span *)

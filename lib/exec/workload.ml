@@ -9,16 +9,14 @@
 
     - [run] is the shared-heap form (GpH): sparked closures over one
       heap on a {!Pool}, through {!Strategies}.
-    - [start]/[step]/[execute] is the private-heap form (Eden), run by
-      [Repro_dist.Farm].  It obeys Eden's heap-boundary rule: a task is
-      {e data} (a chunk descriptor, a pivot row), never a closure over
-      shared state, and a result is a fully-evaluated value marshalled
-      back whole.  Each workload is a sequence of {e rounds}
-      (barriers): most need one round of independent tasks; APSP needs
-      one round per pivot with the next pivot row flowing back through
-      the coordinator, and {e pins} its block tasks so each PE keeps
-      its rows across rounds (PE-resident state, as in Eden's ring
-      skeleton).
+    - [start]/[execute]/[finish] is the private-heap form (Eden), run
+      by [Repro_dist.Farm] in one round.  It obeys Eden's heap-boundary
+      rule: a task is {e data} (a chunk descriptor, a block of rows),
+      never a closure over shared state, and a result is a
+      fully-evaluated value shipped back whole.  APSP {e pins} one task
+      per PE and pipelines its pivot rows as Eden's ring does, relayed
+      through the coordinator ({!relay}); a task relays row [k] only
+      after receiving every pivot before [k], so no forward deadlocks.
 
     Results are represented as a deterministic [int] checksum so one
     signature covers integer- and float-valued benchmarks.  Both forms
@@ -31,6 +29,8 @@ module Matrix = Repro_workloads.Matrix
 module Mandelbrot = Repro_workloads.Mandelbrot
 module Apsp = Repro_workloads.Apsp
 module S = Strategies
+
+type relay = { send : int -> float array -> unit; recv : unit -> int * float array }
 
 module type S = sig
   val name : string
@@ -45,11 +45,8 @@ module type S = sig
   type state
 
   val start : size:int -> procs:int -> state * task array * bool
-
-  val step :
-    state -> result array -> [ `Done of int | `Round of state * task array * bool ]
-
-  val execute : size:int -> task -> result
+  val finish : state -> result array -> int
+  val execute : size:int -> relay -> task -> result
   val result_blob : ((result -> float array) * (float array -> result)) option
 end
 
@@ -93,8 +90,8 @@ module Sumeuler : S = struct
     in
     ((), tasks, false)
 
-  let step () results = `Done (Array.fold_left ( + ) 0 results)
-  let execute ~size:_ (lo, hi) = Euler.sum_phi lo hi
+  let finish () results = Array.fold_left ( + ) 0 results
+  let execute ~size:_ _ (lo, hi) = Euler.sum_phi lo hi
 
   (* one int per task: the marshalled form is already minimal *)
   let result_blob = None
@@ -150,12 +147,30 @@ module Parfib : S = struct
     split size;
     (!internal, Array.of_list (List.rev !leaves), false)
 
-  let step internal results =
-    `Done (internal + Array.fold_left ( + ) 0 results)
-
-  let execute ~size:_ n = nfib n
+  let finish internal results = internal + Array.fold_left ( + ) 0 results
+  let execute ~size:_ _ n = nfib n
   let result_blob = None
 end
+
+(* The bulk payload of the suite, a block of float rows (matmul's
+   product rows, apsp's distance rows), flattened with a [rows; cols]
+   shape prefix.  Both are far below 2^53, so the float round-trip is
+   exact, as is the row data itself (raw IEEE bits either way). *)
+let rows_blob =
+  let enc (rows : float array array) =
+    let nr = Array.length rows in
+    let nc = if nr = 0 then 0 else Array.length rows.(0) in
+    let out = Array.make (2 + (nr * nc)) 0.0 in
+    out.(0) <- float_of_int nr;
+    out.(1) <- float_of_int nc;
+    Array.iteri (fun i row -> Array.blit row 0 out (2 + (i * nc)) nc) rows;
+    out
+  in
+  let dec (flat : float array) =
+    let nr = int_of_float flat.(0) and nc = int_of_float flat.(1) in
+    Array.init nr (fun i -> Array.sub flat (2 + (i * nc)) nc)
+  in
+  Some (enc, dec)
 
 (* ---------------- matmul ---------------- *)
 
@@ -203,16 +218,16 @@ module Matmul : S = struct
     let tasks = Array.init chunks (block ~size ~chunks) in
     (Matrix.zero size, tasks, false)
 
-  let step c results =
+  let finish c results =
     let row = ref 0 in
     Array.iter
       (Array.iter (fun r ->
            c.(!row) <- r;
            incr row))
       results;
-    `Done (float_bits (Matrix.checksum c))
+    float_bits (Matrix.checksum c)
 
-  let execute ~size (lo, hi) =
+  let execute ~size _ (lo, hi) =
     let a, bt =
       match Hashtbl.find_opt pe_inputs size with
       | Some abt -> abt
@@ -224,27 +239,7 @@ module Matmul : S = struct
     in
     Matrix.mul_rows a bt lo hi
 
-  (* The bulk payload of the whole suite: a block of product rows.
-     Flattened with a [rows; cols] shape prefix — both are far below
-     2^53, so the float round-trip is exact, as is the row data
-     itself (raw IEEE bits either way). *)
-  let result_blob =
-    let enc (rows : result) =
-      let nr = Array.length rows in
-      let nc = if nr = 0 then 0 else Array.length rows.(0) in
-      let out = Array.make (2 + (nr * nc)) 0.0 in
-      out.(0) <- float_of_int nr;
-      out.(1) <- float_of_int nc;
-      Array.iteri
-        (fun i row -> Array.blit row 0 out (2 + (i * nc)) nc)
-        rows;
-      out
-    in
-    let dec (flat : float array) : result =
-      let nr = int_of_float flat.(0) and nc = int_of_float flat.(1) in
-      Array.init nr (fun i -> Array.sub flat (2 + (i * nc)) nc)
-    in
-    Some (enc, dec)
+  let result_blob = rows_blob
 end
 
 (* ---------------- mandelbrot ---------------- *)
@@ -288,13 +283,10 @@ module Mandelbrot_w : S = struct
     let chunks = chunk_count size in
     ((), Array.init chunks (block ~size ~chunks), false)
 
-  let step () results =
-    `Done
-      (Array.fold_left
-         (fun acc rows -> Array.fold_left ( + ) acc rows)
-         0 results)
+  let finish () results =
+    Array.fold_left (fun acc rows -> Array.fold_left ( + ) acc rows) 0 results
 
-  let execute ~size (lo, hi) =
+  let execute ~size _ (lo, hi) =
     Array.init (max 0 (hi - lo + 1)) (fun i -> row_total ~size (lo + i))
 
   (* Row totals are iteration counts (far below 2^53): exact as
@@ -342,135 +334,55 @@ module Apsp_w : S = struct
     done;
     float_bits (Apsp.checksum d)
 
-  (* One barrier round per pivot, Eden-ring style: each PE owns a
-     block of rows for the whole run (pinned tasks + a process-local
-     cache); only the pivot row circulates, via the coordinator.  The
-     PE owning row [k+1] returns it (updated through pivot [k]) as the
-     next round's pivot; the last round returns the blocks. *)
+  (* One pinned task per PE, as in Eden's ring: the task owns a block
+     of rows for the whole run and walks the pivots in order.  It
+     relays each row of its own block as soon as the row is final,
+     that is once it has met every earlier pivot; any other pivot it
+     receives from the coordinator, which forwards what the row's
+     owner relayed.  Then it relaxes its block against the pivot, and
+     relaxes row [k+1] first when it owns it, so the next pivot goes
+     out before the rest of the block is done.  Every row still meets
+     pivots [0..size-1] in order, and a task relays row [k] only after
+     it has received every pivot before [k]. *)
 
-  type task = {
-    k : int;
-    lo : int;  (** this PE's resident block, rows [lo..hi] *)
-    hi : int;
-    pivot : float array;  (** row [k] at entry of step [k] *)
-    last : bool;
-  }
+  type task = int * int  (** this PE's block, rows [lo..hi]; empty if [hi < lo] *)
 
-  type result = {
-    next_pivot : float array option;  (** row [k+1] if this block owns it *)
-    final : float array array option;  (** the block, on the last round *)
-  }
+  type result = float array array  (** the block, after every pivot *)
 
-  type state = { n : int; k : int; pivot : float array; blocks : (int * int) array }
+  type state = unit
 
-  (* (size, lo) identifies a resident block within a worker process;
-     the stored [k] asserts rounds arrive in pivot order. *)
-  let resident : (int * int, int ref * float array array) Hashtbl.t =
-    Hashtbl.create 8
+  let start ~size ~procs = ((), Array.init procs (block ~size ~chunks:procs), true)
+  let finish () blocks = float_bits (Apsp.checksum (Array.concat (Array.to_list blocks)))
 
-  let graph_rows size lo hi =
+  let execute ~size relay (lo, hi) =
     let g = Apsp.graph size in
-    Array.init (max 0 (hi - lo + 1)) (fun i -> Array.copy g.(lo + i))
-
-  let execute ~size { k; lo; hi; pivot; last } =
-    if hi < lo then { next_pivot = None; final = (if last then Some [||] else None) }
-    else begin
-      let key = (size, lo) in
-      let expected_k, d =
-        match Hashtbl.find_opt resident key with
-        | Some (ek, d) when !ek = k -> (ek, d)
-        | Some (ek, _) when !ek <> k && k = 0 ->
-            (* fresh run reusing this process: rebuild the block *)
-            let d = graph_rows size lo hi in
-            Hashtbl.replace resident key (ek, d);
-            ek := 0;
-            (ek, d)
-        | Some (ek, _) ->
-            failwith
-              (Printf.sprintf "apsp: pivot %d arrived at block %d, expected %d" k
-                 lo !ek)
-        | None ->
-            if k <> 0 then
+    let d = Array.init (max 0 (hi - lo + 1)) (fun i -> Array.copy g.(lo + i)) in
+    let mine k = lo <= k && k <= hi in
+    if mine 0 then relay.send 0 d.(0);
+    for k = 0 to size - 1 do
+      let pivot =
+        if mine k then d.(k - lo)
+        else
+          match relay.recv () with
+          | k', row when k' = k && Array.length row = size -> row
+          | k', row ->
               failwith
                 (Printf.sprintf
-                   "apsp: block %d first saw pivot %d (blocks are pinned)" lo k);
-            let ek = ref 0 and d = graph_rows size lo hi in
-            Hashtbl.replace resident key (ek, d);
-            (ek, d)
+                   "apsp: block %d..%d expected pivot %d of %d nodes, got \
+                    pivot %d of %d"
+                   lo hi k size k' (Array.length row))
       in
-      pivot_step d pivot k 0 (hi - lo);
-      expected_k := k + 1;
-      let next_pivot =
-        if (not last) && k + 1 >= lo && k + 1 <= hi then
-          Some (Array.copy d.(k + 1 - lo))
-        else None
-      in
-      let final =
-        if last then begin
-          Hashtbl.remove resident key;
-          Some (Array.map Array.copy d)
-        end
-        else None
-      in
-      { next_pivot; final }
-    end
+      if mine (k + 1) then begin
+        Apsp.relax d.(k + 1 - lo) ~k pivot;
+        relay.send (k + 1) d.(k + 1 - lo);
+        pivot_step d pivot k 0 (k - lo);
+        pivot_step d pivot k (k + 2 - lo) (hi - lo)
+      end
+      else pivot_step d pivot k 0 (hi - lo)
+    done;
+    d
 
-  (* Option-heavy record; rounds ship one pivot row each — not worth
-     a flat encoding. *)
-  let result_blob = None
-
-  let round_tasks st =
-    Array.map
-      (fun (lo, hi) ->
-        { k = st.k; lo; hi; pivot = st.pivot; last = st.k = st.n - 1 })
-      st.blocks
-
-  let start ~size ~procs =
-    let n = size in
-    if n = 0 then
-      (* degenerate: one empty pinned round, [step] finishes immediately *)
-      ({ n; k = 0; pivot = [||]; blocks = [||] }, [||], true)
-    else begin
-      let blocks = Array.init procs (block ~size:n ~chunks:procs) in
-      let pivot = Array.copy (Apsp.graph n).(0) in
-      let st = { n; k = 0; pivot; blocks } in
-      (st, round_tasks st, true)
-    end
-
-  let step st results =
-    if st.n = 0 then `Done (float_bits (Apsp.checksum [||]))
-    else if st.k = st.n - 1 then begin
-      let d = Array.make st.n [||] in
-      let row = ref 0 in
-      Array.iter
-        (fun r ->
-          match r.final with
-          | Some rows ->
-              Array.iter
-                (fun fr ->
-                  d.(!row) <- fr;
-                  incr row)
-                rows
-          | None -> failwith "apsp: last round returned no block")
-        results;
-      `Done (float_bits (Apsp.checksum d))
-    end
-    else begin
-      let next =
-        Array.fold_left
-          (fun acc r ->
-            match (acc, r.next_pivot) with
-            | None, Some p -> Some p
-            | acc, None -> acc
-            | Some _, Some _ -> failwith "apsp: two PEs claim the next pivot")
-          None results
-      in
-      match next with
-      | None -> failwith "apsp: no PE returned the next pivot"
-      | Some pivot ->
-          let st = { st with k = st.k + 1; pivot } in
-          `Round (st, round_tasks st, true)
-    end
+  let result_blob = rows_blob
 end
 
 (* ---------------- registry ---------------- *)

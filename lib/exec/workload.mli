@@ -3,11 +3,19 @@
     A workload states its name, sizes, inputs, sequential reference and
     leaf kernel once, then decomposes the same computation two ways:
     [run] sparks closures over one shared heap (GpH, on a {!Pool}), and
-    [start]/[step]/[execute] deal pure-data tasks to PEs with private
-    heaps in barrier rounds (Eden, on [Repro_dist.Farm]).  Results are
+    [start]/[execute]/[finish] deal pure-data tasks to PEs with private
+    heaps in one round (Eden, on [Repro_dist.Farm]).  Results are
     reduced to a deterministic [int] checksum; float checksums compare
     bit-for-bit, because both decompositions reduce in reference
     order. *)
+
+(** A running task's line to the round's other tasks: [send k row]
+    relays row [k] (serialised before [send] returns) through the
+    coordinator to every other PE, and [recv ()] blocks for the next
+    row another task relayed, with its number.  On one PE [send] does
+    nothing and [recv] fails.  No forward can deadlock while every task
+    relays a row only after receiving every row relayed before it. *)
+type relay = { send : int -> float array -> unit; recv : unit -> int * float array }
 
 module type S = sig
   val name : string
@@ -37,27 +45,25 @@ module type S = sig
   (** Fully-evaluated value shipped back. *)
 
   type state
-  (** Coordinator state threaded between rounds. *)
+  (** Coordinator state kept from [start] to [finish]. *)
 
-  (** First round: [(state, tasks, pinned)].  When [pinned], task [i]
-      must run on PE [i mod procs] (PE-resident state across rounds,
-      as in Eden's ring skeleton); otherwise tasks may go anywhere. *)
+  (** The round: [(state, tasks, pinned)].  When [pinned], task [i]
+      must run on PE [i mod procs] (one block per PE, as in Eden's ring
+      skeleton); otherwise tasks may go anywhere. *)
   val start : size:int -> procs:int -> state * task array * bool
 
-  (** Barrier: all of a round's results, in task order.  Either the
-      final checksum or the next round. *)
-  val step :
-    state ->
-    result array ->
-    [ `Done of int | `Round of state * task array * bool ]
+  (** All of the round's results, in task order: the checksum. *)
+  val finish : state -> result array -> int
 
-  (** Runs on the PE; may keep process-local caches, must not depend
-      on coordinator state. *)
-  val execute : size:int -> task -> result
+  (** Runs on the PE; may keep process-local caches and talk to the
+      round's other tasks through [relay], must not depend on
+      coordinator state. *)
+  val execute : size:int -> relay -> task -> result
 
   (** Bulk-result codec for the zero-[Marshal] data plane: [Some
       (enc, dec)] when results are float-dominated and worth shipping
-      as raw frames (matmul row blocks, mandelbrot row totals).
+      as raw frames (matmul and apsp row blocks, mandelbrot row
+      totals).
       [dec (enc r)] must reproduce [r] bit-for-bit — integers encoded
       as floats must stay below 2{^53}.  [None] keeps the result on
       the marshalled control plane. *)

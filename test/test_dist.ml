@@ -92,8 +92,10 @@ let codec_edge_cases () =
 let codec_qcheck =
   QCheck.Test.make ~name:"wire codec round-trips arbitrary payloads"
     ~count:200
-    QCheck.(pair (int_range 1 80) (string_of_size Gen.(0 -- 300)))
-    (fun (packet_bytes, s) ->
+    QCheck.(pair (int_bound 79) (string_of_size Gen.(0 -- 300)))
+    (fun (pb, s) ->
+      (* bounds from 0, as QCheck's shrinker assumes *)
+      let packet_bytes = pb + 1 in
       let got, sent, leftover = round_trip ~packet_bytes s in
       got = s
       && (not leftover)
@@ -327,8 +329,9 @@ let spsc_of_cap cap =
    times (wrap-around at every [mod cap] point). *)
 let spsc_qcheck =
   QCheck.Test.make ~name:"spsc ring agrees with a queue reference" ~count:400
-    QCheck.(pair (int_range 1 5) (list_of_size Gen.(0 -- 120) bool))
-    (fun (cap, ops) ->
+    QCheck.(pair (int_bound 4) (list_of_size Gen.(0 -- 120) bool))
+    (fun (c, ops) ->
+      let cap = c + 1 in
       let r = spsc_of_cap cap in
       let q = Queue.create () in
       let counter = ref 0 in
@@ -672,6 +675,9 @@ let check_pinned_run ~what (o : Farm.outcome) =
   check int (what ^ ": no fishes after pinned tasks") 0 o.Farm.fishes;
   check int (what ^ ": no no-works") 0 o.Farm.no_works
 
+(* Blocks are left empty when there are more PEs than rows ((2, 1),
+   (4, 3), (4, 1), (3, 2)); such a PE still reads every relayed pivot,
+   or it would find one waiting after its task. *)
 let apsp_shm_pinned () =
   let module W = Workload.Apsp_w in
   List.iter
@@ -680,7 +686,7 @@ let apsp_shm_pinned () =
       let what = Printf.sprintf "apsp over shm procs=%d size=%d" procs size in
       check int what (W.reference ~size) o.Farm.result;
       check_pinned_run ~what o)
-    [ (3, 17); (2, 1) ]
+    [ (3, 17); (2, 1); (4, 3); (4, 1) ]
 
 let farm_closures_shm () =
   let fs = List.map (fun x () -> x * 10) [ 1; 2; 3; 4; 5 ] in
@@ -688,7 +694,8 @@ let farm_closures_shm () =
     (Farm.farm ~transport:Farm.Shm ~procs:2 fs)
 
 (* Pinned rounds with awkward divisions: block count not a multiple of
-   the PE count, and more PEs than rows. *)
+   the PE count, and more PEs than rows, whose empty blocks still read
+   every relayed pivot. *)
 let apsp_awkward_shapes () =
   let module W = Workload.Apsp_w in
   List.iter
@@ -697,7 +704,84 @@ let apsp_awkward_shapes () =
       let what = Printf.sprintf "apsp procs=%d size=%d" procs size in
       check int what (W.reference ~size) o.Farm.result;
       check_pinned_run ~what o)
-    [ (3, 17); (4, 3); (2, 1) ]
+    [ (3, 17); (4, 3); (2, 1); (3, 2); (4, 1) ]
+
+(* apsp is one pinned round, one task per PE, whose pivot rows are
+   relayed as they are made: each row is sent once by its owner and
+   received once by every other PE, a control message and a float
+   message each way.  A PE's other messages are its Hello, Ready,
+   Schedule, Result with its float blob, and Harvest; on one PE nothing
+   is relayed.  At 256 nodes on 3 and 4 PEs, rows queue on the link of
+   a PE that falls behind while their owner keeps relaying. *)
+let apsp_relays transport () =
+  let module W = Workload.Apsp_w in
+  List.iter
+    (fun (procs, size) ->
+      let o = Farm.run ~transport ~procs ~size (module W) in
+      let what = Printf.sprintf "apsp procs=%d size=%d" procs size in
+      check int (what ^ ": checksum") (W.reference ~size) o.Farm.result;
+      check int (what ^ ": one round") 1 o.Farm.rounds;
+      check int (what ^ ": one task per PE") procs o.Farm.tasks;
+      let relayed = if procs = 1 then 0 else size in
+      Array.iter
+        (fun (r : Farm.pe_report) ->
+          let lo = r.rep_pe * size / procs and hi = (r.rep_pe + 1) * size / procs in
+          let own = if procs = 1 then 0 else hi - lo in
+          check int
+            (Printf.sprintf "%s: PE %d messages sent" what r.rep_pe)
+            (3 + (2 * own)) r.stats.Message.msgs_sent;
+          check int
+            (Printf.sprintf "%s: PE %d messages received" what r.rep_pe)
+            (3 + (2 * (relayed - own)))
+            r.stats.Message.msgs_recv)
+        o.Farm.reports;
+      let msgs =
+        Array.fold_left
+          (fun acc (r : Farm.pe_report) ->
+            acc + r.stats.Message.msgs_sent + r.stats.Message.msgs_recv)
+          0 o.Farm.reports
+      in
+      check int (what ^ ": PE-side messages")
+        ((6 * procs) + (2 * relayed * procs))
+        msgs)
+    (List.concat_map
+       (fun procs -> List.map (fun size -> (procs, size)) [ 1; 3; 17; 256 ])
+       [ 1; 2; 3; 4 ])
+
+(* [Apsp_w.execute] in-process, against fake relays.  On one PE it
+   relays every row, in order, and receives none; a pivot delivered
+   out of order or of the wrong length is a clear error, never a wrong
+   block. *)
+let apsp_execute_checks_relays () =
+  let module W = Workload.Apsp_w in
+  let size = 17 in
+  let sent = ref [] in
+  let relay =
+    {
+      Repro_exec.Workload.send = (fun k row -> sent := (k, Array.length row) :: !sent);
+      recv = (fun () -> fail "one PE received a relayed row");
+    }
+  in
+  let st, tasks, pinned = W.start ~size ~procs:1 in
+  check bool "pinned" true pinned;
+  let block = W.execute ~size relay tasks.(0) in
+  check int "one PE: checksum" (W.reference ~size) (W.finish st [| block |]);
+  check (list (pair int int)) "one PE: every row relayed in order"
+    (List.init size (fun k -> (k, size)))
+    (List.rev !sent);
+  (* PE 1 of 2 holds rows 2..3 of 4 and must receive pivot 0 first *)
+  let _, tasks, _ = W.start ~size:4 ~procs:2 in
+  let fake deliver =
+    { Repro_exec.Workload.send = (fun _ _ -> ()); recv = (fun () -> deliver) }
+  in
+  let raises what deliver ~sub =
+    match W.execute ~size:4 (fake deliver) tasks.(1) with
+    | _ -> failf "%s: returned a block" what
+    | exception Failure msg ->
+        check bool (what ^ ": " ^ msg) true (contains ~sub msg)
+  in
+  raises "pivot out of order" (1, Array.make 4 1.0) ~sub:"expected pivot 0";
+  raises "pivot of the wrong length" (0, Array.make 3 1.0) ~sub:"of 4 nodes, got pivot 0 of 3"
 
 let more_procs_than_tasks () =
   let module W = Workload.Parfib in
@@ -822,6 +906,64 @@ let trace_spans () =
       | rows -> failf "PE %d has %d profile rows" r.rep_pe (List.length rows))
     o.Farm.reports
 
+(* A traced 2-PE apsp farm: every blocking relay receive is a [wait]
+   slice inside its PE's one [task] slice, left out of [exec_ns]; the
+   coordinator draws each forward as a [relay] slice, and the profile
+   counts the waits as parked, not busy. *)
+let trace_relay_waits transport () =
+  let module W = Workload.Apsp_w in
+  let size = W.quick_size in
+  let o = Farm.run ~trace:true ~transport ~procs:2 ~size (module W) in
+  check int "checksum" (W.reference ~size) o.Farm.result;
+  Array.iter
+    (fun (r : Farm.pe_report) ->
+      match r.stats.Message.spans with
+      | [ t ] ->
+          let waited =
+            List.fold_left (fun acc (w0, w1) -> acc + (w1 - w0)) 0 t.span_waits
+          in
+          check int
+            (Printf.sprintf "PE %d: relay waits" r.rep_pe)
+            (size / 2) (List.length t.span_waits);
+          check int
+            (Printf.sprintf "PE %d: exec_ns plus waits is the task's span" r.rep_pe)
+            (t.exec_end_ns - t.exec_start_ns)
+            (r.stats.Message.exec_ns + waited);
+          List.iter
+            (fun (w0, w1) ->
+              check bool "wait inside the task" true
+                (t.exec_start_ns <= w0 && w0 <= w1 && w1 <= t.exec_end_ns))
+            t.span_waits
+      | spans -> failf "PE %d has %d task spans" r.rep_pe (List.length spans))
+    o.Farm.reports;
+  let spans = Farm.spans o in
+  let count name tid =
+    List.length
+      (List.filter (fun (s : Chrome.span) -> s.name = name && s.tid = tid) spans)
+  in
+  check int "one relay slice per row" size (count "relay" 2);
+  check int "PE 0 waits" (size / 2) (count "wait" 0);
+  check int "PE 1 waits" (size / 2) (count "wait" 1);
+  let report =
+    Profile.analyze
+      (Profile.of_chrome_json
+         (Repro_util.Json_in.parse (Repro_util.Json_out.to_string (Farm.trace o))))
+  in
+  List.iter
+    (fun (w : Profile.worker_row) ->
+      if w.wtid < 2 then begin
+        check bool (Printf.sprintf "PE %d parked while waiting" w.wtid) true
+          (w.parked_us > 0.0);
+        let r = o.Farm.reports.(w.wtid) in
+        (* the trace carries float microseconds, printed rounded *)
+        check bool
+          (Printf.sprintf "PE %d busy is its exec_ns" w.wtid)
+          true
+          (Float.abs (w.busy_us -. (float_of_int r.stats.Message.exec_ns /. 1e3))
+          < 2.0 +. (0.01 *. w.busy_us))
+      end)
+    report.workers
+
 let untraced_runs_have_no_spans () =
   let o = quick_run (module Workload.Parfib) in
   check (list reject) "no spans without ~trace" [] (Farm.spans o)
@@ -895,6 +1037,12 @@ let suite =
       test_case "apsp pinned rounds over shm" `Quick (leak_free apsp_shm_pinned);
       test_case "closure farm over shm" `Quick (leak_free farm_closures_shm);
       test_case "apsp awkward shapes" `Quick (leak_free apsp_awkward_shapes);
+      test_case "sock apsp relays its pivot rows in one round" `Quick
+        (leak_free (apsp_relays Farm.Sock));
+      test_case "shm apsp relays its pivot rows in one round" `Quick
+        (leak_free (apsp_relays Farm.Shm));
+      test_case "apsp execute rejects a bad relayed pivot" `Quick
+        apsp_execute_checks_relays;
       test_case "more PEs than tasks" `Quick (leak_free more_procs_than_tasks);
       test_case "closure farm" `Quick (leak_free farm_closures);
       test_case "sock closure results larger than a ring" `Quick
@@ -911,6 +1059,10 @@ let suite =
         (leak_free (dead_before_ready Farm.Shm));
       test_case "rejects procs < 1" `Quick (leak_free rejects_bad_procs);
       test_case "traced run emits timeline spans" `Quick (leak_free trace_spans);
+      test_case "sock traced apsp separates relay waits" `Quick
+        (leak_free (trace_relay_waits Farm.Sock));
+      test_case "shm traced apsp separates relay waits" `Quick
+        (leak_free (trace_relay_waits Farm.Shm));
       test_case "untraced run has no spans" `Quick (leak_free untraced_runs_have_no_spans);
       test_case "closed links keep the registry bounded" `Quick
         closed_links_keep_registry_bounded;

@@ -131,10 +131,10 @@ let parfib_eden_correct () =
 
 let qcheck_parfib =
   QCheck.Test.make ~name:"parfib == nfib (any n, threshold)" ~count:25
-    QCheck.(pair (int_range 3 16) (int_range 1 18))
-    (fun (n, threshold) ->
-      (* the shrinker can step outside the generator's range *)
-      let n = max 3 n and threshold = max 1 threshold in
+    QCheck.(pair (int_bound 13) (int_bound 17))
+    (fun (n, t) ->
+      (* bounds from 0, as QCheck's shrinker assumes *)
+      let n = n + 3 and threshold = t + 1 in
       let v, _ =
         Rts.run (V.gph_steal ~ncaps:3 ()).config (fun () ->
             W.Parfib.gph ~n ~threshold ())

@@ -129,8 +129,10 @@ let shared_thunk_lazy_correct () =
    counts. *)
 let qcheck_par_list_equals_map =
   QCheck.Test.make ~name:"parList + force == List.map (any ncaps)" ~count:40
-    QCheck.(pair (int_range 1 8) (small_list (int_range (-1000) 1000)))
-    (fun (ncaps, xs) ->
+    QCheck.(pair (int_bound 7) (small_list (int_range (-1000) 1000)))
+    (fun (c, xs) ->
+      (* bounds from 0, as QCheck's shrinker assumes *)
+      let ncaps = c + 1 in
       let got =
         run ~ncaps (fun () ->
             let nodes =

@@ -45,8 +45,13 @@ let hdr_geometry () =
    relative error of the exact rank statistic. *)
 let hdr_quantile_qcheck =
   QCheck.Test.make ~name:"hdr quantile within relative error bound" ~count:300
-    QCheck.(pair (list_of_size Gen.(1 -- 120) (int_range 0 1_000_000)) (int_range 0 100))
-    (fun (xs, qpct) ->
+    QCheck.(
+      pair
+        (pair (int_range 0 1_000_000) (list_of_size Gen.(0 -- 119) (int_range 0 1_000_000)))
+        (int_range 0 100))
+    (fun ((x, rest), qpct) ->
+      (* a head and a tail, so no shrink reaches the empty list *)
+      let xs = x :: rest in
       let q = float_of_int qpct /. 100. in
       let h = Hdr.Local.create () in
       List.iter (Hdr.Local.observe h) xs;
@@ -61,8 +66,11 @@ let hdr_quantile_qcheck =
 (* Count and sum are exact regardless of bucketing, so the mean is too. *)
 let hdr_mean_exact =
   QCheck.Test.make ~name:"hdr mean is exact" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 80) (int_range 0 1_000_000_000))
-    (fun xs ->
+    QCheck.(
+      pair (int_range 0 1_000_000_000)
+        (list_of_size Gen.(0 -- 79) (int_range 0 1_000_000_000)))
+    (fun (x, rest) ->
+      let xs = x :: rest in
       let h = Hdr.Local.create () in
       List.iter (Hdr.Local.observe h) xs;
       let s = Hdr.Local.snapshot h in
@@ -112,8 +120,11 @@ let hdr_of_json j =
 
 let hdr_json_roundtrip =
   QCheck.Test.make ~name:"hdr snapshot json round-trips" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 60) (int_range 0 1_000_000_000))
-    (fun xs ->
+    QCheck.(
+      pair (int_range 0 1_000_000_000)
+        (list_of_size Gen.(0 -- 59) (int_range 0 1_000_000_000)))
+    (fun (x, rest) ->
+      let xs = x :: rest in
       let h = Hdr.Local.create () in
       List.iter (Hdr.Local.observe h) xs;
       let s = Hdr.Local.snapshot h in

@@ -114,8 +114,10 @@ let torus_coordinates () =
 let qcheck_farm =
   QCheck.Test.make ~name:"par_map_farm == List.map (any npes, any list)"
     ~count:30
-    QCheck.(pair (int_range 2 6) (small_list small_nat))
-    (fun (npes, xs) ->
+    QCheck.(pair (int_bound 4) (small_list small_nat))
+    (fun (p, xs) ->
+      (* bounds from 0, as QCheck's shrinker assumes *)
+      let npes = p + 2 in
       run ~npes (fun () ->
           Sk.par_map_farm ~tr_in:Eden.t_int ~tr_out:Eden.t_int
             (fun x -> (3 * x) + 1)
@@ -124,8 +126,9 @@ let qcheck_farm =
 
 let qcheck_master_worker =
   QCheck.Test.make ~name:"master_worker returns one result per task" ~count:25
-    QCheck.(pair (int_range 2 6) (small_list small_nat))
-    (fun (npes, xs) ->
+    QCheck.(pair (int_bound 4) (small_list small_nat))
+    (fun (p, xs) ->
+      let npes = p + 2 in
       let res =
         run ~npes (fun () ->
             Sk.master_worker ~tr_task:Eden.t_int ~tr_res:Eden.t_int
