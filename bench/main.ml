@@ -52,29 +52,39 @@ module Machine = Repro_machine.Machine
    spark threads) swept over the same core ladder on the AMD 16-core
    model.  Problem sizes are the paper's, not the real runs' — the
    comparison is of curve {e shapes} (where each workload saturates),
-   not absolute times. *)
+   not absolute times.  Parfib's and Mandelbrot's results are compared
+   with a reference computed once per series; sumEuler checks itself,
+   as the paper's program does. *)
 let sim_series name ladder =
   let version_at c =
     Versions.with_eager
       (Versions.gph_steal ~machine:(Machine.with_cores Machine.amd16 c) ~ncaps:c ())
   in
-  let work ~ncaps:_ () =
+  let checked want got =
+    if got <> want then
+      failwith (Printf.sprintf "sim %s: result %d, reference %d" name got want)
+  in
+  let work =
     match name with
     | "sumeuler" ->
-        ignore (Repro_workloads.Sumeuler.gph ~n:(if quick then 3000 else 15000) ())
+        fun ~ncaps:_ () ->
+          ignore (Repro_workloads.Sumeuler.gph ~n:(if quick then 3000 else 15000) ())
     | "parfib" ->
-        ignore
-          (Repro_workloads.Parfib.gph
-             ~n:(if quick then 24 else 30)
-             ~threshold:(if quick then 14 else 20)
-             ())
+        let n = if quick then 24 else 30 and threshold = if quick then 14 else 20 in
+        let want = Repro_workloads.Parfib.reference n in
+        fun ~ncaps:_ () -> checked want (Repro_workloads.Parfib.gph ~n ~threshold ())
     | "matmul" ->
-        ignore (Repro_workloads.Matmul.gph ~n:(if quick then 240 else 500) ())
+        fun ~ncaps:_ () ->
+          ignore (Repro_workloads.Matmul.gph ~n:(if quick then 240 else 500) ())
     | "mandelbrot" ->
         let d = if quick then 120 else 300 in
-        ignore (Repro_workloads.Mandelbrot.gph ~width:d ~height:d ())
-    | "apsp" -> ignore (Repro_workloads.Apsp.gph ~n:(if quick then 100 else 200) ())
-    | _ -> ()
+        let want = Repro_workloads.Mandelbrot.reference ~width:d ~height:d () in
+        fun ~ncaps:_ () ->
+          checked want (Repro_workloads.Mandelbrot.gph ~width:d ~height:d ())
+    | "apsp" ->
+        fun ~ncaps:_ () ->
+          ignore (Repro_workloads.Apsp.gph ~n:(if quick then 100 else 200) ())
+    | _ -> fun ~ncaps:_ () -> ()
   in
   E.Exp.series ~label:("sim " ^ name) ~core_counts:ladder ~version_at ~work
 

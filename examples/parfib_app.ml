@@ -24,15 +24,20 @@ let () =
   in
   let eager = (Versions.with_eager (Versions.gph_steal ~ncaps:8 ())).config in
   let lazy_bh = (Versions.gph_steal ~ncaps:8 ()).config in
+  let want = Repro_workloads.Parfib.reference n in
   List.iter
     (fun threshold ->
       let run cfg =
-        Rts.run cfg (fun () ->
-            ignore (Repro_workloads.Parfib.gph ~n ~threshold ()))
+        let v, report =
+          Rts.run cfg (fun () -> Repro_workloads.Parfib.gph ~n ~threshold ())
+        in
+        if v <> want then
+          failwith (Printf.sprintf "parfib %d: got %d, expected %d" n v want);
+        report
       in
-      let _, re = run eager in
-      let _, rl = run lazy_bh in
-      let _, rtps = run { eager with spark_runner = Config.Thread_per_spark } in
+      let re = run eager in
+      let rl = run lazy_bh in
+      let rtps = run { eager with spark_runner = Config.Thread_per_spark } in
       Repro_util.Tablefmt.add_row table
         [
           string_of_int threshold;

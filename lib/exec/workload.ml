@@ -355,8 +355,7 @@ module Apsp_w : S = struct
   let finish () blocks = float_bits (Apsp.checksum (Array.concat (Array.to_list blocks)))
 
   let execute ~size relay (lo, hi) =
-    let g = Apsp.graph size in
-    let d = Array.init (max 0 (hi - lo + 1)) (fun i -> Array.copy g.(lo + i)) in
+    let d = Apsp.graph_rows size ~lo ~hi in
     let mine k = lo <= k && k <= hi in
     if mine 0 then relay.send 0 d.(0);
     for k = 0 to size - 1 do

@@ -27,15 +27,31 @@ module Eden = Repro_core.Eden
 module Skeletons = Repro_core.Skeletons
 module Api = Repro_parrts.Rts.Api
 
-(* Deterministic random digraph as an adjacency matrix of weights. *)
-let graph ?(seed = 7) ?(density = 0.2) n : float array array =
+(* Rows [lo..hi] of a deterministic random digraph's weight matrix.
+   Rows before [lo] are drawn into one dropped row, so a block built
+   alone has the whole matrix's bits; weights go straight into rows,
+   unboxed. *)
+let graph_rows ?(seed = 7) ?(density = 0.2) n ~lo ~hi : float array array =
   let rng = Repro_util.Rng.create seed in
-  Array.init n (fun i ->
-      Array.init n (fun j ->
-          if i = j then 0.0
-          else if Repro_util.Rng.float rng < density then
-            float_of_int (1 + Repro_util.Rng.int rng 100)
-          else infinity))
+  let draw i (row : float array) =
+    for j = 0 to n - 1 do
+      row.(j) <-
+        (if i = j then 0.0
+         else if Repro_util.Rng.float rng < density then
+           float_of_int (1 + Repro_util.Rng.int rng 100)
+         else infinity)
+    done
+  in
+  let dropped = Array.create_float n in
+  for i = 0 to lo - 1 do
+    draw i dropped
+  done;
+  Array.init (max 0 (hi - lo + 1)) (fun r ->
+      let row = Array.create_float n in
+      draw (lo + r) row;
+      row)
+
+let graph ?seed ?density n = graph_rows ?seed ?density n ~lo:0 ~hi:(n - 1)
 
 (* Sequential Floyd–Warshall reference. *)
 let floyd_warshall (adj : float array array) =

@@ -7,6 +7,10 @@
     [infinity] for absent edges. *)
 val graph : ?seed:int -> ?density:float -> int -> float array array
 
+(** Rows [lo..hi] of [graph n] (none if [hi < lo]), built alone. *)
+val graph_rows :
+  ?seed:int -> ?density:float -> int -> lo:int -> hi:int -> float array array
+
 (** Sequential reference. *)
 val floyd_warshall : float array array -> float array array
 

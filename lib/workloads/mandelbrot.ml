@@ -11,7 +11,9 @@
     points through one loop at a time ([escape4]), which only makes
     computing the counts faster: every count is the one-point loop's,
     and the charge stays [iter_cycles] per iteration actually
-    performed. *)
+    performed.  The programs return their sum unchecked, for the
+    caller to compare with {!reference}: a check here would render
+    the image again, uncharged. *)
 
 module Cost = Repro_util.Cost
 module Gph = Repro_core.Gph
@@ -140,10 +142,7 @@ let gph ?(view = default_view) ~width ~height () =
             total))
   in
   Gph.par_list Gph.rwhnf (List.rev rows);
-  let sum = List.fold_left (fun acc r -> acc + Gph.force r) 0 rows in
-  let want = reference ~view ~width ~height () in
-  if sum <> want then failwith "mandelbrot/gph: checksum mismatch";
-  sum
+  List.fold_left (fun acc r -> acc + Gph.force r) 0 rows
 
 (** Eden version: master-worker over rows — the dynamic balancing
     pattern the skeleton exists for. *)
@@ -157,7 +156,4 @@ let eden_mw ?(view = default_view) ?prefetch ~width ~height () =
     Skeletons.master_worker ?prefetch ~tr_task:Eden.t_int ~tr_res:Eden.t_int f
       (List.init height Fun.id)
   in
-  let sum = List.fold_left ( + ) 0 totals in
-  let want = reference ~view ~width ~height () in
-  if sum <> want then failwith "mandelbrot/eden: checksum mismatch";
-  sum
+  List.fold_left ( + ) 0 totals

@@ -15,7 +15,8 @@ val escape : max_iter:int -> float -> float -> int
     a 1-pixel axis samples the view's low edge ([x0] or [y0]). *)
 val compute_row : view:view -> width:int -> height:int -> int -> int array * int
 
-(** Sequential reference checksum (sum of all iteration counts). *)
+(** Sequential reference checksum (sum of all iteration counts), the
+    caller's check of {!gph}'s and {!eden_mw}'s unchecked result. *)
 val reference : ?view:view -> width:int -> height:int -> unit -> int
 
 (** GpH: one spark per row. *)

@@ -1,6 +1,7 @@
 (** Dense matrix multiplication: the paper's second benchmark (Figs. 3
-    and 4).  Real-mode runs raise on any mismatch with the sequential
-    reference. *)
+    and 4).  A [Real] run returns its product's checksum unchecked, for
+    the caller to compare with {!Matrix.mul_ref}'s on the same inputs,
+    [Matrix.random ~seed n] and [~seed:(seed + 1)]; [Synthetic], 0.0. *)
 
 (** GpH blockwise multiply: result blocks become sparks ("the block
     size, i.e. the spark granularity, is tunable by a parameter"),

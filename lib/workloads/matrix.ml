@@ -3,8 +3,8 @@
 
     The simulator can run matrix workloads in two payload modes:
 
-    - [Real]: block kernels actually compute (results are verified
-      against {!mul_ref}); used by tests, examples and small runs.
+    - [Real]: block kernels actually compute (callers compare the
+      result with {!mul_ref}'s); used by tests, examples and small runs.
     - [Synthetic]: kernels charge exactly the same virtual cost but skip
       the floating-point work, so large parameter sweeps (the paper's
       2000x2000 speedup curves) stay fast.  Virtual-time behaviour is

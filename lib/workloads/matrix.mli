@@ -1,7 +1,7 @@
 (** Dense float matrices: reference multiply, blocked kernels and the
     virtual cost model of the paper's Haskell code.
 
-    [Real] payloads actually compute (verified against {!mul_ref});
+    [Real] payloads actually compute (callers compare with {!mul_ref});
     [Synthetic] payloads charge exactly the same virtual cost without
     the floating-point work, keeping the paper's 2000x2000 sweeps
     cheap.  Virtual-time behaviour is identical by construction. *)

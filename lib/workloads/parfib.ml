@@ -14,7 +14,8 @@
 
     Values are computed really (cheaply, by memoised recurrence); the
     charged cost models compiled naive nfib: ~[call_cycles] per call of
-    the call tree. *)
+    the call tree.  The programs return their value unchecked: the
+    caller compares it with {!reference}. *)
 
 module Cost = Repro_util.Cost
 module Gph = Repro_core.Gph
@@ -66,11 +67,7 @@ let gph ~n ~threshold () =
           let xv = Gph.force x in
           xv + yv + 1)
   in
-  let result = Gph.force (node n) in
-  if result <> reference n then
-    failwith
-      (Printf.sprintf "parfib: got %d, expected %d" result (reference n));
-  result
+  Gph.force (node n)
 
 (** Eden parfib: unfold the call tree to a fixed depth, farm the
     sub-trees out as processes, combine at the parent (the usual Eden
@@ -91,8 +88,4 @@ let eden ~n ~depth () =
   let partials =
     Skeletons.par_map_farm ~tr_in:Eden.t_int ~tr_out:Eden.t_int worker subs
   in
-  let result = List.fold_left ( + ) 0 partials + division_nodes in
-  if result <> reference n then
-    failwith
-      (Printf.sprintf "parfib/eden: got %d, expected %d" result (reference n));
-  result
+  List.fold_left ( + ) 0 partials + division_nodes

@@ -1,7 +1,7 @@
 (** parfib: the classic GpH fine-granularity stress test — every call
     above the threshold sparks its left branch, so spark counts grow
     exponentially as the threshold drops.  Computes nfib (the naive
-    call count). *)
+    call count), which the caller compares with {!reference}. *)
 
 (** The value every variant must compute. *)
 val reference : int -> int

@@ -12,7 +12,9 @@
       results.
 
     Both compute the real value (via the fast totient) while charging
-    the naive kernel's virtual cost. *)
+    the naive kernel's virtual cost, then run the paper's own check,
+    [sequential_check], which is charged and shows in Figs. 1–2; the
+    other kernels' programs leave checking to their caller. *)
 
 module Cost = Repro_util.Cost
 module Listx = Repro_util.Listx

@@ -112,10 +112,11 @@ let parfib_gph_correct () =
   check Alcotest.bool "sparked a lot" true (report.Report.sparks.created > 50)
 
 let parfib_threshold_above_n_is_sequential () =
-  let _, report =
+  let v, report =
     Rts.run (V.gph_steal ~ncaps:4 ()).config (fun () ->
-        ignore (W.Parfib.gph ~n:12 ~threshold:13 ()))
+        W.Parfib.gph ~n:12 ~threshold:13 ())
   in
+  check Alcotest.int "value" (W.Parfib.reference 12) v;
   check Alcotest.int "no sparks" 0 report.Report.sparks.created
 
 let parfib_eden_correct () =
@@ -144,10 +145,13 @@ let qcheck_parfib =
 let parfib_granularity_tradeoff () =
   (* very fine granularity must create many more sparks than coarse *)
   let sparks threshold =
-    let _, r =
+    let v, r =
       Rts.run (V.gph_steal ~ncaps:4 ()).config (fun () ->
-          ignore (W.Parfib.gph ~n:20 ~threshold ()))
+          W.Parfib.gph ~n:20 ~threshold ())
     in
+    check Alcotest.int
+      (Printf.sprintf "threshold %d value" threshold)
+      (W.Parfib.reference 20) v;
     r.Report.sparks.created + r.Report.sparks.overflowed
   in
   check Alcotest.bool "finer threshold = more sparks" true

@@ -107,9 +107,19 @@ let matrix_row_segment_equals_ref () =
   check Alcotest.bool "row segments == reference" true
     (Float.abs (W.Matrix.checksum out -. want) < 1e-9 *. Float.abs want)
 
-(* matmul gph/cannon raise internally on mismatch in Real mode, so just
-   running them IS the check; we also compare the two against each
-   other. *)
+(* A Real-payload matmul returns its product's checksum unchecked; it
+   must be, to a relative 1e-6, the checksum of [mul_ref] on the inputs
+   the program draws ([random ~seed:42 n] and [random ~seed:43 n] by
+   default). *)
+let check_product what n got =
+  let want =
+    W.Matrix.(checksum (mul_ref (random ~seed:42 n) (random ~seed:43 n)))
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%s: checksum %h, reference %h" what got want)
+    true
+    (Float.abs (got -. want) <= 1e-6 *. Float.abs want)
+
 let matmul_variants_agree () =
   let n = 48 in
   let g, _ =
@@ -120,6 +130,8 @@ let matmul_variants_agree () =
     Rts.run (V.eden ~npes:5 ()).config (fun () ->
         W.Matmul.eden_cannon ~payload:W.Matrix.Real ~n ~q:2 ())
   in
+  check_product "gph" n g;
+  check_product "cannon" n e;
   check Alcotest.bool "gph == cannon" true (Float.abs (g -. e) < 1e-9 *. Float.abs g)
 
 let matmul_lazy_bh_still_correct () =
@@ -129,7 +141,52 @@ let matmul_lazy_bh_still_correct () =
   let g, _ =
     Rts.run v.config (fun () -> W.Matmul.gph ~payload:W.Matrix.Real ~n ~block:9 ())
   in
-  check Alcotest.bool "finite checksum" true (Float.is_finite g)
+  check_product "lazy black-holing" n g
+
+(* Each program at sizes its decomposition does not divide evenly,
+   against its sequential reference.  Mandelbrot at 1x1, 5x3 and 61x7
+   (one pixel past the last group of four) under GpH lazy and eager
+   stealing and Eden's master-worker, prefetching 1 and the default;
+   Real-payload matmul in GpH blocks of 1, 5 and n, and by Cannon on
+   1x1, 2x2 and 3x3 tori. *)
+let programs_match_references () =
+  let lazy_steal = V.gph_steal ~ncaps:4 () in
+  let eager_steal = V.with_eager lazy_steal and eden = V.eden ~npes:4 () in
+  List.iter
+    (fun (width, height) ->
+      let want = W.Mandelbrot.reference ~width ~height () in
+      List.iter
+        (fun (what, (v : V.version), program) ->
+          let got, _ = Rts.run v.config program in
+          check Alcotest.int
+            (Printf.sprintf "mandelbrot %dx%d %s" width height what)
+            want got)
+        [
+          ("gph lazy steal", lazy_steal, fun () -> W.Mandelbrot.gph ~width ~height ());
+          ("gph eager steal", eager_steal, fun () -> W.Mandelbrot.gph ~width ~height ());
+          ( "eden prefetch 1",
+            eden,
+            fun () -> W.Mandelbrot.eden_mw ~prefetch:1 ~width ~height () );
+          ("eden", eden, fun () -> W.Mandelbrot.eden_mw ~width ~height ());
+        ])
+    [ (1, 1); (5, 3); (61, 7) ];
+  let n = 12 in
+  List.iter
+    (fun block ->
+      let got, _ =
+        Rts.run eager_steal.config (fun () ->
+            W.Matmul.gph ~payload:W.Matrix.Real ~block ~n ())
+      in
+      check_product (Printf.sprintf "gph block %d" block) n got)
+    [ 1; 5; n ];
+  List.iter
+    (fun q ->
+      let got, _ =
+        Rts.run (V.eden ~npes:((q * q) + 1) ()).config (fun () ->
+            W.Matmul.eden_cannon ~payload:W.Matrix.Real ~n ~q ())
+      in
+      check_product (Printf.sprintf "cannon %dx%d" q q) n got)
+    [ 1; 2; 3 ]
 
 let matmul_synthetic_runs () =
   let _, report =
@@ -211,6 +268,30 @@ let qcheck_apsp_sizes =
             W.Apsp.gph ~seed ~n ())
       in
       Int64.bits_of_float got = apsp_reference ~seed n)
+
+(* A block of rows built alone is that block of the whole graph, bit
+   for bit: any block of a graph of 0-67 nodes (the empty ones, those
+   from row 0 and those to the last row included), over several seeds
+   and densities. *)
+let qcheck_apsp_graph_rows =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 67 in
+      let* lo = oneof [ return 0; int_range 0 n ] in
+      let* hi =
+        oneof [ return (n - 1); return (lo - 1); int_range (lo - 1) (n - 1) ]
+      in
+      let* seed = int_range 0 1000 and* density = oneofl [ 0.0; 0.2; 0.5; 1.0 ] in
+      return (n, lo, hi, seed, density))
+  in
+  let print (n, lo, hi, seed, density) =
+    Printf.sprintf "n %d, rows %d..%d, seed %d, density %g" n lo hi seed density
+  in
+  QCheck.Test.make ~name:"apsp graph_rows == rows of graph" ~count:300
+    (QCheck.make ~print gen)
+    (fun (n, lo, hi, seed, density) ->
+      W.Apsp.graph_rows ~seed ~density n ~lo ~hi
+      = Array.sub (W.Apsp.graph ~seed ~density n) lo (max 0 (hi - lo + 1)))
 
 (* Apsp.relax against the one-lane loop it replaced: rows of every
    length 1-67, so every remainder of its eight lanes occurs, entries
@@ -297,12 +378,15 @@ let suite =
       test_case "matrix: row segments == ref" `Quick matrix_row_segment_equals_ref;
       test_case "matmul: gph == cannon" `Quick matmul_variants_agree;
       test_case "matmul: lazy BH correct" `Quick matmul_lazy_bh_still_correct;
+      test_case "programs at odd sizes == reference" `Quick
+        programs_match_references;
       test_case "matmul: synthetic payload" `Quick matmul_synthetic_runs;
       test_case "cannon: rejects bad grid" `Quick cannon_rejects_bad_grid;
       test_case "apsp: reference sanity" `Quick apsp_reference_sanity;
       test_case "apsp: variants agree" `Quick apsp_variants_agree;
       test_case "apsp: ring process counts" `Quick apsp_ring_nprocs_variants;
       QCheck_alcotest.to_alcotest qcheck_apsp_sizes;
+      QCheck_alcotest.to_alcotest qcheck_apsp_graph_rows;
       QCheck_alcotest.to_alcotest qcheck_apsp_relax;
       test_case "apsp: relax checks the pivot's length" `Quick
         apsp_relax_checks_length;
