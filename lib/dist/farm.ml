@@ -13,18 +13,24 @@
     PE the coordinator sent it to.
 
     A pinned round (APSP) places task [i] on PE [i mod procs], and a
-    pinned result asks for nothing.  Each row a running task relays is
-    forwarded to every other PE as it arrives, so apsp's pivot rows are
-    pipelined as in Eden's ring, with no barrier per pivot.
+    pinned result asks for nothing.  The rows a running task relays
+    travel PE to PE around a ring, Eden's ring skeleton: on two or more
+    PEs, edge [i] runs from PE [i] to PE [(i + 1) mod procs] over the
+    farm's transport, and the coordinator wires the ring at spawn and
+    then carries none of it.  So apsp's pivot rows are pipelined with
+    no barrier per pivot and no middle hop.  A PE sends on its
+    out-edge in increasing row number, sends its own row [k] only after
+    receiving every row before [k], and never forwards a row back to
+    the row's origin, so no cycle of blocked senders can form on the
+    ring, even when an edge buffers less than one row (see
+    {!Message}).
 
-    The coordinator sends to a PE only to prime it, to answer its
-    result or to forward a relayed row, and a PE sends a row only after
-    it has read every row relayed before it.  So a PE a forward blocks
-    on is not blocked sending: it computes or reads, and drains its
-    link.  Neither transport needs to drain results while a send
-    blocks, as long as the tasks queued for one PE at once (at most
-    {!prefetch}, or its share of a pinned round) fit in its ring
-    (256 KiB) or socket buffer.
+    The coordinator sends to a PE only to prime it or to answer its
+    result, and a PE reads everything the coordinator sends it before
+    its next result.  So neither transport needs to drain results
+    while a send blocks, as long as the tasks queued for one PE at
+    once (at most {!prefetch}, or its share of a pinned round) fit in
+    its ring (256 KiB) or socket buffer.
 
     {!Repro_mp.Star} also keeps the round's exactly-once ledger: a
     result for the wrong round, a task its PE does not hold, or a task
@@ -47,8 +53,6 @@ type sched_span = {
   send_done_ns : int;
 }
 
-type relay_span = { rl_bytes : int; rl_start_ns : int; rl_done_ns : int }
-
 (* What a round counts, and the coordinator's spans when it is traced,
    newest first. *)
 type counts = {
@@ -56,7 +60,6 @@ type counts = {
   mutable fishes : int;
   mutable no_works : int;
   mutable scheds : sched_span list;
-  mutable relays : relay_span list;
 }
 
 type pe_report = {
@@ -76,7 +79,6 @@ type outcome = {
   no_works : int;
   reports : pe_report array;
   sched_spans : sched_span list;
-  relay_spans : relay_span list;
   coord_pack_ns : int;
   coord_unpack_ns : int;
   work_ns : int;
@@ -88,12 +90,11 @@ type outcome = {
    coordinator on track [procs].  Each executed task is a [task] slice,
    as a pool task is, so [Repro_exec.Profile] reads both backends, with
    [unpack] and [pack] slices around it and a [wait] slice inside it
-   for each blocking relay receive.  The coordinator's [schedule] sends
-   and [relay] forwards are slices on its track, and a [wire] slice on
-   the PE's track bridges the send-done timestamp to the PE's
-   receive-done one — sound because every process reads the same
-   CLOCK_MONOTONIC (see {!Clock}).  Timestamps are rebased to the
-   earliest span. *)
+   for each blocking ring receive.  The coordinator's [schedule] sends
+   are slices on its track, and a [wire] slice on the PE's track
+   bridges the send-done timestamp to the PE's receive-done one —
+   sound because every process reads the same CLOCK_MONOTONIC (see
+   {!Clock}).  Timestamps are rebased to the earliest span. *)
 let spans (o : outcome) : Repro_trace.Chrome.span list =
   let acc = ref [] in
   let push ?(bytes = 0) tid name cat t0 t1 =
@@ -116,9 +117,6 @@ let spans (o : outcome) : Repro_trace.Chrome.span list =
       push ~bytes:s.sp_bytes o.procs "schedule" "sched" s.send_start_ns
         s.send_done_ns)
     o.sched_spans;
-  List.iter
-    (fun r -> push ~bytes:r.rl_bytes o.procs "relay" "net" r.rl_start_ns r.rl_done_ns)
-    o.relay_spans;
   Array.iter
     (fun r ->
       List.iter
@@ -148,25 +146,31 @@ let prefetch = 2
 
 (* ---------------- spawning ---------------- *)
 
-let spawn_process ~extra_tokens =
-  let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match
-    (* Later children must not inherit this link, or a dead worker's
-       EOF would never reach us. *)
-    Unix.set_close_on_exec parent_fd;
-    let argv =
-      Array.append (Worker.default_argv ()) (Array.of_list extra_tokens)
-    in
-    Unix.create_process argv.(0) argv child_fd Unix.stdout Unix.stderr
-  with
-  | pid ->
-      Unix.close child_fd;
-      (parent_fd, pid)
-  | exception e ->
-      (* a failed exec must not leak the pair *)
-      Unix.close child_fd;
-      Unix.close parent_fd;
-      raise e
+(* Spawn one PE with [tokens] after the marker.  [passed] are the PE's
+   ring edge ends, created close-on-exec: the flag is cleared on them
+   only for this [create_process], and they are closed here on every
+   path, so no other PE inherits them and the coordinator keeps none. *)
+let spawn_process ~tokens ~passed =
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close passed)
+    (fun () ->
+      let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match
+        (* Later children must not inherit this link, or a dead worker's
+           EOF would never reach us. *)
+        Unix.set_close_on_exec parent_fd;
+        let argv = Array.append (Worker.default_argv ()) (Array.of_list tokens) in
+        List.iter Unix.clear_close_on_exec passed;
+        Unix.create_process argv.(0) argv child_fd Unix.stdout Unix.stderr
+      with
+      | pid ->
+          Unix.close child_fd;
+          (parent_fd, pid)
+      | exception e ->
+          (* a failed exec must not leak the pair *)
+          Unix.close child_fd;
+          Unix.close parent_fd;
+          raise e)
 
 let kill_all links =
   Array.iter
@@ -176,15 +180,56 @@ let kill_all links =
       try ignore (Unix.waitpid [] l.pid) with Unix.Unix_error _ -> ())
     links
 
-(* Spawn [hello.procs] PEs with [spawn pe], send each its Hello, then wait
-   for every PE's [Ready].  A PE sends it once its session has started,
-   so on both transports [Farm.run]'s [spawn_ns] includes PE start-up,
-   and a PE that cannot serve fails here.  If anything fails, the PEs
-   spawned so far are killed and reaped.  [release] runs on both paths,
-   once no PE can still need it (shm: unlink the segments, which every
-   PE has mapped before its [Ready]). *)
-let start_pes ~(hello : Message.hello) ~release spawn =
-  let spawned = ref [] in
+(* Edge [i] of the PEs' ring, from PE [i] to PE [(i + 1) mod procs]: a
+   socketpair, and over shm also the segment whose doorbell it is.
+   PE [i] writes through [src], PE [i + 1] reads through [dst]. *)
+type edge = { src : Unix.file_descr; dst : Unix.file_descr; seg : string option }
+
+(* Spawn [hello.procs] PEs over [transport], send each its Hello, then
+   wait for every PE's [Ready].  A PE sends it once its session has
+   started, so on both transports [Farm.run]'s [spawn_ns] includes PE
+   start-up, and a PE that cannot serve fails here.  Over shm each PE's
+   link to the coordinator is a segment whose path travels in argv, the
+   socketpair becoming its doorbell.  On two or more PEs the ring's
+   edges are made first and each PE is handed its two ends.  Whichever
+   way this ends, the PEs spawned so far are killed and reaped on
+   failure, the edge ends no PE took are closed, and every segment is
+   unlinked: every PE has mapped its segments before its [Ready]. *)
+let start_pes ~transport ~(hello : Message.hello) =
+  let procs = hello.procs in
+  let spawned = ref [] and held = ref [] and segs = ref [] in
+  let segment () =
+    match transport with
+    | Sock -> None
+    | Shm ->
+        let path = Shm_ring.create_segment () in
+        segs := path :: !segs;
+        Some path
+  in
+  let release () =
+    List.iter Unix.close !held;
+    List.iter Shm_ring.unlink_segment !segs
+  in
+  let edge () =
+    let src, dst = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    held := src :: dst :: !held;
+    { src; dst; seg = segment () }
+  in
+  let spawn edges pe =
+    let own = segment () in
+    let ring =
+      if procs < 2 then []
+      else
+        let inn = edges.((pe + procs - 1) mod procs) and out = edges.(pe) in
+        [ (Worker.edge_token `In inn.dst inn.seg, inn.dst);
+          (Worker.edge_token `Out out.src out.seg, out.src) ]
+    in
+    let passed = List.map snd ring in
+    held := List.filter (fun fd -> not (List.mem fd passed)) !held;
+    let tokens = Option.to_list (Option.map (( ^ ) "shm=") own) @ List.map fst ring in
+    let fd, pid = spawn_process ~tokens ~passed in
+    { pe; pid; conn = Link.of_fd ~side:`A fd own }
+  in
   let await_ready l =
     match Message.recv_to_coordinator l.conn with
     | Message.Ready -> ()
@@ -193,10 +238,11 @@ let start_pes ~(hello : Message.hello) ~release spawn =
     | _ -> failwith (Printf.sprintf "dist: PE %d spoke before Ready" l.pe)
   in
   match
-    for pe = 0 to hello.procs - 1 do
-      let pid, conn = spawn pe in
-      spawned := { pe; pid; conn } :: !spawned;
-      Message.send_hello conn { hello with Message.pe }
+    let edges = if procs < 2 then [||] else Array.init procs (fun _ -> edge ()) in
+    for pe = 0 to procs - 1 do
+      let l = spawn edges pe in
+      spawned := l :: !spawned;
+      Message.send_hello l.conn { hello with Message.pe }
     done;
     let links = Array.of_list (List.rev !spawned) in
     Array.iter await_ready links;
@@ -209,20 +255,6 @@ let start_pes ~(hello : Message.hello) ~release spawn =
       kill_all (Array.of_list !spawned);
       release ();
       raise e
-
-let spawn_sock ~hello =
-  start_pes ~hello ~release:ignore (fun _pe ->
-      let fd, pid = spawn_process ~extra_tokens:[] in
-      (pid, Link.Sock (Wire.create ~read_fd:fd ~write_fd:fd ())))
-
-(* One segment per PE.  Its path travels in argv; the socketpair
-   becomes the doorbell. *)
-let spawn_shm ~hello =
-  let paths = Array.init hello.Message.procs (fun _ -> Shm_ring.create_segment ()) in
-  let release () = Array.iter Shm_ring.unlink_segment paths in
-  start_pes ~hello ~release (fun pe ->
-      let fd, pid = spawn_process ~extra_tokens:[ "shm=" ^ paths.(pe) ] in
-      (pid, Link.Shm (Shm_ring.attach ~path:paths.(pe) ~side:`A ~doorbell:fd)))
 
 (* ---------------- the round ---------------- *)
 
@@ -238,8 +270,7 @@ let ledger_failure ~pe (e : Star.error) =
 
 (* Drive [payloads] (pre-marshalled tasks) to completion, returning
    the result payloads in task order; {!Repro_mp.Star} numbers the
-   tasks from 0 and places them.  A row a PE relays meanwhile is
-   forwarded to every other PE before anything else is read. *)
+   tasks from 0 and places them. *)
 let exec_round ~(counts : counts) ~trace ~(links : link array) ~pinned
     (payloads : string array) : Message.payload array =
   let n = Array.length payloads in
@@ -283,16 +314,6 @@ let exec_round ~(counts : counts) ~trace ~(links : link array) ~pinned
               if placed = [] then counts.no_works <- counts.no_works + 1
             end;
             List.iter send_task placed)
-    | Relay { k; len } ->
-        let t0 = Clock.now_ns () in
-        let row = Link.recv_floats l.conn ~len in
-        Array.iter
-          (fun o -> if o.pe <> l.pe then Message.relay_to_worker o.conn ~k row)
-          links;
-        if trace then
-          counts.relays <-
-            { rl_bytes = 8 * len; rl_start_ns = t0; rl_done_ns = Clock.now_ns () }
-            :: counts.relays
     | Ready -> failwith "dist: stray Ready after start-up"
     | Stats _ -> failwith "dist: unsolicited Stats before Harvest"
   in
@@ -325,7 +346,6 @@ let harvest (links : link array) : pe_report array =
         match Message.recv_to_coordinator l.conn with
         | Ready -> failwith "dist: stray Ready at harvest"
         | Result _ -> failwith "dist: result arrived after the round"
-        | Relay _ -> failwith "dist: row relayed after the round"
         | Stats s -> s
       in
       { rep_pe = l.pe; rep_pid = l.pid; stats; co = Link.counters l.conn })
@@ -349,11 +369,7 @@ let shutdown (links : link array) =
 let with_links ?(transport = Sock) ~procs ~mode ~trace f =
   let t0 = Clock.now_ns () in
   let hello = { Message.pe = 0; procs; mode; trace } in
-  let links =
-    match transport with
-    | Sock -> spawn_sock ~hello
-    | Shm -> spawn_shm ~hello
-  in
+  let links = start_pes ~transport ~hello in
   let spawn_ns = Clock.now_ns () - t0 in
   match f links with
   | v -> (v, links, spawn_ns)
@@ -365,7 +381,7 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
     outcome =
   if procs < 1 then invalid_arg "Farm.run: procs must be >= 1";
   let counts =
-    { schedules = 0; fishes = 0; no_works = 0; scheds = []; relays = [] }
+    { schedules = 0; fishes = 0; no_works = 0; scheds = [] }
   in
   let coord_pack_ns = ref 0 and coord_unpack_ns = ref 0 in
   let mode = Message.Workload { name = W.name; size } in
@@ -414,7 +430,6 @@ let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :
     no_works = counts.no_works;
     reports;
     sched_spans = counts.scheds;
-    relay_spans = counts.relays;
     coord_pack_ns = !coord_pack_ns;
     coord_unpack_ns = !coord_unpack_ns;
     work_ns;
@@ -499,7 +514,7 @@ let sample ~transport ~procs ~size (module W : Workload.S) :
 let farm ?transport ~procs (fs : (unit -> 'a) list) : 'a list =
   if procs < 1 then invalid_arg "Farm.farm: procs must be >= 1";
   let counts =
-    { schedules = 0; fishes = 0; no_works = 0; scheds = []; relays = [] }
+    { schedules = 0; fishes = 0; no_works = 0; scheds = [] }
   in
   (* The closure is marshalled with [Marshal.Closures]; that works
      because every PE runs the very same binary (same code-fragment

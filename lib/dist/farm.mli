@@ -4,11 +4,14 @@
     choice of transport. *)
 
 (** The paper's PVM-on-sockets vs PVM-on-shared-memory axis, which
-    changes only how bytes move: {!Sock} is a socketpair per PE, {!Shm}
-    a pair of mapped single-producer rings per PE with a socketpair as
-    its doorbell.  Over both, the PEs form a star around the
-    coordinator: every result goes to it, and so does every row a task
-    relays, which it forwards to every other PE. *)
+    changes only how bytes move: {!Sock} is a socketpair per link,
+    {!Shm} a pair of mapped single-producer rings per link with a
+    socketpair as its doorbell.  Over both, the PEs form a star around
+    the coordinator, which sends every task and gets every result, and
+    on two or more PEs also a ring of links, PE [i] to PE
+    [(i + 1) mod procs], which carries every row a task relays PE to
+    PE; the coordinator wires the ring at spawn and carries none of
+    it. *)
 type transport = Sock | Shm
 
 (** ["socketpair"] / ["shm"] — the name used in reports and JSON. *)
@@ -24,11 +27,6 @@ type sched_span = {
   send_start_ns : int;
   send_done_ns : int;
 }
-
-(** Coordinator-side timing of one relayed row of [rl_bytes] floats'
-    bytes, from reading its control message to the end of its last
-    forward. *)
-type relay_span = { rl_bytes : int; rl_start_ns : int; rl_done_ns : int }
 
 type pe_report = {
   rep_pe : int;
@@ -48,7 +46,6 @@ type outcome = {
   no_works : int;  (** unpinned results that found no task left *)
   reports : pe_report array;
   sched_spans : sched_span list;  (** newest first; [] unless traced *)
-  relay_spans : relay_span list;  (** newest first; [] unless traced *)
   coord_pack_ns : int;  (** task payload marshalling on the coordinator *)
   coord_unpack_ns : int;  (** result payload unmarshalling *)
   work_ns : int;  (** [start] to [finish]; excludes spawn *)
@@ -64,12 +61,12 @@ type outcome = {
 (** The spans of a traced run ([run ~trace:true]; empty otherwise),
     rebased to the earliest one.  PE [p] is track [p]: a [task] slice
     per executed task, as in the pool's traces, between [unpack] and
-    [pack] slices, a [wait] slice inside it per blocking relay receive,
+    [pack] slices, a [wait] slice inside it per blocking ring receive,
     and a [wire] slice from the coordinator's send-done timestamp to
     the PE's receive-done one (every process reads the same
     CLOCK_MONOTONIC).  The coordinator is track [procs], with its
-    [schedule] sends and [relay] forwards.  [schedule], [wire] and
-    [relay] slices carry the payload size as a [bytes] arg. *)
+    [schedule] sends.  [schedule] and [wire] slices carry the payload
+    size as a [bytes] arg. *)
 val spans : outcome -> Repro_trace.Chrome.span list
 
 (** {!spans} as a Chrome trace-event document on named tracks

@@ -9,6 +9,10 @@
 
 type t = Sock of Wire.conn | Shm of Shm_ring.conn
 
+let of_fd ~side fd = function
+  | None -> Sock (Wire.create ~read_fd:fd ~write_fd:fd ())
+  | Some path -> Shm (Shm_ring.attach ~path ~side ~doorbell:fd)
+
 let send = function Sock c -> Wire.send c | Shm c -> Shm_ring.send c
 let recv = function Sock c -> Wire.recv c | Shm c -> Shm_ring.recv c
 

@@ -3,6 +3,11 @@
 
 type t = Sock of Wire.conn | Shm of Shm_ring.conn
 
+(** [of_fd ~side fd seg] is the link over descriptor [fd], one end of a
+    socketpair: the socket itself ([seg = None]), or the shm segment at
+    path [seg]'s [side] with [fd] as its doorbell. *)
+val of_fd : side:[ `A | `B ] -> Unix.file_descr -> string option -> t
+
 val send : t -> string -> unit
 val recv : t -> string
 val send_floats : t -> float array -> unit

@@ -1,15 +1,27 @@
-(** The coordinator/PE message vocabulary (paper Sec. III-B): the
-    coordinator pushes work with [Schedule] (GUM's SCHEDULE message)
-    and a PE answers each task with its [Result], which also asks for
-    the PE's next task, as a result does in Eden's masterWorker.  A PE
-    asks for nothing else: GUM's FISH would carry no information here.
-    A running task may [Relay] a row (apsp's pivots, pipelined as in
-    Eden's ring), which the coordinator forwards as a [Relay] to every
-    other PE; a PE sends one only after receiving every row relayed
-    before it, so no forward waits on a PE blocked sending.
-    [Harvest]/[Stats] drain the per-PE counters at shutdown.  The
-    vocabulary is the same over both transports: every message goes
-    between the coordinator and one PE.
+(** The message vocabulary (paper Sec. III-B), over both transports.
+
+    Between the coordinator and each PE: the coordinator pushes work
+    with [Schedule] (GUM's SCHEDULE message) and a PE answers each task
+    with its [Result], which also asks for the PE's next task, as a
+    result does in Eden's masterWorker.  A PE asks for nothing else:
+    GUM's FISH would carry no information here.  [Harvest]/[Stats]
+    drain the per-PE counters at shutdown.
+
+    Between neighbouring PEs: a running task's rows (apsp's pivots)
+    travel around the PEs' ring, Eden's ring skeleton, as a
+    {!ring_row} on each edge.  A PE sends its own rows to its right
+    neighbour and forwards every row it receives from its left one,
+    except to the PE that made it.  No cycle of blocked senders can
+    form: a PE sends on its out-edge in increasing row number, sends
+    its own row [k] only after receiving every row before [k], and
+    never forwards a row back to its origin.  Say a PE is blocked
+    sending row [k] to its right neighbour, which is blocked sending
+    row [k'] in turn.  Row [k] has not reached the neighbour and is not
+    the neighbour's own, so [k'] either came before [k] on the
+    neighbour's in-edge or is the neighbour's own row, sent only once
+    every row before it had arrived: [k' < k] either way.  Round a
+    whole ring of blocked senders that would give [k < k].  That holds
+    even when an edge buffers less than one row.
 
     Control payloads are [Marshal]-serialised {e fully-evaluated}
     values — Eden's rule that only whole normal forms cross the heap
@@ -18,9 +30,9 @@
     module is monomorphic and every byte on the wire is accounted to
     the link's counters, marshalling time included.  Bulk floats
     bypass [Marshal] entirely: a [Result] with [blob >= 0], and every
-    [Relay], announces a float message of that many elements following
+    ring row, announces a float message of that many elements following
     on the same link (see {!send_result}/{!recv_result_payload} and
-    {!relay_to_coordinator}/{!relay_to_worker}). *)
+    {!send_row}/{!recv_row}). *)
 
 type mode =
   | Workload of { name : string; size : int }
@@ -37,9 +49,6 @@ type hello = {
 
 type to_worker =
   | Schedule of { task_id : int; round : int; payload : string }
-  | Relay of { k : int; len : int }
-      (** row [k] another PE relayed: a float message of [len]
-          elements follows on this link *)
   | Harvest
   | Shutdown
 
@@ -53,7 +62,7 @@ type task_span = {
   exec_end_ns : int;
   span_pack_ns : int;
   span_waits : (int * int) list;
-      (** the task's blocking relay receives, [(start, stop)] in order;
+      (** the task's blocking ring receives, [(start, stop)] in order;
           [exec_end_ns - exec_start_ns] less their sum is its share of
           [exec_ns] *)
 }
@@ -61,7 +70,7 @@ type task_span = {
 type worker_stats = {
   stats_pe : int;
   tasks_executed : int;
-  msgs_sent : int;  (** on the PE's one link, to the coordinator *)
+  msgs_sent : int;  (** on the PE's link to the coordinator and its ring edges *)
   msgs_recv : int;
   bytes_sent : int;
   bytes_recv : int;
@@ -74,7 +83,7 @@ type worker_stats = {
   pack_ns : int;
   unpack_ns : int;
   exec_ns : int;
-      (** time inside [W.execute], summed, less the relay waits *)
+      (** time inside [W.execute], summed, less the ring waits *)
   gc_minor_collections : int;  (** deltas over the PE's own private heap *)
   gc_major_collections : int;
   gc_minor_words : float;
@@ -100,10 +109,11 @@ type to_coordinator =
               result is the float message of this many elements
               following on this link, and [payload] is empty. *)
     }
-  | Relay of { k : int; len : int }
-      (** row [k] for every other PE: a float message of [len]
-          elements follows on this link *)
   | Stats of worker_stats
+
+(** One row on a ring edge, PE to PE: row [k], made by PE [origin]; a
+    float message of [len] elements follows on the edge. *)
+type ring_row = { k : int; origin : int; len : int }
 
 (* ---------------- wire glue ---------------- *)
 
@@ -153,11 +163,12 @@ let send_result link ~task_id ~round (p : payload) =
 let recv_result_payload link ~blob ~payload : payload =
   if blob < 0 then Bytes_p payload else Floats_p (Link.recv_floats link ~len:blob)
 
-(* A relay is its control message, then the row on the float plane. *)
-let relay_to_coordinator link ~k row =
-  send_to_coordinator link (Relay { k; len = Array.length row });
+(* A ring row is its control message, then the row on the float
+   plane. *)
+let send_row link ~k ~origin row =
+  send_value link { k; origin; len = Array.length row };
   Link.send_floats link row
 
-let relay_to_worker link ~k row =
-  send_to_worker link (Relay { k; len = Array.length row });
-  Link.send_floats link row
+let recv_row link =
+  let ({ k; origin; len } : ring_row) = recv_value link in
+  (k, origin, Link.recv_floats link ~len)

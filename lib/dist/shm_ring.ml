@@ -274,13 +274,15 @@ let attach ~path ~side ~doorbell =
 
 let peer_gone c = c.peer_gone
 
+(* Only the first call closes the doorbell: a second would close
+   whatever descriptor has taken its number since. *)
 let close c =
-  (match c.mtoken with
+  match c.mtoken with
   | Some tok ->
       c.mtoken <- None;
-      Repro_metrics.Metrics.remove_collector tok
-  | None -> ());
-  try Unix.close c.doorbell with Unix.Unix_error _ -> ()
+      Repro_metrics.Metrics.remove_collector tok;
+      (try Unix.close c.doorbell with Unix.Unix_error _ -> ())
+  | None -> ()
 
 (* ---------------- producer side ---------------- *)
 
@@ -309,10 +311,28 @@ let ring_doorbell c =
   | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
       Wire.raise_dead_peer "peer closed the doorbell during send"
 
-(* Claim [total] contiguous data bytes (microsleeping while the ring
-   is full), write the frame, publish it, and wake a sleeping
-   consumer.  [write] fills the payload at the byte offset it is
-   given. *)
+(* Swallow pending wake tokens (non-blocking).  Tokens are hints —
+   losing one is impossible while [sleeping] is clear, and a stale one
+   only causes a spurious wake, so draining needs no precision. *)
+let drain_doorbell c =
+  let rec go () =
+    match Unix.select [ c.doorbell ] [] [] 0.0 with
+    | [], _, _ -> ()
+    | _ -> (
+        match
+          try Unix.read c.doorbell c.scratch 0 64 with Unix.Unix_error _ -> 0
+        with
+        | 0 -> c.peer_gone <- true
+        | _ -> go ())
+  in
+  go ()
+
+(* Claim [total] contiguous data bytes, write the frame, publish it,
+   and wake a sleeping consumer.  [write] fills the payload at the byte
+   offset it is given.  While the ring is full the producer
+   microsleeps, draining its doorbell each time: a token there is a
+   stale hint (it never sleeps while producing), and EOF means the
+   consumer died and will never free the ring. *)
 let write_frame c ~kind ~last ~len ~payload_bytes ~write =
   let r = c.out_ring in
   let total = word + align8 payload_bytes in
@@ -326,6 +346,9 @@ let write_frame c ~kind ~last ~len ~payload_bytes ~write =
     r.peer_head <- Mapped_word.load r.head_w;
     if tail + need - r.peer_head > r.cap then begin
       M.incr (Lazy.force backpressure_waits);
+      drain_doorbell c;
+      if c.peer_gone then
+        Wire.raise_dead_peer "peer closed the doorbell with the ring full";
       micro_sleep ()
     end
   done;
@@ -419,22 +442,6 @@ let prepare_sleep c =
   Tatomic.Fence.full c.fence
 
 let cancel_sleep c = Mapped_word.store c.in_ring.sleeping_w 0
-
-(* Swallow pending wake tokens (non-blocking).  Tokens are hints —
-   losing one is impossible while [sleeping] is clear, and a stale one
-   only causes a spurious wake, so draining needs no precision. *)
-let drain_doorbell c =
-  let rec go () =
-    match Unix.select [ c.doorbell ] [] [] 0.0 with
-    | [], _, _ -> ()
-    | _ -> (
-        match
-          try Unix.read c.doorbell c.scratch 0 64 with Unix.Unix_error _ -> 0
-        with
-        | 0 -> c.peer_gone <- true
-        | _ -> go ())
-  in
-  go ()
 
 let spin_limit = 512
 

@@ -31,7 +31,9 @@ val attach :
   path:string -> side:[ `A | `B ] -> doorbell:Unix.file_descr -> conn
 
 (** Blocks, microsleeping, while the out-ring is full: a message larger
-    than the ring needs the peer to be receiving. *)
+    than the ring needs the peer to be receiving.
+    @raise Wire.Dead_peer if the peer closed its doorbell while the
+    ring was full (it died, so it will never free the ring). *)
 val send : conn -> string -> unit
 
 (** @raise End_of_file if the peer died at a message boundary,
@@ -67,7 +69,8 @@ val drain_doorbell : conn -> unit
 val peer_gone : conn -> bool
 
 (** Closes the doorbell (the mappings are reclaimed by the GC /
-    process exit; the segment file by {!unlink_segment}). *)
+    process exit; the segment file by {!unlink_segment}).  Closing
+    twice closes once. *)
 val close : conn -> unit
 
 (** The shim control-word instance: an 8-byte-aligned slot of the

@@ -16,18 +16,23 @@
     Over the socketpair transport that stdin descriptor {e is} the
     message channel.  Over the shm transport it is only the doorbell:
     messages flow through an mmap'd ring segment whose path arrives as
-    the one argv token after {!marker} ([shm=PATH]) — a path crosses
-    [create_process] where a descriptor cannot.
+    an argv token after {!marker} ([shm=PATH]).
 
-    The transport changes only how bytes move: over both, the PE runs
-    one loop, a blocking receive from the coordinator and a result back
-    to it for each task (the paper's star of Eden PEs around one
-    coordinator).  A running task's relay handle ({!Workload.relay})
-    sends rows to the coordinator and blocks for those it forwards;
-    only a relayed row can arrive then, and one outside a task is a
-    protocol error.  A task sends a row only after receiving every row
-    relayed before it, so no forward can wait on a PE that is blocked
-    sending.  [exec_ns] leaves the blocking receives out.
+    On two or more PEs, a PE also holds its two edges of the PEs' ring
+    (Eden's ring skeleton): [in=FD] from its left neighbour and
+    [out=FD] to its right one, descriptors it inherits, plus over shm
+    each edge's segment ([in=FD:PATH], the descriptor then being the
+    edge's doorbell).  The transport changes only how bytes move: over
+    both, the PE runs one loop, a blocking receive from the coordinator
+    and a result back to it for each task.  A running task's relay
+    handle ({!Workload.relay}) sends the task's rows on the out-edge
+    and blocks on the in-edge for the others', forwarding each to the
+    right unless the right neighbour made it.  So a PE sends on its
+    out-edge in increasing row number (rows arrive in that order, and
+    a task sends its own row [k] only after receiving every row before
+    [k]), and never back to a row's origin: no cycle of blocked
+    senders can form, even when an edge buffers less than one row.
+    [exec_ns] leaves the blocking receives out.
 
     The PE owns a fully private OCaml heap with its own GC — the
     defining property of the Eden/GUM model this backend realises —
@@ -48,24 +53,28 @@ type executed = {
   pack_ns : int;
 }
 
-(* The running task's relay over the PE's one link.  A row goes to the
-   coordinator, which forwards it to every other PE; each blocking
-   receive is pushed on [waits] as [(start, stop)], so it counts as
-   waiting, not compute.  On one PE there is nobody to relay to. *)
-let relay_over conn ~procs ~waits : Workload.relay =
-  let send k row = if procs > 1 then Message.relay_to_coordinator conn ~k row in
-  let recv () =
-    if procs = 1 then failwith "dist worker: relay receive on the only PE";
-    let t0 = Clock.now_ns () in
-    match Message.recv_to_worker conn with
-    | Relay { k; len } ->
-        let row = Link.recv_floats conn ~len in
+(* The running task's relay over the PE's ring edges, [(inn, out)]:
+   its own rows go out, every other row comes in and is passed on to
+   the right unless the right neighbour made it.  Each blocking receive
+   is pushed on [waits] as [(start, stop)], so it counts as waiting,
+   not compute.  On one PE there is no ring and nobody to relay to. *)
+let relay_over ring ~pe ~procs ~waits : Workload.relay =
+  match ring with
+  | None ->
+      {
+        send = (fun _ _ -> ());
+        recv = (fun () -> failwith "dist worker: relay receive on the only PE");
+      }
+  | Some (inn, out) ->
+      let right = (pe + 1) mod procs in
+      let recv () =
+        let t0 = Clock.now_ns () in
+        let k, origin, row = Message.recv_row inn in
         waits := (t0, Clock.now_ns ()) :: !waits;
+        if origin <> right then Message.send_row out ~k ~origin row;
         (k, row)
-    | Schedule _ | Harvest | Shutdown ->
-        failwith "dist worker: a task waiting for a relayed row got another message"
-  in
-  { send; recv }
+      in
+      { send = (fun k row -> Message.send_row out ~k ~origin:pe row); recv }
 
 (* Build the payload -> executed function once per session.  Workload
    mode looks the workload up in the registry and round-trips typed
@@ -119,6 +128,7 @@ let max_recorded_spans = 8192
 
 type session = {
   hello : Message.hello;
+  links : Link.t list;  (** the coordinator's, then the ring edges *)
   execute : string -> executed;
   waits : (int * int) list ref;  (** the running task's, newest first *)
   gc0 : Gc.stat;
@@ -130,13 +140,13 @@ type session = {
   mutable spans_dropped : int;
 }
 
-let start_session hello conn =
+let start_session hello conn ring =
   let waits = ref [] in
+  let { Message.pe; procs; mode; _ } = hello in
   {
     hello;
-    execute =
-      executor hello.Message.mode
-        (relay_over conn ~procs:hello.Message.procs ~waits);
+    links = conn :: (match ring with Some (inn, out) -> [ inn; out ] | None -> []);
+    execute = executor mode (relay_over ring ~pe ~procs ~waits);
     waits;
     gc0 = Gc.quick_stat ();
     (* [quick_stat]'s [minor_words] only advances at collection
@@ -181,24 +191,25 @@ let run_task s ~coord ~task_id ~round payload =
     else s.spans_dropped <- s.spans_dropped + 1;
   Message.send_result coord ~task_id ~round e.out
 
-let stats_of_session s conn : Message.worker_stats =
+(* The session's counters, summed over the PE's links. *)
+let stats_of_session s : Message.worker_stats =
   let gc1 = Gc.quick_stat () in
-  let c = Link.counters conn in
+  let sum f = List.fold_left (fun acc l -> acc + f (Link.counters l)) 0 s.links in
   {
     Message.stats_pe = s.hello.Message.pe;
     tasks_executed = s.tasks_executed;
-    msgs_sent = c.Wire.msgs_sent;
-    msgs_recv = c.Wire.msgs_recv;
-    bytes_sent = c.Wire.bytes_sent;
-    bytes_recv = c.Wire.bytes_recv;
-    packets_sent = c.Wire.packets_sent;
-    packets_recv = c.Wire.packets_recv;
-    payload_bytes_sent = c.Wire.payload_bytes_sent;
-    payload_bytes_recv = c.Wire.payload_bytes_recv;
-    zero_copy_bytes_sent = c.Wire.zero_copy_bytes_sent;
-    zero_copy_bytes_recv = c.Wire.zero_copy_bytes_recv;
-    pack_ns = c.Wire.pack_ns;
-    unpack_ns = c.Wire.unpack_ns;
+    msgs_sent = sum (fun c -> c.Wire.msgs_sent);
+    msgs_recv = sum (fun c -> c.Wire.msgs_recv);
+    bytes_sent = sum (fun c -> c.Wire.bytes_sent);
+    bytes_recv = sum (fun c -> c.Wire.bytes_recv);
+    packets_sent = sum (fun c -> c.Wire.packets_sent);
+    packets_recv = sum (fun c -> c.Wire.packets_recv);
+    payload_bytes_sent = sum (fun c -> c.Wire.payload_bytes_sent);
+    payload_bytes_recv = sum (fun c -> c.Wire.payload_bytes_recv);
+    zero_copy_bytes_sent = sum (fun c -> c.Wire.zero_copy_bytes_sent);
+    zero_copy_bytes_recv = sum (fun c -> c.Wire.zero_copy_bytes_recv);
+    pack_ns = sum (fun c -> c.Wire.pack_ns);
+    unpack_ns = sum (fun c -> c.Wire.unpack_ns);
     exec_ns = s.exec_ns;
     gc_minor_collections =
       (Gc.quick_stat ()).minor_collections - s.gc0.minor_collections;
@@ -215,35 +226,62 @@ let stats_of_session s conn : Message.worker_stats =
 
 (* ---------------- the PE loop ---------------- *)
 
-(* argv after the marker: nothing (sock), or [shm=PATH], the segment
-   of the shm transport, whose doorbell is stdin.  Then one loop over
-   either [Link.t] case: a blocking receive from the coordinator, and
-   each task's result sent back to it.  The coordinator takes an
-   unpinned result as the PE's request for more, so the PE asks for
-   nothing else. *)
+(* On Unix a [Unix.file_descr] is the descriptor's number, which is
+   what an edge's argv token carries: an inherited descriptor has no
+   other way into OCaml, nor an open one's number out of it. *)
+external fd_of_int : int -> Unix.file_descr = "%identity"
+external int_of_fd : Unix.file_descr -> int = "%identity"
+
+let edge_token dir fd seg =
+  Printf.sprintf "%s=%d%s"
+    (match dir with `In -> "in" | `Out -> "out")
+    (int_of_fd fd)
+    (match seg with Some path -> ":" ^ path | None -> "")
+
+(* [s] split at its first [c], if it has one. *)
+let cut c s =
+  match String.index_opt s c with
+  | None -> (s, None)
+  | Some i -> (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+
+(* An edge from its token's value, [FD] or [FD:PATH]: the in-edge is the
+   segment's side B, the out-edge its side A. *)
+let edge_link ~side v =
+  let fd, seg = cut ':' v in
+  Link.of_fd ~side (fd_of_int (int_of_string fd)) seg
+
+(* argv after the marker, [KEY=VALUE] tokens: [shm=PATH], the segment
+   of the shm transport, whose doorbell is stdin (none: sock), and on
+   two or more PEs the ring edges [in=...] and [out=...].  Then one
+   loop over either [Link.t] case: a blocking receive from the
+   coordinator, and each task's result sent back to it.  The
+   coordinator takes an unpinned result as the PE's request for more,
+   so the PE asks for nothing else. *)
 let serve argv =
-  let conn =
-    match Array.sub argv 2 (Array.length argv - 2) with
-    | [||] -> Link.Sock (Wire.create ~read_fd:Unix.stdin ~write_fd:Unix.stdin ())
-    | [| tok |] when String.starts_with ~prefix:"shm=" tok ->
-        let path = String.sub tok 4 (String.length tok - 4) in
-        Link.Shm (Shm_ring.attach ~path ~side:`B ~doorbell:Unix.stdin)
-    | toks ->
-        failwith
-          ("dist worker: unknown argv after the marker: "
-          ^ String.concat " " (Array.to_list toks))
+  let opts =
+    List.map
+      (fun tok ->
+        match cut '=' tok with
+        | (("shm" | "in" | "out") as key), Some v -> (key, v)
+        | _ -> failwith ("dist worker: unknown argv after the marker: " ^ tok))
+      (List.tl (List.tl (Array.to_list argv)))
+  in
+  let conn = Link.of_fd ~side:`B Unix.stdin (List.assoc_opt "shm" opts) in
+  let ring =
+    match (List.assoc_opt "in" opts, List.assoc_opt "out" opts) with
+    | Some i, Some o -> Some (edge_link ~side:`B i, edge_link ~side:`A o)
+    | None, None -> None
+    | _ -> failwith "dist worker: one ring edge without the other"
   in
   let hello = Message.recv_hello conn in
-  let s = start_session hello conn in
+  let s = start_session hello conn ring in
   Message.send_to_coordinator conn Message.Ready;
   let running = ref true in
   while !running do
     match Message.recv_to_worker conn with
     | Schedule { task_id; round; payload } ->
         run_task s ~coord:conn ~task_id ~round payload
-    | Relay _ -> failwith "dist worker: a relayed row arrived outside a task"
-    | Harvest ->
-        Message.send_to_coordinator conn (Stats (stats_of_session s conn))
+    | Harvest -> Message.send_to_coordinator conn (Stats (stats_of_session s))
     | Shutdown -> running := false
   done
 

@@ -14,9 +14,12 @@
       rule: a task is {e data} (a chunk descriptor, a block of rows),
       never a closure over shared state, and a result is a
       fully-evaluated value shipped back whole.  APSP {e pins} one task
-      per PE and pipelines its pivot rows as Eden's ring does, relayed
-      through the coordinator ({!relay}); a task relays row [k] only
-      after receiving every pivot before [k], so no forward deadlocks.
+      per PE and pipelines its pivot rows around the PEs' ring as
+      Eden's ring does ({!relay}): a task relays its rows in increasing
+      order, row [k] only after receiving every pivot before [k], and
+      a PE never forwards a row back to the row's origin, so no cycle
+      of blocked senders forms, even on edges that buffer less than a
+      row.
 
     Results are represented as a deterministic [int] checksum so one
     signature covers integer- and float-valued benchmarks.  Both forms
@@ -338,8 +341,8 @@ module Apsp_w : S = struct
      of rows for the whole run and walks the pivots in order.  It
      relays each row of its own block as soon as the row is final,
      that is once it has met every earlier pivot; any other pivot it
-     receives from the coordinator, which forwards what the row's
-     owner relayed.  Then it relaxes its block against the pivot, and
+     receives from its left neighbour on the ring, which made it or
+     passed it on.  Then it relaxes its block against the pivot, and
      relaxes row [k+1] first when it owns it, so the next pivot goes
      out before the rest of the block is done.  Every row still meets
      pivots [0..size-1] in order, and a task relays row [k] only after

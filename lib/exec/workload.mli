@@ -10,11 +10,15 @@
     order. *)
 
 (** A running task's line to the round's other tasks: [send k row]
-    relays row [k] (serialised before [send] returns) through the
-    coordinator to every other PE, and [recv ()] blocks for the next
-    row another task relayed, with its number.  On one PE [send] does
-    nothing and [recv] fails.  No forward can deadlock while every task
-    relays a row only after receiving every row relayed before it. *)
+    relays row [k] (serialised before [send] returns) to every other
+    PE, around the PEs' ring, and [recv ()] blocks for the next row
+    another task relayed, with its number.  On one PE [send] does
+    nothing and [recv] fails.  The ring cannot deadlock while every
+    task relays its rows in increasing order and each only after
+    receiving every row before it: a PE then sends on its out-edge in
+    increasing row number, and since it never forwards a row back to
+    the row's origin, no cycle of blocked senders can form, even when
+    an edge buffers less than one row. *)
 type relay = { send : int -> float array -> unit; recv : unit -> int * float array }
 
 module type S = sig

@@ -5,26 +5,33 @@
     any experiment is exactly reproducible from its seed.  SplitMix64 is
     the standard splittable generator (Steele, Lea & Flood, OOPSLA'14);
     it passes BigCrush and supports cheap splitting for per-entity
-    streams. *)
+    streams.
 
-type t = { mutable state : int64 }
+    The state is 8 unboxed bytes rather than a mutable [int64] field,
+    which would box a fresh [Int64] on every draw: with the mix inlined
+    into each draw, a draw allocates nothing. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Derive an independent generator; the two streams do not overlap in
    practice (distinct gamma-advanced states). *)
-let split t =
-  let seed = next_int64 t in
-  { state = Int64.mul seed 0xDA942042E4DD58B5L }
+let split t = of_state (Int64.mul (next_int64 t) 0xDA942042E4DD58B5L)
 
 (* Non-negative 62-bit int. *)
 let next_int t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
@@ -40,9 +47,14 @@ let int t bound =
   go ()
 
 (* Uniform float in [0, 1). *)
-let float t =
+let[@inline] float t =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 (* 2^53 *)
+
+let fill_float t (a : float array) lo hi =
+  for i = lo to hi do
+    a.(i) <- float t
+  done
 
 (* Uniform int in [lo, hi] inclusive. *)
 let int_range t lo hi =

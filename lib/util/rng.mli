@@ -20,6 +20,10 @@ val int : t -> int -> int
 (** Uniform float in [\[0, 1)]. *)
 val float : t -> float
 
+(** [fill_float t a lo hi] sets [a.(lo)], ..., [a.(hi)] in index order
+    to successive {!float} draws, with no allocation. *)
+val fill_float : t -> float array -> int -> int -> unit
+
 (** [int_range t lo hi]: uniform in [\[lo, hi\]] inclusive. *)
 val int_range : t -> int -> int -> int
 

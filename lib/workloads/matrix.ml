@@ -19,10 +19,14 @@ let make n f : mat = Array.init n (fun i -> Array.init n (fun j -> f i j))
 
 let zero n : mat = Array.make_matrix n n 0.0
 
-(* Deterministic pseudo-random matrix (values in [0,1)). *)
+(* Deterministic pseudo-random matrix (values in [0,1)), drawn row by
+   row in index order. *)
 let random ~seed n : mat =
   let rng = Repro_util.Rng.create seed in
-  make n (fun _ _ -> Repro_util.Rng.float rng)
+  Array.init n (fun _ ->
+      let row = Array.create_float n in
+      Repro_util.Rng.fill_float rng row 0 (n - 1);
+      row)
 
 let checksum (m : mat) =
   Array.fold_left (fun acc row -> Array.fold_left ( +. ) acc row) 0.0 m

@@ -522,6 +522,37 @@ let shm_peer_gone () =
       | exception End_of_file -> ());
       Shm.close b)
 
+(* A producer blocked on a full ring notices its consumer die: a
+   300 KiB send into a 256 KiB ring that nobody reads raises
+   [Dead_peer] once the consumer closes its doorbell, instead of
+   microsleeping forever.  The send runs on a domain and the test
+   waits for it with a deadline, so a producer that never notices
+   fails the test rather than hanging it (that domain is then left
+   spinning, never joined). *)
+let shm_full_ring_dead_consumer () =
+  with_shm_pair ~ring_bytes:(256 * 1024) (fun a b ->
+      let outcome = Atomic.make None in
+      let producer =
+        Domain.spawn (fun () ->
+            Atomic.set outcome
+              (Some
+                 (match Shm.send a (payload_of_len (300 * 1024)) with
+                 | () -> "returned"
+                 | exception Wire.Dead_peer _ -> "dead peer"
+                 | exception e -> Printexc.to_string e)))
+      in
+      Unix.sleepf 0.02;
+      Shm.close b;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get outcome = None && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      match Atomic.get outcome with
+      | None -> fail "send into a full ring still blocked 10 s after its consumer closed"
+      | Some got ->
+          Domain.join producer;
+          check string "the send raises Dead_peer" "dead peer" got)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end multi-process runs                                       *)
 
@@ -706,13 +737,18 @@ let apsp_awkward_shapes () =
       check_pinned_run ~what o)
     [ (3, 17); (4, 3); (2, 1); (3, 2); (4, 1) ]
 
-(* apsp is one pinned round, one task per PE, whose pivot rows are
-   relayed as they are made: each row is sent once by its owner and
-   received once by every other PE, a control message and a float
-   message each way.  A PE's other messages are its Hello, Ready,
-   Schedule, Result with its float blob, and Harvest; on one PE nothing
-   is relayed.  At 256 nodes on 3 and 4 PEs, rows queue on the link of
-   a PE that falls behind while their owner keeps relaying. *)
+(* apsp is one pinned round, one task per PE, whose pivot rows travel
+   PE to PE around the ring as they are made, a control message and a
+   float message per row and edge.  PE [p] sends every row except those
+   its right neighbour made (its own, and those it forwards) and
+   receives every row except its own.  Its other messages are its
+   Hello, Ready, Schedule, Result with its float blob, and Harvest; on
+   one PE there is no ring.  So PE [p] sends [3 + 2 (n - own (p+1))]
+   and receives [3 + 2 (n - own p)], [6 p + 4 n (p - 1)] in all.  The
+   coordinator's side of each PE's link carries no row: its Hello,
+   Schedule, Harvest and Shutdown out, its Ready, Result, blob and
+   Stats in.  At 256 nodes on 3 and 4 PEs, rows queue on the edge into
+   a PE that falls behind while its left neighbour keeps sending. *)
 let apsp_relays transport () =
   let module W = Workload.Apsp_w in
   List.iter
@@ -722,18 +758,27 @@ let apsp_relays transport () =
       check int (what ^ ": checksum") (W.reference ~size) o.Farm.result;
       check int (what ^ ": one round") 1 o.Farm.rounds;
       check int (what ^ ": one task per PE") procs o.Farm.tasks;
-      let relayed = if procs = 1 then 0 else size in
+      let own p =
+        let p = p mod procs in
+        ((p + 1) * size / procs) - (p * size / procs)
+      in
       Array.iter
         (fun (r : Farm.pe_report) ->
-          let lo = r.rep_pe * size / procs and hi = (r.rep_pe + 1) * size / procs in
-          let own = if procs = 1 then 0 else hi - lo in
+          let p = r.rep_pe in
           check int
-            (Printf.sprintf "%s: PE %d messages sent" what r.rep_pe)
-            (3 + (2 * own)) r.stats.Message.msgs_sent;
+            (Printf.sprintf "%s: PE %d messages sent" what p)
+            (3 + (2 * (size - own (p + 1))))
+            r.stats.Message.msgs_sent;
           check int
-            (Printf.sprintf "%s: PE %d messages received" what r.rep_pe)
-            (3 + (2 * (relayed - own)))
-            r.stats.Message.msgs_recv)
+            (Printf.sprintf "%s: PE %d messages received" what p)
+            (3 + (2 * (size - own p)))
+            r.stats.Message.msgs_recv;
+          check int
+            (Printf.sprintf "%s: coordinator sent PE %d no row" what p)
+            4 r.co.Wire.msgs_sent;
+          check int
+            (Printf.sprintf "%s: coordinator got no row from PE %d" what p)
+            4 r.co.Wire.msgs_recv)
         o.Farm.reports;
       let msgs =
         Array.fold_left
@@ -742,7 +787,7 @@ let apsp_relays transport () =
           0 o.Farm.reports
       in
       check int (what ^ ": PE-side messages")
-        ((6 * procs) + (2 * relayed * procs))
+        ((6 * procs) + (4 * size * (procs - 1)))
         msgs)
     (List.concat_map
        (fun procs -> List.map (fun size -> (procs, size)) [ 1; 3; 17; 256 ])
@@ -906,63 +951,75 @@ let trace_spans () =
       | rows -> failf "PE %d has %d profile rows" r.rep_pe (List.length rows))
     o.Farm.reports
 
-(* A traced 2-PE apsp farm: every blocking relay receive is a [wait]
-   slice inside its PE's one [task] slice, left out of [exec_ns]; the
-   coordinator draws each forward as a [relay] slice, and the profile
-   counts the waits as parked, not busy. *)
+(* A traced apsp farm on 2 and 3 PEs: every blocking ring receive is a
+   [wait] slice inside its PE's one [task] slice, one per row the PE
+   did not make, left out of [exec_ns]; the coordinator's track has no
+   [relay] slice, since no row crosses it, and the profile counts the
+   waits as parked, not busy. *)
 let trace_relay_waits transport () =
   let module W = Workload.Apsp_w in
   let size = W.quick_size in
-  let o = Farm.run ~trace:true ~transport ~procs:2 ~size (module W) in
-  check int "checksum" (W.reference ~size) o.Farm.result;
-  Array.iter
-    (fun (r : Farm.pe_report) ->
-      match r.stats.Message.spans with
-      | [ t ] ->
-          let waited =
-            List.fold_left (fun acc (w0, w1) -> acc + (w1 - w0)) 0 t.span_waits
-          in
-          check int
-            (Printf.sprintf "PE %d: relay waits" r.rep_pe)
-            (size / 2) (List.length t.span_waits);
-          check int
-            (Printf.sprintf "PE %d: exec_ns plus waits is the task's span" r.rep_pe)
-            (t.exec_end_ns - t.exec_start_ns)
-            (r.stats.Message.exec_ns + waited);
-          List.iter
-            (fun (w0, w1) ->
-              check bool "wait inside the task" true
-                (t.exec_start_ns <= w0 && w0 <= w1 && w1 <= t.exec_end_ns))
-            t.span_waits
-      | spans -> failf "PE %d has %d task spans" r.rep_pe (List.length spans))
-    o.Farm.reports;
-  let spans = Farm.spans o in
-  let count name tid =
-    List.length
-      (List.filter (fun (s : Chrome.span) -> s.name = name && s.tid = tid) spans)
-  in
-  check int "one relay slice per row" size (count "relay" 2);
-  check int "PE 0 waits" (size / 2) (count "wait" 0);
-  check int "PE 1 waits" (size / 2) (count "wait" 1);
-  let report =
-    Profile.analyze
-      (Profile.of_chrome_json
-         (Repro_util.Json_in.parse (Repro_util.Json_out.to_string (Farm.trace o))))
-  in
   List.iter
-    (fun (w : Profile.worker_row) ->
-      if w.wtid < 2 then begin
-        check bool (Printf.sprintf "PE %d parked while waiting" w.wtid) true
-          (w.parked_us > 0.0);
-        let r = o.Farm.reports.(w.wtid) in
-        (* the trace carries float microseconds, printed rounded *)
-        check bool
-          (Printf.sprintf "PE %d busy is its exec_ns" w.wtid)
-          true
-          (Float.abs (w.busy_us -. (float_of_int r.stats.Message.exec_ns /. 1e3))
-          < 2.0 +. (0.01 *. w.busy_us))
-      end)
-    report.workers
+    (fun procs ->
+      let o = Farm.run ~trace:true ~transport ~procs ~size (module W) in
+      let what s = Printf.sprintf "%d PEs: %s" procs s in
+      check int (what "checksum") (W.reference ~size) o.Farm.result;
+      let received pe = size - (((pe + 1) * size / procs) - (pe * size / procs)) in
+      Array.iter
+        (fun (r : Farm.pe_report) ->
+          match r.stats.Message.spans with
+          | [ t ] ->
+              let waited =
+                List.fold_left (fun acc (w0, w1) -> acc + (w1 - w0)) 0 t.span_waits
+              in
+              check int
+                (what (Printf.sprintf "PE %d: ring waits" r.rep_pe))
+                (received r.rep_pe) (List.length t.span_waits);
+              check int
+                (what (Printf.sprintf "PE %d: exec_ns plus waits is the task's span" r.rep_pe))
+                (t.exec_end_ns - t.exec_start_ns)
+                (r.stats.Message.exec_ns + waited);
+              List.iter
+                (fun (w0, w1) ->
+                  check bool "wait inside the task" true
+                    (t.exec_start_ns <= w0 && w0 <= w1 && w1 <= t.exec_end_ns))
+                t.span_waits
+          | spans ->
+              failf "%s" (what (Printf.sprintf "PE %d has %d task spans" r.rep_pe
+                                  (List.length spans))))
+        o.Farm.reports;
+      let spans = Farm.spans o in
+      let count name tid =
+        List.length
+          (List.filter (fun (s : Chrome.span) -> s.name = name && s.tid = tid) spans)
+      in
+      check int (what "no relay slice anywhere") 0
+        (List.length (List.filter (fun (s : Chrome.span) -> s.name = "relay") spans));
+      check int (what "the coordinator's track only schedules") procs
+        (List.length (List.filter (fun (s : Chrome.span) -> s.tid = procs) spans));
+      for pe = 0 to procs - 1 do
+        check int (what (Printf.sprintf "PE %d waits" pe)) (received pe) (count "wait" pe)
+      done;
+      let report =
+        Profile.analyze
+          (Profile.of_chrome_json
+             (Repro_util.Json_in.parse (Repro_util.Json_out.to_string (Farm.trace o))))
+      in
+      List.iter
+        (fun (w : Profile.worker_row) ->
+          if w.wtid < procs then begin
+            check bool (what (Printf.sprintf "PE %d parked while waiting" w.wtid)) true
+              (w.parked_us > 0.0);
+            let r = o.Farm.reports.(w.wtid) in
+            (* the trace carries float microseconds, printed rounded *)
+            check bool
+              (what (Printf.sprintf "PE %d busy is its exec_ns" w.wtid))
+              true
+              (Float.abs (w.busy_us -. (float_of_int r.stats.Message.exec_ns /. 1e3))
+              < 2.0 +. (0.01 *. w.busy_us))
+          end)
+        report.workers)
+    [ 2; 3 ]
 
 let untraced_runs_have_no_spans () =
   let o = quick_run (module Workload.Parfib) in
@@ -1023,6 +1080,8 @@ let suite =
       test_case "shm backpressure and doorbell wake" `Quick
         shm_backpressure_doorbell;
       test_case "shm peer death drains then raises" `Quick shm_peer_gone;
+      test_case "shm full ring notices a dead consumer" `Quick
+        shm_full_ring_dead_consumer;
       test_case "two-process exactly-once ledger" `Quick
         (leak_free (exactly_once_ledger Farm.Sock));
       test_case "shm exactly-once ledger" `Quick (leak_free (exactly_once_ledger Farm.Shm));

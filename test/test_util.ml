@@ -13,6 +13,38 @@ let rng_deterministic () =
     check Alcotest.int "same stream" (Rng.next_int a) (Rng.next_int b)
   done
 
+(* The stream itself, for two seeds: the first [next_int], [float] and
+   [int] draws, then a [split] child's, as literals.  Any change to the
+   state's step or the mix moves them; [fill_float] must draw the same
+   floats in index order. *)
+let rng_pinned_stream () =
+  List.iter
+    (fun (seed, (n, f, i), (cn, cf, ci)) ->
+      let what s = Printf.sprintf "seed %d: %s" seed s in
+      let r = Rng.create seed in
+      check Alcotest.int (what "next_int") n (Rng.next_int r);
+      check Alcotest.int (what "float bits") (Int64.to_int (Int64.bits_of_float f))
+        (Int64.to_int (Int64.bits_of_float (Rng.float r)));
+      check Alcotest.int (what "int 1000") i (Rng.int r 1000);
+      let c = Rng.split r in
+      check Alcotest.int (what "child next_int") cn (Rng.next_int c);
+      check Alcotest.int (what "child float bits")
+        (Int64.to_int (Int64.bits_of_float cf))
+        (Int64.to_int (Int64.bits_of_float (Rng.float c)));
+      check Alcotest.int (what "child int 1000") ci (Rng.int c 1000);
+      let a = Rng.create seed and b = Rng.create seed in
+      let filled = Array.make 7 nan in
+      Rng.fill_float a filled 2 5;
+      check Alcotest.(array (float 0.0)) (what "fill_float 2..5")
+        (Array.init 7 (fun j -> if j < 2 || j > 5 then nan else Rng.float b))
+        filled)
+    [
+      (42, (3419864383188818853, 0x1.477f199d93378p-3, 964),
+        (2586259887266143407, 0x1.d5eb332e0d577p-1, 579));
+      (0, (4073552104164651883, 0x1.b9e279aa86e58p-2, 419),
+        (2974944666070038301, 0x1.e1016a1c84acfp-1, 861));
+    ]
+
 let rng_bounds () =
   let r = Rng.create 7 in
   for _ = 1 to 10_000 do
@@ -139,6 +171,7 @@ let suite =
   ( "util",
     [
       test_case "rng deterministic" `Quick rng_deterministic;
+      test_case "rng pinned stream" `Quick rng_pinned_stream;
       test_case "rng bounds" `Quick rng_bounds;
       test_case "rng uniform-ish" `Quick rng_uniformish;
       test_case "rng split independent" `Quick rng_split_independent;
