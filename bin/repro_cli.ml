@@ -534,7 +534,7 @@ let exec_cmd =
       $ json_arg $ trace_file $ trace_svg $ metrics_file_arg
       $ strict_health_arg $ quick $ out_file)
 
-(* ---------------- dist: multi-process (Eden/GUM) execution ---------------- *)
+(* ---------------- dist: multi-process (Eden) execution ---------------- *)
 
 let dist_cmd =
   let procs =
@@ -627,7 +627,7 @@ let dist_cmd =
   Cmd.v
     (Cmd.info "dist"
        ~doc:
-         "Run a workload on the multi-process Eden/GUM-style backend (one \
+         "Run a workload on the multi-process Eden-style backend (one \
           worker process per PE, private heaps, a coordinator that answers \
           each result with the PE's next task, over framed socketpair \
           messages or shared-memory rings -- $(b,--transport)) and report \

@@ -22,12 +22,30 @@ type 'a t = 'a Node.t
 
 (** [thunk ~cost f] suspends [f]; forcing it charges [cost] and then
     runs [f] (which may itself force further thunks, charging more).
-    Creating the thunk charges its own heap allocation. *)
-let thunk ?(size = 24) ~cost f =
+    Creating the thunk charges its own heap allocation.
+
+    With [~forces_only:true], a duplicate whose charge ends after the
+    node was updated returns the installed value instead of running
+    [f]: the update means [f] ran to the end once, so every force in
+    it would only read a value.  Only opted-in thunks keep a reference
+    to their own node, so the others cost nothing more. *)
+let thunk ?(size = 24) ?(forces_only = false) ~cost f =
   Api.charge (Cost.alloc size);
-  Node.thunk ~size (Api.registry ()) (fun () ->
-      Api.charge cost;
-      f ())
+  let reg = Api.registry () in
+  if not forces_only then
+    Node.thunk ~size reg (fun () ->
+        Api.charge cost;
+        f ())
+  else begin
+    let self = ref None in
+    let node =
+      Node.thunk ~size reg (fun () ->
+          Api.charge cost;
+          match Option.bind !self Node.peek with Some v -> v | None -> f ())
+    in
+    self := Some node;
+    node
+  end
 
 (** An already-evaluated value (no work to force). *)
 let return ?(size = 24) v = Node.value ~size (Api.registry ()) v

@@ -13,8 +13,16 @@ type 'a t = 'a Repro_heap.Node.t
 
 (** [thunk ~cost f] suspends [f]; forcing charges [cost] then runs [f]
     (which may force further thunks, charging more).  Creation charges
-    the node's own allocation. *)
-val thunk : ?size:int -> cost:Cost.t -> (unit -> 'a) -> 'a t
+    the node's own allocation.
+
+    [~forces_only:true] (default [false]) promises that [f]'s only
+    simulated effects are forces of thunks.  A duplicate evaluation
+    whose charge ends after another evaluator updated the node then
+    returns the installed value without running [f] — exact, because
+    every thunk [f] forces already holds a value.  A body that charges,
+    sparks or makes thunks inside itself must not opt in. *)
+val thunk :
+  ?size:int -> ?forces_only:bool -> cost:Cost.t -> (unit -> 'a) -> 'a t
 
 (** An already-evaluated value. *)
 val return : ?size:int -> 'a -> 'a t

@@ -348,7 +348,11 @@ let harvest (links : link array) : pe_report array =
         | Result _ -> failwith "dist: result arrived after the round"
         | Stats s -> s
       in
-      { rep_pe = l.pe; rep_pid = l.pid; stats; co = Link.counters l.conn })
+      (* a copy taken as [stats] arrive: the live counters would go on
+         to count the Shutdown sent after the report *)
+      let co = Link.counters l.conn in
+      let co = { co with msgs_sent = co.msgs_sent } in
+      { rep_pe = l.pe; rep_pid = l.pid; stats; co })
     links
 
 let shutdown (links : link array) =

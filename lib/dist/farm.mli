@@ -32,7 +32,9 @@ type pe_report = {
   rep_pe : int;
   rep_pid : int;
   stats : Message.worker_stats;  (** the PE's own view of the session *)
-  co : Wire.counters;  (** the coordinator's view of the same link *)
+  co : Wire.counters;
+      (** the coordinator's view of the same link, copied when the PE's
+          [Stats] arrived *)
 }
 
 type outcome = {

@@ -53,6 +53,9 @@ val length : t -> int
 (** Events in emission order, with timestamps. *)
 val events : t -> (int * event) list
 
+(** One event as {!dump} prints it, after its time. *)
+val pp_event : Format.formatter -> event -> unit
+
 (** Text dump, one event per line. *)
 val dump : t -> string
 

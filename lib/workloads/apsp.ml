@@ -132,7 +132,16 @@ let resident n = 2 * n * n * 8
 (** The GpH program.  For each node [i] a thunk computes row [i]'s
     final value by folding over all pivots, forcing each shared pivot
     thunk on the way; the pivot thunks themselves fold over the earlier
-    pivots.  Every final row is sparked in advance. *)
+    pivots.  Every final row is sparked in advance.
+
+    Final row [i] folded over pivots [0..i-1] is pivot [i] itself.  So
+    the row forces those pivots without relaxing, then forces pivot
+    [i+1] and starts from a copy of pivot [i], which holds a value by
+    then: pivot [i+1]'s body forced it.  The forces come in the fold's
+    order, and the host relaxes n³ elements instead of 1.5 n³.  The
+    last row has no pivot after it, so it folds as before.  These
+    bodies only force, so every thunk here opts in to {!Gph.thunk}'s
+    [~forces_only]. *)
 let gph ?(seed = 7) ~n () =
   Api.set_resident (resident n);
   let adj = graph ~seed n in
@@ -148,15 +157,18 @@ let gph ?(seed = 7) ~n () =
     | Some node -> node
     | None ->
         let node =
-          Gph.thunk ~size:((8 * n) + 24) ~cost:(pivot_chain_cost k) (fun () ->
-              let row = Array.copy adj.(k) in
-              for k' = 0 to k - 1 do
-                relax row ~k:k' (Gph.force (pivot k'))
-              done;
-              row)
+          Gph.thunk ~size:((8 * n) + 24) ~forces_only:true
+            ~cost:(pivot_chain_cost k) (fun () -> fold_pivots k)
         in
         pivots.(k) <- Some node;
         node
+  (* row k folded over pivots 0..k-1: pivot k's body *)
+  and fold_pivots k =
+    let row = Array.copy adj.(k) in
+    for k' = 0 to k - 1 do
+      relax row ~k:k' (Gph.force (pivot k'))
+    done;
+    row
   in
   (* create all pivot thunks up front (the lazy structure exists before
      any evaluation starts) *)
@@ -164,13 +176,22 @@ let gph ?(seed = 7) ~n () =
     ignore (pivot k)
   done;
   let final_row i =
-    Gph.thunk ~size:((8 * n) + 24) ~cost:(Cost.scale n (row_update_cost n))
+    Gph.thunk ~size:((8 * n) + 24) ~forces_only:true
+      ~cost:(Cost.scale n (row_update_cost n))
       (fun () ->
-        let row = Array.copy adj.(i) in
-        for k = 0 to n - 1 do
-          if k <> i then relax row ~k (Gph.force (pivot k))
-        done;
-        row)
+        if i = n - 1 then fold_pivots i
+        else begin
+          for k = 0 to i - 1 do
+            ignore (Gph.force (pivot k))
+          done;
+          ignore (Gph.force (pivot (i + 1)));
+          let row = Array.copy (Node.get_value (pivot i)) in
+          (* pivot i+1 holds a value, so forcing it again only reads *)
+          for k = i + 1 to n - 1 do
+            relax row ~k (Gph.force (pivot k))
+          done;
+          row
+        end)
   in
   let rows = List.init n final_row in
   Gph.par_list Gph.rwhnf rows;

@@ -746,9 +746,10 @@ let apsp_awkward_shapes () =
    one PE there is no ring.  So PE [p] sends [3 + 2 (n - own (p+1))]
    and receives [3 + 2 (n - own p)], [6 p + 4 n (p - 1)] in all.  The
    coordinator's side of each PE's link carries no row: its Hello,
-   Schedule, Harvest and Shutdown out, its Ready, Result, blob and
-   Stats in.  At 256 nodes on 3 and 4 PEs, rows queue on the edge into
-   a PE that falls behind while its left neighbour keeps sending. *)
+   Schedule and Harvest out, its Ready, Result, blob and Stats in (the
+   report is taken at Stats, before the Shutdown).  At 256 nodes on 3
+   and 4 PEs, rows queue on the edge into a PE that falls behind while
+   its left neighbour keeps sending. *)
 let apsp_relays transport () =
   let module W = Workload.Apsp_w in
   List.iter
@@ -775,7 +776,7 @@ let apsp_relays transport () =
             r.stats.Message.msgs_recv;
           check int
             (Printf.sprintf "%s: coordinator sent PE %d no row" what p)
-            4 r.co.Wire.msgs_sent;
+            3 r.co.Wire.msgs_sent;
           check int
             (Printf.sprintf "%s: coordinator got no row from PE %d" what p)
             4 r.co.Wire.msgs_recv)

@@ -80,6 +80,85 @@ let disabled_log_is_empty () =
   check Alcotest.int "no events recorded" 0
     (Eventlog.length report.Repro_parrts.Report.eventlog)
 
+(* The log packs each event into a row of ints in chunks that grow:
+   random lists of every constructor, with negative ids (the simulator
+   sends from -1), ints of any size, both booleans and [Custom] strings
+   of any bytes, long enough to fill several chunks (past 8,160 events
+   the chunks stop growing), come back as they went in, and a disabled
+   log keeps none of them. *)
+let qcheck_round_trip =
+  let open QCheck.Gen in
+  let id = oneof [ int_range (-1) 16; int ] in
+  let event : Eventlog.event t =
+    oneof
+      [
+        map2 (fun tid cap -> Eventlog.Thread_created { tid; cap }) id id;
+        map2 (fun tid cap -> Eventlog.Thread_finished { tid; cap }) id id;
+        map2 (fun tid cap -> Eventlog.Thread_blocked { tid; cap }) id id;
+        map2 (fun tid cap -> Eventlog.Thread_woken { tid; cap }) id id;
+        map3
+          (fun tid from_cap to_cap ->
+            Eventlog.Thread_migrated { tid; from_cap; to_cap })
+          id id id;
+        map (fun cap -> Eventlog.Spark_created { cap }) id;
+        map (fun cap -> Eventlog.Spark_converted { cap }) id;
+        map (fun thief -> Eventlog.Spark_stolen { thief }) id;
+        map (fun cap -> Eventlog.Spark_fizzled { cap }) id;
+        map (fun cap -> Eventlog.Spark_overflowed { cap }) id;
+        map (fun cap -> Eventlog.Gc_requested { cap }) id;
+        map2 (fun minors major -> Eventlog.Gc_started { minors; major }) id bool;
+        return Eventlog.Gc_finished;
+        map3
+          (fun src dst bytes -> Eventlog.Message_sent { src; dst; bytes })
+          id id int;
+        map2 (fun dst bytes -> Eventlog.Message_delivered { dst; bytes }) id int;
+        map (fun cap -> Eventlog.Blackhole_entered { cap }) id;
+        map2 (fun thief victim -> Eventlog.Steal_attempt { thief; victim }) id id;
+        map2 (fun thief victim -> Eventlog.Steal_success { thief; victim }) id id;
+        map (fun cap -> Eventlog.Cap_parked { cap }) id;
+        map (fun cap -> Eventlog.Cap_unparked { cap }) id;
+        map (fun cap -> Eventlog.Task_begin { cap }) id;
+        map (fun cap -> Eventlog.Task_end { cap }) id;
+        map (fun cap -> Eventlog.Eval_begin { cap }) id;
+        map (fun cap -> Eventlog.Eval_end { cap }) id;
+        map (fun cap -> Eventlog.Future_forced { cap }) id;
+        map (fun cap -> Eventlog.Worker_begin { cap }) id;
+        map (fun cap -> Eventlog.Worker_end { cap }) id;
+        map2 (fun cap major -> Eventlog.Gc_begin { cap; major }) id bool;
+        map2 (fun cap major -> Eventlog.Gc_end { cap; major }) id bool;
+        map (fun s -> Eventlog.Custom s) string;
+      ]
+  in
+  let events =
+    let* n =
+      frequency
+        [ (4, int_range 0 40); (4, int_range 0 1500); (1, int_range 8200 9000) ]
+    in
+    list_repeat n (pair (oneof [ nat; int ]) event)
+  in
+  let line (time, ev) =
+    Format.asprintf "%12d ns  %a\n" time Eventlog.pp_event ev
+  in
+  let print evs =
+    Printf.sprintf "%d events:\n%s" (List.length evs)
+      (String.concat "" (List.map line evs))
+  in
+  QCheck.Test.make ~name:"round-trip" ~count:200 (QCheck.make ~print events)
+    (fun evs ->
+      let log = Eventlog.create () and off = Eventlog.create () in
+      Eventlog.disable off;
+      List.iter
+        (fun (time, ev) ->
+          Eventlog.emit log ~time ev;
+          Eventlog.emit off ~time ev)
+        evs;
+      Eventlog.events log = evs
+      && Eventlog.length log = List.length evs
+      && Eventlog.dump log = String.concat "" (List.map line evs)
+      && Eventlog.length off = 0
+      && Eventlog.events off = []
+      && Eventlog.dump off = "")
+
 let suite =
   ( "eventlog",
     [
@@ -88,4 +167,5 @@ let suite =
       test_case "timestamps monotone" `Quick timestamps_monotone;
       test_case "summary statistics" `Quick summary_statistics;
       test_case "disabled log empty" `Quick disabled_log_is_empty;
+      QCheck_alcotest.to_alcotest qcheck_round_trip;
     ] )

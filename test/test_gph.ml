@@ -124,6 +124,47 @@ let shared_thunk_lazy_correct () =
   check Alcotest.bool "evaluated at least once" true (count >= 1);
   check Alcotest.int "result correct despite duplication" (8 * 43) res
 
+(* [~forces_only] lets a duplicate return the installed value once its
+   charge ends after the update.  Here a spark evaluates a shared
+   thunk (1 ms at 1 GHz) on cap 1 while the main thread, 0.6 ms in,
+   enters it again under lazy black-holing and finishes its charge
+   after the spark's update.  A body that only returns a value gives
+   the same virtual time and event log with and without the opt-in.
+   A body that charges 0.4 ms inside itself loses that charge in the
+   skipped duplicate, so the opted-in run ends at least 0.4 ms sooner.
+   That is why the skip is opt-in, and why Mandelbrot's row thunks
+   (which charge inside) and parfib's (which spark and make thunks)
+   do not opt in. *)
+let forces_only_skips_settled_duplicates () =
+  let run ~forces_only ~inner =
+    let v, r =
+      Rts.run (cfg ~ncaps:2 ()) (fun () ->
+          let shared =
+            Gph.thunk ~forces_only ~cost:(Cost.cycles 1_000_000) (fun () ->
+                if inner then Api.charge (Cost.cycles 400_000);
+                42)
+          in
+          Gph.par shared;
+          Api.charge (Cost.cycles 600_000);
+          Gph.force shared)
+    in
+    check Alcotest.int "value" 42 v;
+    check Alcotest.int "one duplicate entry" 1
+      r.Repro_parrts.Report.dup_work_entries;
+    ( r.elapsed_ns,
+      Digest.to_hex (Digest.string (Repro_trace.Eventlog.dump r.eventlog)) )
+  in
+  check
+    Alcotest.(pair int string)
+    "a body that only returns: the opt-in changes nothing"
+    (run ~forces_only:false ~inner:false)
+    (run ~forces_only:true ~inner:false);
+  let plain, _ = run ~forces_only:false ~inner:true in
+  let opted, _ = run ~forces_only:true ~inner:true in
+  check Alcotest.bool "a body that charges: the skipped duplicate drops 0.4 ms"
+    true
+    (plain - opted >= 400_000)
+
 (* One thunk per element sparked under [parList rwhnf], then forced in
    order: the shape of every simulated GpH program, over random cap
    counts. *)
@@ -157,5 +198,7 @@ let suite =
       test_case "r0 does nothing" `Quick r0_does_nothing;
       test_case "shared thunk: eager evaluates once" `Quick shared_thunk_eager_once;
       test_case "shared thunk: lazy stays correct" `Quick shared_thunk_lazy_correct;
+      test_case "forces_only skips settled duplicates only" `Quick
+        forces_only_skips_settled_duplicates;
       QCheck_alcotest.to_alcotest qcheck_par_list_equals_map;
     ] )

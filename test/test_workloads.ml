@@ -258,16 +258,24 @@ let apsp_ring_nprocs_variants () =
       check_bits (Printf.sprintf "ring of %d" nprocs) expect got)
     [ 1; 2; 3; 5; 6 ]
 
+(* GpH apsp of 1-40 nodes under lazy and eager black-holing on 1, 2 and
+   8 caps: final rows start from their pivots, the last row folds the
+   pivots, and duplicates skip their bodies. *)
 let qcheck_apsp_sizes =
   QCheck.Test.make ~name:"apsp gph == floyd_warshall (random sizes/seeds)"
-    ~count:10
-    QCheck.(pair (int_range 4 40) (int_range 0 1000))
+    ~count:40
+    QCheck.(pair (int_bound 39) (int_range 0 1000))
     (fun (n, seed) ->
-      let got, _ =
-        Rts.run (V.with_eager (V.gph_steal ~ncaps:3 ())).config (fun () ->
-            W.Apsp.gph ~seed ~n ())
-      in
-      Int64.bits_of_float got = apsp_reference ~seed n)
+      (* sizes from 0, as QCheck's shrinker assumes *)
+      let n = n + 1 in
+      let want = apsp_reference ~seed n in
+      List.for_all
+        (fun (ncaps, eager) ->
+          let v = V.gph_steal ~ncaps () in
+          let v = if eager then V.with_eager v else v in
+          let got, _ = Rts.run v.config (fun () -> W.Apsp.gph ~seed ~n ()) in
+          Int64.bits_of_float got = want)
+        [ (1, false); (1, true); (2, false); (2, true); (8, false); (8, true) ])
 
 (* A block of rows built alone is that block of the whole graph, bit
    for bit: any block of a graph of 0-67 nodes (the empty ones, those
