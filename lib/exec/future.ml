@@ -146,17 +146,6 @@ include
       let note_eval_end = Pool.note_eval_end
       let note_force = Pool.note_force
 
-      let idle_wait _is_done idle =
-        Domain.cpu_relax ();
-        if idle > 512 then begin
-          (* Nothing to help with and the producer still runs: yield
-             the OS timeslice so it can (matters when domains
-             outnumber hardware threads).  blocking-in-worker
-             (baselined): this is the designed bounded backoff —
-             100µs, only after 512 dry spins, never while work is
-             available. *)
-          Unix.sleepf 1e-4;
-          idle
-        end
-        else idle + 1
+      (* nothing to help with and the producer still runs *)
+      let idle_wait _is_done idle = Pool.backoff idle
     end)

@@ -272,6 +272,20 @@ let run_task (w : worker) task =
   else (try task () with _ -> ());
   Tracer.record w.tbuf Tracer.Task_end ~arg:0
 
+(* The one wait of a domain that has nothing to run: spin 512 times,
+   then yield the OS timeslice 100 µs at a time, so whatever it waits
+   for can run (matters when domains outnumber hardware threads).
+   [backoff idle] pauses once and returns the next [idle]; a wait
+   starts at 0.  blocking-in-worker (baselined): this is the designed
+   bounded backoff, 100 µs only after 512 dry spins. *)
+let backoff idle =
+  Domain.cpu_relax ();
+  if idle > 512 then begin
+    Unix.sleepf 1e-4;
+    idle
+  end
+  else idle + 1
+
 (* Run one pending task if any is available.  Used both by the worker
    loop and by forcers that help while waiting on a future. *)
 let help ((t, w) : ctx) =

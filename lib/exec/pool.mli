@@ -79,6 +79,13 @@ val push : ctx -> task -> unit
     no work was found.  Forcers call this to help while waiting. *)
 val help : ctx -> bool
 
+(** [backoff idle] pauses a domain that has nothing to run and returns
+    the next [idle] (start a wait at 0): it spins ([Domain.cpu_relax])
+    about 512 times, then also sleeps 100 µs per call, so the domain
+    it waits for gets the CPU when domains outnumber hardware threads.
+    The one wait policy of {!Future.force} and of apsp's pivot relay. *)
+val backoff : int -> int
+
 (** Spark accounting hooks for the {!Future} layer: the runner that
     performed (resp. skipped) its future's evaluation reports here. *)
 val note_run : ctx -> unit

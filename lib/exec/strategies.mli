@@ -24,5 +24,8 @@ val par_range :
   init:'b ->
   'b
 
+(** Workers of the current pool; 1 outside a pool. *)
+val available_cores : unit -> int
+
 (** 4 sparks per available core, capped by the piece count. *)
 val default_chunks : int -> int

@@ -21,6 +21,18 @@
       of blocked senders forms, even on edges that buffer less than a
       row.
 
+    APSP's two forms are one program, [walk]: a block of rows per
+    worker walks the pivots in order.  They differ only in where a
+    block's rows live (a PE's heap, or the shared matrix) and in the
+    relay (the ring, or [heap_relay]'s pivot buffers and flags).  On a
+    pool the caller claims block 0 and the helpers steal the others,
+    and a block waiting for a pivot never runs another pool task on
+    its stack, so a worker holds at most one block and, with one block
+    per worker, every block has a worker of its own: no block waits
+    under a frame that waits for it, as a forcer that helps can.  This
+    holds while the pool runs nothing else that keeps a worker, such
+    as a second apsp.
+
     Results are represented as a deterministic [int] checksum so one
     signature covers integer- and float-valued benchmarks.  Both forms
     perform their floating-point reductions in exactly the reference
@@ -32,6 +44,7 @@ module Matrix = Repro_workloads.Matrix
 module Mandelbrot = Repro_workloads.Mandelbrot
 module Apsp = Repro_workloads.Apsp
 module S = Strategies
+module A = Repro_shim.Tatomic.Real
 
 type relay = { send : int -> float array -> unit; recv : unit -> int * float array }
 
@@ -302,15 +315,68 @@ end
 
 (* ---------------- apsp ---------------- *)
 
-(* One pivot step on rows [lo..hi] of [d], in place, against [pivot],
-   row [k] at entry of step [k]: [Apsp.relax], the simulator's kernel,
-   whose bits are [Apsp.floyd_warshall]'s.  Row [k]'s own update is the
-   identity, so concurrent row ranges of one matrix only share read
-   access. *)
-let pivot_step d pivot k lo hi =
-  for i = lo to hi do
-    Apsp.relax d.(i) ~k pivot
+(* Relaxes rows [a..b] against [pivot], row [k] at entry of step [k],
+   in place, where row [i] is [d.(i - off)]: [Apsp.relax], the
+   simulator's kernel, whose bits are [Apsp.floyd_warshall]'s. *)
+let pivot_step d ~off pivot k a b =
+  for i = a to b do
+    Apsp.relax d.(i - off) ~k pivot
   done
+
+(* One block's walk: rows [lo..hi] (row [i] at [d.(i - off)], none if
+   [hi < lo]) meet the pivots in order.  The block relays each of its
+   rows as soon as the row is final, that is once it has met every
+   earlier pivot, and receives every other pivot through [relay].
+   Then it relaxes its rows against the pivot, row [k+1] first when it
+   owns it, so the next pivot goes out before the rest of the block is
+   done.  A block relays row [k] only after it has received every
+   pivot before [k]; row [k]'s own update at pivot [k] is the
+   identity. *)
+let walk ~size relay d ~off (lo, hi) =
+  let mine k = lo <= k && k <= hi in
+  if mine 0 then relay.send 0 d.(0 - off);
+  for k = 0 to size - 1 do
+    let pivot =
+      if mine k then d.(k - off)
+      else
+        match relay.recv () with
+        | k', row when k' = k && Array.length row = size -> row
+        | k', row ->
+            failwith
+              (Printf.sprintf
+                 "apsp: block %d..%d expected pivot %d of %d nodes, got \
+                  pivot %d of %d"
+                 lo hi k size k' (Array.length row))
+    in
+    if mine (k + 1) then begin
+      Apsp.relax d.(k + 1 - off) ~k pivot;
+      relay.send (k + 1) d.(k + 1 - off);
+      pivot_step d ~off pivot k lo k;
+      pivot_step d ~off pivot k (k + 2) hi
+    end
+    else pivot_step d ~off pivot k lo hi
+  done
+
+let rec await flag idle = if not (A.get flag) then await flag (Pool.backoff idle)
+
+(* The shared heap's relay for block [lo..hi]: [send k row] copies row
+   [k] into [pivots.(k)], then sets [ready.(k)]; [recv] waits for the
+   next pivot outside the block, spinning and sleeping but never
+   helping, and returns its buffer, which nobody writes again. *)
+let heap_relay pivots ready (lo, hi) =
+  let next = ref 0 in
+  let send k row =
+    Array.blit row 0 pivots.(k) 0 (Array.length row);
+    A.set ready.(k) true
+  in
+  let recv () =
+    if !next = lo then next := hi + 1;
+    let k = !next in
+    await ready.(k) 0;
+    next := k + 1;
+    (k, pivots.(k))
+  in
+  { send; recv }
 
 module Apsp_w : S = struct
   let name = "apsp"
@@ -321,34 +387,7 @@ module Apsp_w : S = struct
   let reference ~size =
     float_bits (Apsp.checksum (Apsp.floyd_warshall (Apsp.graph size)))
 
-  let run ~size () =
-    let d = Array.map Array.copy (Apsp.graph size) in
-    let chunks = S.default_chunks size in
-    for k = 0 to size - 1 do
-      (* per-pivot barrier: par_range forces every range before
-         returning, matching the simulator's pivot-chain dependency.
-         spark-purity (baselined): pivot_step min-updates disjoint row
-         ranges of [d]; within one pivot step the update is a pure
-         function of step-entry state, so re-evaluation is idempotent. *)
-      S.par_range ~chunks 0 (size - 1)
-        (fun lo hi -> pivot_step d d.(k) k lo hi)
-        ~combine:(fun () () -> ())
-        ~init:()
-    done;
-    float_bits (Apsp.checksum d)
-
-  (* One pinned task per PE, as in Eden's ring: the task owns a block
-     of rows for the whole run and walks the pivots in order.  It
-     relays each row of its own block as soon as the row is final,
-     that is once it has met every earlier pivot; any other pivot it
-     receives from its left neighbour on the ring, which made it or
-     passed it on.  Then it relaxes its block against the pivot, and
-     relaxes row [k+1] first when it owns it, so the next pivot goes
-     out before the rest of the block is done.  Every row still meets
-     pivots [0..size-1] in order, and a task relays row [k] only after
-     it has received every pivot before [k]. *)
-
-  type task = int * int  (** this PE's block, rows [lo..hi]; empty if [hi < lo] *)
+  type task = int * int  (** a block, rows [lo..hi]; empty if [hi < lo] *)
 
   type result = float array array  (** the block, after every pivot *)
 
@@ -357,32 +396,28 @@ module Apsp_w : S = struct
   let start ~size ~procs = ((), Array.init procs (block ~size ~chunks:procs), true)
   let finish () blocks = float_bits (Apsp.checksum (Array.concat (Array.to_list blocks)))
 
-  let execute ~size relay (lo, hi) =
+  let execute ~size relay ((lo, hi) as rows) =
     let d = Apsp.graph_rows size ~lo ~hi in
-    let mine k = lo <= k && k <= hi in
-    if mine 0 then relay.send 0 d.(0);
-    for k = 0 to size - 1 do
-      let pivot =
-        if mine k then d.(k - lo)
-        else
-          match relay.recv () with
-          | k', row when k' = k && Array.length row = size -> row
-          | k', row ->
-              failwith
-                (Printf.sprintf
-                   "apsp: block %d..%d expected pivot %d of %d nodes, got \
-                    pivot %d of %d"
-                   lo hi k size k' (Array.length row))
-      in
-      if mine (k + 1) then begin
-        Apsp.relax d.(k + 1 - lo) ~k pivot;
-        relay.send (k + 1) d.(k + 1 - lo);
-        pivot_step d pivot k 0 (k - lo);
-        pivot_step d pivot k (k + 2 - lo) (hi - lo)
-      end
-      else pivot_step d pivot k 0 (hi - lo)
-    done;
+    walk ~size relay d ~off:lo rows;
     d
+
+  (* One block per pool worker (one outside a pool) on one shared
+     matrix, whose rows and pivot buffers the caller allocates before
+     any block starts; the module header says why it cannot deadlock. *)
+  let run ~size () =
+    let (), blocks, _ = start ~size ~procs:(S.available_cores ()) in
+    let d = Apsp.graph size and p = Array.length blocks in
+    let pivots = Array.make_matrix size size 0.0
+    and ready = Array.init size (fun _ -> A.make false) in
+    let relays = Array.map (heap_relay pivots ready) blocks in
+    (* spark-purity (baselined): par_range's claim runs each block once;
+       a block writes only its own rows of [d], and through its relay
+       only its own pivots' buffers and flags, each flag once. *)
+    S.par_range ~chunks:p 0 (p - 1)
+      (fun b _ -> walk ~size relays.(b) d ~off:0 blocks.(b))
+      ~combine:(fun () () -> ())
+      ~init:();
+    float_bits (Apsp.checksum d)
 
   let result_blob = rows_blob
 end
@@ -415,11 +450,18 @@ let sample (module W : S) ~size ~cores : Measure.sample =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
+        (* [Gc.quick_stat] counts a domain's allocation only at a minor
+           collection (OCaml 5.1), so an untimed one on each side of the
+           run brings every domain's count up to date; the closing one
+           is not counted as the run's. *)
+        Gc.minor ();
         let gc0 = Gc.quick_stat () in
         let t1 = Repro_metrics.Metrics.now_ns () in
         let result = Pool.run pool (fun () -> W.run ~size ()) in
         let ns = Repro_metrics.Metrics.now_ns () - t1 in
-        (result, ns, Measure.gc_delta gc0 (Gc.quick_stat ())))
+        Gc.minor ();
+        let gc = Measure.gc_delta gc0 (Gc.quick_stat ()) in
+        (result, ns, { gc with minor_collections = gc.minor_collections - 1 }))
   in
   (* after shutdown, so leftover runners are counted as fizzled and the
      spark ledger balances *)

@@ -13,7 +13,8 @@
     relays row [k] (serialised before [send] returns) to every other
     PE, around the PEs' ring, and [recv ()] blocks for the next row
     another task relayed, with its number.  On one PE [send] does
-    nothing and [recv] fails.  The ring cannot deadlock while every
+    nothing and [recv] fails.  apsp's [run] hands rows over the same
+    way, through the shared heap.  The ring cannot deadlock while every
     task relays its rows in increasing order and each only after
     receiving every row before it: a PE then sends on its out-edge in
     increasing row number, and since it never forwards a row back to
@@ -90,7 +91,10 @@ val find : string -> (module S) option
 val float_bits : float -> int
 
 (** One timed run on a fresh [cores]-domain pool: [ns] covers [W.run]
-    alone, [spawn_ns] the pool's creation, [gc] the calling domain's
-    deltas over the run.  No counts or per-worker rows. *)
+    alone, [spawn_ns] the pool's creation, [gc] the run's deltas summed
+    over the pool's domains (brought up to date by an untimed minor
+    collection on each side of the run, not counted as the run's),
+    [counts] and [per_worker] the pool's scheduler counts after
+    shutdown. *)
 val sample :
   (module S) -> size:int -> cores:int -> Repro_metrics.Measure.sample

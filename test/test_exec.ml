@@ -239,16 +239,37 @@ let sumeuler_allocates_per_range () =
 
 (* ---------------- workload determinism at 1/2/4 domains ---------------- *)
 
+(* Runs [f ()] on a domain of its own and fails [what] unless it
+   returns within 30 s, so a hang fails the named case instead of
+   stalling the suite (the domain is then left running, never
+   joined). *)
+let within what f =
+  let seconds = 30.0 in
+  let outcome = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set outcome (Some (match f () with v -> Ok v | exception e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get outcome = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  match Atomic.get outcome with
+  | None -> Alcotest.failf "%s: still running after %.0f s" what seconds
+  | Some r -> (
+      Domain.join d;
+      match r with Ok v -> v | Error e -> raise e)
+
 let workload_deterministic (module W : Workload.S) () =
   let size = W.quick_size in
   let expect = W.reference ~size in
   List.iter
     (fun cores ->
-      let got = Pool.with_pool ~cores (fun () -> W.run ~size ()) in
-      check Alcotest.int
-        (Printf.sprintf "%s size %d at %d domain(s) = reference" W.name size
-           cores)
-        expect got)
+      let what =
+        Printf.sprintf "%s size %d at %d domain(s) = reference" W.name size cores
+      in
+      check Alcotest.int what expect
+        (within what (fun () -> Pool.with_pool ~cores (fun () -> W.run ~size ()))))
     [ 1; 2; 4 ]
 
 let matmul_kernel_matches_mul_ref () =
@@ -315,24 +336,56 @@ let matmul_kernel_matches_mul_ref () =
         (Pool.with_pool ~cores (fun () -> W.run ~size:67 ())))
     [ 1; 2 ]
 
-(* 32 rows over 3 domains, and 67 (three past the last group of eight
-   lanes in Apsp.relax) on 1 and 2 *)
+(* One block per worker: sizes below the worker count leave empty
+   blocks, 3 and 4 domains outnumber a 2-core host's cores, 67 leaves
+   three columns past Apsp.relax's last group of eight lanes, and 256
+   is the benchmark's size. *)
 let apsp_matches_floyd_warshall () =
   let module A = Repro_workloads.Apsp in
   List.iter
-    (fun (size, cores) ->
+    (fun size ->
       let expect =
         Int64.to_int
           (Int64.bits_of_float (A.checksum (A.floyd_warshall (A.graph size))))
       in
-      let got =
-        Pool.with_pool ~cores (fun () -> Workload.Apsp_w.run ~size ())
+      List.iter
+        (fun cores ->
+          let what =
+            Printf.sprintf "apsp size %d at %d domain(s) = floyd_warshall" size
+              cores
+          in
+          let got =
+            within what (fun () ->
+                Pool.with_pool ~cores (fun () -> Workload.Apsp_w.run ~size ()))
+          in
+          check Alcotest.int what expect got)
+        [ 1; 2; 3; 4 ])
+    [ 1; 2; 3; 17; 48; 67; 256 ]
+
+(* apsp sparks one block per worker and the caller claims block 0
+   before it can be stolen (the others cannot finish without its
+   rows), so block 0's runner always fizzles and every other runs. *)
+let apsp_spark_ledger () =
+  let module W = Workload.Apsp_w in
+  let size = W.quick_size in
+  List.iter
+    (fun p ->
+      let what = Printf.sprintf "apsp at %d worker(s)" p in
+      let got, (e : Pool.events) =
+        within what (fun () ->
+            let pool = Pool.create ~cores:p () in
+            let got =
+              Fun.protect
+                ~finally:(fun () -> Pool.shutdown pool)
+                (fun () -> Pool.run pool (fun () -> W.run ~size ()))
+            in
+            (got, Pool.events pool))
       in
-      check Alcotest.int
-        (Printf.sprintf "apsp size %d at %d domain(s) = floyd_warshall" size
-           cores)
-        expect got)
-    [ (32, 3); (67, 1); (67, 2) ]
+      check Alcotest.int (what ^ ": checksum") (W.reference ~size) got;
+      check Alcotest.int (what ^ ": one spark per worker") p e.sparks_created;
+      check Alcotest.int (what ^ ": the helpers run theirs") (p - 1) e.sparks_run;
+      check Alcotest.int (what ^ ": block 0's fizzles") 1 e.sparks_fizzled)
+    [ 1; 2; 3; 4 ]
 
 (* ---------------- measurement on domains ---------------- *)
 
@@ -385,6 +438,24 @@ let sample_carries_pool_counts () =
         total
         (Array.fold_left (fun acc row -> acc +. get row k) 0. s.per_worker))
     s.counts
+
+(* A run's allocation is counted on every domain even when no minor
+   collection fell inside it: parfib at its quick size allocates its
+   sparks in far less than a minor heap. *)
+let sample_counts_minor_words () =
+  let module W = Workload.Parfib in
+  List.iter
+    (fun cores ->
+      let s = Workload.sample (module W) ~size:W.quick_size ~cores in
+      check Alcotest.bool
+        (Printf.sprintf "parfib at %d domain(s): %.0f minor words > 0" cores
+           s.gc.minor_words)
+        true (s.gc.minor_words > 0.0);
+      check Alcotest.bool
+        (Printf.sprintf "parfib at %d domain(s): minor GCs non-negative" cores)
+        true
+        (s.gc.minor_collections >= 0))
+    [ 1; 2 ]
 
 let core_counts () =
   let ladder = Measure.core_counts_up_to in
@@ -441,11 +512,14 @@ let suite =
       test_case "matmul kernel = mul_ref bitwise" `Quick
         matmul_kernel_matches_mul_ref;
       test_case "apsp = floyd_warshall bitwise" `Quick apsp_matches_floyd_warshall;
+      test_case "apsp sparks one block per worker" `Quick apsp_spark_ledger;
       test_case "sumeuler allocates per sub-range" `Quick
         sumeuler_allocates_per_range;
       test_case "harness sweep shape" `Quick harness_sweep_shape;
       test_case "sample carries the pool's counts" `Quick
         sample_carries_pool_counts;
+      test_case "sample counts minor words on every domain" `Quick
+        sample_counts_minor_words;
       test_case "core count ladder" `Quick core_counts;
       test_case "BENCH_exec json renders" `Quick json_document_valid;
     ]
