@@ -134,7 +134,9 @@ let is_syntactic_fun e =
 
 (* Calls that write an argument in place.  [Apsp.relax] is the
    repository's min-plus kernel: it relaxes its first argument, a row,
-   in place. *)
+   in place.  [Matrix.fill_rows] and [fill_cols] draw into the rows of
+   their first argument, and [Matrix.mul_rows] writes its product into
+   [~into], written first at every call. *)
 let inplace_writers =
   List.map
     (fun p -> (dotted p, ()))
@@ -147,6 +149,8 @@ let inplace_writers =
       [ "Buffer"; "clear" ]; [ "Buffer"; "reset" ]; [ "Queue"; "push" ];
       [ "Queue"; "add" ]; [ "Queue"; "pop" ]; [ "Queue"; "take" ];
       [ "Stack"; "push" ]; [ "Stack"; "pop" ]; [ "Apsp"; "relax" ];
+      [ "Matrix"; "fill_rows" ]; [ "Matrix"; "fill_cols" ];
+      [ "Matrix"; "mul_rows" ];
     ]
 
 let is_inplace_writer parts = List.mem_assoc (dotted parts) inplace_writers

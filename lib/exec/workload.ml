@@ -195,22 +195,48 @@ module Matmul : S = struct
   let size_doc = "size x size dense float multiply"
   let default_size = 384
   let quick_size = 64
-  let inputs size = (Matrix.random ~seed:11 size, Matrix.random ~seed:23 size)
+
+  (* [a] and [b] are [Matrix.random] of these seeds.  Only [reference]
+     draws them whole: the parallel forms draw [b] as its transpose
+     [bt], by columns, and each piece of work only its own rows of [a],
+     with the whole matrices' bits. *)
+  let a_seed = 11 and b_seed = 23
+  let inputs size = (Matrix.random ~seed:a_seed size, Matrix.random ~seed:b_seed size)
 
   let reference ~size =
     let a, b = inputs size in
     float_bits (Matrix.checksum (Matrix.mul_ref a b))
 
+  (* Rows [lo..] of the product into [c], rows [lo..] of [a] drawn into
+     [a] first. *)
+  let product ~into:c a bt ~lo =
+    Matrix.fill_rows a ~seed:a_seed ~lo;
+    Matrix.mul_rows ~into:c a bt
+
+  (* The caller allocates [a], [bt] and the product [c], and two phases
+     of sparks fill disjoint rows of them: the first draws [bt] a block
+     of columns at a time, the second a block of [a]'s rows and their
+     product rows.  Sparks that returned fresh rows instead, or a sum
+     taken block by block as the caller forced them, left OCaml 5.1's
+     major GC far behind: the heap peaked 25-70% higher (EXPERIMENTS.md,
+     "Matmul drew its inputs on one core"). *)
   let run ~size () =
-    let a, b = inputs size in
-    let bt = Matrix.transpose b and c = Array.make size [||] in
-    (* spark-purity (baselined): each range blits fresh rows into its
-       own slots of [c], and the rows are a pure function of [a], [bt],
-       [lo] and [hi]: duplicate evaluation stores identical values
-       (idempotent). *)
-    S.par_range ~chunks:(S.default_chunks size) 0 (size - 1)
-      (fun lo hi ->
-        Array.blit (Matrix.mul_rows a bt lo hi) 0 c lo (hi - lo + 1))
+    let chunks = S.default_chunks size in
+    let a = Matrix.create size size and bt = Matrix.create size size in
+    let c = Matrix.create size size in
+    let rows m lo hi = Array.sub m lo (hi - lo + 1) in
+    (* spark-purity (baselined): each range fills its own rows lo..hi
+       of [bt] with a pure function of [lo] and [hi]: duplicate
+       evaluation stores identical values (idempotent). *)
+    S.par_range ~chunks 0 (size - 1)
+      (fun lo hi -> Matrix.fill_cols (rows bt lo hi) ~seed:b_seed ~lo)
+      ~combine:(fun () () -> ())
+      ~init:();
+    (* spark-purity (baselined): each range fills its own rows lo..hi
+       of [a] and [c], with values that depend on [bt], [lo] and [hi]
+       only (idempotent). *)
+    S.par_range ~chunks 0 (size - 1)
+      (fun lo hi -> product ~into:(rows c lo hi) (rows a lo hi) bt ~lo)
       ~combine:(fun () () -> ())
       ~init:();
     float_bits (Matrix.checksum c)
@@ -219,41 +245,36 @@ module Matmul : S = struct
 
   type result = float array array  (** the computed rows *)
 
-  type state = float array array  (** the product, assembled row by row *)
+  type state = unit
 
-  (* PEs regenerate the (deterministic) inputs locally instead of
-     receiving them — Eden replicates closed inputs the same way; only
-     the computed rows travel back. Cached per size, [b] transposed,
-     so multi-task PEs pay the generation once per process. *)
-  let pe_inputs : (int, Matrix.mat * Matrix.mat) Hashtbl.t = Hashtbl.create 4
+  (* PEs draw the (deterministic) inputs locally instead of receiving
+     them — Eden replicates closed inputs the same way; only the
+     computed rows travel back.  [bt] is cached per size, so a PE draws
+     it once per process; a task draws only its own rows of [a]. *)
+  let pe_bt : (int, Matrix.mat) Hashtbl.t = Hashtbl.create 4
 
   let chunk_count ~size ~procs = max 1 (min size (4 * procs))
 
   let start ~size ~procs =
     let chunks = chunk_count ~size ~procs in
-    let tasks = Array.init chunks (block ~size ~chunks) in
-    (Matrix.zero size, tasks, false)
+    ((), Array.init chunks (block ~size ~chunks), false)
 
-  let finish c results =
-    let row = ref 0 in
-    Array.iter
-      (Array.iter (fun r ->
-           c.(!row) <- r;
-           incr row))
-      results;
-    float_bits (Matrix.checksum c)
+  let finish () results =
+    float_bits (Array.fold_left Matrix.checksum_from 0.0 results)
 
   let execute ~size _ (lo, hi) =
-    let a, bt =
-      match Hashtbl.find_opt pe_inputs size with
-      | Some abt -> abt
+    let bt =
+      match Hashtbl.find_opt pe_bt size with
+      | Some bt -> bt
       | None ->
-          let a, b = inputs size in
-          let abt = (a, Matrix.transpose b) in
-          Hashtbl.replace pe_inputs size abt;
-          abt
+          let bt = Matrix.create size size in
+          Matrix.fill_cols bt ~seed:b_seed ~lo:0;
+          Hashtbl.replace pe_bt size bt;
+          bt
     in
-    Matrix.mul_rows a bt lo hi
+    let c = Matrix.create (hi - lo + 1) size in
+    product ~into:c (Matrix.create (hi - lo + 1) size) bt ~lo;
+    c
 
   let result_blob = rows_blob
 end

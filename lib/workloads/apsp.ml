@@ -29,15 +29,17 @@ module Api = Repro_parrts.Rts.Api
 
 (* Rows [lo..hi] of a deterministic random digraph's weight matrix.
    Rows before [lo] are drawn into one dropped row, so a block built
-   alone has the whole matrix's bits; weights go straight into rows,
-   unboxed. *)
+   alone has the whole matrix's bits: an absent edge takes one draw
+   and a weight two or more ([Rng.int] may reject), so no jump-ahead
+   ([Rng.skip]) can find a row's first draw.  Weights go straight into
+   rows, unboxed, and the draws allocate nothing. *)
 let graph_rows ?(seed = 7) ?(density = 0.2) n ~lo ~hi : float array array =
   let rng = Repro_util.Rng.create seed in
   let draw i (row : float array) =
     for j = 0 to n - 1 do
       row.(j) <-
         (if i = j then 0.0
-         else if Repro_util.Rng.float rng < density then
+         else if Repro_util.Rng.bernoulli rng density then
            float_of_int (1 + Repro_util.Rng.int rng 100)
          else infinity)
     done

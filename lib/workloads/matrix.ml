@@ -11,6 +11,8 @@
       identical by construction: the cost charged does not depend on
       the mode.  See DESIGN.md ("substitutions"). *)
 
+module Rng = Repro_util.Rng
+
 type payload = Real | Synthetic
 
 type mat = float array array
@@ -19,17 +21,49 @@ let make n f : mat = Array.init n (fun i -> Array.init n (fun j -> f i j))
 
 let zero n : mat = Array.make_matrix n n 0.0
 
-(* Deterministic pseudo-random matrix (values in [0,1)), drawn row by
-   row in index order. *)
-let random ~seed n : mat =
-  let rng = Repro_util.Rng.create seed in
-  Array.init n (fun _ ->
-      let row = Array.create_float n in
-      Repro_util.Rng.fill_float rng row 0 (n - 1);
-      row)
+(* [rows] fresh rows of [n] floats whose contents are unspecified,
+   for a fill below to overwrite. *)
+let create rows n : mat = Array.init rows (fun _ -> Array.create_float n)
 
-let checksum (m : mat) =
-  Array.fold_left (fun acc row -> Array.fold_left ( +. ) acc row) 0.0 m
+(* The deterministic pseudo-random matrix [random ~seed n] (values in
+   [0,1)) is drawn row by row in index order: entry [(i, j)] is draw
+   [i * n + j] of [Rng.create seed].  [fill_rows m ~seed ~lo] writes
+   its rows [lo], [lo + 1], ... into the rows of [m], [n] their length,
+   skipping the draws of the rows before [lo] instead of making them. *)
+let fill_rows (m : mat) ~seed ~lo =
+  let rng = Rng.create seed in
+  if Array.length m > 0 then Rng.skip rng (lo * Array.length m.(0));
+  Array.iter (fun row -> Rng.fill_float rng row 0 (Array.length row - 1)) m
+
+let random ~seed n =
+  let m = create n n in
+  fill_rows m ~seed ~lo:0;
+  m
+
+(* Columns [lo], [lo + 1], ... of [random ~seed n] into the rows of
+   [m]: column [j] is draws [j], [n + j], [2n + j], ..., one stride of
+   [n] draws apart. *)
+let fill_cols (m : mat) ~seed ~lo =
+  Array.iteri
+    (fun r row ->
+      let n = Array.length row and rng = Rng.create seed in
+      Rng.skip rng (lo + r);
+      Rng.fill_float ~stride:n rng row 0 (n - 1))
+    m
+
+(* [acc] plus every entry of [m], row by row in index order, in an
+   unboxed sum. *)
+let checksum_from acc (m : mat) =
+  let s = ref acc in
+  for i = 0 to Array.length m - 1 do
+    let row = m.(i) in
+    for j = 0 to Array.length row - 1 do
+      s := !s +. row.(j)
+    done
+  done;
+  !s
+
+let checksum m = checksum_from 0.0 m
 
 (* Sequential reference multiply (ikj loop order). *)
 let mul_ref (a : mat) (b : mat) : mat =
@@ -49,39 +83,35 @@ let mul_ref (a : mat) (b : mat) : mat =
   done;
   c
 
-(* Not [make]: its closure would box every float it returns. *)
-let transpose (m : mat) : mat =
-  let n = Array.length m in
-  let t = zero n in
-  Array.iteri (fun i mi -> for j = 0 to n - 1 do t.(j).(i) <- mi.(j) done) m;
-  t
+(* Raise unless every row of [m] has length [n]: [mul_rows] reads them
+   unchecked. *)
+let check_rows (m : mat) n =
+  Array.iter
+    (fun row -> if Array.length row <> n then invalid_arg "Matrix.mul_rows: ragged matrix")
+    m
 
-(* Raise unless rows [lo..hi] of [m] all have length [n]: [mul_rows]
-   reads them unchecked. *)
-let check_rows (m : mat) n lo hi =
-  for i = lo to hi do
-    if Array.length m.(i) <> n then invalid_arg "Matrix.mul_rows: ragged matrix"
-  done
-
-(* Fresh rows [lo..hi] of [a*b], read from [bt = transpose b] so that
-   both operands of a dot product are rows.  The lengths of those rows
-   of [a] and of every row of [bt] are checked once, up front.  Rows go
-   two at a time: for each group of four columns one pass over [k]
-   reads unchecked and keeps eight sums in flight, each load serving
-   two of them.  An odd last row is its own partner: both halves of the
-   tile compute and store the same values.  The 0-3 columns left over
-   go one at a time.  Each element is summed from 0.0 in ascending [k],
-   so every element is bit-identical to [mul_ref]'s. *)
-let mul_rows (a : mat) (bt : mat) lo hi : mat =
-  let n = Array.length a in
-  check_rows a n lo hi;
-  check_rows bt n 0 (n - 1);
-  let c = Array.init (max 0 (hi - lo + 1)) (fun _ -> Array.make n 0.0) in
-  let i = ref lo in
+(* Row [r] of [a*b] into row [r] of [into], for every row of [a] (any
+   rows of the left operand), read from [bt], the transpose of the
+   square [b], so that both operands of a dot product are rows.  The
+   lengths of the rows of [a], [bt] and [into] are checked once, up
+   front.  Rows go two at a time: for each group of four columns one
+   pass over [k] reads unchecked and keeps eight sums in flight, each
+   load serving two of them.  An odd last row is its own partner: both
+   halves of the tile compute and store the same values.  The 0-3
+   columns left over go one at a time, so every element is stored.
+   Each element is summed from 0.0 in ascending [k], so every element
+   is bit-identical to [mul_ref]'s. *)
+let mul_rows ~(into : mat) (a : mat) (bt : mat) =
+  let n = Array.length bt and hi = Array.length a - 1 in
+  if Array.length into <> hi + 1 then invalid_arg "Matrix.mul_rows: row counts differ";
+  check_rows a n;
+  check_rows bt n;
+  check_rows into n;
+  let i = ref 0 in
   while !i <= hi do
     let i1 = min (!i + 1) hi in
     let a0 = a.(!i) and a1 = a.(i1) in
-    let c0 = c.(!i - lo) and c1 = c.(i1 - lo) in
+    let c0 = into.(!i) and c1 = into.(i1) in
     for q = 0 to (n / 4) - 1 do
       let j = 4 * q in
       let b0 = bt.(j) and b1 = bt.(j + 1) and b2 = bt.(j + 2) and b3 = bt.(j + 3) in
@@ -119,8 +149,7 @@ let mul_rows (a : mat) (bt : mat) lo hi : mat =
       c1.(j) <- !s1
     done;
     i := !i + 2
-  done;
-  c
+  done
 
 (* Compute the [bs x bs] block of [a*b] whose top-left corner is
    [(r0, c0)], writing into [out] at the same position.

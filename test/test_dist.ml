@@ -663,6 +663,23 @@ let all_workloads_match_reference () =
         (W.reference ~size) o.Farm.result)
     reference_runs
 
+(* matmul on 1-4 PEs: each PE draws bt once and each task its own
+   rows of a; at 1 and 3 rows some PEs get no task, and 67 leaves three
+   columns past the kernel's four-column groups. *)
+let matmul_sizes transport () =
+  let module W = Workload.Matmul in
+  List.iter
+    (fun size ->
+      let expect = W.reference ~size in
+      List.iter
+        (fun procs ->
+          let o = Farm.run ~transport ~procs ~size (module W) in
+          check int
+            (Printf.sprintf "matmul size %d on %d PE(s) = reference" size procs)
+            expect o.Farm.result)
+        [ 1; 2; 3; 4 ])
+    [ 1; 3; 67 ]
+
 (* The same five workloads over the shared-memory rings, with three
    PEs, so that apsp's blocks and the demand placement span more than
    two links.  Exactly-once still holds, and the workloads that declare
@@ -1094,6 +1111,10 @@ let suite =
         (leak_free all_workloads_match_reference);
       test_case "all workloads match references over shm" `Quick
         (leak_free all_workloads_match_reference_shm);
+      test_case "sock matmul at sizes 1, 3, 67 on 1-4 PEs" `Quick
+        (leak_free (matmul_sizes Farm.Sock));
+      test_case "shm matmul at sizes 1, 3, 67 on 1-4 PEs" `Quick
+        (leak_free (matmul_sizes Farm.Shm));
       test_case "apsp pinned rounds over shm" `Quick (leak_free apsp_shm_pinned);
       test_case "closure farm over shm" `Quick (leak_free farm_closures_shm);
       test_case "apsp awkward shapes" `Quick (leak_free apsp_awkward_shapes);

@@ -281,10 +281,8 @@ let matmul_kernel_matches_mul_ref () =
   let module M = Repro_workloads.Matrix in
   let bits row = Array.map Int64.bits_of_float row in
   let check_range a bt c n lo hi =
-    let rows = M.mul_rows a bt lo hi in
-    check Alcotest.int
-      (Printf.sprintf "n %d rows %d..%d count" n lo hi)
-      (max 0 (hi - lo + 1)) (Array.length rows);
+    let rows = M.create (max 0 (hi - lo + 1)) n in
+    M.mul_rows ~into:rows (Array.sub a lo (Array.length rows)) bt;
     Array.iteri
       (fun r row ->
         check
@@ -295,7 +293,7 @@ let matmul_kernel_matches_mul_ref () =
   in
   let inputs n =
     let a = M.random ~seed:11 n and b = M.random ~seed:23 n in
-    (a, M.transpose b, M.mul_ref a b)
+    (a, Array.init n (fun j -> Array.init n (fun i -> b.(i).(j))), M.mul_ref a b)
   in
   List.iter
     (fun n ->
@@ -320,21 +318,39 @@ let matmul_kernel_matches_mul_ref () =
     Array.mapi (fun r row -> if r = i then Array.sub row 0 8 else row) m
   in
   List.iter
-    (fun (what, a, bt) ->
+    (fun (what, into, a, bt) ->
       Alcotest.check_raises what
         (Invalid_argument "Matrix.mul_rows: ragged matrix") (fun () ->
-          ignore (M.mul_rows a bt 0 8)))
-    [ ("ragged a", short a 5, bt); ("ragged bt", a, short bt 8) ];
-  (* and the parallel run at an odd size on 1 and 2 domains *)
+          M.mul_rows ~into a bt))
+    [
+      ("ragged a", M.create 9 9, short a 5, bt);
+      ("ragged bt", M.create 9 9, a, short bt 8);
+      ("ragged into", short (M.create 9 9) 2, a, bt);
+    ];
+  Alcotest.check_raises "a row of into per row of a"
+    (Invalid_argument "Matrix.mul_rows: row counts differ") (fun () ->
+      M.mul_rows ~into:(M.create 8 9) a bt)
+
+(* Every spark draws its own block of bt's columns, then every spark
+   its own rows of a: sizes below the chunk count leave chunks of one
+   row, 67 leaves three columns past the kernel's four-column groups,
+   384 is the benchmark's size, and 3 and 4 domains outnumber a 2-core
+   host's cores. *)
+let matmul_matches_reference () =
   let module W = Workload.Matmul in
-  let expect = W.reference ~size:67 in
   List.iter
-    (fun cores ->
-      check Alcotest.int
-        (Printf.sprintf "matmul size 67 at %d domain(s) = reference" cores)
-        expect
-        (Pool.with_pool ~cores (fun () -> W.run ~size:67 ())))
-    [ 1; 2 ]
+    (fun size ->
+      let expect = W.reference ~size in
+      List.iter
+        (fun cores ->
+          let what =
+            Printf.sprintf "matmul size %d at %d domain(s) = reference" size cores
+          in
+          check Alcotest.int what expect
+            (within what (fun () ->
+                 Pool.with_pool ~cores (fun () -> W.run ~size ()))))
+        [ 1; 2; 3; 4 ])
+    [ 1; 2; 3; 67; 384 ]
 
 (* One block per worker: sizes below the worker count leave empty
    blocks, 3 and 4 domains outnumber a 2-core host's cores, 67 leaves
@@ -511,6 +527,8 @@ let suite =
         events_ledger_balances_after_many_runs;
       test_case "matmul kernel = mul_ref bitwise" `Quick
         matmul_kernel_matches_mul_ref;
+      test_case "matmul = reference bitwise at 1-4 domains" `Quick
+        matmul_matches_reference;
       test_case "apsp = floyd_warshall bitwise" `Quick apsp_matches_floyd_warshall;
       test_case "apsp sparks one block per worker" `Quick apsp_spark_ledger;
       test_case "sumeuler allocates per sub-range" `Quick

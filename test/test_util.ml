@@ -45,6 +45,95 @@ let rng_pinned_stream () =
         (2974944666070038301, 0x1.e1016a1c84acfp-1, 861));
     ]
 
+(* [skip t k] is [k] draws made at once: after it, the next [m]
+   [next_int] draws, and the next [m] [float] draws, are draws
+   [k..k+m-1] of [create seed] made one at a time, for any seed. *)
+let qcheck_rng_skip =
+  let print (seed, k, m) = Printf.sprintf "seed %d, skip %d, %d draws" seed k m in
+  QCheck.Test.make ~name:"rng skip k == k draws" ~count:60
+    (QCheck.make ~print
+       QCheck.Gen.(triple int (int_range 0 300_000) (int_range 0 50)))
+    (fun (seed, k, m) ->
+      let stepped draw =
+        let r = Rng.create seed in
+        for _ = 1 to k do
+          ignore (Rng.next_int r)
+        done;
+        List.init m (fun _ -> draw r)
+      and jumped draw =
+        let r = Rng.create seed in
+        Rng.skip r k;
+        List.init m (fun _ -> draw r)
+      in
+      let float_bits r = Int64.bits_of_float (Rng.float r) in
+      jumped Rng.next_int = stepped Rng.next_int
+      && jumped float_bits = stepped float_bits)
+
+(* Skips add up, mod 2^64 on the state, far past any count drawn one
+   at a time. *)
+let qcheck_rng_skip_adds =
+  let big = 1 lsl 60 in
+  QCheck.Test.make ~name:"rng skip a; skip b == skip (a + b)" ~count:300
+    QCheck.(triple int (oneof [ int_bound 300_000; int_bound big ])
+              (oneof [ int_bound 300_000; int_bound big ]))
+    (fun (seed, a, b) ->
+      let two = Rng.create seed and one = Rng.create seed in
+      Rng.skip two a;
+      Rng.skip two b;
+      Rng.skip one (a + b);
+      List.init 4 (fun _ -> Rng.next_int two) = List.init 4 (fun _ -> Rng.next_int one))
+
+(* [fill_float ~stride] takes every [stride]-th draw and leaves the
+   generator [stride] draws on per element. *)
+let rng_fill_float_stride () =
+  List.iter
+    (fun stride ->
+      let a = Rng.create 17 and b = Rng.create 17 in
+      let filled = Array.make 7 nan in
+      Rng.fill_float ~stride a filled 1 5;
+      let want =
+        Array.init 7 (fun j ->
+            if j < 1 || j > 5 then nan
+            else begin
+              let f = Rng.float b in
+              Rng.skip b (stride - 1);
+              f
+            end)
+      in
+      let what = Printf.sprintf "stride %d" stride in
+      check Alcotest.(array (float 0.0)) what want filled;
+      check Alcotest.int (what ^ ": left after the last stride") (Rng.next_int b)
+        (Rng.next_int a))
+    [ 1; 2; 3; 67 ];
+  Alcotest.check_raises "stride 0" (Invalid_argument "Rng.fill_float: stride must be positive")
+    (fun () -> Rng.fill_float ~stride:0 (Rng.create 1) [| 0.0 |] 0 0);
+  Alcotest.check_raises "negative skip" (Invalid_argument "Rng.skip: negative count")
+    (fun () -> Rng.skip (Rng.create 1) (-1))
+
+(* The draws a caller outside [Rng] makes in a loop allocate nothing:
+   [int]'s rejection loop is no closure, [bernoulli] compares its float
+   where it is drawn, and [skip] and [fill_float] touch only the
+   state.  (A [float] returned to another module is boxed.) *)
+let rng_draws_allocate_nothing () =
+  let r = Rng.create 5 and row = Array.create_float 64 in
+  List.iter
+    (fun (what, f) ->
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        f ()
+      done;
+      let words = Gc.minor_words () -. w0 in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f minor words in 10,000 calls" what words)
+        true (words < 64.0))
+    [
+      ("int", fun () -> ignore (Rng.int r 100 : int));
+      ("next_int", fun () -> ignore (Rng.next_int r : int));
+      ("bernoulli", fun () -> ignore (Rng.bernoulli r 0.2 : bool));
+      ("skip", fun () -> Rng.skip r 384);
+      ("fill_float", fun () -> Rng.fill_float r row 0 63);
+    ]
+
 let rng_bounds () =
   let r = Rng.create 7 in
   for _ = 1 to 10_000 do
@@ -177,6 +266,10 @@ let suite =
       test_case "rng split independent" `Quick rng_split_independent;
       test_case "rng int_range" `Quick rng_int_range;
       test_case "rng shuffle permutes" `Quick rng_shuffle_permutes;
+      QCheck_alcotest.to_alcotest qcheck_rng_skip;
+      QCheck_alcotest.to_alcotest qcheck_rng_skip_adds;
+      test_case "rng fill_float strides" `Quick rng_fill_float_stride;
+      test_case "rng draws allocate nothing" `Quick rng_draws_allocate_nothing;
       test_case "stats basic" `Quick stats_basic;
       test_case "stats percentile" `Quick stats_percentile;
       QCheck_alcotest.to_alcotest stats_qcheck_mean;

@@ -107,6 +107,38 @@ let matrix_row_segment_equals_ref () =
   check Alcotest.bool "row segments == reference" true
     (Float.abs (W.Matrix.checksum out -. want) < 1e-9 *. Float.abs want)
 
+(* Rows filled alone are those rows of [random], and columns filled
+   alone are those rows of its transpose, built here by hand, bit for
+   bit: any block (the empty ones, those from row 0 and those to the
+   last row included) at sizes 1-4 and 67, over any seed. *)
+let qcheck_matrix_draws =
+  let gen =
+    QCheck.Gen.(
+      let* n = oneofl [ 1; 2; 3; 4; 67 ] in
+      let* lo = oneof [ return 0; int_range 0 n ] in
+      let* hi =
+        oneof [ return (n - 1); return (lo - 1); int_range (lo - 1) (n - 1) ]
+      in
+      let* seed = int in
+      return (n, lo, hi, seed))
+  in
+  let print (n, lo, hi, seed) =
+    Printf.sprintf "n %d, rows %d..%d, seed %d" n lo hi seed
+  in
+  QCheck.Test.make ~name:"matrix fill_rows/fill_cols == rows of random/its transpose"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (n, lo, hi, seed) ->
+      let m = W.Matrix.random ~seed n in
+      let t = Array.init n (fun j -> Array.init n (fun i -> m.(i).(j))) in
+      let bits = Array.map (Array.map Int64.bits_of_float) in
+      let block x = bits (Array.sub x lo (max 0 (hi - lo + 1))) in
+      let filled fill =
+        let rows = W.Matrix.create (max 0 (hi - lo + 1)) n in
+        fill rows ~seed ~lo;
+        bits rows
+      in
+      filled W.Matrix.fill_rows = block m && filled W.Matrix.fill_cols = block t)
+
 (* A Real-payload matmul returns its product's checksum unchecked; it
    must be, to a relative 1e-6, the checksum of [mul_ref] on the inputs
    the program draws ([random ~seed:42 n] and [random ~seed:43 n] by
@@ -301,6 +333,22 @@ let qcheck_apsp_graph_rows =
       W.Apsp.graph_rows ~seed ~density n ~lo ~hi
       = Array.sub (W.Apsp.graph ~seed ~density n) lo (max 0 (hi - lo + 1)))
 
+(* A 256-node graph allocates its rows and little else: each draw
+   allocates nothing (no rejection closure, no boxed float), so the
+   minor heap sees the n rows of n + 1 words, the outer array's n + 1
+   and a constant (the dropped row, the generator, the row closure). *)
+let apsp_graph_allocates_its_rows () =
+  let n = 256 in
+  let w0 = Gc.minor_words () in
+  let g = W.Apsp.graph n in
+  let words = Gc.minor_words () -. w0 in
+  let rows = float_of_int ((n + 1) * (n + 1)) in
+  check Alcotest.int "rows" n (Array.length g);
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words <= %.0f for the rows + 512" words rows)
+    true
+    (words <= rows +. 512.0)
+
 (* Apsp.relax against the one-lane loop it replaced: rows of every
    length 1-67, so every remainder of its eight lanes occurs, entries
    integer weights 0-100 or infinity (so some [row.(k)] is unreachable),
@@ -384,6 +432,7 @@ let suite =
       test_case "matrix: A*I = A" `Quick matrix_ref_identity;
       test_case "matrix: blocked == ref" `Quick matrix_block_equals_ref;
       test_case "matrix: row segments == ref" `Quick matrix_row_segment_equals_ref;
+      QCheck_alcotest.to_alcotest qcheck_matrix_draws;
       test_case "matmul: gph == cannon" `Quick matmul_variants_agree;
       test_case "matmul: lazy BH correct" `Quick matmul_lazy_bh_still_correct;
       test_case "programs at odd sizes == reference" `Quick
@@ -395,6 +444,8 @@ let suite =
       test_case "apsp: ring process counts" `Quick apsp_ring_nprocs_variants;
       QCheck_alcotest.to_alcotest qcheck_apsp_sizes;
       QCheck_alcotest.to_alcotest qcheck_apsp_graph_rows;
+      test_case "apsp: graph allocates its rows only" `Quick
+        apsp_graph_allocates_its_rows;
       QCheck_alcotest.to_alcotest qcheck_apsp_relax;
       test_case "apsp: relax checks the pivot's length" `Quick
         apsp_relax_checks_length;
