@@ -159,7 +159,9 @@ let shm_echo_child path =
   let conn = Shm_ring.attach ~path ~side:`B ~doorbell:Unix.stdin in
   (try
      while true do
-       Shm_ring.send conn (Shm_ring.recv conn)
+       match Shm_ring.recv_message conn with
+       | Wire.Bytes_msg s -> Shm_ring.send conn s
+       | Wire.Floats_msg (x, y, a) -> Shm_ring.send_floats conn x y a
      done
    with End_of_file -> ());
   exit 0
@@ -325,7 +327,7 @@ let shm_inproc_costs () =
   let a = Shm_ring.attach ~path ~side:`A ~doorbell:da in
   let b = Shm_ring.attach ~path ~side:`B ~doorbell:db in
   let small =
-    small_one_way ~send:(Shm_ring.send a) ~recv:(fun () -> Shm_ring.recv b)
+    small_one_way ~send:(Shm_ring.send a) ~recv:(fun () -> Shm_ring.recv_message b)
   in
   (* bulk bandwidth on the float plane — the plane matmul blocks and
      mandelbrot rows actually ride — where frames are written into and
@@ -336,8 +338,8 @@ let shm_inproc_costs () =
   let n = if quick then 200 else 2000 in
   let t0 = now_ns () in
   for _ = 1 to n do
-    Shm_ring.send_floats a payload;
-    ignore (Shm_ring.recv_floats b ~len:elems)
+    Shm_ring.send_floats a 0 0 payload;
+    ignore (Shm_ring.recv_message b)
   done;
   let big = (now_ns () - t0) / n in
   Shm_ring.close a;
@@ -361,7 +363,7 @@ let measured_calibration =
        with_shm_echo_child (fun conn ->
            measure_rtt
              ~send:(Shm_ring.send conn)
-             ~recv:(fun () -> Shm_ring.recv conn))
+             ~recv:(fun () -> Shm_ring.recv_message conn))
      in
      let shm_small_ns, shm_wire_ns_per_byte = shm_inproc_costs () in
      {

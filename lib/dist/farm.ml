@@ -299,15 +299,12 @@ let exec_round ~(counts : counts) ~trace ~(links : link array) ~pinned
   List.iter send_task placed;
   let handle_message (l : link) =
     match Message.recv_to_coordinator l.conn with
-    | Result { task_id; round; payload; blob } -> (
-        (* the blob (if any) is queued right behind the control
-           message on the same link: complete it before anything else *)
-        let p = Message.recv_result_payload l.conn ~blob ~payload in
+    | Result { task_id; round; payload } -> (
         match Star.result !star ~worker:l.pe ~round ~task:task_id [] with
         | Error e -> ledger_failure ~pe:l.pe e
         | Ok (s, placed) ->
             star := s;
-            results.(task_id) <- Some p;
+            results.(task_id) <- Some payload;
             (* an unpinned result is also the PE's request for more *)
             if not pinned then begin
               counts.fishes <- counts.fishes + 1;

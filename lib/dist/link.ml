@@ -14,16 +14,14 @@ let of_fd ~side fd = function
   | Some path -> Shm (Shm_ring.attach ~path ~side ~doorbell:fd)
 
 let send = function Sock c -> Wire.send c | Shm c -> Shm_ring.send c
-let recv = function Sock c -> Wire.recv c | Shm c -> Shm_ring.recv c
 
 let send_floats = function
   | Sock c -> Wire.send_floats c
   | Shm c -> Shm_ring.send_floats c
 
-let recv_floats l ~len =
-  match l with
-  | Sock c -> Wire.recv_floats c ~len
-  | Shm c -> Shm_ring.recv_floats c ~len
+let recv = function
+  | Sock c -> Wire.recv_message c
+  | Shm c -> Shm_ring.recv_message c
 
 let counters = function Sock c -> Wire.counters c | Shm c -> Shm_ring.counters c
 

@@ -9,9 +9,13 @@ type t = Sock of Wire.conn | Shm of Shm_ring.conn
 val of_fd : side:[ `A | `B ] -> Unix.file_descr -> string option -> t
 
 val send : t -> string -> unit
-val recv : t -> string
-val send_floats : t -> float array -> unit
-val recv_floats : t -> len:int -> float array
+
+(** [send_floats l x y arr]: one float message whose header carries [x]
+    and [y] (see {!Wire.send_floats}). *)
+val send_floats : t -> int -> int -> float array -> unit
+
+(** The next message, on whichever plane it was sent. *)
+val recv : t -> Wire.message
 val counters : t -> Wire.counters
 val close : t -> unit
 

@@ -8,10 +8,10 @@
     drain the per-PE counters at shutdown.
 
     Between neighbouring PEs: a running task's rows (apsp's pivots)
-    travel around the PEs' ring, Eden's ring skeleton, as a
-    {!ring_row} on each edge.  A PE sends its own rows to its right
-    neighbour and forwards every row it receives from its left one,
-    except to the PE that made it.  No cycle of blocked senders can
+    travel around the PEs' ring, Eden's ring skeleton, one float
+    message per row and edge ({!send_row}).  A PE sends its own rows
+    to its right neighbour and forwards every row it receives from its
+    left one, except to the PE that made it.  No cycle of blocked senders can
     form: a PE sends on its out-edge in increasing row number, sends
     its own row [k] only after receiving every row before [k], and
     never forwards a row back to its origin.  Say a PE is blocked
@@ -29,10 +29,10 @@
     typed layer ({!Farm}) and travel here as opaque strings, so this
     module is monomorphic and every byte on the wire is accounted to
     the link's counters, marshalling time included.  Bulk floats
-    bypass [Marshal] entirely: a [Result] with [blob >= 0], and every
-    ring row, announces a float message of that many elements following
-    on the same link (see {!send_result}/{!recv_result_payload} and
-    {!send_row}/{!recv_row}). *)
+    bypass [Marshal] entirely: a float result and every ring row is one
+    float message, whose header carries the two ints that name it
+    ([task_id] and [round], or [k] and its origin), so every value a
+    link carries is one message, as in Eden. *)
 
 type mode =
   | Workload of { name : string; size : int }
@@ -96,24 +96,16 @@ type worker_stats = {
           whole farm (snapshots are plain data, Marshal-safe) *)
 }
 
+(** A result payload: marshalled bytes, or a float blob that travels
+    (and on shm, crosses the rings) without [Marshal]. *)
+type payload = Bytes_p of string | Floats_p of float array
+
 type to_coordinator =
   | Ready
       (** the PE's session has started (over shm, every segment is
           mapped, so the files may be unlinked) *)
-  | Result of {
-      task_id : int;
-      round : int;
-      payload : string;
-      blob : int;
-          (** [-1]: [payload] is the marshalled result.  [>= 0]: the
-              result is the float message of this many elements
-              following on this link, and [payload] is empty. *)
-    }
+  | Result of { task_id : int; round : int; payload : payload }
   | Stats of worker_stats
-
-(** One row on a ring edge, PE to PE: row [k], made by PE [origin]; a
-    float message of [len] elements follows on the edge. *)
-type ring_row = { k : int; origin : int; len : int }
 
 (* ---------------- wire glue ---------------- *)
 
@@ -127,48 +119,44 @@ let send_value link v =
   c.Wire.pack_ns <- c.Wire.pack_ns + (Clock.now_ns () - t0);
   Link.send link s
 
-let recv_value : type a. Link.t -> a =
- fun link ->
-  let s = Link.recv link in
+(* Unmarshal a received byte message, timed to the link. *)
+let unmarshal : type a. Link.t -> string -> a =
+ fun link s ->
   let t0 = Clock.now_ns () in
   let v : a = Marshal.from_string s 0 in
   let c = Link.counters link in
   c.Wire.unpack_ns <- c.Wire.unpack_ns + (Clock.now_ns () - t0);
   v
 
+let recv_value link =
+  match Link.recv link with
+  | Wire.Bytes_msg s -> unmarshal link s
+  | Wire.Floats_msg _ ->
+      Wire.raise_protocol "a float message where a control message was expected"
+
 let send_hello link (h : hello) = send_value link h
 let recv_hello link : hello = recv_value link
 let send_to_worker link (m : to_worker) = send_value link m
 let recv_to_worker link : to_worker = recv_value link
+
+(* A float result is one float message whose header names its task;
+   any other result is marshalled. *)
+let send_result link ~task_id ~round = function
+  | Bytes_p _ as payload -> send_value link (Result { task_id; round; payload })
+  | Floats_p arr -> Link.send_floats link task_id round arr
+
 let send_to_coordinator link (m : to_coordinator) = send_value link m
-let recv_to_coordinator link : to_coordinator = recv_value link
 
-(** A result payload in transit: marshalled bytes, or a float blob
-    that travelled (and on shm, crossed the rings) without [Marshal]. *)
-type payload = Bytes_p of string | Floats_p of float array
+let recv_to_coordinator link : to_coordinator =
+  match Link.recv link with
+  | Wire.Bytes_msg s -> unmarshal link s
+  | Wire.Floats_msg (task_id, round, arr) ->
+      Result { task_id; round; payload = Floats_p arr }
 
-let send_result link ~task_id ~round (p : payload) =
-  match p with
-  | Bytes_p s ->
-      send_value link (Result { task_id; round; payload = s; blob = -1 })
-  | Floats_p arr ->
-      send_value link
-        (Result { task_id; round; payload = ""; blob = Array.length arr });
-      Link.send_floats link arr
-
-(** Complete a received [Result]: pull the announced float blob off
-    the same link, if any.  Must be called before the link is read
-    again — the blob frames are queued right behind the control
-    message. *)
-let recv_result_payload link ~blob ~payload : payload =
-  if blob < 0 then Bytes_p payload else Floats_p (Link.recv_floats link ~len:blob)
-
-(* A ring row is its control message, then the row on the float
-   plane. *)
-let send_row link ~k ~origin row =
-  send_value link { k; origin; len = Array.length row };
-  Link.send_floats link row
+(* A ring row is one float message: row [k], made by PE [origin]. *)
+let send_row link ~k ~origin row = Link.send_floats link k origin row
 
 let recv_row link =
-  let ({ k; origin; len } : ring_row) = recv_value link in
-  (k, origin, Link.recv_floats link ~len)
+  match Link.recv link with
+  | Wire.Floats_msg (k, origin, row) -> (k, origin, row)
+  | Wire.Bytes_msg _ -> Wire.raise_protocol "a byte message on a ring edge"

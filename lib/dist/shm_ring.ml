@@ -42,12 +42,15 @@
       frame  := header word | payload (padded to 8 bytes)
       header := bits 0-1 kind (0 skip / 1 bytes / 2 floats)
                 bit  2   last frame of the message
-                bits 3+  payload length (bytes for kind 1, elements for kind 2)
+                bits 3+  payload length (bytes for kind 1, words for kind 2)
     v}
 
-    Long messages stream as multiple frames, like {!Wire}'s packets —
-    a message larger than the ring flows through it, the consumer
-    draining frames while the producer appends them.
+    The first frame of a float message opens with three words, as
+    {!Wire}'s first float packet does: two ints of the sender's and
+    the element count, which the frames must match.  Long messages
+    stream as multiple frames, like {!Wire}'s packets — a message
+    larger than the ring flows through it, the consumer draining
+    frames while the producer appends them.
 
     {2 The doorbell}
 
@@ -153,6 +156,7 @@ end
 let kind_skip = 0
 let kind_bytes = 1
 let kind_floats = 2
+let float_header_words = Wire.float_header_bytes / word
 let frame_header ~kind ~last ~len = kind lor (if last then 4 else 0) lor (len lsl 3)
 let header_kind h = h land 3
 let header_last h = h land 4 <> 0
@@ -371,12 +375,9 @@ let write_frame c ~kind ~last ~len ~payload_bytes ~write =
   Tatomic.Fence.full c.fence;
   if Mapped_word.load r.sleeping_w <> 0 then ring_doorbell c
 
-let frames_of_len ~frame_bytes len =
-  if len = 0 then 1 else (len + frame_bytes - 1) / frame_bytes
-
 let send c payload =
   let len = String.length payload in
-  let nfr = frames_of_len ~frame_bytes:c.frame_bytes len in
+  let nfr = Wire.packets_of_len ~packet_bytes:c.frame_bytes len in
   let r = c.out_ring in
   let src = ref 0 in
   for f = 0 to nfr - 1 do
@@ -389,39 +390,37 @@ let send c payload =
         done);
     src := !src + n
   done;
-  c.counters.Wire.msgs_sent <- c.counters.Wire.msgs_sent + 1;
-  c.counters.Wire.packets_sent <- c.counters.Wire.packets_sent + nfr;
-  c.counters.Wire.bytes_sent <- c.counters.Wire.bytes_sent + len + (nfr * word);
-  c.counters.Wire.payload_bytes_sent <- c.counters.Wire.payload_bytes_sent + len
+  Wire.count_sent c.counters ~packets:nfr ~framing:(nfr * word) len
 
-let send_floats c (arr : float array) =
+let send_floats c x y (arr : float array) =
   let total = Array.length arr in
   let per_frame = c.frame_bytes / 8 in
-  let nfr = if total = 0 then 1 else (total + per_frame - 1) / per_frame in
+  let nfr = Wire.packets_of_len ~packet_bytes:per_frame total in
   let r = c.out_ring in
   let src = ref 0 in
   for f = 0 to nfr - 1 do
     let n = min per_frame (total - !src) in
     let start = !src in
-    write_frame c ~kind:kind_floats ~last:(f = nfr - 1) ~len:n
-      ~payload_bytes:(n * 8) ~write:(fun off ->
+    let hdr = if f = 0 then float_header_words else 0 in
+    write_frame c ~kind:kind_floats ~last:(f = nfr - 1) ~len:(hdr + n)
+      ~payload_bytes:((hdr + n) * 8) ~write:(fun off ->
+        let base = off / 8 in
+        if f = 0 then begin
+          A1.set r.data_words base (Int64.of_int x);
+          A1.set r.data_words (base + 1) (Int64.of_int y);
+          A1.set r.data_words (base + 2) (Int64.of_int total)
+        end;
         (* straight from the source array into the shared mapping —
            the one and only copy on this path (vs sock: array ->
            scratch -> kernel -> scratch -> array) *)
-        let base = off / 8 in
         for i = 0 to n - 1 do
-          A1.set r.data_floats (base + i) (Array.unsafe_get arr (start + i))
+          A1.set r.data_floats (base + hdr + i) (Array.unsafe_get arr (start + i))
         done);
     src := !src + n
   done;
-  let bytes = total * 8 in
-  c.counters.Wire.msgs_sent <- c.counters.Wire.msgs_sent + 1;
-  c.counters.Wire.packets_sent <- c.counters.Wire.packets_sent + nfr;
-  c.counters.Wire.bytes_sent <- c.counters.Wire.bytes_sent + bytes + (nfr * word);
-  c.counters.Wire.payload_bytes_sent <-
-    c.counters.Wire.payload_bytes_sent + bytes;
-  c.counters.Wire.zero_copy_bytes_sent <-
-    c.counters.Wire.zero_copy_bytes_sent + bytes
+  let k = c.counters in
+  Wire.count_sent k ~packets:nfr ~framing:((nfr + float_header_words) * word) (total * 8);
+  k.Wire.zero_copy_bytes_sent <- k.Wire.zero_copy_bytes_sent + (total * 8)
 
 (* ---------------- consumer side ---------------- *)
 
@@ -504,68 +503,51 @@ let consume c ~payload_bytes =
   r.head_local <- r.head_local + word + align8 payload_bytes;
   Mapped_word.store r.head_w r.head_local
 
-let recv c =
+(* The one receive: the first frame's kind says which plane the
+   message is on, and every later frame must be on the same one.  Float
+   elements are read straight out of the mapping. *)
+let recv_message c =
   let r = c.in_ring in
   let buf = Buffer.create 256 in
-  let nfr = ref 0 in
-  let rec go ~mid =
-    let h = next_header c ~mid in
-    if header_kind h <> kind_bytes then
-      Wire.raise_protocol "floats frame where a byte message was expected";
-    let len = header_len h in
-    let off = (r.head_local mod r.cap) + word in
-    for i = 0 to len - 1 do
-      Buffer.add_char buf (A1.get r.data_chars (off + i))
-    done;
-    consume c ~payload_bytes:len;
-    incr nfr;
-    if not (header_last h) then go ~mid:true
-  in
-  go ~mid:false;
-  let payload = Buffer.contents buf in
-  c.counters.Wire.msgs_recv <- c.counters.Wire.msgs_recv + 1;
-  c.counters.Wire.packets_recv <- c.counters.Wire.packets_recv + !nfr;
-  c.counters.Wire.bytes_recv <-
-    c.counters.Wire.bytes_recv + String.length payload + (!nfr * word);
-  c.counters.Wire.payload_bytes_recv <-
-    c.counters.Wire.payload_bytes_recv + String.length payload;
-  payload
-
-let recv_floats c ~len:total =
-  if total < 0 then invalid_arg "Shm_ring.recv_floats: negative length";
-  let r = c.in_ring in
-  let arr = Array.make total 0.0 in
-  let got = ref 0 in
-  let nfr = ref 0 in
-  let finished = ref false in
-  while not !finished do
+  let x = ref 0 and y = ref 0 and arr = ref [||] and got = ref 0 in
+  let nfr = ref 0 and floats = ref false and last = ref false in
+  while not !last do
     let h = next_header c ~mid:(!nfr > 0) in
-    if header_kind h <> kind_floats then
-      Wire.raise_protocol "byte frame where a floats message was expected";
-    let n = header_len h in
-    if !got + n > total then
-      Wire.raise_protocol
-        (Printf.sprintf "floats message longer than announced (%d > %d)"
-           (!got + n) total);
-    let base = ((r.head_local mod r.cap) + word) / 8 in
-    for i = 0 to n - 1 do
-      Array.unsafe_set arr (!got + i) (A1.get r.data_floats (base + i))
-    done;
-    consume c ~payload_bytes:(n * 8);
-    got := !got + n;
+    let kind = header_kind h and len = header_len h in
+    let fl = kind = kind_floats in
+    if (kind <> kind_bytes && not fl) || (!nfr > 0 && fl <> !floats) then
+      Wire.raise_protocol (Printf.sprintf "frame of kind %d in this message" kind);
+    floats := fl;
     incr nfr;
-    if header_last h then finished := true
+    last := header_last h;
+    let off = (r.head_local mod r.cap) + word in
+    if not fl then begin
+      for i = 0 to len - 1 do
+        Buffer.add_char buf (A1.get r.data_chars (off + i))
+      done;
+      consume c ~payload_bytes:len
+    end
+    else begin
+      let base = off / 8 in
+      let hdr = if !nfr = 1 then float_header_words else 0 in
+      if len < hdr then Wire.raise_protocol "float header truncated";
+      if !nfr = 1 then begin
+        x := Int64.to_int (A1.get r.data_words base);
+        y := Int64.to_int (A1.get r.data_words (base + 1));
+        arr := Wire.float_array (Int64.to_int (A1.get r.data_words (base + 2)))
+      end;
+      let n = len - hdr in
+      Wire.check_floats !arr ~got:(!got + n) ~last:!last;
+      for i = 0 to n - 1 do
+        Array.unsafe_set !arr (!got + i) (A1.get r.data_floats (base + hdr + i))
+      done;
+      consume c ~payload_bytes:(len * 8);
+      got := !got + n
+    end
   done;
-  if !got <> total then
-    Wire.raise_protocol
-      (Printf.sprintf "floats message shorter than announced (%d < %d)" !got
-         total);
-  let bytes = total * 8 in
-  c.counters.Wire.msgs_recv <- c.counters.Wire.msgs_recv + 1;
-  c.counters.Wire.packets_recv <- c.counters.Wire.packets_recv + !nfr;
-  c.counters.Wire.bytes_recv <- c.counters.Wire.bytes_recv + bytes + (!nfr * word);
-  c.counters.Wire.payload_bytes_recv <-
-    c.counters.Wire.payload_bytes_recv + bytes;
-  c.counters.Wire.zero_copy_bytes_recv <-
-    c.counters.Wire.zero_copy_bytes_recv + bytes;
-  arr
+  let k = c.counters in
+  Wire.count_recv k ~packets:!nfr
+    ~framing:(word * (!nfr + if !floats then float_header_words else 0))
+    (if !floats then 8 * !got else Buffer.length buf);
+  k.Wire.zero_copy_bytes_recv <- k.Wire.zero_copy_bytes_recv + (8 * !got);
+  if !floats then Wire.Floats_msg (!x, !y, !arr) else Wire.Bytes_msg (Buffer.contents buf)

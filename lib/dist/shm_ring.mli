@@ -36,12 +36,16 @@ val attach :
     ring was full (it died, so it will never free the ring). *)
 val send : conn -> string -> unit
 
-(** @raise End_of_file if the peer died at a message boundary,
-    @raise Wire.Truncated mid-message — same contract as {!Wire.recv}. *)
-val recv : conn -> string
+(** [send_floats c x y arr]: one float message, as {!Wire.send_floats}
+    sends it, its elements written straight into the mapping. *)
+val send_floats : conn -> int -> int -> float array -> unit
 
-val send_floats : conn -> float array -> unit
-val recv_floats : conn -> len:int -> float array
+(** Receive one message, on whichever plane it was sent.
+    @raise End_of_file if the peer died at a message boundary,
+    @raise Wire.Truncated mid-message,
+    @raise Wire.Protocol_error on a malformed message — same contract
+    as {!Wire.recv_message}. *)
+val recv_message : conn -> Wire.message
 val counters : conn -> Wire.counters
 
 (** A message may be (partially) available — non-blocking. *)
@@ -50,7 +54,7 @@ val input_ready : conn -> bool
 (** The doorbell descriptor, for [Unix.select] multiplexing over many
     links.  Arm each link with {!prepare_sleep} first, re-check
     {!input_ready}, select, then {!drain_doorbell} + {!cancel_sleep} —
-    the same handshake blocking {!recv} performs on one link. *)
+    the same handshake blocking {!recv_message} performs on one link. *)
 val wait_fd : conn -> Unix.file_descr
 
 (** Arm the doorbell ([sleeping] := 1) and fence.  The caller {e must}

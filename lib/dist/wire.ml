@@ -12,9 +12,14 @@
     {v
       packet := u32 chunk-length (big-endian) | u8 flags | chunk bytes
       flags  := bit 0 set on the last packet of a message
+                bit 1 set on every packet of a float message
     v}
 
     A zero-length message is one empty packet with the last-flag set.
+    A float message's chunks hold its elements as raw little-endian
+    IEEE-754 bits, and its first chunk opens with a header of three
+    little-endian int64s: two fields of the sender's ([x], [y]) and
+    the element count, which the packets must match.
     Reads are exact (header, then chunk): the connection never buffers
     ahead, so [Unix.select] readiness on the descriptor is equivalent
     to "a message header is in flight". *)
@@ -53,6 +58,7 @@ let raise_protocol msg =
 
 let header_bytes = 5
 let default_packet_bytes = 32 * 1024
+let float_header_bytes = 24
 
 (* Refuse absurd chunk lengths: a corrupted or misaligned stream would
    otherwise make us try to allocate gigabytes. *)
@@ -96,6 +102,20 @@ let fresh_counters () =
     pack_ns = 0;
     unpack_ns = 0;
   }
+
+(* One message counted on [k]: [packets] packets or frames, whose
+   headers took [framing] bytes, around [payload] bytes of payload. *)
+let count_sent k ~packets ~framing payload =
+  k.msgs_sent <- k.msgs_sent + 1;
+  k.packets_sent <- k.packets_sent + packets;
+  k.bytes_sent <- k.bytes_sent + payload + framing;
+  k.payload_bytes_sent <- k.payload_bytes_sent + payload
+
+let count_recv k ~packets ~framing payload =
+  k.msgs_recv <- k.msgs_recv + 1;
+  k.packets_recv <- k.packets_recv + packets;
+  k.bytes_recv <- k.bytes_recv + payload + framing;
+  k.payload_bytes_recv <- k.payload_bytes_recv + payload
 
 (* Per-link counter samples ([Shm_ring] reuses this for its conns). *)
 let samples_of_counters ~labels (k : counters) =
@@ -160,7 +180,7 @@ let create ?(packet_bytes = default_packet_bytes) ~read_fd ~write_fd () =
     packet_bytes;
     counters;
     header = Bytes.create header_bytes;
-    out = Bytes.create (header_bytes + packet_bytes);
+    out = Bytes.create (header_bytes + float_header_bytes + max 8 packet_bytes);
     mtoken = Some (add_link_collector ~transport:"sock" counters);
   }
 
@@ -169,10 +189,10 @@ let read_fd c = c.read_fd
 
 (* ---------------- packet headers ---------------- *)
 
-(* Bit 1 marks a packet of a float-frame message (the zero-Marshal
-   bulk-data plane, see {!send_floats}).  A floats packet arriving
-   where bytes are expected — or vice versa — is a protocol error, so
-   the two planes can never be silently confused. *)
+(* Bit 1 marks a packet of a float message (the zero-Marshal bulk-data
+   plane, see {!send_floats}).  A message whose packets switch planes
+   is a protocol error, so the two planes can never be silently
+   confused. *)
 let flag_last = 1
 
 let flag_floats = 2
@@ -212,9 +232,10 @@ let rec write_all fd b pos len =
   end
 
 (* Read exactly [len] bytes; [what] names the piece for error
-   messages.  EOF here is always mid-frame (the caller handles the
-   clean-EOF case on the first header byte). *)
-let read_exact fd b pos len ~what =
+   messages.  EOF before the first byte of a message's first header
+   ([first]) is a clean shutdown at a frame boundary; anywhere else it
+   is mid-frame. *)
+let read_exact ?(first = false) fd b pos len ~what =
   let got = ref 0 in
   while !got < len do
     let n =
@@ -222,7 +243,8 @@ let read_exact fd b pos len ~what =
       | Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
     in
     if n = 0 then
-      raise_truncated (Printf.sprintf "peer closed mid-frame (reading %s)" what);
+      if first && !got = 0 then raise End_of_file
+      else raise_truncated (Printf.sprintf "peer closed mid-frame (reading %s)" what);
     got := !got + n
   done
 
@@ -240,127 +262,102 @@ let send c payload =
     write_all c.write_fd c.out 0 (header_bytes + chunk);
     src := !src + chunk
   done;
-  c.counters.msgs_sent <- c.counters.msgs_sent + 1;
-  c.counters.packets_sent <- c.counters.packets_sent + npk;
-  c.counters.bytes_sent <- c.counters.bytes_sent + len + (npk * header_bytes);
-  c.counters.payload_bytes_sent <- c.counters.payload_bytes_sent + len
+  count_sent c.counters ~packets:npk ~framing:(npk * header_bytes) len
 
-(* First header of a message: a clean EOF before any byte means the
-   peer shut down at a frame boundary. *)
-let read_first_header c =
-  let got = ref 0 in
-  while !got < header_bytes do
-    let n =
-      try Unix.read c.read_fd c.header !got (header_bytes - !got) with
-      | Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
-    in
-    if n = 0 then
-      if !got = 0 then raise End_of_file
-      else raise_truncated "peer closed mid-frame (reading packet header)";
-    got := !got + n
-  done
-
-let recv c =
-  read_first_header c;
-  let buf = Buffer.create 256 in
-  let npk = ref 0 in
-  let rec go ~first =
-    if not first then
-      read_exact c.read_fd c.header 0 header_bytes ~what:"packet header";
-    incr npk;
-    let len, last, floats = get_header (Bytes.unsafe_to_string c.header) ~pos:0 in
-    if floats then
-      raise_protocol "floats packet where a byte message was expected";
-    let chunk = Bytes.create len in
-    read_exact c.read_fd chunk 0 len ~what:"packet chunk";
-    Buffer.add_bytes buf chunk;
-    if not last then go ~first:false
-  in
-  go ~first:true;
-  let payload = Buffer.contents buf in
-  c.counters.msgs_recv <- c.counters.msgs_recv + 1;
-  c.counters.packets_recv <- c.counters.packets_recv + !npk;
-  c.counters.bytes_recv <-
-    c.counters.bytes_recv + String.length payload + (!npk * header_bytes);
-  c.counters.payload_bytes_recv <-
-    c.counters.payload_bytes_recv + String.length payload;
-  payload
-
-(* ---------------- float frames (bulk-data plane) ---------------- *)
-
-(* Float payloads as raw little-endian IEEE-754 bits, skipping
+(* Float payloads travel as raw little-endian IEEE-754 bits, skipping
    [Marshal] entirely: bit-exact by construction (including NaN
    payloads and signed zeros) and with no graph-walk cost.  On this
    transport the floats still stage through the packet scratch buffer
    — the copy the shm ring avoids — so [zero_copy_bytes_*] stays 0;
-   the point of having the same framing here is that {!Message} can
-   run one code path over both transports and the calibration bench
-   can measure exactly the copy the ring saves. *)
-
-let send_floats c (arr : float array) =
+   the framing matches the ring's so that {!Message} runs one code
+   path over both transports.  The float header is framing: only the
+   elements count as payload. *)
+let send_floats c x y (arr : float array) =
   let total = Array.length arr in
   let per_packet = max 1 (c.packet_bytes / 8) in
-  let npk = if total = 0 then 1 else (total + per_packet - 1) / per_packet in
+  let npk = packets_of_len ~packet_bytes:per_packet total in
   let src = ref 0 in
   for p = 0 to npk - 1 do
     let n = min per_packet (total - !src) in
-    put_header c.out ~pos:0 ~len:(n * 8) ~last:(p = npk - 1) ~floats:true;
+    (* the first chunk opens with the float header *)
+    let pos = if p = 0 then header_bytes + float_header_bytes else header_bytes in
+    put_header c.out ~pos:0
+      ~len:(pos - header_bytes + (n * 8))
+      ~last:(p = npk - 1) ~floats:true;
+    if p = 0 then begin
+      Bytes.set_int64_le c.out header_bytes (Int64.of_int x);
+      Bytes.set_int64_le c.out (header_bytes + 8) (Int64.of_int y);
+      Bytes.set_int64_le c.out (header_bytes + 16) (Int64.of_int total)
+    end;
     for i = 0 to n - 1 do
       Bytes.set_int64_le c.out
-        (header_bytes + (i * 8))
+        (pos + (i * 8))
         (Int64.bits_of_float (Array.unsafe_get arr (!src + i)))
     done;
-    write_all c.write_fd c.out 0 (header_bytes + (n * 8));
+    write_all c.write_fd c.out 0 (pos + (n * 8));
     src := !src + n
   done;
-  c.counters.msgs_sent <- c.counters.msgs_sent + 1;
-  c.counters.packets_sent <- c.counters.packets_sent + npk;
-  c.counters.bytes_sent <-
-    c.counters.bytes_sent + (total * 8) + (npk * header_bytes);
-  c.counters.payload_bytes_sent <- c.counters.payload_bytes_sent + (total * 8)
+  count_sent c.counters ~packets:npk
+    ~framing:((npk * header_bytes) + float_header_bytes)
+    (total * 8)
 
-let recv_floats c ~len:total =
-  if total < 0 then invalid_arg "Wire.recv_floats: negative length";
-  let arr = Array.make total 0.0 in
-  let got = ref 0 in
-  let npk = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    if !npk = 0 then read_first_header c
-    else read_exact c.read_fd c.header 0 header_bytes ~what:"packet header";
-    incr npk;
-    let len, last, floats =
-      get_header (Bytes.unsafe_to_string c.header) ~pos:0
-    in
-    if not floats then
-      raise_protocol "byte packet where a floats message was expected";
-    if len mod 8 <> 0 then
-      raise_protocol
-        (Printf.sprintf "floats packet length %d not a multiple of 8" len);
-    let n = len / 8 in
-    if !got + n > total then
-      raise_protocol
-        (Printf.sprintf "floats message longer than announced (%d > %d)"
-           (!got + n) total);
-    let chunk = Bytes.create len in
-    read_exact c.read_fd chunk 0 len ~what:"floats chunk";
-    for i = 0 to n - 1 do
-      Array.unsafe_set arr (!got + i)
-        (Int64.float_of_bits (Bytes.get_int64_le chunk (i * 8)))
-    done;
-    got := !got + n;
-    if last then finished := true
-  done;
-  if !got <> total then
+type message = Bytes_msg of string | Floats_msg of int * int * float array
+
+(* A float message's array, sized by its header's element count. *)
+let float_array count =
+  if count < 0 || count > Sys.max_array_length then
+    raise_protocol (Printf.sprintf "float header counts %d elements" count);
+  Array.create_float count
+
+let check_floats arr ~got ~last =
+  let n = Array.length arr in
+  if got > n || (last && got < n) then
     raise_protocol
-      (Printf.sprintf "floats message shorter than announced (%d < %d)" !got
-         total);
-  c.counters.msgs_recv <- c.counters.msgs_recv + 1;
-  c.counters.packets_recv <- c.counters.packets_recv + !npk;
-  c.counters.bytes_recv <-
-    c.counters.bytes_recv + (total * 8) + (!npk * header_bytes);
-  c.counters.payload_bytes_recv <- c.counters.payload_bytes_recv + (total * 8);
-  arr
+      (Printf.sprintf "float header counts %d elements, its packets %d" n got)
+
+(* The one receive: the first packet's flags say which plane the
+   message is on, and every later packet must be on the same one. *)
+let recv_message c =
+  let buf = Buffer.create 256 in
+  let x = ref 0 and y = ref 0 and arr = ref [||] and got = ref 0 in
+  let npk = ref 0 and floats = ref false and last = ref false in
+  while not !last do
+    read_exact ~first:(!npk = 0) c.read_fd c.header 0 header_bytes ~what:"packet header";
+    let len, l, fl = get_header (Bytes.unsafe_to_string c.header) ~pos:0 in
+    if !npk > 0 && fl <> !floats then raise_protocol "a message switched planes";
+    floats := fl;
+    incr npk;
+    last := l;
+    let chunk = Bytes.create len in
+    read_exact c.read_fd chunk 0 len ~what:"packet chunk";
+    if not fl then Buffer.add_bytes buf chunk
+    else begin
+      let pos = if !npk = 1 then float_header_bytes else 0 in
+      if len < pos || (len - pos) mod 8 <> 0 then
+        raise_protocol (Printf.sprintf "floats packet of %d bytes" len);
+      if !npk = 1 then begin
+        x := Int64.to_int (Bytes.get_int64_le chunk 0);
+        y := Int64.to_int (Bytes.get_int64_le chunk 8);
+        arr := float_array (Int64.to_int (Bytes.get_int64_le chunk 16))
+      end;
+      let n = (len - pos) / 8 in
+      check_floats !arr ~got:(!got + n) ~last:l;
+      for i = 0 to n - 1 do
+        Array.unsafe_set !arr (!got + i)
+          (Int64.float_of_bits (Bytes.get_int64_le chunk (pos + (i * 8))))
+      done;
+      got := !got + n
+    end
+  done;
+  count_recv c.counters ~packets:!npk
+    ~framing:((!npk * header_bytes) + if !floats then float_header_bytes else 0)
+    (if !floats then 8 * !got else Buffer.length buf);
+  if !floats then Floats_msg (!x, !y, !arr) else Bytes_msg (Buffer.contents buf)
+
+let recv c =
+  match recv_message c with
+  | Bytes_msg s -> s
+  | Floats_msg _ -> raise_protocol "float message where a byte message was expected"
 
 (* One syscall per call, so never spin on it: test many links with one
    [select], and wait by blocking in one. *)

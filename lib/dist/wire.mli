@@ -5,7 +5,8 @@
 
     Packet format: [u32 chunk-length (big-endian) | u8 flags | chunk];
     flag bit 0 marks the last packet of a message, flag bit 1 a packet
-    of a float-frame message (the zero-Marshal bulk-data plane).  A
+    of a float message (the zero-Marshal bulk-data plane), whose first
+    chunk opens with a header of two ints and its element count.  A
     zero-length message is one empty last packet. *)
 
 (** Peer closed mid-frame (EOF inside a header or chunk). *)
@@ -15,8 +16,8 @@ exception Truncated of string
 exception Dead_peer of string
 
 (** Malformed stream: unknown flags, an absurd chunk length, plane
-    confusion or a float frame that does not match its announced
-    length. *)
+    confusion, a truncated float header or a float message whose
+    packets do not match its element count. *)
 exception Protocol_error of string
 
 (** Raise the corresponding exception after bumping its
@@ -31,6 +32,10 @@ val raise_protocol : string -> 'a
 
 val header_bytes : int
 val default_packet_bytes : int
+
+(** A float message's header: two ints of the sender's and its element
+    count, as three 64-bit words. *)
+val float_header_bytes : int
 
 type counters = {
   mutable msgs_sent : int;
@@ -52,6 +57,13 @@ type counters = {
 }
 
 val fresh_counters : unit -> counters
+
+(** [count_sent k ~packets ~framing payload] counts one message sent
+    ([count_recv]: received): [packets] packets or frames, whose
+    headers took [framing] bytes, around [payload] bytes of payload. *)
+val count_sent : counters -> packets:int -> framing:int -> int -> unit
+
+val count_recv : counters -> packets:int -> framing:int -> int -> unit
 
 (** Register [counters] as a per-link collector in the default metrics
     registry, labelled by [transport] only: all links of a transport
@@ -88,21 +100,37 @@ val packets_of_len : packet_bytes:int -> int -> int
     @raise Dead_peer if the peer is gone. *)
 val send : conn -> string -> unit
 
-(** Receive one message.  Reads are exact — nothing is buffered ahead,
-    so [Unix.select] readiness means a header is in flight.
+(** [send_floats c x y arr] sends [arr] as one float message: raw
+    little-endian IEEE-754 bits (flag bit 1 packets), bit-exact, no
+    [Marshal], behind a header carrying [x], [y] and the element
+    count.  The elements count under [payload_bytes_*], the header as
+    framing; never zero-copy here. *)
+val send_floats : conn -> int -> int -> float array -> unit
+
+(** A message off a link: bytes, or a float message with the two ints
+    of its header. *)
+type message = Bytes_msg of string | Floats_msg of int * int * float array
+
+(** The array a float header's element count sizes.
+    @raise Protocol_error on a negative or absurd count. *)
+val float_array : int -> float array
+
+(** [check_floats arr ~got ~last]: a float message's packets or frames
+    have carried [got] elements so far, all of them if [last].
+    @raise Protocol_error if that disagrees with [arr]'s length. *)
+val check_floats : float array -> got:int -> last:bool -> unit
+
+(** Receive one message, on whichever plane it was sent.  Reads are
+    exact — nothing is buffered ahead, so [Unix.select] readiness means
+    a header is in flight.
     @raise End_of_file on a clean EOF at a frame boundary.
-    @raise Truncated on EOF mid-frame. *)
+    @raise Truncated on EOF mid-frame.
+    @raise Protocol_error on a malformed message. *)
+val recv_message : conn -> message
+
+(** {!recv_message} for a byte message.
+    @raise Protocol_error if a float message arrives. *)
 val recv : conn -> string
-
-(** Send a float payload as raw little-endian IEEE-754 bits (flag bit
-    1 packets): bit-exact, no [Marshal].  Counted under
-    [payload_bytes_*] like any payload; never zero-copy here. *)
-val send_floats : conn -> float array -> unit
-
-(** Receive a float message of exactly [len] elements (the count
-    travels in the preceding control message).
-    @raise Protocol_error on plane confusion or a length mismatch. *)
-val recv_floats : conn -> len:int -> float array
 
 (** Non-blocking readiness probe: [Unix.select] with a 0 timeout, so
     each call is a syscall and is never spun on.  To test many links

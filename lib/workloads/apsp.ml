@@ -73,11 +73,20 @@ let floyd_warshall (adj : float array array) =
   done;
   d
 
-let checksum (d : float array array) =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left (fun a x -> if x < infinity then a +. x else a) acc row)
-    0.0 d
+(* [acc] plus every finite entry of [d], row by row in index order, in
+   an unboxed sum. *)
+let checksum_from acc (d : float array array) =
+  let s = ref acc in
+  for i = 0 to Array.length d - 1 do
+    let row = d.(i) in
+    for j = 0 to Array.length row - 1 do
+      let x = row.(j) in
+      if x < infinity then s := !s +. x
+    done
+  done;
+  !s
+
+let checksum d = checksum_from 0.0 d
 
 (* Relax [row] in place against pivot row [pk] of node [k].
    [row_update_cost]'s [~alloc] charges the fresh row a Haskell update
@@ -278,4 +287,4 @@ let eden_ring ?(seed = 7) ?nprocs ~n () =
         block)
   in
   (* blocks come back in ring order = row order *)
-  checksum (Array.concat blocks)
+  List.fold_left checksum_from 0.0 blocks

@@ -14,8 +14,13 @@ val graph_rows :
 (** Sequential reference. *)
 val floyd_warshall : float array array -> float array array
 
-(** Sum of all finite distances. *)
+(** Sum of all finite distances, row by row in index order. *)
 val checksum : float array array -> float
+
+(** [checksum_from acc d] is [acc] plus every finite entry of [d] in
+    {!checksum}'s order, so folding it over the blocks of a matrix's
+    rows gives the whole matrix's checksum bit for bit. *)
+val checksum_from : float -> float array array -> float
 
 (** [relax row ~k pk] is one Floyd–Warshall step on [row], in place:
     every [row.(j)] above [row.(k) +. pk.(j)] takes that value.  The

@@ -349,6 +349,44 @@ let apsp_graph_allocates_its_rows () =
     true
     (words <= rows +. 512.0)
 
+(* Apsp.checksum sums in an unboxed loop: a 64-node result allocates
+   a few words (the boxed sum it returns), not a box per entry, and
+   every sum keeps the bits of the polymorphic fold it replaced, also
+   folded block by block through [checksum_from]. *)
+let apsp_checksum_allocates_nothing () =
+  let fold d =
+    Array.fold_left
+      (fun acc row ->
+        Array.fold_left (fun a x -> if x < infinity then a +. x else a) acc row)
+      0.0 d
+  in
+  let d = W.Apsp.floyd_warshall (W.Apsp.graph 64) in
+  let w0 = Gc.minor_words () in
+  let sum = W.Apsp.checksum d in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for a 64-node checksum" words)
+    true (words <= 16.0);
+  List.iter
+    (fun n ->
+      let d = W.Apsp.floyd_warshall (W.Apsp.graph n) in
+      let bits x = Int64.bits_of_float x in
+      check Alcotest.int64 (Printf.sprintf "%d nodes: the fold's bits" n)
+        (bits (fold d)) (bits (W.Apsp.checksum d));
+      let blocks =
+        List.init 3 (fun b -> Array.sub d (b * n / 3) (((b + 1) * n / 3) - (b * n / 3)))
+      in
+      check Alcotest.int64 (Printf.sprintf "%d nodes: block by block" n)
+        (bits (fold d))
+        (bits (List.fold_left W.Apsp.checksum_from 0.0 blocks)))
+    [ 1; 17; 64 ];
+  check Alcotest.int64 "64 nodes, unchanged" (Int64.bits_of_float (fold d))
+    (Int64.bits_of_float sum);
+  (* the checksum every backend prints at 256 nodes, its bits as an int *)
+  check Alcotest.int "256 nodes, pinned" (-4526957222894239744)
+    (Int64.to_int
+       (Int64.bits_of_float (W.Apsp.checksum (W.Apsp.floyd_warshall (W.Apsp.graph 256)))))
+
 (* Apsp.relax against the one-lane loop it replaced: rows of every
    length 1-67, so every remainder of its eight lanes occurs, entries
    integer weights 0-100 or infinity (so some [row.(k)] is unreachable),
@@ -451,4 +489,6 @@ let suite =
         apsp_relax_checks_length;
       test_case "apsp: lazy duplicates, eager blocks" `Quick
         apsp_lazy_duplicates_eager_not;
+      test_case "apsp: checksum allocates nothing" `Quick
+        apsp_checksum_allocates_nothing;
     ] )
