@@ -44,6 +44,17 @@ let transport_name = function Sock -> "socketpair" | Shm -> "shm"
 
 type link = { pe : int; pid : int; conn : Link.t }
 
+exception Pe_died of { pe : int; status : Unix.process_status }
+
+(* PE [pe]'s link closed after its [Ready] (a receive's [End_of_file],
+   a send's [Dead_peer]): raised inside a run, and turned into
+   {!Pe_died} by {!with_links} once every PE is reaped. *)
+exception Link_closed of int
+
+let send_to l msg =
+  try Message.send_to_worker l.conn msg
+  with Wire.Dead_peer _ -> raise (Link_closed l.pe)
+
 (* The interface documents these. *)
 type sched_span = {
   sp_task_id : int;
@@ -172,12 +183,22 @@ let spawn_process ~tokens ~passed =
           Unix.close parent_fd;
           raise e)
 
+(* Kill and reap every PE, returning each one's status ([None] if it
+   could not be reaped).  A PE that died first stays a zombie until
+   this reap, so its pid is not reused before the SIGKILL lands, and
+   its status is the one it died with. *)
 let kill_all links =
-  Array.iter
+  Array.map
     (fun l ->
       (try Unix.kill l.pid Sys.sigkill with Unix.Unix_error _ -> ());
       (try Link.close l.conn with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] l.pid) with Unix.Unix_error _ -> ())
+      let rec reap () =
+        match Unix.waitpid [] l.pid with
+        | _, status -> Some status
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+        | exception Unix.Unix_error _ -> None
+      in
+      reap ())
     links
 
 (* Edge [i] of the PEs' ring, from PE [i] to PE [(i + 1) mod procs]: a
@@ -252,7 +273,7 @@ let start_pes ~transport ~(hello : Message.hello) =
       release ();
       links
   | exception e ->
-      kill_all (Array.of_list !spawned);
+      ignore (kill_all (Array.of_list !spawned));
       release ();
       raise e
 
@@ -278,7 +299,7 @@ let exec_round ~(counts : counts) ~trace ~(links : link array) ~pinned
   let send_task ({ worker; task; payload } : string Star.placement) =
     let l = links.(worker) in
     let t0 = Clock.now_ns () in
-    Message.send_to_worker l.conn (Schedule { task_id = task; round = 0; payload });
+    send_to l (Schedule { task_id = task; round = 0; payload });
     if trace then
       counts.scheds <-
         {
@@ -299,6 +320,7 @@ let exec_round ~(counts : counts) ~trace ~(links : link array) ~pinned
   List.iter send_task placed;
   let handle_message (l : link) =
     match Message.recv_to_coordinator l.conn with
+    | exception End_of_file -> raise (Link_closed l.pe)
     | Result { task_id; round; payload } -> (
         match Star.result !star ~worker:l.pe ~round ~task:task_id [] with
         | Error e -> ledger_failure ~pe:l.pe e
@@ -338,9 +360,10 @@ let exec_round ~(counts : counts) ~trace ~(links : link array) ~pinned
 let harvest (links : link array) : pe_report array =
   Array.map
     (fun l ->
-      Message.send_to_worker l.conn Message.Harvest;
+      send_to l Message.Harvest;
       let stats =
         match Message.recv_to_coordinator l.conn with
+        | exception End_of_file -> raise (Link_closed l.pe)
         | Ready -> failwith "dist: stray Ready at harvest"
         | Result _ -> failwith "dist: result arrived after the round"
         | Stats s -> s
@@ -374,8 +397,12 @@ let with_links ?(transport = Sock) ~procs ~mode ~trace f =
   let spawn_ns = Clock.now_ns () - t0 in
   match f links with
   | v -> (v, links, spawn_ns)
+  | exception Link_closed pe -> (
+      match (kill_all links).(pe) with
+      | Some status -> raise (Pe_died { pe; status })
+      | None -> failwith (Printf.sprintf "dist: PE %d died and could not be reaped" pe))
   | exception e ->
-      kill_all links;
+      ignore (kill_all links);
       raise e
 
 let run ?transport ?(trace = false) ~procs ~size (module W : Workload.S) :

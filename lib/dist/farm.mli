@@ -75,6 +75,12 @@ val spans : outcome -> Repro_trace.Chrome.span list
     (["PE p"], ["coordinator"]), which [repro_cli profile] reads. *)
 val trace : outcome -> Repro_util.Json_out.t
 
+(** PE [pe]'s link closed after the PE sent [Ready] and before the
+    coordinator sent [Shutdown], in the round or at harvest.  [status]
+    is the PE's own, read when every PE is killed and reaped on the
+    way out. *)
+exception Pe_died of { pe : int; status : Unix.process_status }
+
 (** [run ~procs ~size (module W)] executes the workload on [procs]
     worker processes and returns the checksum plus per-PE traffic, GC
     and timing counters.  Every PE re-executes this binary with
@@ -84,9 +90,11 @@ val trace : outcome -> Repro_util.Json_out.t
     the coordinator.
 
     @raise Invalid_argument if [procs < 1].
+    @raise Pe_died if a PE dies mid-round or at harvest.
     @raise Failure on protocol violations (a result for the wrong
     round, for a task its PE does not hold, or for one already
-    returned; a worker dying or exiting non-zero). *)
+    returned; a worker dying before [Ready] or exiting non-zero at
+    shutdown). *)
 val run :
   ?transport:transport ->
   ?trace:bool ->
@@ -110,7 +118,8 @@ val sample :
     results in order — Eden's process-abstraction farm.  Closures are
     marshalled with [Marshal.Closures], which is only sound because
     every worker runs the same binary; captured state travels by copy,
-    and results must be marshallable (no functions baked in). *)
+    and results must be marshallable (no functions baked in).
+    @raise Pe_died as {!run} does, e.g. if a closure exits its PE. *)
 val farm :
   ?transport:transport ->
   procs:int ->

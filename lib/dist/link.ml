@@ -25,9 +25,13 @@ let recv = function
 
 let counters = function Sock c -> Wire.counters c | Shm c -> Shm_ring.counters c
 
+(* A receive on the link would not block: input is there, or the peer
+   is gone and the receive raises [End_of_file] at once, as a closed
+   socket is readable.  An shm peer counts as gone once a doorbell
+   drain has read its EOF. *)
 let input_ready = function
   | Sock c -> Wire.input_ready c
-  | Shm c -> Shm_ring.input_ready c
+  | Shm c -> Shm_ring.input_ready c || Shm_ring.peer_gone c
 
 let close = function Sock c -> Wire.close c | Shm c -> Shm_ring.close c
 
@@ -56,7 +60,7 @@ let ready (links : t array) =
     (fun i ->
       match links.(i) with
       | Sock c -> List.mem (Wire.read_fd c) readable
-      | Shm c -> Shm_ring.input_ready c)
+      | Shm _ as l -> input_ready l)
     (List.init (Array.length links) Fun.id)
 
 (* The ring wait: spin, then the arm-recheck-block doorbell handshake
@@ -80,18 +84,11 @@ let wait_rings ~timeout (links : t array) =
             | Sock _ -> ())
           links
       in
+      (* [disarm] drains a dead peer's doorbell EOF, after which
+         [ready] lists its link *)
       Fun.protect ~finally:disarm (fun () ->
           if not (any_ready ()) then
-            ignore (select_readable (Array.to_list (Array.map wait_fd links)) timeout));
-      (* [disarm] drained tokens; a drained EOF with nothing in any
-         ring means a peer died — surface it the way Wire's recv
-         does, or the caller would spin on the closed descriptor. *)
-      if
-        (not (any_ready ()))
-        && Array.exists
-             (function Shm c -> Shm_ring.peer_gone c | Sock _ -> false)
-             links
-      then raise End_of_file
+            ignore (select_readable (Array.to_list (Array.map wait_fd links)) timeout))
     end
   end
 
@@ -99,9 +96,7 @@ let wait_rings ~timeout (links : t array) =
     allowed, missed messages not), or [timeout] (seconds, negative =
     forever) elapses.  Over socks alone this is one blocking [select]
     on every descriptor — never a spin, since each sock readiness test
-    is itself a syscall; with any shm link it is {!wait_rings}.
-    @raise End_of_file if a peer closed its doorbell with nothing in
-    flight. *)
+    is itself a syscall; with any shm link it is {!wait_rings}. *)
 let wait_any ?(timeout = -1.0) (links : t array) =
   if Array.for_all (function Sock _ -> true | Shm _ -> false) links then
     ignore (select_readable (sock_fds links) timeout)

@@ -22,7 +22,10 @@ val close : t -> unit
 (** Indices of the links with input available now, in ascending order,
     without blocking.  One zero-timeout [select] tests every sock link
     at once; an shm link's test is a memory load.  A pump takes one
-    message from each ready link and asks again. *)
+    message from each ready link and asks again.  A link whose peer is
+    gone is ready too, as a closed socket is readable: its {!recv}
+    raises [End_of_file] at once, so the caller learns which peer
+    died. *)
 val ready : t array -> int list
 
 (** Block until some link {e may} have input (spurious wake-ups
@@ -31,6 +34,6 @@ val ready : t array -> int list
     [select] over their descriptors: a sock readiness test is a
     syscall, so it is never spun on.  With any shm link it is the ring
     handshake — a short spin on the rings, then arm every doorbell,
-    recheck and block on every doorbell at once.
-    @raise End_of_file if a peer died with every ring drained. *)
+    recheck and block on every doorbell at once.  A peer's death wakes
+    it, and {!ready} then lists that peer's link. *)
 val wait_any : ?timeout:float -> t array -> unit

@@ -10,7 +10,12 @@ val phi_naive : int -> int
 
 (** Same value via factorisation: trial division by the 172 primes
     below 2{^10}, then, for a cofactor of at least 1023{^2} (only when
-    [k] >= 2{^20}), by odd candidates from 1023.  Allocates nothing.
+    [k] >= 2{^20}), by odd candidates from 1023.  A table prime costs
+    no hardware division: 2 comes off with shifts, and an odd [p] is
+    tested and divided out by multiplying with its inverse modulo
+    2{^63}, exact for every 0 <= [k] <= [max_int].  Only the odd
+    candidates past the table and, at most once per [k], a leftover
+    prime factor divide.  Allocates nothing.
     @raise Invalid_argument if [k <= 0]. *)
 val phi_fast : int -> int
 

@@ -1127,6 +1127,18 @@ let dead_before_ready transport () =
       check bool ("fails at start-up: " ^ msg) true
         (contains ~sub:"before Ready" msg)
 
+(* A PE that dies mid-round is named with its own exit status.  Two
+   PEs are primed with two tasks each, worker-major, so task 2 is the
+   first that PE 1 runs; its [exit 3] closes PE 1's link, and the
+   status comes from the reap that ends the run. *)
+let pe_death_mid_round transport () =
+  let fs = List.init 4 (fun i () -> if i = 2 then exit 3 else i) in
+  match Farm.farm ~transport ~procs:2 fs with
+  | _ -> fail "a farm whose PE exited mid-round succeeded"
+  | exception Farm.Pe_died { pe; status } ->
+      check int "the PE that ran the exiting closure" 1 pe;
+      check bool "its exit code" true (status = Unix.WEXITED 3)
+
 let rejects_bad_procs () =
   check_raises "procs = 0" (Invalid_argument "Farm.run: procs must be >= 1")
     (fun () ->
@@ -1344,6 +1356,10 @@ let suite =
         (leak_free (dead_before_ready Farm.Sock));
       test_case "PE dead before Ready leaves no child over shm" `Quick
         (leak_free (dead_before_ready Farm.Shm));
+      test_case "sock PE death mid-round is named" `Quick
+        (leak_free (pe_death_mid_round Farm.Sock));
+      test_case "shm PE death mid-round is named" `Quick
+        (leak_free (pe_death_mid_round Farm.Shm));
       test_case "rejects procs < 1" `Quick (leak_free rejects_bad_procs);
       test_case "traced run emits timeline spans" `Quick (leak_free trace_spans);
       test_case "sock traced apsp separates relay waits" `Quick

@@ -20,7 +20,9 @@ let phi_agree () =
 
 (* From 1048573 on, each k leaves a cofactor of at least 1023^2 after
    the table of primes below 2^10, so the odd candidates past it
-   settle the value; 1000003 is a prime the table settles alone. *)
+   settle the value; 1000003 is a prime the table settles alone.  The
+   last five sit near the top of the [int] range, where [n * inv]
+   wraps; each value comes from its factorisation. *)
 let phi_known_values () =
   List.iter
     (fun (k, v) -> check Alcotest.int (Printf.sprintf "phi %d" k) v (W.Euler.phi_fast k))
@@ -29,20 +31,67 @@ let phi_known_values () =
       (1_062_961 (* 1031^2 *), 1_061_930);
       (1_065_023 (* 1031 * 1033 *), 1_062_960);
       (1_031_003_093 (* 1000003 * 1031 *), 1_030_002_060);
-      (4_295_098_369 (* 65537^2 *), 4_295_032_832) ];
+      (4_295_098_369 (* 65537^2 *), 4_295_032_832);
+      (1 lsl 61, 1 lsl 60);
+      (4_052_555_153_018_976_267 (* 3^39 *), 2_701_703_435_345_984_178);
+      (1_132_803_161_805_372_121 (* 1021^6 *), 1_131_693_658_218_883_020);
+      (614_889_782_588_491_410 (* the primes to 47 *), 85_287_729_364_992_000);
+      (2_701_904_242_746_422_169 (* 1031^2 * 3^26 *), 1_799_522_386_051_609_980) ];
   Alcotest.check_raises "phi_fast 0"
     (Invalid_argument "Euler.phi_fast: k must be positive") (fun () ->
       ignore (W.Euler.phi_fast 0))
 
 (* Sums of phi 1..n from a sieve independent of phi_fast, so the
    reference every checksum is checked against is pinned too; 300,000
-   is perfbench's size. *)
+   is perfbench's size, and past 1023^2 the odd candidates after the
+   table run. *)
 let sumeuler_pinned_references () =
   List.iter
     (fun (n, want) ->
       check Alcotest.int (Printf.sprintf "sum_euler_ref %d" n) want
         (W.Euler.sum_euler_ref n))
-    [ (2_000, 1_216_588); (15_000, 68_394_316); (300_000, 27_356_748_484) ]
+    [ (2_000, 1_216_588); (15_000, 68_394_316); (300_000, 27_356_748_484);
+      (1 lsl 20, 334_211_599_246); (1_100_000, 367_796_225_332) ]
+
+(* The totients of 1..2^21 from a linear sieve, which builds each from
+   a smaller one by multiplicativity: phi (i p) is phi i * p when p
+   divides i, else phi i * (p - 1).  The range crosses 1023^2, so the
+   odd candidates past the table run as well; the comparison loop
+   allocates nothing, and neither may phi_fast. *)
+let phi_fast_matches_sieve () =
+  let n = 1 lsl 21 in
+  let phi = Array.make (n + 1) 0 and primes = Array.make ((n / 2) + 1) 0 in
+  let count = ref 0 in
+  phi.(1) <- 1;
+  for i = 2 to n do
+    if phi.(i) = 0 then begin
+      phi.(i) <- i - 1;
+      primes.(!count) <- i;
+      incr count
+    end;
+    let j = ref 0 in
+    while !j < !count && primes.(!j) * i <= n do
+      let p = primes.(!j) in
+      if i mod p = 0 then begin
+        phi.(i * p) <- phi.(i) * p;
+        j := !count
+      end
+      else begin
+        phi.(i * p) <- phi.(i) * (p - 1);
+        incr j
+      end
+    done
+  done;
+  let w0 = Gc.minor_words () in
+  let k = ref 1 in
+  while !k <= n && W.Euler.phi_fast !k = phi.(!k) do
+    incr k
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "first k where phi_fast and the sieve differ" (n + 1) !k;
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for 2^21 calls" words)
+    true (words <= 16.0)
 
 let qcheck_phi_agree =
   QCheck.Test.make ~name:"phi_fast == phi_naive" ~count:150
@@ -464,6 +513,7 @@ let suite =
       test_case "phi fast == naive (1..300)" `Quick phi_agree;
       test_case "phi known values" `Quick phi_known_values;
       test_case "sumEuler pinned references" `Quick sumeuler_pinned_references;
+      test_case "phi_fast == sieve (1..2^21)" `Quick phi_fast_matches_sieve;
       QCheck_alcotest.to_alcotest qcheck_phi_agree;
       test_case "phi cost grows" `Quick phi_cost_grows;
       test_case "sumEuler: all versions agree" `Quick sumeuler_all_versions_agree;
