@@ -31,7 +31,6 @@ val raise_dead_peer : string -> 'a
 val raise_protocol : string -> 'a
 
 val header_bytes : int
-val default_packet_bytes : int
 
 (** A float message's header: two ints of the sender's and its element
     count, as three 64-bit words. *)
@@ -78,7 +77,8 @@ type conn
 (** [create ~read_fd ~write_fd ()] wraps a descriptor pair (they may
     be the same descriptor, e.g. one end of a socketpair).  Ignores
     SIGPIPE process-wide on first use so a dead peer surfaces as
-    {!Dead_peer} rather than a fatal signal.
+    {!Dead_peer} rather than a fatal signal.  [packet_bytes] defaults
+    to 32 KiB.
     @raise Invalid_argument if [packet_bytes < 1]. *)
 val create :
   ?packet_bytes:int ->

@@ -262,14 +262,11 @@ let find_task t (w : worker) =
    visible in traces. *)
 let run_task (w : worker) task =
   Tracer.record w.tbuf Tracer.Task_begin ~arg:0;
-  (* Busy-time accounting pays its two clock reads per *task* (not
-     per record), and only while the default registry is enabled. *)
-  if M.enabled M.default then begin
-    let t0 = M.now_ns () in
-    (try task () with _ -> ());
-    ignore (A.fetch_and_add w.busy_ns (M.now_ns () - t0))
-  end
-  else (try task () with _ -> ());
+  (* Busy-time accounting pays its two clock reads per task, not per
+     record. *)
+  let t0 = M.now_ns () in
+  (try task () with _ -> ());
+  ignore (A.fetch_and_add w.busy_ns (M.now_ns () - t0));
   Tracer.record w.tbuf Tracer.Task_end ~arg:0
 
 (* The one wait of a domain that has nothing to run: spin 512 times,

@@ -60,25 +60,18 @@ type measurement = {
   per_worker : (string * float) list array;
 }
 
-(** [measure ~repeats run]: one untimed warm-up, then [repeats] timed
-    calls of [run].  Each run's duration is also observed into the
-    default registry's [repro_run_duration_ns] histogram.
-    @raise Invalid_argument if [repeats < 1].
-    @raise Failure if two runs disagree on the checksum. *)
-val measure : repeats:int -> (unit -> sample) -> measurement
-
 (** [sweep ~repeats ~ladder run] measures [run workers] at each worker
-    count of [ladder]; speedups are relative to the first entry. *)
+    count of [ladder]: one untimed warm-up, then [repeats] timed calls.
+    Each run's duration is also observed into the default registry's
+    [repro_run_duration_ns] histogram.  Speedups are relative to the
+    first entry.
+    @raise Invalid_argument if [repeats < 1].
+    @raise Failure if two runs at one count disagree on the checksum. *)
 val sweep :
   repeats:int -> ladder:int list -> (int -> sample) -> measurement list
 
 (** [1; 2; 4; ...; n] ([n] always included). *)
 val core_counts_up_to : int -> int list
-
-(** Environment of a benchmark document: hardware core count, OCaml
-    version, effective [OCAMLRUNPARAM] and git commit (["unknown"]
-    outside a work tree). *)
-val env_header : unit -> (string * Repro_util.Json_out.t) list
 
 (** One row per measurement.  Columns no row has a value for (the
     transport, the spark and steal counts of {!Domains}, the traffic

@@ -9,7 +9,7 @@ let next_pow2 n =
 
 (* ---------------- instruments ---------------- *)
 
-type counter = { c_enabled : bool A.t; c_mask : int; c_cells : int A.t array }
+type counter = { c_mask : int; c_cells : int A.t array }
 type gauge = { g_cell : float A.t }
 
 type hshard = {
@@ -20,7 +20,6 @@ type hshard = {
 }
 
 type histogram = {
-  h_enabled : bool A.t;
   h_sub_bits : int;
   h_mask : int;
   h_shards : hshard option A.t array;
@@ -28,13 +27,8 @@ type histogram = {
 
 let shard_index mask = (Domain.self () :> int) land mask
 
-let incr c =
-  if A.get c.c_enabled then
-    ignore (A.fetch_and_add c.c_cells.(shard_index c.c_mask) 1)
-
-let add c n =
-  if A.get c.c_enabled then
-    ignore (A.fetch_and_add c.c_cells.(shard_index c.c_mask) n)
+let incr c = ignore (A.fetch_and_add c.c_cells.(shard_index c.c_mask) 1)
+let add c n = ignore (A.fetch_and_add c.c_cells.(shard_index c.c_mask) n)
 
 let set_gauge g v = A.set g.g_cell v
 
@@ -67,16 +61,14 @@ let rec update_max cell v =
   if v > cur && not (A.compare_and_set cell cur v) then update_max cell v
 
 let observe h v =
-  if A.get h.h_enabled then begin
-    let v = if v < 0 then 0 else v in
-    let s = hshard h (shard_index h.h_mask) in
-    (* the count is not tracked separately: it is recovered at snapshot
-       time by summing the cells, saving one XADD per record *)
-    ignore (A.fetch_and_add s.hs_cells.(Hdr.index_of ~sub_bits:h.h_sub_bits v) 1);
-    ignore (A.fetch_and_add s.hs_sum v);
-    update_min s.hs_min v;
-    update_max s.hs_max v
-  end
+  let v = if v < 0 then 0 else v in
+  let s = hshard h (shard_index h.h_mask) in
+  (* the count is not tracked separately: it is recovered at snapshot
+     time by summing the cells, saving one XADD per record *)
+  ignore (A.fetch_and_add s.hs_cells.(Hdr.index_of ~sub_bits:h.h_sub_bits v) 1);
+  ignore (A.fetch_and_add s.hs_sum v);
+  update_min s.hs_min v;
+  update_max s.hs_max v
 
 (* ---------------- samples ---------------- *)
 
@@ -146,7 +138,6 @@ type entry = {
 }
 
 type t = {
-  r_enabled : bool A.t;
   r_nshards : int;
   r_lock : Mutex.t;
   mutable r_entries : entry list;  (** newest first *)
@@ -156,9 +147,8 @@ type t = {
   r_created_ns : int;
 }
 
-let create ?(enabled = true) () =
+let create () =
   {
-    r_enabled = A.make enabled;
     r_nshards = min 64 (next_pow2 (Domain.recommended_domain_count ()));
     r_lock = Mutex.create ();
     r_entries = [];
@@ -169,8 +159,6 @@ let create ?(enabled = true) () =
   }
 
 let default = create ()
-let set_enabled r v = A.set r.r_enabled v
-let enabled r = A.get r.r_enabled
 
 let locked r f =
   Mutex.lock r.r_lock;
@@ -199,7 +187,6 @@ let counter ?(registry = default) ?(help = "") ?(labels = []) name =
     ~fresh:(fun () ->
       let c =
         {
-          c_enabled = registry.r_enabled;
           c_mask = registry.r_nshards - 1;
           c_cells = Array.init registry.r_nshards (fun _ -> A.make 0);
         }
@@ -220,7 +207,6 @@ let histogram ?(registry = default) ?(help = "") ?(labels = [])
     ~fresh:(fun () ->
       let h =
         {
-          h_enabled = registry.r_enabled;
           h_sub_bits = sub_bits;
           h_mask = registry.r_nshards - 1;
           h_shards = Array.init registry.r_nshards (fun _ -> A.make None);

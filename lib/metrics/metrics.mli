@@ -3,28 +3,23 @@
     per-instance tallies (pool worker counters, wire link counters, GC
     stats) into snapshots.
 
-    Hot-path design: a disabled metric costs one atomic load and one
-    branch; an enabled counter increment is one atomic load plus one
-    [fetch_and_add] on a per-domain shard (hardware XADD — no CAS loop,
-    no allocation).  Snapshots are plain data: Marshal-safe, mergeable
-    across shards, registries and processes, and relabelable so a
-    coordinator can merge per-PE snapshots into one farm-wide view. *)
+    Hot-path design: a counter increment is one [fetch_and_add] on a
+    per-domain shard (hardware XADD — no CAS loop, no allocation, no
+    flag tested first).  Snapshots are plain data: Marshal-safe,
+    mergeable across shards, registries and processes, and relabelable
+    so a coordinator can merge per-PE snapshots into one farm-wide
+    view.
+
+    Every [?registry] argument defaults to the process-wide registry,
+    which has a GC collector pre-registered ([repro_gc_*] gauges from
+    [Gc.quick_stat]). *)
 
 type t
 (** A registry. *)
 
-val create : ?enabled:bool -> unit -> t
+val create : unit -> t
 (** One shard per hardware core ([Domain.recommended_domain_count]),
     rounded up to a power of two and clamped to 64. *)
-
-val default : t
-(** Process-wide registry; has a GC collector pre-registered
-    ([repro_gc_*] gauges from [Gc.quick_stat]).  Enabled by default. *)
-
-val set_enabled : t -> bool -> unit
-(** Flips every metric handed out by this registry (shared flag). *)
-
-val enabled : t -> bool
 
 (** {2 Instruments} *)
 

@@ -65,30 +65,6 @@ let shm =
     packet_bytes = 64 * 1024;
   }
 
-(* A profile built from constants measured on the host (the bench
-   harness's socketpair round-trip + Marshal micro-benchmark) instead
-   of the paper's modelled middleware numbers.  Not part of [all]: it
-   only exists once someone has measured. *)
-let measured ?(name = "measured") ~latency_ns ~per_message_ns ~wire_ns_per_byte
-    ~pack_ns_per_byte ~unpack_ns_per_byte ~packet_bytes () =
-  if latency_ns < 0 || per_message_ns < 0 then
-    invalid_arg "Transport.measured: negative per-message cost";
-  if
-    wire_ns_per_byte < 0.0 || pack_ns_per_byte < 0.0
-    || unpack_ns_per_byte < 0.0
-  then invalid_arg "Transport.measured: negative per-byte cost";
-  if packet_bytes < 1 then
-    invalid_arg "Transport.measured: packet_bytes must be >= 1";
-  {
-    name;
-    latency_ns;
-    per_message_ns;
-    wire_ns_per_byte;
-    pack_ns_per_byte;
-    unpack_ns_per_byte;
-    packet_bytes;
-  }
-
 let all = [ pvm; mpi; shm ]
 
 let by_name name =

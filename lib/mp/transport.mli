@@ -23,24 +23,8 @@ val mpi : t
 (** Idealised custom shared-memory middleware. *)
 val shm : t
 
-(** A profile from constants measured on the host (see the bench
-    harness's [--transport] mode: socketpair round-trips + Marshal
-    throughput).  Not in {!all} and not resolvable by {!by_name}.
-    @raise Invalid_argument on negative costs or [packet_bytes < 1]. *)
-val measured :
-  ?name:string ->
-  latency_ns:int ->
-  per_message_ns:int ->
-  wire_ns_per_byte:float ->
-  pack_ns_per_byte:float ->
-  unpack_ns_per_byte:float ->
-  packet_bytes:int ->
-  unit ->
-  t
-
-val all : t list
-
-(** @raise Invalid_argument for unknown names. *)
+(** One of the three profiles above, by its [name].
+    @raise Invalid_argument for unknown names. *)
 val by_name : string -> t
 
 (** Packets needed for a payload (at least 1). *)

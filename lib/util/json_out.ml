@@ -1,7 +1,9 @@
 (** Minimal JSON emitter (no dependencies, output only).
 
-    Used by the benchmark harness to dump machine-readable results
-    ([BENCH_exec.json], [BENCH_dist.json]).  Covers exactly the JSON
+    Writes every machine-readable document the tools produce: the
+    [repro/measure/v1] rows of [repro_cli exec|dist --json], metrics
+    snapshots, Chrome traces, analyzer reports and perfbench's
+    results.  Covers exactly the JSON
     we produce: null/bool/int/float/string plus arrays and objects.
     Floats that have no JSON representation (nan, infinities) are
     emitted as [null] so the output always parses. *)

@@ -20,7 +20,9 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 let[@inline] state t = Bytes.get_int64_le t 0
 let[@inline] set_state t z = Bytes.set_int64_le t 0 z
 
-let of_state s =
+(* Inlined, so that the state reaches the bytes unboxed: a call would
+   box the [Int64] that [create] passes, 3 words beside the 3 of [t]. *)
+let[@inline] of_state s =
   let t = Bytes.create 8 in
   set_state t s;
   t
@@ -71,7 +73,7 @@ let bernoulli t p = float t < p
 
 (* The state stays in a local between elements: [z] is the state the
    next element's draw moves to. *)
-let fill_float ?(stride = 1) t (a : float array) lo hi =
+let fill_float ~stride t (a : float array) lo hi =
   if stride < 1 then invalid_arg "Rng.fill_float: stride must be positive";
   let step = Int64.mul (Int64.of_int stride) golden_gamma in
   let z = ref (Int64.add (state t) golden_gamma) in

@@ -33,10 +33,10 @@ val bernoulli : t -> float -> bool
 
 (** [fill_float ~stride t a lo hi] sets [a.(lo)], ..., [a.(hi)] in
     index order to draws [0], [stride], [2 * stride], ... of [t] (every
-    draw when [stride] is 1, the default), leaving [t] [stride] draws
-    on per element, with no allocation.
+    draw when [stride] is 1), leaving [t] [stride] draws on per
+    element, with no allocation.
     @raise Invalid_argument if [stride < 1]. *)
-val fill_float : ?stride:int -> t -> float array -> int -> int -> unit
+val fill_float : stride:int -> t -> float array -> int -> int -> unit
 
 (** [int_range t lo hi]: uniform in [\[lo, hi\]] inclusive. *)
 val int_range : t -> int -> int -> int

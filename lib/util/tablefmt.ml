@@ -1,7 +1,7 @@
 (** Minimal ASCII table rendering for experiment reports.
 
     Produces aligned, boxed tables in the style of the paper's Fig. 1 so
-    that the benchmark harness can print rows that visually correspond to
+    that the figure commands print rows that visually correspond to
     the published tables. *)
 
 type align = Left | Right

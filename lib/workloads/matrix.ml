@@ -33,7 +33,9 @@ let create rows n : mat = Array.init rows (fun _ -> Array.create_float n)
 let fill_rows (m : mat) ~seed ~lo =
   let rng = Rng.create seed in
   if Array.length m > 0 then Rng.skip rng (lo * Array.length m.(0));
-  Array.iter (fun row -> Rng.fill_float rng row 0 (Array.length row - 1)) m
+  Array.iter
+    (fun row -> Rng.fill_float ~stride:1 rng row 0 (Array.length row - 1))
+    m
 
 let random ~seed n =
   let m = create n n in

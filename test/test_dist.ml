@@ -724,68 +724,21 @@ let open_fds () = List.sort compare (Array.to_list (Sys.readdir "/proc/self/fd")
    whole dist suite runs in about 2 s). *)
 let deadline_s = 20.0
 
-(* This process's children, the PEs of the farms it runs, from every
-   thread's [children] list. *)
-let children () =
-  List.concat_map
-    (fun tid ->
-      match
-        In_channel.with_open_text
-          (Printf.sprintf "/proc/self/task/%s/children" tid)
-          In_channel.input_all
-      with
-      | s -> List.filter_map int_of_string_opt (String.split_on_char ' ' s)
-      | exception Sys_error _ -> [])
-    (Array.to_list (Sys.readdir "/proc/self/task"))
-
-(* Runs [f ()] on a domain of its own, as [Test_exec.within] does, and
-   fails unless it returns within [deadline_s].  A farm that hangs (a
-   ring row never forwarded, say) then fails its named case instead of
-   stalling the suite: its PEs are killed, so the farm's receives see
-   them gone and [Farm.run]'s handler reaps them. *)
-let within_deadline f =
-  let outcome = Atomic.make None in
-  let d =
-    Domain.spawn (fun () ->
-        Atomic.set outcome
-          (Some
-             (match f () with
-             | () -> Ok ()
-             | exception e -> Error (e, Printexc.get_raw_backtrace ()))))
-  in
-  let wait seconds =
-    let deadline = Unix.gettimeofday () +. seconds in
-    while Atomic.get outcome = None && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.002
-    done
-  in
-  wait deadline_s;
-  if Atomic.get outcome = None then begin
-    List.iter
-      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-      (children ());
-    wait 10.0;
-    if Atomic.get outcome <> None then Domain.join d;
-    failf "still running after %.0f s: its PEs were killed" deadline_s
-  end;
-  Domain.join d;
-  match Atomic.get outcome with
-  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-  | _ -> ()
-
 (* [f] leaves the process as it found it: the same open descriptors, no
    new ring segment, and no child process, whichever way its farms
-   ended.  It runs under [within_deadline]. *)
-let leak_free f () =
+   ended.  It runs under the deadline, which names the case [name]. *)
+let leak_free name f () =
   let segments = ring_segments () in
   let fds = open_fds () in
-  within_deadline f;
+  Deadline.within ~seconds:deadline_s name f;
   check (list string) "open fds as before" fds (open_fds ());
   check (list string) "no ring segment left" []
     (List.filter (fun s -> not (List.mem s segments)) (ring_segments ()));
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
   | pid, _ -> failf "child process left behind (waitpid: %d)" pid
+
+let farm_case name f = test_case name `Quick (leak_free name f)
 
 (* Exactly-once ledger, the same over both transports: the coordinator
    schedules each task once, the workers between them execute each
@@ -1318,55 +1271,54 @@ let suite =
       test_case "shm peer death drains then raises" `Quick shm_peer_gone;
       test_case "shm full ring notices a dead consumer" `Quick
         shm_full_ring_dead_consumer;
-      test_case "two-process exactly-once ledger" `Quick
-        (leak_free (exactly_once_ledger Farm.Sock));
-      test_case "shm exactly-once ledger" `Quick (leak_free (exactly_once_ledger Farm.Shm));
-      test_case "sock unpinned task costs two messages" `Quick
-        (leak_free (two_messages_per_task Farm.Sock));
-      test_case "shm unpinned task costs two messages" `Quick
-        (leak_free (two_messages_per_task Farm.Shm));
-      test_case "all workloads match sequential references" `Quick
-        (leak_free all_workloads_match_reference);
-      test_case "all workloads match references over shm" `Quick
-        (leak_free all_workloads_match_reference_shm);
-      test_case "sock matmul at sizes 1, 3, 67 on 1-4 PEs" `Quick
-        (leak_free (matmul_sizes Farm.Sock));
-      test_case "shm matmul at sizes 1, 3, 67 on 1-4 PEs" `Quick
-        (leak_free (matmul_sizes Farm.Shm));
-      test_case "apsp pinned rounds over shm" `Quick (leak_free apsp_shm_pinned);
-      test_case "closure farm over shm" `Quick (leak_free farm_closures_shm);
-      test_case "apsp awkward shapes" `Quick (leak_free apsp_awkward_shapes);
-      test_case "sock apsp relays its pivot rows in one round" `Quick
-        (leak_free (apsp_relays Farm.Sock));
-      test_case "shm apsp relays its pivot rows in one round" `Quick
-        (leak_free (apsp_relays Farm.Shm));
+      farm_case "two-process exactly-once ledger"
+        (exactly_once_ledger Farm.Sock);
+      farm_case "shm exactly-once ledger" (exactly_once_ledger Farm.Shm);
+      farm_case "sock unpinned task costs two messages"
+        (two_messages_per_task Farm.Sock);
+      farm_case "shm unpinned task costs two messages"
+        (two_messages_per_task Farm.Shm);
+      farm_case "all workloads match sequential references"
+        all_workloads_match_reference;
+      farm_case "all workloads match references over shm"
+        all_workloads_match_reference_shm;
+      farm_case "sock matmul at sizes 1, 3, 67 on 1-4 PEs"
+        (matmul_sizes Farm.Sock);
+      farm_case "shm matmul at sizes 1, 3, 67 on 1-4 PEs"
+        (matmul_sizes Farm.Shm);
+      farm_case "apsp pinned rounds over shm" apsp_shm_pinned;
+      farm_case "closure farm over shm" farm_closures_shm;
+      farm_case "apsp awkward shapes" apsp_awkward_shapes;
+      farm_case "sock apsp relays its pivot rows in one round"
+        (apsp_relays Farm.Sock);
+      farm_case "shm apsp relays its pivot rows in one round"
+        (apsp_relays Farm.Shm);
       test_case "apsp execute rejects a bad relayed pivot" `Quick
         apsp_execute_checks_relays;
-      test_case "more PEs than tasks" `Quick (leak_free more_procs_than_tasks);
-      test_case "closure farm" `Quick (leak_free farm_closures);
-      test_case "sock closure results larger than a ring" `Quick
-        (leak_free (farm_large_results Farm.Sock));
-      test_case "shm closure results larger than a ring" `Quick
-        (leak_free (farm_large_results Farm.Shm));
-      test_case "sock coordinator blocks instead of polling" `Quick
-        (leak_free (coordinator_blocks Farm.Sock));
-      test_case "shm coordinator blocks instead of polling" `Quick
-        (leak_free (coordinator_blocks Farm.Shm));
-      test_case "PE dead before Ready leaves no child over sock" `Quick
-        (leak_free (dead_before_ready Farm.Sock));
-      test_case "PE dead before Ready leaves no child over shm" `Quick
-        (leak_free (dead_before_ready Farm.Shm));
-      test_case "sock PE death mid-round is named" `Quick
-        (leak_free (pe_death_mid_round Farm.Sock));
-      test_case "shm PE death mid-round is named" `Quick
-        (leak_free (pe_death_mid_round Farm.Shm));
-      test_case "rejects procs < 1" `Quick (leak_free rejects_bad_procs);
-      test_case "traced run emits timeline spans" `Quick (leak_free trace_spans);
-      test_case "sock traced apsp separates relay waits" `Quick
-        (leak_free (trace_relay_waits Farm.Sock));
-      test_case "shm traced apsp separates relay waits" `Quick
-        (leak_free (trace_relay_waits Farm.Shm));
-      test_case "untraced run has no spans" `Quick (leak_free untraced_runs_have_no_spans);
+      farm_case "more PEs than tasks" more_procs_than_tasks;
+      farm_case "closure farm" farm_closures;
+      farm_case "sock closure results larger than a ring"
+        (farm_large_results Farm.Sock);
+      farm_case "shm closure results larger than a ring"
+        (farm_large_results Farm.Shm);
+      farm_case "sock coordinator blocks instead of polling"
+        (coordinator_blocks Farm.Sock);
+      farm_case "shm coordinator blocks instead of polling"
+        (coordinator_blocks Farm.Shm);
+      farm_case "PE dead before Ready leaves no child over sock"
+        (dead_before_ready Farm.Sock);
+      farm_case "PE dead before Ready leaves no child over shm"
+        (dead_before_ready Farm.Shm);
+      farm_case "sock PE death mid-round is named"
+        (pe_death_mid_round Farm.Sock);
+      farm_case "shm PE death mid-round is named" (pe_death_mid_round Farm.Shm);
+      farm_case "rejects procs < 1" rejects_bad_procs;
+      farm_case "traced run emits timeline spans" trace_spans;
+      farm_case "sock traced apsp separates relay waits"
+        (trace_relay_waits Farm.Sock);
+      farm_case "shm traced apsp separates relay waits"
+        (trace_relay_waits Farm.Shm);
+      farm_case "untraced run has no spans" untraced_runs_have_no_spans;
       test_case "closed links keep the registry bounded" `Quick
         closed_links_keep_registry_bounded;
       test_case "sock malformed messages are counted errors" `Quick

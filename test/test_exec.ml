@@ -239,26 +239,8 @@ let sumeuler_allocates_per_range () =
 
 (* ---------------- workload determinism at 1/2/4 domains ---------------- *)
 
-(* Runs [f ()] on a domain of its own and fails [what] unless it
-   returns within 30 s, so a hang fails the named case instead of
-   stalling the suite (the domain is then left running, never
-   joined). *)
-let within what f =
-  let seconds = 30.0 in
-  let outcome = Atomic.make None in
-  let d =
-    Domain.spawn (fun () ->
-        Atomic.set outcome (Some (match f () with v -> Ok v | exception e -> Error e)))
-  in
-  let deadline = Unix.gettimeofday () +. seconds in
-  while Atomic.get outcome = None && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.001
-  done;
-  match Atomic.get outcome with
-  | None -> Alcotest.failf "%s: still running after %.0f s" what seconds
-  | Some r -> (
-      Domain.join d;
-      match r with Ok v -> v | Error e -> raise e)
+(* Every case below fails by name if it runs past 30 s. *)
+let within what f = Deadline.within ~seconds:30.0 what f
 
 let workload_deterministic (module W : Workload.S) () =
   let size = W.quick_size in

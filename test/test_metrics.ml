@@ -162,18 +162,6 @@ let gauge_last_write_wins () =
   check (Alcotest.float 0.) "last write" 2.5
     (M.total (M.snapshot ~registry:reg ()) "repro_test_depth")
 
-let disabled_registry_records_nothing () =
-  let reg = M.create ~enabled:false () in
-  let c = M.counter ~registry:reg "repro_test_off_total" in
-  let h = M.histogram ~registry:reg "repro_test_off_ns" in
-  for i = 1 to 100 do
-    M.incr c;
-    M.observe h i
-  done;
-  let snap = M.snapshot ~registry:reg () in
-  check (Alcotest.float 0.) "counter stays 0" 0. (M.total snap "repro_test_off_total");
-  check Alcotest.int "histogram stays empty" 0 (M.hist_total snap "repro_test_off_ns").Hdr.count
-
 let collector_retirement () =
   let reg = M.create () in
   let live = ref 41 in
@@ -478,7 +466,6 @@ let suite =
       QCheck_alcotest.to_alcotest hdr_json_roundtrip;
       test_case "sharded counter exact across domains" `Quick sharded_counter_exact;
       test_case "gauge last write wins" `Quick gauge_last_write_wins;
-      test_case "disabled registry records nothing" `Quick disabled_registry_records_nothing;
       test_case "collector retirement keeps totals" `Quick collector_retirement;
       QCheck_alcotest.to_alcotest merge_associative_qcheck;
       test_case "relabel and find" `Quick relabel_and_find;

@@ -34,7 +34,7 @@ let rng_pinned_stream () =
       check Alcotest.int (what "child int 1000") ci (Rng.int c 1000);
       let a = Rng.create seed and b = Rng.create seed in
       let filled = Array.make 7 nan in
-      Rng.fill_float a filled 2 5;
+      Rng.fill_float ~stride:1 a filled 2 5;
       check Alcotest.(array (float 0.0)) (what "fill_float 2..5")
         (Array.init 7 (fun j -> if j < 2 || j > 5 then nan else Rng.float b))
         filled)
@@ -131,7 +131,7 @@ let rng_draws_allocate_nothing () =
       ("next_int", fun () -> ignore (Rng.next_int r : int));
       ("bernoulli", fun () -> ignore (Rng.bernoulli r 0.2 : bool));
       ("skip", fun () -> Rng.skip r 384);
-      ("fill_float", fun () -> Rng.fill_float r row 0 63);
+      ("fill_float", fun () -> Rng.fill_float ~stride:1 r row 0 63);
     ]
 
 let rng_bounds () =

@@ -188,6 +188,20 @@ let qcheck_matrix_draws =
       in
       filled W.Matrix.fill_rows = block m && filled W.Matrix.fill_cols = block t)
 
+(* Matmul's bt at the benchmark's size, 384 columns drawn into 384
+   rows: each column costs one 3-word generator and nothing else (no
+   boxed seed, no [Some] for the stride), plus the iterating closure.
+   The bound is that figure, 1,158 words, and a little slack. *)
+let matrix_fill_cols_allocation () =
+  let m = W.Matrix.create 384 384 in
+  W.Matrix.fill_cols m ~seed:43 ~lo:0;
+  let w0 = Gc.minor_words () in
+  W.Matrix.fill_cols m ~seed:43 ~lo:0;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for 384 columns, at most 1,200" words)
+    true (words <= 1_200.0)
+
 (* A Real-payload matmul returns its product's checksum unchecked; it
    must be, to a relative 1e-6, the checksum of [mul_ref] on the inputs
    the program draws ([random ~seed:42 n] and [random ~seed:43 n] by
@@ -521,6 +535,8 @@ let suite =
       test_case "matrix: blocked == ref" `Quick matrix_block_equals_ref;
       test_case "matrix: row segments == ref" `Quick matrix_row_segment_equals_ref;
       QCheck_alcotest.to_alcotest qcheck_matrix_draws;
+      test_case "matrix fill_cols allocates one generator per column" `Quick
+        matrix_fill_cols_allocation;
       test_case "matmul: gph == cannon" `Quick matmul_variants_agree;
       test_case "matmul: lazy BH correct" `Quick matmul_lazy_bh_still_correct;
       test_case "programs at odd sizes == reference" `Quick

@@ -6,9 +6,9 @@
 #
 # For each `val NAME`, `module NAME` and `module type NAME` in a
 # library interface, searches every other tracked .ml/.mli (its own
-# implementation excepted): lib/ and bin/, but also test/, bench/,
-# perfbench/ and examples/, so a name that only tests or the benchmark
-# use counts as used.  Comments and string literals are skipped.  A
+# implementation excepted): lib/ and bin/, but also test/, perfbench/
+# and examples/, so a name that only tests or the benchmark use counts
+# as used.  Comments and string literals are skipped.  A
 # use counts only when
 #   - the name is qualified by its module, or by an alias of it
 #     (`Rng.bool`, or `R.bool` after `module R = Repro_util.Rng`), or
