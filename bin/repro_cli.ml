@@ -505,24 +505,21 @@ let exec_cmd =
         Metrics.remove_collector tok;
         if v <> reference then
           failwith "traced run: result differs from sequential reference";
-        let log = Tracer.to_eventlog tr in
-        let doc = Repro_trace.Chrome.of_eventlog ~ncaps:cores log in
-        Repro_util.Json_out.to_file path doc;
+        Repro_util.Json_out.to_file path (Tracer.trace tr);
         Printf.bprintf buf
           "wrote %s (%d events recorded, Chrome trace-event format)\n" path
           (Tracer.recorded tr);
+        let spans = Tracer.spans tr in
         (match trace_svg with
         | Some svg_path ->
-            let trace = Repro_trace.Eventlog.to_trace ~ncaps:cores log in
             Repro_trace.Render_svg.to_file
               ~title:(Printf.sprintf "%s, %d domain(s)" W.name cores)
-              trace svg_path;
+              (Repro_trace.Chrome.to_trace ~ncaps:cores spans)
+              svg_path;
             Printf.bprintf buf "wrote %s\n" svg_path
         | None -> ());
-        let report =
-          Repro_exec.Profile.analyze (Repro_exec.Profile.of_chrome_json doc)
-        in
-        Buffer.add_string buf (Repro_exec.Profile.to_string report)
+        Buffer.add_string buf
+          (Repro_exec.Profile.to_string (Repro_exec.Profile.analyze spans))
   in
   Cmd.v
     (Cmd.info "exec"
@@ -660,7 +657,7 @@ let profile_cmd =
         exit 2
     in
     let report =
-      try Profile.analyze (Profile.of_chrome_json doc)
+      try Profile.analyze (Repro_trace.Chrome.of_json doc)
       with Failure msg ->
         Printf.eprintf "repro-cli: profile: %s: %s\n" file msg;
         exit 2

@@ -98,17 +98,18 @@ type outcome = {
 }
 
 (* The traced run on named Chrome tracks: PE [p] on track [p], the
-   coordinator on track [procs].  Each executed task is a [task] slice,
-   as a pool task is, so [Repro_exec.Profile] reads both backends, with
-   [unpack] and [pack] slices around it and a [wait] slice inside it
-   for each blocking ring receive.  The coordinator's [schedule] sends
-   are slices on its track, and a [wire] slice on the PE's track
-   bridges the send-done timestamp to the PE's receive-done one —
+   coordinator on track [procs].  Each PE recorded its own slices: per
+   task, a [task] slice, as a pool task is, so [Repro_exec.Profile]
+   reads both backends, with [unpack] and [pack] slices around it and
+   a [wait] slice inside it for each blocking ring receive.  The
+   coordinator adds its [schedule] sends as slices on its track, and
+   a [wire] slice on the PE's track that bridges the send-done
+   timestamp to the start of the PE's [unpack], which names the task —
    sound because every process reads the same CLOCK_MONOTONIC (see
    {!Clock}).  Timestamps are rebased to the earliest span. *)
 let spans (o : outcome) : Repro_trace.Chrome.span list =
   let acc = ref [] in
-  let push ?(bytes = 0) tid name cat t0 t1 =
+  let push tid name cat t0 t1 bytes =
     if t1 >= t0 then
       acc :=
         {
@@ -117,7 +118,7 @@ let spans (o : outcome) : Repro_trace.Chrome.span list =
           cat;
           ts_ns = t0;
           dur_ns = Some (t1 - t0);
-          args = (if bytes > 0 then [ ("bytes", Repro_util.Json_out.Int bytes) ] else []);
+          args = [ ("bytes", Repro_util.Json_out.Int bytes) ];
         }
         :: !acc
   in
@@ -125,21 +126,19 @@ let spans (o : outcome) : Repro_trace.Chrome.span list =
   List.iter
     (fun s ->
       Hashtbl.replace send_done s.sp_task_id (s.send_done_ns, s.sp_bytes);
-      push ~bytes:s.sp_bytes o.procs "schedule" "sched" s.send_start_ns
-        s.send_done_ns)
+      push o.procs "schedule" "sched" s.send_start_ns s.send_done_ns s.sp_bytes)
     o.sched_spans;
   Array.iter
     (fun r ->
       List.iter
-        (fun (t : Message.task_span) ->
-          (match Hashtbl.find_opt send_done t.span_task_id with
-          | Some (sd, bytes) -> push ~bytes r.rep_pe "wire" "net" sd t.recv_done_ns
-          | None -> ());
-          push r.rep_pe "unpack" "pack" t.recv_done_ns t.exec_start_ns;
-          push r.rep_pe "task" "exec" t.exec_start_ns t.exec_end_ns;
-          List.iter (fun (w0, w1) -> push r.rep_pe "wait" "net" w0 w1) t.span_waits;
-          push r.rep_pe "pack" "pack" t.exec_end_ns
-            (t.exec_end_ns + t.span_pack_ns))
+        (fun (s : Repro_trace.Chrome.span) ->
+          (match (s.name, s.args) with
+          | "unpack", [ ("task", Repro_util.Json_out.Int id) ] -> (
+              match Hashtbl.find_opt send_done id with
+              | Some (sd, bytes) -> push s.tid "wire" "net" sd s.ts_ns bytes
+              | None -> ())
+          | _ -> ());
+          acc := s :: !acc)
         r.stats.Message.spans)
     o.reports;
   let t0 = List.fold_left (fun m (s : Repro_trace.Chrome.span) -> min m s.ts_ns) max_int !acc in

@@ -61,12 +61,13 @@ type outcome = {
 }
 
 (** The spans of a traced run ([run ~trace:true]; empty otherwise),
-    rebased to the earliest one.  PE [p] is track [p]: a [task] slice
-    per executed task, as in the pool's traces, between [unpack] and
-    [pack] slices, a [wait] slice inside it per blocking ring receive,
-    and a [wire] slice from the coordinator's send-done timestamp to
-    the PE's receive-done one (every process reads the same
-    CLOCK_MONOTONIC).  The coordinator is track [procs], with its
+    rebased to the earliest one.  PE [p] is track [p], with the slices
+    the PE recorded ({!Message.worker_stats}): a [task] slice per
+    executed task, as in the pool's traces, between [unpack] and
+    [pack] slices, and a [wait] slice inside it per blocking ring
+    receive.  The coordinator adds a [wire] slice from its send-done
+    timestamp to the start of the task's [unpack] (every process reads
+    the same CLOCK_MONOTONIC), and its own track [procs] with its
     [schedule] sends.  [schedule] and [wire] slices carry the payload
     size as a [bytes] arg. *)
 val spans : outcome -> Repro_trace.Chrome.span list

@@ -5,7 +5,8 @@
     with its [Result], which also asks for the PE's next task, as a
     result does in Eden's masterWorker.  A PE asks for nothing else:
     GUM's FISH would carry no information here.  [Harvest]/[Stats]
-    drain the per-PE counters at shutdown.
+    drain the per-PE counters at shutdown, and on a traced run the
+    PE's own slices, already {!Repro_trace.Chrome.span}s.
 
     Between neighbouring PEs: a running task's rows (apsp's pivots)
     travel around the PEs' ring, Eden's ring skeleton, one float
@@ -52,21 +53,6 @@ type to_worker =
   | Harvest
   | Shutdown
 
-(** One task's life on a PE, monotonic-clock nanoseconds (comparable
-    with coordinator timestamps — see {!Clock}). *)
-type task_span = {
-  span_task_id : int;
-  recv_done_ns : int;
-  span_unpack_ns : int;
-  exec_start_ns : int;
-  exec_end_ns : int;
-  span_pack_ns : int;
-  span_waits : (int * int) list;
-      (** the task's blocking ring receives, [(start, stop)] in order;
-          [exec_end_ns - exec_start_ns] less their sum is its share of
-          [exec_ns] *)
-}
-
 type worker_stats = {
   stats_pe : int;
   tasks_executed : int;
@@ -88,7 +74,11 @@ type worker_stats = {
   gc_major_collections : int;
   gc_minor_words : float;
   gc_promoted_words : float;
-  spans : task_span list;
+  spans : Repro_trace.Chrome.span list;
+      (** when traced, each task's [unpack] (whose [task] arg is its id),
+          [task], the [wait]s inside it and [pack] slices, on track [pe]
+          in monotonic-clock nanoseconds (comparable with coordinator
+          timestamps — see {!Clock}) *)
   spans_dropped : int;
   metrics : Repro_metrics.Metrics.snapshot;
       (** the PE's full registry snapshot, piggybacked on the Stats

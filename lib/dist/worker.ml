@@ -122,7 +122,9 @@ let executor (mode : Message.mode) relay : string -> executed =
           pack_ns = 0;
         }
 
-let max_recorded_spans = 8192
+(* A traced PE records the slices of its first [max_traced_tasks]
+   tasks and counts the rest in [spans_dropped]. *)
+let max_traced_tasks = 8192
 
 (* ---------------- session state ---------------- *)
 
@@ -135,8 +137,8 @@ type session = {
   mw0 : float;
   mutable tasks_executed : int;
   mutable exec_ns : int;
-  mutable spans : Message.task_span list;
-  mutable nspans : int;
+  mutable spans : Repro_trace.Chrome.span list;  (** newest first *)
+  mutable traced : int;  (** tasks whose slices [spans] holds *)
   mutable spans_dropped : int;
 }
 
@@ -156,7 +158,7 @@ let start_session hello conn ring =
     tasks_executed = 0;
     exec_ns = 0;
     spans = [];
-    nspans = 0;
+    traced = 0;
     spans_dropped = 0;
   }
 
@@ -174,19 +176,27 @@ let run_task s ~coord ~task_id ~round payload =
   s.exec_ns <- s.exec_ns + (e.exec_end_ns - e.exec_start_ns) - waited;
   s.tasks_executed <- s.tasks_executed + 1;
   if s.hello.Message.trace then
-    if s.nspans < max_recorded_spans then begin
-      s.nspans <- s.nspans + 1;
-      s.spans <-
+    if s.traced < max_traced_tasks then begin
+      s.traced <- s.traced + 1;
+      let slice ?(args = []) name cat t0 t1 =
         {
-          Message.span_task_id = task_id;
-          recv_done_ns;
-          span_unpack_ns = e.unpack_ns;
-          exec_start_ns = e.exec_start_ns;
-          exec_end_ns = e.exec_end_ns;
-          span_pack_ns = e.pack_ns;
-          span_waits = waits;
+          Repro_trace.Chrome.tid = s.hello.Message.pe;
+          name;
+          cat;
+          ts_ns = t0;
+          dur_ns = Some (t1 - t0);
+          args;
         }
-        :: s.spans
+      in
+      let unpack =
+        slice ~args:[ ("task", Repro_util.Json_out.Int task_id) ] "unpack" "pack"
+          recv_done_ns e.exec_start_ns
+      in
+      s.spans <-
+        slice "pack" "pack" e.exec_end_ns (e.exec_end_ns + e.pack_ns)
+        :: List.rev_map (fun (w0, w1) -> slice "wait" "net" w0 w1) waits
+        @ slice "task" "exec" e.exec_start_ns e.exec_end_ns
+          :: unpack :: s.spans
     end
     else s.spans_dropped <- s.spans_dropped + 1;
   Message.send_result coord ~task_id ~round e.out

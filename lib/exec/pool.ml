@@ -327,9 +327,9 @@ let rec worker_loop t (w : worker) =
    every domain owns at least one slice in exported traces. *)
 let worker_main t (w : worker) =
   Domain.DLS.set context_key (Some (t, w));
-  Tracer.record w.tbuf Tracer.Worker_begin ~arg:0;
+  Tracer.lifetime w.tbuf Tracer.Worker_begin;
   worker_loop t w;
-  Tracer.record w.tbuf Tracer.Worker_end ~arg:0
+  Tracer.lifetime w.tbuf Tracer.Worker_end
 
 let create ?cores:requested ?tracer () =
   let ncores =
@@ -394,12 +394,12 @@ let run t f =
   let w0 = t.workers.(0) in
   let saved = Domain.DLS.get context_key in
   Domain.DLS.set context_key (Some (t, w0));
-  Tracer.record w0.tbuf Tracer.Worker_begin ~arg:0;
+  Tracer.lifetime w0.tbuf Tracer.Worker_begin;
   Fun.protect
     ~finally:(fun () ->
       (* Leftover deque entries are runners for futures that were
          already forced (and hence claimed): discard them. *)
-      Tracer.record w0.tbuf Tracer.Worker_end ~arg:0;
+      Tracer.lifetime w0.tbuf Tracer.Worker_end;
       discard_leftovers w0;
       Domain.DLS.set context_key saved)
     f

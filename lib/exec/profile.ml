@@ -3,46 +3,17 @@
     utilization, idle-gap distribution (the GC-barrier / famine gaps),
     spark granularity, and steal latency.
 
-    Input is the Chrome trace-event document {!Repro_trace.Chrome}
-    emits (either freshly built or parsed back from disk with
-    {!Repro_util.Json_in}), reduced to slices and instants.  Busy time
-    is the interval {e union} of [task] and [eval] slices, so nested
-    helping is not double-counted, less the [wait] slices inside them
-    (a PE's task blocked on a relayed row), which count as parked. *)
+    Input is the span list either real backend records
+    ({!Repro_trace.Chrome.span}: [Tracer.spans], [Farm.spans], or a
+    trace file read back with [Chrome.of_json]).  Busy time is the
+    interval {e union} of [task] and [eval] slices, so nested helping
+    is not double-counted, less the [wait] slices inside them (a PE's
+    task blocked on a relayed row), which count as parked.  Times are
+    float microseconds, as the file carries them. *)
 
-module Json = Repro_util.Json_out
-module Json_in = Repro_util.Json_in
+module Chrome = Repro_trace.Chrome
 module Stats = Repro_util.Stats
 module Tablefmt = Repro_util.Tablefmt
-
-type slice = { tid : int; name : string; ts_us : float; dur_us : float }
-type instant = { itid : int; iname : string; its_us : float }
-type input = { slices : slice list; instants : instant list }
-
-let of_chrome_json json =
-  let events =
-    match Json_in.member "traceEvents" json with
-    | Some evs -> Option.value ~default:[] (Json_in.to_list evs)
-    | None -> failwith "profile: no traceEvents key (not a Chrome trace?)"
-  in
-  let slices = ref [] and instants = ref [] in
-  List.iter
-    (fun ev ->
-      let str key = Option.bind (Json_in.member key ev) Json_in.to_string in
-      let num key = Option.bind (Json_in.member key ev) Json_in.to_float in
-      let int key = Option.bind (Json_in.member key ev) Json_in.to_int in
-      match (str "ph", str "name", int "tid", num "ts") with
-      | Some "X", Some name, Some tid, Some ts_us ->
-          let dur_us = Option.value ~default:0.0 (num "dur") in
-          slices := { tid; name; ts_us; dur_us } :: !slices
-      | Some ("i" | "I"), Some name, Some tid, Some ts_us ->
-          instants := { itid = tid; iname = name; its_us = ts_us } :: !instants
-      | _ -> ()  (* metadata and anything we did not emit *))
-    events;
-  { slices = List.rev !slices; instants = List.rev !instants }
-
-let of_eventlog ~ncaps log =
-  of_chrome_json (Repro_trace.Chrome.of_eventlog ~ncaps log)
 
 (* ---------------- interval arithmetic ---------------- *)
 
@@ -144,15 +115,15 @@ type report = {
 let is_busy_name n = n = "task" || n = "eval"
 let is_gc_name n = String.length n >= 3 && String.sub n 0 3 = "gc:"
 
-let analyze input =
-  let all_ts =
-    List.map (fun s -> s.ts_us) input.slices
-    @ List.map (fun i -> i.its_us) input.instants
-  and all_ends =
-    List.map (fun s -> s.ts_us +. s.dur_us) input.slices
-    @ List.map (fun i -> i.its_us) input.instants
-  in
-  match all_ts with
+let us ns = float_of_int ns /. 1e3
+
+(* A span's start and end, microseconds; an instant ends where it
+   starts. *)
+let start (s : Chrome.span) = us s.ts_ns
+let stop (s : Chrome.span) = start s +. us (Option.value ~default:0 s.dur_ns)
+
+let analyze (spans : Chrome.span list) =
+  match spans with
   | [] ->
       {
         wall_us = 0.0;
@@ -163,41 +134,43 @@ let analyze input =
         idle_gaps_us = [];
       }
   | _ ->
-      let lo = List.fold_left Float.min infinity all_ts in
-      let hi = List.fold_left Float.max neg_infinity all_ends in
+      let slices, instants =
+        List.partition (fun (s : Chrome.span) -> s.dur_ns <> None) spans
+      in
+      let lo = List.fold_left (fun acc s -> Float.min acc (start s)) infinity spans in
+      let hi = List.fold_left (fun acc s -> Float.max acc (stop s)) neg_infinity spans in
       let wall_us = Float.max 0.0 (hi -. lo) in
       let tids =
-        List.sort_uniq compare
-          (List.map (fun s -> s.tid) input.slices
-          @ List.map (fun i -> i.itid) input.instants)
+        List.sort_uniq compare (List.map (fun (s : Chrome.span) -> s.tid) spans)
       in
       let all_gaps = ref [] and spark_durs = ref [] and latencies = ref [] in
       let workers =
         List.map
           (fun tid ->
-            let mine = List.filter (fun s -> s.tid = tid) input.slices in
+            let mine = List.filter (fun (s : Chrome.span) -> s.tid = tid) slices in
             let named p =
               union
                 (List.filter_map
-                   (fun s ->
-                     if p s.name then Some (s.ts_us, s.ts_us +. s.dur_us) else None)
+                   (fun (s : Chrome.span) ->
+                     if p s.name then Some (start s, stop s) else None)
                    mine)
             in
             let sum_named p = total (named p) in
             let busy = diff (named is_busy_name) (named (fun n -> n = "wait")) in
             let tasks =
-              List.length (List.filter (fun s -> s.name = "task") mine)
+              List.length (List.filter (fun (s : Chrome.span) -> s.name = "task") mine)
             in
             List.iter
-              (fun s -> if s.name = "eval" then spark_durs := s.dur_us :: !spark_durs)
+              (fun (s : Chrome.span) ->
+                if s.name = "eval" then
+                  spark_durs := us (Option.get s.dur_ns) :: !spark_durs)
               mine;
             (* idle gaps within this worker's live span *)
             let live =
               match
                 List.filter_map
-                  (fun s ->
-                    if s.name = "worker" then Some (s.ts_us, s.ts_us +. s.dur_us)
-                    else None)
+                  (fun (s : Chrome.span) ->
+                    if s.name = "worker" then Some (start s, stop s) else None)
                   mine
               with
               | [] -> (lo, hi)
@@ -212,17 +185,19 @@ let analyze input =
             all_gaps := g @ !all_gaps;
             (* steal latency: steal instants vs last busy end before them *)
             let steals =
-              List.filter (fun i -> i.itid = tid && i.iname = "steal")
-                input.instants
+              List.filter
+                (fun (i : Chrome.span) -> i.tid = tid && i.name = "steal")
+                instants
             in
             List.iter
               (fun i ->
+                let at = start i in
                 let before =
                   List.fold_left
-                    (fun acc (_, e) -> if e <= i.its_us then Float.max acc e else acc)
+                    (fun acc (_, e) -> if e <= at then Float.max acc e else acc)
                     (fst live) busy
                 in
-                latencies := Float.max 0.0 (i.its_us -. before) :: !latencies)
+                latencies := Float.max 0.0 (at -. before) :: !latencies)
               steals;
             {
               wtid = tid;

@@ -1,22 +1,11 @@
 (** Post-hoc profile report over a trace of either real backend:
     per-worker (or per-PE) utilization, idle-gap histogram, spark
     granularity and steal latency — the per-CPU activity analysis of
-    paper Sec. V, computed from the Chrome trace-event document
-    {!Repro_trace.Chrome} writes.  Backs [repro_cli profile FILE.json]
-    (on [exec --trace] or [dist --trace] files) and the summary printed
-    by [repro_cli exec --trace]. *)
-
-type input
-
-(** Reduce a parsed Chrome trace-event document ({!Repro_util.Json_in}
-    output or the {!Repro_util.Json_out} value built by
-    {!Repro_trace.Chrome.of_eventlog}) to its slices and instants.
-    @raise Failure if the document has no [traceEvents] array. *)
-val of_chrome_json : Repro_util.Json_out.t -> input
-
-(** Convenience: eventlog -> Chrome document -> {!input}, exercising
-    the same path a file round-trip would. *)
-val of_eventlog : ncaps:int -> Repro_trace.Eventlog.t -> input
+    paper Sec. V, computed from the spans both backends record
+    ({!Repro_trace.Chrome.span}).  Backs [repro_cli profile FILE.json]
+    (on [exec --trace] or [dist --trace] files, read with
+    {!Repro_trace.Chrome.of_json}) and the summary printed by
+    [repro_cli exec --trace]. *)
 
 (** Percentile summary of a duration sample (µs). *)
 type dist = {
@@ -52,5 +41,5 @@ type report = {
   idle_gaps_us : float list;  (** raw gap samples *)
 }
 
-val analyze : input -> report
+val analyze : Repro_trace.Chrome.span list -> report
 val to_string : report -> string

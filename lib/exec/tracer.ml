@@ -1,4 +1,4 @@
-(** Hardware eventlog: per-domain, preallocated ring buffers of
+(** Hardware tracer: per-domain, preallocated ring buffers of
     timestamped scheduler events for the real executor — the
     ThreadScope/EdenTV instrument the paper's Sec. V optimisation
     story is told with, pointed at OCaml 5 domains instead of GHC
@@ -6,7 +6,7 @@
 
     Design constraints, in order:
 
-    - {b Zero cost when off.}  Every hot-path call sites does exactly
+    - {b Zero cost when off.}  Every hot-path call site does exactly
       one atomic load and one branch ([record] on a disabled buffer);
       the timestamp is only taken after the branch.  The instrumented
       scheduler stays within noise of the uninstrumented one.
@@ -14,21 +14,27 @@
       its own preallocated ring buffer ([int] arrays — timestamps from
       the monotonic clock, no [Unix.gettimeofday], no allocation in
       steady state); nothing is shared but the read-only enabled flag.
-    - {b One event vocabulary for sim and hardware.}  On merge the
-      per-domain buffers become a {!Repro_trace.Eventlog} — the same
-      representation the simulator emits — so the SVG renderer, the
-      summary statistics, and the Chrome-trace exporter work on both.
-    - {b GC on the same timeline.}  The merge subscribes to OCaml 5
-      [Runtime_events], so each domain's minor/major collections land
+    - {b One span record for both real backends.}  {!spans} decodes
+      the rings straight into {!Repro_trace.Chrome.span}s, pairing
+      each begin with its end, the record a traced dist PE builds for
+      its own slices, so the Chrome writer, the SVG projection and
+      {!Profile} each read one type.
+    - {b GC on the same timeline.}  The tracer subscribes to OCaml 5
+      [Runtime_events], so each worker's minor/major collections land
       as spans between the scheduler events they actually interrupted
       (the runtime's timestamps come from the same monotonic clock).
+      The runtime keys its events by ring, a domain slot that says
+      nothing of which worker the domain runs, so each worker writes
+      its id into its own domain's ring as it starts and as it stops
+      ({!lifetime}).
 
     Ring semantics: when a buffer wraps, the {e oldest} events are
     overwritten — the tail of a run is what profiling wants.  Dropped
     counts are reported per worker. *)
 
 module A = Repro_shim.Tatomic.Real
-module Eventlog = Repro_trace.Eventlog
+module Chrome = Repro_trace.Chrome
+module Json = Repro_util.Json_out
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -72,7 +78,7 @@ type buffer = {
          recording worker ever reads *)
   worker : int;
   ts : int array;
-  code : int array;
+  kind : kind array;
   arg : int array;
   mutable head : int;  (* total events ever written; index = head mod cap *)
   mask : int;  (* capacity - 1; capacity is a power of two *)
@@ -85,31 +91,47 @@ let null_buffer =
     flag = A.make false;
     worker = -1;
     ts = [| 0 |];
-    code = [| 0 |];
+    kind = [| Spark_create |];
     arg = [| 0 |];
     head = 0;
     mask = 0;
   }
 
-let[@inline] record b kind ~arg =
+let[@inline] write b kind arg =
+  let i = b.head land b.mask in
+  b.ts.(i) <- now_ns ();
+  b.kind.(i) <- kind;
+  b.arg.(i) <- arg;
+  b.head <- b.head + 1
+
+let[@inline] record b kind ~arg = if A.get b.flag then write b kind arg
+
+(* The int user event a worker writes into its domain's runtime ring:
+   its worker id. *)
+type Runtime_events.User.tag += Worker_ring
+
+let worker_ring =
+  Runtime_events.User.register "repro.tracer.worker" Worker_ring
+    Runtime_events.Type.int
+
+let lifetime b kind =
   if A.get b.flag then begin
-    let i = b.head land b.mask in
-    b.ts.(i) <- now_ns ();
-    b.code.(i) <- code kind;
-    b.arg.(i) <- arg;
-    b.head <- b.head + 1
+    Runtime_events.User.write worker_ring b.worker;
+    write b kind 0
   end
 
-(* Raw GC span event polled from Runtime_events. *)
+(* Raw GC span edge polled from Runtime_events. *)
 type gc_event = { ring : int; at_ns : int; major : bool; is_begin : bool }
 
 type t = {
   flag : bool A.t;
   buffers : buffer array;
-  t0 : int;  (* monotonic ns at creation; merged timestamps are relative *)
+  t0 : int;  (* monotonic ns at creation; span timestamps are relative *)
   gc_events : bool;
+  mutable off_ns : int;  (* when last disabled; [max_int] while on *)
   mutable cursor : Runtime_events.cursor option;
   mutable gc : gc_event list;  (* reversed *)
+  owners : (int, int) Hashtbl.t;  (* ring -> the worker that announced it *)
   mutable gc_lost : int;
 }
 
@@ -130,15 +152,17 @@ let create ?(capacity = 1 lsl 16) ?(gc_events = true) ~ncaps () =
             flag;
             worker;
             ts = Array.make cap 0;
-            code = Array.make cap 0;
+            kind = Array.make cap Spark_create;
             arg = Array.make cap 0;
             head = 0;
             mask = cap - 1;
           });
     t0 = now_ns ();
     gc_events;
+    off_ns = max_int;
     cursor = None;
     gc = [];
+    owners = Hashtbl.create 8;
     gc_lost = 0;
   }
 
@@ -156,23 +180,26 @@ let enable t =
     Runtime_events.start ();
     t.cursor <- Some (Runtime_events.create_cursor None)
   end;
+  t.off_ns <- max_int;
   A.set t.flag true
 
-let disable t = A.set t.flag false
+let disable t =
+  A.set t.flag false;
+  t.off_ns <- now_ns ()
 
-(* Poll pending Runtime_events into [t.gc].  Only top-level minor and
-   major phases are kept: they are the paper's GC story; sub-phases
-   would swamp the timeline.  The ring id is the runtime's domain
-   slot, which for a single pool created after [enable] coincides with
-   the worker id (the main domain owns ring 0, helpers take the next
-   free slots). *)
+(* Poll pending Runtime_events into [t.gc] and [t.owners].  Only
+   top-level minor and major phases are kept: they are the paper's GC
+   story; sub-phases would swamp the timeline.  A ring read before the
+   tracer existed holds someone else's events, announcements
+   included. *)
 let poll_gc t =
   match t.cursor with
   | None -> ()
   | Some cursor ->
+      let ns raw_ts = Int64.to_int (Runtime_events.Timestamp.to_int64 raw_ts) in
       let add ring raw_ts major is_begin =
-        let at_ns = Int64.to_int (Runtime_events.Timestamp.to_int64 raw_ts) in
-        t.gc <- { ring; at_ns; major; is_begin } :: t.gc
+        let at_ns = ns raw_ts in
+        if at_ns >= t.t0 then t.gc <- { ring; at_ns; major; is_begin } :: t.gc
       in
       let on_phase is_begin ring ts (phase : Runtime_events.runtime_phase) =
         match phase with
@@ -180,11 +207,17 @@ let poll_gc t =
         | EV_MAJOR -> add ring ts true is_begin
         | _ -> ()
       in
+      let on_user ring ts ev worker =
+        match Runtime_events.User.tag ev with
+        | Worker_ring when ns ts >= t.t0 -> Hashtbl.replace t.owners ring worker
+        | _ -> ()
+      in
       let callbacks =
         Runtime_events.Callbacks.create ~runtime_begin:(on_phase true)
           ~runtime_end:(on_phase false)
           ~lost_events:(fun _ring n -> t.gc_lost <- t.gc_lost + n)
           ()
+        |> Runtime_events.Callbacks.add_user_event Runtime_events.Type.int on_user
       in
       (* drain: read_poll consumes up to a bounded batch per call *)
       let rec drain () =
@@ -199,7 +232,7 @@ let recorded t =
   Array.fold_left (fun acc b -> acc + min b.head (b.mask + 1)) 0 t.buffers
 
 (* Ring-drop accounting as registry samples, so trace-buffer overruns
-   are visible in metric snapshots (not only in exported eventlogs).
+   are visible in metric snapshots (not only in exported traces).
    Pull-based: a tracer has no destroy lifecycle, so the CLI registers
    this as a collector for the duration of a traced run. *)
 let metrics_samples t =
@@ -217,71 +250,100 @@ let metrics_samples t =
               (float_of_int (max 0 (b.head - (b.mask + 1)))))
           t.buffers)
 
-(* Decode one ring slot into the shared event vocabulary. *)
-let decode worker code arg : Eventlog.event =
-  match code with
-  | 0 -> Spark_created { cap = worker }
-  | 1 -> Spark_converted { cap = worker }
-  | 2 -> Spark_fizzled { cap = worker }
-  | 3 -> Steal_attempt { thief = worker; victim = arg }
-  | 4 -> Steal_success { thief = worker; victim = arg }
-  | 5 -> Cap_parked { cap = worker }
-  | 6 -> Cap_unparked { cap = worker }
-  | 7 -> Eval_begin { cap = worker }
-  | 8 -> Eval_end { cap = worker }
-  | 9 -> Future_forced { cap = worker }
-  | 10 -> Task_begin { cap = worker }
-  | 11 -> Task_end { cap = worker }
-  | 12 -> Worker_begin { cap = worker }
-  | 13 -> Worker_end { cap = worker }
-  | c -> Custom (Printf.sprintf "unknown-kind-%d" c)
+(* One timed edge on a track: an instant, or a slice's begin or end. *)
+type edge = {
+  time : int;
+  tid : int;
+  phase : [ `Instant | `Begin | `End ];
+  name : string;
+  cat : string;
+  args : (string * Json.t) list;
+}
 
-(** Merge the per-domain ring buffers (plus pending GC spans) into one
-    chronologically sorted {!Repro_trace.Eventlog} with timestamps in
-    nanoseconds since the tracer's creation.  Call only while the
-    traced pool is quiescent (after [Pool.shutdown], or between
-    runs). *)
-let to_eventlog t =
+(* What a ring event of [kind] becomes. *)
+let shape = function
+  | Spark_create -> (`Instant, "spark-create", "spark")
+  | Spark_run -> (`Instant, "spark-run", "spark")
+  | Spark_fizzle -> (`Instant, "spark-fizzle", "spark")
+  | Steal_attempt -> (`Instant, "steal-attempt", "steal")
+  | Steal_success -> (`Instant, "steal", "steal")
+  | Park -> (`Begin, "parked", "exec")
+  | Unpark -> (`End, "parked", "exec")
+  | Eval_begin -> (`Begin, "eval", "exec")
+  | Eval_end -> (`End, "eval", "exec")
+  | Force -> (`Instant, "force-wait", "future")
+  | Task_begin -> (`Begin, "task", "exec")
+  | Task_end -> (`End, "task", "exec")
+  | Worker_begin -> (`Begin, "worker", "exec")
+  | Worker_end -> (`End, "worker", "exec")
+
+let spans t =
   poll_gc t;
-  let acc = ref [] in
+  let edges = ref [] in
+  let add ?(args = []) time tid (phase, name, cat) =
+    edges := { time; tid; phase; name; cat; args } :: !edges
+  in
+  let note text = add 0 0 (`Instant, text, "custom") in
   Array.iter
     (fun b ->
       let cap = b.mask + 1 in
-      let count = min b.head cap in
-      let oldest = b.head - count in
-      for k = oldest to b.head - 1 do
+      for k = b.head - min b.head cap to b.head - 1 do
         let i = k land b.mask in
-        acc :=
-          (max 0 (b.ts.(i) - t.t0), decode b.worker b.code.(i) b.arg.(i))
-          :: !acc
+        let args =
+          match b.kind.(i) with
+          | Steal_attempt | Steal_success -> [ ("victim", Json.Int b.arg.(i)) ]
+          | _ -> []
+        in
+        add ~args (max 0 (b.ts.(i) - t.t0)) b.worker (shape b.kind.(i))
       done;
-      let d = max 0 (b.head - cap) in
-      if d > 0 then
-        acc :=
-          ( 0,
-            Eventlog.Custom
-              (Printf.sprintf "worker %d dropped %d oldest events (ring wrap)"
-                 b.worker d) )
-          :: !acc)
+      if b.head > cap then
+        note
+          (Printf.sprintf "worker %d dropped %d oldest events (ring wrap)"
+             b.worker (b.head - cap)))
     t.buffers;
   List.iter
     (fun { ring; at_ns; major; is_begin } ->
-      let time = at_ns - t.t0 in
-      (* events from before the tracer existed belong to someone else *)
-      if time >= 0 then
-        let ev : Eventlog.event =
-          if is_begin then Gc_begin { cap = ring; major }
-          else Gc_end { cap = ring; major }
-        in
-        acc := (time, ev) :: !acc)
-    t.gc;
-  if t.gc_lost > 0 then
-    acc :=
-      (0, Eventlog.Custom (Printf.sprintf "%d runtime events lost" t.gc_lost))
-      :: !acc;
-  let sorted =
-    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !acc)
+      match Hashtbl.find_opt t.owners ring with
+      | Some worker when at_ns <= t.off_ns ->
+          add (at_ns - t.t0) worker
+            ( (if is_begin then `Begin else `End),
+              (if major then "gc:major" else "gc:minor"),
+              "gc" )
+      | _ -> ())
+    (List.rev t.gc);
+  if t.gc_lost > 0 then note (Printf.sprintf "%d runtime events lost" t.gc_lost);
+  let edges =
+    List.stable_sort (fun a b -> compare a.time b.time) (List.rev !edges)
   in
-  let log = Eventlog.create () in
-  List.iter (fun (time, ev) -> Eventlog.emit log ~time ev) sorted;
-  log
+  let last = List.fold_left (fun acc e -> max acc e.time) 0 edges in
+  let out = ref [] in
+  let emit e dur_ns =
+    out :=
+      { Chrome.tid = e.tid; name = e.name; cat = e.cat; ts_ns = e.time; dur_ns; args = e.args }
+      :: !out
+  in
+  (* the begins still open per (track, name), innermost first: nested
+     helping nests task slices *)
+  let open_ = Hashtbl.create 32 in
+  let opened e = Option.value ~default:[] (Hashtbl.find_opt open_ (e.tid, e.name)) in
+  List.iter
+    (fun e ->
+      match e.phase with
+      | `Instant -> emit e None
+      | `Begin -> Hashtbl.replace open_ (e.tid, e.name) (e :: opened e)
+      | `End -> (
+          match opened e with
+          | b :: rest ->
+              Hashtbl.replace open_ (e.tid, e.name) rest;
+              emit b (Some (e.time - b.time))
+          | [] -> ()  (* its begin was overwritten by the ring *)))
+    edges;
+  Hashtbl.iter (fun _ -> List.iter (fun b -> emit b (Some (last - b.time)))) open_;
+  List.stable_sort
+    (fun (a : Chrome.span) (b : Chrome.span) -> compare a.ts_ns b.ts_ns)
+    (List.rev !out)
+
+let trace t =
+  Chrome.document
+    ~tracks:(List.init (ncaps t) (fun w -> (w, Printf.sprintf "worker %d" w)))
+    (spans t)

@@ -1,17 +1,16 @@
-(** Hardware eventlog for the real executor: per-domain preallocated
+(** Hardware tracer for the real executor: per-domain preallocated
     ring buffers of timestamped scheduler events (sparks, steals with
     victim ids, park/unpark, future claim/force, task spans), recorded
     with monotonic-clock timestamps and no cross-domain
     synchronisation on the hot path.  When tracing is off, {!record}
     costs one atomic load and one branch.
 
-    On merge ({!to_eventlog}) the buffers become a
-    {!Repro_trace.Eventlog} — the same representation the simulator
-    emits — with each domain's minor/major GC spans (from OCaml 5
-    [Runtime_events], same clock) on the same timeline.  Feed the
-    result to {!Repro_trace.Chrome} for Perfetto, to
-    {!Repro_trace.Eventlog.to_trace} + {!Repro_trace.Render_svg} for
-    SVG, or to {!Profile} for the utilization report. *)
+    {!spans} decodes the rings, with each worker's minor/major GC spans
+    (from OCaml 5 [Runtime_events], same clock), straight into
+    {!Repro_trace.Chrome.span}s, the record the process farm's PEs
+    build too: {!trace} writes them for Perfetto,
+    {!Repro_trace.Chrome.to_trace} projects them for SVG, and
+    {!Profile.analyze} reads them. *)
 
 type t
 
@@ -59,14 +58,20 @@ val null_buffer : buffer
 
 (** Flip the shared enabled flag.  [enable] is called before the pool
     spawns its domains (so the runtime's rings are captured from
-    birth); it is not safe to toggle concurrently with recording
-    merges. *)
+    birth); it is not safe to toggle concurrently with {!spans}.
+    GC spans that begin after [disable] are not the trace's. *)
 val enable : t -> unit
 
 val disable : t -> unit
 
 (** Hot path.  On a disabled buffer: one atomic load, one branch. *)
 val record : buffer -> kind -> arg:int -> unit
+
+(** [Worker_begin] or [Worker_end], called on the worker's own domain
+    as it starts and as it stops: when tracing is on it also writes the
+    worker id into that domain's [Runtime_events] ring, which is how
+    {!spans} knows whose GC spans the ring holds. *)
+val lifetime : buffer -> kind -> unit
 
 (** Events overwritten by ring wrap-around, per worker (oldest events
     are dropped first). *)
@@ -81,8 +86,19 @@ val recorded : t -> int
     callback for the duration of a traced run. *)
 val metrics_samples : t -> Repro_metrics.Metrics.sample list
 
-(** Merge the per-domain buffers and pending GC spans into one
-    chronologically sorted eventlog; timestamps are nanoseconds since
-    the tracer's creation.  Call while the traced pool is quiescent
-    (after shutdown, or between runs). *)
-val to_eventlog : t -> Repro_trace.Eventlog.t
+(** The rings and GC spans as spans in start order, worker [w] on
+    track [w], nanoseconds since the tracer's creation: [task],
+    [eval], [parked], [worker] and [gc:minor]/[gc:major] slices, and
+    spark, steal and force instants (steals carry a [victim] arg).
+    A slice's begin and end pair up per track and name, the innermost
+    open one first; an end whose begin the ring overwrote is dropped,
+    and a slice still open is closed at the last timestamp.  A GC span
+    goes to the worker whose domain collected it; those of domains
+    that ran no worker are dropped.  Ring wrap and lost runtime events
+    are noted as instants at time 0 on track 0.  Call while the traced
+    pool is quiescent (after shutdown, or between runs). *)
+val spans : t -> Repro_trace.Chrome.span list
+
+(** {!spans} as a Chrome trace-event document on one named track per
+    worker (["worker w"]), which [repro_cli profile] reads. *)
+val trace : t -> Repro_util.Json_out.t

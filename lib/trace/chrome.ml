@@ -1,8 +1,9 @@
-(** Chrome trace-event writer: the one producer of the Trace Event
-    Format JSON that Perfetto and [chrome://tracing] load directly,
-    and that [Repro_exec.Profile] reads back.  Both real backends write
-    through it: the hardware logs recorded by [lib/exec]'s per-domain
-    tracer ({!of_eventlog}), and the process farm's per-PE task spans.
+(** Chrome trace-event spans: the one record of a traced event in both
+    real backends, the one writer of the Trace Event Format JSON that
+    Perfetto and [chrome://tracing] load directly, and its reader.
+    [lib/exec]'s tracer decodes its per-domain rings into spans, and a
+    traced dist PE records its own; [Repro_exec.Profile] and the SVG
+    projection ({!to_trace}) read spans, from memory or from a file.
 
     One named track ([tid]) per worker or PE.  Spans with a duration
     become complete slices ([ph = "X"]) — complete slices need no
@@ -13,6 +14,7 @@
     as the format requires; spans are nanoseconds. *)
 
 module Json = Repro_util.Json_out
+module Json_in = Repro_util.Json_in
 
 type span = {
   tid : int;
@@ -59,67 +61,91 @@ let document ~tracks spans =
       ("displayTimeUnit", Json.Str "ns");
     ]
 
-let of_eventlog ~ncaps log =
-  let events = Eventlog.events log in
-  let out = ref [] in
-  let push ?(args = []) ?dur_ns ~cat tid name ts_ns =
-    out := { tid; name; cat; ts_ns; dur_ns; args } :: !out
+(* A written timestamp back in nanoseconds: exact, since [%.17g]
+   round-trips the float and ns are far below 2^53 / 1e3. *)
+let ns_of_us us = Float.to_int (Float.round (us *. 1e3))
+
+let of_json json =
+  let events =
+    match Json_in.member "traceEvents" json with
+    | Some evs -> Option.value ~default:[] (Json_in.to_list evs)
+    | None -> failwith "no traceEvents key (not a Chrome trace?)"
   in
-  let last_ts = List.fold_left (fun acc (t, _) -> max acc t) 0 events in
-  (* per-(cap, kind) stacks of open span start times; spans of the same
-     kind on the same track close LIFO (nested helping produces nested
-     task slices) *)
-  let open_spans : (int * string, int list) Hashtbl.t = Hashtbl.create 32 in
-  let begin_span cap kind ts =
-    let k = (cap, kind) in
-    let st = Option.value ~default:[] (Hashtbl.find_opt open_spans k) in
-    Hashtbl.replace open_spans k (ts :: st)
+  List.filter_map
+    (fun ev ->
+      let get key conv = Option.bind (Json_in.member key ev) conv in
+      let span dur_ns =
+        match
+          (get "name" Json_in.to_string, get "tid" Json_in.to_int,
+           get "ts" Json_in.to_float)
+        with
+        | Some name, Some tid, Some ts ->
+            Some
+              {
+                tid;
+                name;
+                cat = Option.value ~default:"" (get "cat" Json_in.to_string);
+                ts_ns = ns_of_us ts;
+                dur_ns;
+                args = (match Json_in.member "args" ev with Some (Json.Obj a) -> a | _ -> []);
+              }
+        | _ -> None
+      in
+      match get "ph" Json_in.to_string with
+      | Some "X" ->
+          span (Some (ns_of_us (Option.value ~default:0.0 (get "dur" Json_in.to_float))))
+      | Some ("i" | "I") -> span None
+      | _ -> None  (* metadata and anything else *))
+    events
+
+let to_trace ~ncaps spans =
+  let tr = Trace.create ~caps:(max 1 ncaps) in
+  (* per track, how many gc, task/eval, parked and worker slices are
+     open *)
+  let depth = Array.init ncaps (fun _ -> Array.make 4 0) in
+  let layer = function
+    | "gc:minor" | "gc:major" -> Some 0
+    | "task" | "eval" -> Some 1
+    | "parked" -> Some 2
+    | "worker" -> Some 3
+    | _ -> None
   in
-  let end_span ?(cat = "exec") cap kind ts =
-    let k = (cap, kind) in
-    match Hashtbl.find_opt open_spans k with
-    | Some (start :: rest) ->
-        Hashtbl.replace open_spans k rest;
-        push ~cat ~dur_ns:(max 0 (ts - start)) cap kind start
-    | _ -> ()  (* end without begin: dropped by the ring buffer *)
+  let state d =
+    if d.(0) > 0 then Trace.Gc
+    else if d.(1) > 0 then Trace.Running
+    else if d.(2) > 0 then Trace.Blocked
+    else if d.(3) > 0 then Trace.Runnable
+    else Trace.Idle
   in
+  let on_track s = s.tid >= 0 && s.tid < ncaps in
+  let edges =
+    List.concat_map
+      (fun s ->
+        match (s.dur_ns, layer s.name) with
+        | Some d, Some l when on_track s ->
+            [ (s.ts_ns, 1, s.tid, l); (s.ts_ns + d, -1, s.tid, l) ]
+        | _ -> [])
+      spans
+  in
+  (* at one instant begins go first, so no count drops below 0 *)
   List.iter
-    (fun (ts, ev) ->
-      match (ev : Eventlog.event) with
-      | Task_begin { cap } -> begin_span cap "task" ts
-      | Task_end { cap } -> end_span cap "task" ts
-      | Eval_begin { cap } -> begin_span cap "eval" ts
-      | Eval_end { cap } -> end_span cap "eval" ts
-      | Cap_parked { cap } -> begin_span cap "parked" ts
-      | Cap_unparked { cap } -> end_span cap "parked" ts
-      | Worker_begin { cap } -> begin_span cap "worker" ts
-      | Worker_end { cap } -> end_span cap "worker" ts
-      | Gc_begin { cap; major } ->
-          begin_span cap (if major then "gc:major" else "gc:minor") ts
-      | Gc_end { cap; major } ->
-          end_span ~cat:"gc" cap (if major then "gc:major" else "gc:minor") ts
-      | Spark_created { cap } -> push ~cat:"spark" cap "spark-create" ts
-      | Spark_converted { cap } -> push ~cat:"spark" cap "spark-run" ts
-      | Spark_fizzled { cap } -> push ~cat:"spark" cap "spark-fizzle" ts
-      | Steal_attempt { thief; victim } ->
-          push ~cat:"steal" ~args:[ ("victim", Json.Int victim) ] thief
-            "steal-attempt" ts
-      | Steal_success { thief; victim } ->
-          push ~cat:"steal" ~args:[ ("victim", Json.Int victim) ] thief "steal"
-            ts
-      | Future_forced { cap } -> push ~cat:"future" cap "force-wait" ts
-      | Custom s -> push ~cat:"custom" 0 s ts
+    (fun (time, delta, cap, l) ->
+      let d = depth.(cap) in
+      d.(l) <- d.(l) + delta;
+      Trace.set_state tr ~time ~cap (state d))
+    (List.stable_sort
+       (fun (a, da, _, _) (b, db, _, _) -> compare (a, -da) (b, -db))
+       edges);
+  List.iter
+    (fun s ->
+      match (s.dur_ns, s.name, List.assoc_opt "victim" s.args) with
+      | None, "steal", Some (Json.Int v) when on_track s ->
+          Trace.marker tr ~time:s.ts_ns ~cap:s.tid (Printf.sprintf "steal<-%d" v)
       | _ -> ())
-    events;
-  (* close anything the log ended inside of *)
-  Hashtbl.iter
-    (fun (cap, kind) starts ->
-      List.iter
-        (fun start ->
-          push ~cat:"exec" ~dur_ns:(max 0 (last_ts - start)) cap kind start)
-        starts)
-    open_spans;
-  document
-    ~tracks:
-      (List.init (max 1 ncaps) (fun cap -> (cap, Printf.sprintf "worker %d" cap)))
-    (List.rev !out)
+    spans;
+  Trace.finish tr
+    ~time:
+      (List.fold_left
+         (fun acc s -> max acc (s.ts_ns + Option.value ~default:0 s.dur_ns))
+         0 spans);
+  tr

@@ -7,7 +7,8 @@
     lifecycle, spark lifecycle, GC phases, messages — with timestamps,
     and derives the summary statistics used when analysing runs:
     spark-activation latency, thread lifetimes, GC gap distribution,
-    per-PE message counts. *)
+    per-PE message counts.  It is the simulator's log; the real
+    backends record {!Chrome.span}s instead. *)
 
 type event =
   | Thread_created of { tid : int; cap : int }
@@ -25,24 +26,6 @@ type event =
   | Gc_finished
   | Message_sent of { src : int; dst : int; bytes : int }
   | Message_delivered of { dst : int; bytes : int }
-  | Blackhole_entered of { cap : int }
-  (* Hardware events (lib/exec's Tracer): the per-domain executor
-     records these with monotonic-clock timestamps; caps are worker
-     ids.  Begin/end pairs are spans on the worker's timeline. *)
-  | Steal_attempt of { thief : int; victim : int }
-  | Steal_success of { thief : int; victim : int }
-  | Cap_parked of { cap : int }
-  | Cap_unparked of { cap : int }
-  | Task_begin of { cap : int }
-  | Task_end of { cap : int }
-  | Eval_begin of { cap : int }  (** future claimed; its body runs *)
-  | Eval_end of { cap : int }
-  | Future_forced of { cap : int }  (** forcer demanded an unfinished future *)
-  | Worker_begin of { cap : int }  (** worker loop / [Pool.run] lifetime *)
-  | Worker_end of { cap : int }
-  | Gc_begin of { cap : int; major : bool }  (** per-domain GC span *)
-  | Gc_end of { cap : int; major : bool }
-  | Custom of string
 
 let event_name = function
   | Thread_created _ -> "thread-created"
@@ -60,28 +43,11 @@ let event_name = function
   | Gc_finished -> "gc-finished"
   | Message_sent _ -> "message-sent"
   | Message_delivered _ -> "message-delivered"
-  | Blackhole_entered _ -> "blackhole-entered"
-  | Steal_attempt _ -> "steal-attempt"
-  | Steal_success _ -> "steal-success"
-  | Cap_parked _ -> "cap-parked"
-  | Cap_unparked _ -> "cap-unparked"
-  | Task_begin _ -> "task-begin"
-  | Task_end _ -> "task-end"
-  | Eval_begin _ -> "eval-begin"
-  | Eval_end _ -> "eval-end"
-  | Future_forced _ -> "future-forced"
-  | Worker_begin _ -> "worker-begin"
-  | Worker_end _ -> "worker-end"
-  | Gc_begin _ -> "gc-begin"
-  | Gc_end _ -> "gc-end"
-  | Custom _ -> "custom"
 
 (* The log is append-only and is read after the run, so each event is
    stored as a row of [width] ints: its time, its constructor's tag
    (the order of [event] above) and up to three fields, booleans as 0
-   or 1.  Rows fill chunks of int arrays, and [Custom] strings go in a
-   list beside them, taken back in order as their rows are read.  A
-   row holds no pointer, so a long log costs the GC no cons cells and
+   or 1.  Rows fill chunks of int arrays.  A row holds no pointer, so a long log costs the GC no cons cells and
    event blocks to promote and mark (a simulated GpH apsp at 200 nodes
    logs about 50,000 events).  Most logs are short: the first chunk
    holds [first_rows] events, and each later one twice as many as the
@@ -95,12 +61,11 @@ type t = {
   mutable chunk : int array;  (** the chunk being filled *)
   mutable fill : int;  (** ints used in [chunk] *)
   mutable count : int;
-  mutable customs : string list;  (** newest first *)
   mutable enabled : bool;
 }
 
 let create () =
-  { full = []; chunk = [||]; fill = 0; count = 0; customs = []; enabled = true }
+  { full = []; chunk = [||]; fill = 0; count = 0; enabled = true }
 
 let disable t = t.enabled <- false
 
@@ -141,34 +106,9 @@ let emit t ~time ev =
     | Gc_finished -> push t time 12 0 0 0
     | Message_sent { src; dst; bytes } -> push t time 13 src dst bytes
     | Message_delivered { dst; bytes } -> push t time 14 dst bytes 0
-    | Blackhole_entered { cap } -> push t time 15 cap 0 0
-    | Steal_attempt { thief; victim } -> push t time 16 thief victim 0
-    | Steal_success { thief; victim } -> push t time 17 thief victim 0
-    | Cap_parked { cap } -> push t time 18 cap 0 0
-    | Cap_unparked { cap } -> push t time 19 cap 0 0
-    | Task_begin { cap } -> push t time 20 cap 0 0
-    | Task_end { cap } -> push t time 21 cap 0 0
-    | Eval_begin { cap } -> push t time 22 cap 0 0
-    | Eval_end { cap } -> push t time 23 cap 0 0
-    | Future_forced { cap } -> push t time 24 cap 0 0
-    | Worker_begin { cap } -> push t time 25 cap 0 0
-    | Worker_end { cap } -> push t time 26 cap 0 0
-    | Gc_begin { cap; major } -> push t time 27 cap (Bool.to_int major) 0
-    | Gc_end { cap; major } -> push t time 28 cap (Bool.to_int major) 0
-    | Custom s ->
-        t.customs <- s :: t.customs;
-        push t time 29 0 0 0
 
 (* [f time event] for every event, in emission order. *)
 let iter t f =
-  let customs = ref (List.rev t.customs) in
-  let custom () =
-    match !customs with
-    | s :: rest ->
-        customs := rest;
-        Custom s
-    | [] -> assert false
-  in
   let rows r len =
     let i = ref 0 in
     while !i < len do
@@ -189,22 +129,7 @@ let iter t f =
         | 11 -> Gc_started { minors = a; major = (b = 1) }
         | 12 -> Gc_finished
         | 13 -> Message_sent { src = a; dst = b; bytes = c }
-        | 14 -> Message_delivered { dst = a; bytes = b }
-        | 15 -> Blackhole_entered { cap = a }
-        | 16 -> Steal_attempt { thief = a; victim = b }
-        | 17 -> Steal_success { thief = a; victim = b }
-        | 18 -> Cap_parked { cap = a }
-        | 19 -> Cap_unparked { cap = a }
-        | 20 -> Task_begin { cap = a }
-        | 21 -> Task_end { cap = a }
-        | 22 -> Eval_begin { cap = a }
-        | 23 -> Eval_end { cap = a }
-        | 24 -> Future_forced { cap = a }
-        | 25 -> Worker_begin { cap = a }
-        | 26 -> Worker_end { cap = a }
-        | 27 -> Gc_begin { cap = a; major = (b = 1) }
-        | 28 -> Gc_end { cap = a; major = (b = 1) }
-        | _ -> custom ()
+        | _ (* 14 *) -> Message_delivered { dst = a; bytes = b }
       in
       f r.(!i) ev;
       i := !i + width
@@ -240,26 +165,6 @@ let pp_event ppf = function
       Format.fprintf ppf "message %d -> %d (%d bytes)" src dst bytes
   | Message_delivered { dst; bytes } ->
       Format.fprintf ppf "message delivered at %d (%d bytes)" dst bytes
-  | Blackhole_entered { cap } -> Format.fprintf ppf "black hole entered on cap %d" cap
-  | Steal_attempt { thief; victim } ->
-      Format.fprintf ppf "cap %d attempts steal from cap %d" thief victim
-  | Steal_success { thief; victim } ->
-      Format.fprintf ppf "cap %d stole from cap %d" thief victim
-  | Cap_parked { cap } -> Format.fprintf ppf "cap %d parked" cap
-  | Cap_unparked { cap } -> Format.fprintf ppf "cap %d unparked" cap
-  | Task_begin { cap } -> Format.fprintf ppf "task begins on cap %d" cap
-  | Task_end { cap } -> Format.fprintf ppf "task ends on cap %d" cap
-  | Eval_begin { cap } -> Format.fprintf ppf "future claimed on cap %d" cap
-  | Eval_end { cap } -> Format.fprintf ppf "future done on cap %d" cap
-  | Future_forced { cap } ->
-      Format.fprintf ppf "cap %d forces an unfinished future" cap
-  | Worker_begin { cap } -> Format.fprintf ppf "worker %d starts" cap
-  | Worker_end { cap } -> Format.fprintf ppf "worker %d stops" cap
-  | Gc_begin { cap; major } ->
-      Format.fprintf ppf "%s gc begins on cap %d" (if major then "major" else "minor") cap
-  | Gc_end { cap; major } ->
-      Format.fprintf ppf "%s gc ends on cap %d" (if major then "major" else "minor") cap
-  | Custom s -> Format.pp_print_string ppf s
 
 (** Text dump, one event per line. *)
 let dump t =
@@ -288,9 +193,6 @@ let summarise ?ncaps t =
   let lifetimes = Repro_util.Stats.create () in
   let born : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let last_gc_end = ref None and gc_start = ref None in
-  (* hardware per-domain GC spans: keyed by cap *)
-  let hw_gc_start : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let hw_gc_end : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let per_pe =
     match ncaps with Some n -> Some (Array.make n (0, 0)) | None -> None
   in
@@ -312,18 +214,6 @@ let summarise ?ncaps t =
           last_gc_end := Some time;
           (match !gc_start with
           | Some t0 -> Repro_util.Stats.add gc_pauses (float_of_int (time - t0))
-          | None -> ())
-      | Gc_begin { cap; _ } ->
-          Hashtbl.replace hw_gc_start cap time;
-          (match Hashtbl.find_opt hw_gc_end cap with
-          | Some t0 -> Repro_util.Stats.add gc_gaps (float_of_int (time - t0))
-          | None -> ())
-      | Gc_end { cap; _ } -> (
-          Hashtbl.replace hw_gc_end cap time;
-          match Hashtbl.find_opt hw_gc_start cap with
-          | Some t0 ->
-              Repro_util.Stats.add gc_pauses (float_of_int (time - t0));
-              Hashtbl.remove hw_gc_start cap
           | None -> ())
       | Message_sent { src; dst; _ } -> (
           (* [src] can be -1 for protocol replies sent from scheduler
@@ -350,74 +240,6 @@ let summarise ?ncaps t =
     thread_lifetimes_ns = lifetimes;
     messages_per_pe = per_pe;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Timeline projection                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Project a hardware event log (Task/Eval/Park/Gc spans recorded by
-    [lib/exec]'s tracer) onto the paper's per-capability state
-    timeline, so the EdenTV-style renderers ({!Render},
-    {!Render_svg}) work on real runs exactly as on simulated ones.
-
-    State priority per cap: [Gc] while inside a GC span, else
-    [Running] while inside a task/eval span, else [Blocked] while
-    parked, else [Runnable] while the worker loop is live, else
-    [Idle]. *)
-let to_trace ~ncaps t =
-  let tr = Trace.create ~caps:(max 1 ncaps) in
-  let in_gc = Array.make ncaps 0
-  and in_run = Array.make ncaps 0
-  and parked = Array.make ncaps false
-  and live = Array.make ncaps 0 in
-  let state_of cap =
-    if in_gc.(cap) > 0 then Trace.Gc
-    else if in_run.(cap) > 0 then Trace.Running
-    else if parked.(cap) then Trace.Blocked
-    else if live.(cap) > 0 then Trace.Runnable
-    else Trace.Idle
-  in
-  let bump arr cap d = if cap >= 0 && cap < ncaps then arr.(cap) <- arr.(cap) + d in
-  let last = ref 0 in
-  iter t
-    (fun time ev ->
-      last := max !last time;
-      let touch cap =
-        if cap >= 0 && cap < ncaps then
-          Trace.set_state tr ~time ~cap (state_of cap)
-      in
-      match ev with
-      | Task_begin { cap } | Eval_begin { cap } ->
-          bump in_run cap 1;
-          touch cap
-      | Task_end { cap } | Eval_end { cap } ->
-          bump in_run cap (-1);
-          touch cap
-      | Cap_parked { cap } ->
-          if cap >= 0 && cap < ncaps then parked.(cap) <- true;
-          touch cap
-      | Cap_unparked { cap } ->
-          if cap >= 0 && cap < ncaps then parked.(cap) <- false;
-          touch cap
-      | Worker_begin { cap } ->
-          bump live cap 1;
-          touch cap
-      | Worker_end { cap } ->
-          bump live cap (-1);
-          touch cap
-      | Gc_begin { cap; _ } ->
-          bump in_gc cap 1;
-          touch cap
-      | Gc_end { cap; _ } ->
-          bump in_gc cap (-1);
-          touch cap
-      | Steal_success { thief; victim } ->
-          if thief >= 0 && thief < ncaps then
-            Trace.marker tr ~time ~cap:thief
-              (Printf.sprintf "steal<-%d" victim)
-      | _ -> ());
-  Trace.finish tr ~time:!last;
-  tr
 
 let pp_summary ppf (s : summary) =
   Format.fprintf ppf "@[<v>event counts:@,";

@@ -1,6 +1,7 @@
 (** Structured runtime event log (GHC-eventlog style) — the
-    profiling-tool side of the paper's contribution: discrete runtime
-    events with timestamps plus derived summary statistics. *)
+    profiling-tool side of the paper's contribution: the simulator's
+    discrete runtime events with timestamps plus derived summary
+    statistics.  The real backends record {!Chrome.span}s instead. *)
 
 type event =
   | Thread_created of { tid : int; cap : int }
@@ -18,25 +19,6 @@ type event =
   | Gc_finished
   | Message_sent of { src : int; dst : int; bytes : int }
   | Message_delivered of { dst : int; bytes : int }
-  | Blackhole_entered of { cap : int }
-  (* Hardware events recorded by [lib/exec]'s per-domain tracer; caps
-     are worker ids, begin/end pairs are spans on a worker's
-     timeline. *)
-  | Steal_attempt of { thief : int; victim : int }
-  | Steal_success of { thief : int; victim : int }
-  | Cap_parked of { cap : int }
-  | Cap_unparked of { cap : int }
-  | Task_begin of { cap : int }
-  | Task_end of { cap : int }
-  | Eval_begin of { cap : int }  (** future claimed; its body runs *)
-  | Eval_end of { cap : int }
-  | Future_forced of { cap : int }
-      (** forcer demanded an unfinished future *)
-  | Worker_begin of { cap : int }  (** worker loop / [Pool.run] lifetime *)
-  | Worker_end of { cap : int }
-  | Gc_begin of { cap : int; major : bool }  (** per-domain GC span *)
-  | Gc_end of { cap : int; major : bool }
-  | Custom of string
 
 val event_name : event -> string
 
@@ -71,10 +53,3 @@ type summary = {
 
 val summarise : ?ncaps:int -> t -> summary
 val pp_summary : Format.formatter -> summary -> unit
-
-(** Project a hardware event log onto the per-capability state
-    timeline ([Gc] > [Running] > [Blocked] > [Runnable] > [Idle]), so
-    the EdenTV-style {!Render}/{!Render_svg} renderers work on real
-    runs exactly as on simulated ones.  Only the span events
-    (task/eval, park, worker, GC) and steal markers contribute. *)
-val to_trace : ncaps:int -> t -> Trace.t

@@ -1125,7 +1125,7 @@ let trace_spans () =
   (* the one profiler reads the file [dist --trace] writes: each PE's
      row counts the tasks that PE executed *)
   let report =
-    Profile.analyze (Profile.of_chrome_json (Repro_util.Json_in.parse json))
+    Profile.analyze (Chrome.of_json (Repro_util.Json_in.parse json))
   in
   Array.iter
     (fun (r : Farm.pe_report) ->
@@ -1144,7 +1144,7 @@ let trace_spans () =
    [wait] slice inside its PE's one [task] slice, one per row the PE
    did not make, left out of [exec_ns]; the coordinator's track has no
    [relay] slice, since no row crosses it, and the profile counts the
-   waits as parked, not busy. *)
+   waits as parked, not busy, whether it reads the spans or the file. *)
 let trace_relay_waits transport () =
   let module W = Workload.Apsp_w in
   let size = W.quick_size in
@@ -1156,23 +1156,28 @@ let trace_relay_waits transport () =
       let received pe = size - (((pe + 1) * size / procs) - (pe * size / procs)) in
       Array.iter
         (fun (r : Farm.pe_report) ->
-          match r.stats.Message.spans with
+          let named name =
+            List.filter (fun (s : Chrome.span) -> s.name = name) r.stats.Message.spans
+          in
+          let stop (s : Chrome.span) = s.ts_ns + Option.get s.dur_ns in
+          match named "task" with
           | [ t ] ->
+              let waits = named "wait" in
               let waited =
-                List.fold_left (fun acc (w0, w1) -> acc + (w1 - w0)) 0 t.span_waits
+                List.fold_left (fun acc (w : Chrome.span) -> acc + Option.get w.dur_ns) 0 waits
               in
               check int
                 (what (Printf.sprintf "PE %d: ring waits" r.rep_pe))
-                (received r.rep_pe) (List.length t.span_waits);
+                (received r.rep_pe) (List.length waits);
               check int
                 (what (Printf.sprintf "PE %d: exec_ns plus waits is the task's span" r.rep_pe))
-                (t.exec_end_ns - t.exec_start_ns)
+                (Option.get t.dur_ns)
                 (r.stats.Message.exec_ns + waited);
               List.iter
-                (fun (w0, w1) ->
+                (fun (w : Chrome.span) ->
                   check bool "wait inside the task" true
-                    (t.exec_start_ns <= w0 && w0 <= w1 && w1 <= t.exec_end_ns))
-                t.span_waits
+                    (t.ts_ns <= w.ts_ns && w.ts_ns <= stop w && stop w <= stop t))
+                waits
           | spans ->
               failf "%s" (what (Printf.sprintf "PE %d has %d task spans" r.rep_pe
                                   (List.length spans))))
@@ -1191,9 +1196,11 @@ let trace_relay_waits transport () =
       done;
       let report =
         Profile.analyze
-          (Profile.of_chrome_json
+          (Chrome.of_json
              (Repro_util.Json_in.parse (Repro_util.Json_out.to_string (Farm.trace o))))
       in
+      check bool (what "the file's profile is the spans'") true
+        (report = Profile.analyze spans);
       List.iter
         (fun (w : Profile.worker_row) ->
           if w.wtid < procs then begin

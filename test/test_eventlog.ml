@@ -82,10 +82,9 @@ let disabled_log_is_empty () =
 
 (* The log packs each event into a row of ints in chunks that grow:
    random lists of every constructor, with negative ids (the simulator
-   sends from -1), ints of any size, both booleans and [Custom] strings
-   of any bytes, long enough to fill several chunks (past 8,160 events
-   the chunks stop growing), come back as they went in, and a disabled
-   log keeps none of them. *)
+   sends from -1), ints of any size and both booleans, long enough to
+   fill several chunks (past 8,160 events the chunks stop growing),
+   come back as they went in, and a disabled log keeps none of them. *)
 let qcheck_round_trip =
   let open QCheck.Gen in
   let id = oneof [ int_range (-1) 16; int ] in
@@ -112,21 +111,6 @@ let qcheck_round_trip =
           (fun src dst bytes -> Eventlog.Message_sent { src; dst; bytes })
           id id int;
         map2 (fun dst bytes -> Eventlog.Message_delivered { dst; bytes }) id int;
-        map (fun cap -> Eventlog.Blackhole_entered { cap }) id;
-        map2 (fun thief victim -> Eventlog.Steal_attempt { thief; victim }) id id;
-        map2 (fun thief victim -> Eventlog.Steal_success { thief; victim }) id id;
-        map (fun cap -> Eventlog.Cap_parked { cap }) id;
-        map (fun cap -> Eventlog.Cap_unparked { cap }) id;
-        map (fun cap -> Eventlog.Task_begin { cap }) id;
-        map (fun cap -> Eventlog.Task_end { cap }) id;
-        map (fun cap -> Eventlog.Eval_begin { cap }) id;
-        map (fun cap -> Eventlog.Eval_end { cap }) id;
-        map (fun cap -> Eventlog.Future_forced { cap }) id;
-        map (fun cap -> Eventlog.Worker_begin { cap }) id;
-        map (fun cap -> Eventlog.Worker_end { cap }) id;
-        map2 (fun cap major -> Eventlog.Gc_begin { cap; major }) id bool;
-        map2 (fun cap major -> Eventlog.Gc_end { cap; major }) id bool;
-        map (fun s -> Eventlog.Custom s) string;
       ]
   in
   let events =
